@@ -6,11 +6,8 @@ measure-axiom validation, and the Monte-Carlo experiment harnesses.
 """
 
 from .linalg import (
-    EigConvergenceError,
     HermitianEig,
-    frobenius_norm,
     hermitian_eig,
-    kron,
     partial_trace,
 )
 from .measures import (
@@ -18,8 +15,6 @@ from .measures import (
     MeasureValue,
     Method,
     l1_coherence,
-    majorizes,
-    ordering_violated,
     rel_entropy_coherence,
     roc,
     subadditivity_gap,
@@ -46,7 +41,6 @@ from .states import (
     projector,
     pure_density,
     random_density,
-    reduced_qubit_of_sigma,
     save_density,
     sigma_family,
 )
@@ -73,7 +67,6 @@ __version__ = "0.1.0"
 __all__ = [
     "CertificateReport",
     "DensityMatrix",
-    "EigConvergenceError",
     "Experiment",
     "HermitianEig",
     "MeasureKind",
@@ -92,22 +85,17 @@ __all__ = [
     "build",
     "dephase",
     "estimate_transition",
-    "frobenius_norm",
     "haar_random_pure",
     "hermitian_eig",
-    "kron",
     "l1_coherence",
     "load_density",
-    "majorizes",
     "maximally_coherent",
     "maximally_entangled_two_qubit",
     "mix_with_pure",
-    "ordering_violated",
     "partial_trace",
     "projector",
     "pure_density",
     "random_density",
-    "reduced_qubit_of_sigma",
     "rel_entropy_coherence",
     "roc",
     "run_and_save",

@@ -2,8 +2,9 @@
 
 Verbs: ``measure``, ``roc-solve``, ``theorem1``, ``fig1``, ``fig2``,
 ``fig3``, ``result2``, ``validate``. Experiment verbs write CSV plus a JSON
-metadata sidecar into ``--out``; every verb accepts ``--seed`` and records it
-in whatever it emits.
+metadata sidecar into ``--out`` and run their samples on ``--threads`` worker
+processes. The sampling verbs (the experiments and ``validate``) accept
+``--seed`` and record it in whatever they emit.
 
 Exit codes: 0 success (and ``validate`` all-pass), 1 ``validate`` failure,
 2 bad input or usage, 3 solver failure.
@@ -45,21 +46,21 @@ def _fmt(x: float) -> str:
 
 
 def _add_common(parser: argparse.ArgumentParser, samples_default: int | None = None) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed recorded in all output")
+    parser.add_argument("--verbose", action="store_true", help="chatty progress on stderr")
+    if samples_default is not None:
+        parser.add_argument("--seed", type=int, default=0, help="RNG seed recorded in all output")
+        parser.add_argument(
+            "--samples", type=int, default=samples_default, help="samples per grid point"
+        )
+
+
+def _add_experiment(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--threads",
         type=int,
         default=os.cpu_count() or 1,
         help="worker processes for sample evaluation",
     )
-    parser.add_argument("--verbose", action="store_true", help="chatty progress on stderr")
-    if samples_default is not None:
-        parser.add_argument(
-            "--samples", type=int, default=samples_default, help="samples per grid point"
-        )
-
-
-def _add_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", default="results", help="output directory for CSV + metadata")
 
 
@@ -81,15 +82,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"cohkit {__version__}")
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p = sub.add_parser("measure", help="all three coherence measures of a serialized state")
-    p.add_argument("state", help="density-matrix JSON file ({dims, re, im})")
-    p.add_argument("--tol", type=float, default=1e-8, help="SDP relative gap tolerance")
-    _add_common(p)
-
-    p = sub.add_parser("roc-solve", help="full robustness SDP solution with certificates")
-    p.add_argument("state", help="density-matrix JSON file ({dims, re, im})")
-    p.add_argument("--tol", type=float, default=1e-8, help="SDP relative gap tolerance")
-    _add_common(p)
+    for verb, text in (
+        ("measure", "all three coherence measures of a serialized state"),
+        ("roc-solve", "full robustness SDP solution with certificates"),
+    ):
+        p = sub.add_parser(verb, help=text)
+        p.add_argument("state", help="density-matrix JSON file ({dims, re, im})")
+        p.add_argument("--tol", type=float, default=1e-8, help="SDP relative gap tolerance")
+        _add_common(p)
 
     p = sub.add_parser("theorem1", help="sigma-family robustness vs. tabulated closed form")
     p.add_argument(
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of qubit counts",
     )
     _add_common(p, samples_default=20)
-    _add_out(p)
+    _add_experiment(p)
 
     p = sub.add_parser("fig1", help="sub-additivity survival under pure-state mixing")
     p.add_argument(
@@ -115,7 +115,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="reference pure state to mix in",
     )
     _add_common(p, samples_default=1000)
-    _add_out(p)
+    _add_experiment(p)
 
     p = sub.add_parser("fig2", help="ordering violations vs. dimension")
     p.add_argument(
@@ -125,7 +125,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of dimensions",
     )
     _add_common(p, samples_default=10000)
-    _add_out(p)
+    _add_experiment(p)
 
     p = sub.add_parser("fig3", help="ordering violations vs. rank at fixed dimension")
     p.add_argument(
@@ -136,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dim", type=int, default=10, help="ambient dimension")
     _add_common(p, samples_default=10000)
-    _add_out(p)
+    _add_experiment(p)
 
     p = sub.add_parser("result2", help="incoherent-ancilla invariance deviations")
     p.add_argument(
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of admissible state/ancilla dimensions",
     )
     _add_common(p, samples_default=100)
-    _add_out(p)
+    _add_experiment(p)
 
     p = sub.add_parser("validate", help="measure-axiom suite; exit 0 iff all pass")
     _add_common(p, samples_default=100)
@@ -173,7 +173,6 @@ def _cmd_measure(args) -> int:
         print(f"{name} = {_fmt(mv.value)}  (method={mv.method.value})")
     gap = values["roc"].certificate_gap
     print(f"sdp_gap = {_fmt(gap) if gap is not None else 'n/a'}")
-    print(f"seed = {args.seed}")
     return EXIT_OK
 
 
@@ -192,7 +191,6 @@ def _cmd_roc_solve(args) -> int:
         print(f"primal_feasibility_violation = {_fmt(report.primal_feasibility_violation)}")
         print(f"dual_feasibility_violation = {_fmt(report.dual_feasibility_violation)}")
         print(f"recomputed_gap = {_fmt(report.gap)}")
-    print(f"seed = {args.seed}")
     if sol.status is not SolveStatus.OPTIMAL:
         print(f"error: solver did not certify optimality ({sol.status.value})", file=sys.stderr)
         return EXIT_SOLVER_FAILURE

@@ -13,8 +13,10 @@ Five experiments:
   C(rho) per measure.
 
 Every sample derives its own generator from (seed, point index, sample
-index), so results are byte-identical regardless of worker count or
-scheduling. Runners emit CSV plus a JSON metadata sidecar.
+index), so at a fixed BLAS thread count results are byte-identical
+regardless of worker count or scheduling. The BLAS thread count can change
+the last bits of solver values, and with them the value columns of
+``theorem1_check``. Runners emit CSV plus a JSON metadata sidecar.
 """
 
 from __future__ import annotations
@@ -25,22 +27,22 @@ import logging
 import subprocess
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import Enum
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
 import numpy as np
 
-from . import linalg, sdp
 from .measures import (
     MeasureKind,
     compute_measure,
+    roc,
     subadditivity_gap,
     theorem1_closed_form,
     values_ordering_violated,
 )
-from .sdp import SolveStatus, SolverFailure
+from .sdp import SolverFailure
 from .states import (
     DensityMatrix,
     dephase,
@@ -345,8 +347,10 @@ def run_ordering_vs_rank(cfg: SweepConfig, workers: int = 1) -> list[SweepRecord
 def run_theorem1_check(cfg: SweepConfig) -> list[Theorem1Row]:
     """Certified robustness of sigma-family states vs. the tabulated closed form.
 
-    Also recomputes the sub-additivity gap for every sample and insists it is
-    nonpositive (up to SUBADDITIVITY_COUNT_TOL).
+    The robustness comes from the same ``roc`` dispatch as every other
+    experiment: the qubit closed form at n=1, one SDP solve otherwise. The
+    sub-additivity gap subtracts the marginals' robustness from that value
+    and must be nonpositive (up to SUBADDITIVITY_COUNT_TOL).
     """
     if cfg.experiment is not Experiment.THEOREM1_CHECK:
         raise ValueError(f"config is for {cfg.experiment}, not the closed-form check")
@@ -358,15 +362,9 @@ def run_theorem1_check(cfg: SweepConfig) -> list[Theorem1Row]:
             rng = _rng(cfg.seed, point_idx, sample_idx)
             k = rng.uniform(0.0, kmax)
             rho = sigma_family(n, k)
-            sol = sdp.solve(sdp.build(rho))
-            if sol.status is not SolveStatus.OPTIMAL:
-                raise SolverFailure(
-                    f"closed-form check solve failed for n={n}, k={k}: {sol.status.value}",
-                    solution=sol,
-                )
-            sdp_value = sol.dual_value - 1.0
+            sdp_value = roc(rho).value
             closed = theorem1_closed_form(n, k)
-            gap = subadditivity_gap(rho)
+            gap = sdp_value - sum(roc(rho.marginal(i)).value for i in range(n))
             if gap > SUBADDITIVITY_COUNT_TOL:
                 raise RuntimeError(
                     f"sigma family violated sub-additivity: n={n}, k={k}, gap={gap:.3e}"
@@ -396,7 +394,7 @@ def run_result2_check(cfg: SweepConfig) -> list[Result2Row]:
         d_b = dims[rng.integers(len(dims))]
         rho = random_density(d_a, d_a, rng)
         ancilla = dephase(random_density(d_b, d_b, rng))
-        product = DensityMatrix(linalg.kron(rho.mat, ancilla.mat), (d_a, d_b))
+        product = DensityMatrix(np.kron(rho.mat, ancilla.mat), (d_a, d_b))
         for kind in MeasureKind:
             dev = abs(compute_measure(kind, product).value - compute_measure(kind, rho).value)
             if dev > worst[kind][0]:
@@ -449,23 +447,17 @@ def write_sweep_csv(cfg: SweepConfig, records: list[SweepRecord], path: Path) ->
             )
 
 
-def write_theorem1_csv(rows: list[Theorem1Row], path: Path) -> None:
+def write_rows_csv(rows: list[Theorem1Row] | list[Result2Row], path: Path) -> None:
+    """One CSV line per row, under a header of the row dataclass's field names.
+
+    Floats are written with ``repr``, so values round-trip exactly.
+    """
+    names = [f.name for f in fields(rows[0])]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["n", "k", "sdp_value", "closed_form", "abs_difference", "subadditivity_gap"])
-        for r in rows:
-            writer.writerow(
-                [r.n, repr(r.k), repr(r.sdp_value), repr(r.closed_form),
-                 repr(r.abs_difference), repr(r.subadditivity_gap)]
-            )
-
-
-def write_result2_csv(rows: list[Result2Row], path: Path) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["measure", "d_a", "d_b", "max_abs_deviation"])
-        for r in rows:
-            writer.writerow([r.measure, r.d_a, r.d_b, repr(r.max_abs_deviation)])
+        writer.writerow(names)
+        for row in rows:
+            writer.writerow([getattr(row, name) for name in names])
 
 
 def _git_revision() -> str:
@@ -482,7 +474,11 @@ def _package_version() -> str:
     try:
         return version("cohkit")
     except PackageNotFoundError:
-        return "unknown"
+        # Running from source. Looked up at call time: the package assigns
+        # __version__ only after it has imported this module.
+        from . import __version__
+
+        return __version__
 
 
 def write_metadata(cfg: SweepConfig, path: Path, wall_time_s: float, extra: dict | None = None) -> None:
@@ -519,8 +515,8 @@ def run_and_save(cfg: SweepConfig, out_dir: str | Path, workers: int = 1) -> tup
     elif cfg.experiment is Experiment.ORDERING_VS_RANK:
         write_sweep_csv(cfg, run_ordering_vs_rank(cfg, workers), csv_path)
     elif cfg.experiment is Experiment.THEOREM1_CHECK:
-        write_theorem1_csv(run_theorem1_check(cfg), csv_path)
+        write_rows_csv(run_theorem1_check(cfg), csv_path)
     else:
-        write_result2_csv(run_result2_check(cfg), csv_path)
+        write_rows_csv(run_result2_check(cfg), csv_path)
     write_metadata(cfg, meta_path, wall_time_s=time.perf_counter() - start, extra=extra)
     return csv_path, meta_path

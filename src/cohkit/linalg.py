@@ -16,10 +16,6 @@ import numpy as np
 HERMITIAN_RTOL = 1e-10
 
 
-class EigConvergenceError(RuntimeError):
-    """Raised when the underlying eigensolver fails to converge."""
-
-
 @dataclass(frozen=True)
 class HermitianEig:
     """Eigendecomposition H = V diag(w) V^dag with w sorted ascending."""
@@ -27,33 +23,15 @@ class HermitianEig:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
-def frobenius_norm(m: np.ndarray) -> float:
-    """sqrt of the sum of squared entry moduli."""
-    return float(np.linalg.norm(m))
-
 
 def hermiticity_defect(m: np.ndarray) -> float:
     """Relative Frobenius distance from m to its Hermitian part."""
-    return frobenius_norm(m - m.conj().T) / max(1.0, frobenius_norm(m))
+    return float(np.linalg.norm(m - m.conj().T) / max(1.0, np.linalg.norm(m)))
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Hermitian part (m + m^dag) / 2."""
     return (m + m.conj().T) / 2
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two square matrices."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or a.shape[0] != a.shape[1] or b.ndim != 2 or b.shape[0] != b.shape[1]:
-        raise ValueError("kron expects square matrices")
-    return np.kron(a, b)
 
 
 def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...], keep: int) -> np.ndarray:
@@ -107,10 +85,5 @@ def hermitian_eig(h: np.ndarray) -> HermitianEig:
     defect = hermiticity_defect(h)
     if defect > HERMITIAN_RTOL:
         raise ValueError(f"matrix is not Hermitian (relative defect {defect:.3e})")
-    try:
-        w, v = np.linalg.eigh(hermitize(h))
-    except np.linalg.LinAlgError as exc:
-        raise EigConvergenceError(
-            f"eigendecomposition failed to converge for d={h.shape[0]}: {exc}"
-        ) from exc
+    w, v = np.linalg.eigh(hermitize(h))
     return HermitianEig(eigenvalues=w, eigenvectors=v)

@@ -9,8 +9,8 @@ Three measures are provided:
   l1 identity (pure states), or the certified SDP otherwise.
 
 Also here: the sub-additivity gap over qubit marginals, the closed-form
-robustness candidate for the sigma family, a majorization test for pure-state
-convertibility, and pairwise measure-ordering comparison.
+robustness candidate for the sigma family, and the measure-ordering test on
+value differences.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from enum import Enum
 
 import numpy as np
 
-from . import linalg, sdp
+from . import sdp
 from .states import DensityMatrix
 
 log = logging.getLogger(__name__)
@@ -93,7 +93,7 @@ def rel_entropy_coherence(rho: DensityMatrix) -> MeasureValue:
     """S(diag(rho)) - S(rho) with base-2 logarithms."""
     diag = np.real(np.diag(rho.mat)).copy()
     s_dephased = _entropy_bits(diag)
-    s_rho = _entropy_bits(linalg.hermitian_eig(rho.mat).eigenvalues)
+    s_rho = _entropy_bits(rho.eigenvalues)
     return MeasureValue(_finalize(s_dephased - s_rho), Method.DIRECT)
 
 
@@ -109,8 +109,7 @@ def roc(rho: DensityMatrix, tol: float = 1e-8) -> MeasureValue:
     d = rho.dim
     if d == 2:
         return MeasureValue(_finalize(2.0 * float(np.abs(rho.mat[0, 1]))), Method.CLOSED_FORM_QUBIT)
-    eigs = linalg.hermitian_eig(rho.mat).eigenvalues
-    if d == 1 or eigs[-2] < PURE_EIG_TOL:
+    if d == 1 or rho.eigenvalues[-2] < PURE_EIG_TOL:
         return MeasureValue(l1_coherence(rho).value, Method.PURE_STATE_L1)
     sol = sdp.solve(sdp.build(rho), tol=tol)
     if sol.status is not sdp.SolveStatus.OPTIMAL:
@@ -158,52 +157,13 @@ def theorem1_closed_form(n: int, k: float) -> float:
     return k * (1.0 - 2.0 ** (-n))
 
 
-def majorizes(p: np.ndarray, q: np.ndarray) -> bool:
-    """True when p is majorized by q (every descending partial sum of p
-    is at most the corresponding one of q, within 1e-12).
-
-    For pure states, majorization of the squared-amplitude vectors is the
-    convertibility criterion under incoherent operations (target majorizes
-    source). Vectors of different lengths are zero-padded.
-    """
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    for name, v in (("p", p), ("q", q)):
-        if v.ndim != 1:
-            raise ValueError(f"{name} must be a vector")
-        if v.min(initial=0.0) < -1e-12:
-            raise ValueError(f"{name} has negative entries")
-        if abs(v.sum() - 1.0) > 1e-10:
-            raise ValueError(f"{name} does not sum to 1 (sum={v.sum()!r})")
-    size = max(len(p), len(q))
-    p = np.pad(p, (0, size - len(p)))
-    q = np.pad(q, (0, size - len(q)))
-    p_partial = np.cumsum(np.sort(p)[::-1])
-    q_partial = np.cumsum(np.sort(q)[::-1])
-    return bool(np.all(p_partial <= q_partial + 1e-12))
-
-
-def ordering_violated(
-    a: DensityMatrix,
-    b: DensityMatrix,
-    m1: MeasureKind,
-    m2: MeasureKind,
-    tol: float = 1e-8,
-) -> bool:
-    """True when the two measures rank the pair (a, b) in opposite orders.
+def values_ordering_violated(d1: float, d2: float) -> bool:
+    """True when measure differences d1 = m1(a) - m1(b) and d2 = m2(a) - m2(b)
+    rank the pair (a, b) in opposite orders.
 
     Differences of magnitude at most ORDERING_TIE_TOL under either measure
     count as ties, never as violations.
     """
-    if a.dim != b.dim:
-        raise ValueError("states must share a dimension")
-    d1 = compute_measure(m1, a, tol).value - compute_measure(m1, b, tol).value
-    d2 = compute_measure(m2, a, tol).value - compute_measure(m2, b, tol).value
-    return values_ordering_violated(d1, d2)
-
-
-def values_ordering_violated(d1: float, d2: float) -> bool:
-    """Ordering test on precomputed measure differences."""
     if abs(d1) <= ORDERING_TIE_TOL or abs(d2) <= ORDERING_TIE_TOL:
         return False
     return d1 * d2 < -(ORDERING_TIE_TOL**2)

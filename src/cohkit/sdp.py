@@ -76,7 +76,6 @@ class RocSdp:
     """Problem data for one robustness computation."""
 
     rho: DensityMatrix
-    d: int
 
 
 @dataclass(frozen=True)
@@ -109,7 +108,7 @@ class CertificateReport:
 
 def build(rho: DensityMatrix) -> RocSdp:
     """Assemble the robustness program for a density matrix."""
-    return RocSdp(rho=rho, d=rho.dim)
+    return RocSdp(rho=rho)
 
 
 def _slack(neg_rho: np.ndarray, dvec: np.ndarray, step: int) -> np.ndarray:
@@ -147,12 +146,12 @@ def solve(
     else:
         potrf, potri = _POTRF_C, _POTRI_C
         complex_input = True
-    d = problem.d
+    d = problem.rho.dim
     step = d + 1
     neg_rho = -rho
     diag_rho = np.real(np.diag(rho)).copy()
 
-    spectral = float(np.linalg.eigvalsh(rho)[-1])
+    spectral = float(problem.rho.eigenvalues[-1])
     dvec = diag_rho + spectral
     chol, info = potrf(_slack(neg_rho, dvec, step), lower=1, clean=0)
     bump = max(spectral, 1.0) * 1e-12

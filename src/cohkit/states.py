@@ -29,10 +29,14 @@ class DensityMatrix:
 
     ``dims`` factors the space into subsystems (``()`` means unfactored).
     Validation runs on construction and raises ``ValueError`` on any breach.
+    ``eigenvalues`` is the ascending spectrum of the Hermitian part that
+    validation computes; measures and the solver read it instead of
+    factorizing the state again.
     """
 
     mat: np.ndarray
     dims: tuple[int, ...] = field(default=())
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.ascontiguousarray(np.asarray(self.mat, dtype=complex))
@@ -52,7 +56,9 @@ class DensityMatrix:
         tr = complex(np.trace(m))
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"density matrix trace {tr} is not 1")
-        min_eig = float(np.linalg.eigvalsh(linalg.hermitize(m))[0])
+        eigs = np.linalg.eigvalsh(linalg.hermitize(m))
+        object.__setattr__(self, "eigenvalues", eigs)
+        min_eig = float(eigs[0])
         if min_eig < EIG_FLOOR:
             raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
 
@@ -142,15 +148,6 @@ def sigma_family(n: int, k: float) -> DensityMatrix:
     d = 2**n
     mat = (1.0 + k) / d * np.eye(d, dtype=complex) - k * projector(maximally_coherent(d))
     return DensityMatrix(mat, (2,) * n)
-
-
-def reduced_qubit_of_sigma(n: int, k: float) -> DensityMatrix:
-    """Single-qubit marginal of ``sigma_family(n, k)``: [[1/2, -k/2], [-k/2, 1/2]].
-
-    The same 2x2 matrix is obtained for every subsystem.
-    """
-    _check_sigma_params(n, k)
-    return DensityMatrix(np.array([[0.5, -k / 2], [-k / 2, 0.5]], dtype=complex), (2,))
 
 
 def mix_with_pure(sigma: DensityMatrix, phi: np.ndarray, p: float) -> DensityMatrix:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
 from .measures import (
     MeasureKind,
     compute_measure,
@@ -138,7 +137,7 @@ def check_incoherent_ancilla(samples: int = 100, seed: int = 0) -> PropertyResul
         da, db = _rand_dim(rng, 2, 4), _rand_dim(rng, 2, 4)
         rho = random_density(da, da, rng)
         ancilla = dephase(random_density(db, db, rng))
-        product = DensityMatrix(linalg.kron(rho.mat, ancilla.mat), (da, db))
+        product = DensityMatrix(np.kron(rho.mat, ancilla.mat), (da, db))
         for kind in ALL_KINDS:
             worst = max(
                 worst,

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import cohkit
 import cohkit.sdp
 from cohkit.experiments import (
     Experiment,
@@ -116,10 +117,23 @@ def test_ordering_vs_rank_pure_states_never_split_l1_roc():
     assert rank2["rel_entropy:roc"] >= max(rank2["l1:roc"], rank2["l1:rel_entropy"])
 
 
-def test_theorem1_check_rows():
-    cfg = SweepConfig(experiment=Experiment.THEOREM1_CHECK, samples=4, seed=9, grid=(1, 2))
+def test_theorem1_check_rows(monkeypatch):
+    real_solve = cohkit.sdp.solve
+    solved = []
+
+    def counting_solve(problem, **kwargs):
+        solved.append(problem.rho.dim)
+        return real_solve(problem, **kwargs)
+
+    monkeypatch.setattr(cohkit.sdp, "solve", counting_solve)
+    cfg = SweepConfig(experiment=Experiment.THEOREM1_CHECK, samples=4, seed=9, grid=(1, 2, 3))
     rows = run_theorem1_check(cfg)
-    assert len(rows) == 8
+    assert len(rows) == 12
+    # one solve per sample for n >= 2; qubits take the closed form 2|rho_01| = k
+    assert sorted(solved) == [4] * 4 + [8] * 4
+    for row in rows[:4]:
+        assert row.sdp_value == pytest.approx(row.k, rel=1e-15, abs=0)
+        assert row.subadditivity_gap == 0.0
     for row in rows:
         assert 0 <= row.k <= 1 / (2**row.n - 1) + 1e-12
         assert row.subadditivity_gap <= 1e-9
@@ -153,6 +167,7 @@ def test_run_and_save_outputs(tmp_path):
     assert meta["config"] == cfg.to_json_dict()
     assert "transition_estimate" in meta
     assert "git_revision" in meta
+    assert meta["package_version"] == cohkit.__version__
     assert meta["wall_time_s"] > 0
 
     # identical config reproduces identical CSV bytes

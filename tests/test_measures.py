@@ -8,12 +8,11 @@ from cohkit.measures import (
     Method,
     compute_measure,
     l1_coherence,
-    majorizes,
-    ordering_violated,
     rel_entropy_coherence,
     roc,
     subadditivity_gap,
     theorem1_closed_form,
+    values_ordering_violated,
 )
 from cohkit.states import (
     DensityMatrix,
@@ -22,7 +21,6 @@ from cohkit.states import (
     maximally_coherent,
     pure_density,
     random_density,
-    reduced_qubit_of_sigma,
     sigma_family,
 )
 
@@ -38,7 +36,7 @@ def test_l1_maximally_coherent(d):
 
 def test_l1_reduced_sigma_qubit():
     for k in (0.0, 0.2, 1 / 3):
-        assert abs(l1_coherence(reduced_qubit_of_sigma(2, k)).value - k) < 1e-14
+        assert abs(l1_coherence(sigma_family(2, k).marginal(0)).value - k) < 1e-14
 
 
 def test_rel_entropy_values():
@@ -96,7 +94,34 @@ def test_roc_of_sigma_family_equals_k():
 
 
 def test_roc_reduced_sigma_qubit_equals_k():
-    assert abs(roc(reduced_qubit_of_sigma(2, 1 / 3)).value - 1 / 3) < 1e-14
+    assert abs(roc(sigma_family(2, 1 / 3).marginal(0)).value - 1 / 3) < 1e-14
+
+
+def test_measures_make_no_eigen_call_beyond_validation(monkeypatch):
+    rng = np.random.default_rng(14)
+    states = [
+        random_density(2, 2, rng),
+        pure_density(haar_random_pure(5, rng)),
+        random_density(4, 4, rng),
+        sigma_family(3, 0.1),
+    ]
+    calls = []
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    for name in ("eig", "eigh", "eigvals", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name, getattr(np.linalg, name)))
+    monkeypatch.setattr(linalg, "hermitian_eig", counting("hermitian_eig", linalg.hermitian_eig))
+    methods = {roc(rho).method for rho in states}
+    for rho in states:
+        rel_entropy_coherence(rho)
+    assert methods == {Method.CLOSED_FORM_QUBIT, Method.PURE_STATE_L1, Method.SDP}
+    assert calls == []
 
 
 def test_measure_value_certificate_gap_consistency():
@@ -142,43 +167,17 @@ def test_theorem1_closed_form_values():
         theorem1_closed_form(0, 0.1)
 
 
-def test_majorizes_uniform_and_point_mass():
-    for d in (2, 3, 6):
-        uniform = np.full(d, 1 / d)
-        point = np.zeros(d)
-        point[0] = 1.0
-        assert majorizes(uniform, point)
-        assert majorizes(uniform, uniform)
-        assert not majorizes(point, uniform)
+def _ordering_violated(a, b, m1, m2):
+    d1 = compute_measure(m1, a).value - compute_measure(m1, b).value
+    d2 = compute_measure(m2, a).value - compute_measure(m2, b).value
+    return values_ordering_violated(d1, d2)
 
 
-def test_majorizes_one_sided_pair():
-    # partial sums: p gives 0.5, 0.8, 1.0 and q gives 0.4, 0.8, 1.0,
-    # so q is majorized by p but not the other way around
-    p = np.array([0.5, 0.3, 0.2])
-    q = np.array([0.4, 0.4, 0.2])
-    assert not majorizes(p, q)
-    assert majorizes(q, p)
-
-
-def test_majorizes_incomparable_pair():
-    # 0.5 > 0.4 blocks one direction, 0.75 < 0.8 blocks the other
-    p = np.array([0.5, 0.25, 0.25])
-    q = np.array([0.4, 0.4, 0.2])
-    assert not majorizes(p, q)
-    assert not majorizes(q, p)
-
-
-def test_majorizes_pads_shorter_vector():
-    assert majorizes(np.array([0.5, 0.5]), np.array([1.0]))
-    assert not majorizes(np.array([1.0]), np.array([0.5, 0.5]))
-
-
-def test_majorizes_validates_input():
-    with pytest.raises(ValueError, match="sum"):
-        majorizes(np.array([0.5, 0.4]), np.array([0.5, 0.5]))
-    with pytest.raises(ValueError, match="negative"):
-        majorizes(np.array([1.2, -0.2]), np.array([0.5, 0.5]))
+def test_ordering_ties_are_not_violations():
+    assert values_ordering_violated(0.1, -0.2)
+    assert not values_ordering_violated(0.1, 0.2)
+    assert not values_ordering_violated(1e-8, -0.2)
+    assert not values_ordering_violated(0.1, -1e-8)
 
 
 def test_ordering_never_violated_for_identical_states():
@@ -186,7 +185,7 @@ def test_ordering_never_violated_for_identical_states():
     rho = random_density(3, 3, rng)
     for m1 in MeasureKind:
         for m2 in MeasureKind:
-            assert not ordering_violated(rho, rho, m1, m2)
+            assert not _ordering_violated(rho, rho, m1, m2)
 
 
 def test_ordering_l1_vs_roc_agrees_on_qubits():
@@ -194,7 +193,7 @@ def test_ordering_l1_vs_roc_agrees_on_qubits():
     for _ in range(50):
         a = random_density(2, 2, rng)
         b = random_density(2, 2, rng)
-        assert not ordering_violated(a, b, MeasureKind.L1, MeasureKind.ROC)
+        assert not _ordering_violated(a, b, MeasureKind.L1, MeasureKind.ROC)
 
 
 def test_ordering_l1_vs_roc_agrees_on_pure_states():
@@ -202,7 +201,7 @@ def test_ordering_l1_vs_roc_agrees_on_pure_states():
     for _ in range(50):
         a = pure_density(haar_random_pure(6, rng))
         b = pure_density(haar_random_pure(6, rng))
-        assert not ordering_violated(a, b, MeasureKind.L1, MeasureKind.ROC)
+        assert not _ordering_violated(a, b, MeasureKind.L1, MeasureKind.ROC)
 
 
 def test_ordering_violations_do_happen():
@@ -211,17 +210,8 @@ def test_ordering_violations_do_happen():
     for _ in range(200):
         a = random_density(4, 4, rng)
         b = random_density(4, 4, rng)
-        found += ordering_violated(a, b, MeasureKind.REL_ENTROPY, MeasureKind.ROC)
+        found += _ordering_violated(a, b, MeasureKind.REL_ENTROPY, MeasureKind.ROC)
     assert found > 0
-
-
-def test_ordering_dimension_mismatch():
-    rng = np.random.default_rng(11)
-    with pytest.raises(ValueError):
-        ordering_violated(
-            random_density(2, 2, rng), random_density(3, 3, rng),
-            MeasureKind.L1, MeasureKind.ROC,
-        )
 
 
 def test_roc_never_exceeds_l1():

@@ -13,6 +13,7 @@ from cohkit.sdp import (
 )
 from cohkit.states import (
     DensityMatrix,
+    dephase,
     haar_random_pure,
     pure_density,
     random_density,
@@ -27,8 +28,8 @@ def qubit_with_offdiag(c):
 def test_build_carries_dimension():
     rho = sigma_family(2, 0.1)
     problem = build(rho)
-    assert problem.d == 4
     assert problem.rho is rho
+    assert problem.rho.dim == 4
 
 
 def test_qubit_standard_example():
@@ -74,6 +75,46 @@ def test_random_state_self_certification():
         assert report.primal_feasibility_violation <= 1e-8
         assert report.dual_feasibility_violation <= 1e-8
         assert abs(report.gap - sol.gap) < 1e-10
+
+
+def _near_diagonal(d, weight, seed):
+    rho = random_density(d, d, np.random.default_rng(seed))
+    return DensityMatrix((1 - weight) * dephase(rho).mat + weight * rho.mat)
+
+
+# Hard inputs, each with its robustness where it is known in closed form:
+# a qubit block padded with a zero row and column keeps the qubit's 2|c|,
+# the sigma family at k = 1/(2^n - 1) sits on the PSD boundary with value k,
+# and the maximally mixed state is incoherent.
+EDGE_STATES = {
+    "zero-diagonal-row": (
+        lambda: DensityMatrix(np.array([[0.5, 0.3, 0], [0.3, 0.5, 0], [0, 0, 0]])),
+        0.6,
+    ),
+    "rank2-d16": (lambda: random_density(16, 2, np.random.default_rng(21)), None),
+    "sigma-n3-kmax": (lambda: sigma_family(3, 1 / 7), 1 / 7),
+    "sigma-n5-kmax": (lambda: sigma_family(5, 1 / 31), 1 / 31),
+    "complex-d64": (lambda: random_density(64, 64, np.random.default_rng(22)), None),
+    "near-diagonal": (lambda: _near_diagonal(6, 1e-6, 23), None),
+    "maximally-mixed": (lambda: DensityMatrix(np.eye(8) / 8), 0.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_STATES))
+def test_edge_state_certifies(name):
+    make, expected = EDGE_STATES[name]
+    rho = make()
+    sol = solve(build(rho))
+    assert sol.status is SolveStatus.OPTIMAL
+    assert -1e-9 <= sol.gap <= 1e-8 * max(1.0, sol.primal_value)
+    report = verify_certificates(sol, rho)
+    assert report.primal_feasibility_violation <= 1e-8
+    assert report.dual_feasibility_violation <= 1e-8
+    assert abs(report.gap - sol.gap) < 1e-10
+    value = sol.dual_value - 1.0
+    if expected is not None:
+        assert abs(value - expected) < 1e-7
+    assert -1e-9 <= value <= l1_coherence(rho).value + 1e-9
 
 
 def test_matches_qubit_closed_form():

@@ -16,7 +16,6 @@ from cohkit.states import (
     projector,
     pure_density,
     random_density,
-    reduced_qubit_of_sigma,
     save_density,
     sigma_family,
 )
@@ -82,8 +81,9 @@ def test_sigma_family_rejects_out_of_range():
 
 
 def test_reduced_qubit_closed_form():
-    assert np.max(np.abs(reduced_qubit_of_sigma(3, 0.0).mat - np.eye(2) / 2)) < 1e-15
-    red = reduced_qubit_of_sigma(2, 1 / 3)
+    assert np.max(np.abs(sigma_family(3, 0.0).marginal(0).mat - np.eye(2) / 2)) < 1e-15
+    red = sigma_family(2, 1 / 3).marginal(1)
+    assert red.dims == (2,)
     assert np.max(np.abs(red.mat - np.array([[0.5, -1 / 6], [-1 / 6, 0.5]]))) < 1e-14
 
 
@@ -93,7 +93,7 @@ def test_reduced_qubit_equals_every_marginal():
         n = int(rng.integers(1, 5))
         k = rng.uniform(0, 1 / (2**n - 1))
         rho = sigma_family(n, k)
-        red = reduced_qubit_of_sigma(n, k).mat
+        red = np.array([[0.5, -k / 2], [-k / 2, 0.5]])
         for i in range(n):
             assert np.max(np.abs(rho.marginal(i).mat - red)) < 1e-12
 
@@ -216,6 +216,21 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[np.nan, 0], [0, 1.0]]))
     with pytest.raises(ValueError, match="square"):
         DensityMatrix(np.ones((2, 3)) / 6)
+
+
+def test_density_eigenvalues_are_the_validated_spectrum():
+    rng = np.random.default_rng(12)
+    states = [random_density(d, r, rng) for d, r in ((2, 2), (5, 1), (7, 3), (9, 9))]
+    states.append(sigma_family(3, 1 / 7))
+    x = rng.standard_normal((4, 4))
+    states.append(DensityMatrix(np.eye(4) / 4 + 1e-13 * (x - x.T)))  # not exactly Hermitian
+    for rho in states:
+        w = rho.eigenvalues
+        assert np.all(np.diff(w) >= 0)
+        assert np.array_equal(w, np.linalg.eigvalsh(linalg.hermitize(rho.mat)))
+    assert "eigenvalues" not in repr(states[0])
+    with pytest.raises(TypeError):
+        DensityMatrix(np.eye(2) / 2, eigenvalues=np.ones(2))
 
 
 def test_json_round_trip(tmp_path):
