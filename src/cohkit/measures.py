@@ -105,6 +105,12 @@ def roc(rho: DensityMatrix, tol: float = 1e-8) -> MeasureValue:
     l1-norm; everything else goes through the SDP, reporting the dual
     (lower-bound) objective minus one together with the duality gap.
     Raises :class:`cohkit.sdp.SolverFailure` if the SDP does not certify.
+
+    Resolution: an SDP value is a certified lower bound on the robustness,
+    short of it by at most the gap, which is at most ``tol * max(1, primal)``
+    with ``primal = value + 1 + gap``. A difference of two such values is
+    therefore off by at most twice that, which at the default ``tol`` stays
+    below ORDERING_TIE_TOL = 1e-7 while the robustness is below 4.
     """
     d = rho.dim
     if d == 2:

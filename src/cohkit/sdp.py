@@ -16,19 +16,27 @@ again with robustness = optimum - 1. Any feasible primal/dual pair sandwiches
 the optimum, so the gap between the two objectives is a correctness
 certificate. See docs/roc-sdp.md for the full derivation and worked examples.
 
-The solver follows the central path of the primal log-det barrier
+The solver is the infeasible-start primal-dual interior-point method of
+Helmberg, Rendl, Vanderbei and Wolkowicz (SIAM J. Optim. 6, 1996) on the pair
+S = diag(d) - rho >= 0, Y >= 0 with diag(Y) = 1. Each iteration solves the
+linearized central-path condition S Y = sigma*mu*I (mu = tr(SY)/d) in the
+HRVW/XZ direction: with dS = diag(dd),
 
-    f_mu(d) = sum_i d_i - mu * logdet(diag(d) - rho),
+    M dd = Re diag(S^-1 (sigma*mu*I - dS_aff dY_aff)) - 1,   M = Re(S^-1 o Y^T),
+    dY   = Herm(S^-1 (sigma*mu*I - dS_aff dY_aff - dS Y)) - Y,
 
-driving mu -> 0 with damped Newton steps. The gradient and Hessian are
-available in closed form from W = (diag(d) - rho)^{-1}:
+so that diag(Y + dY) = 1 even when rounding has moved diag(Y) off 1. M is
+d x d positive definite (Schur product of two PD matrices), and the
+second-order term dS_aff dY_aff is zero in the predictor. Mehrotra's
+predictor-corrector sets sigma = (mu_aff/mu)^3 from the predictor's step;
+one Cholesky factorization of M serves both solves. Each step goes
+STEP_TO_BOUNDARY of the way to the PSD boundary, found from the smallest
+eigenvalue of L^-1 dX L^-H with X = L L^H.
 
-    grad_i = 1 - mu * W_ii,      hess_ij = mu * |W_ij|^2,
-
-and the Hessian is positive semidefinite (Schur product of W with its
-conjugate). At a mu-centered point, mu*W is nearly unit-diagonal and PSD;
-rescaling it to exact unit diagonal yields a strictly feasible dual matrix,
-whose objective certifies the current gap (~ mu * dimension).
+The start d0 = diag(rho) + lambda_max + 1/d, Y0 = I is strictly feasible:
+diag(rho) + lambda_max I - rho >= 0 for every density matrix, so S0 >= I/d.
+Every iterate is certified: Y rescaled to unit diagonal is dual feasible, and
+the solve stops once primal - dual <= tol * max(1, primal).
 """
 
 from __future__ import annotations
@@ -44,17 +52,18 @@ from scipy.linalg import get_lapack_funcs
 from . import linalg
 from .states import DensityMatrix
 
-_POTRF_R, _POTRI_R = get_lapack_funcs(("potrf", "potri"), (np.empty((1, 1)),))
-_POTRF_C, _POTRI_C = get_lapack_funcs(("potrf", "potri"), (np.empty((1, 1), dtype=complex),))
 
-# Strictly feasible start: d0 = diag(rho) + ||rho||_2 keeps diag(d0) - rho
-# positive definite for any density matrix with nonsingular diagonal.
-MU_INITIAL = 1.0
-MU_SHRINK = 0.2
-# Newton decrement^2 (relative to mu) below which a point counts as centered;
-# loose along the path, tight once the certificate could close the gap.
-CENTER_TOL_PATH = 0.25
-CENTER_TOL_FINAL = 5e-3
+def _lapack(dtype) -> tuple:
+    proto = np.empty((1, 1), dtype=dtype)
+    pencil_eig = "hegv" if proto.dtype.kind == "c" else "sygv"
+    return get_lapack_funcs(("potrf", "trtri", pencil_eig), (proto,))
+
+
+_REAL, _COMPLEX = _lapack(float), _lapack(complex)
+_POTRF_M, _POTRS_M = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
+
+# Fraction of the way to the PSD boundary that each step may go.
+STEP_TO_BOUNDARY = 0.95
 
 
 class SolveStatus(Enum):
@@ -111,12 +120,6 @@ def build(rho: DensityMatrix) -> RocSdp:
     return RocSdp(rho=rho)
 
 
-def _slack(neg_rho: np.ndarray, dvec: np.ndarray, step: int) -> np.ndarray:
-    s = neg_rho.copy()
-    s.flat[::step] += dvec
-    return s
-
-
 def solve(
     problem: RocSdp,
     tol: float = 1e-8,
@@ -124,13 +127,14 @@ def solve(
     verbose: bool = False,
     trace_to: TextIO | None = None,
 ) -> RocSolution:
-    """Run the barrier method until the relative duality gap is below ``tol``.
+    """Run the primal-dual method until the relative duality gap is below ``tol``.
 
     Returns a solution whose status is OPTIMAL on convergence, MAX_ITER with
-    the best iterate when the Newton budget runs out, or NUMERICAL_FAILURE if
-    a factorization breaks down. When ``verbose`` (or an explicit
-    ``trace_to`` stream) is set, one CSV row ``mu,primal,dual,gap`` is
-    emitted per outer iteration.
+    the last iterate when ``max_iter`` Schur factorizations are spent, or
+    NUMERICAL_FAILURE (with the last certified iterate) if a Cholesky
+    factorization of S, Y or M breaks down. ``iterations`` counts Schur
+    factorizations. When ``verbose`` (or an explicit ``trace_to`` stream) is
+    set, one CSV row ``mu,primal,dual,gap`` is emitted per iterate.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -141,109 +145,89 @@ def solve(
     rho = problem.rho.mat
     if np.max(np.abs(rho.imag)) == 0.0:
         rho = np.ascontiguousarray(rho.real)
-        potrf, potri = _POTRF_R, _POTRI_R
-        complex_input = False
+        potrf, trtri, pencil_eig = _REAL
     else:
-        potrf, potri = _POTRF_C, _POTRI_C
-        complex_input = True
+        potrf, trtri, pencil_eig = _COMPLEX
     d = problem.rho.dim
-    step = d + 1
     neg_rho = -rho
-    diag_rho = np.real(np.diag(rho)).copy()
 
-    spectral = float(problem.rho.eigenvalues[-1])
-    dvec = diag_rho + spectral
-    chol, info = potrf(_slack(neg_rho, dvec, step), lower=1, clean=0)
-    bump = max(spectral, 1.0) * 1e-12
-    while info != 0:
-        dvec = dvec + bump
-        bump *= 8
-        chol, info = potrf(_slack(neg_rho, dvec, step), lower=1, clean=0)
-    logdet = 2.0 * float(np.sum(np.log(np.real(chol.flat[::step]))))
+    def max_step(x: np.ndarray, dx: np.ndarray) -> float:
+        # X + a*dX >= 0 iff 1 + a*lam >= 0 for every eigenvalue lam of L^-1 dX L^-H,
+        # i.e. of the pencil dX v = lam X v. A failed eigensolve cannot break the
+        # certificate: the next iterate is factorized before it is used.
+        lam = pencil_eig(dx, x, jobz="N")[0][0]
+        return 1.0 if lam >= -STEP_TO_BOUNDARY else -STEP_TO_BOUNDARY / lam
 
-    mu = MU_INITIAL
+    eye = np.eye(d)
+    dvec = np.real(np.diag(rho)) + float(problem.rho.eigenvalues[-1]) + 1.0 / d
+    Y = eye.astype(rho.dtype)
+    minus_ones = -np.ones(d)
     iters = 0
-    primal = float(dvec.sum())
-    dual = -np.inf
-    gap = np.inf
-    witness: np.ndarray | None = None
     status = SolveStatus.MAX_ITER
-    last_W: np.ndarray | None = None
-    last_diag_W: np.ndarray | None = None
+    best = (dvec, None, float(dvec.sum()), -np.inf)
 
-    def certificate(W: np.ndarray, diag_W: np.ndarray) -> tuple[np.ndarray, float]:
-        # mu cancels in the rescale; written out to mirror Y = mu * slack^-1
-        scale = 1.0 / np.sqrt(mu * diag_W)
-        Y = (mu * W) * np.outer(scale, scale)
-        return Y, float(np.real(np.vdot(Y, rho)))
+    while True:
+        S = neg_rho + eye * dvec
+        ls, info_s = potrf(S, lower=1, clean=1)
+        _, info_y = potrf(Y, lower=1, clean=0)
+        if info_s != 0 or info_y != 0:
+            status = SolveStatus.NUMERICAL_FAILURE
+            break
+        # S and Y are positive definite, so Y rescaled to unit diagonal is a dual
+        # feasible point: its objective sum_ij Re(conj(Y_ij) rho_ij) / sqrt(y_i y_j)
+        y = Y.diagonal().real
+        scale = 1.0 / np.sqrt(y)
+        primal = float(dvec.sum())
+        dual = float(scale @ np.real(Y.conj() * rho) @ scale)
+        best = (dvec, Y, primal, dual)
+        mu = float(np.real(np.vdot(S, Y))) / d
+        if trace is not None:
+            trace.write(f"{mu!r},{primal!r},{dual!r},{primal - dual!r}\n")
+        if primal - dual <= tol * max(1.0, primal):
+            status = SolveStatus.OPTIMAL
+            break
+        if iters >= max_iter:
+            break
 
-    while iters < max_iter and mu > 1e-300:
-        w, info = potri(chol, lower=1)
+        li_s, _ = trtri(ls, lower=1)
+        s_inv = li_s.conj().T @ li_s
+        lm, info = _POTRF_M(np.real(s_inv * Y.T), lower=1)
         if info != 0:
             status = SolveStatus.NUMERICAL_FAILURE
             break
-        if complex_input:
-            W = w + w.conj().T
-        else:
-            W = w + w.T
-        W.flat[::step] -= np.real(w.flat[::step])
-        diag_W = np.real(W.flat[::step]).copy()
-        last_W, last_diag_W = W, diag_W
-
-        grad = 1.0 - mu * diag_W
-        hess = np.abs(W)
-        np.multiply(hess, hess, out=hess)
-        try:
-            dx = np.linalg.solve(hess, grad / mu)
-        except np.linalg.LinAlgError:
-            status = SolveStatus.NUMERICAL_FAILURE
-            break
-        dec2 = float(grad @ dx)
-
-        primal = float(dvec.sum())
-        near_target = mu * d <= 50.0 * tol * max(1.0, primal)
-        center_tol = CENTER_TOL_FINAL if near_target else CENTER_TOL_PATH
-        if dec2 <= center_tol * mu:
-            # centered for the current mu: certify, then continue down the path
-            if near_target or trace is not None:
-                witness, dual = certificate(W, diag_W)
-                gap = primal - dual
-                if trace is not None:
-                    trace.write(f"{mu!r},{primal!r},{dual!r},{gap!r}\n")
-                if gap <= tol * max(1.0, primal):
-                    status = SolveStatus.OPTIMAL
-                    break
-            mu *= MU_SHRINK
-            continue
-
-        f0 = primal - mu * logdet
-        t = 1.0
-        accepted = False
-        while t > 1e-14:
-            cand = dvec - t * dx
-            chol2, info = potrf(_slack(neg_rho, cand, step), lower=1, clean=0)
-            if info == 0:
-                logdet2 = 2.0 * float(np.sum(np.log(np.real(chol2.flat[::step]))))
-                if float(cand.sum()) - mu * logdet2 <= f0 - 0.25 * t * dec2:
-                    accepted = True
-                    break
-            t *= 0.5
-        if not accepted:
-            status = SolveStatus.NUMERICAL_FAILURE
-            break
-        dvec, chol, logdet = cand, chol2, logdet2
         iters += 1
 
-    primal = float(dvec.sum())
-    if status is not SolveStatus.OPTIMAL and witness is None and last_W is not None:
-        witness, dual = certificate(last_W, last_diag_W)
-        gap = primal - dual
+        # predictor (sigma = 0)
+        dd_aff = _POTRS_M(lm, minus_ones, lower=1)[0]
+        g = s_inv @ (dd_aff[:, None] * Y)
+        dy_aff = -0.5 * (g + g.conj().T) - Y
+        a_p = max_step(S, eye * dd_aff)
+        a_d = max_step(Y, dy_aff)
+        # mu after the predictor step, from tr(S dY_aff) = -dd_aff.y - d*mu
+        # and diag(dY_aff) = 1 - y
+        dd_y = float(dd_aff @ y)
+        mu_aff = mu + (a_p * dd_y - a_d * (dd_y + d * mu) + a_p * a_d * float(dd_aff @ (1.0 - y))) / d
+        sigma_mu = (mu_aff / mu) ** 3 * mu
+
+        # corrector: same Schur factor, second-order term dS_aff dY_aff added
+        rhs = sigma_mu * s_inv.diagonal().real - np.real(s_inv * dy_aff.T) @ dd_aff - 1.0
+        dd = _POTRS_M(lm, rhs, lower=1)[0]
+        g = s_inv @ (dd_aff[:, None] * dy_aff + dd[:, None] * Y)
+        dy = sigma_mu * s_inv - 0.5 * (g + g.conj().T) - Y
+        dvec = dvec + max_step(S, eye * dd) * dd
+        Y = Y + max_step(Y, dy) * dy
+
+    dvec, Y, primal, dual = best
+    witness = None
+    if Y is not None:
+        scale = 1.0 / np.sqrt(Y.diagonal().real)
+        witness = Y * np.outer(scale, scale)
     return RocSolution(
         primal_diag=dvec,
         dual_witness=witness,
         primal_value=primal,
         dual_value=dual,
-        gap=gap,
+        gap=primal - dual,
         iterations=iters,
         status=status,
     )

@@ -277,3 +277,97 @@ def test_cross_check_against_independent_solver():
         ours = solve(build(rho)).dual_value - 1.0
         assert abs(ours - reference(rho.mat)) < 5e-6
         assert abs(ours - k) < 5e-6
+
+
+# The primal-dual method certifies these in 7-13 Schur factorizations.
+ITERATION_BUDGET = 15
+
+
+def _budget_states():
+    for name, (make, _) in sorted(EDGE_STATES.items()):
+        yield name, make()
+    rng = np.random.default_rng(31)
+    for i in range(40):
+        d = 3 + i % 8
+        yield f"complex-d{d}-{i}", random_density(d, d, rng)
+
+
+def test_iteration_budget():
+    for name, rho in _budget_states():
+        sol = solve(build(rho))
+        assert sol.status is SolveStatus.OPTIMAL, name
+        assert sol.iterations <= ITERATION_BUDGET, (name, sol.iterations)
+        assert solve(build(rho)).iterations == sol.iterations, name
+
+
+def _mixing_method_value(mat, seed):
+    """Lower bound on max tr(rho Y) over unit-diagonal PSD Y, by the mixing method.
+
+    Coordinate ascent on unit vectors v_i with Y_ij = <v_i, v_j> (Wang, Chang and
+    Kolter, arXiv:1706.00476): each v_i moves to the unit vector along
+    g_i = sum_{j != i} rho_ji v_j, which maximizes tr(rho Y) with the other
+    vectors fixed. Every iterate is a feasible Y, so the value is a lower bound.
+    """
+    d = mat.shape[0]
+    rng = np.random.default_rng(seed)
+    vecs = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    vecs /= np.linalg.norm(vecs, axis=0)
+
+    def value():
+        gram = vecs.conj().T @ vecs
+        return float(np.real(np.sum(mat * gram.T)))
+
+    last = value()
+    for _ in range(20000):
+        for i in range(d):
+            g = vecs @ mat[:, i] - mat[i, i] * vecs[:, i]
+            norm = np.linalg.norm(g)
+            if norm > 0:
+                vecs[:, i] = g / norm
+        current = value()
+        if current - last <= 1e-15:
+            break
+        last = current
+    vecs /= np.linalg.norm(vecs, axis=0)
+    return value()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_mixing_method_oracle_brackets_the_solution(kind):
+    rng = np.random.default_rng(41 if kind == "real" else 42)
+    for i in range(10):
+        d = 3 + i % 6
+        rank = int(rng.integers(2, d + 1))
+        if kind == "real":
+            g = rng.standard_normal((d, rank))
+            rho = DensityMatrix(g @ g.T / np.trace(g @ g.T))
+        else:
+            rho = random_density(d, rank, rng)
+        sol = solve(build(rho))
+        assert sol.status is SolveStatus.OPTIMAL
+        oracle = _mixing_method_value(rho.mat, seed=i)
+        assert oracle <= sol.primal_value + 1e-12
+        assert oracle >= sol.dual_value - 1e-6
+
+
+def _known_roc_states():
+    rng = np.random.default_rng(51)
+    for _ in range(20):
+        rho = random_density(2, 2, rng)
+        yield rho, 2 * abs(rho.mat[0, 1])
+    for d in range(3, 9):
+        for _ in range(5):
+            rho = pure_density(haar_random_pure(d, rng))
+            yield rho, l1_coherence(rho).value
+    for n in (2, 3, 4):
+        for k in np.linspace(0, 1 / (2**n - 1), 5):
+            yield sigma_family(n, k), k
+
+
+def test_certified_bounds_contain_known_values():
+    # the reported value dual - 1 is a lower bound and primal - 1 an upper bound
+    # on the robustness, so the known value lies between them
+    for rho, truth in _known_roc_states():
+        sol = solve(build(rho))
+        assert sol.status is SolveStatus.OPTIMAL
+        assert sol.dual_value - 1.0 - 1e-12 <= truth <= sol.primal_value - 1.0 + 1e-12
