@@ -54,11 +54,7 @@ from .experiments import (
     Theorem1Row,
     estimate_transition,
     run_and_save,
-    run_ordering_vs_dimension,
-    run_ordering_vs_rank,
-    run_result2_check,
-    run_subadditivity_sweep,
-    run_theorem1_check,
+    run_experiment,
 )
 from . import validation
 
@@ -99,11 +95,7 @@ __all__ = [
     "rel_entropy_coherence",
     "roc",
     "run_and_save",
-    "run_ordering_vs_dimension",
-    "run_ordering_vs_rank",
-    "run_result2_check",
-    "run_subadditivity_sweep",
-    "run_theorem1_check",
+    "run_experiment",
     "save_density",
     "sigma_family",
     "solve",

@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Verbs: ``measure``, ``roc-solve``, ``theorem1``, ``fig1``, ``fig2``,
-``fig3``, ``result2``, ``validate``. Experiment verbs write CSV plus a JSON
-metadata sidecar into ``--out`` and run their samples on ``--threads`` worker
-processes. The sampling verbs (the experiments and ``validate``) accept
+``fig3``, ``result2``, ``validate``. Each experiment verb runs one
+:class:`~cohkit.experiments.Experiment` on the shared sampling harness over
+``--threads`` worker processes and writes CSV plus a JSON metadata sidecar
+into ``--out``. The sampling verbs (the experiments and ``validate``) accept
 ``--seed`` and record it in whatever they emit.
 
 Exit codes: 0 success (and ``validate`` all-pass), 1 ``validate`` failure,
@@ -94,6 +95,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("theorem1", help="sigma-family robustness vs. tabulated closed form")
     p.add_argument(
         "--n",
+        dest="grid",
+        metavar="N",
         type=lambda s: _parse_grid(s, int),
         default=DEFAULT_N_GRID,
         help="comma list of qubit counts",
@@ -198,20 +201,11 @@ def _cmd_roc_solve(args) -> int:
 
 
 def _experiment_config(args, experiment: Experiment) -> SweepConfig:
-    kwargs = dict(
-        experiment=experiment,
-        samples=args.samples,
-        seed=args.seed,
-    )
-    if experiment is Experiment.SUBADDITIVITY_SWEEP:
-        kwargs["grid"] = args.grid
+    kwargs = dict(experiment=experiment, samples=args.samples, seed=args.seed, grid=args.grid)
+    if hasattr(args, "phi"):
         kwargs["pure_state_choice"] = PhiChoice(args.phi)
-    elif experiment is Experiment.THEOREM1_CHECK:
-        kwargs["grid"] = args.n
-    else:
-        kwargs["grid"] = args.grid
-        if experiment is Experiment.ORDERING_VS_RANK:
-            kwargs["dim"] = args.dim
+    if hasattr(args, "dim"):
+        kwargs["dim"] = args.dim
     return SweepConfig(**kwargs)
 
 
@@ -223,7 +217,7 @@ def _cmd_experiment(args, experiment: Experiment) -> int:
         return EXIT_BAD_INPUT
     try:
         csv_path, meta_path = run_and_save(cfg, args.out, workers=args.threads)
-    except (SweepAborted, SolverFailure) as exc:
+    except SweepAborted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
     print(f"wrote {csv_path}")
@@ -245,6 +239,16 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if all_passed else EXIT_VALIDATION_FAILED
 
 
+_EXPERIMENT_VERBS = {
+    "theorem1": Experiment.THEOREM1_CHECK,
+    "fig1": Experiment.SUBADDITIVITY_SWEEP,
+    "fig2": Experiment.ORDERING_VS_DIMENSION,
+    "fig3": Experiment.ORDERING_VS_RANK,
+    "result2": Experiment.RESULT2_CHECK,
+}
+_COMMANDS = {"measure": _cmd_measure, "roc-solve": _cmd_roc_solve, "validate": _cmd_validate}
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
@@ -252,26 +256,12 @@ def main(argv: list[str] | None = None) -> int:
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:
-        if args.verb == "measure":
-            return _cmd_measure(args)
-        if args.verb == "roc-solve":
-            return _cmd_roc_solve(args)
-        if args.verb == "theorem1":
-            return _cmd_experiment(args, Experiment.THEOREM1_CHECK)
-        if args.verb == "fig1":
-            return _cmd_experiment(args, Experiment.SUBADDITIVITY_SWEEP)
-        if args.verb == "fig2":
-            return _cmd_experiment(args, Experiment.ORDERING_VS_DIMENSION)
-        if args.verb == "fig3":
-            return _cmd_experiment(args, Experiment.ORDERING_VS_RANK)
-        if args.verb == "result2":
-            return _cmd_experiment(args, Experiment.RESULT2_CHECK)
-        if args.verb == "validate":
-            return _cmd_validate(args)
+        if args.verb in _EXPERIMENT_VERBS:
+            return _cmd_experiment(args, _EXPERIMENT_VERBS[args.verb])
+        return _COMMANDS[args.verb](args)
     except SolverFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
-    raise AssertionError(f"unhandled verb {args.verb}")
 
 
 if __name__ == "__main__":

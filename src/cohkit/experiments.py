@@ -12,11 +12,18 @@ Five experiments:
 * ``result2_check`` -- worst deviation of C(rho (x) diagonal ancilla) from
   C(rho) per measure.
 
+All five run on one harness, :func:`run_experiment`, on any number of
+worker processes. An experiment is a per-sample function and a reduction of
+one grid point's values to CSV records or rows (result2 has one grid point,
+its whole dimension grid). A draw whose SDP fails to certify is drawn again
+and reported; too many failures abort the run.
+
 Every sample derives its own generator from (seed, point index, sample
 index), so at a fixed BLAS thread count results are byte-identical
 regardless of worker count or scheduling. The BLAS thread count can change
 the last bits of solver values, and with them the value columns of
-``theorem1_check``. Runners emit CSV plus a JSON metadata sidecar.
+``theorem1_check``. :func:`run_and_save` writes CSV plus a JSON metadata
+sidecar that lists every redrawn draw.
 """
 
 from __future__ import annotations
@@ -94,6 +101,10 @@ class SweepAborted(RuntimeError):
     def __init__(self, message: str, failures: list[dict]):
         super().__init__(message)
         self.failures = failures
+
+    def __reduce__(self):
+        # A sweep can abort inside a pool worker; the parent must rebuild it whole.
+        return type(self), (str(self), self.failures)
 
 
 @dataclass(frozen=True)
@@ -195,68 +206,122 @@ def _record(point, total: int, positive: int, pair: str | None = None) -> SweepR
     )
 
 
-def _failure_entry(rho: DensityMatrix, context: dict, exc: Exception) -> dict:
-    entry = {"state": rho.to_json_dict(), "error": str(exc), **context}
-    log.warning("solver failure (%s); sample redrawn", context)
-    return entry
-
-
-def _pair_label(pair: tuple[MeasureKind, MeasureKind]) -> str:
-    return f"{pair[0].value}:{pair[1].value}"
-
-
 # ---------------------------------------------------------------------------
-# per-chunk workers (top level so they can cross process boundaries)
+# per-sample functions (cfg, grid point, generator) -> value, top level so they
+# can cross process boundaries; a redraw after a solver failure calls one again
 
 
-def _phi_vector(choice: PhiChoice, n_qubits: int) -> np.ndarray:
-    if choice is PhiChoice.MAXIMALLY_ENTANGLED:
-        return maximally_entangled_two_qubit()
-    return maximally_coherent(2**n_qubits)
+def _subadd_sample(cfg: SweepConfig, p: float, rng: np.random.Generator) -> bool:
+    n = cfg.n_qubits
+    if cfg.pure_state_choice is PhiChoice.MAXIMALLY_ENTANGLED:
+        phi = maximally_entangled_two_qubit()
+    else:
+        phi = maximally_coherent(2**n)
+    chi = mix_with_pure(sigma_family(n, rng.uniform(0.0, 1.0 / (2**n - 1))), phi, p)
+    return subadditivity_gap(chi) <= SUBADDITIVITY_COUNT_TOL
 
 
-def _subadd_chunk(args) -> tuple[int, list[dict]]:
-    seed, point_idx, p, n_qubits, phi_value, start, stop = args
-    phi = _phi_vector(PhiChoice(phi_value), n_qubits)
-    kmax = 1.0 / (2**n_qubits - 1)
-    count = 0
+def _ordering_sample(cfg: SweepConfig, point: int, rng: np.random.Generator) -> tuple[bool, ...]:
+    """Per measure pair, whether it ranks two random states oppositely.
+
+    The point is the dimension (full rank) or, for the rank sweep, the rank at ``cfg.dim``.
+    """
+    rank = int(point)
+    d = cfg.dim if cfg.experiment is Experiment.ORDERING_VS_RANK else rank
+    a = random_density(d, rank, rng)
+    b = random_density(d, rank, rng)
+    va = {kind: compute_measure(kind, a).value for kind in MeasureKind}
+    vb = {kind: compute_measure(kind, b).value for kind in MeasureKind}
+    return tuple(values_ordering_violated(va[m] - vb[m], va[w] - vb[w]) for m, w in MEASURE_PAIRS)
+
+
+def _theorem1_sample(cfg: SweepConfig, n: int, rng: np.random.Generator) -> Theorem1Row:
+    """Certified robustness of one sigma-family state vs. the tabulated closed form.
+
+    The robustness comes from the same ``roc`` dispatch as every other
+    experiment: the qubit closed form at n=1, one SDP solve otherwise. The
+    sub-additivity gap subtracts the marginals' robustness from that value
+    and must be nonpositive (up to SUBADDITIVITY_COUNT_TOL).
+    """
+    n = int(n)
+    k = rng.uniform(0.0, 1.0 / (2**n - 1))
+    rho = sigma_family(n, k)
+    value = roc(rho).value
+    closed = theorem1_closed_form(n, k)
+    gap = value - sum(roc(rho.marginal(i)).value for i in range(n))
+    if gap > SUBADDITIVITY_COUNT_TOL:
+        raise RuntimeError(
+            f"sigma family violated sub-additivity: n={n}, k={k}, gap={gap:.3e}"
+        )
+    return Theorem1Row(n, k, value, closed, abs(value - closed), gap)
+
+
+def _result2_sample(cfg: SweepConfig, dims: tuple[int, ...], rng: np.random.Generator) -> tuple:
+    """Per measure, |C(rho (x) diagonal sigma) - C(rho)|, then the two dimensions."""
+    d_a = dims[rng.integers(len(dims))]
+    d_b = dims[rng.integers(len(dims))]
+    rho = random_density(d_a, d_a, rng)
+    ancilla = dephase(random_density(d_b, d_b, rng))
+    product = DensityMatrix(np.kron(rho.mat, ancilla.mat), (d_a, d_b))
+    return tuple(
+        abs(compute_measure(kind, product).value - compute_measure(kind, rho).value)
+        for kind in MeasureKind
+    ), d_a, d_b
+
+
+def _result2_rows(cfg: SweepConfig, dims: tuple[int, ...], values: list) -> list[Result2Row]:
+    worst = {kind: (0.0, dims[0], dims[0]) for kind in MeasureKind}
+    for devs, d_a, d_b in values:
+        for kind, dev in zip(MeasureKind, devs):
+            if dev > worst[kind][0]:
+                worst[kind] = (dev, d_a, d_b)
+    return [Result2Row(kind.value, da, db, dev) for kind, (dev, da, db) in worst.items()]
+
+
+def _pair_records(cfg: SweepConfig, point: int, values: list) -> list[SweepRecord]:
+    return [
+        _record(int(point), cfg.samples, sum(v[j] for v in values), f"{m.value}:{w.value}")
+        for j, (m, w) in enumerate(MEASURE_PAIRS)
+    ]
+
+
+# Per experiment: the per-sample function, and the reduction of one grid
+# point's values (in sample order) to CSV records or rows.
+_HARNESS = {
+    Experiment.SUBADDITIVITY_SWEEP: (
+        _subadd_sample,
+        lambda cfg, p, values: [_record(p, cfg.samples, sum(values))],
+    ),
+    Experiment.ORDERING_VS_DIMENSION: (_ordering_sample, _pair_records),
+    Experiment.ORDERING_VS_RANK: (_ordering_sample, _pair_records),
+    Experiment.THEOREM1_CHECK: (_theorem1_sample, lambda cfg, n, rows: rows),
+    Experiment.RESULT2_CHECK: (_result2_sample, _result2_rows),
+}
+
+
+def _chunk(args) -> tuple[list, list[dict]]:
+    """Values of samples [start, stop) at one grid point, and the draws that failed.
+
+    A draw whose SDP fails to certify is replaced by the next draw from the
+    same generator; a sample gets at most _MAX_REDRAWS draws.
+    """
+    cfg, point_idx, point, start, stop = args
+    sample = _HARNESS[cfg.experiment][0]
+    values: list = []
     failures: list[dict] = []
     for sample_idx in range(start, stop):
-        rng = _rng(seed, point_idx, sample_idx)
+        rng = _rng(cfg.seed, point_idx, sample_idx)
         for _ in range(_MAX_REDRAWS):
-            chi = mix_with_pure(sigma_family(n_qubits, rng.uniform(0.0, kmax)), phi, p)
             try:
-                count += subadditivity_gap(chi) <= SUBADDITIVITY_COUNT_TOL
+                values.append(sample(cfg, point, rng))
                 break
             except SolverFailure as exc:
-                failures.append(_failure_entry(chi, {"p": p, "sample": sample_idx}, exc))
+                failures.append({"state": exc.state.to_json_dict(), "error": str(exc),
+                                 "point": point, "sample": sample_idx})
+                log.warning("point %s, sample %d: solve failed; sample redrawn", point, sample_idx)
         else:
             raise SweepAborted(f"sample {sample_idx} failed {_MAX_REDRAWS} redraws", failures)
-    return count, failures
-
-
-def _ordering_chunk(args) -> tuple[tuple[int, ...], list[dict]]:
-    seed, point_idx, d, rank, start, stop = args
-    counts = [0] * len(MEASURE_PAIRS)
-    failures: list[dict] = []
-    for sample_idx in range(start, stop):
-        rng = _rng(seed, point_idx, sample_idx)
-        for _ in range(_MAX_REDRAWS):
-            a = random_density(d, rank, rng)
-            b = random_density(d, rank, rng)
-            try:
-                va = {kind: compute_measure(kind, a).value for kind in MeasureKind}
-                vb = {kind: compute_measure(kind, b).value for kind in MeasureKind}
-                for j, (m1, m2) in enumerate(MEASURE_PAIRS):
-                    counts[j] += values_ordering_violated(va[m1] - vb[m1], va[m2] - vb[m2])
-                break
-            except SolverFailure as exc:
-                failures.append(
-                    _failure_entry(a, {"d": d, "rank": rank, "sample": sample_idx}, exc)
-                )
-        else:
-            raise SweepAborted(f"sample {sample_idx} failed {_MAX_REDRAWS} redraws", failures)
-    return tuple(counts), failures
+    return values, failures
 
 
 def _chunks(samples: int, workers: int) -> list[tuple[int, int]]:
@@ -265,144 +330,41 @@ def _chunks(samples: int, workers: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def _run_chunks(worker, jobs: list, workers: int) -> list:
-    if workers <= 1:
-        return [worker(job) for job in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, jobs))
+def run_experiment(cfg: SweepConfig, workers: int = 1) -> tuple[list, list[dict]]:
+    """Records (sweeps) or rows (theorem1, result2) of the run, and its redrawn draws.
 
-
-class _FailureBudget:
-    def __init__(self, planned_samples: int):
-        self.limit = max(1.0, FAILURE_ABORT_FRACTION * planned_samples)
-        self.entries: list[dict] = []
-
-    def add(self, new: list[dict]) -> None:
-        self.entries.extend(new)
-        if len(self.entries) > self.limit:
-            raise SweepAborted(
-                f"{len(self.entries)} solver failures exceed the abort threshold "
-                f"({self.limit:.0f}); first offending state: "
-                f"{json.dumps(self.entries[0])}",
-                self.entries,
-            )
-
-
-# ---------------------------------------------------------------------------
-# runners
-
-
-def run_subadditivity_sweep(cfg: SweepConfig, workers: int = 1) -> list[SweepRecord]:
-    """Fraction of mixed states that stay sub-additive, per mixing weight."""
-    if cfg.experiment is not Experiment.SUBADDITIVITY_SWEEP:
-        raise ValueError(f"config is for {cfg.experiment}, not the sub-additivity sweep")
-    budget = _FailureBudget(cfg.samples * len(cfg.grid))
-    records = []
-    for point_idx, p in enumerate(cfg.grid):
-        jobs = [
-            (cfg.seed, point_idx, p, cfg.n_qubits, cfg.pure_state_choice.value, a, b)
-            for a, b in _chunks(cfg.samples, workers)
-        ]
-        count = 0
-        for chunk_count, chunk_failures in _run_chunks(_subadd_chunk, jobs, workers):
-            count += chunk_count
-            budget.add(chunk_failures)
-        records.append(_record(p, cfg.samples, count))
-        log.info("p=%g: %d/%d sub-additive", p, count, cfg.samples)
-    return records
-
-
-def _run_ordering(cfg: SweepConfig, workers: int, rank_for) -> list[SweepRecord]:
-    budget = _FailureBudget(cfg.samples * len(cfg.grid))
-    records = []
-    for point_idx, point in enumerate(cfg.grid):
-        d, rank = rank_for(int(point))
-        jobs = [
-            (cfg.seed, point_idx, d, rank, a, b) for a, b in _chunks(cfg.samples, workers)
-        ]
-        totals = np.zeros(len(MEASURE_PAIRS), dtype=int)
-        for chunk_counts, chunk_failures in _run_chunks(_ordering_chunk, jobs, workers):
-            totals += np.asarray(chunk_counts)
-            budget.add(chunk_failures)
-        for pair, count in zip(MEASURE_PAIRS, totals):
-            records.append(_record(int(point), cfg.samples, int(count), _pair_label(pair)))
-        log.info("point=%s: violations per pair %s", point, totals.tolist())
-    return records
-
-
-def run_ordering_vs_dimension(cfg: SweepConfig, workers: int = 1) -> list[SweepRecord]:
-    """Ordering-violation fractions for full-rank state pairs, per dimension."""
-    if cfg.experiment is not Experiment.ORDERING_VS_DIMENSION:
-        raise ValueError(f"config is for {cfg.experiment}, not the dimension sweep")
-    return _run_ordering(cfg, workers, lambda d: (d, d))
-
-
-def run_ordering_vs_rank(cfg: SweepConfig, workers: int = 1) -> list[SweepRecord]:
-    """Ordering-violation fractions at fixed dimension, per state rank."""
-    if cfg.experiment is not Experiment.ORDERING_VS_RANK:
-        raise ValueError(f"config is for {cfg.experiment}, not the rank sweep")
-    return _run_ordering(cfg, workers, lambda r: (cfg.dim, r))
-
-
-def run_theorem1_check(cfg: SweepConfig) -> list[Theorem1Row]:
-    """Certified robustness of sigma-family states vs. the tabulated closed form.
-
-    The robustness comes from the same ``roc`` dispatch as every other
-    experiment: the qubit closed form at n=1, one SDP solve otherwise. The
-    sub-additivity gap subtracts the marginals' robustness from that value
-    and must be nonpositive (up to SUBADDITIVITY_COUNT_TOL).
+    Each redrawn draw is reported with its state, error, grid point and
+    sample index. With ``workers > 1`` each grid point runs on a fresh
+    process pool. Raises :class:`SweepAborted` once failures exceed
+    FAILURE_ABORT_FRACTION of the planned samples, or when one sample
+    exhausts its redraws.
     """
-    if cfg.experiment is not Experiment.THEOREM1_CHECK:
-        raise ValueError(f"config is for {cfg.experiment}, not the closed-form check")
-    rows = []
-    for point_idx, n in enumerate(cfg.grid):
-        n = int(n)
-        kmax = 1.0 / (2**n - 1)
-        for sample_idx in range(cfg.samples):
-            rng = _rng(cfg.seed, point_idx, sample_idx)
-            k = rng.uniform(0.0, kmax)
-            rho = sigma_family(n, k)
-            sdp_value = roc(rho).value
-            closed = theorem1_closed_form(n, k)
-            gap = sdp_value - sum(roc(rho.marginal(i)).value for i in range(n))
-            if gap > SUBADDITIVITY_COUNT_TOL:
-                raise RuntimeError(
-                    f"sigma family violated sub-additivity: n={n}, k={k}, gap={gap:.3e}"
+    reduce = _HARNESS[cfg.experiment][1]
+    one_point = cfg.experiment is Experiment.RESULT2_CHECK
+    points = (tuple(map(int, cfg.grid)),) if one_point else cfg.grid
+    limit = max(1.0, FAILURE_ABORT_FRACTION * cfg.samples * len(points))
+    results: list = []
+    failures: list[dict] = []
+    for point_idx, point in enumerate(points):
+        jobs = [(cfg, point_idx, point, a, b) for a, b in _chunks(cfg.samples, workers)]
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                chunks = list(pool.map(_chunk, jobs))
+        else:
+            chunks = [_chunk(job) for job in jobs]
+        values: list = []
+        for chunk_values, chunk_failures in chunks:
+            values += chunk_values
+            failures += chunk_failures
+            if len(failures) > limit:
+                raise SweepAborted(
+                    f"{len(failures)} solver failures exceed the abort threshold "
+                    f"({limit:.0f}); first offending state: {json.dumps(failures[0])}",
+                    failures,
                 )
-            rows.append(
-                Theorem1Row(
-                    n=n,
-                    k=k,
-                    sdp_value=sdp_value,
-                    closed_form=closed,
-                    abs_difference=abs(sdp_value - closed),
-                    subadditivity_gap=gap,
-                )
-            )
-    return rows
-
-
-def run_result2_check(cfg: SweepConfig) -> list[Result2Row]:
-    """Worst per-measure deviation of C(rho (x) diagonal sigma) from C(rho)."""
-    if cfg.experiment is not Experiment.RESULT2_CHECK:
-        raise ValueError(f"config is for {cfg.experiment}, not the ancilla check")
-    dims = [int(d) for d in cfg.grid]
-    worst = {kind: (0.0, dims[0], dims[0]) for kind in MeasureKind}
-    for sample_idx in range(cfg.samples):
-        rng = _rng(cfg.seed, 0, sample_idx)
-        d_a = dims[rng.integers(len(dims))]
-        d_b = dims[rng.integers(len(dims))]
-        rho = random_density(d_a, d_a, rng)
-        ancilla = dephase(random_density(d_b, d_b, rng))
-        product = DensityMatrix(np.kron(rho.mat, ancilla.mat), (d_a, d_b))
-        for kind in MeasureKind:
-            dev = abs(compute_measure(kind, product).value - compute_measure(kind, rho).value)
-            if dev > worst[kind][0]:
-                worst[kind] = (dev, d_a, d_b)
-    return [
-        Result2Row(measure=kind.value, d_a=da, d_b=db, max_abs_deviation=dev)
-        for kind, (dev, da, db) in worst.items()
-    ]
+        results += reduce(cfg, point, values)
+        log.info("point %s done, %d redraws so far", point, len(failures))
+    return results, failures
 
 
 def estimate_transition(records: list[SweepRecord]) -> float | None:
@@ -481,15 +443,14 @@ def _package_version() -> str:
         return __version__
 
 
-def write_metadata(cfg: SweepConfig, path: Path, wall_time_s: float, extra: dict | None = None) -> None:
+def write_metadata(cfg: SweepConfig, path: Path, wall_time_s: float, extra: dict) -> None:
     meta = {
         "config": cfg.to_json_dict(),
         "git_revision": _git_revision(),
         "wall_time_s": wall_time_s,
         "package_version": _package_version(),
+        **extra,
     }
-    if extra:
-        meta.update(extra)
     path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
@@ -497,26 +458,17 @@ def run_and_save(cfg: SweepConfig, out_dir: str | Path, workers: int = 1) -> tup
     """Run the configured experiment; write `<name>.csv` and `<name>_meta.json`."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    suffix = ""
-    if cfg.experiment is Experiment.SUBADDITIVITY_SWEEP:
-        suffix = f"_{cfg.pure_state_choice.value}"
-    csv_path = out / f"{cfg.experiment.value}{suffix}.csv"
-    meta_path = out / f"{cfg.experiment.value}{suffix}_meta.json"
-
     start = time.perf_counter()
-    extra: dict = {}
+    results, failures = run_experiment(cfg, workers)
+    name = cfg.experiment.value
+    extra: dict = {"failures": failures}
     if cfg.experiment is Experiment.SUBADDITIVITY_SWEEP:
-        records = run_subadditivity_sweep(cfg, workers)
-        transition = estimate_transition(records)
-        extra["transition_estimate"] = transition
-        write_sweep_csv(cfg, records, csv_path)
-    elif cfg.experiment is Experiment.ORDERING_VS_DIMENSION:
-        write_sweep_csv(cfg, run_ordering_vs_dimension(cfg, workers), csv_path)
-    elif cfg.experiment is Experiment.ORDERING_VS_RANK:
-        write_sweep_csv(cfg, run_ordering_vs_rank(cfg, workers), csv_path)
-    elif cfg.experiment is Experiment.THEOREM1_CHECK:
-        write_rows_csv(run_theorem1_check(cfg), csv_path)
+        name += f"_{cfg.pure_state_choice.value}"
+        extra["transition_estimate"] = estimate_transition(results)
+    csv_path, meta_path = out / f"{name}.csv", out / f"{name}_meta.json"
+    if isinstance(results[0], SweepRecord):
+        write_sweep_csv(cfg, results, csv_path)
     else:
-        write_rows_csv(run_result2_check(cfg), csv_path)
+        write_rows_csv(results, csv_path)
     write_metadata(cfg, meta_path, wall_time_s=time.perf_counter() - start, extra=extra)
     return csv_path, meta_path

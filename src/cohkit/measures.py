@@ -104,7 +104,8 @@ def roc(rho: DensityMatrix, tol: float = 1e-8) -> MeasureValue:
     rank one within PURE_EIG_TOL use the pure-state identity with the
     l1-norm; everything else goes through the SDP, reporting the dual
     (lower-bound) objective minus one together with the duality gap.
-    Raises :class:`cohkit.sdp.SolverFailure` if the SDP does not certify.
+    Raises :class:`cohkit.sdp.SolverFailure`, carrying ``rho`` as its
+    ``state``, if the SDP does not certify.
 
     Resolution: an SDP value is a certified lower bound on the robustness,
     short of it by at most the gap, which is at most ``tol * max(1, primal)``
@@ -123,6 +124,7 @@ def roc(rho: DensityMatrix, tol: float = 1e-8) -> MeasureValue:
             f"robustness SDP ended with status {sol.status.value} "
             f"(gap {sol.gap:.3e} after {sol.iterations} iterations)",
             solution=sol,
+            state=rho,
         )
     return MeasureValue(_finalize(sol.dual_value - 1.0), Method.SDP, certificate_gap=sol.gap)
 

@@ -73,11 +73,14 @@ class SolveStatus(Enum):
 
 
 class SolverFailure(RuntimeError):
-    """A solve ended without an optimality certificate."""
+    """A solve ended without an optimality certificate for the input ``state``."""
 
-    def __init__(self, message: str, solution: "RocSolution | None" = None):
+    def __init__(
+        self, message: str, solution: RocSolution | None = None, state: DensityMatrix | None = None
+    ):
         super().__init__(message)
         self.solution = solution
+        self.state = state
 
 
 @dataclass(frozen=True)

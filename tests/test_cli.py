@@ -143,3 +143,11 @@ def test_solver_failure_exits_3(argv, state_file, tmp_path, monkeypatch, capsys)
         argv += ["--threads", "1", "--out", str(tmp_path)]
     assert run(argv) == 3
     assert "error:" in capsys.readouterr().err
+
+
+def test_pooled_sweep_abort_exits_3(tmp_path, monkeypatch, capsys):
+    # forked workers inherit the patched solver, so every draw fails in a worker
+    monkeypatch.setattr(cohkit.sdp, "solve", _never_optimal)
+    argv = ["fig2", "--grid", "3", "--samples", "2", "--threads", "2", "--out", str(tmp_path)]
+    assert run(argv) == 3
+    assert "redraws" in capsys.readouterr().err

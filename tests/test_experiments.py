@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -13,14 +14,11 @@ from cohkit.experiments import (
     SweepConfig,
     estimate_transition,
     run_and_save,
-    run_ordering_vs_dimension,
-    run_ordering_vs_rank,
-    run_result2_check,
-    run_subadditivity_sweep,
-    run_theorem1_check,
+    run_experiment,
     write_sweep_csv,
 )
 from cohkit.sdp import RocSolution, SolveStatus
+from cohkit.states import random_density
 
 
 def fig1_config(**over):
@@ -49,14 +47,10 @@ def test_config_validation():
         SweepConfig(experiment=Experiment.ORDERING_VS_RANK, samples=5, seed=0, grid=(11,), dim=10)
     with pytest.raises(ValueError, match="positive integers"):
         SweepConfig(experiment=Experiment.THEOREM1_CHECK, samples=5, seed=0, grid=(0,))
-    with pytest.raises(ValueError, match="not the"):
-        run_subadditivity_sweep(
-            SweepConfig(experiment=Experiment.THEOREM1_CHECK, samples=5, seed=0, grid=(1,))
-        )
 
 
 def test_subadditivity_sweep_endpoints_and_monotonicity():
-    records = run_subadditivity_sweep(fig1_config())
+    records = run_experiment(fig1_config())[0]
     assert records[0].fraction == 1.0
     assert records[-1].fraction == 0.0
     for a, b in zip(records, records[1:]):
@@ -69,26 +63,41 @@ def test_subadditivity_sweep_endpoints_and_monotonicity():
 
 
 def test_subadditivity_sweep_entangled_reference():
-    records = run_subadditivity_sweep(
+    records = run_experiment(
         fig1_config(pure_state_choice=PhiChoice.MAXIMALLY_ENTANGLED, samples=80)
-    )
+    )[0]
     assert records[0].fraction == 1.0
     assert records[-1].fraction == 0.0
 
 
 def test_sweep_is_deterministic_and_schedule_independent():
     cfg = fig1_config(samples=40, grid=(0.0, 0.15, 1.0))
-    a = run_subadditivity_sweep(cfg)
-    b = run_subadditivity_sweep(cfg)
-    c = run_subadditivity_sweep(cfg, workers=2)
+    a = run_experiment(cfg)[0]
+    b = run_experiment(cfg)[0]
+    c = run_experiment(cfg, workers=2)[0]
     assert a == b == c
+
+
+TINY_GRIDS = {
+    Experiment.SUBADDITIVITY_SWEEP: dict(grid=(0.0, 0.3)),
+    Experiment.ORDERING_VS_DIMENSION: dict(grid=(2, 3)),
+    Experiment.ORDERING_VS_RANK: dict(grid=(1, 3), dim=4),
+    Experiment.THEOREM1_CHECK: dict(grid=(1, 2)),
+    Experiment.RESULT2_CHECK: dict(grid=(2, 3)),
+}
+
+
+@pytest.mark.parametrize("experiment", list(Experiment), ids=lambda e: e.value)
+def test_results_do_not_depend_on_worker_count(experiment):
+    cfg = SweepConfig(experiment=experiment, samples=6, seed=11, **TINY_GRIDS[experiment])
+    assert run_experiment(cfg, 1) == run_experiment(cfg, 2)
 
 
 def test_ordering_sweep_record_layout():
     cfg = SweepConfig(
         experiment=Experiment.ORDERING_VS_DIMENSION, samples=60, seed=6, grid=(2, 3)
     )
-    records = run_ordering_vs_dimension(cfg)
+    records = run_experiment(cfg)[0]
     assert len(records) == len(MEASURE_PAIRS) * 2
     labels = [r.measure_pair for r in records[:3]]
     assert labels == ["l1:rel_entropy", "l1:roc", "rel_entropy:roc"]
@@ -101,7 +110,7 @@ def test_ordering_vs_dimension_relative_rates():
     cfg = SweepConfig(
         experiment=Experiment.ORDERING_VS_DIMENSION, samples=300, seed=7, grid=(4,)
     )
-    by_pair = {r.measure_pair: r.fraction for r in run_ordering_vs_dimension(cfg)}
+    by_pair = {r.measure_pair: r.fraction for r in run_experiment(cfg)[0]}
     assert by_pair["rel_entropy:roc"] > by_pair["l1:roc"]
     assert by_pair["rel_entropy:roc"] > 0
 
@@ -110,7 +119,7 @@ def test_ordering_vs_rank_pure_states_never_split_l1_roc():
     cfg = SweepConfig(
         experiment=Experiment.ORDERING_VS_RANK, samples=150, seed=8, grid=(1, 2), dim=10
     )
-    records = run_ordering_vs_rank(cfg)
+    records = run_experiment(cfg)[0]
     rank1 = {r.measure_pair: r for r in records if r.sweep_point == 1}
     assert rank1["l1:roc"].count_positive == 0
     rank2 = {r.measure_pair: r.fraction for r in records if r.sweep_point == 2}
@@ -127,7 +136,7 @@ def test_theorem1_check_rows(monkeypatch):
 
     monkeypatch.setattr(cohkit.sdp, "solve", counting_solve)
     cfg = SweepConfig(experiment=Experiment.THEOREM1_CHECK, samples=4, seed=9, grid=(1, 2, 3))
-    rows = run_theorem1_check(cfg)
+    rows = run_experiment(cfg)[0]
     assert len(rows) == 12
     # one solve per sample for n >= 2; qubits take the closed form 2|rho_01| = k
     assert sorted(solved) == [4] * 4 + [8] * 4
@@ -147,7 +156,7 @@ def test_result2_rows():
     cfg = SweepConfig(
         experiment=Experiment.RESULT2_CHECK, samples=40, seed=10, grid=(2, 3, 4)
     )
-    rows = run_result2_check(cfg)
+    rows = run_experiment(cfg)[0]
     assert sorted(r.measure for r in rows) == ["l1", "rel_entropy", "roc"]
     by_measure = {r.measure: r for r in rows}
     assert by_measure["l1"].max_abs_deviation <= 1e-12
@@ -208,7 +217,7 @@ def test_solver_failures_redraw_then_abort(monkeypatch):
 
     monkeypatch.setattr(cohkit.sdp, "solve", flaky_solve)
     cfg = fig1_config(samples=30, grid=(0.1,))
-    records = run_subadditivity_sweep(cfg)  # one failure tolerated, sample redrawn
+    records = run_experiment(cfg)[0]  # one failure tolerated, sample redrawn
     assert records[0].count_total == 30
 
     def broken_solve(problem, **kwargs):
@@ -225,7 +234,7 @@ def test_solver_failures_redraw_then_abort(monkeypatch):
 
     monkeypatch.setattr(cohkit.sdp, "solve", broken_solve)
     with pytest.raises(SweepAborted) as err:
-        run_subadditivity_sweep(cfg)
+        run_experiment(cfg)
     assert err.value.failures
     assert "state" in err.value.failures[0]
 
@@ -234,8 +243,36 @@ def test_sweep_csv_handles_pair_column(tmp_path):
     cfg = SweepConfig(
         experiment=Experiment.ORDERING_VS_DIMENSION, samples=20, seed=3, grid=(2,)
     )
-    records = run_ordering_vs_dimension(cfg)
+    records = run_experiment(cfg)[0]
     path = tmp_path / "pairs.csv"
     write_sweep_csv(cfg, records, path)
     rows = path.read_text().splitlines()
     assert rows[1].split(",")[2] == "l1:rel_entropy"
+
+
+def test_metadata_lists_redrawn_draws_with_the_failing_state(monkeypatch, tmp_path):
+    cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=3, seed=4, grid=(3,))
+    _, meta_path = run_and_save(cfg, tmp_path / "clean")
+    assert json.loads(meta_path.read_text())["failures"] == []
+
+    real_solve = cohkit.sdp.solve
+    calls = {"n": 0}
+
+    def fourth_solve_fails(problem, **kwargs):
+        # full-rank d=3 states take one SDP solve each, a then b, so the
+        # fourth solve is state b of sample 1
+        calls["n"] += 1
+        sol = real_solve(problem, **kwargs)
+        if calls["n"] == 4:
+            return dataclasses.replace(sol, status=SolveStatus.MAX_ITER)
+        return sol
+
+    monkeypatch.setattr(cohkit.sdp, "solve", fourth_solve_fails)
+    _, meta_path = run_and_save(cfg, tmp_path / "flaky")
+    (entry,) = json.loads(meta_path.read_text())["failures"]
+    rng = np.random.default_rng([4, 0, 1])
+    random_density(3, 3, rng)
+    b = random_density(3, 3, rng)
+    assert entry["state"] == b.to_json_dict()
+    assert (entry["point"], entry["sample"]) == (3, 1)
+    assert "max_iter" in entry["error"]
