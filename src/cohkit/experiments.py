@@ -23,7 +23,8 @@ index), so at a fixed BLAS thread count results are byte-identical
 regardless of worker count or scheduling. The BLAS thread count can change
 the last bits of solver values, and with them the value columns of
 ``theorem1_check``. :func:`run_and_save` writes CSV plus a JSON metadata
-sidecar that lists every redrawn draw.
+sidecar that lists every redrawn draw and counts the RoC values per dispatch
+method (``roc_methods``).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ import json
 import logging
 import subprocess
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from enum import Enum
@@ -42,6 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .measures import (
+    ROC_METHOD_COUNTS,
     MeasureKind,
     compute_measure,
     roc,
@@ -62,8 +65,12 @@ from .states import (
 
 log = logging.getLogger(__name__)
 
-# A state counts as sub-additive when its gap is at most this; keeps solver
-# noise from flipping boundary states.
+# A state counts as sub-additive when its gap is at most this. It absorbs
+# rounding in the closed-form, pure-state and phase-witness values, which are
+# exact to rounding. It is not the resolution of an SDP value, which may sit
+# up to tol * max(1, primal) (about 2e-8 at the default tol) below the truth,
+# so an SDP-bound state within that of the boundary can count either way.
+# Kept at 1e-9 because the seed-0 counts of the fig1 sweep depend on it.
 SUBADDITIVITY_COUNT_TOL = 1e-9
 # Sweeps abort once failed solves exceed 0.1% of planned samples (min 1).
 FAILURE_ABORT_FRACTION = 1e-3
@@ -299,8 +306,9 @@ _HARNESS = {
 }
 
 
-def _chunk(args) -> tuple[list, list[dict]]:
-    """Values of samples [start, stop) at one grid point, and the draws that failed.
+def _chunk(args) -> tuple[list, list[dict], Counter]:
+    """Values of samples [start, stop) at one grid point, the draws that failed,
+    and the RoC values returned per method meanwhile.
 
     A draw whose SDP fails to certify is replaced by the next draw from the
     same generator; a sample gets at most _MAX_REDRAWS draws.
@@ -309,6 +317,7 @@ def _chunk(args) -> tuple[list, list[dict]]:
     sample = _HARNESS[cfg.experiment][0]
     values: list = []
     failures: list[dict] = []
+    methods_before = ROC_METHOD_COUNTS.copy()
     for sample_idx in range(start, stop):
         rng = _rng(cfg.seed, point_idx, sample_idx)
         for _ in range(_MAX_REDRAWS):
@@ -321,7 +330,7 @@ def _chunk(args) -> tuple[list, list[dict]]:
                 log.warning("point %s, sample %d: solve failed; sample redrawn", point, sample_idx)
         else:
             raise SweepAborted(f"sample {sample_idx} failed {_MAX_REDRAWS} redraws", failures)
-    return values, failures
+    return values, failures, ROC_METHOD_COUNTS - methods_before
 
 
 def _chunks(samples: int, workers: int) -> list[tuple[int, int]]:
@@ -330,14 +339,18 @@ def _chunks(samples: int, workers: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def run_experiment(cfg: SweepConfig, workers: int = 1) -> tuple[list, list[dict]]:
-    """Records (sweeps) or rows (theorem1, result2) of the run, and its redrawn draws.
+def run_experiment(
+    cfg: SweepConfig, workers: int = 1
+) -> tuple[list, list[dict], dict[str, int]]:
+    """Records (sweeps) or rows (theorem1, result2) of the run, its redrawn
+    draws, and the number of RoC values returned per dispatch method.
 
     Each redrawn draw is reported with its state, error, grid point and
-    sample index. With ``workers > 1`` each grid point runs on a fresh
-    process pool. Raises :class:`SweepAborted` once failures exceed
-    FAILURE_ABORT_FRACTION of the planned samples, or when one sample
-    exhausts its redraws.
+    sample index. The method counts are summed over all workers and include
+    the values computed for draws that were later redrawn. With
+    ``workers > 1`` each grid point runs on a fresh process pool. Raises
+    :class:`SweepAborted` once failures exceed FAILURE_ABORT_FRACTION of the
+    planned samples, or when one sample exhausts its redraws.
     """
     reduce = _HARNESS[cfg.experiment][1]
     one_point = cfg.experiment is Experiment.RESULT2_CHECK
@@ -345,6 +358,7 @@ def run_experiment(cfg: SweepConfig, workers: int = 1) -> tuple[list, list[dict]
     limit = max(1.0, FAILURE_ABORT_FRACTION * cfg.samples * len(points))
     results: list = []
     failures: list[dict] = []
+    methods: Counter = Counter()
     for point_idx, point in enumerate(points):
         jobs = [(cfg, point_idx, point, a, b) for a, b in _chunks(cfg.samples, workers)]
         if workers > 1:
@@ -353,9 +367,10 @@ def run_experiment(cfg: SweepConfig, workers: int = 1) -> tuple[list, list[dict]
         else:
             chunks = [_chunk(job) for job in jobs]
         values: list = []
-        for chunk_values, chunk_failures in chunks:
+        for chunk_values, chunk_failures, chunk_methods in chunks:
             values += chunk_values
             failures += chunk_failures
+            methods += chunk_methods
             if len(failures) > limit:
                 raise SweepAborted(
                     f"{len(failures)} solver failures exceed the abort threshold "
@@ -364,7 +379,7 @@ def run_experiment(cfg: SweepConfig, workers: int = 1) -> tuple[list, list[dict]
                 )
         results += reduce(cfg, point, values)
         log.info("point %s done, %d redraws so far", point, len(failures))
-    return results, failures
+    return results, failures, {m.value: n for m, n in methods.items()}
 
 
 def estimate_transition(records: list[SweepRecord]) -> float | None:
@@ -459,9 +474,9 @@ def run_and_save(cfg: SweepConfig, out_dir: str | Path, workers: int = 1) -> tup
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    results, failures = run_experiment(cfg, workers)
+    results, failures, roc_methods = run_experiment(cfg, workers)
     name = cfg.experiment.value
-    extra: dict = {"failures": failures}
+    extra: dict = {"failures": failures, "roc_methods": roc_methods}
     if cfg.experiment is Experiment.SUBADDITIVITY_SWEEP:
         name += f"_{cfg.pure_state_choice.value}"
         extra["transition_estimate"] = estimate_transition(results)

@@ -5,8 +5,12 @@ Three measures are provided:
 * l1-norm of coherence: sum of off-diagonal entry moduli.
 * relative entropy of coherence: S(dephased rho) - S(rho), in bits.
 * robustness of coherence: least admixture weight of any state that makes
-  the mixture incoherent; computed by closed form (single qubit), the
-  l1 identity (pure states), or the certified SDP otherwise.
+  the mixture incoherent. ``roc`` tries, in order: the closed form (single
+  qubit), the l1 identity (pure states), a rank-one phase witness that
+  certifies RoC = l1 (states whose off-diagonal phases factor as
+  u_i conj(u_j), e.g. entrywise-nonnegative states), and the certified SDP.
+  ``ROC_METHOD_COUNTS`` counts the values each path has returned in this
+  process.
 
 Also here: the sub-additivity gap over qubit marginals, the closed-form
 robustness candidate for the sigma family, and the measure-ordering test on
@@ -16,6 +20,7 @@ value differences.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 
@@ -47,16 +52,22 @@ class MeasureKind(Enum):
 class Method(Enum):
     CLOSED_FORM_QUBIT = "closed_form_qubit"
     PURE_STATE_L1 = "pure_state_l1"
+    PHASE_WITNESS = "phase_witness"
     SDP = "sdp"
     DIRECT = "direct"
+
+
+# RoC values returned in this process, per Method; a run reports the change.
+ROC_METHOD_COUNTS: Counter[Method] = Counter()
 
 
 @dataclass(frozen=True)
 class MeasureValue:
     """A nonnegative measure value plus how it was obtained.
 
-    ``certificate_gap`` is the solver's duality gap and is present exactly
-    when the value came from the SDP.
+    ``certificate_gap`` is the duality gap of the primal/dual pair that
+    brackets the value; it is present exactly when the method is SDP or
+    PHASE_WITNESS.
     """
 
     value: float
@@ -64,8 +75,9 @@ class MeasureValue:
     certificate_gap: float | None = None
 
     def __post_init__(self):
-        if (self.certificate_gap is not None) != (self.method is Method.SDP):
-            raise ValueError("certificate_gap is present iff the method is SDP")
+        certified = self.method in (Method.PHASE_WITNESS, Method.SDP)
+        if (self.certificate_gap is not None) != certified:
+            raise ValueError("certificate_gap is present iff the method is SDP or PHASE_WITNESS")
 
 
 def _finalize(value: float) -> float:
@@ -97,27 +109,68 @@ def rel_entropy_coherence(rho: DensityMatrix) -> MeasureValue:
     return MeasureValue(_finalize(s_dephased - s_rho), Method.DIRECT)
 
 
+def _phase_witness(m: np.ndarray) -> np.ndarray:
+    """Unit-modulus vector u with u_j = m_jk / |m_jk| on the column k of the
+    largest diagonal entry, and u_j = 1 where m_jk = 0.
+
+    Y = u u^dag is PSD with unit diagonal, so it is feasible for the dual of
+    the robustness SDP whatever ``m`` is.
+    """
+    col = m[:, int(np.argmax(m.diagonal().real))]
+    mod = np.abs(col)
+    return np.divide(col, mod, out=np.ones_like(col), where=mod > 0)
+
+
 def roc(rho: DensityMatrix, tol: float = 1e-8) -> MeasureValue:
     """Robustness of coherence.
 
-    Dispatch: single qubits use the closed form 2|rho_01|; states that are
-    rank one within PURE_EIG_TOL use the pure-state identity with the
-    l1-norm; everything else goes through the SDP, reporting the dual
-    (lower-bound) objective minus one together with the duality gap.
-    Raises :class:`cohkit.sdp.SolverFailure`, carrying ``rho`` as its
-    ``state``, if the SDP does not certify.
+    Dispatch, first match wins:
 
-    Resolution: an SDP value is a certified lower bound on the robustness,
-    short of it by at most the gap, which is at most ``tol * max(1, primal)``
-    with ``primal = value + 1 + gap``. A difference of two such values is
-    therefore off by at most twice that, which at the default ``tol`` stays
-    below ORDERING_TIE_TOL = 1e-7 while the robustness is below 4.
+    1. single qubits: the closed form 2|rho_01|;
+    2. states that are rank one within PURE_EIG_TOL: the pure-state identity
+       with the l1-norm;
+    3. states whose off-diagonal phases factor as u_i conj(u_j): the rank-one
+       phase witness. The primal point d_i = rho_ii + sum_{j != i} |rho_ij|
+       (Gershgorin) has objective 1 + l1, and the dual point Y = u u^dag from
+       :func:`_phase_witness` has objective Re(u^dag rho u). When they agree
+       within ``tol * max(1, primal)`` the value is that dual objective minus
+       one, with their difference as the gap; otherwise the state falls
+       through to
+    4. the SDP, reporting the dual (lower-bound) objective minus one together
+       with the duality gap. Raises :class:`cohkit.sdp.SolverFailure`,
+       carrying ``rho`` as its ``state``, if the SDP does not certify.
+
+    Every value is counted in ROC_METHOD_COUNTS under its method.
+
+    Resolution: a PHASE_WITNESS or SDP value is a certified lower bound on
+    the robustness, short of it by at most its gap, which is at most
+    ``tol * max(1, primal)`` with ``primal = value + 1 + gap``. On the
+    witness path the gap is rounding (the two objectives agree exactly for
+    such states), so the value is RoC = l1 to rounding; an SDP value may sit
+    up to about 2e-8 low. A difference of two such values is off by at most
+    twice the larger gap, which at the default ``tol`` stays below
+    ORDERING_TIE_TOL = 1e-7 while the robustness is below 4.
     """
     d = rho.dim
     if d == 2:
-        return MeasureValue(_finalize(2.0 * float(np.abs(rho.mat[0, 1]))), Method.CLOSED_FORM_QUBIT)
-    if d == 1 or rho.eigenvalues[-2] < PURE_EIG_TOL:
-        return MeasureValue(l1_coherence(rho).value, Method.PURE_STATE_L1)
+        mv = MeasureValue(_finalize(2.0 * float(np.abs(rho.mat[0, 1]))), Method.CLOSED_FORM_QUBIT)
+    elif d == 1 or rho.eigenvalues[-2] < PURE_EIG_TOL:
+        mv = MeasureValue(l1_coherence(rho).value, Method.PURE_STATE_L1)
+    else:
+        m = rho.mat
+        u = _phase_witness(m)
+        dual = float(np.vdot(u, m @ u).real)
+        primal = float(np.abs(m).sum())
+        gap = primal - dual
+        if gap <= tol * max(1.0, primal):
+            mv = MeasureValue(_finalize(dual - 1.0), Method.PHASE_WITNESS, certificate_gap=gap)
+        else:
+            mv = _sdp_roc(rho, tol)
+    ROC_METHOD_COUNTS[mv.method] += 1
+    return mv
+
+
+def _sdp_roc(rho: DensityMatrix, tol: float) -> MeasureValue:
     sol = sdp.solve(sdp.build(rho), tol=tol)
     if sol.status is not sdp.SolveStatus.OPTIMAL:
         raise sdp.SolverFailure(

@@ -78,6 +78,36 @@ def test_sweep_is_deterministic_and_schedule_independent():
     assert a == b == c
 
 
+@pytest.mark.parametrize("n_qubits", [2, 3])
+def test_fig1_points_past_the_phase_boundary_need_no_sdp(monkeypatch, n_qubits):
+    # at p >= k/(1+k) every off-diagonal entry of the mixture is >= 0, so the
+    # phase witness certifies RoC = l1; p=1 is the pure reference state
+    cfg = fig1_config(samples=20, grid=(0.5, 1.0), n_qubits=n_qubits)
+    expected = run_experiment(cfg)
+
+    def no_solve(problem, **kwargs):
+        raise AssertionError("sdp.solve called on a phase-witness state")
+
+    monkeypatch.setattr(cohkit.sdp, "solve", no_solve)
+    assert run_experiment(cfg) == expected
+
+
+def test_metadata_counts_roc_values_per_method(tmp_path):
+    samples = 5
+    cfg = fig1_config(samples=samples, grid=(0.0, 0.5, 1.0))
+    # per point one joint state (sigma: sdp, mixture: witness, |+>|+>: pure)
+    # and two qubit marginals
+    expected = {
+        "sdp": samples,
+        "phase_witness": samples,
+        "pure_state_l1": samples,
+        "closed_form_qubit": 6 * samples,
+    }
+    assert run_experiment(cfg, 1)[2] == expected
+    _, meta_path = run_and_save(cfg, tmp_path, workers=2)
+    assert json.loads(meta_path.read_text())["roc_methods"] == expected
+
+
 TINY_GRIDS = {
     Experiment.SUBADDITIVITY_SWEEP: dict(grid=(0.0, 0.3)),
     Experiment.ORDERING_VS_DIMENSION: dict(grid=(2, 3)),

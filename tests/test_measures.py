@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from cohkit import linalg
+from cohkit import linalg, sdp
 from cohkit.measures import (
     MeasureKind,
     MeasureValue,
     Method,
+    _phase_witness,
     compute_measure,
     l1_coherence,
     rel_entropy_coherence,
@@ -19,6 +20,7 @@ from cohkit.states import (
     dephase,
     haar_random_pure,
     maximally_coherent,
+    mix_with_pure,
     pure_density,
     random_density,
     sigma_family,
@@ -75,6 +77,69 @@ def test_roc_sdp_dispatch_and_certificate():
     assert 0 <= mv.certificate_gap <= 1e-7 * max(1.0, mv.value + 1.0)
 
 
+def _nonnegative_state(d, rng):
+    g = np.abs(rng.standard_normal((d, d)))
+    m = g @ g.T
+    return DensityMatrix(m / np.trace(m))
+
+
+def _phase_rotated(rho, rng):
+    phases = np.exp(1j * rng.uniform(0, 2 * np.pi, rho.dim))
+    return DensityMatrix(phases[:, None] * rho.mat * phases.conj()[None, :])
+
+
+def _witness_states():
+    rng = np.random.default_rng(15)
+    states = {}
+    for d in (3, 5, 8):
+        states[f"nonnegative-d{d}"] = _nonnegative_state(d, rng)
+        states[f"rotated-d{d}"] = _phase_rotated(_nonnegative_state(d, rng), rng)
+        states[f"dephased-d{d}"] = dephase(random_density(d, d, rng))
+    for n in (2, 3):
+        kmax = 1 / (2**n - 1)
+        for p in (0.26, 0.5, 0.9):
+            for k in (kmax, rng.uniform(0, kmax)):
+                phi = maximally_coherent(2**n)
+                states[f"fig1-n{n}-p{p}-k{k:.3f}"] = mix_with_pure(sigma_family(n, k), phi, p)
+    return states
+
+
+WITNESS_STATES = _witness_states()
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_STATES))
+def test_roc_phase_witness_dispatch_and_certificate(name):
+    rho = WITNESS_STATES[name]
+    mv = roc(rho)
+    assert mv.method is Method.PHASE_WITNESS
+    gap = mv.certificate_gap
+    assert abs(gap) <= 1e-14
+    assert mv.value == pytest.approx(l1_coherence(rho).value, abs=1e-14)
+    # the value lies in the SDP's certified bracket, widened by the witness gap
+    sol = sdp.solve(sdp.build(rho))
+    assert sol.status is sdp.SolveStatus.OPTIMAL
+    assert sol.dual_value - 1 - gap - 1e-12 <= mv.value <= sol.primal_value - 1 + 1e-12
+    # recheck both certificates from scratch: the Gershgorin primal point is
+    # feasible, and the witness Y = u u^dag has unit diagonal and attains the value
+    m = rho.mat
+    primal_diag = np.abs(m).sum(axis=1)
+    assert np.linalg.eigvalsh(np.diag(primal_diag) - m)[0] >= -1e-12
+    u = _phase_witness(m)
+    assert np.abs(np.abs(u) ** 2 - 1).max() <= 1e-15
+    y = np.outer(u, u.conj())
+    assert max(np.real(np.vdot(y, m)) - 1, 0.0) == pytest.approx(mv.value, abs=1e-13)
+    assert primal_diag.sum() - np.real(np.vdot(y, m)) == pytest.approx(gap, abs=1e-13)
+
+
+def test_roc_keeps_sdp_where_no_phase_witness_certifies():
+    rng = np.random.default_rng(16)
+    states = [sigma_family(n, rng.uniform(0, 1 / (2**n - 1))) for n in (2, 3) for _ in range(3)]
+    states += [sigma_family(n, 1 / (2**n - 1)) for n in (2, 3)]
+    states += [random_density(d, d, rng) for d in (3, 4, 6, 10)]
+    for rho in states:
+        assert roc(rho).method is Method.SDP
+
+
 def test_roc_zero_on_dephased():
     rng = np.random.default_rng(3)
     for d in (3, 5):
@@ -104,6 +169,7 @@ def test_measures_make_no_eigen_call_beyond_validation(monkeypatch):
         pure_density(haar_random_pure(5, rng)),
         random_density(4, 4, rng),
         sigma_family(3, 0.1),
+        mix_with_pure(sigma_family(2, 0.2), maximally_coherent(4), 0.5),
     ]
     calls = []
 
@@ -120,7 +186,9 @@ def test_measures_make_no_eigen_call_beyond_validation(monkeypatch):
     methods = {roc(rho).method for rho in states}
     for rho in states:
         rel_entropy_coherence(rho)
-    assert methods == {Method.CLOSED_FORM_QUBIT, Method.PURE_STATE_L1, Method.SDP}
+    assert methods == {
+        Method.CLOSED_FORM_QUBIT, Method.PURE_STATE_L1, Method.SDP, Method.PHASE_WITNESS
+    }
     assert calls == []
 
 
@@ -129,6 +197,9 @@ def test_measure_value_certificate_gap_consistency():
         MeasureValue(0.5, Method.DIRECT, certificate_gap=1e-9)
     with pytest.raises(ValueError):
         MeasureValue(0.5, Method.SDP)
+    with pytest.raises(ValueError):
+        MeasureValue(0.5, Method.PHASE_WITNESS)
+    MeasureValue(0.5, Method.PHASE_WITNESS, certificate_gap=0.0)
 
 
 def test_subadditivity_gap_product_of_dephased_qubits():
