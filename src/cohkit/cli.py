@@ -1,7 +1,7 @@
 """Command-line interface.
 
-Verbs: ``measure``, ``roc-solve``, ``theorem1``, ``fig1``, ``fig2``,
-``fig3``, ``result2``, ``validate``. Each experiment verb runs one
+Verbs: ``measure``, ``roc-solve``, ``validate`` and the experiment verbs.
+Each experiment verb is one row of ``_EXPERIMENT_VERBS``: it runs one
 :class:`~cohkit.experiments.Experiment` on the shared sampling harness over
 ``--threads`` worker processes and writes CSV plus a JSON metadata sidecar
 into ``--out``. The sampling verbs (the experiments and ``validate``) accept
@@ -23,23 +23,38 @@ from . import __version__, validation
 from .measures import l1_coherence, rel_entropy_coherence, roc
 from .sdp import SolveStatus, SolverFailure, build, solve, verify_certificates
 from .states import load_density
-from .experiments import (
-    DEFAULT_ANCILLA_DIM_GRID,
-    DEFAULT_DIM_GRID,
-    DEFAULT_N_GRID,
-    DEFAULT_P_GRID,
-    DEFAULT_RANK_GRID,
-    Experiment,
-    PhiChoice,
-    SweepAborted,
-    SweepConfig,
-    run_and_save,
-)
+from .experiments import Experiment, PhiChoice, SweepAborted, SweepConfig, run_and_save
 
 EXIT_OK = 0
 EXIT_VALIDATION_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_SOLVER_FAILURE = 3
+
+# Per experiment verb: the experiment, the verb's help, the grid flag, the
+# type of a grid entry, the default grid, the grid's help, default --samples.
+_EXPERIMENT_VERBS = {
+    "theorem1": (
+        Experiment.THEOREM1_CHECK, "sigma-family robustness vs. tabulated closed form",
+        "--n", int, (1, 2, 3, 4), "comma list of qubit counts", 20,
+    ),
+    "fig1": (
+        Experiment.SUBADDITIVITY_SWEEP, "sub-additivity survival under pure-state mixing",
+        "--grid", float, tuple(round(i * 0.02, 2) for i in range(51)),
+        "comma list of mixing weights", 1000,
+    ),
+    "fig2": (
+        Experiment.ORDERING_VS_DIMENSION, "ordering violations vs. dimension",
+        "--grid", int, tuple(range(2, 11)), "comma list of dimensions", 10000,
+    ),
+    "fig3": (
+        Experiment.ORDERING_VS_RANK, "ordering violations vs. rank at fixed dimension",
+        "--grid", int, tuple(range(1, 11)), "comma list of ranks", 10000,
+    ),
+    "result2": (
+        Experiment.RESULT2_CHECK, "incoherent-ancilla invariance deviations",
+        "--grid", int, (2, 3, 4), "comma list of admissible state/ancilla dimensions", 100,
+    ),
+}
 
 
 def _fmt(x: float) -> str:
@@ -55,14 +70,11 @@ def _add_common(parser: argparse.ArgumentParser, samples_default: int | None = N
         )
 
 
-def _add_experiment(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker processes for sample evaluation",
-    )
-    parser.add_argument("--out", default="results", help="output directory for CSV + metadata")
+def _worker_count(text: str) -> int:
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"need at least one worker, got {workers}")
+    return workers
 
 
 def _parse_grid(text: str, cast) -> tuple:
@@ -92,64 +104,33 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, default=1e-8, help="SDP relative gap tolerance")
         _add_common(p)
 
-    p = sub.add_parser("theorem1", help="sigma-family robustness vs. tabulated closed form")
-    p.add_argument(
-        "--n",
-        dest="grid",
-        metavar="N",
-        type=lambda s: _parse_grid(s, int),
-        default=DEFAULT_N_GRID,
-        help="comma list of qubit counts",
-    )
-    _add_common(p, samples_default=20)
-    _add_experiment(p)
-
-    p = sub.add_parser("fig1", help="sub-additivity survival under pure-state mixing")
-    p.add_argument(
-        "--grid",
-        type=lambda s: _parse_grid(s, float),
-        default=DEFAULT_P_GRID,
-        help="comma list of mixing weights",
-    )
-    p.add_argument(
-        "--phi",
-        choices=[c.value for c in PhiChoice],
-        default=PhiChoice.MAXIMALLY_COHERENT.value,
-        help="reference pure state to mix in",
-    )
-    _add_common(p, samples_default=1000)
-    _add_experiment(p)
-
-    p = sub.add_parser("fig2", help="ordering violations vs. dimension")
-    p.add_argument(
-        "--grid",
-        type=lambda s: _parse_grid(s, int),
-        default=DEFAULT_DIM_GRID,
-        help="comma list of dimensions",
-    )
-    _add_common(p, samples_default=10000)
-    _add_experiment(p)
-
-    p = sub.add_parser("fig3", help="ordering violations vs. rank at fixed dimension")
-    p.add_argument(
-        "--grid",
-        type=lambda s: _parse_grid(s, int),
-        default=DEFAULT_RANK_GRID,
-        help="comma list of ranks",
-    )
-    p.add_argument("--dim", type=int, default=10, help="ambient dimension")
-    _add_common(p, samples_default=10000)
-    _add_experiment(p)
-
-    p = sub.add_parser("result2", help="incoherent-ancilla invariance deviations")
-    p.add_argument(
-        "--grid",
-        type=lambda s: _parse_grid(s, int),
-        default=DEFAULT_ANCILLA_DIM_GRID,
-        help="comma list of admissible state/ancilla dimensions",
-    )
-    _add_common(p, samples_default=100)
-    _add_experiment(p)
+    for verb, (experiment, text, flag, cast, grid, grid_help, samples) in _EXPERIMENT_VERBS.items():
+        p = sub.add_parser(verb, help=text)
+        p.add_argument(
+            flag,
+            dest="grid",
+            metavar=flag[2:].upper(),
+            type=lambda arg, cast=cast: _parse_grid(arg, cast),
+            default=grid,
+            help=grid_help,
+        )
+        if experiment is Experiment.SUBADDITIVITY_SWEEP:
+            p.add_argument(
+                "--phi",
+                choices=[c.value for c in PhiChoice],
+                default=PhiChoice.MAXIMALLY_COHERENT.value,
+                help="reference pure state to mix in",
+            )
+        if experiment is Experiment.ORDERING_VS_RANK:
+            p.add_argument("--dim", type=int, default=10, help="ambient dimension")
+        _add_common(p, samples_default=samples)
+        p.add_argument(
+            "--threads",
+            type=_worker_count,
+            default=os.cpu_count() or 1,
+            help="worker processes for sample evaluation",
+        )
+        p.add_argument("--out", default="results", help="output directory for CSV + metadata")
 
     p = sub.add_parser("validate", help="measure-axiom suite; exit 0 iff all pass")
     _add_common(p, samples_default=100)
@@ -181,7 +162,7 @@ def _cmd_measure(args) -> int:
 
 def _cmd_roc_solve(args) -> int:
     rho = _load_state(args.state)
-    sol = solve(build(rho), tol=args.tol, verbose=args.verbose)
+    sol = solve(build(rho), tol=args.tol, trace=sys.stderr if args.verbose else None)
     report = verify_certificates(sol, rho) if sol.dual_witness is not None else None
     print(f"status = {sol.status.value}")
     print(f"iterations = {sol.iterations}")
@@ -239,13 +220,6 @@ def _cmd_validate(args) -> int:
     return EXIT_OK if all_passed else EXIT_VALIDATION_FAILED
 
 
-_EXPERIMENT_VERBS = {
-    "theorem1": Experiment.THEOREM1_CHECK,
-    "fig1": Experiment.SUBADDITIVITY_SWEEP,
-    "fig2": Experiment.ORDERING_VS_DIMENSION,
-    "fig3": Experiment.ORDERING_VS_RANK,
-    "result2": Experiment.RESULT2_CHECK,
-}
 _COMMANDS = {"measure": _cmd_measure, "roc-solve": _cmd_roc_solve, "validate": _cmd_validate}
 
 
@@ -257,7 +231,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         if args.verb in _EXPERIMENT_VERBS:
-            return _cmd_experiment(args, _EXPERIMENT_VERBS[args.verb])
+            return _cmd_experiment(args, _EXPERIMENT_VERBS[args.verb][0])
         return _COMMANDS[args.verb](args)
     except SolverFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

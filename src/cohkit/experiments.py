@@ -24,7 +24,9 @@ regardless of worker count or scheduling. The BLAS thread count can change
 the last bits of solver values, and with them the value columns of
 ``theorem1_check``. :func:`run_and_save` writes CSV plus a JSON metadata
 sidecar that lists every redrawn draw and counts the RoC values per dispatch
-method (``roc_methods``).
+method (``roc_methods``). Every experiment's records or rows are dataclasses
+whose fields are the CSV columns, in order, so one writer,
+:func:`write_sweep_csv`, serves them all.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ import subprocess
 import time
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
@@ -61,6 +63,7 @@ from .states import (
     mix_with_pure,
     random_density,
     sigma_family,
+    sigma_kmax,
 )
 
 log = logging.getLogger(__name__)
@@ -81,12 +84,6 @@ MEASURE_PAIRS: tuple[tuple[MeasureKind, MeasureKind], ...] = (
     (MeasureKind.L1, MeasureKind.ROC),
     (MeasureKind.REL_ENTROPY, MeasureKind.ROC),
 )
-
-DEFAULT_P_GRID = tuple(round(i * 0.02, 2) for i in range(51))
-DEFAULT_DIM_GRID = tuple(range(2, 11))
-DEFAULT_RANK_GRID = tuple(range(1, 11))
-DEFAULT_N_GRID = (1, 2, 3, 4)
-DEFAULT_ANCILLA_DIM_GRID = (2, 3, 4)
 
 
 class Experiment(Enum):
@@ -169,14 +166,17 @@ class SweepConfig:
 
 @dataclass(frozen=True)
 class SweepRecord:
-    """One grid point's counts; ``measure_pair`` set only for ordering sweeps."""
+    """One grid point's counts, fields in CSV column order; ``measure_pair`` is
+    set only for ordering sweeps."""
 
+    experiment: str
     sweep_point: float | int
+    measure_pair: str | None
     count_total: int
     count_positive: int
     fraction: float
     stderr: float
-    measure_pair: str | None = None
+    seed: int
 
 
 @dataclass(frozen=True)
@@ -201,15 +201,11 @@ def _rng(seed: int, point_idx: int, sample_idx: int) -> np.random.Generator:
     return np.random.default_rng([seed, point_idx, sample_idx])
 
 
-def _record(point, total: int, positive: int, pair: str | None = None) -> SweepRecord:
-    fraction = positive / total
+def _record(cfg: SweepConfig, point, positive: int, pair: str | None = None) -> SweepRecord:
+    fraction = positive / cfg.samples
+    stderr = float(np.sqrt(fraction * (1.0 - fraction) / cfg.samples))
     return SweepRecord(
-        sweep_point=point,
-        count_total=total,
-        count_positive=positive,
-        fraction=fraction,
-        stderr=float(np.sqrt(fraction * (1.0 - fraction) / total)),
-        measure_pair=pair,
+        cfg.experiment.value, point, pair, cfg.samples, positive, fraction, stderr, cfg.seed
     )
 
 
@@ -224,7 +220,7 @@ def _subadd_sample(cfg: SweepConfig, p: float, rng: np.random.Generator) -> bool
         phi = maximally_entangled_two_qubit()
     else:
         phi = maximally_coherent(2**n)
-    chi = mix_with_pure(sigma_family(n, rng.uniform(0.0, 1.0 / (2**n - 1))), phi, p)
+    chi = mix_with_pure(sigma_family(n, rng.uniform(0.0, sigma_kmax(n))), phi, p)
     return subadditivity_gap(chi) <= SUBADDITIVITY_COUNT_TOL
 
 
@@ -251,7 +247,7 @@ def _theorem1_sample(cfg: SweepConfig, n: int, rng: np.random.Generator) -> Theo
     and must be nonpositive (up to SUBADDITIVITY_COUNT_TOL).
     """
     n = int(n)
-    k = rng.uniform(0.0, 1.0 / (2**n - 1))
+    k = rng.uniform(0.0, sigma_kmax(n))
     rho = sigma_family(n, k)
     value = roc(rho).value
     closed = theorem1_closed_form(n, k)
@@ -287,7 +283,7 @@ def _result2_rows(cfg: SweepConfig, dims: tuple[int, ...], values: list) -> list
 
 def _pair_records(cfg: SweepConfig, point: int, values: list) -> list[SweepRecord]:
     return [
-        _record(int(point), cfg.samples, sum(v[j] for v in values), f"{m.value}:{w.value}")
+        _record(cfg, int(point), sum(v[j] for v in values), f"{m.value}:{w.value}")
         for j, (m, w) in enumerate(MEASURE_PAIRS)
     ]
 
@@ -297,7 +293,7 @@ def _pair_records(cfg: SweepConfig, point: int, values: list) -> list[SweepRecor
 _HARNESS = {
     Experiment.SUBADDITIVITY_SWEEP: (
         _subadd_sample,
-        lambda cfg, p, values: [_record(p, cfg.samples, sum(values))],
+        lambda cfg, p, values: [_record(cfg, p, sum(values))],
     ),
     Experiment.ORDERING_VS_DIMENSION: (_ordering_sample, _pair_records),
     Experiment.ORDERING_VS_RANK: (_ordering_sample, _pair_records),
@@ -348,7 +344,8 @@ def run_experiment(
     Each redrawn draw is reported with its state, error, grid point and
     sample index. The method counts are summed over all workers and include
     the values computed for draws that were later redrawn. With
-    ``workers > 1`` each grid point runs on a fresh process pool. Raises
+    ``workers > 1`` each grid point runs on a fresh process pool of at most
+    one worker per chunk. Raises
     :class:`SweepAborted` once failures exceed FAILURE_ABORT_FRACTION of the
     planned samples, or when one sample exhausts its redraws.
     """
@@ -362,7 +359,7 @@ def run_experiment(
     for point_idx, point in enumerate(points):
         jobs = [(cfg, point_idx, point, a, b) for a, b in _chunks(cfg.samples, workers)]
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
                 chunks = list(pool.map(_chunk, jobs))
         else:
             chunks = [_chunk(job) for job in jobs]
@@ -393,55 +390,23 @@ def estimate_transition(records: list[SweepRecord]) -> float | None:
 # ---------------------------------------------------------------------------
 # persistence
 
-SWEEP_CSV_COLUMNS = (
-    "experiment",
-    "sweep_point",
-    "measure_pair",
-    "count_total",
-    "count_positive",
-    "fraction",
-    "stderr",
-    "seed",
-)
 
+def write_sweep_csv(rows: list, path: Path) -> None:
+    """One CSV line per record or row, under a header of its dataclass's field names.
 
-def write_sweep_csv(cfg: SweepConfig, records: list[SweepRecord], path: Path) -> None:
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_CSV_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [
-                    cfg.experiment.value,
-                    repr(rec.sweep_point),
-                    rec.measure_pair or "",
-                    rec.count_total,
-                    rec.count_positive,
-                    repr(rec.fraction),
-                    repr(rec.stderr),
-                    cfg.seed,
-                ]
-            )
-
-
-def write_rows_csv(rows: list[Theorem1Row] | list[Result2Row], path: Path) -> None:
-    """One CSV line per row, under a header of the row dataclass's field names.
-
-    Floats are written with ``repr``, so values round-trip exactly.
+    Floats are written with ``str``, which equals ``repr``, so values round-trip exactly.
     """
-    names = [f.name for f in fields(rows[0])]
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(names)
-        for row in rows:
-            writer.writerow([getattr(row, name) for name in names])
+        writer.writerow([f.name for f in fields(rows[0])])
+        writer.writerows(astuple(row) for row in rows)
 
 
 def _git_revision() -> str:
+    """HEAD of the checkout this module was imported from, whatever the working directory."""
+    cmd = ["git", "-C", str(Path(__file__).parent), "rev-parse", "HEAD"]
     try:
-        proc = subprocess.run(
-            ["git", "rev-parse", "HEAD"], capture_output=True, text=True, timeout=10
-        )
+        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
         return proc.stdout.strip() if proc.returncode == 0 else "unknown"
     except OSError:
         return "unknown"
@@ -481,9 +446,6 @@ def run_and_save(cfg: SweepConfig, out_dir: str | Path, workers: int = 1) -> tup
         name += f"_{cfg.pure_state_choice.value}"
         extra["transition_estimate"] = estimate_transition(results)
     csv_path, meta_path = out / f"{name}.csv", out / f"{name}_meta.json"
-    if isinstance(results[0], SweepRecord):
-        write_sweep_csv(cfg, results, csv_path)
-    else:
-        write_rows_csv(results, csv_path)
+    write_sweep_csv(results, csv_path)
     write_metadata(cfg, meta_path, wall_time_s=time.perf_counter() - start, extra=extra)
     return csv_path, meta_path

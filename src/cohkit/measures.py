@@ -27,7 +27,7 @@ from enum import Enum
 import numpy as np
 
 from . import sdp
-from .states import DensityMatrix
+from .states import DensityMatrix, check_sigma_params
 
 log = logging.getLogger(__name__)
 
@@ -210,11 +210,7 @@ def theorem1_closed_form(n: int, k: float) -> float:
     expression and reports the difference; see docs/roc-sdp.md, which derives
     the optimum of the program for this family (the two do not agree).
     """
-    if int(n) != n or n < 1:
-        raise ValueError(f"qubit count must be a positive integer, got {n}")
-    kmax = 1.0 / (2**n - 1)
-    if not -1e-12 <= k <= kmax + 1e-12:
-        raise ValueError(f"mixing parameter k={k} outside [0, {kmax}]")
+    check_sigma_params(n, k)
     return k * (1.0 - 2.0 ** (-n))
 
 

@@ -41,7 +41,6 @@ the solve stops once primal - dual <= tol * max(1, primal).
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import TextIO
@@ -127,8 +126,7 @@ def solve(
     problem: RocSdp,
     tol: float = 1e-8,
     max_iter: int = 200,
-    verbose: bool = False,
-    trace_to: TextIO | None = None,
+    trace: TextIO | None = None,
 ) -> RocSolution:
     """Run the primal-dual method until the relative duality gap is below ``tol``.
 
@@ -136,12 +134,11 @@ def solve(
     the last iterate when ``max_iter`` Schur factorizations are spent, or
     NUMERICAL_FAILURE (with the last certified iterate) if a Cholesky
     factorization of S, Y or M breaks down. ``iterations`` counts Schur
-    factorizations. When ``verbose`` (or an explicit ``trace_to`` stream) is
-    set, one CSV row ``mu,primal,dual,gap`` is emitted per iterate.
+    factorizations. When a ``trace`` stream is given, a ``mu,primal,dual,gap``
+    header and then one CSV row per iterate are written to it.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    trace = trace_to if trace_to is not None else (sys.stderr if verbose else None)
     if trace is not None:
         trace.write("mu,primal,dual,gap\n")
 

@@ -128,13 +128,18 @@ def maximally_entangled_two_qubit() -> np.ndarray:
     return np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
 
 
-def _check_sigma_params(n: int, k: float) -> float:
+def sigma_kmax(n: int) -> float:
+    """Largest mixing parameter of the n-qubit sigma family, 1/(2^n - 1)."""
     if int(n) != n or n < 1:
         raise ValueError(f"qubit count must be a positive integer, got {n}")
-    kmax = 1.0 / (2**n - 1)
+    return 1.0 / (2**n - 1)
+
+
+def check_sigma_params(n: int, k: float) -> None:
+    """Raise ValueError unless 0 <= k <= sigma_kmax(n), up to 1e-12 of rounding."""
+    kmax = sigma_kmax(n)
     if not -1e-12 <= k <= kmax + 1e-12:
         raise ValueError(f"mixing parameter k={k} outside [0, 1/(2^{n}-1)] = [0, {kmax}]")
-    return kmax
 
 
 def sigma_family(n: int, k: float) -> DensityMatrix:
@@ -144,7 +149,7 @@ def sigma_family(n: int, k: float) -> DensityMatrix:
     eigenvalue (1+k)/2^n - k reaches zero. Diagonal entries are 1/2^n and
     every off-diagonal entry is -k/2^n.
     """
-    _check_sigma_params(n, k)
+    check_sigma_params(n, k)
     d = 2**n
     mat = (1.0 + k) / d * np.eye(d, dtype=complex) - k * projector(maximally_coherent(d))
     return DensityMatrix(mat, (2,) * n)

@@ -29,6 +29,7 @@ from .states import (
     pure_density,
     random_density,
     sigma_family,
+    sigma_kmax,
 )
 
 ALL_KINDS = (MeasureKind.L1, MeasureKind.REL_ENTROPY, MeasureKind.ROC)
@@ -164,7 +165,7 @@ def check_sigma_subadditivity(samples: int = 100, seed: int = 0) -> PropertyResu
     worst = -np.inf
     for _ in range(samples):
         n = int(rng.integers(1, 5))
-        k = rng.uniform(0.0, 1.0 / (2**n - 1))
+        k = rng.uniform(0.0, sigma_kmax(n))
         worst = max(worst, subadditivity_gap(sigma_family(n, k)))
     return PropertyResult("sigma_family_subadditivity", samples, worst, 1e-9)
 

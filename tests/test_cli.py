@@ -4,7 +4,7 @@ import pytest
 import cohkit.cli
 import cohkit.sdp
 from cohkit import validation
-from cohkit.cli import main
+from cohkit.cli import build_parser, main
 from cohkit.sdp import RocSolution, SolveStatus
 from cohkit.states import random_density, save_density
 
@@ -38,6 +38,30 @@ def test_roc_solve_prints_certificates(state_file, capsys):
     assert "status = optimal" in out
     assert "recomputed_gap = " in out
     assert "seed" not in out
+
+
+def test_roc_solve_verbose_traces_iterates_to_stderr(state_file, capsys):
+    assert run(["roc-solve", state_file, "--verbose"]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == "mu,primal,dual,gap"
+    assert len(err) > 3
+
+
+@pytest.mark.parametrize(
+    "verb, grid, samples",
+    [
+        ("theorem1", (1, 2, 3, 4), 20),
+        ("fig1", tuple(i / 50 for i in range(51)), 1000),
+        ("fig2", tuple(range(2, 11)), 10000),
+        ("fig3", tuple(range(1, 11)), 10000),
+        ("result2", (2, 3, 4), 100),
+    ],
+)
+def test_experiment_verb_defaults(verb, grid, samples):
+    args = build_parser().parse_args([verb])
+    assert (args.grid, args.samples) == (grid, samples)
+    if verb == "fig3":
+        assert args.dim == 10
 
 
 EXPERIMENT_VERBS = {
@@ -88,6 +112,8 @@ def test_validate_failure_exits_1(monkeypatch, capsys):
         ["fig2", "--grid", ","],
         ["fig1", "--grid", "1.5", "--samples", "1"],
         ["fig3", "--grid", "11", "--dim", "10", "--samples", "1"],
+        ["fig2", "--threads", "0"],
+        ["fig2", "--threads", "-1"],
     ],
 )
 def test_bad_usage_exits_2(argv, state_file, tmp_path):

@@ -1,10 +1,13 @@
 import dataclasses
 import json
+import subprocess
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cohkit
+import cohkit.experiments
 import cohkit.sdp
 from cohkit.experiments import (
     Experiment,
@@ -123,6 +126,31 @@ def test_results_do_not_depend_on_worker_count(experiment):
     assert run_experiment(cfg, 1) == run_experiment(cfg, 2)
 
 
+def test_pool_has_no_more_workers_than_chunks(monkeypatch):
+    sizes = []
+
+    class InlinePool:
+        """Stand-in for ProcessPoolExecutor that records its size and maps in-process."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    cfg = fig1_config(samples=3, grid=(0.3,))
+    expected = run_experiment(cfg, workers=1)
+    monkeypatch.setattr(cohkit.experiments, "ProcessPoolExecutor", InlinePool)
+    assert run_experiment(cfg, workers=64) == expected
+    assert sizes == [3]
+
+
 def test_ordering_sweep_record_layout():
     cfg = SweepConfig(
         experiment=Experiment.ORDERING_VS_DIMENSION, samples=60, seed=6, grid=(2, 3)
@@ -215,6 +243,18 @@ def test_run_and_save_outputs(tmp_path):
     assert csv_path2.read_bytes() == first
 
 
+def test_metadata_records_the_package_checkout_revision(tmp_path, monkeypatch):
+    package_dir = Path(cohkit.experiments.__file__).parent
+    proc = subprocess.run(
+        ["git", "-C", str(package_dir), "rev-parse", "HEAD"], capture_output=True, text=True
+    )
+    if proc.returncode != 0:
+        pytest.skip("cohkit is not running from a git checkout")
+    monkeypatch.chdir(tmp_path)  # outside any repository
+    _, meta_path = run_and_save(fig1_config(samples=1, grid=(0.0,)), tmp_path)
+    assert json.loads(meta_path.read_text())["git_revision"] == proc.stdout.strip()
+
+
 def test_run_and_save_other_experiments(tmp_path):
     cfg = SweepConfig(experiment=Experiment.THEOREM1_CHECK, samples=2, seed=0, grid=(1,))
     csv_path, _ = run_and_save(cfg, tmp_path)
@@ -275,7 +315,7 @@ def test_sweep_csv_handles_pair_column(tmp_path):
     )
     records = run_experiment(cfg)[0]
     path = tmp_path / "pairs.csv"
-    write_sweep_csv(cfg, records, path)
+    write_sweep_csv(records, path)
     rows = path.read_text().splitlines()
     assert rows[1].split(",")[2] == "l1:rel_entropy"
 

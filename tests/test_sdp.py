@@ -166,7 +166,7 @@ def test_trace_rows_respect_weak_duality():
     rng = np.random.default_rng(3)
     rho = random_density(5, 5, rng)
     stream = io.StringIO()
-    sol = solve(build(rho), trace_to=stream)
+    sol = solve(build(rho), trace=stream)
     assert sol.status is SolveStatus.OPTIMAL
     lines = stream.getvalue().strip().splitlines()
     assert lines[0] == "mu,primal,dual,gap"

@@ -18,6 +18,7 @@ from cohkit.states import (
     random_density,
     save_density,
     sigma_family,
+    sigma_kmax,
 )
 
 
@@ -69,6 +70,15 @@ def test_sigma_family_matches_its_definition():
 def test_sigma_family_boundary_eigenvalue():
     w = linalg.hermitian_eig(sigma_family(2, 1 / 3).mat).eigenvalues
     assert abs(w[0]) < 1e-12
+
+
+def test_sigma_kmax_is_the_psd_boundary():
+    for n in (1, 2, 3, 5):
+        assert sigma_kmax(n) == 1.0 / (2**n - 1)
+        assert sigma_family(n, sigma_kmax(n)).eigenvalues[0] > -1e-12
+    for n in (0, 1.5):
+        with pytest.raises(ValueError, match="positive integer"):
+            sigma_kmax(n)
 
 
 def test_sigma_family_rejects_out_of_range():
