@@ -24,7 +24,9 @@ regardless of worker count or scheduling. The BLAS thread count can change
 the last bits of solver values, and with them the value columns of
 ``theorem1_check``. :func:`run_and_save` writes CSV plus a JSON metadata
 sidecar that lists every redrawn draw and counts the RoC values per dispatch
-method (``roc_methods``). Every experiment's records or rows are dataclasses
+method (``roc_methods``); for the ordering sweeps it also counts the samples
+settled at each stage of :func:`~cohkit.measures.ordering_decision`
+(``ordering_decisions``) and lists those no stage settled (``undecided``). Every experiment's records or rows are dataclasses
 whose fields are the CSV columns, in order, so one writer,
 :func:`write_sweep_csv`, serves them all.
 """
@@ -47,12 +49,14 @@ import numpy as np
 
 from .measures import (
     ROC_METHOD_COUNTS,
+    DecisionStage,
     MeasureKind,
+    OrderingDecision,
     compute_measure,
+    ordering_decision,
     roc,
     subadditivity_gap,
     theorem1_closed_form,
-    values_ordering_violated,
 )
 from .sdp import SolverFailure
 from .states import (
@@ -224,8 +228,9 @@ def _subadd_sample(cfg: SweepConfig, p: float, rng: np.random.Generator) -> bool
     return subadditivity_gap(chi) <= SUBADDITIVITY_COUNT_TOL
 
 
-def _ordering_sample(cfg: SweepConfig, point: int, rng: np.random.Generator) -> tuple[bool, ...]:
-    """Per measure pair, whether it ranks two random states oppositely.
+def _ordering_sample(cfg: SweepConfig, point: int, rng: np.random.Generator) -> OrderingDecision:
+    """Per measure pair, whether it ranks two random states oppositely, decided
+    by :func:`~cohkit.measures.ordering_decision`.
 
     The point is the dimension (full rank) or, for the rank sweep, the rank at ``cfg.dim``.
     """
@@ -233,9 +238,7 @@ def _ordering_sample(cfg: SweepConfig, point: int, rng: np.random.Generator) -> 
     d = cfg.dim if cfg.experiment is Experiment.ORDERING_VS_RANK else rank
     a = random_density(d, rank, rng)
     b = random_density(d, rank, rng)
-    va = {kind: compute_measure(kind, a).value for kind in MeasureKind}
-    vb = {kind: compute_measure(kind, b).value for kind in MeasureKind}
-    return tuple(values_ordering_violated(va[m] - vb[m], va[w] - vb[w]) for m, w in MEASURE_PAIRS)
+    return ordering_decision(a, b, MEASURE_PAIRS)
 
 
 def _theorem1_sample(cfg: SweepConfig, n: int, rng: np.random.Generator) -> Theorem1Row:
@@ -283,7 +286,7 @@ def _result2_rows(cfg: SweepConfig, dims: tuple[int, ...], values: list) -> list
 
 def _pair_records(cfg: SweepConfig, point: int, values: list) -> list[SweepRecord]:
     return [
-        _record(cfg, int(point), sum(v[j] for v in values), f"{m.value}:{w.value}")
+        _record(cfg, int(point), sum(v.violated[j] for v in values), f"{m.value}:{w.value}")
         for j, (m, w) in enumerate(MEASURE_PAIRS)
     ]
 
@@ -337,15 +340,19 @@ def _chunks(samples: int, workers: int) -> list[tuple[int, int]]:
 
 def run_experiment(
     cfg: SweepConfig, workers: int = 1
-) -> tuple[list, list[dict], dict[str, int]]:
+) -> tuple[list, list[dict], dict[str, int], dict]:
     """Records (sweeps) or rows (theorem1, result2) of the run, its redrawn
-    draws, and the number of RoC values returned per dispatch method.
+    draws, the number of RoC values returned per dispatch method, and, for
+    the ordering sweeps, how their samples were decided.
 
     Each redrawn draw is reported with its state, error, grid point and
     sample index. The method counts are summed over all workers and include
-    the values computed for draws that were later redrawn. With
-    ``workers > 1`` each grid point runs on a fresh process pool of at most
-    one worker per chunk. Raises
+    the values computed for draws that were later redrawn. The last item is
+    empty except for the ordering sweeps, where it holds
+    ``"ordering_decisions"`` (samples per :class:`DecisionStage`) and
+    ``"undecided"`` (point, sample and RoC-difference bracket of each sample
+    no stage could settle). With ``workers > 1`` each grid point runs on a
+    fresh process pool of at most one worker per chunk. Raises
     :class:`SweepAborted` once failures exceed FAILURE_ABORT_FRACTION of the
     planned samples, or when one sample exhausts its redraws.
     """
@@ -353,9 +360,12 @@ def run_experiment(
     one_point = cfg.experiment is Experiment.RESULT2_CHECK
     points = (tuple(map(int, cfg.grid)),) if one_point else cfg.grid
     limit = max(1.0, FAILURE_ABORT_FRACTION * cfg.samples * len(points))
+    ordering = cfg.experiment in (Experiment.ORDERING_VS_DIMENSION, Experiment.ORDERING_VS_RANK)
     results: list = []
     failures: list[dict] = []
     methods: Counter = Counter()
+    decisions = Counter({stage.value: 0 for stage in DecisionStage})
+    undecided: list[dict] = []
     for point_idx, point in enumerate(points):
         jobs = [(cfg, point_idx, point, a, b) for a, b in _chunks(cfg.samples, workers)]
         if workers > 1:
@@ -375,8 +385,14 @@ def run_experiment(
                     failures,
                 )
         results += reduce(cfg, point, values)
+        for sample_idx, decision in enumerate(values if ordering else ()):
+            decisions[decision.stage.value] += 1
+            if decision.stage is DecisionStage.UNDECIDED:
+                undecided.append({"point": point, "sample": sample_idx,
+                                  "roc_difference_bracket": list(decision.roc_difference)})
         log.info("point %s done, %d redraws so far", point, len(failures))
-    return results, failures, {m.value: n for m, n in methods.items()}
+    notes = {"ordering_decisions": dict(decisions), "undecided": undecided} if ordering else {}
+    return results, failures, {m.value: n for m, n in methods.items()}, notes
 
 
 def estimate_transition(records: list[SweepRecord]) -> float | None:
@@ -402,9 +418,12 @@ def write_sweep_csv(rows: list, path: Path) -> None:
         writer.writerows(astuple(row) for row in rows)
 
 
-def _git_revision() -> str:
-    """HEAD of the checkout this module was imported from, whatever the working directory."""
-    cmd = ["git", "-C", str(Path(__file__).parent), "rev-parse", "HEAD"]
+def _git_revision(directory: Path = Path(__file__).parent) -> str:
+    """HEAD of the checkout holding ``directory`` (by default this module's,
+    whatever the working directory), with ``-dirty`` appended when tracked
+    files differ from it."""
+    cmd = ["git", "-C", str(directory), "describe", "--always", "--dirty", "--abbrev=40",
+           "--exclude=*"]
     try:
         proc = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
         return proc.stdout.strip() if proc.returncode == 0 else "unknown"
@@ -439,9 +458,9 @@ def run_and_save(cfg: SweepConfig, out_dir: str | Path, workers: int = 1) -> tup
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    results, failures, roc_methods = run_experiment(cfg, workers)
+    results, failures, roc_methods, notes = run_experiment(cfg, workers)
     name = cfg.experiment.value
-    extra: dict = {"failures": failures, "roc_methods": roc_methods}
+    extra: dict = {"failures": failures, "roc_methods": roc_methods, **notes}
     if cfg.experiment is Experiment.SUBADDITIVITY_SWEEP:
         name += f"_{cfg.pure_state_choice.value}"
         extra["transition_estimate"] = estimate_transition(results)

@@ -8,13 +8,15 @@ Three measures are provided:
   the mixture incoherent. ``roc`` tries, in order: the closed form (single
   qubit), the l1 identity (pure states), a rank-one phase witness that
   certifies RoC = l1 (states whose off-diagonal phases factor as
-  u_i conj(u_j), e.g. entrywise-nonnegative states), and the certified SDP.
+  u_i conj(u_j), e.g. entrywise-nonnegative states), and the certified SDP,
+  or, when asked for no tolerance, a certified solve-free bracket.
   ``ROC_METHOD_COUNTS`` counts the values each path has returned in this
   process.
 
 Also here: the sub-additivity gap over qubit marginals, the closed-form
-robustness candidate for the sigma family, and the measure-ordering test on
-value differences.
+robustness candidate for the sigma family, the measure-ordering test on
+value differences, and :func:`ordering_decision`, which decides that test
+for a pair of states from RoC brackets tightened only as far as needed.
 """
 
 from __future__ import annotations
@@ -38,9 +40,19 @@ HARD_NEGATIVE_FLOOR = -1e-6
 ENTROPY_EIG_FLOOR = 1e-12
 # Rank-1 detection for the pure-state shortcut.
 PURE_EIG_TOL = 1e-9
-# |difference| at or below this counts as a tie when comparing orderings,
-# chosen above the SDP gap tolerance so solver noise cannot create violations.
+# |difference| at or below this counts as a tie when comparing orderings. The
+# tie is a property of the true difference: ordering_decision settles which
+# side of +-ORDERING_TIE_TOL the difference of two robustness values lies on
+# from certified brackets, never from a single rounded value.
 ORDERING_TIE_TOL = 1e-7
+# Relative duality gap to which roc certifies a value unless told otherwise.
+DEFAULT_ROC_TOL = 1e-8
+# Relative gap of the coarse solve that ordering_decision tries before the
+# DEFAULT_ROC_TOL one.
+COARSE_ROC_TOL = 1e-4
+# Added to lambda_max of the off-diagonal part before the slack of the
+# solve-free primal point is Cholesky-certified; absorbs eigenvalue rounding.
+BRACKET_SLACK_SHIFT = 1e-12
 
 
 class MeasureKind(Enum):
@@ -53,8 +65,13 @@ class Method(Enum):
     CLOSED_FORM_QUBIT = "closed_form_qubit"
     PURE_STATE_L1 = "pure_state_l1"
     PHASE_WITNESS = "phase_witness"
+    SOLVE_FREE_BRACKET = "solve_free_bracket"
     SDP = "sdp"
     DIRECT = "direct"
+
+
+# Methods whose value carries a certificate_gap: it lies in [value, value + gap].
+_CERTIFIED = (Method.PHASE_WITNESS, Method.SOLVE_FREE_BRACKET, Method.SDP)
 
 
 # RoC values returned in this process, per Method; a run reports the change.
@@ -66,8 +83,9 @@ class MeasureValue:
     """A nonnegative measure value plus how it was obtained.
 
     ``certificate_gap`` is the duality gap of the primal/dual pair that
-    brackets the value; it is present exactly when the method is SDP or
-    PHASE_WITNESS.
+    brackets the value: the measure lies in ``[value, value + gap]``. It is
+    present exactly when the method is PHASE_WITNESS, SOLVE_FREE_BRACKET or
+    SDP.
     """
 
     value: float
@@ -75,9 +93,16 @@ class MeasureValue:
     certificate_gap: float | None = None
 
     def __post_init__(self):
-        certified = self.method in (Method.PHASE_WITNESS, Method.SDP)
-        if (self.certificate_gap is not None) != certified:
-            raise ValueError("certificate_gap is present iff the method is SDP or PHASE_WITNESS")
+        if (self.certificate_gap is not None) != (self.method in _CERTIFIED):
+            raise ValueError(
+                "certificate_gap is present iff the method is PHASE_WITNESS, "
+                "SOLVE_FREE_BRACKET or SDP"
+            )
+
+    @property
+    def upper(self) -> float:
+        """Certified upper end of the value's bracket."""
+        return self.value + (self.certificate_gap or 0.0)
 
 
 def _finalize(value: float) -> float:
@@ -109,6 +134,12 @@ def rel_entropy_coherence(rho: DensityMatrix) -> MeasureValue:
     return MeasureValue(_finalize(s_dephased - s_rho), Method.DIRECT)
 
 
+def _unit_phases(v: np.ndarray) -> np.ndarray:
+    """v_j / |v_j|, and 1 where v_j = 0."""
+    mod = np.abs(v)
+    return np.divide(v, mod, out=np.ones_like(v), where=mod > 0)
+
+
 def _phase_witness(m: np.ndarray) -> np.ndarray:
     """Unit-modulus vector u with u_j = m_jk / |m_jk| on the column k of the
     largest diagonal entry, and u_j = 1 where m_jk = 0.
@@ -116,12 +147,10 @@ def _phase_witness(m: np.ndarray) -> np.ndarray:
     Y = u u^dag is PSD with unit diagonal, so it is feasible for the dual of
     the robustness SDP whatever ``m`` is.
     """
-    col = m[:, int(np.argmax(m.diagonal().real))]
-    mod = np.abs(col)
-    return np.divide(col, mod, out=np.ones_like(col), where=mod > 0)
+    return _unit_phases(m[:, int(np.argmax(m.diagonal().real))])
 
 
-def roc(rho: DensityMatrix, tol: float = 1e-8) -> MeasureValue:
+def roc(rho: DensityMatrix, tol: float | None = DEFAULT_ROC_TOL) -> MeasureValue:
     """Robustness of coherence.
 
     Dispatch, first match wins:
@@ -133,23 +162,29 @@ def roc(rho: DensityMatrix, tol: float = 1e-8) -> MeasureValue:
        phase witness. The primal point d_i = rho_ii + sum_{j != i} |rho_ij|
        (Gershgorin) has objective 1 + l1, and the dual point Y = u u^dag from
        :func:`_phase_witness` has objective Re(u^dag rho u). When they agree
-       within ``tol * max(1, primal)`` the value is that dual objective minus
-       one, with their difference as the gap; otherwise the state falls
-       through to
-    4. the SDP, reporting the dual (lower-bound) objective minus one together
-       with the duality gap. Raises :class:`cohkit.sdp.SolverFailure`,
-       carrying ``rho`` as its ``state``, if the SDP does not certify.
+       within ``tol * max(1, primal)`` (DEFAULT_ROC_TOL when ``tol`` is None)
+       the value is that dual objective minus one, with their difference as
+       the gap; otherwise the state falls through to
+    4. with ``tol=None``, the solve-free bracket of :func:`_solve_free_bracket`,
+       whose value is a certified lower bound and whose gap reaches a
+       certified upper bound;
+    5. otherwise the SDP at ``tol``, reporting the dual (lower-bound)
+       objective minus one together with the duality gap. Raises
+       :class:`cohkit.sdp.SolverFailure`, carrying ``rho`` as its ``state``,
+       if the SDP does not certify.
 
-    Every value is counted in ROC_METHOD_COUNTS under its method.
+    A dual objective below one is reported as zero: Y = I shows that the
+    robustness is nonnegative. Every value is counted in ROC_METHOD_COUNTS
+    under its method.
 
-    Resolution: a PHASE_WITNESS or SDP value is a certified lower bound on
-    the robustness, short of it by at most its gap, which is at most
-    ``tol * max(1, primal)`` with ``primal = value + 1 + gap``. On the
-    witness path the gap is rounding (the two objectives agree exactly for
-    such states), so the value is RoC = l1 to rounding; an SDP value may sit
-    up to about 2e-8 low. A difference of two such values is off by at most
-    twice the larger gap, which at the default ``tol`` stays below
-    ORDERING_TIE_TOL = 1e-7 while the robustness is below 4.
+    Resolution: every value other than the closed forms is a certified lower
+    bound, and the robustness lies in ``[value, value + gap]``. At a given
+    ``tol`` the gap of a PHASE_WITNESS or SDP value is at most
+    ``tol * max(1, primal)``; on the witness path it is rounding (the two
+    objectives agree exactly for such states), so the value is RoC = l1 to
+    rounding, while an SDP value at the default ``tol`` may sit up to about
+    2e-8 low. A SOLVE_FREE_BRACKET gap has no such bound; a caller that
+    needs less tightens it with a solve, as :func:`ordering_decision` does.
     """
     d = rho.dim
     if d == 2:
@@ -162,12 +197,45 @@ def roc(rho: DensityMatrix, tol: float = 1e-8) -> MeasureValue:
         dual = float(np.vdot(u, m @ u).real)
         primal = float(np.abs(m).sum())
         gap = primal - dual
-        if gap <= tol * max(1.0, primal):
-            mv = MeasureValue(_finalize(dual - 1.0), Method.PHASE_WITNESS, certificate_gap=gap)
+        if gap <= (DEFAULT_ROC_TOL if tol is None else tol) * max(1.0, primal):
+            mv = MeasureValue(max(0.0, dual - 1.0), Method.PHASE_WITNESS, certificate_gap=gap)
+        elif tol is None:
+            mv = _solve_free_bracket(rho, dual, primal)
         else:
             mv = _sdp_roc(rho, tol)
     ROC_METHOD_COUNTS[mv.method] += 1
     return mv
+
+
+def _solve_free_bracket(rho: DensityMatrix, dual: float, primal: float) -> MeasureValue:
+    """Certified [lo, hi] on the robustness from one eigendecomposition.
+
+    ``dual`` and ``primal`` are objectives of feasible points already in
+    hand (the phase witness and the Gershgorin point). With O = rho -
+    Diag(rho) and (mu, v) its top eigenpair:
+
+    * lower end: Y = u u^dag with u the phases of v is dual feasible;
+    * upper end: d_i = rho_ii + mu + BRACKET_SLACK_SHIFT leaves the slack
+      (mu + shift) I - O, which is PSD; it is accepted only once a Cholesky
+      factorization of it succeeds, and has objective tr(rho) + d (mu + shift).
+
+    The better point of each kind is kept; see docs/roc-sdp.md.
+    """
+    m = rho.mat
+    off = m.copy()
+    np.fill_diagonal(off, 0.0)
+    w, v = np.linalg.eigh(off)
+    u = _unit_phases(v[:, -1])
+    dual = max(dual, float(np.vdot(u, m @ u).real))
+    shift = float(w[-1]) + BRACKET_SLACK_SHIFT
+    slack = np.eye(rho.dim) * shift - off
+    try:
+        np.linalg.cholesky(slack)
+        primal = min(primal, float(np.sum(m.diagonal().real + shift)))
+    except np.linalg.LinAlgError:
+        pass
+    lo = max(0.0, dual - 1.0)
+    return MeasureValue(lo, Method.SOLVE_FREE_BRACKET, certificate_gap=max(0.0, primal - 1.0 - lo))
 
 
 def _sdp_roc(rho: DensityMatrix, tol: float) -> MeasureValue:
@@ -179,10 +247,12 @@ def _sdp_roc(rho: DensityMatrix, tol: float) -> MeasureValue:
             solution=sol,
             state=rho,
         )
-    return MeasureValue(_finalize(sol.dual_value - 1.0), Method.SDP, certificate_gap=sol.gap)
+    return MeasureValue(max(0.0, sol.dual_value - 1.0), Method.SDP, certificate_gap=sol.gap)
 
 
-def compute_measure(kind: MeasureKind, rho: DensityMatrix, tol: float = 1e-8) -> MeasureValue:
+def compute_measure(
+    kind: MeasureKind, rho: DensityMatrix, tol: float | None = DEFAULT_ROC_TOL
+) -> MeasureValue:
     if kind is MeasureKind.L1:
         return l1_coherence(rho)
     if kind is MeasureKind.REL_ENTROPY:
@@ -219,8 +289,102 @@ def values_ordering_violated(d1: float, d2: float) -> bool:
     rank the pair (a, b) in opposite orders.
 
     Differences of magnitude at most ORDERING_TIE_TOL under either measure
-    count as ties, never as violations.
+    count as ties, never as violations. Given d1, the answer depends only on
+    the category of d2 (above ORDERING_TIE_TOL, below -ORDERING_TIE_TOL, or
+    a tie), which is what lets :func:`ordering_decision` settle it from a
+    bracket on d2.
     """
     if abs(d1) <= ORDERING_TIE_TOL or abs(d2) <= ORDERING_TIE_TOL:
         return False
     return d1 * d2 < -(ORDERING_TIE_TOL**2)
+
+
+class DecisionStage(Enum):
+    """Where :func:`ordering_decision` settled a pair."""
+
+    SOLVE_FREE = "solve_free"
+    COARSE = "coarse"
+    REFINED = "refined"
+    UNDECIDED = "undecided"
+
+
+@dataclass(frozen=True, slots=True)
+class OrderingDecision:
+    """Per measure pair, whether it ranks (a, b) oppositely; the stage that
+    settled it; and the final bracket on RoC(a) - RoC(b) (infinite when the
+    robustness was not needed)."""
+
+    violated: tuple[bool, ...]
+    stage: DecisionStage
+    roc_difference: tuple[float, float]
+
+
+def ordering_decision(
+    a: DensityMatrix, b: DensityMatrix, pairs: tuple[tuple[MeasureKind, MeasureKind], ...]
+) -> OrderingDecision:
+    """``values_ordering_violated`` for every measure pair, with the RoC
+    difference known only as far as the answer needs.
+
+    The l1 and relative-entropy differences are computed outright. The RoC
+    difference is bracketed by ``[lo_a - hi_b, hi_a - lo_b]``, and the pair
+    is settled once every category of it (``> t``, ``< -t``, tie, with t =
+    ORDERING_TIE_TOL) that the bracket allows gives the same answers.
+    Brackets are tightened in stages, widest first and re-deciding after
+    each step: first none (the robustness may not matter), then the
+    solve-free ones from ``roc(tol=None)``, then SDPs at COARSE_ROC_TOL,
+    then at DEFAULT_ROC_TOL. A pair still open after that is UNDECIDED and
+    answered by ``values_ordering_violated`` on the DEFAULT_ROC_TOL values,
+    exactly as if every value had been solved outright.
+    """
+    diff = {
+        kind: compute_measure(kind, a).value - compute_measure(kind, b).value
+        for kind in (MeasureKind.L1, MeasureKind.REL_ENTROPY)
+    }
+    known = [(diff.get(m), diff.get(w)) for m, w in pairs]  # None: the RoC difference
+
+    def answers(d_roc: float) -> tuple[bool, ...]:
+        return tuple(
+            values_ordering_violated(d_roc if d1 is None else d1, d_roc if d2 is None else d2)
+            for d1, d2 in known
+        )
+
+    # the answers for an RoC difference in each category: above t, below -t, tie
+    t = ORDERING_TIE_TOL
+    above, below, tie = answers(1.0), answers(-1.0), answers(0.0)
+
+    def settled(low: float, high: float) -> tuple[bool, ...] | None:
+        allowed = ((above, high > t), (below, low < -t), (tie, low <= t and high >= -t))
+        found = {answer for answer, ok in allowed if ok}
+        return found.pop() if len(found) == 1 else None
+
+    unknown = (-np.inf, np.inf)
+    if above == below == tie:
+        return OrderingDecision(above, DecisionStage.SOLVE_FREE, unknown)
+
+    states = (a, b)
+    values = [compute_measure(MeasureKind.ROC, rho, tol=None) for rho in states]
+    lo = [mv.value for mv in values]
+    hi = [mv.upper for mv in values]
+    # the tolerance each value is certified to; every value but a solve-free
+    # bracket is already what roc(rho) returns, and is never tightened
+    certified_to = [np.inf if mv.method is Method.SOLVE_FREE_BRACKET else 0.0 for mv in values]
+
+    def bracket() -> tuple[float, float]:
+        return lo[0] - hi[1], hi[0] - lo[1]
+
+    found = settled(*bracket())
+    if found is not None:
+        return OrderingDecision(found, DecisionStage.SOLVE_FREE, bracket())
+    stages = ((DecisionStage.COARSE, COARSE_ROC_TOL), (DecisionStage.REFINED, DEFAULT_ROC_TOL))
+    for stage, tol in stages:
+        open_states = [i for i in (0, 1) if certified_to[i] > tol]
+        for i in sorted(open_states, key=lambda i: lo[i] - hi[i]):
+            mv = compute_measure(MeasureKind.ROC, states[i], tol=tol)
+            values[i], certified_to[i] = mv, tol
+            lo[i], hi[i] = max(lo[i], mv.value), min(hi[i], mv.upper)
+            found = settled(*bracket())
+            if found is not None:
+                return OrderingDecision(found, stage, bracket())
+    return OrderingDecision(
+        answers(values[0].value - values[1].value), DecisionStage.UNDECIDED, bracket()
+    )

@@ -158,7 +158,8 @@ def _never_optimal(problem, **kwargs):
         ["measure", "{state}"],
         ["roc-solve", "{state}"],
         ["theorem1", "--n", "2", "--samples", "1"],
-        ["fig2", "--grid", "3", "--samples", "1"],
+        # at d=10 most pairs need a solve; at small d most are decided solve-free
+        ["fig2", "--grid", "10", "--samples", "2"],
     ],
 )
 def test_solver_failure_exits_3(argv, state_file, tmp_path, monkeypatch, capsys):
@@ -172,8 +173,10 @@ def test_solver_failure_exits_3(argv, state_file, tmp_path, monkeypatch, capsys)
 
 
 def test_pooled_sweep_abort_exits_3(tmp_path, monkeypatch, capsys):
-    # forked workers inherit the patched solver, so every draw fails in a worker
+    # forked workers inherit the patched solver, so every draw fails in a
+    # worker: every two-qubit sigma state needs a solve, while a fig2 pair
+    # can be decided without one
     monkeypatch.setattr(cohkit.sdp, "solve", _never_optimal)
-    argv = ["fig2", "--grid", "3", "--samples", "2", "--threads", "2", "--out", str(tmp_path)]
+    argv = ["theorem1", "--n", "2", "--samples", "2", "--threads", "2", "--out", str(tmp_path)]
     assert run(argv) == 3
     assert "redraws" in capsys.readouterr().err

@@ -20,6 +20,7 @@ from cohkit.experiments import (
     run_experiment,
     write_sweep_csv,
 )
+from cohkit.measures import DecisionStage, Method
 from cohkit.sdp import RocSolution, SolveStatus
 from cohkit.states import random_density
 
@@ -123,7 +124,16 @@ TINY_GRIDS = {
 @pytest.mark.parametrize("experiment", list(Experiment), ids=lambda e: e.value)
 def test_results_do_not_depend_on_worker_count(experiment):
     cfg = SweepConfig(experiment=experiment, samples=6, seed=11, **TINY_GRIDS[experiment])
-    assert run_experiment(cfg, 1) == run_experiment(cfg, 2)
+    serial = run_experiment(cfg, 1)
+    assert serial == run_experiment(cfg, 2)
+    notes = serial[3]
+    if experiment in (Experiment.ORDERING_VS_DIMENSION, Experiment.ORDERING_VS_RANK):
+        # decision-stage counts and undecided samples agree too, being part of the result
+        assert set(notes["ordering_decisions"]) == {s.value for s in DecisionStage}
+        assert sum(notes["ordering_decisions"].values()) == cfg.samples * len(cfg.grid)
+        assert notes["ordering_decisions"]["undecided"] == len(notes["undecided"])
+    else:
+        assert notes == {}
 
 
 def test_pool_has_no_more_workers_than_chunks(monkeypatch):
@@ -162,6 +172,55 @@ def test_ordering_sweep_record_layout():
     # qubit robustness equals l1, so that pair can never disagree at d=2
     d2 = {r.measure_pair: r for r in records if r.sweep_point == 2}
     assert d2["l1:roc"].count_positive == 0
+
+
+def test_rank_one_rank_sweep_needs_no_solve(monkeypatch):
+    methods = []
+    real_roc = cohkit.measures.roc
+
+    def recording_roc(rho, **kwargs):
+        mv = real_roc(rho, **kwargs)
+        methods.append(mv.method)
+        return mv
+
+    def no_solve(problem, **kwargs):
+        raise AssertionError("sdp.solve called on a rank-one pair")
+
+    monkeypatch.setattr(cohkit.measures, "roc", recording_roc)
+    monkeypatch.setattr(cohkit.sdp, "solve", no_solve)
+    cfg = SweepConfig(
+        experiment=Experiment.ORDERING_VS_RANK, samples=50, seed=12, grid=(1,), dim=10
+    )
+    notes = run_experiment(cfg)[3]
+    assert methods and set(methods) == {Method.PURE_STATE_L1}
+    assert notes["ordering_decisions"]["solve_free"] == 50
+
+
+def test_undecided_pairs_are_counted_on_refined_values_and_listed(monkeypatch, tmp_path):
+    cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=8, seed=13, grid=(5,))
+    csv_path, meta_path = run_and_save(cfg, tmp_path / "exact")
+    expected_csv = csv_path.read_bytes()
+    assert json.loads(meta_path.read_text())["undecided"] == []
+
+    real_solve = cohkit.sdp.solve
+
+    def uninformative_solve(problem, **kwargs):
+        # same dual value, but a primal bound too loose to tighten any bracket
+        sol = real_solve(problem, **kwargs)
+        return dataclasses.replace(sol, primal_value=sol.dual_value + 10.0, gap=10.0)
+
+    monkeypatch.setattr(cohkit.sdp, "solve", uninformative_solve)
+    csv_path, meta_path = run_and_save(cfg, tmp_path / "loose")
+    meta = json.loads(meta_path.read_text())
+    # the fallback counts by the refined values, which the loose bound leaves unchanged
+    assert csv_path.read_bytes() == expected_csv
+    undecided = meta["undecided"]
+    assert undecided and meta["ordering_decisions"]["undecided"] == len(undecided)
+    assert meta["ordering_decisions"]["coarse"] == meta["ordering_decisions"]["refined"] == 0
+    for entry in undecided:
+        assert entry["point"] == 5 and 0 <= entry["sample"] < 8
+        low, high = entry["roc_difference_bracket"]
+        assert low < high
 
 
 def test_ordering_vs_dimension_relative_rates():
@@ -243,16 +302,40 @@ def test_run_and_save_outputs(tmp_path):
     assert csv_path2.read_bytes() == first
 
 
+def _git(directory: Path, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run(["git", "-C", str(directory), *args], capture_output=True, text=True)
+
+
 def test_metadata_records_the_package_checkout_revision(tmp_path, monkeypatch):
     package_dir = Path(cohkit.experiments.__file__).parent
-    proc = subprocess.run(
-        ["git", "-C", str(package_dir), "rev-parse", "HEAD"], capture_output=True, text=True
-    )
+    proc = _git(package_dir, "rev-parse", "HEAD")
     if proc.returncode != 0:
         pytest.skip("cohkit is not running from a git checkout")
+    # tracked files only: untracked ones do not make a checkout dirty
+    dirty = _git(package_dir, "status", "--porcelain", "--untracked-files=no").stdout.strip()
     monkeypatch.chdir(tmp_path)  # outside any repository
     _, meta_path = run_and_save(fig1_config(samples=1, grid=(0.0,)), tmp_path)
-    assert json.loads(meta_path.read_text())["git_revision"] == proc.stdout.strip()
+    expected = proc.stdout.strip() + ("-dirty" if dirty else "")
+    assert json.loads(meta_path.read_text())["git_revision"] == expected
+
+
+def test_git_revision_flags_uncommitted_changes(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    if _git(repo, "init", "-q").returncode != 0:
+        pytest.skip("git is not available")
+    (repo / "tracked.txt").write_text("one\n")
+    _git(repo, "add", "tracked.txt")
+    identity = ("-c", "user.name=test", "-c", "user.email=test@example.com",
+                "-c", "commit.gpgsign=false")
+    assert _git(repo, *identity, "commit", "-q", "-m", "initial").returncode == 0
+    head = _git(repo, "rev-parse", "HEAD").stdout.strip()
+    assert cohkit.experiments._git_revision(repo) == head
+    (repo / "untracked.txt").write_text("ignored\n")
+    assert cohkit.experiments._git_revision(repo) == head
+    (repo / "tracked.txt").write_text("two\n")
+    assert cohkit.experiments._git_revision(repo) == head + "-dirty"
+    assert cohkit.experiments._git_revision(tmp_path / "missing") == "unknown"
 
 
 def test_run_and_save_other_experiments(tmp_path):
@@ -321,28 +404,25 @@ def test_sweep_csv_handles_pair_column(tmp_path):
 
 
 def test_metadata_lists_redrawn_draws_with_the_failing_state(monkeypatch, tmp_path):
-    cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=3, seed=4, grid=(3,))
+    cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=3, seed=4, grid=(5,))
     _, meta_path = run_and_save(cfg, tmp_path / "clean")
     assert json.loads(meta_path.read_text())["failures"] == []
 
+    # state a of sample 1 is one whose bracket leaves its pair open, so it
+    # reaches the SDP; its solve fails and the sample is redrawn
+    rng = np.random.default_rng([4, 0, 1])
+    a = random_density(5, 5, rng)
     real_solve = cohkit.sdp.solve
-    calls = {"n": 0}
 
-    def fourth_solve_fails(problem, **kwargs):
-        # full-rank d=3 states take one SDP solve each, a then b, so the
-        # fourth solve is state b of sample 1
-        calls["n"] += 1
+    def solve_of_a_fails(problem, **kwargs):
         sol = real_solve(problem, **kwargs)
-        if calls["n"] == 4:
+        if np.array_equal(problem.rho.mat, a.mat):
             return dataclasses.replace(sol, status=SolveStatus.MAX_ITER)
         return sol
 
-    monkeypatch.setattr(cohkit.sdp, "solve", fourth_solve_fails)
+    monkeypatch.setattr(cohkit.sdp, "solve", solve_of_a_fails)
     _, meta_path = run_and_save(cfg, tmp_path / "flaky")
     (entry,) = json.loads(meta_path.read_text())["failures"]
-    rng = np.random.default_rng([4, 0, 1])
-    random_density(3, 3, rng)
-    b = random_density(3, 3, rng)
-    assert entry["state"] == b.to_json_dict()
-    assert (entry["point"], entry["sample"]) == (3, 1)
+    assert entry["state"] == a.to_json_dict()
+    assert (entry["point"], entry["sample"]) == (5, 1)
     assert "max_iter" in entry["error"]

@@ -36,6 +36,17 @@ CASES = {
         "ordering_vs_rank.csv",
         "5dd3224fa20bebf812eb77b0faabd2b799a725bcf8175dbe86cd57dcb2ff7b1a",
     ),
+    # high-dimensional pairs, where most decisions need a solve
+    "fig2-high-d": (
+        ["fig2", "--samples", "20", "--grid", "8,10"],
+        "ordering_vs_dimension.csv",
+        "a5520ce4e0223d44cebddb8c848f4a3139bc3a65e49887ed4cf1433e45412079",
+    ),
+    "fig3-d10": (
+        ["fig3", "--samples", "20", "--dim", "10", "--grid", "2,9"],
+        "ordering_vs_rank.csv",
+        "16b02d7b75e37dab34a9fbac67477f13362abec50d17caff3af30aed6407224d",
+    ),
 }
 
 

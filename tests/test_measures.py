@@ -1,14 +1,19 @@
 import numpy as np
 import pytest
 
+import cohkit.measures
 from cohkit import linalg, sdp
+from cohkit.experiments import MEASURE_PAIRS
 from cohkit.measures import (
+    ORDERING_TIE_TOL,
+    DecisionStage,
     MeasureKind,
     MeasureValue,
     Method,
     _phase_witness,
     compute_measure,
     l1_coherence,
+    ordering_decision,
     rel_entropy_coherence,
     roc,
     subadditivity_gap,
@@ -140,6 +145,22 @@ def test_roc_keeps_sdp_where_no_phase_witness_certifies():
         assert roc(rho).method is Method.SDP
 
 
+def test_roc_at_a_loose_tolerance_reports_a_negative_dual_as_zero():
+    # frustrated phases: the column witness has dual objective 1 - 2c, yet at
+    # tol=1e-4 its gap 12c still passes; the certified lower bound is then 0
+    # (Y = I), not a value below the noise floor
+    c = 5e-6
+    m = np.diag([0.34, 0.33, 0.33]).astype(complex)
+    m[0, 1] = m[1, 0] = m[0, 2] = m[2, 0] = c
+    m[1, 2] = m[2, 1] = -3 * c
+    rho = DensityMatrix(m)
+    exact = roc(rho).value
+    for tol in (1e-4, None):
+        mv = roc(rho, tol=tol)
+        assert mv.method in (Method.PHASE_WITNESS, Method.SOLVE_FREE_BRACKET)
+        assert 0.0 <= mv.value <= exact <= mv.upper
+
+
 def test_roc_zero_on_dephased():
     rng = np.random.default_rng(3)
     for d in (3, 5):
@@ -199,6 +220,8 @@ def test_measure_value_certificate_gap_consistency():
         MeasureValue(0.5, Method.SDP)
     with pytest.raises(ValueError):
         MeasureValue(0.5, Method.PHASE_WITNESS)
+    with pytest.raises(ValueError):
+        MeasureValue(0.5, Method.SOLVE_FREE_BRACKET)
     MeasureValue(0.5, Method.PHASE_WITNESS, certificate_gap=0.0)
 
 
@@ -283,6 +306,54 @@ def test_ordering_violations_do_happen():
         b = random_density(4, 4, rng)
         found += _ordering_violated(a, b, MeasureKind.REL_ENTROPY, MeasureKind.ROC)
     assert found > 0
+
+
+def _decision_pairs():
+    """32 seeded pairs per point: fig2 at d = 3..10, fig3 ranks 2..9 at d = 10."""
+    rng = np.random.default_rng(17)
+    points = [(d, d) for d in range(3, 11)] + [(10, rank) for rank in range(2, 10)]
+    for d, rank in points:
+        for _ in range(32):
+            yield random_density(d, rank, rng), random_density(d, rank, rng)
+
+
+def test_staged_ordering_decision_matches_full_precision_values():
+    # the staged answer must equal the answer on fully solved values wherever
+    # those values put the RoC difference clearly inside one tie category
+    compared = 0
+    stages = set()
+    for a, b in _decision_pairs():
+        decision = ordering_decision(a, b, MEASURE_PAIRS)
+        stages.add(decision.stage)
+        full = {kind: (compute_measure(kind, a), compute_measure(kind, b)) for kind in MeasureKind}
+        expected = tuple(
+            values_ordering_violated(
+                full[m][0].value - full[m][1].value, full[w][0].value - full[w][1].value
+            )
+            for m, w in MEASURE_PAIRS
+        )
+        ra, rb = full[MeasureKind.ROC]
+        d_roc = ra.value - rb.value
+        margin = 2 * max(ra.certificate_gap or 0.0, rb.certificate_gap or 0.0)
+        low, high = decision.roc_difference
+        assert low <= d_roc + margin and d_roc - margin <= high
+        if min(abs(d_roc - ORDERING_TIE_TOL), abs(d_roc + ORDERING_TIE_TOL)) > margin:
+            compared += 1
+            assert decision.violated == expected
+    assert compared >= 500
+    assert {DecisionStage.SOLVE_FREE, DecisionStage.COARSE} <= stages
+
+
+def test_ordering_decision_skips_roc_when_no_pair_needs_it(monkeypatch):
+    rho = random_density(4, 4, np.random.default_rng(18))
+
+    def no_roc(*args, **kwargs):
+        raise AssertionError("roc called although no measure pair needs it")
+
+    monkeypatch.setattr(cohkit.measures, "roc", no_roc)
+    decision = ordering_decision(rho, rho, MEASURE_PAIRS)
+    assert decision.violated == (False, False, False)
+    assert decision.stage is DecisionStage.SOLVE_FREE
 
 
 def test_roc_never_exceeds_l1():

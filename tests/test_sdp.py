@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from cohkit.measures import l1_coherence
+from cohkit.measures import Method, l1_coherence, roc
 from cohkit.sdp import (
     RocSolution,
     SolveStatus,
@@ -371,3 +371,32 @@ def test_certified_bounds_contain_known_values():
         sol = solve(build(rho))
         assert sol.status is SolveStatus.OPTIMAL
         assert sol.dual_value - 1.0 - 1e-12 <= truth <= sol.primal_value - 1.0 + 1e-12
+
+
+def _bracket_states():
+    for name, (make, expected) in sorted(EDGE_STATES.items()):
+        yield name, make(), expected
+    rng = np.random.default_rng(61)
+    for d in range(3, 17):
+        for rank in range(1, d + 1):
+            yield f"d{d}-rank{rank}", random_density(d, rank, rng), None
+
+
+def test_solve_free_bracket_is_certified():
+    # roc(tol=None) brackets the robustness as [value, upper] without a solve.
+    # The SDP's certified bracket [dual - 1, primal - 1] holds the robustness
+    # too, so the two brackets overlap. Neither need contain the other: an end
+    # of the solve-free bracket can be tighter than the SDP's (the eigenvalue
+    # bound is exact for the sigma family)
+    brackets = 0
+    for name, rho, expected in _bracket_states():
+        mv = roc(rho, tol=None)
+        sol = solve(build(rho))
+        assert sol.status is SolveStatus.OPTIMAL, name
+        brackets += mv.method is Method.SOLVE_FREE_BRACKET
+        assert 0.0 <= mv.value <= mv.upper, name
+        assert mv.value <= sol.primal_value - 1.0 + 1e-12, name
+        assert mv.upper >= sol.dual_value - 1.0 - 1e-12, name
+        if expected is not None:
+            assert mv.value - 1e-12 <= expected <= mv.upper + 1e-12, name
+    assert brackets > 100
