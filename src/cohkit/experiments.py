@@ -16,7 +16,9 @@ All five run on one harness, :func:`run_experiment`, on any number of
 worker processes. An experiment is a per-sample function and a reduction of
 one grid point's values to CSV records or rows (result2 has one grid point,
 its whole dimension grid). A draw whose SDP fails to certify is drawn again
-and reported; too many failures abort the run.
+and reported; too many failures abort the run. An experiment may also
+note each sample as its chunk computes it, keeping only what the reduction
+needs: the ordering sweeps count the stage that settled each pair there.
 
 Every sample derives its own generator from (seed, point index, sample
 index), so at a fixed BLAS thread count results are byte-identical
@@ -26,9 +28,9 @@ the last bits of solver values, and with them the value columns of
 sidecar that lists every redrawn draw and counts the RoC values per dispatch
 method (``roc_methods``); for the ordering sweeps it also counts the samples
 settled at each stage of :func:`~cohkit.measures.ordering_decision`
-(``ordering_decisions``) and lists those no stage settled (``undecided``). Every experiment's records or rows are dataclasses
-whose fields are the CSV columns, in order, so one writer,
-:func:`write_sweep_csv`, serves them all.
+(``ordering_decisions``) and lists those no stage settled (``undecided``).
+Every experiment's records or rows are dataclasses whose fields are the CSV
+columns, in order, so one writer, :func:`write_sweep_csv`, serves them all.
 """
 
 from __future__ import annotations
@@ -214,11 +216,12 @@ def _record(cfg: SweepConfig, point, positive: int, pair: str | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# per-sample functions (cfg, grid point, generator) -> value, top level so they
-# can cross process boundaries; a redraw after a solver failure calls one again
+# per-sample functions (cfg, grid point, generator, redraw) -> value, top level
+# so they can cross process boundaries; a redraw after a solver failure calls
+# one again with ``redraw`` set
 
 
-def _subadd_sample(cfg: SweepConfig, p: float, rng: np.random.Generator) -> bool:
+def _subadd_sample(cfg: SweepConfig, p: float, rng: np.random.Generator, redraw: bool) -> bool:
     n = cfg.n_qubits
     if cfg.pure_state_choice is PhiChoice.MAXIMALLY_ENTANGLED:
         phi = maximally_entangled_two_qubit()
@@ -228,20 +231,43 @@ def _subadd_sample(cfg: SweepConfig, p: float, rng: np.random.Generator) -> bool
     return subadditivity_gap(chi) <= SUBADDITIVITY_COUNT_TOL
 
 
-def _ordering_sample(cfg: SweepConfig, point: int, rng: np.random.Generator) -> OrderingDecision:
+def _ordering_sample(
+    cfg: SweepConfig, point: int, rng: np.random.Generator, redraw: bool
+) -> OrderingDecision:
     """Per measure pair, whether it ranks two random states oppositely, decided
     by :func:`~cohkit.measures.ordering_decision`.
 
-    The point is the dimension (full rank) or, for the rank sweep, the rank at ``cfg.dim``.
+    The point is the dimension (full rank) or, for the rank sweep, the rank at
+    ``cfg.dim``. A redrawn pair is solved outright rather than staged: a pair
+    that a bracket can settle never fails, so staging the redraws would favour
+    such pairs over the ones whose solve failed.
     """
     rank = int(point)
     d = cfg.dim if cfg.experiment is Experiment.ORDERING_VS_RANK else rank
     a = random_density(d, rank, rng)
     b = random_density(d, rank, rng)
-    return ordering_decision(a, b, MEASURE_PAIRS)
+    return ordering_decision(a, b, MEASURE_PAIRS, staged=not redraw)
 
 
-def _theorem1_sample(cfg: SweepConfig, n: int, rng: np.random.Generator) -> Theorem1Row:
+def _note_decision(
+    notes: dict, point: int, sample_idx: int, decision: OrderingDecision
+) -> tuple[bool, ...]:
+    """Counts the stage that settled an ordering sample, lists the sample if
+    none did, and keeps only its answers."""
+    stages = notes.setdefault(
+        "ordering_decisions", Counter({stage.value: 0 for stage in DecisionStage})
+    )
+    stages[decision.stage.value] += 1
+    undecided = notes.setdefault("undecided", [])
+    if decision.stage is DecisionStage.UNDECIDED:
+        undecided.append({"point": point, "sample": sample_idx,
+                          "roc_difference_bracket": list(decision.roc_difference)})
+    return decision.violated
+
+
+def _theorem1_sample(
+    cfg: SweepConfig, n: int, rng: np.random.Generator, redraw: bool
+) -> Theorem1Row:
     """Certified robustness of one sigma-family state vs. the tabulated closed form.
 
     The robustness comes from the same ``roc`` dispatch as every other
@@ -262,7 +288,9 @@ def _theorem1_sample(cfg: SweepConfig, n: int, rng: np.random.Generator) -> Theo
     return Theorem1Row(n, k, value, closed, abs(value - closed), gap)
 
 
-def _result2_sample(cfg: SweepConfig, dims: tuple[int, ...], rng: np.random.Generator) -> tuple:
+def _result2_sample(
+    cfg: SweepConfig, dims: tuple[int, ...], rng: np.random.Generator, redraw: bool
+) -> tuple:
     """Per measure, |C(rho (x) diagonal sigma) - C(rho)|, then the two dimensions."""
     d_a = dims[rng.integers(len(dims))]
     d_b = dims[rng.integers(len(dims))]
@@ -286,42 +314,47 @@ def _result2_rows(cfg: SweepConfig, dims: tuple[int, ...], values: list) -> list
 
 def _pair_records(cfg: SweepConfig, point: int, values: list) -> list[SweepRecord]:
     return [
-        _record(cfg, int(point), sum(v.violated[j] for v in values), f"{m.value}:{w.value}")
+        _record(cfg, int(point), sum(v[j] for v in values), f"{m.value}:{w.value}")
         for j, (m, w) in enumerate(MEASURE_PAIRS)
     ]
 
 
-# Per experiment: the per-sample function, and the reduction of one grid
-# point's values (in sample order) to CSV records or rows.
+# Per experiment: the per-sample function; the reduction of one grid point's
+# values (in sample order) to CSV records or rows; and, optionally, a note
+# function (notes, point, sample index, value) -> value kept, which records
+# counts (Counters) or entries (lists) in ``notes`` under metadata keys.
 _HARNESS = {
     Experiment.SUBADDITIVITY_SWEEP: (
         _subadd_sample,
         lambda cfg, p, values: [_record(cfg, p, sum(values))],
+        None,
     ),
-    Experiment.ORDERING_VS_DIMENSION: (_ordering_sample, _pair_records),
-    Experiment.ORDERING_VS_RANK: (_ordering_sample, _pair_records),
-    Experiment.THEOREM1_CHECK: (_theorem1_sample, lambda cfg, n, rows: rows),
-    Experiment.RESULT2_CHECK: (_result2_sample, _result2_rows),
+    Experiment.ORDERING_VS_DIMENSION: (_ordering_sample, _pair_records, _note_decision),
+    Experiment.ORDERING_VS_RANK: (_ordering_sample, _pair_records, _note_decision),
+    Experiment.THEOREM1_CHECK: (_theorem1_sample, lambda cfg, n, rows: rows, None),
+    Experiment.RESULT2_CHECK: (_result2_sample, _result2_rows, None),
 }
 
 
-def _chunk(args) -> tuple[list, list[dict], Counter]:
+def _chunk(args) -> tuple[list, list[dict], Counter, dict]:
     """Values of samples [start, stop) at one grid point, the draws that failed,
-    and the RoC values returned per method meanwhile.
+    the RoC values returned per method meanwhile, and the experiment's notes.
 
     A draw whose SDP fails to certify is replaced by the next draw from the
     same generator; a sample gets at most _MAX_REDRAWS draws.
     """
     cfg, point_idx, point, start, stop = args
-    sample = _HARNESS[cfg.experiment][0]
+    sample, _, note = _HARNESS[cfg.experiment]
     values: list = []
     failures: list[dict] = []
+    notes: dict = {}
     methods_before = ROC_METHOD_COUNTS.copy()
     for sample_idx in range(start, stop):
         rng = _rng(cfg.seed, point_idx, sample_idx)
-        for _ in range(_MAX_REDRAWS):
+        for draw in range(_MAX_REDRAWS):
             try:
-                values.append(sample(cfg, point, rng))
+                value = sample(cfg, point, rng, draw > 0)
+                values.append(value if note is None else note(notes, point, sample_idx, value))
                 break
             except SolverFailure as exc:
                 failures.append({"state": exc.state.to_json_dict(), "error": str(exc),
@@ -329,7 +362,7 @@ def _chunk(args) -> tuple[list, list[dict], Counter]:
                 log.warning("point %s, sample %d: solve failed; sample redrawn", point, sample_idx)
         else:
             raise SweepAborted(f"sample {sample_idx} failed {_MAX_REDRAWS} redraws", failures)
-    return values, failures, ROC_METHOD_COUNTS - methods_before
+    return values, failures, ROC_METHOD_COUNTS - methods_before, notes
 
 
 def _chunks(samples: int, workers: int) -> list[tuple[int, int]]:
@@ -342,30 +375,30 @@ def run_experiment(
     cfg: SweepConfig, workers: int = 1
 ) -> tuple[list, list[dict], dict[str, int], dict]:
     """Records (sweeps) or rows (theorem1, result2) of the run, its redrawn
-    draws, the number of RoC values returned per dispatch method, and, for
-    the ordering sweeps, how their samples were decided.
+    draws, the number of RoC values returned per dispatch method, and the
+    experiment's notes.
 
     Each redrawn draw is reported with its state, error, grid point and
     sample index. The method counts are summed over all workers and include
-    the values computed for draws that were later redrawn. The last item is
-    empty except for the ordering sweeps, where it holds
-    ``"ordering_decisions"`` (samples per :class:`DecisionStage`) and
-    ``"undecided"`` (point, sample and RoC-difference bracket of each sample
-    no stage could settle). With ``workers > 1`` each grid point runs on a
-    fresh process pool of at most one worker per chunk. Raises
-    :class:`SweepAborted` once failures exceed FAILURE_ABORT_FRACTION of the
-    planned samples, or when one sample exhausts its redraws.
+    the values computed for draws that were later redrawn. The notes are
+    summed (counts) or concatenated in sample order (entries) over all
+    chunks; only the ordering sweeps take any, ``"ordering_decisions"``
+    (samples per :class:`DecisionStage`) and ``"undecided"`` (point, sample
+    and RoC-difference bracket of each sample no stage could settle).
+
+    With ``workers > 1`` each grid point runs on a fresh process pool of at
+    most one worker per chunk. Raises :class:`SweepAborted` once failures
+    exceed FAILURE_ABORT_FRACTION of the planned samples, or when one sample
+    exhausts its redraws.
     """
     reduce = _HARNESS[cfg.experiment][1]
     one_point = cfg.experiment is Experiment.RESULT2_CHECK
     points = (tuple(map(int, cfg.grid)),) if one_point else cfg.grid
     limit = max(1.0, FAILURE_ABORT_FRACTION * cfg.samples * len(points))
-    ordering = cfg.experiment in (Experiment.ORDERING_VS_DIMENSION, Experiment.ORDERING_VS_RANK)
     results: list = []
     failures: list[dict] = []
     methods: Counter = Counter()
-    decisions = Counter({stage.value: 0 for stage in DecisionStage})
-    undecided: list[dict] = []
+    notes: dict = {}
     for point_idx, point in enumerate(points):
         jobs = [(cfg, point_idx, point, a, b) for a, b in _chunks(cfg.samples, workers)]
         if workers > 1:
@@ -374,10 +407,15 @@ def run_experiment(
         else:
             chunks = [_chunk(job) for job in jobs]
         values: list = []
-        for chunk_values, chunk_failures, chunk_methods in chunks:
+        for chunk_values, chunk_failures, chunk_methods, chunk_notes in chunks:
             values += chunk_values
             failures += chunk_failures
             methods += chunk_methods
+            for key, note in chunk_notes.items():
+                if isinstance(note, list):
+                    notes.setdefault(key, []).extend(note)
+                else:
+                    notes.setdefault(key, Counter()).update(note)
             if len(failures) > limit:
                 raise SweepAborted(
                     f"{len(failures)} solver failures exceed the abort threshold "
@@ -385,13 +423,7 @@ def run_experiment(
                     failures,
                 )
         results += reduce(cfg, point, values)
-        for sample_idx, decision in enumerate(values if ordering else ()):
-            decisions[decision.stage.value] += 1
-            if decision.stage is DecisionStage.UNDECIDED:
-                undecided.append({"point": point, "sample": sample_idx,
-                                  "roc_difference_bracket": list(decision.roc_difference)})
         log.info("point %s done, %d redraws so far", point, len(failures))
-    notes = {"ordering_decisions": dict(decisions), "undecided": undecided} if ordering else {}
     return results, failures, {m.value: n for m, n in methods.items()}, notes
 
 

@@ -114,6 +114,19 @@ def _finalize(value: float) -> float:
     return value
 
 
+def _certified_lower(dual: float, gap: float) -> float:
+    """The robustness lower bound ``dual - 1`` of a dual objective whose
+    primal partner lies ``gap`` above it.
+
+    A shortfall below zero that the gap covers is clamped to zero (Y = I
+    certifies RoC >= 0): a solve stopped at a loose tolerance can end there.
+    A larger one goes through :func:`_finalize`, which raises below
+    HARD_NEGATIVE_FLOOR, so a faulty solve is still caught.
+    """
+    value = dual - 1.0
+    return max(0.0, value) if value >= -gap else _finalize(value)
+
+
 def l1_coherence(rho: DensityMatrix) -> MeasureValue:
     """Sum of |rho_ij| over i != j."""
     m = rho.mat
@@ -173,9 +186,10 @@ def roc(rho: DensityMatrix, tol: float | None = DEFAULT_ROC_TOL) -> MeasureValue
        :class:`cohkit.sdp.SolverFailure`, carrying ``rho`` as its ``state``,
        if the SDP does not certify.
 
-    A dual objective below one is reported as zero: Y = I shows that the
-    robustness is nonnegative. Every value is counted in ROC_METHOD_COUNTS
-    under its method.
+    A dual objective below one by no more than the gap is reported as zero:
+    Y = I shows that the robustness is nonnegative. A larger shortfall is a
+    solver fault and raises ArithmeticError below HARD_NEGATIVE_FLOOR. Every
+    value is counted in ROC_METHOD_COUNTS under its method.
 
     Resolution: every value other than the closed forms is a certified lower
     bound, and the robustness lies in ``[value, value + gap]``. At a given
@@ -198,7 +212,9 @@ def roc(rho: DensityMatrix, tol: float | None = DEFAULT_ROC_TOL) -> MeasureValue
         primal = float(np.abs(m).sum())
         gap = primal - dual
         if gap <= (DEFAULT_ROC_TOL if tol is None else tol) * max(1.0, primal):
-            mv = MeasureValue(max(0.0, dual - 1.0), Method.PHASE_WITNESS, certificate_gap=gap)
+            mv = MeasureValue(
+                _certified_lower(dual, gap), Method.PHASE_WITNESS, certificate_gap=gap
+            )
         elif tol is None:
             mv = _solve_free_bracket(rho, dual, primal)
         else:
@@ -247,7 +263,8 @@ def _sdp_roc(rho: DensityMatrix, tol: float) -> MeasureValue:
             solution=sol,
             state=rho,
         )
-    return MeasureValue(max(0.0, sol.dual_value - 1.0), Method.SDP, certificate_gap=sol.gap)
+    value = _certified_lower(sol.dual_value, sol.gap)
+    return MeasureValue(value, Method.SDP, certificate_gap=sol.gap)
 
 
 def compute_measure(
@@ -320,7 +337,10 @@ class OrderingDecision:
 
 
 def ordering_decision(
-    a: DensityMatrix, b: DensityMatrix, pairs: tuple[tuple[MeasureKind, MeasureKind], ...]
+    a: DensityMatrix,
+    b: DensityMatrix,
+    pairs: tuple[tuple[MeasureKind, MeasureKind], ...],
+    staged: bool = True,
 ) -> OrderingDecision:
     """``values_ordering_violated`` for every measure pair, with the RoC
     difference known only as far as the answer needs.
@@ -332,9 +352,17 @@ def ordering_decision(
     Brackets are tightened in stages, widest first and re-deciding after
     each step: first none (the robustness may not matter), then the
     solve-free ones from ``roc(tol=None)``, then SDPs at COARSE_ROC_TOL,
-    then at DEFAULT_ROC_TOL. A pair still open after that is UNDECIDED and
-    answered by ``values_ordering_violated`` on the DEFAULT_ROC_TOL values,
-    exactly as if every value had been solved outright.
+    then at DEFAULT_ROC_TOL. A coarse solve that fails to certify leaves its
+    bracket as it was, so that state goes on to the DEFAULT_ROC_TOL solve;
+    only a failure there raises :class:`cohkit.sdp.SolverFailure`, as solving
+    outright would. A pair still open after that is UNDECIDED and answered by
+    ``values_ordering_violated`` on the DEFAULT_ROC_TOL values, exactly as if
+    every value had been solved outright.
+
+    With ``staged=False`` the robustness values, when they matter, are
+    solved outright at DEFAULT_ROC_TOL, and the pair is REFINED or
+    UNDECIDED. The sweeps decide a redrawn pair this way, so that a draw
+    whose solve failed is never replaced by one that needs no solve.
     """
     diff = {
         kind: compute_measure(kind, a).value - compute_measure(kind, b).value
@@ -348,21 +376,18 @@ def ordering_decision(
             for d1, d2 in known
         )
 
-    # the answers for an RoC difference in each category: above t, below -t, tie
     t = ORDERING_TIE_TOL
-    above, below, tie = answers(1.0), answers(-1.0), answers(0.0)
-
-    def settled(low: float, high: float) -> tuple[bool, ...] | None:
-        allowed = ((above, high > t), (below, low < -t), (tie, low <= t and high >= -t))
-        found = {answer for answer, ok in allowed if ok}
-        return found.pop() if len(found) == 1 else None
-
-    unknown = (-np.inf, np.inf)
-    if above == below == tie:
-        return OrderingDecision(above, DecisionStage.SOLVE_FREE, unknown)
+    # a pair compares the RoC difference with a known one, which, if a tie,
+    # makes the pair a tie whatever the RoC difference is
+    partners = [d2 if d1 is None else d1 for d1, d2 in known if None in (d1, d2)]
+    if all(d is None or abs(d) <= t for d in partners):
+        return OrderingDecision(answers(0.0), DecisionStage.SOLVE_FREE, (-np.inf, np.inf))
 
     states = (a, b)
-    values = [compute_measure(MeasureKind.ROC, rho, tol=None) for rho in states]
+    first_stage, first_tol = (
+        (DecisionStage.SOLVE_FREE, None) if staged else (DecisionStage.REFINED, DEFAULT_ROC_TOL)
+    )
+    values = [compute_measure(MeasureKind.ROC, rho, tol=first_tol) for rho in states]
     lo = [mv.value for mv in values]
     hi = [mv.upper for mv in values]
     # the tolerance each value is certified to; every value but a solve-free
@@ -372,14 +397,31 @@ def ordering_decision(
     def bracket() -> tuple[float, float]:
         return lo[0] - hi[1], hi[0] - lo[1]
 
+    if lo == hi:  # both values exact, e.g. pure states: the difference is known
+        return OrderingDecision(answers(lo[0] - lo[1]), first_stage, bracket())
+
+    # the answers for an RoC difference in each category: above t, below -t, tie
+    above, below, tie = answers(1.0), answers(-1.0), answers(0.0)
+
+    def settled(low: float, high: float) -> tuple[bool, ...] | None:
+        allowed = ((above, high > t), (below, low < -t), (tie, low <= t and high >= -t))
+        found = {answer for answer, ok in allowed if ok}
+        return found.pop() if len(found) == 1 else None
+
     found = settled(*bracket())
     if found is not None:
-        return OrderingDecision(found, DecisionStage.SOLVE_FREE, bracket())
+        return OrderingDecision(found, first_stage, bracket())
     stages = ((DecisionStage.COARSE, COARSE_ROC_TOL), (DecisionStage.REFINED, DEFAULT_ROC_TOL))
     for stage, tol in stages:
         open_states = [i for i in (0, 1) if certified_to[i] > tol]
         for i in sorted(open_states, key=lambda i: lo[i] - hi[i]):
-            mv = compute_measure(MeasureKind.ROC, states[i], tol=tol)
+            try:
+                mv = compute_measure(MeasureKind.ROC, states[i], tol=tol)
+            except sdp.SolverFailure:
+                if stage is DecisionStage.REFINED:
+                    raise
+                log.debug("coarse robustness solve failed; refining instead")
+                continue
             values[i], certified_to[i] = mv, tol
             lo[i], hi[i] = max(lo[i], mv.value), min(hi[i], mv.upper)
             found = settled(*bracket())

@@ -158,8 +158,8 @@ def _never_optimal(problem, **kwargs):
         ["measure", "{state}"],
         ["roc-solve", "{state}"],
         ["theorem1", "--n", "2", "--samples", "1"],
-        # at d=10 most pairs need a solve; at small d most are decided solve-free
-        ["fig2", "--grid", "10", "--samples", "2"],
+        # at d=3 the seed-0 pairs are settled without a solve; at d=10 they need one
+        ["fig2", "--grid", "10", "--samples", "1"],
     ],
 )
 def test_solver_failure_exits_3(argv, state_file, tmp_path, monkeypatch, capsys):
@@ -173,10 +173,10 @@ def test_solver_failure_exits_3(argv, state_file, tmp_path, monkeypatch, capsys)
 
 
 def test_pooled_sweep_abort_exits_3(tmp_path, monkeypatch, capsys):
-    # forked workers inherit the patched solver, so every draw fails in a
-    # worker: every two-qubit sigma state needs a solve, while a fig2 pair
-    # can be decided without one
+    # forked workers inherit the patched solver, so every draw that reaches the
+    # SDP fails in a worker; the seed-0 pairs at d=10 all do, and a redrawn
+    # pair is always solved, so the sample exhausts its redraws
     monkeypatch.setattr(cohkit.sdp, "solve", _never_optimal)
-    argv = ["theorem1", "--n", "2", "--samples", "2", "--threads", "2", "--out", str(tmp_path)]
+    argv = ["fig2", "--grid", "10", "--samples", "2", "--threads", "2", "--out", str(tmp_path)]
     assert run(argv) == 3
     assert "redraws" in capsys.readouterr().err

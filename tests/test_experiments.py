@@ -20,7 +20,7 @@ from cohkit.experiments import (
     run_experiment,
     write_sweep_csv,
 )
-from cohkit.measures import DecisionStage, Method
+from cohkit.measures import DEFAULT_ROC_TOL, DecisionStage, Method
 from cohkit.sdp import RocSolution, SolveStatus
 from cohkit.states import random_density
 
@@ -426,3 +426,29 @@ def test_metadata_lists_redrawn_draws_with_the_failing_state(monkeypatch, tmp_pa
     assert entry["state"] == a.to_json_dict()
     assert (entry["point"], entry["sample"]) == (5, 1)
     assert "max_iter" in entry["error"]
+
+
+def test_a_redrawn_ordering_pair_is_solved_outright(monkeypatch):
+    # the pair that replaces a failed one must not be settled solve-free, or
+    # failures would favour pairs that a bracket can decide
+    cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=3, seed=4, grid=(5,))
+    rng = np.random.default_rng([4, 0, 1])
+    a = random_density(5, 5, rng)
+    random_density(5, 5, rng)
+    redrawn = (random_density(5, 5, rng), random_density(5, 5, rng))
+    real_solve = cohkit.sdp.solve
+    solved = []
+
+    def solve_of_a_fails(problem, **kwargs):
+        solved.append((problem.rho, kwargs["tol"]))
+        sol = real_solve(problem, **kwargs)
+        if np.array_equal(problem.rho.mat, a.mat):
+            return dataclasses.replace(sol, status=SolveStatus.MAX_ITER)
+        return sol
+
+    monkeypatch.setattr(cohkit.sdp, "solve", solve_of_a_fails)
+    notes = run_experiment(cfg)[3]
+    for state in redrawn:
+        assert any(np.array_equal(rho.mat, state.mat) and tol == DEFAULT_ROC_TOL
+                   for rho, tol in solved)
+    assert sum(notes["ordering_decisions"].values()) == cfg.samples

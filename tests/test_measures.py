@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,8 @@ import cohkit.measures
 from cohkit import linalg, sdp
 from cohkit.experiments import MEASURE_PAIRS
 from cohkit.measures import (
+    COARSE_ROC_TOL,
+    DEFAULT_ROC_TOL,
     ORDERING_TIE_TOL,
     DecisionStage,
     MeasureKind,
@@ -159,6 +163,22 @@ def test_roc_at_a_loose_tolerance_reports_a_negative_dual_as_zero():
         mv = roc(rho, tol=tol)
         assert mv.method in (Method.PHASE_WITNESS, Method.SOLVE_FREE_BRACKET)
         assert 0.0 <= mv.value <= exact <= mv.upper
+
+
+def test_roc_raises_on_a_dual_shortfall_beyond_its_gap(monkeypatch):
+    # an "optimal" solve whose dual objective sits far below one, with a tiny
+    # gap, is a solver fault; only a shortfall the gap covers clamps to zero
+    rho = random_density(3, 3, np.random.default_rng(19))
+    real_solve = sdp.solve
+
+    def faulty_solve(problem, **kwargs):
+        sol = real_solve(problem, **kwargs)
+        return dataclasses.replace(sol, dual_value=1.0 - 1e-3, primal_value=1.0 - 1e-3 + 1e-9,
+                                   gap=1e-9)
+
+    monkeypatch.setattr(sdp, "solve", faulty_solve)
+    with pytest.raises(ArithmeticError):
+        roc(rho)
 
 
 def test_roc_zero_on_dephased():
@@ -354,6 +374,59 @@ def test_ordering_decision_skips_roc_when_no_pair_needs_it(monkeypatch):
     decision = ordering_decision(rho, rho, MEASURE_PAIRS)
     assert decision.violated == (False, False, False)
     assert decision.stage is DecisionStage.SOLVE_FREE
+
+
+def _pair_needing_a_solve():
+    """A seeded fig2 pair at d = 10 that no solve-free bracket settles."""
+    rng = np.random.default_rng(20)
+    while True:
+        a, b = random_density(10, 10, rng), random_density(10, 10, rng)
+        if ordering_decision(a, b, MEASURE_PAIRS).stage is not DecisionStage.SOLVE_FREE:
+            return a, b
+
+
+def _recording_solve(monkeypatch, fail_at=None):
+    """Patches sdp.solve to record each call's tolerance, and to report
+    MAX_ITER for calls at ``fail_at``."""
+    tols = []
+    real_solve = sdp.solve
+
+    def solve(problem, **kwargs):
+        tols.append(kwargs["tol"])
+        sol = real_solve(problem, **kwargs)
+        if kwargs["tol"] == fail_at:
+            return dataclasses.replace(sol, status=sdp.SolveStatus.MAX_ITER)
+        return sol
+
+    monkeypatch.setattr(sdp, "solve", solve)
+    return tols
+
+
+def test_a_failed_coarse_solve_goes_on_to_the_refined_solve(monkeypatch):
+    a, b = _pair_needing_a_solve()
+    expected = ordering_decision(a, b, MEASURE_PAIRS).violated
+    tols = _recording_solve(monkeypatch, fail_at=COARSE_ROC_TOL)
+    decision = ordering_decision(a, b, MEASURE_PAIRS)
+    assert decision.violated == expected
+    assert decision.stage in (DecisionStage.REFINED, DecisionStage.UNDECIDED)
+    assert COARSE_ROC_TOL in tols and DEFAULT_ROC_TOL in tols
+    # a failure at the refined tolerance is not caught
+    _recording_solve(monkeypatch, fail_at=DEFAULT_ROC_TOL)
+    with pytest.raises(sdp.SolverFailure):
+        ordering_decision(a, b, MEASURE_PAIRS, staged=False)
+
+
+def test_unstaged_ordering_decision_solves_both_states_outright(monkeypatch):
+    # a pair that a bracket settles without a solve is still solved outright
+    rng = np.random.default_rng(21)
+    a, b = random_density(3, 3, rng), random_density(3, 3, rng)
+    staged = ordering_decision(a, b, MEASURE_PAIRS)
+    assert staged.stage is DecisionStage.SOLVE_FREE
+    tols = _recording_solve(monkeypatch)
+    decision = ordering_decision(a, b, MEASURE_PAIRS, staged=False)
+    assert tols == [DEFAULT_ROC_TOL, DEFAULT_ROC_TOL]
+    assert decision.stage is DecisionStage.REFINED
+    assert decision.violated == staged.violated
 
 
 def test_roc_never_exceeds_l1():
