@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
 import sys
 
@@ -61,20 +62,31 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _checked(cast, ok, need: str):
+    """An argparse type: ``cast(text)``, a usage error unless ``ok`` holds for it."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"need {need}, got {text}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
+_count = _checked(int, lambda n: n >= 1, "an integer >= 1")
+_seed = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_tol = _checked(float, lambda x: 0 < x < math.inf, "a finite number > 0")
+
+
 def _add_common(parser: argparse.ArgumentParser, samples_default: int | None = None) -> None:
     parser.add_argument("--verbose", action="store_true", help="chatty progress on stderr")
     if samples_default is not None:
-        parser.add_argument("--seed", type=int, default=0, help="RNG seed recorded in all output")
+        parser.add_argument("--seed", type=_seed, default=0, help="RNG seed recorded in all output")
         parser.add_argument(
-            "--samples", type=int, default=samples_default, help="samples per grid point"
+            "--samples", type=_count, default=samples_default, help="samples per grid point"
         )
-
-
-def _worker_count(text: str) -> int:
-    workers = int(text)
-    if workers < 1:
-        raise argparse.ArgumentTypeError(f"need at least one worker, got {workers}")
-    return workers
 
 
 def _parse_grid(text: str, cast) -> tuple:
@@ -101,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(verb, help=text)
         p.add_argument("state", help="density-matrix JSON file ({dims, re, im})")
-        p.add_argument("--tol", type=float, default=1e-8, help="SDP relative gap tolerance")
+        p.add_argument("--tol", type=_tol, default=1e-8, help="SDP relative gap tolerance")
         _add_common(p)
 
     for verb, (experiment, text, flag, cast, grid, grid_help, samples) in _EXPERIMENT_VERBS.items():
@@ -126,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(p, samples_default=samples)
         p.add_argument(
             "--threads",
-            type=_worker_count,
+            type=_count,
             default=os.cpu_count() or 1,
             help="worker processes for sample evaluation",
         )

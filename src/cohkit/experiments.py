@@ -49,7 +49,9 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .measures import (
+    MEASURE_PAIRS,
     ROC_METHOD_COUNTS,
     DecisionStage,
     MeasureKind,
@@ -84,12 +86,6 @@ SUBADDITIVITY_COUNT_TOL = 1e-9
 # Sweeps abort once failed solves exceed 0.1% of planned samples (min 1).
 FAILURE_ABORT_FRACTION = 1e-3
 _MAX_REDRAWS = 50
-
-MEASURE_PAIRS: tuple[tuple[MeasureKind, MeasureKind], ...] = (
-    (MeasureKind.L1, MeasureKind.REL_ENTROPY),
-    (MeasureKind.L1, MeasureKind.ROC),
-    (MeasureKind.REL_ENTROPY, MeasureKind.ROC),
-)
 
 
 class Experiment(Enum):
@@ -133,6 +129,8 @@ class SweepConfig:
         object.__setattr__(self, "grid", tuple(self.grid))
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not self.grid:
             raise ValueError("grid must be nonempty")
         exp = self.experiment
@@ -246,7 +244,7 @@ def _ordering_sample(
     d = cfg.dim if cfg.experiment is Experiment.ORDERING_VS_RANK else rank
     a = random_density(d, rank, rng)
     b = random_density(d, rank, rng)
-    return ordering_decision(a, b, MEASURE_PAIRS, staged=not redraw)
+    return ordering_decision(a, b, staged=not redraw)
 
 
 def _note_decision(
@@ -466,11 +464,7 @@ def _git_revision(directory: Path = Path(__file__).parent) -> str:
 def _package_version() -> str:
     try:
         return version("cohkit")
-    except PackageNotFoundError:
-        # Running from source. Looked up at call time: the package assigns
-        # __version__ only after it has imported this module.
-        from . import __version__
-
+    except PackageNotFoundError:  # running from source
         return __version__
 
 

@@ -54,23 +54,8 @@ def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...], keep: int) -
     if not 0 <= keep < len(dims):
         raise ValueError(f"keep={keep} out of range for {len(dims)} subsystems")
 
-    n = len(dims)
-    t = m.reshape(dims + dims)
-    row = []
-    col = []
-    out: list[int] = []
-    next_sym = iter(range(2 * n + 2))
-    for sub in range(n):
-        if sub == keep:
-            a, b = next(next_sym), next(next_sym)
-            row.append(a)
-            col.append(b)
-            out = [a, b]
-        else:
-            s = next(next_sym)
-            row.append(s)
-            col.append(s)
-    return np.einsum(t, row + col, out)
+    left, k, right = prod(dims[:keep]), dims[keep], prod(dims[keep + 1 :])
+    return np.einsum("aibajb->ij", m.reshape(left, k, right, left, k, right))
 
 
 def hermitian_eig(h: np.ndarray) -> HermitianEig:

@@ -61,6 +61,14 @@ class MeasureKind(Enum):
     ROC = "roc"
 
 
+# The measure pairs whose orderings the ordering sweeps compare, in CSV order.
+MEASURE_PAIRS: tuple[tuple[MeasureKind, MeasureKind], ...] = (
+    (MeasureKind.L1, MeasureKind.REL_ENTROPY),
+    (MeasureKind.L1, MeasureKind.ROC),
+    (MeasureKind.REL_ENTROPY, MeasureKind.ROC),
+)
+
+
 class Method(Enum):
     CLOSED_FORM_QUBIT = "closed_form_qubit"
     PURE_STATE_L1 = "pure_state_l1"
@@ -267,14 +275,12 @@ def _sdp_roc(rho: DensityMatrix, tol: float) -> MeasureValue:
     return MeasureValue(value, Method.SDP, certificate_gap=sol.gap)
 
 
-def compute_measure(
-    kind: MeasureKind, rho: DensityMatrix, tol: float | None = DEFAULT_ROC_TOL
-) -> MeasureValue:
+def compute_measure(kind: MeasureKind, rho: DensityMatrix) -> MeasureValue:
     if kind is MeasureKind.L1:
         return l1_coherence(rho)
     if kind is MeasureKind.REL_ENTROPY:
         return rel_entropy_coherence(rho)
-    return roc(rho, tol=tol)
+    return roc(rho)
 
 
 def subadditivity_gap(rho: DensityMatrix) -> float:
@@ -336,13 +342,8 @@ class OrderingDecision:
     roc_difference: tuple[float, float]
 
 
-def ordering_decision(
-    a: DensityMatrix,
-    b: DensityMatrix,
-    pairs: tuple[tuple[MeasureKind, MeasureKind], ...],
-    staged: bool = True,
-) -> OrderingDecision:
-    """``values_ordering_violated`` for every measure pair, with the RoC
+def ordering_decision(a: DensityMatrix, b: DensityMatrix, staged: bool = True) -> OrderingDecision:
+    """``values_ordering_violated`` for every pair in MEASURE_PAIRS, with the RoC
     difference known only as far as the answer needs.
 
     The l1 and relative-entropy differences are computed outright. The RoC
@@ -368,7 +369,8 @@ def ordering_decision(
         kind: compute_measure(kind, a).value - compute_measure(kind, b).value
         for kind in (MeasureKind.L1, MeasureKind.REL_ENTROPY)
     }
-    known = [(diff.get(m), diff.get(w)) for m, w in pairs]  # None: the RoC difference
+    # per pair, the two known differences, with None for the RoC difference
+    known = [(diff.get(m), diff.get(w)) for m, w in MEASURE_PAIRS]
 
     def answers(d_roc: float) -> tuple[bool, ...]:
         return tuple(
@@ -387,7 +389,7 @@ def ordering_decision(
     first_stage, first_tol = (
         (DecisionStage.SOLVE_FREE, None) if staged else (DecisionStage.REFINED, DEFAULT_ROC_TOL)
     )
-    values = [compute_measure(MeasureKind.ROC, rho, tol=first_tol) for rho in states]
+    values = [roc(rho, tol=first_tol) for rho in states]
     lo = [mv.value for mv in values]
     hi = [mv.upper for mv in values]
     # the tolerance each value is certified to; every value but a solve-free
@@ -416,7 +418,7 @@ def ordering_decision(
         open_states = [i for i in (0, 1) if certified_to[i] > tol]
         for i in sorted(open_states, key=lambda i: lo[i] - hi[i]):
             try:
-                mv = compute_measure(MeasureKind.ROC, states[i], tol=tol)
+                mv = roc(states[i], tol=tol)
             except sdp.SolverFailure:
                 if stage is DecisionStage.REFINED:
                     raise

@@ -46,6 +46,8 @@ class DensityMatrix:
             raise ValueError("density matrix must be square")
         if not np.all(np.isfinite(m.view(float))):
             raise ValueError("density matrix has non-finite entries")
+        if any(d < 1 for d in self.dims):
+            raise ValueError(f"subsystem dimensions {self.dims} must all be at least 1")
         if self.dims and prod(self.dims) != m.shape[0]:
             raise ValueError(
                 f"subsystem dimensions {self.dims} do not factor dimension {m.shape[0]}"

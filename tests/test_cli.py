@@ -47,6 +47,11 @@ def test_roc_solve_verbose_traces_iterates_to_stderr(state_file, capsys):
     assert len(err) > 3
 
 
+def test_version(capsys):
+    assert run(["--version"]) == 0
+    assert capsys.readouterr().out == "cohkit 0.1.0\n"
+
+
 @pytest.mark.parametrize(
     "verb, grid, samples",
     [
@@ -114,6 +119,17 @@ def test_validate_failure_exits_1(monkeypatch, capsys):
         ["fig3", "--grid", "11", "--dim", "10", "--samples", "1"],
         ["fig2", "--threads", "0"],
         ["fig2", "--threads", "-1"],
+        ["measure", "{state}", "--tol", "0"],
+        ["measure", "{state}", "--tol", "-1"],
+        ["measure", "{state}", "--tol", "nan"],
+        ["measure", "{state}", "--tol", "inf"],
+        ["roc-solve", "{state}", "--tol", "0"],
+        ["roc-solve", "{state}", "--tol", "-1"],
+        ["roc-solve", "{state}", "--tol", "nan"],
+        ["validate", "--samples", "0"],
+        ["validate", "--samples", "-3"],
+        ["validate", "--seed", "-1"],
+        ["fig2", "--seed", "-1"],
     ],
 )
 def test_bad_usage_exits_2(argv, state_file, tmp_path):
@@ -125,7 +141,13 @@ def test_bad_usage_exits_2(argv, state_file, tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    ["not json", '{"dims": [], "re": [1.0, 0.0, 0.0], "im": [0.0, 0.0, 0.0]}', '{"re": [1.0]}'],
+    [
+        "not json",
+        '{"dims": [], "re": [1.0, 0.0, 0.0], "im": [0.0, 0.0, 0.0]}',
+        '{"re": [1.0]}',
+        '{"dims": [-2, -2], "re": [0.25, 0, 0, 0, 0, 0.25, 0, 0, 0, 0, 0.25, 0, 0, 0, 0, 0.25],'
+        ' "im": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}',
+    ],
 )
 @pytest.mark.parametrize("verb", ["measure", "roc-solve"])
 def test_malformed_state_exits_2(verb, content, tmp_path, capsys):

@@ -11,7 +11,6 @@ import cohkit.experiments
 import cohkit.sdp
 from cohkit.experiments import (
     Experiment,
-    MEASURE_PAIRS,
     PhiChoice,
     SweepAborted,
     SweepConfig,
@@ -20,7 +19,7 @@ from cohkit.experiments import (
     run_experiment,
     write_sweep_csv,
 )
-from cohkit.measures import DEFAULT_ROC_TOL, DecisionStage, Method
+from cohkit.measures import DEFAULT_ROC_TOL, MEASURE_PAIRS, DecisionStage, Method
 from cohkit.sdp import RocSolution, SolveStatus
 from cohkit.states import random_density
 
@@ -39,6 +38,8 @@ def fig1_config(**over):
 def test_config_validation():
     with pytest.raises(ValueError, match="samples"):
         fig1_config(samples=0)
+    with pytest.raises(ValueError, match="seed"):
+        fig1_config(seed=-1)
     with pytest.raises(ValueError, match="nonempty"):
         fig1_config(grid=())
     with pytest.raises(ValueError, match="\\[0, 1\\]"):

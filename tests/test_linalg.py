@@ -23,6 +23,10 @@ def test_partial_trace_factors_product_states():
     prod = np.kron(rho, sig)
     assert np.max(np.abs(linalg.partial_trace(prod, [2, 3], 0) - rho)) < 1e-12
     assert np.max(np.abs(linalg.partial_trace(prod, [2, 3], 1) - sig)) < 1e-12
+    factors = [rho, sig, random_density(2, 1, rng).mat]
+    triple = np.kron(np.kron(*factors[:2]), factors[2])
+    for keep, factor in enumerate(factors):
+        assert np.max(np.abs(linalg.partial_trace(triple, [2, 3, 2], keep) - factor)) < 1e-12
 
 
 def test_partial_trace_sigma_family_reduction():

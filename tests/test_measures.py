@@ -5,10 +5,10 @@ import pytest
 
 import cohkit.measures
 from cohkit import linalg, sdp
-from cohkit.experiments import MEASURE_PAIRS
 from cohkit.measures import (
     COARSE_ROC_TOL,
     DEFAULT_ROC_TOL,
+    MEASURE_PAIRS,
     ORDERING_TIE_TOL,
     DecisionStage,
     MeasureKind,
@@ -343,7 +343,7 @@ def test_staged_ordering_decision_matches_full_precision_values():
     compared = 0
     stages = set()
     for a, b in _decision_pairs():
-        decision = ordering_decision(a, b, MEASURE_PAIRS)
+        decision = ordering_decision(a, b)
         stages.add(decision.stage)
         full = {kind: (compute_measure(kind, a), compute_measure(kind, b)) for kind in MeasureKind}
         expected = tuple(
@@ -371,7 +371,7 @@ def test_ordering_decision_skips_roc_when_no_pair_needs_it(monkeypatch):
         raise AssertionError("roc called although no measure pair needs it")
 
     monkeypatch.setattr(cohkit.measures, "roc", no_roc)
-    decision = ordering_decision(rho, rho, MEASURE_PAIRS)
+    decision = ordering_decision(rho, rho)
     assert decision.violated == (False, False, False)
     assert decision.stage is DecisionStage.SOLVE_FREE
 
@@ -381,7 +381,7 @@ def _pair_needing_a_solve():
     rng = np.random.default_rng(20)
     while True:
         a, b = random_density(10, 10, rng), random_density(10, 10, rng)
-        if ordering_decision(a, b, MEASURE_PAIRS).stage is not DecisionStage.SOLVE_FREE:
+        if ordering_decision(a, b).stage is not DecisionStage.SOLVE_FREE:
             return a, b
 
 
@@ -404,26 +404,26 @@ def _recording_solve(monkeypatch, fail_at=None):
 
 def test_a_failed_coarse_solve_goes_on_to_the_refined_solve(monkeypatch):
     a, b = _pair_needing_a_solve()
-    expected = ordering_decision(a, b, MEASURE_PAIRS).violated
+    expected = ordering_decision(a, b).violated
     tols = _recording_solve(monkeypatch, fail_at=COARSE_ROC_TOL)
-    decision = ordering_decision(a, b, MEASURE_PAIRS)
+    decision = ordering_decision(a, b)
     assert decision.violated == expected
     assert decision.stage in (DecisionStage.REFINED, DecisionStage.UNDECIDED)
     assert COARSE_ROC_TOL in tols and DEFAULT_ROC_TOL in tols
     # a failure at the refined tolerance is not caught
     _recording_solve(monkeypatch, fail_at=DEFAULT_ROC_TOL)
     with pytest.raises(sdp.SolverFailure):
-        ordering_decision(a, b, MEASURE_PAIRS, staged=False)
+        ordering_decision(a, b, staged=False)
 
 
 def test_unstaged_ordering_decision_solves_both_states_outright(monkeypatch):
     # a pair that a bracket settles without a solve is still solved outright
     rng = np.random.default_rng(21)
     a, b = random_density(3, 3, rng), random_density(3, 3, rng)
-    staged = ordering_decision(a, b, MEASURE_PAIRS)
+    staged = ordering_decision(a, b)
     assert staged.stage is DecisionStage.SOLVE_FREE
     tols = _recording_solve(monkeypatch)
-    decision = ordering_decision(a, b, MEASURE_PAIRS, staged=False)
+    decision = ordering_decision(a, b, staged=False)
     assert tols == [DEFAULT_ROC_TOL, DEFAULT_ROC_TOL]
     assert decision.stage is DecisionStage.REFINED
     assert decision.violated == staged.violated

@@ -222,6 +222,10 @@ def test_density_matrix_validation():
         DensityMatrix(np.diag([1.5, -0.5]))
     with pytest.raises(ValueError, match="do not factor"):
         DensityMatrix(np.eye(4) / 4, (2, 3))
+    with pytest.raises(ValueError, match="at least 1"):
+        DensityMatrix(np.eye(4) / 4, (-2, -2))
+    with pytest.raises(ValueError, match="at least 1"):
+        DensityMatrix(np.eye(4) / 4, (4, 1, 0))
     with pytest.raises(ValueError, match="non-finite"):
         DensityMatrix(np.array([[np.nan, 0], [0, 1.0]]))
     with pytest.raises(ValueError, match="square"):
