@@ -41,6 +41,7 @@ import logging
 import subprocess
 import time
 from collections import Counter
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from enum import Enum
@@ -247,20 +248,21 @@ def _ordering_sample(
     return ordering_decision(a, b, staged=not redraw)
 
 
-def _note_decision(
-    notes: dict, point: int, sample_idx: int, decision: OrderingDecision
-) -> tuple[bool, ...]:
-    """Counts the stage that settled an ordering sample, lists the sample if
-    none did, and keeps only its answers."""
-    stages = notes.setdefault(
-        "ordering_decisions", Counter({stage.value: 0 for stage in DecisionStage})
-    )
-    stages[decision.stage.value] += 1
-    undecided = notes.setdefault("undecided", [])
-    if decision.stage is DecisionStage.UNDECIDED:
-        undecided.append({"point": point, "sample": sample_idx,
-                          "roc_difference_bracket": list(decision.roc_difference)})
-    return decision.violated
+def _decision_notes() -> tuple[dict, Callable]:
+    """One chunk's notes of an ordering sweep, and the function that notes a
+    sample in them: it counts the stage that settled the sample, lists the
+    sample if none did, and keeps only its answers."""
+    stages = Counter({stage.value: 0 for stage in DecisionStage})
+    undecided: list[dict] = []
+
+    def note(point: int, sample_idx: int, decision: OrderingDecision) -> tuple[bool, ...]:
+        stages[decision.stage.value] += 1
+        if decision.stage is DecisionStage.UNDECIDED:
+            undecided.append({"point": point, "sample": sample_idx,
+                              "roc_difference_bracket": list(decision.roc_difference)})
+        return decision.violated
+
+    return {"ordering_decisions": stages, "undecided": undecided}, note
 
 
 def _theorem1_sample(
@@ -318,17 +320,18 @@ def _pair_records(cfg: SweepConfig, point: int, values: list) -> list[SweepRecor
 
 
 # Per experiment: the per-sample function; the reduction of one grid point's
-# values (in sample order) to CSV records or rows; and, optionally, a note
-# function (notes, point, sample index, value) -> value kept, which records
-# counts (Counters) or entries (lists) in ``notes`` under metadata keys.
+# values (in sample order) to CSV records or rows; and, optionally, a
+# function called once per chunk that returns the chunk's notes (counts as
+# Counters, entries as lists, under metadata keys) and the function
+# (point, sample index, value) -> value kept that records a sample in them.
 _HARNESS = {
     Experiment.SUBADDITIVITY_SWEEP: (
         _subadd_sample,
         lambda cfg, p, values: [_record(cfg, p, sum(values))],
         None,
     ),
-    Experiment.ORDERING_VS_DIMENSION: (_ordering_sample, _pair_records, _note_decision),
-    Experiment.ORDERING_VS_RANK: (_ordering_sample, _pair_records, _note_decision),
+    Experiment.ORDERING_VS_DIMENSION: (_ordering_sample, _pair_records, _decision_notes),
+    Experiment.ORDERING_VS_RANK: (_ordering_sample, _pair_records, _decision_notes),
     Experiment.THEOREM1_CHECK: (_theorem1_sample, lambda cfg, n, rows: rows, None),
     Experiment.RESULT2_CHECK: (_result2_sample, _result2_rows, None),
 }
@@ -342,17 +345,17 @@ def _chunk(args) -> tuple[list, list[dict], Counter, dict]:
     same generator; a sample gets at most _MAX_REDRAWS draws.
     """
     cfg, point_idx, point, start, stop = args
-    sample, _, note = _HARNESS[cfg.experiment]
+    sample, _, start_notes = _HARNESS[cfg.experiment]
+    notes, note = start_notes() if start_notes else ({}, None)
     values: list = []
     failures: list[dict] = []
-    notes: dict = {}
     methods_before = ROC_METHOD_COUNTS.copy()
     for sample_idx in range(start, stop):
         rng = _rng(cfg.seed, point_idx, sample_idx)
         for draw in range(_MAX_REDRAWS):
             try:
                 value = sample(cfg, point, rng, draw > 0)
-                values.append(value if note is None else note(notes, point, sample_idx, value))
+                values.append(value if note is None else note(point, sample_idx, value))
                 break
             except SolverFailure as exc:
                 failures.append({"state": exc.state.to_json_dict(), "error": str(exc),

@@ -8,7 +8,7 @@ are plain O(d^3) dense algorithms backed by LAPACK.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod
+from math import prod, sqrt
 
 import numpy as np
 
@@ -24,9 +24,17 @@ class HermitianEig:
     eigenvectors: np.ndarray
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Relative Frobenius distance from m to its Hermitian part."""
-    return float(np.linalg.norm(m - m.conj().T) / max(1.0, np.linalg.norm(m)))
+def hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """Hermitian part (m + m^dag) / 2 of a square matrix, and its relative
+    Hermiticity defect ||m - m^dag||_F / max(1, ||m||_F).
+
+    ``m`` counts as Hermitian when the defect is at most HERMITIAN_RTOL. The
+    Hermitian part is bit-identical to :func:`hermitize`.
+    """
+    mh = m.conj().T
+    diff = m - mh
+    defect = sqrt(np.vdot(diff, diff).real) / max(1.0, sqrt(np.vdot(m, m).real))
+    return (m + mh) / 2, defect
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -67,8 +75,8 @@ def hermitian_eig(h: np.ndarray) -> HermitianEig:
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("hermitian_eig expects a square matrix")
-    defect = hermiticity_defect(h)
+    h, defect = hermitian_part(h)
     if defect > HERMITIAN_RTOL:
         raise ValueError(f"matrix is not Hermitian (relative defect {defect:.3e})")
-    w, v = np.linalg.eigh(hermitize(h))
+    w, v = np.linalg.eigh(h)
     return HermitianEig(eigenvalues=w, eigenvectors=v)

@@ -135,22 +135,24 @@ def _certified_lower(dual: float, gap: float) -> float:
     return max(0.0, value) if value >= -gap else _finalize(value)
 
 
+def _l1(m: np.ndarray) -> float:
+    """Sum of |m_ij| over i != j, clamped by :func:`_finalize`."""
+    return _finalize(float(np.abs(m).sum() - np.abs(m.diagonal()).sum()))
+
+
 def l1_coherence(rho: DensityMatrix) -> MeasureValue:
     """Sum of |rho_ij| over i != j."""
-    m = rho.mat
-    total = float(np.sum(np.abs(m)) - np.sum(np.abs(np.diag(m))))
-    return MeasureValue(_finalize(total), Method.DIRECT)
+    return MeasureValue(_l1(rho.mat), Method.DIRECT)
 
 
 def _entropy_bits(eigs: np.ndarray) -> float:
     w = eigs[eigs > ENTROPY_EIG_FLOOR]
-    return float(-np.sum(w * np.log2(w)))
+    return float(-(w * np.log2(w)).sum())
 
 
 def rel_entropy_coherence(rho: DensityMatrix) -> MeasureValue:
     """S(diag(rho)) - S(rho) with base-2 logarithms."""
-    diag = np.real(np.diag(rho.mat)).copy()
-    s_dephased = _entropy_bits(diag)
+    s_dephased = _entropy_bits(rho.mat.diagonal().real)
     s_rho = _entropy_bits(rho.eigenvalues)
     return MeasureValue(_finalize(s_dephased - s_rho), Method.DIRECT)
 
@@ -212,7 +214,7 @@ def roc(rho: DensityMatrix, tol: float | None = DEFAULT_ROC_TOL) -> MeasureValue
     if d == 2:
         mv = MeasureValue(_finalize(2.0 * float(np.abs(rho.mat[0, 1]))), Method.CLOSED_FORM_QUBIT)
     elif d == 1 or rho.eigenvalues[-2] < PURE_EIG_TOL:
-        mv = MeasureValue(l1_coherence(rho).value, Method.PURE_STATE_L1)
+        mv = MeasureValue(_l1(rho.mat), Method.PURE_STATE_L1)
     else:
         m = rho.mat
         u = _phase_witness(m)

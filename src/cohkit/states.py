@@ -27,11 +27,15 @@ EIG_FLOOR = -1e-9
 class DensityMatrix:
     """Validated Hermitian, PSD, unit-trace matrix.
 
-    ``dims`` factors the space into subsystems (``()`` means unfactored).
-    Validation runs on construction and raises ``ValueError`` on any breach.
-    ``eigenvalues`` is the ascending spectrum of the Hermitian part that
-    validation computes; measures and the solver read it instead of
-    factorizing the state again.
+    ``dims`` factors the space into subsystems (``()`` means unfactored); each
+    entry must be an integer (``int`` or ``np.integer``, not ``bool``) of at
+    least 1. Validation runs on construction, raises ``ValueError`` on any
+    breach, and computes each intermediate once: the input becomes a
+    contiguous complex array, finiteness is tested on it, one conjugate
+    transpose gives both the Hermiticity defect and the Hermitian part
+    (:func:`cohkit.linalg.hermitian_part`), and one ``eigvalsh`` of that
+    Hermitian part gives ``eigenvalues``, the ascending spectrum that
+    measures and the solver read instead of factorizing the state again.
     """
 
     mat: np.ndarray
@@ -39,12 +43,15 @@ class DensityMatrix:
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.ascontiguousarray(np.asarray(self.mat, dtype=complex))
+        m = np.ascontiguousarray(self.mat, dtype=complex)
         object.__setattr__(self, "mat", m)
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        dims = tuple(self.dims)
+        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in dims):
+            raise ValueError(f"subsystem dimensions {dims} must be integers")
+        object.__setattr__(self, "dims", tuple(map(int, dims)))
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
-        if not np.all(np.isfinite(m.view(float))):
+        if not np.isfinite(m).all():
             raise ValueError("density matrix has non-finite entries")
         if any(d < 1 for d in self.dims):
             raise ValueError(f"subsystem dimensions {self.dims} must all be at least 1")
@@ -52,13 +59,13 @@ class DensityMatrix:
             raise ValueError(
                 f"subsystem dimensions {self.dims} do not factor dimension {m.shape[0]}"
             )
-        defect = linalg.hermiticity_defect(m)
+        h, defect = linalg.hermitian_part(m)
         if defect > linalg.HERMITIAN_RTOL:
             raise ValueError(f"density matrix is not Hermitian (relative defect {defect:.3e})")
-        tr = complex(np.trace(m))
+        tr = complex(m.trace())
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"density matrix trace {tr} is not 1")
-        eigs = np.linalg.eigvalsh(linalg.hermitize(m))
+        eigs = np.linalg.eigvalsh(h)
         object.__setattr__(self, "eigenvalues", eigs)
         min_eig = float(eigs[0])
         if min_eig < EIG_FLOOR:
@@ -86,7 +93,7 @@ class DensityMatrix:
     @staticmethod
     def from_json_dict(obj: dict) -> "DensityMatrix":
         try:
-            dims = tuple(int(d) for d in obj["dims"])
+            dims = tuple(obj["dims"])
             re = np.asarray(obj["re"], dtype=float)
             im = np.asarray(obj["im"], dtype=float)
         except (KeyError, TypeError, ValueError) as exc:

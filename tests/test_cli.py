@@ -147,6 +147,11 @@ def test_bad_usage_exits_2(argv, state_file, tmp_path):
         '{"re": [1.0]}',
         '{"dims": [-2, -2], "re": [0.25, 0, 0, 0, 0, 0.25, 0, 0, 0, 0, 0.25, 0, 0, 0, 0, 0.25],'
         ' "im": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}',
+        # subsystem dimensions must be JSON integers: no truncation, no booleans
+        '{"dims": [2.9, 2.2], "re": [0.25, 0, 0, 0, 0, 0.25, 0, 0, 0, 0, 0.25, 0, 0, 0, 0, 0.25],'
+        ' "im": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}',
+        '{"dims": [true, 4], "re": [0.25, 0, 0, 0, 0, 0.25, 0, 0, 0, 0, 0.25, 0, 0, 0, 0, 0.25],'
+        ' "im": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]}',
     ],
 )
 @pytest.mark.parametrize("verb", ["measure", "roc-solve"])

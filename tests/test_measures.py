@@ -58,6 +58,40 @@ def test_rel_entropy_values():
         assert rel_entropy_coherence(DensityMatrix(np.eye(d) / d)).value <= 1e-12
 
 
+def _kernel_states() -> list[DensityMatrix]:
+    """Random states for d = 2..10 at every rank, and one state that is not
+    exactly Hermitian."""
+    rng = np.random.default_rng(21)
+    states = [random_density(d, r, rng) for d in range(2, 11) for r in range(1, d + 1)]
+    noise = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    states.append(DensityMatrix(random_density(5, 5, rng).mat + 1e-13 * noise))
+    assert not np.array_equal(states[-1].mat, states[-1].mat.conj().T)
+    return states
+
+
+def test_measure_kernels_are_bit_identical_to_their_reference_formulas():
+    # the formulas as first written; CSV bytes depend on the values agreeing exactly
+    def entropy_bits(eigs):
+        w = eigs[eigs > cohkit.measures.ENTROPY_EIG_FLOOR]
+        return float(-np.sum(w * np.log2(w)))
+
+    for rho in _kernel_states():
+        m = rho.mat
+        l1 = float(np.sum(np.abs(m)) - np.sum(np.abs(np.diag(m))))
+        rel = entropy_bits(np.real(np.diag(m)).copy()) - entropy_bits(rho.eigenvalues)
+        assert l1_coherence(rho).value == max(l1, 0.0)
+        assert rel_entropy_coherence(rho).value == max(rel, 0.0)
+
+
+def test_pure_state_roc_is_exactly_l1():
+    pure = [rho for rho in _kernel_states() if rho.dim > 2 and rho.eigenvalues[-2] < 1e-9]
+    assert len(pure) == 8
+    for rho in pure:
+        mv = roc(rho)
+        assert mv.method is Method.PURE_STATE_L1
+        assert mv.value == l1_coherence(rho).value
+
+
 def test_roc_qubit_closed_form_dispatch():
     rng = np.random.default_rng(0)
     for _ in range(50):

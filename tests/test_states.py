@@ -230,6 +230,65 @@ def test_density_matrix_validation():
         DensityMatrix(np.array([[np.nan, 0], [0, 1.0]]))
     with pytest.raises(ValueError, match="square"):
         DensityMatrix(np.ones((2, 3)) / 6)
+    for bad in (np.nan, np.inf, -np.inf):  # in the imaginary part only
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix(np.array([[0.5, complex(0.0, bad)], [0.0, 0.5]]))
+    for mat in (np.ones(4) / 4, np.array([1.0]), np.array(1.0), 1.0):  # 1-D and 0-D
+        with pytest.raises(ValueError, match="square"):
+            DensityMatrix(mat)
+
+
+@pytest.mark.parametrize("dims", [(2.9, 2.2), (2.0, 2.0), (True, 4), (4, False), ("2", "2")])
+def test_density_rejects_non_integer_dims(dims):
+    with pytest.raises(ValueError, match="must be integers"):
+        DensityMatrix(np.eye(4) / 4, dims)
+    with pytest.raises(ValueError, match="must be integers"):
+        DensityMatrix.from_json_dict({**DensityMatrix(np.eye(4) / 4).to_json_dict(), "dims": dims})
+
+
+def test_density_accepts_numpy_integer_dims():
+    rho = DensityMatrix(np.eye(4) / 4, (np.int64(2), np.uint8(2)))
+    assert rho.dims == (2, 2)
+    assert all(type(d) is int for d in rho.dims)
+    assert json.loads(json.dumps(rho.to_json_dict()))["dims"] == [2, 2]
+
+
+def _hermiticity_defect_matrix(defect: float) -> np.ndarray:
+    """I/2 plus an anti-Hermitian part whose relative defect is ``defect``:
+    ||m - m^dag||_F = 2 sqrt(2) c, with ||m||_F < 1."""
+    c = defect / (2 * np.sqrt(2))
+    return np.eye(2) / 2 + 1j * c * np.array([[0.0, 1.0], [1.0, 0.0]])
+
+
+def test_hermiticity_defect_threshold():
+    below = _hermiticity_defect_matrix(0.9 * linalg.HERMITIAN_RTOL)
+    above = _hermiticity_defect_matrix(1.1 * linalg.HERMITIAN_RTOL)
+    assert np.array_equal(DensityMatrix(below).eigenvalues, [0.5, 0.5])
+    assert np.array_equal(linalg.hermitian_eig(below).eigenvalues, [0.5, 0.5])
+    with pytest.raises(ValueError, match="density matrix is not Hermitian"):
+        DensityMatrix(above)
+    with pytest.raises(ValueError, match="matrix is not Hermitian"):
+        linalg.hermitian_eig(above)
+
+
+def test_hermitian_part_is_hermitize_and_the_frobenius_defect():
+    rng = np.random.default_rng(3)
+    for d in (1, 2, 5, 10):
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        h, defect = linalg.hermitian_part(m)
+        assert np.array_equal(h, linalg.hermitize(m))
+        expected = np.linalg.norm(m - m.conj().T) / max(1.0, np.linalg.norm(m))
+        assert defect == pytest.approx(expected, rel=1e-12)
+
+
+def test_trace_check_reads_the_imaginary_part():
+    # a large norm keeps the Hermiticity defect of the imaginary diagonal
+    # entry far below HERMITIAN_RTOL, so the trace check is what decides
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix(np.diag([1000.0 + 1e-9j, -999.0]))
+    # within TRACE_ATOL the trace passes, and the spectrum check rejects it
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        DensityMatrix(np.diag([1000.0 + 5e-11j, -999.0]))
 
 
 def test_density_eigenvalues_are_the_validated_spectrum():
