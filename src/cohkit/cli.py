@@ -9,6 +9,11 @@ into ``--out``. The sampling verbs (the experiments and ``validate``) accept
 
 Exit codes: 0 success (and ``validate`` all-pass), 1 ``validate`` failure,
 2 bad input or usage, 3 solver failure.
+
+Importing this module pins BLAS to one thread, as the test suite does,
+unless the environment already sets the thread count: threaded LAPACK only
+slows the small matrices of these runs. The pin takes effect only if numpy
+was not imported before.
 """
 
 from __future__ import annotations
@@ -19,6 +24,10 @@ import logging
 import math
 import os
 import sys
+
+# Before the imports below load numpy; see the module docstring.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
 
 from . import __version__, validation
 from .measures import l1_coherence, rel_entropy_coherence, roc

@@ -24,7 +24,8 @@ Every sample derives its own generator from (seed, point index, sample
 index), so at a fixed BLAS thread count results are byte-identical
 regardless of worker count or scheduling. The BLAS thread count can change
 the last bits of solver values, and with them the value columns of
-``theorem1_check``. :func:`run_and_save` writes CSV plus a JSON metadata
+``theorem1_check``; importing :mod:`cohkit.cli` pins it to one unless the
+environment sets it. :func:`run_and_save` writes CSV plus a JSON metadata
 sidecar that lists every redrawn draw and counts the RoC values per dispatch
 method (``roc_methods``); for the ordering sweeps it also counts the samples
 settled at each stage of :func:`~cohkit.measures.ordering_decision`
@@ -57,7 +58,7 @@ from .measures import (
     DecisionStage,
     MeasureKind,
     OrderingDecision,
-    compute_measure,
+    ancilla_deviations,
     ordering_decision,
     roc,
     subadditivity_gap,
@@ -65,7 +66,6 @@ from .measures import (
 )
 from .sdp import SolverFailure
 from .states import (
-    DensityMatrix,
     dephase,
     maximally_coherent,
     maximally_entangled_two_qubit,
@@ -295,12 +295,7 @@ def _result2_sample(
     d_a = dims[rng.integers(len(dims))]
     d_b = dims[rng.integers(len(dims))]
     rho = random_density(d_a, d_a, rng)
-    ancilla = dephase(random_density(d_b, d_b, rng))
-    product = DensityMatrix(np.kron(rho.mat, ancilla.mat), (d_a, d_b))
-    return tuple(
-        abs(compute_measure(kind, product).value - compute_measure(kind, rho).value)
-        for kind in MeasureKind
-    ), d_a, d_b
+    return ancilla_deviations(rho, dephase(random_density(d_b, d_b, rng))), d_a, d_b
 
 
 def _result2_rows(cfg: SweepConfig, dims: tuple[int, ...], values: list) -> list[Result2Row]:

@@ -13,10 +13,11 @@ Three measures are provided:
   ``ROC_METHOD_COUNTS`` counts the values each path has returned in this
   process.
 
-Also here: the sub-additivity gap over qubit marginals, the closed-form
-robustness candidate for the sigma family, the measure-ordering test on
-value differences, and :func:`ordering_decision`, which decides that test
-for a pair of states from RoC brackets tightened only as far as needed.
+Also here: the change in each measure when an ancilla is appended, the
+sub-additivity gap over qubit marginals, the closed-form robustness
+candidate for the sigma family, the measure-ordering test on value
+differences, and :func:`ordering_decision`, which decides that test for a
+pair of states from RoC brackets tightened only as far as needed.
 """
 
 from __future__ import annotations
@@ -283,6 +284,18 @@ def compute_measure(kind: MeasureKind, rho: DensityMatrix) -> MeasureValue:
     if kind is MeasureKind.REL_ENTROPY:
         return rel_entropy_coherence(rho)
     return roc(rho)
+
+
+def ancilla_deviations(rho: DensityMatrix, ancilla: DensityMatrix) -> tuple[float, ...]:
+    """Per measure, in MeasureKind order, |C(rho (x) ancilla) - C(rho)|.
+
+    By Result 2 of the paper every deviation vanishes for a diagonal ancilla.
+    """
+    product = DensityMatrix(np.kron(rho.mat, ancilla.mat), (rho.dim, ancilla.dim))
+    return tuple(
+        abs(compute_measure(kind, product).value - compute_measure(kind, rho).value)
+        for kind in MeasureKind
+    )
 
 
 def subadditivity_gap(rho: DensityMatrix) -> float:

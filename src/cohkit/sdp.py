@@ -63,6 +63,8 @@ _POTRF_M, _POTRS_M = get_lapack_funcs(("potrf", "potrs"), (np.empty((1, 1)),))
 
 # Fraction of the way to the PSD boundary that each step may go.
 STEP_TO_BOUNDARY = 0.95
+# Schur factorizations a solve may spend before it returns status MAX_ITER.
+MAX_ITER = 200
 
 
 class SolveStatus(Enum):
@@ -122,16 +124,11 @@ def build(rho: DensityMatrix) -> RocSdp:
     return RocSdp(rho=rho)
 
 
-def solve(
-    problem: RocSdp,
-    tol: float = 1e-8,
-    max_iter: int = 200,
-    trace: TextIO | None = None,
-) -> RocSolution:
+def solve(problem: RocSdp, tol: float = 1e-8, trace: TextIO | None = None) -> RocSolution:
     """Run the primal-dual method until the relative duality gap is below ``tol``.
 
     Returns a solution whose status is OPTIMAL on convergence, MAX_ITER with
-    the last iterate when ``max_iter`` Schur factorizations are spent, or
+    the last iterate when MAX_ITER Schur factorizations are spent, or
     NUMERICAL_FAILURE (with the last certified iterate) if a Cholesky
     factorization of S, Y or M breaks down. ``iterations`` counts Schur
     factorizations. When a ``trace`` stream is given, a ``mu,primal,dual,gap``
@@ -186,7 +183,7 @@ def solve(
         if primal - dual <= tol * max(1.0, primal):
             status = SolveStatus.OPTIMAL
             break
-        if iters >= max_iter:
+        if iters >= MAX_ITER:
             break
 
         li_s, _ = trtri(ls, lower=1)

@@ -1,27 +1,29 @@
 """Sampled checks that the three quantifiers behave like coherence measures.
 
-Each check draws random instances and reports the worst violation it saw
-against a fixed tolerance. Covered: vanishing on incoherent states,
-invariance under incoherent unitaries (permutations composed with diagonal
-phases), convexity under mixing, additivity over direct sums weighted by
-their probabilities, super-additivity of robustness on two-qubit pure
-states, invariance under appending an incoherent ancilla, the robustness
-<= l1 bound, and sub-additivity of robustness across the sigma family.
+Each check is a row of ``CHECKS``: a name; a function that draws one random
+instance from a generator and returns its violations, each positive when
+the property fails there; the tolerance the worst violation must stay
+within; and the least number of instances to draw. :func:`run_all` runs
+every row through one sampling loop: row i (counting from 1) draws from
+``default_rng([seed, i])`` and reports the largest violation it saw.
+
+Covered: vanishing on incoherent states, invariance under incoherent
+unitaries (permutations composed with diagonal phases), convexity under
+mixing, additivity over direct sums weighted by their probabilities,
+super-additivity of robustness on two-qubit pure states, invariance under
+appending an incoherent ancilla, the robustness <= l1 bound, and
+sub-additivity of robustness across the sigma family.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import block_diag
 
-from .measures import (
-    MeasureKind,
-    compute_measure,
-    l1_coherence,
-    roc,
-    subadditivity_gap,
-)
+from .measures import MeasureKind, ancilla_deviations, compute_measure, subadditivity_gap
 from .states import (
     DensityMatrix,
     dephase,
@@ -31,8 +33,6 @@ from .states import (
     sigma_family,
     sigma_kmax,
 )
-
-ALL_KINDS = (MeasureKind.L1, MeasureKind.REL_ENTROPY, MeasureKind.ROC)
 
 
 @dataclass(frozen=True)
@@ -44,141 +44,112 @@ class PropertyResult:
 
     @property
     def passed(self) -> bool:
-        return self.worst <= self.tol
+        return bool(self.worst <= self.tol)
+
+
+@dataclass(frozen=True)
+class Check:
+    """One property: ``violations(rng)`` draws an instance and returns its violations."""
+
+    name: str
+    violations: Callable[[np.random.Generator], Sequence[float]]
+    tol: float
+    min_samples: int = 1
 
 
 def _rand_dim(rng: np.random.Generator, lo: int = 2, hi: int = 8) -> int:
     return int(rng.integers(lo, hi + 1))
 
 
-def check_vanishes_on_incoherent(samples: int = 100, seed: int = 0) -> PropertyResult:
+def _values(rho: DensityMatrix, kinds: tuple[MeasureKind, ...] = tuple(MeasureKind)) -> list[float]:
+    return [compute_measure(kind, rho).value for kind in kinds]
+
+
+def _vanishes_on_incoherent(rng: np.random.Generator) -> list[float]:
     """All measures are zero on dephased states."""
-    rng = np.random.default_rng([seed, 1])
-    worst = 0.0
-    for _ in range(samples):
-        d = _rand_dim(rng)
-        rho = dephase(random_density(d, d, rng))
-        for kind in ALL_KINDS:
-            worst = max(worst, compute_measure(kind, rho).value)
-    return PropertyResult("vanishes_on_incoherent", samples, worst, 1e-9)
+    d = _rand_dim(rng)
+    return _values(dephase(random_density(d, d, rng)))
 
 
-def check_incoherent_unitary_invariance(samples: int = 100, seed: int = 0) -> PropertyResult:
+def _incoherent_unitary_invariance(rng: np.random.Generator) -> list[float]:
     """Permutation + diagonal-phase conjugation leaves every measure unchanged."""
-    rng = np.random.default_rng([seed, 2])
-    worst = 0.0
-    for _ in range(samples):
-        d = _rand_dim(rng)
-        rho = random_density(d, d, rng)
-        perm = np.eye(d)[rng.permutation(d)]
-        phases = np.exp(2j * np.pi * rng.uniform(size=d))
-        u = perm @ np.diag(phases)
-        rotated = DensityMatrix(u @ rho.mat @ u.conj().T)
-        for kind in ALL_KINDS:
-            worst = max(
-                worst,
-                abs(compute_measure(kind, rotated).value - compute_measure(kind, rho).value),
-            )
-    return PropertyResult("incoherent_unitary_invariance", samples, worst, 1e-8)
+    d = _rand_dim(rng)
+    rho = random_density(d, d, rng)
+    # a permutation matrix times diagonal phases: its columns scaled by the phases
+    u = np.eye(d)[rng.permutation(d)] * np.exp(2j * np.pi * rng.uniform(size=d))
+    rotated = DensityMatrix(u @ rho.mat @ u.conj().T)
+    return [abs(a - b) for a, b in zip(_values(rotated), _values(rho))]
 
 
-def check_convexity(samples: int = 100, seed: int = 0) -> PropertyResult:
+def _convexity(rng: np.random.Generator) -> list[float]:
     """C(sum_i p_i rho_i) <= sum_i p_i C(rho_i) on random 3-state mixtures."""
-    rng = np.random.default_rng([seed, 3])
-    worst = -np.inf
-    for _ in range(samples):
-        d = _rand_dim(rng, 2, 6)
-        parts = [random_density(d, d, rng) for _ in range(3)]
-        weights = rng.dirichlet(np.ones(3))
-        mixed = DensityMatrix(sum(p * r.mat for p, r in zip(weights, parts)))
-        for kind in ALL_KINDS:
-            lhs = compute_measure(kind, mixed).value
-            rhs = sum(p * compute_measure(kind, r).value for p, r in zip(weights, parts))
-            worst = max(worst, lhs - rhs)
-    return PropertyResult("convexity", samples, worst, 1e-8)
+    d = _rand_dim(rng, 2, 6)
+    parts = [random_density(d, d, rng) for _ in range(3)]
+    weights = rng.dirichlet(np.ones(3))
+    mixed = DensityMatrix(sum(p * r.mat for p, r in zip(weights, parts)))
+    values = [_values(r) for r in (mixed, *parts)]
+    return [lhs - sum(p * v for p, v in zip(weights, rhs)) for lhs, *rhs in zip(*values)]
 
 
-def check_block_additivity(samples: int = 100, seed: int = 0) -> PropertyResult:
+def _block_additivity(rng: np.random.Generator) -> list[float]:
     """C(p1 rho1 (+) p2 rho2) = p1 C(rho1) + p2 C(rho2) for l1 and robustness."""
-    rng = np.random.default_rng([seed, 4])
-    worst = 0.0
-    for _ in range(samples):
-        d1, d2 = _rand_dim(rng, 2, 4), _rand_dim(rng, 2, 4)
-        rho1 = random_density(d1, d1, rng)
-        rho2 = random_density(d2, d2, rng)
-        p1 = rng.uniform(0.2, 0.8)
-        block = np.zeros((d1 + d2, d1 + d2), dtype=complex)
-        block[:d1, :d1] = p1 * rho1.mat
-        block[d1:, d1:] = (1 - p1) * rho2.mat
-        combined = DensityMatrix(block)
-        for kind in (MeasureKind.L1, MeasureKind.ROC):
-            lhs = compute_measure(kind, combined).value
-            rhs = p1 * compute_measure(kind, rho1).value
-            rhs += (1 - p1) * compute_measure(kind, rho2).value
-            worst = max(worst, abs(lhs - rhs))
-    return PropertyResult("block_additivity", samples, worst, 1e-7)
+    d1, d2 = _rand_dim(rng, 2, 4), _rand_dim(rng, 2, 4)
+    rho1 = random_density(d1, d1, rng)
+    rho2 = random_density(d2, d2, rng)
+    p1 = rng.uniform(0.2, 0.8)
+    combined = DensityMatrix(block_diag(p1 * rho1.mat, (1 - p1) * rho2.mat))
+    values = [_values(r, (MeasureKind.L1, MeasureKind.ROC)) for r in (combined, rho1, rho2)]
+    return [abs(c - (p1 * a + (1 - p1) * b)) for c, a, b in zip(*values)]
 
 
-def check_pure_state_superadditivity(samples: int = 1000, seed: int = 0) -> PropertyResult:
+def _pure_state_superadditivity(rng: np.random.Generator) -> list[float]:
     """Robustness of a two-qubit pure state is at least the sum over marginals."""
-    rng = np.random.default_rng([seed, 5])
-    worst = 0.0
-    for _ in range(samples):
-        psi = haar_random_pure(4, rng)
-        gap = subadditivity_gap(pure_density(psi, (2, 2)))
-        worst = max(worst, -gap)
-    return PropertyResult("pure_state_superadditivity", samples, worst, 1e-7)
+    gap = subadditivity_gap(pure_density(haar_random_pure(4, rng), (2, 2)))
+    return [max(0.0, -gap)]
 
 
-def check_incoherent_ancilla(samples: int = 100, seed: int = 0) -> PropertyResult:
+def _incoherent_ancilla(rng: np.random.Generator) -> tuple[float, ...]:
     """Appending a diagonal ancilla changes no measure: C(rho (x) sigma) = C(rho)."""
-    rng = np.random.default_rng([seed, 6])
-    worst = 0.0
-    for _ in range(samples):
-        da, db = _rand_dim(rng, 2, 4), _rand_dim(rng, 2, 4)
-        rho = random_density(da, da, rng)
-        ancilla = dephase(random_density(db, db, rng))
-        product = DensityMatrix(np.kron(rho.mat, ancilla.mat), (da, db))
-        for kind in ALL_KINDS:
-            worst = max(
-                worst,
-                abs(compute_measure(kind, product).value - compute_measure(kind, rho).value),
-            )
-    return PropertyResult("incoherent_ancilla_invariance", samples, worst, 1e-6)
+    da, db = _rand_dim(rng, 2, 4), _rand_dim(rng, 2, 4)
+    rho = random_density(da, da, rng)
+    return ancilla_deviations(rho, dephase(random_density(db, db, rng)))
 
 
-def check_roc_within_l1(samples: int = 100, seed: int = 0) -> PropertyResult:
+def _roc_within_l1(rng: np.random.Generator) -> list[float]:
     """Robustness never exceeds the l1-norm of coherence."""
-    rng = np.random.default_rng([seed, 7])
-    worst = -np.inf
-    for _ in range(samples):
-        d = _rand_dim(rng)
-        rank = int(rng.integers(1, d + 1))
-        rho = random_density(d, rank, rng)
-        worst = max(worst, roc(rho).value - l1_coherence(rho).value)
-    return PropertyResult("roc_within_l1", samples, worst, 1e-7)
+    d = _rand_dim(rng)
+    rho = random_density(d, int(rng.integers(1, d + 1)), rng)
+    roc, l1 = _values(rho, (MeasureKind.ROC, MeasureKind.L1))
+    return [roc - l1]
 
 
-def check_sigma_subadditivity(samples: int = 100, seed: int = 0) -> PropertyResult:
+def _sigma_subadditivity(rng: np.random.Generator) -> list[float]:
     """Every sigma-family state is sub-additive for robustness."""
-    rng = np.random.default_rng([seed, 8])
-    worst = -np.inf
-    for _ in range(samples):
-        n = int(rng.integers(1, 5))
-        k = rng.uniform(0.0, sigma_kmax(n))
-        worst = max(worst, subadditivity_gap(sigma_family(n, k)))
-    return PropertyResult("sigma_family_subadditivity", samples, worst, 1e-9)
+    n = int(rng.integers(1, 5))
+    return [subadditivity_gap(sigma_family(n, rng.uniform(0.0, sigma_kmax(n))))]
+
+
+# In stream order: row i draws from default_rng([seed, i]), i counting from 1.
+CHECKS: tuple[Check, ...] = (
+    Check("vanishes_on_incoherent", _vanishes_on_incoherent, 1e-9),
+    Check("incoherent_unitary_invariance", _incoherent_unitary_invariance, 1e-8),
+    Check("convexity", _convexity, 1e-8),
+    Check("block_additivity", _block_additivity, 1e-7),
+    Check("pure_state_superadditivity", _pure_state_superadditivity, 1e-7, min_samples=1000),
+    Check("incoherent_ancilla_invariance", _incoherent_ancilla, 1e-6),
+    Check("roc_within_l1", _roc_within_l1, 1e-7),
+    Check("sigma_family_subadditivity", _sigma_subadditivity, 1e-9),
+)
 
 
 def run_all(samples: int = 100, seed: int = 0) -> list[PropertyResult]:
-    """Run the whole suite with a common per-check sample count."""
-    return [
-        check_vanishes_on_incoherent(samples, seed),
-        check_incoherent_unitary_invariance(samples, seed),
-        check_convexity(samples, seed),
-        check_block_additivity(samples, seed),
-        check_pure_state_superadditivity(max(samples, 1000), seed),
-        check_incoherent_ancilla(samples, seed),
-        check_roc_within_l1(samples, seed),
-        check_sigma_subadditivity(samples, seed),
-    ]
+    """Run every row of ``CHECKS`` on ``max(samples, row.min_samples)`` instances."""
+    results = []
+    for stream, check in enumerate(CHECKS, start=1):
+        rng = np.random.default_rng([seed, stream])
+        checked = max(samples, check.min_samples)
+        worst = -np.inf
+        for _ in range(checked):
+            worst = max(worst, *check.violations(rng))
+        results.append(PropertyResult(check.name, checked, worst, check.tol))
+    return results

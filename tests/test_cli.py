@@ -1,3 +1,9 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +13,43 @@ from cohkit import validation
 from cohkit.cli import build_parser, main
 from cohkit.sdp import RocSolution, SolveStatus
 from cohkit.states import random_density, save_density
+
+
+SRC = Path(cohkit.cli.__file__).resolve().parents[1]
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+# Prints the thread count of the OpenBLAS that numpy loaded once cohkit.cli is
+# imported, or "unknown" if numpy bundles no OpenBLAS that can be asked.
+OPENBLAS_THREADS = """
+import ctypes, glob, os
+import cohkit.cli
+import numpy
+bundled = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+libs = glob.glob(os.path.join(bundled, "*openblas*"))
+names = (
+    "scipy_openblas_get_num_threads64_",
+    "openblas_get_num_threads64_",
+    "openblas_get_num_threads",
+)
+for lib in map(ctypes.CDLL, libs):
+    for name in names:
+        if hasattr(lib, name):
+            print(getattr(lib, name)())
+            raise SystemExit
+print("unknown")
+"""
+
+
+def fresh_python(args: list[str], **blas_env: str) -> subprocess.CompletedProcess:
+    """``python args`` in a new interpreter whose BLAS thread variables are only ``blas_env``."""
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        env={**env, **blas_env, "PYTHONPATH": str(SRC)},
+        timeout=120,
+    )
 
 
 def run(argv: list[str]) -> int:
@@ -98,11 +141,33 @@ def test_validate_passes(capsys):
 def test_validate_failure_exits_1(monkeypatch, capsys):
     monkeypatch.setattr(
         validation,
-        "check_roc_within_l1",
-        lambda samples, seed: validation.PropertyResult("roc_within_l1", samples, 1.0, 1e-7),
+        "CHECKS",
+        tuple(
+            dataclasses.replace(c, violations=lambda rng: [1.0]) if c.name == "roc_within_l1" else c
+            for c in validation.CHECKS
+        ),
     )
     assert run(["validate", "--samples", "2"]) == 1
     assert "FAIL roc_within_l1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("blas_env, threads", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
+def test_importing_the_cli_pins_blas_unless_set(blas_env, threads):
+    if threads != "1" and (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS uses at most one thread per CPU")
+    proc = fresh_python(["-c", OPENBLAS_THREADS], **blas_env)
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.strip() == "unknown":
+        pytest.skip("numpy bundles no OpenBLAS that reports its thread count")
+    assert proc.stdout.strip() == threads
+
+
+def test_validate_entry_point_end_to_end():
+    proc = fresh_python(["-m", "cohkit.cli", "validate", "--samples", "1", "--seed", "0"])
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert sum(line.startswith("PASS ") for line in lines) == 8
+    assert lines[-1] == "seed = 0"
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+import cohkit.sdp
 from cohkit.measures import Method, l1_coherence, roc
 from cohkit.sdp import (
     RocSolution,
@@ -185,8 +186,9 @@ def test_tolerance_must_be_positive():
         solve(build(sigma_family(2, 0.1)), tol=0.0)
 
 
-def test_max_iter_returns_best_iterate():
-    sol = solve(build(sigma_family(2, 0.25)), max_iter=3)
+def test_max_iter_returns_best_iterate(monkeypatch):
+    monkeypatch.setattr(cohkit.sdp, "MAX_ITER", 3)
+    sol = solve(build(sigma_family(2, 0.25)))
     assert sol.status is SolveStatus.MAX_ITER
     assert sol.iterations <= 3
     assert sol.dual_witness is not None
