@@ -158,15 +158,12 @@ class SweepConfig:
                 raise ValueError("ancilla/state dimension grid entries must be integers >= 2")
 
     def to_json_dict(self) -> dict:
-        return {
-            "experiment": self.experiment.value,
-            "samples": self.samples,
-            "seed": self.seed,
-            "grid": list(self.grid),
-            "pure_state_choice": self.pure_state_choice.value,
-            "n_qubits": self.n_qubits,
-            "dim": self.dim,
-        }
+        """Every field by name, enums as their values and tuples as lists."""
+        out = {}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            out[f.name] = v.value if isinstance(v, Enum) else list(v) if isinstance(v, tuple) else v
+        return out
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,11 @@ Three measures are provided:
 * relative entropy of coherence: S(dephased rho) - S(rho), in bits.
 * robustness of coherence: least admixture weight of any state that makes
   the mixture incoherent. ``roc`` tries, in order: the closed form (single
-  qubit), the l1 identity (pure states), a rank-one phase witness that
-  certifies RoC = l1 (states whose off-diagonal phases factor as
-  u_i conj(u_j), e.g. entrywise-nonnegative states), and the certified SDP,
-  or, when asked for no tolerance, a certified solve-free bracket.
+  qubit), the l1 identity (pure states), the certified primal/dual pairs
+  that one helper builds without a solve (a rank-one phase witness that
+  certifies RoC = l1 for states whose off-diagonal phases factor as
+  u_i conj(u_j), and, when asked for no tolerance, a solve-free bracket),
+  and the certified SDP. Witness and SDP pairs become values by one rule.
   ``ROC_METHOD_COUNTS`` counts the values each path has returned in this
   process.
 
@@ -123,17 +124,19 @@ def _finalize(value: float) -> float:
     return value
 
 
-def _certified_lower(dual: float, gap: float) -> float:
-    """The robustness lower bound ``dual - 1`` of a dual objective whose
-    primal partner lies ``gap`` above it.
+def _pair_value(method: Method, dual: float, primal: float) -> MeasureValue:
+    """The robustness value of a certified primal/dual pair: the lower bound
+    ``dual - 1`` with the pair's gap ``primal - dual``.
 
     A shortfall below zero that the gap covers is clamped to zero (Y = I
     certifies RoC >= 0): a solve stopped at a loose tolerance can end there.
     A larger one goes through :func:`_finalize`, which raises below
     HARD_NEGATIVE_FLOOR, so a faulty solve is still caught.
     """
+    gap = primal - dual
     value = dual - 1.0
-    return max(0.0, value) if value >= -gap else _finalize(value)
+    value = max(0.0, value) if value >= -gap else _finalize(value)
+    return MeasureValue(value, method, certificate_gap=gap)
 
 
 def _l1(m: np.ndarray) -> float:
@@ -164,16 +167,6 @@ def _unit_phases(v: np.ndarray) -> np.ndarray:
     return np.divide(v, mod, out=np.ones_like(v), where=mod > 0)
 
 
-def _phase_witness(m: np.ndarray) -> np.ndarray:
-    """Unit-modulus vector u with u_j = m_jk / |m_jk| on the column k of the
-    largest diagonal entry, and u_j = 1 where m_jk = 0.
-
-    Y = u u^dag is PSD with unit diagonal, so it is feasible for the dual of
-    the robustness SDP whatever ``m`` is.
-    """
-    return _unit_phases(m[:, int(np.argmax(m.diagonal().real))])
-
-
 def roc(rho: DensityMatrix, tol: float | None = DEFAULT_ROC_TOL) -> MeasureValue:
     """Robustness of coherence.
 
@@ -182,25 +175,18 @@ def roc(rho: DensityMatrix, tol: float | None = DEFAULT_ROC_TOL) -> MeasureValue
     1. single qubits: the closed form 2|rho_01|;
     2. states that are rank one within PURE_EIG_TOL: the pure-state identity
        with the l1-norm;
-    3. states whose off-diagonal phases factor as u_i conj(u_j): the rank-one
-       phase witness. The primal point d_i = rho_ii + sum_{j != i} |rho_ij|
-       (Gershgorin) has objective 1 + l1, and the dual point Y = u u^dag from
-       :func:`_phase_witness` has objective Re(u^dag rho u). When they agree
-       within ``tol * max(1, primal)`` (DEFAULT_ROC_TOL when ``tol`` is None)
-       the value is that dual objective minus one, with their difference as
-       the gap; otherwise the state falls through to
-    4. with ``tol=None``, the solve-free bracket of :func:`_solve_free_bracket`,
-       whose value is a certified lower bound and whose gap reaches a
-       certified upper bound;
-    5. otherwise the SDP at ``tol``, reporting the dual (lower-bound)
-       objective minus one together with the duality gap. Raises
-       :class:`cohkit.sdp.SolverFailure`, carrying ``rho`` as its ``state``,
-       if the SDP does not certify.
+    3. a certified pair built without a solve by :func:`_solve_free_roc`: a
+       PHASE_WITNESS value for states whose off-diagonal phases factor as
+       u_i conj(u_j), and, with ``tol=None`` only, a SOLVE_FREE_BRACKET value
+       for every other state;
+    4. otherwise the SDP at ``tol``. Raises :class:`cohkit.sdp.SolverFailure`,
+       carrying ``rho`` as its ``state``, if the SDP does not certify.
 
-    A dual objective below one by no more than the gap is reported as zero:
-    Y = I shows that the robustness is nonnegative. A larger shortfall is a
-    solver fault and raises ArithmeticError below HARD_NEGATIVE_FLOOR. Every
-    value is counted in ROC_METHOD_COUNTS under its method.
+    PHASE_WITNESS and SDP pairs become values by one rule, :func:`_pair_value`:
+    the dual objective minus one, with the pair's gap; a shortfall below zero
+    that the gap covers reads zero, and a larger one raises ArithmeticError
+    below HARD_NEGATIVE_FLOOR. Every value is counted in ROC_METHOD_COUNTS
+    under its method.
 
     Resolution: every value other than the closed forms is a certified lower
     bound, and the robustness lies in ``[value, value + gap]``. At a given
@@ -217,38 +203,39 @@ def roc(rho: DensityMatrix, tol: float | None = DEFAULT_ROC_TOL) -> MeasureValue
     elif d == 1 or rho.eigenvalues[-2] < PURE_EIG_TOL:
         mv = MeasureValue(_l1(rho.mat), Method.PURE_STATE_L1)
     else:
-        m = rho.mat
-        u = _phase_witness(m)
-        dual = float(np.vdot(u, m @ u).real)
-        primal = float(np.abs(m).sum())
-        gap = primal - dual
-        if gap <= (DEFAULT_ROC_TOL if tol is None else tol) * max(1.0, primal):
-            mv = MeasureValue(
-                _certified_lower(dual, gap), Method.PHASE_WITNESS, certificate_gap=gap
-            )
-        elif tol is None:
-            mv = _solve_free_bracket(rho, dual, primal)
-        else:
-            mv = _sdp_roc(rho, tol)
+        mv = _solve_free_roc(rho, tol) or _sdp_roc(rho, tol)
     ROC_METHOD_COUNTS[mv.method] += 1
     return mv
 
 
-def _solve_free_bracket(rho: DensityMatrix, dual: float, primal: float) -> MeasureValue:
-    """Certified [lo, hi] on the robustness from one eigendecomposition.
+def _solve_free_roc(rho: DensityMatrix, tol: float | None) -> MeasureValue | None:
+    """A certified robustness value built without a solve, or None when the
+    state needs the SDP.
 
-    ``dual`` and ``primal`` are objectives of feasible points already in
-    hand (the phase witness and the Gershgorin point). With O = rho -
-    Diag(rho) and (mu, v) its top eigenpair:
+    The candidates, in the order of docs/roc-sdp.md ("Certified pairs without
+    a solve"):
 
-    * lower end: Y = u u^dag with u the phases of v is dual feasible;
-    * upper end: d_i = rho_ii + mu + BRACKET_SLACK_SHIFT leaves the slack
-      (mu + shift) I - O, which is PSD; it is accepted only once a Cholesky
-      factorization of it succeeds, and has objective tr(rho) + d (mu + shift).
+    1. primal: Gershgorin, d_i = rho_ii + sum_{j != i} |rho_ij|, objective 1 + l1;
+    2. dual: Y = u u^dag with u the phases of the column of the largest
+       diagonal entry. If the pair passes the solver's own gap rule,
+       ``primal - dual <= tol * max(1, primal)`` (DEFAULT_ROC_TOL when ``tol``
+       is None), it is a PHASE_WITNESS value. Otherwise a given ``tol``
+       returns None, and ``tol=None`` goes on to
+    3. dual: the phases of the top eigenvector of O = rho - Diag(rho);
+    4. primal: d_i = rho_ii + lambda_max(O) + BRACKET_SLACK_SHIFT, accepted
+       once a Cholesky factorization of its slack succeeds.
 
-    The better point of each kind is kept; see docs/roc-sdp.md.
+    The better point of each kind so far then makes a SOLVE_FREE_BRACKET value
+    ``[max(0, dual - 1), primal - 1]``.
     """
     m = rho.mat
+    u = _unit_phases(m[:, int(np.argmax(m.diagonal().real))])
+    dual = float(np.vdot(u, m @ u).real)
+    primal = float(np.abs(m).sum())
+    if primal - dual <= (DEFAULT_ROC_TOL if tol is None else tol) * max(1.0, primal):
+        return _pair_value(Method.PHASE_WITNESS, dual, primal)
+    if tol is not None:
+        return None
     off = m.copy()
     np.fill_diagonal(off, 0.0)
     w, v = np.linalg.eigh(off)
@@ -261,6 +248,7 @@ def _solve_free_bracket(rho: DensityMatrix, dual: float, primal: float) -> Measu
         primal = min(primal, float(np.sum(m.diagonal().real + shift)))
     except np.linalg.LinAlgError:
         pass
+    # the upper end primal - 1 is tighter than lo + (primal - dual) for dual < 1
     lo = max(0.0, dual - 1.0)
     return MeasureValue(lo, Method.SOLVE_FREE_BRACKET, certificate_gap=max(0.0, primal - 1.0 - lo))
 
@@ -274,8 +262,7 @@ def _sdp_roc(rho: DensityMatrix, tol: float) -> MeasureValue:
             solution=sol,
             state=rho,
         )
-    value = _certified_lower(sol.dual_value, sol.gap)
-    return MeasureValue(value, Method.SDP, certificate_gap=sol.gap)
+    return _pair_value(Method.SDP, sol.dual_value, sol.primal_value)
 
 
 def compute_measure(kind: MeasureKind, rho: DensityMatrix) -> MeasureValue:

@@ -105,7 +105,7 @@ def _block_additivity(rng: np.random.Generator) -> list[float]:
 def _pure_state_superadditivity(rng: np.random.Generator) -> list[float]:
     """Robustness of a two-qubit pure state is at least the sum over marginals."""
     gap = subadditivity_gap(pure_density(haar_random_pure(4, rng), (2, 2)))
-    return [max(0.0, -gap)]
+    return [0.0 if gap >= 0.0 else -gap]  # a NaN gap stays NaN
 
 
 def _incoherent_ancilla(rng: np.random.Generator) -> tuple[float, ...]:
@@ -143,13 +143,18 @@ CHECKS: tuple[Check, ...] = (
 
 
 def run_all(samples: int = 100, seed: int = 0) -> list[PropertyResult]:
-    """Run every row of ``CHECKS`` on ``max(samples, row.min_samples)`` instances."""
+    """Run every row of ``CHECKS`` on ``max(samples, row.min_samples)`` instances.
+
+    A non-finite violation counts as infinite and fails its row (``max``
+    would pass over a NaN).
+    """
     results = []
     for stream, check in enumerate(CHECKS, start=1):
         rng = np.random.default_rng([seed, stream])
         checked = max(samples, check.min_samples)
         worst = -np.inf
         for _ in range(checked):
-            worst = max(worst, *check.violations(rng))
+            violations = check.violations(rng)
+            worst = max(worst, *(v if np.isfinite(v) else np.inf for v in violations))
         results.append(PropertyResult(check.name, checked, worst, check.tol))
     return results

@@ -54,6 +54,22 @@ def test_config_validation():
         SweepConfig(experiment=Experiment.THEOREM1_CHECK, samples=5, seed=0, grid=(0,))
 
 
+def test_config_json_dict_has_every_field_as_plain_json():
+    cfg = fig1_config(pure_state_choice=PhiChoice.MAXIMALLY_ENTANGLED)
+    out = cfg.to_json_dict()
+    assert list(out) == [f.name for f in dataclasses.fields(SweepConfig)]
+    assert out == {
+        "experiment": "subadditivity_sweep",
+        "samples": 120,
+        "seed": 5,
+        "grid": [0.0, 0.1, 0.2, 0.3, 1.0],
+        "pure_state_choice": "entangled",
+        "n_qubits": 2,
+        "dim": 10,
+    }
+    assert json.loads(json.dumps(out)) == out
+
+
 def test_subadditivity_sweep_endpoints_and_monotonicity():
     records = run_experiment(fig1_config())[0]
     assert records[0].fraction == 1.0

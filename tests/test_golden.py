@@ -1,19 +1,27 @@
-"""Golden-output regression gate for the figure verbs.
+"""Golden-output regression gate for the experiment verbs and ``measure``.
 
 Each case runs one CLI verb at a tiny fixed size (seed 0, one worker) and
-compares the SHA-256 of the CSV it writes with a recorded value. The CSVs
-hold only counts and fractions of counts, so the hashes do not depend on the
-BLAS thread count; a change that alters any count, or the CSV layout, fails
-here. The two fig1 reference states give the same counts on this grid (the
-CSV does not name the state), so their hashes agree. Regenerate a hash only
-for a change that is meant to alter results.
+compares the SHA-256 of the CSV it writes with a recorded value. The figure
+CSVs hold only counts and fractions of counts, so their hashes do not depend
+on the BLAS thread count; a change that alters any count, or the CSV layout,
+fails here. The two fig1 reference states give the same counts on this grid
+(the CSV does not name the state), so their hashes agree.
+
+The theorem1 and result2 CSVs and the ``measure`` stdout carry robustness
+values and certificate gaps, from the phase witness and from the SDP, so
+they pin every float of those paths. They hold for the one BLAS thread that
+``conftest.py`` pins. Regenerate a hash only for a change that is meant to
+alter results.
 """
 
 import hashlib
+import json
 
+import numpy as np
 import pytest
 
 from cohkit.cli import main
+from cohkit.states import DensityMatrix, random_density
 
 CASES = {
     "fig1-coherent": (
@@ -47,6 +55,18 @@ CASES = {
         "ordering_vs_rank.csv",
         "16b02d7b75e37dab34a9fbac67477f13362abec50d17caff3af30aed6407224d",
     ),
+    # SDP values, sigma-family gaps and qubit closed forms
+    "theorem1": (
+        ["theorem1", "--n", "1,2,3", "--samples", "5"],
+        "theorem1_check.csv",
+        "281b356f26df9b174cfedef5ba22fdb0cae1044093c1c671380ba0307ba6fe62",
+    ),
+    # per-measure deviations under a diagonal ancilla
+    "result2": (
+        ["result2", "--grid", "2,3", "--samples", "20"],
+        "result2_check.csv",
+        "83ab6e14462666abb49a49c6d04209590cca6d3575f326ebbb9087b8f01abb01",
+    ),
 }
 
 
@@ -56,3 +76,35 @@ def test_figure_csv_matches_golden_hash(case, tmp_path):
     assert main(argv + ["--seed", "0", "--threads", "1", "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / csv_name).read_bytes()).hexdigest()
     assert digest == expected
+
+
+def _phase_rotated_state() -> DensityMatrix:
+    """A d=3 state whose off-diagonal phases factor, so roc takes the phase witness."""
+    rng = np.random.default_rng(0)
+    a = np.abs(random_density(3, 3, rng).mat)
+    phases = np.exp(2j * np.pi * rng.uniform(size=3))
+    return DensityMatrix(phases[:, None] * a * phases.conj()[None, :])
+
+
+MEASURE_CASES = {
+    "phase-witness": (
+        _phase_rotated_state,
+        "bf868c335d43121c0009b16441075d9064810f72841aa9172731e10957e91879",
+    ),
+    "sdp": (
+        lambda: random_density(4, 4, np.random.default_rng(0)),
+        "15515df498c16bb10836ecadfb9f7daa27d8dc3898a7a4fee8586c0ca0b7868f",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEASURE_CASES))
+def test_measure_stdout_matches_golden_hash(case, tmp_path, capsys):
+    make, expected = MEASURE_CASES[case]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(make().to_json_dict()))
+    capsys.readouterr()
+    assert main(["measure", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert f"(method={case.replace('-', '_')})" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == expected

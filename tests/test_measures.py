@@ -14,7 +14,8 @@ from cohkit.measures import (
     MeasureKind,
     MeasureValue,
     Method,
-    _phase_witness,
+    _pair_value,
+    _solve_free_roc,
     compute_measure,
     l1_coherence,
     ordering_decision,
@@ -150,11 +151,20 @@ def _witness_states():
 WITNESS_STATES = _witness_states()
 
 
+def _column_phases(m: np.ndarray) -> np.ndarray:
+    """u_j = m_jk / |m_jk| on the column k of the largest diagonal entry, 1 where m_jk = 0."""
+    col = m[:, int(np.argmax(m.diagonal().real))]
+    mod = np.abs(col)
+    return np.where(mod > 0, col / np.where(mod > 0, mod, 1.0), 1.0)
+
+
 @pytest.mark.parametrize("name", sorted(WITNESS_STATES))
 def test_roc_phase_witness_dispatch_and_certificate(name):
     rho = WITNESS_STATES[name]
     mv = roc(rho)
     assert mv.method is Method.PHASE_WITNESS
+    # the value is the solve-free helper's, at either tolerance setting
+    assert _solve_free_roc(rho, DEFAULT_ROC_TOL) == mv == _solve_free_roc(rho, None)
     gap = mv.certificate_gap
     assert abs(gap) <= 1e-14
     assert mv.value == pytest.approx(l1_coherence(rho).value, abs=1e-14)
@@ -163,11 +173,11 @@ def test_roc_phase_witness_dispatch_and_certificate(name):
     assert sol.status is sdp.SolveStatus.OPTIMAL
     assert sol.dual_value - 1 - gap - 1e-12 <= mv.value <= sol.primal_value - 1 + 1e-12
     # recheck both certificates from scratch: the Gershgorin primal point is
-    # feasible, and the witness Y = u u^dag has unit diagonal and attains the value
+    # feasible, and the column witness Y = u u^dag has unit diagonal and attains the value
     m = rho.mat
     primal_diag = np.abs(m).sum(axis=1)
     assert np.linalg.eigvalsh(np.diag(primal_diag) - m)[0] >= -1e-12
-    u = _phase_witness(m)
+    u = _column_phases(m)
     assert np.abs(np.abs(u) ** 2 - 1).max() <= 1e-15
     y = np.outer(u, u.conj())
     assert max(np.real(np.vdot(y, m)) - 1, 0.0) == pytest.approx(mv.value, abs=1e-13)
@@ -180,7 +190,21 @@ def test_roc_keeps_sdp_where_no_phase_witness_certifies():
     states += [sigma_family(n, 1 / (2**n - 1)) for n in (2, 3)]
     states += [random_density(d, d, rng) for d in (3, 4, 6, 10)]
     for rho in states:
+        assert _solve_free_roc(rho, DEFAULT_ROC_TOL) is None
+        assert _solve_free_roc(rho, None).method is Method.SOLVE_FREE_BRACKET
         assert roc(rho).method is Method.SDP
+
+
+def test_pair_value_is_the_dual_bound_with_the_pair_gap():
+    mv = _pair_value(Method.SDP, 1.25, 1.5)
+    assert (mv.value, mv.method, mv.certificate_gap) == (0.25, Method.SDP, 0.25)
+    # a shortfall below one that the gap covers is clamped to zero
+    mv = _pair_value(Method.PHASE_WITNESS, 1.0 - 1e-9, 1.0 + 1e-9)
+    assert mv.value == 0.0 and mv.certificate_gap == (1.0 + 1e-9) - (1.0 - 1e-9)
+    # within the noise floor but beyond the gap: clamped by _finalize
+    assert _pair_value(Method.SDP, 1.0 - 1e-9, 1.0 - 1e-9 + 1e-12).value == 0.0
+    with pytest.raises(ArithmeticError):
+        _pair_value(Method.SDP, 1.0 - 1e-3, 1.0 - 1e-3 + 1e-9)
 
 
 def test_roc_at_a_loose_tolerance_reports_a_negative_dual_as_zero():

@@ -120,3 +120,12 @@ def test_each_row_catches_its_planted_fault(monkeypatch, name):
     assert result.passed is False, (result.worst, result.tol)
     assert np.isfinite(result.worst)
 
+
+
+@pytest.mark.parametrize("name", [c.name for c in validation.CHECKS])
+def test_each_row_fails_on_a_nan_valued_robustness(monkeypatch, name):
+    # every row reaches the robustness; a NaN must fail it, not slip past max()
+    _patch_roc(monkeypatch, lambda rho, mv: _direct(np.nan))
+    result = run_row(monkeypatch, name)
+    assert result.passed is False
+    assert result.worst == np.inf
