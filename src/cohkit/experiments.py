@@ -19,6 +19,9 @@ its whole dimension grid). A draw whose SDP fails to certify is drawn again
 and reported; too many failures abort the run. An experiment may also
 note each sample as its chunk computes it, keeping only what the reduction
 needs: the ordering sweeps count the stage that settled each pair there.
+Each chunk of samples returns one tally of its kept values, redrawn draws,
+RoC values per dispatch method and notes, and the run merges the tallies by
+one rule: lists extend and counts add.
 
 Every sample derives its own generator from (seed, point index, sample
 index), so at a fixed BLAS thread count results are byte-identical
@@ -26,10 +29,11 @@ regardless of worker count or scheduling. The BLAS thread count can change
 the last bits of solver values, and with them the value columns of
 ``theorem1_check``; importing :mod:`cohkit.cli` pins it to one unless the
 environment sets it. :func:`run_and_save` writes CSV plus a JSON metadata
-sidecar that lists every redrawn draw and counts the RoC values per dispatch
-method (``roc_methods``); for the ordering sweeps it also counts the samples
-settled at each stage of :func:`~cohkit.measures.ordering_decision`
-(``ordering_decisions``) and lists those no stage settled (``undecided``).
+sidecar holding the run's tally: every redrawn draw (``failures``), the RoC
+values per dispatch method (``roc_methods``) and, for the ordering sweeps,
+the samples settled at each stage of
+:func:`~cohkit.measures.ordering_decision` (``ordering_decisions``) and those
+no stage settled (``undecided``).
 Every experiment's records or rows are dataclasses whose fields are the CSV
 columns, in order, so one writer, :func:`write_sweep_csv`, serves them all.
 """
@@ -46,7 +50,6 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from enum import Enum
-from importlib.metadata import PackageNotFoundError, version
 from pathlib import Path
 
 import numpy as np
@@ -199,10 +202,6 @@ class Result2Row:
     max_abs_deviation: float
 
 
-def _rng(seed: int, point_idx: int, sample_idx: int) -> np.random.Generator:
-    return np.random.default_rng([seed, point_idx, sample_idx])
-
-
 def _record(cfg: SweepConfig, point, positive: int, pair: str | None = None) -> SweepRecord:
     fraction = positive / cfg.samples
     stderr = float(np.sqrt(fraction * (1.0 - fraction) / cfg.samples))
@@ -329,9 +328,10 @@ _HARNESS = {
 }
 
 
-def _chunk(args) -> tuple[list, list[dict], Counter, dict]:
-    """Values of samples [start, stop) at one grid point, the draws that failed,
-    the RoC values returned per method meanwhile, and the experiment's notes.
+def _chunk(args) -> dict:
+    """The tally of samples [start, stop) at one grid point: their kept values
+    (``"values"``), the draws that failed (``"failures"``), the RoC values
+    returned per method meanwhile (``"roc_methods"``) and the experiment's notes.
 
     A draw whose SDP fails to certify is replaced by the next draw from the
     same generator; a sample gets at most _MAX_REDRAWS draws.
@@ -343,7 +343,7 @@ def _chunk(args) -> tuple[list, list[dict], Counter, dict]:
     failures: list[dict] = []
     methods_before = ROC_METHOD_COUNTS.copy()
     for sample_idx in range(start, stop):
-        rng = _rng(cfg.seed, point_idx, sample_idx)
+        rng = np.random.default_rng([cfg.seed, point_idx, sample_idx])
         for draw in range(_MAX_REDRAWS):
             try:
                 value = sample(cfg, point, rng, draw > 0)
@@ -355,7 +355,8 @@ def _chunk(args) -> tuple[list, list[dict], Counter, dict]:
                 log.warning("point %s, sample %d: solve failed; sample redrawn", point, sample_idx)
         else:
             raise SweepAborted(f"sample {sample_idx} failed {_MAX_REDRAWS} redraws", failures)
-    return values, failures, ROC_METHOD_COUNTS - methods_before, notes
+    return {"values": values, "failures": failures,
+            "roc_methods": ROC_METHOD_COUNTS - methods_before, **notes}
 
 
 def _chunks(samples: int, workers: int) -> list[tuple[int, int]]:
@@ -364,20 +365,18 @@ def _chunks(samples: int, workers: int) -> list[tuple[int, int]]:
     return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 
 
-def run_experiment(
-    cfg: SweepConfig, workers: int = 1
-) -> tuple[list, list[dict], dict[str, int], dict]:
-    """Records (sweeps) or rows (theorem1, result2) of the run, its redrawn
-    draws, the number of RoC values returned per dispatch method, and the
-    experiment's notes.
+def run_experiment(cfg: SweepConfig, workers: int = 1) -> tuple[list, dict]:
+    """Records (sweeps) or rows (theorem1, result2) of the run, and its tally.
 
-    Each redrawn draw is reported with its state, error, grid point and
-    sample index. The method counts are summed over all workers and include
-    the values computed for draws that were later redrawn. The notes are
-    summed (counts) or concatenated in sample order (entries) over all
-    chunks; only the ordering sweeps take any, ``"ordering_decisions"``
-    (samples per :class:`DecisionStage`) and ``"undecided"`` (point, sample
-    and RoC-difference bracket of each sample no stage could settle).
+    The chunks' tallies merge by one rule: lists extend, in sample order, and
+    counts add. Each grid point's ``"values"`` go to its reduction; the rest
+    is returned. ``"failures"`` lists each redrawn draw with its state, error,
+    grid point and sample index. ``"roc_methods"`` counts the RoC values
+    returned per dispatch method, over all workers, including those computed
+    for draws that were later redrawn. Only the ordering sweeps add notes,
+    ``"ordering_decisions"`` (samples per :class:`DecisionStage`) and
+    ``"undecided"`` (point, sample and RoC-difference bracket of each sample
+    no stage could settle).
 
     With ``workers > 1`` each grid point runs on a fresh process pool of at
     most one worker per chunk. Raises :class:`SweepAborted` once failures
@@ -390,8 +389,7 @@ def run_experiment(
     limit = max(1.0, FAILURE_ABORT_FRACTION * cfg.samples * len(points))
     results: list = []
     failures: list[dict] = []
-    methods: Counter = Counter()
-    notes: dict = {}
+    tally: dict = {"failures": failures, "roc_methods": Counter()}
     for point_idx, point in enumerate(points):
         jobs = [(cfg, point_idx, point, a, b) for a, b in _chunks(cfg.samples, workers)]
         if workers > 1:
@@ -399,25 +397,21 @@ def run_experiment(
                 chunks = list(pool.map(_chunk, jobs))
         else:
             chunks = [_chunk(job) for job in jobs]
-        values: list = []
-        for chunk_values, chunk_failures, chunk_methods, chunk_notes in chunks:
-            values += chunk_values
-            failures += chunk_failures
-            methods += chunk_methods
-            for key, note in chunk_notes.items():
-                if isinstance(note, list):
-                    notes.setdefault(key, []).extend(note)
+        for chunk in chunks:
+            for key, item in chunk.items():
+                if isinstance(item, list):
+                    tally.setdefault(key, []).extend(item)
                 else:
-                    notes.setdefault(key, Counter()).update(note)
+                    tally.setdefault(key, Counter()).update(item)
             if len(failures) > limit:
                 raise SweepAborted(
                     f"{len(failures)} solver failures exceed the abort threshold "
                     f"({limit:.0f}); first offending state: {json.dumps(failures[0])}",
                     failures,
                 )
-        results += reduce(cfg, point, values)
+        results += reduce(cfg, point, tally.pop("values"))
         log.info("point %s done, %d redraws so far", point, len(failures))
-    return results, failures, {m.value: n for m, n in methods.items()}, notes
+    return results, tally
 
 
 def estimate_transition(records: list[SweepRecord]) -> float | None:
@@ -456,32 +450,25 @@ def _git_revision(directory: Path = Path(__file__).parent) -> str:
         return "unknown"
 
 
-def _package_version() -> str:
-    try:
-        return version("cohkit")
-    except PackageNotFoundError:  # running from source
-        return __version__
-
-
 def write_metadata(cfg: SweepConfig, path: Path, wall_time_s: float, extra: dict) -> None:
     meta = {
         "config": cfg.to_json_dict(),
         "git_revision": _git_revision(),
         "wall_time_s": wall_time_s,
-        "package_version": _package_version(),
+        "package_version": __version__,
         **extra,
     }
     path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
 
 
 def run_and_save(cfg: SweepConfig, out_dir: str | Path, workers: int = 1) -> tuple[Path, Path]:
-    """Run the configured experiment; write `<name>.csv` and `<name>_meta.json`."""
+    """Run the configured experiment; write `<name>.csv` and `<name>_meta.json`,
+    whose extras are the run's tally (plus ``transition_estimate`` for fig1)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    results, failures, roc_methods, notes = run_experiment(cfg, workers)
+    results, extra = run_experiment(cfg, workers)
     name = cfg.experiment.value
-    extra: dict = {"failures": failures, "roc_methods": roc_methods, **notes}
     if cfg.experiment is Experiment.SUBADDITIVITY_SWEEP:
         name += f"_{cfg.pure_state_choice.value}"
         extra["transition_estimate"] = estimate_transition(results)

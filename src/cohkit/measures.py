@@ -84,18 +84,18 @@ class Method(Enum):
 _CERTIFIED = (Method.PHASE_WITNESS, Method.SOLVE_FREE_BRACKET, Method.SDP)
 
 
-# RoC values returned in this process, per Method; a run reports the change.
-ROC_METHOD_COUNTS: Counter[Method] = Counter()
+# RoC values returned in this process, per Method value; a run reports the change.
+ROC_METHOD_COUNTS: Counter[str] = Counter()
 
 
 @dataclass(frozen=True)
 class MeasureValue:
     """A nonnegative measure value plus how it was obtained.
 
-    ``certificate_gap`` is the duality gap of the primal/dual pair that
-    brackets the value: the measure lies in ``[value, value + gap]``. It is
-    present exactly when the method is PHASE_WITNESS, SOLVE_FREE_BRACKET or
-    SDP.
+    ``certificate_gap`` is the nonnegative duality gap of the primal/dual
+    pair that brackets the value: the measure lies in ``[value, value + gap]``.
+    It is present exactly when the method is PHASE_WITNESS,
+    SOLVE_FREE_BRACKET or SDP.
     """
 
     value: float
@@ -126,14 +126,15 @@ def _finalize(value: float) -> float:
 
 def _pair_value(method: Method, dual: float, primal: float) -> MeasureValue:
     """The robustness value of a certified primal/dual pair: the lower bound
-    ``dual - 1`` with the pair's gap ``primal - dual``.
+    ``dual - 1`` with the pair's gap ``primal - dual``, clamped at zero where
+    the two objectives agree only to rounding.
 
     A shortfall below zero that the gap covers is clamped to zero (Y = I
     certifies RoC >= 0): a solve stopped at a loose tolerance can end there.
     A larger one goes through :func:`_finalize`, which raises below
     HARD_NEGATIVE_FLOOR, so a faulty solve is still caught.
     """
-    gap = primal - dual
+    gap = max(0.0, primal - dual)
     value = dual - 1.0
     value = max(0.0, value) if value >= -gap else _finalize(value)
     return MeasureValue(value, method, certificate_gap=gap)
@@ -186,7 +187,7 @@ def roc(rho: DensityMatrix, tol: float | None = DEFAULT_ROC_TOL) -> MeasureValue
     the dual objective minus one, with the pair's gap; a shortfall below zero
     that the gap covers reads zero, and a larger one raises ArithmeticError
     below HARD_NEGATIVE_FLOOR. Every value is counted in ROC_METHOD_COUNTS
-    under its method.
+    under its method's value.
 
     Resolution: every value other than the closed forms is a certified lower
     bound, and the robustness lies in ``[value, value + gap]``. At a given
@@ -204,7 +205,7 @@ def roc(rho: DensityMatrix, tol: float | None = DEFAULT_ROC_TOL) -> MeasureValue
         mv = MeasureValue(_l1(rho.mat), Method.PURE_STATE_L1)
     else:
         mv = _solve_free_roc(rho, tol) or _sdp_roc(rho, tol)
-    ROC_METHOD_COUNTS[mv.method] += 1
+    ROC_METHOD_COUNTS[mv.method.value] += 1
     return mv
 
 

@@ -124,7 +124,8 @@ def test_metadata_counts_roc_values_per_method(tmp_path):
         "pure_state_l1": samples,
         "closed_form_qubit": 6 * samples,
     }
-    assert run_experiment(cfg, 1)[2] == expected
+    _, tally = run_experiment(cfg, 1)
+    assert tally["roc_methods"] == expected
     _, meta_path = run_and_save(cfg, tmp_path, workers=2)
     assert json.loads(meta_path.read_text())["roc_methods"] == expected
 
@@ -143,14 +144,14 @@ def test_results_do_not_depend_on_worker_count(experiment):
     cfg = SweepConfig(experiment=experiment, samples=6, seed=11, **TINY_GRIDS[experiment])
     serial = run_experiment(cfg, 1)
     assert serial == run_experiment(cfg, 2)
-    notes = serial[3]
+    _, tally = serial
     if experiment in (Experiment.ORDERING_VS_DIMENSION, Experiment.ORDERING_VS_RANK):
         # decision-stage counts and undecided samples agree too, being part of the result
-        assert set(notes["ordering_decisions"]) == {s.value for s in DecisionStage}
-        assert sum(notes["ordering_decisions"].values()) == cfg.samples * len(cfg.grid)
-        assert notes["ordering_decisions"]["undecided"] == len(notes["undecided"])
+        assert set(tally["ordering_decisions"]) == {s.value for s in DecisionStage}
+        assert sum(tally["ordering_decisions"].values()) == cfg.samples * len(cfg.grid)
+        assert tally["ordering_decisions"]["undecided"] == len(tally["undecided"])
     else:
-        assert notes == {}
+        assert set(tally) == {"failures", "roc_methods"}
 
 
 def test_pool_has_no_more_workers_than_chunks(monkeypatch):
@@ -208,9 +209,9 @@ def test_rank_one_rank_sweep_needs_no_solve(monkeypatch):
     cfg = SweepConfig(
         experiment=Experiment.ORDERING_VS_RANK, samples=50, seed=12, grid=(1,), dim=10
     )
-    notes = run_experiment(cfg)[3]
+    _, tally = run_experiment(cfg)
     assert methods and set(methods) == {Method.PURE_STATE_L1}
-    assert notes["ordering_decisions"]["solve_free"] == 50
+    assert tally["ordering_decisions"]["solve_free"] == 50
 
 
 def test_undecided_pairs_are_counted_on_refined_values_and_listed(monkeypatch, tmp_path):
@@ -464,8 +465,8 @@ def test_a_redrawn_ordering_pair_is_solved_outright(monkeypatch):
         return sol
 
     monkeypatch.setattr(cohkit.sdp, "solve", solve_of_a_fails)
-    notes = run_experiment(cfg)[3]
+    _, tally = run_experiment(cfg)
     for state in redrawn:
         assert any(np.array_equal(rho.mat, state.mat) and tol == DEFAULT_ROC_TOL
                    for rho, tol in solved)
-    assert sum(notes["ordering_decisions"].values()) == cfg.samples
+    assert sum(tally["ordering_decisions"].values()) == cfg.samples

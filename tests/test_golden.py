@@ -1,7 +1,11 @@
 """Golden-output regression gate for the experiment verbs and ``measure``.
 
 Each case runs one CLI verb at a tiny fixed size (seed 0, one worker) and
-compares the SHA-256 of the CSV it writes with a recorded value. The figure
+compares the SHA-256 of the CSV it writes with a recorded value, and the
+SHA-256 of its ``_meta.json`` sidecar with another. The sidecar is hashed
+without ``wall_time_s`` and ``git_revision``, re-dumped with sorted keys, so
+its hash pins the config, the redrawn draws, the RoC method counts and the
+ordering sweeps' decision stages and undecided samples. The figure
 CSVs hold only counts and fractions of counts, so their hashes do not depend
 on the BLAS thread count; a change that alters any count, or the CSV layout,
 fails here. The two fig1 reference states give the same counts on this grid
@@ -28,53 +32,71 @@ CASES = {
         ["fig1", "--phi", "coherent", "--samples", "20", "--grid", "0,0.04,0.08,0.12,0.2,1"],
         "subadditivity_sweep_coherent.csv",
         "e294b0fea09d4fa0db5359b5ca5550a3c9a398ab358e35c1d8a10237cadf3655",
+        "a8c96af903e5a1b3d23637fc42e9dc128c64de4a43aff710204ce5a559e50484",
     ),
     "fig1-entangled": (
         ["fig1", "--phi", "entangled", "--samples", "20", "--grid", "0,0.04,0.08,0.12,0.2,1"],
         "subadditivity_sweep_entangled.csv",
         "e294b0fea09d4fa0db5359b5ca5550a3c9a398ab358e35c1d8a10237cadf3655",
+        "e0212fe6fc4d0dadb53630f203afc9ece1e8a5409029c77ed15f4e12f1f51a95",
     ),
     "fig2": (
         ["fig2", "--samples", "20", "--grid", "2,3,4"],
         "ordering_vs_dimension.csv",
         "ae50f47ae32115ccf7c925cbb7c32f123d11459e061b9e291ed776e2aa1754e1",
+        "b43e38c1ddc7ecebc70ad9636c5a1566508939555975bd0811bae8dff581153d",
     ),
     "fig3": (
         ["fig3", "--samples", "20", "--dim", "5", "--grid", "1,2,5"],
         "ordering_vs_rank.csv",
         "5dd3224fa20bebf812eb77b0faabd2b799a725bcf8175dbe86cd57dcb2ff7b1a",
+        "ab673a9d24d79510ea8b6f7fc60719c3e71355f587edcbee0d8c79baf73d4743",
     ),
     # high-dimensional pairs, where most decisions need a solve
     "fig2-high-d": (
         ["fig2", "--samples", "20", "--grid", "8,10"],
         "ordering_vs_dimension.csv",
         "a5520ce4e0223d44cebddb8c848f4a3139bc3a65e49887ed4cf1433e45412079",
+        "f7e6e53a0370310f82c571df73bc8aa0fb641a95bcaee4bac5bd73eff283861f",
     ),
     "fig3-d10": (
         ["fig3", "--samples", "20", "--dim", "10", "--grid", "2,9"],
         "ordering_vs_rank.csv",
         "16b02d7b75e37dab34a9fbac67477f13362abec50d17caff3af30aed6407224d",
+        "e454e5c95537b80dfce81df90864a1833066ec5da3dd4a790e1d3b0da5e95dad",
     ),
     # SDP values, sigma-family gaps and qubit closed forms
     "theorem1": (
         ["theorem1", "--n", "1,2,3", "--samples", "5"],
         "theorem1_check.csv",
         "281b356f26df9b174cfedef5ba22fdb0cae1044093c1c671380ba0307ba6fe62",
+        "91ec8128537f0b1bd60dcd8aa9f29968fe3cfa95087efe8f053735bd21dc6268",
     ),
     # per-measure deviations under a diagonal ancilla
     "result2": (
         ["result2", "--grid", "2,3", "--samples", "20"],
         "result2_check.csv",
         "83ab6e14462666abb49a49c6d04209590cca6d3575f326ebbb9087b8f01abb01",
+        "b54764e45fae8d4f4a04a7ececacefdf72a72a475d8a3e8db596622bfae7e5d7",
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_figure_csv_matches_golden_hash(case, tmp_path):
-    argv, csv_name, expected = CASES[case]
+    argv, csv_name, expected, _ = CASES[case]
     assert main(argv + ["--seed", "0", "--threads", "1", "--out", str(tmp_path)]) == 0
     digest = hashlib.sha256((tmp_path / csv_name).read_bytes()).hexdigest()
+    assert digest == expected
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_figure_meta_matches_golden_hash(case, tmp_path):
+    argv, csv_name, _, expected = CASES[case]
+    assert main(argv + ["--seed", "0", "--threads", "1", "--out", str(tmp_path)]) == 0
+    meta = json.loads((tmp_path / csv_name.replace(".csv", "_meta.json")).read_text())
+    del meta["wall_time_s"], meta["git_revision"]
+    digest = hashlib.sha256(json.dumps(meta, indent=2, sort_keys=True).encode()).hexdigest()
     assert digest == expected
 
 

@@ -184,6 +184,18 @@ def test_roc_phase_witness_dispatch_and_certificate(name):
     assert primal_diag.sum() - np.real(np.vdot(y, m)) == pytest.approx(gap, abs=1e-13)
 
 
+def test_phase_witness_gap_is_never_negative():
+    # the witness pair's two objectives agree only to rounding here, so an
+    # unclamped primal - dual often comes out just below zero and the
+    # bracket [value, value + gap] would be empty
+    rng = np.random.default_rng(20)
+    for _ in range(50):
+        for d in range(3, 9):
+            mv = roc(_phase_rotated(_nonnegative_state(d, rng), rng))
+            assert mv.method is Method.PHASE_WITNESS
+            assert mv.certificate_gap >= 0.0
+            assert mv.upper >= mv.value
+
 def test_roc_keeps_sdp_where_no_phase_witness_certifies():
     rng = np.random.default_rng(16)
     states = [sigma_family(n, rng.uniform(0, 1 / (2**n - 1))) for n in (2, 3) for _ in range(3)]

@@ -34,3 +34,13 @@ def test_package_reexports_nothing():
         if not name.startswith("__") and not isinstance(value, ModuleType)
     }
     assert names == set()
+
+
+def test_pyproject_version_is_the_package_version():
+    # _meta.json records cohkit.__version__, so the two must not drift apart
+    tomllib = pytest.importorskip("tomllib", reason="tomllib needs Python 3.11")
+    pyproject = SRC.parent / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("cohkit is not running from its source tree")
+    with pyproject.open("rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == cohkit.__version__
