@@ -18,7 +18,10 @@ Also here: the change in each measure when an ancilla is appended, the
 sub-additivity gap over qubit marginals, the closed-form robustness
 candidate for the sigma family, the measure-ordering test on value
 differences, and :func:`ordering_decision`, which decides that test for a
-pair of states from RoC brackets tightened only as far as needed.
+pair of states from RoC brackets tightened only as far as needed: the
+solve-free bracket ``roc`` returns, then, for a pair it leaves open, a
+certified phase-ascent bracket (not a ``roc`` value, so not counted in
+``ROC_METHOD_COUNTS``), then SDPs.
 """
 
 from __future__ import annotations
@@ -55,6 +58,8 @@ COARSE_ROC_TOL = 1e-4
 # Added to lambda_max of the off-diagonal part before the slack of the
 # solve-free primal point is Cholesky-certified; absorbs eigenvalue rounding.
 BRACKET_SLACK_SHIFT = 1e-12
+# Minorize-maximize steps u <- phases(rho u) of the phase-ascent bracket.
+ASCENT_STEPS = 10
 
 
 class MeasureKind(Enum):
@@ -140,14 +145,9 @@ def _pair_value(method: Method, dual: float, primal: float) -> MeasureValue:
     return MeasureValue(value, method, certificate_gap=gap)
 
 
-def _l1(m: np.ndarray) -> float:
-    """Sum of |m_ij| over i != j, clamped by :func:`_finalize`."""
-    return _finalize(float(np.abs(m).sum() - np.abs(m.diagonal()).sum()))
-
-
 def l1_coherence(rho: DensityMatrix) -> MeasureValue:
     """Sum of |rho_ij| over i != j."""
-    return MeasureValue(_l1(rho.mat), Method.DIRECT)
+    return MeasureValue(_finalize(rho.offdiagonal_abs_sum), Method.DIRECT)
 
 
 def _entropy_bits(eigs: np.ndarray) -> float:
@@ -175,7 +175,8 @@ def roc(rho: DensityMatrix, tol: float | None = DEFAULT_ROC_TOL) -> MeasureValue
 
     1. single qubits: the closed form 2|rho_01|;
     2. states that are rank one within PURE_EIG_TOL: the pure-state identity
-       with the l1-norm;
+       with the l1-norm, which the state computes once for this and for
+       :func:`l1_coherence`;
     3. a certified pair built without a solve by :func:`_solve_free_roc`: a
        PHASE_WITNESS value for states whose off-diagonal phases factor as
        u_i conj(u_j), and, with ``tol=None`` only, a SOLVE_FREE_BRACKET value
@@ -196,13 +197,16 @@ def roc(rho: DensityMatrix, tol: float | None = DEFAULT_ROC_TOL) -> MeasureValue
     objectives agree exactly for such states), so the value is RoC = l1 to
     rounding, while an SDP value at the default ``tol`` may sit up to about
     2e-8 low. A SOLVE_FREE_BRACKET gap has no such bound; a caller that
-    needs less tightens it with a solve, as :func:`ordering_decision` does.
+    needs less tightens it, as :func:`ordering_decision` does: first with
+    the phase-ascent bracket of :func:`_ascent_bracket`, which is not a
+    ``roc`` value and so is not counted in ROC_METHOD_COUNTS, then with a
+    solve.
     """
     d = rho.dim
     if d == 2:
         mv = MeasureValue(_finalize(2.0 * float(np.abs(rho.mat[0, 1]))), Method.CLOSED_FORM_QUBIT)
     elif d == 1 or rho.eigenvalues[-2] < PURE_EIG_TOL:
-        mv = MeasureValue(_l1(rho.mat), Method.PURE_STATE_L1)
+        mv = MeasureValue(_finalize(rho.offdiagonal_abs_sum), Method.PURE_STATE_L1)
     else:
         mv = _solve_free_roc(rho, tol) or _sdp_roc(rho, tol)
     ROC_METHOD_COUNTS[mv.method.value] += 1
@@ -252,6 +256,39 @@ def _solve_free_roc(rho: DensityMatrix, tol: float | None) -> MeasureValue | Non
     # the upper end primal - 1 is tighter than lo + (primal - dual) for dual < 1
     lo = max(0.0, dual - 1.0)
     return MeasureValue(lo, Method.SOLVE_FREE_BRACKET, certificate_gap=max(0.0, primal - 1.0 - lo))
+
+
+def _ascent_bracket(rho: DensityMatrix) -> tuple[float, float]:
+    """A certified bracket ``[lo, hi]`` on the robustness of a state whose
+    solve-free bracket left an ordering decision open (docs/roc-sdp.md,
+    candidates 5 and 6).
+
+    Dual: from the phases u of the top eigenvector of O = rho - Diag(rho),
+    ASCENT_STEPS minorize-maximize steps u <- phases(rho u); none can lower
+    u^dag rho u, which is convex in u. The best value seen is the lower end.
+    Primal: the complementary-slackness point d_i = |(rho u)_i| + c for the
+    last u, with c = max(0, -lambda_min(Diag|rho u| - rho)) +
+    BRACKET_SLACK_SHIFT, used only once a Cholesky factorization of its slack
+    succeeds; otherwise ``hi`` is infinite.
+    """
+    m = rho.mat
+    off = m.copy()
+    np.fill_diagonal(off, 0.0)
+    u = _unit_phases(np.linalg.eigh(off)[1][:, -1])
+    r = m @ u
+    dual = float(np.vdot(u, r).real)
+    for _ in range(ASCENT_STEPS):
+        u = _unit_phases(r)
+        r = m @ u
+        dual = max(dual, float(np.vdot(u, r).real))
+    mod = np.abs(r)
+    d = mod + max(0.0, -float(np.linalg.eigvalsh(np.diag(mod) - m)[0])) + BRACKET_SLACK_SHIFT
+    try:
+        np.linalg.cholesky(np.diag(d) - m)
+        primal = float(d.sum())
+    except np.linalg.LinAlgError:
+        primal = np.inf
+    return max(0.0, dual - 1.0), primal - 1.0
 
 
 def _sdp_roc(rho: DensityMatrix, tol: float) -> MeasureValue:
@@ -329,6 +366,7 @@ class DecisionStage(Enum):
     """Where :func:`ordering_decision` settled a pair."""
 
     SOLVE_FREE = "solve_free"
+    ASCENT = "ascent"
     COARSE = "coarse"
     REFINED = "refined"
     UNDECIDED = "undecided"
@@ -355,17 +393,21 @@ def ordering_decision(a: DensityMatrix, b: DensityMatrix, staged: bool = True) -
     ORDERING_TIE_TOL) that the bracket allows gives the same answers.
     Brackets are tightened in stages, widest first and re-deciding after
     each step: first none (the robustness may not matter), then the
-    solve-free ones from ``roc(tol=None)``, then SDPs at COARSE_ROC_TOL,
-    then at DEFAULT_ROC_TOL. A coarse solve that fails to certify leaves its
-    bracket as it was, so that state goes on to the DEFAULT_ROC_TOL solve;
-    only a failure there raises :class:`cohkit.sdp.SolverFailure`, as solving
-    outright would. A pair still open after that is UNDECIDED and answered by
+    solve-free ones from ``roc(tol=None)``, then, for the states that still
+    hold a SOLVE_FREE_BRACKET value, the phase-ascent bracket of
+    :func:`_ascent_bracket` (ASCENT), then SDPs at COARSE_ROC_TOL, then at
+    DEFAULT_ROC_TOL. Each new bracket is intersected with the state's
+    current one, so a bracket never widens. A coarse solve that fails to
+    certify leaves its bracket as it was, so that state goes on to the
+    DEFAULT_ROC_TOL solve; only a failure there raises
+    :class:`cohkit.sdp.SolverFailure`, as solving outright would. A pair
+    still open after that is UNDECIDED and answered by
     ``values_ordering_violated`` on the DEFAULT_ROC_TOL values, exactly as if
     every value had been solved outright.
 
     With ``staged=False`` the robustness values, when they matter, are
-    solved outright at DEFAULT_ROC_TOL, and the pair is REFINED or
-    UNDECIDED. The sweeps decide a redrawn pair this way, so that a draw
+    solved outright at DEFAULT_ROC_TOL, with no bracket for the ascent to
+    tighten, and the pair is REFINED or UNDECIDED. The sweeps decide a redrawn pair this way, so that a draw
     whose solve failed is never replaced by one that needs no solve.
     """
     diff = {
@@ -399,6 +441,13 @@ def ordering_decision(a: DensityMatrix, b: DensityMatrix, staged: bool = True) -
     # bracket is already what roc(rho) returns, and is never tightened
     certified_to = [np.inf if mv.method is Method.SOLVE_FREE_BRACKET else 0.0 for mv in values]
 
+    def tighten(i: int, tol: float | None) -> tuple[float, float]:
+        """State i's phase-ascent bracket for tol=None, else its bracket from a solve at tol."""
+        if tol is None:
+            return _ascent_bracket(states[i])
+        values[i], certified_to[i] = roc(states[i], tol=tol), tol
+        return values[i].value, values[i].upper
+
     def bracket() -> tuple[float, float]:
         return lo[0] - hi[1], hi[0] - lo[1]
 
@@ -416,19 +465,24 @@ def ordering_decision(a: DensityMatrix, b: DensityMatrix, staged: bool = True) -
     found = settled(*bracket())
     if found is not None:
         return OrderingDecision(found, first_stage, bracket())
-    stages = ((DecisionStage.COARSE, COARSE_ROC_TOL), (DecisionStage.REFINED, DEFAULT_ROC_TOL))
+    stages = (
+        (DecisionStage.ASCENT, None),
+        (DecisionStage.COARSE, COARSE_ROC_TOL),
+        (DecisionStage.REFINED, DEFAULT_ROC_TOL),
+    )
     for stage, tol in stages:
-        open_states = [i for i in (0, 1) if certified_to[i] > tol]
+        # the ascent tightens every solve-free bracket; a solve, every value
+        # certified more loosely than its tol
+        open_states = [i for i in (0, 1) if certified_to[i] > (tol or 0.0)]
         for i in sorted(open_states, key=lambda i: lo[i] - hi[i]):
             try:
-                mv = roc(states[i], tol=tol)
+                low, high = tighten(i, tol)
             except sdp.SolverFailure:
                 if stage is DecisionStage.REFINED:
                     raise
                 log.debug("coarse robustness solve failed; refining instead")
                 continue
-            values[i], certified_to[i] = mv, tol
-            lo[i], hi[i] = max(lo[i], mv.value), min(hi[i], mv.upper)
+            lo[i], hi[i] = max(lo[i], low), min(hi[i], high)
             found = settled(*bracket())
             if found is not None:
                 return OrderingDecision(found, stage, bracket())

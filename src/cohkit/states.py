@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import prod
 from pathlib import Path
 
@@ -74,6 +75,12 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+    @cached_property
+    def offdiagonal_abs_sum(self) -> float:
+        """Sum of |rho_ij| over i != j, computed on first use and kept: the
+        l1-norm of coherence, and for a pure state also its robustness."""
+        return float(np.abs(self.mat).sum() - np.abs(self.mat.diagonal()).sum())
 
     def marginal(self, keep: int) -> "DensityMatrix":
         """Reduced state on subsystem ``keep`` (requires a factorization)."""

@@ -250,24 +250,31 @@ def _never_optimal(problem, **kwargs):
         ["measure", "{state}"],
         ["roc-solve", "{state}"],
         ["theorem1", "--n", "2", "--samples", "1"],
-        # at d=3 the seed-0 pairs are settled without a solve; at d=10 they need one
-        ["fig2", "--grid", "10", "--samples", "1"],
+        # the first seed-0 pair at d=10 is settled without a solve; the second needs one
+        ["fig2", "--grid", "10", "--samples", "2"],
     ],
 )
 def test_solver_failure_exits_3(argv, state_file, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cohkit.sdp, "solve", _never_optimal)
-    monkeypatch.setattr(cohkit.cli, "solve", _never_optimal)
+    solves = []
+
+    def counted_never_optimal(problem, **kwargs):
+        solves.append(problem)
+        return _never_optimal(problem, **kwargs)
+
+    monkeypatch.setattr(cohkit.sdp, "solve", counted_never_optimal)
+    monkeypatch.setattr(cohkit.cli, "solve", counted_never_optimal)
     argv = [a.format(state=state_file) for a in argv]
     if argv[0] in ("theorem1", "fig2"):
         argv += ["--threads", "1", "--out", str(tmp_path)]
     assert run(argv) == 3
+    assert solves, "the run never reached the solver"
     assert "error:" in capsys.readouterr().err
 
 
 def test_pooled_sweep_abort_exits_3(tmp_path, monkeypatch, capsys):
     # forked workers inherit the patched solver, so every draw that reaches the
-    # SDP fails in a worker; the seed-0 pairs at d=10 all do, and a redrawn
-    # pair is always solved, so the sample exhausts its redraws
+    # SDP fails in a worker; the second seed-0 pair at d=10 does, and a
+    # redrawn pair is always solved, so that sample exhausts its redraws
     monkeypatch.setattr(cohkit.sdp, "solve", _never_optimal)
     argv = ["fig2", "--grid", "10", "--samples", "2", "--threads", "2", "--out", str(tmp_path)]
     assert run(argv) == 3

@@ -215,10 +215,13 @@ def test_rank_one_rank_sweep_needs_no_solve(monkeypatch):
 
 
 def test_undecided_pairs_are_counted_on_refined_values_and_listed(monkeypatch, tmp_path):
-    cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=8, seed=13, grid=(5,))
+    # sample 2 of seed 20 at d=5 is a pair that no solve-free bracket settles
+    cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=8, seed=20, grid=(5,))
     csv_path, meta_path = run_and_save(cfg, tmp_path / "exact")
     expected_csv = csv_path.read_bytes()
-    assert json.loads(meta_path.read_text())["undecided"] == []
+    exact = json.loads(meta_path.read_text())
+    assert exact["roc_methods"].get("sdp", 0) > 0, "no pair reached the solver"
+    assert exact["undecided"] == []
 
     real_solve = cohkit.sdp.solve
 
@@ -421,15 +424,31 @@ def test_sweep_csv_handles_pair_column(tmp_path):
     assert rows[1].split(",")[2] == "l1:rel_entropy"
 
 
+def _solved_states(monkeypatch, cfg: SweepConfig) -> list:
+    """The states that ``sdp.solve`` receives in a run of ``cfg``."""
+    real_solve = cohkit.sdp.solve
+    solved = []
+
+    def recording_solve(problem, **kwargs):
+        solved.append(problem.rho)
+        return real_solve(problem, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(cohkit.sdp, "solve", recording_solve)
+        run_experiment(cfg)
+    return solved
+
+
 def test_metadata_lists_redrawn_draws_with_the_failing_state(monkeypatch, tmp_path):
-    cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=3, seed=4, grid=(5,))
+    cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=3, seed=20, grid=(5,))
     _, meta_path = run_and_save(cfg, tmp_path / "clean")
     assert json.loads(meta_path.read_text())["failures"] == []
 
-    # state a of sample 1 is one whose bracket leaves its pair open, so it
+    # state a of sample 2 is one whose brackets leave its pair open, so it
     # reaches the SDP; its solve fails and the sample is redrawn
-    rng = np.random.default_rng([4, 0, 1])
+    rng = np.random.default_rng([20, 0, 2])
     a = random_density(5, 5, rng)
+    assert any(np.array_equal(rho.mat, a.mat) for rho in _solved_states(monkeypatch, cfg))
     real_solve = cohkit.sdp.solve
 
     def solve_of_a_fails(problem, **kwargs):
@@ -442,16 +461,17 @@ def test_metadata_lists_redrawn_draws_with_the_failing_state(monkeypatch, tmp_pa
     _, meta_path = run_and_save(cfg, tmp_path / "flaky")
     (entry,) = json.loads(meta_path.read_text())["failures"]
     assert entry["state"] == a.to_json_dict()
-    assert (entry["point"], entry["sample"]) == (5, 1)
+    assert (entry["point"], entry["sample"]) == (5, 2)
     assert "max_iter" in entry["error"]
 
 
 def test_a_redrawn_ordering_pair_is_solved_outright(monkeypatch):
     # the pair that replaces a failed one must not be settled solve-free, or
     # failures would favour pairs that a bracket can decide
-    cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=3, seed=4, grid=(5,))
-    rng = np.random.default_rng([4, 0, 1])
+    cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=3, seed=20, grid=(5,))
+    rng = np.random.default_rng([20, 0, 2])
     a = random_density(5, 5, rng)
+    assert any(np.array_equal(rho.mat, a.mat) for rho in _solved_states(monkeypatch, cfg))
     random_density(5, 5, rng)
     redrawn = (random_density(5, 5, rng), random_density(5, 5, rng))
     real_solve = cohkit.sdp.solve

@@ -1,14 +1,14 @@
 """Golden-output regression gate for the experiment verbs and ``measure``.
 
-Each case runs one CLI verb at a tiny fixed size (seed 0, one worker) and
-compares the SHA-256 of the CSV it writes with a recorded value, and the
-SHA-256 of its ``_meta.json`` sidecar with another. The sidecar is hashed
-without ``wall_time_s`` and ``git_revision``, re-dumped with sorted keys, so
-its hash pins the config, the redrawn draws, the RoC method counts and the
-ordering sweeps' decision stages and undecided samples. The figure
-CSVs hold only counts and fractions of counts, so their hashes do not depend
-on the BLAS thread count; a change that alters any count, or the CSV layout,
-fails here. The two fig1 reference states give the same counts on this grid
+Each case runs one CLI verb at a tiny fixed size (seed 0 unless the case
+names another, one worker) and compares the SHA-256 of the CSV it writes
+with a recorded value, and the SHA-256 of its ``_meta.json`` sidecar with
+another. The sidecar is hashed without ``wall_time_s`` and
+``git_revision``, re-dumped with sorted keys, so its hash pins the config,
+the redrawn draws, the RoC method counts and the ordering sweeps' decision
+stages and undecided samples. The figure CSVs hold only counts and
+fractions of counts, so their hashes do not depend on the BLAS thread
+count; a change that alters any count, or the CSV layout, fails here. The two fig1 reference states give the same counts on this grid
 (the CSV does not name the state), so their hashes agree.
 
 The theorem1 and result2 CSVs and the ``measure`` stdout carry robustness
@@ -44,26 +44,33 @@ CASES = {
         ["fig2", "--samples", "20", "--grid", "2,3,4"],
         "ordering_vs_dimension.csv",
         "ae50f47ae32115ccf7c925cbb7c32f123d11459e061b9e291ed776e2aa1754e1",
-        "b43e38c1ddc7ecebc70ad9636c5a1566508939555975bd0811bae8dff581153d",
+        "d1d44f1fa0cdd1c3427863019bc771f4ae792376564ce14dc084254a766d0014",
     ),
     "fig3": (
         ["fig3", "--samples", "20", "--dim", "5", "--grid", "1,2,5"],
         "ordering_vs_rank.csv",
         "5dd3224fa20bebf812eb77b0faabd2b799a725bcf8175dbe86cd57dcb2ff7b1a",
-        "ab673a9d24d79510ea8b6f7fc60719c3e71355f587edcbee0d8c79baf73d4743",
+        "d5f490eba7fa8e15d48a8507caa4501a119a23e669c04d7d7a259c4894f67e96",
     ),
-    # high-dimensional pairs, where most decisions need a solve
+    # high-dimensional pairs, where the cheapest brackets leave most decisions open
     "fig2-high-d": (
         ["fig2", "--samples", "20", "--grid", "8,10"],
         "ordering_vs_dimension.csv",
         "a5520ce4e0223d44cebddb8c848f4a3139bc3a65e49887ed4cf1433e45412079",
-        "f7e6e53a0370310f82c571df73bc8aa0fb641a95bcaee4bac5bd73eff283861f",
+        "534b1ffa713e0b33dc292b4adba9ec1f34fb5c5075894186029c11b08e607288",
     ),
     "fig3-d10": (
         ["fig3", "--samples", "20", "--dim", "10", "--grid", "2,9"],
         "ordering_vs_rank.csv",
         "16b02d7b75e37dab34a9fbac67477f13362abec50d17caff3af30aed6407224d",
-        "e454e5c95537b80dfce81df90864a1833066ec5da3dd4a790e1d3b0da5e95dad",
+        "29f3292ec88d7513d5bb3a68f17fd357cca01560d8a4e69af45e0e54094420d5",
+    ),
+    # another seed, and the dimensions between the low-d and high-d cases
+    "fig2-seed1": (
+        ["fig2", "--seed", "1", "--samples", "30", "--grid", "5,8,10"],
+        "ordering_vs_dimension.csv",
+        "38f59b43c907ad542455a56808c3736a834190c81c3ea33811fe23238496c8bc",
+        "cc9bcd23b3246f6aba7bb88e4e47098a13e576c6a3093814c2422ec90ccbc244",
     ),
     # SDP values, sigma-family gaps and qubit closed forms
     "theorem1": (
@@ -82,10 +89,15 @@ CASES = {
 }
 
 
+def _run_case(argv: list[str], out) -> None:
+    seed = [] if "--seed" in argv else ["--seed", "0"]
+    assert main(argv + seed + ["--threads", "1", "--out", str(out)]) == 0
+
+
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_figure_csv_matches_golden_hash(case, tmp_path):
     argv, csv_name, expected, _ = CASES[case]
-    assert main(argv + ["--seed", "0", "--threads", "1", "--out", str(tmp_path)]) == 0
+    _run_case(argv, tmp_path)
     digest = hashlib.sha256((tmp_path / csv_name).read_bytes()).hexdigest()
     assert digest == expected
 
@@ -93,7 +105,7 @@ def test_figure_csv_matches_golden_hash(case, tmp_path):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_figure_meta_matches_golden_hash(case, tmp_path):
     argv, csv_name, _, expected = CASES[case]
-    assert main(argv + ["--seed", "0", "--threads", "1", "--out", str(tmp_path)]) == 0
+    _run_case(argv, tmp_path)
     meta = json.loads((tmp_path / csv_name.replace(".csv", "_meta.json")).read_text())
     del meta["wall_time_s"], meta["git_revision"]
     digest = hashlib.sha256(json.dumps(meta, indent=2, sort_keys=True).encode()).hexdigest()

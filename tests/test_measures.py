@@ -14,6 +14,7 @@ from cohkit.measures import (
     MeasureKind,
     MeasureValue,
     Method,
+    _ascent_bracket,
     _pair_value,
     _solve_free_roc,
     compute_measure,
@@ -34,6 +35,7 @@ from cohkit.states import (
     pure_density,
     random_density,
     sigma_family,
+    sigma_kmax,
 )
 
 
@@ -82,6 +84,28 @@ def test_measure_kernels_are_bit_identical_to_their_reference_formulas():
         rel = entropy_bits(np.real(np.diag(m)).copy()) - entropy_bits(rho.eigenvalues)
         assert l1_coherence(rho).value == max(l1, 0.0)
         assert rel_entropy_coherence(rho).value == max(rel, 0.0)
+
+
+def test_ordering_decision_reads_each_pure_state_l1_once(monkeypatch):
+    # the l1 difference and the pure-state robustness share one sum per state
+    rng = np.random.default_rng(3)
+    a, b = (pure_density(haar_random_pure(10, rng)) for _ in range(2))
+    real_abs = np.abs
+    full_matrix_abs = []
+
+    def counting_abs(x, *args, **kwargs):
+        if np.ndim(x) == 2:
+            full_matrix_abs.append(x)
+        return real_abs(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "abs", counting_abs)
+    decision = ordering_decision(a, b)
+    monkeypatch.undo()
+    assert decision.stage is DecisionStage.SOLVE_FREE
+    assert len(full_matrix_abs) == 2
+    assert roc(a).method is Method.PURE_STATE_L1
+    assert decision.roc_difference == (roc(a).value - roc(b).value,) * 2
+    assert roc(a).value - roc(b).value == l1_coherence(a).value - l1_coherence(b).value
 
 
 def test_pure_state_roc_is_exactly_l1():
@@ -431,7 +455,7 @@ def test_staged_ordering_decision_matches_full_precision_values():
             compared += 1
             assert decision.violated == expected
     assert compared >= 500
-    assert {DecisionStage.SOLVE_FREE, DecisionStage.COARSE} <= stages
+    assert {DecisionStage.SOLVE_FREE, DecisionStage.ASCENT, DecisionStage.COARSE} <= stages
 
 
 def test_ordering_decision_skips_roc_when_no_pair_needs_it(monkeypatch):
@@ -451,7 +475,7 @@ def _pair_needing_a_solve():
     rng = np.random.default_rng(20)
     while True:
         a, b = random_density(10, 10, rng), random_density(10, 10, rng)
-        if ordering_decision(a, b).stage is not DecisionStage.SOLVE_FREE:
+        if ordering_decision(a, b).stage not in (DecisionStage.SOLVE_FREE, DecisionStage.ASCENT):
             return a, b
 
 
@@ -497,6 +521,127 @@ def test_unstaged_ordering_decision_solves_both_states_outright(monkeypatch):
     assert tols == [DEFAULT_ROC_TOL, DEFAULT_ROC_TOL]
     assert decision.stage is DecisionStage.REFINED
     assert decision.violated == staged.violated
+
+
+def _zero_rows_state(seed):
+    """A random d=4 state on rows and columns 0, 2, 3, 5 of a d=6 matrix, so
+    rows and columns 1 and 4 are zero, diagonal included."""
+    m = np.zeros((6, 6), dtype=complex)
+    keep = [0, 2, 3, 5]
+    m[np.ix_(keep, keep)] = random_density(4, 4, np.random.default_rng(seed)).mat
+    return DensityMatrix(m)
+
+
+def _near_incoherent(d, seed):
+    """A random state's diagonal plus 1e-6 of its off-diagonal part."""
+    rho = random_density(d, d, np.random.default_rng(seed))
+    return DensityMatrix((1 - 1e-6) * dephase(rho).mat + 1e-6 * rho.mat)
+
+
+def _ascent_hard_states() -> dict[str, DensityMatrix]:
+    rng = np.random.default_rng(71)
+    states = {f"zero-rows-{seed}": _zero_rows_state(seed) for seed in range(3)}
+    states.update({f"d10-rank{r}": random_density(10, r, rng) for r in range(2, 10)})
+    states.update({f"sigma-n{n}-kmax": sigma_family(n, sigma_kmax(n)) for n in range(2, 6)})
+    states["complex-d64"] = random_density(64, 64, rng)
+    states.update({f"near-incoherent-d{d}": _near_incoherent(d, 72 + d) for d in (3, 6, 10)})
+    return states
+
+
+ASCENT_HARD_STATES = _ascent_hard_states()
+
+
+@pytest.mark.parametrize("name", sorted(ASCENT_HARD_STATES))
+def test_ascent_bracket_contains_the_sdp_optimum(name):
+    rho = ASCENT_HARD_STATES[name]
+    lo, hi = _ascent_bracket(rho)
+    sol = sdp.solve(sdp.build(rho), tol=1e-9)
+    assert sol.status is sdp.SolveStatus.OPTIMAL
+    assert 0.0 <= lo <= hi < np.inf
+    assert lo <= sol.primal_value - 1.0 + 1e-12
+    assert hi >= sol.dual_value - 1.0 - 1e-12
+
+
+def test_each_ascent_step_never_lowers_the_dual(monkeypatch):
+    # every phase vector the ascent forms, in order: the eigenvector start,
+    # then one per minorize-maximize step
+    formed = []
+    real_phases = cohkit.measures._unit_phases
+
+    def recording_phases(v):
+        formed.append(real_phases(v))
+        return formed[-1]
+
+    monkeypatch.setattr(cohkit.measures, "_unit_phases", recording_phases)
+    rng = np.random.default_rng(73)
+    states = list(ASCENT_HARD_STATES.values())
+    states += [random_density(d, int(rng.integers(2, d + 1)), rng) for d in range(3, 17)]
+    rises = 0
+    for rho in states:
+        formed.clear()
+        lo, _ = _ascent_bracket(rho)
+        assert len(formed) == cohkit.measures.ASCENT_STEPS + 1
+        duals = [float(np.vdot(u, rho.mat @ u).real) for u in formed]
+        for before, after in zip(duals, duals[1:]):
+            assert after >= before - 1e-12 * max(1.0, abs(before))
+            rises += after > before + 1e-6
+        assert lo == max(0.0, max(duals) - 1.0)
+    assert rises > 0
+
+
+def _open_pairs():
+    """Seeded fig2 pairs at d = 4..10 that roc(tol=None) leaves open."""
+    rng = np.random.default_rng(74)
+    pairs = []
+    while len(pairs) < 40:
+        d = int(rng.integers(4, 11))
+        a, b = random_density(d, d, rng), random_density(d, d, rng)
+        if ordering_decision(a, b).stage is not DecisionStage.SOLVE_FREE:
+            pairs.append((a, b))
+    return pairs
+
+
+def _tight_above_loose_below(rho):
+    """A certified bracket tighter than roc(tol=None)'s above and looser below."""
+    return roc(rho, tol=None).value / 2, sdp.solve(sdp.build(rho), tol=1e-9).primal_value - 1.0
+
+
+def _tight_below_loose_above(rho):
+    """A certified bracket tighter than roc(tol=None)'s below and looser above."""
+    return sdp.solve(sdp.build(rho), tol=1e-9).dual_value - 1.0, roc(rho, tol=None).upper + 1.0
+
+
+@pytest.mark.parametrize(
+    "ascent", [_ascent_bracket, _tight_above_loose_below, _tight_below_loose_above]
+)
+def test_the_ascent_never_widens_a_solve_free_bracket(ascent, monkeypatch):
+    monkeypatch.setattr(cohkit.measures, "_ascent_bracket", ascent)
+    ascent_settled = 0
+    for a, b in _open_pairs():
+        ra, rb = roc(a, tol=None), roc(b, tol=None)
+        decision = ordering_decision(a, b)
+        ascent_settled += decision.stage is DecisionStage.ASCENT
+        low, high = decision.roc_difference
+        assert ra.value - rb.upper <= low <= high <= ra.upper - rb.value
+    assert ascent_settled > 0
+
+
+def test_a_primal_whose_slack_fails_cholesky_is_never_used(monkeypatch):
+    states = ASCENT_HARD_STATES
+    honest = {name: _ascent_bracket(rho) for name, rho in states.items()}
+    optimum = {name: sdp.solve(sdp.build(rho), tol=1e-9).dual_value - 1.0
+               for name, rho in states.items()}
+    # planted fault: lambda_min of Diag|rho u| - rho reads 0.5 too high, so the
+    # shift c comes out too small wherever the slack needs one
+    real_eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: real_eigvalsh(m) + 0.5)
+    rejected = 0
+    for name, rho in states.items():
+        lo, hi = _ascent_bracket(rho)
+        assert lo == honest[name][0]
+        assert hi == np.inf or hi >= optimum[name] - 1e-12, name
+        rejected += hi == np.inf
+    assert 0 < rejected < len(states)
 
 
 def test_roc_never_exceeds_l1():
