@@ -13,10 +13,18 @@ Five experiments:
   C(rho) per measure.
 
 All five run on one harness, :func:`run_experiment`, on any number of
-worker processes. An experiment is a per-sample function and a reduction of
-one grid point's values to CSV records or rows (result2 has one grid point,
-its whole dimension grid). A draw whose SDP fails to certify is drawn again
-and reported; too many failures abort the run. An experiment may also
+worker processes. An experiment is a draw function, a per-sample function
+and a reduction of one grid point's values to CSV records or rows (result2
+has one grid point, its whole dimension grid). A chunk of samples goes in
+blocks of BLOCK_SAMPLES: the draw function makes the block's draws, one per
+sample generator, and the per-sample function then evaluates each draw in
+turn. The ordering sweeps draw a block's state pairs with
+:func:`~cohkit.states.random_densities`, so the block is validated and its
+l1 sums, spectra and entropies computed as one numpy stack, while
+``ordering_decision`` and its RoC brackets still run per pair; the other
+experiments draw inside their per-sample function. A draw whose SDP fails
+to certify is drawn again from the same generator, as a block of one, and
+reported; too many failures abort the run. An experiment may also
 note each sample as its chunk computes it, keeping only what the reduction
 needs: the ordering sweeps count the stage that settled each pair there.
 Each chunk of samples returns one tally of its kept values, redrawn draws,
@@ -25,9 +33,9 @@ one rule: lists extend and counts add.
 
 Every sample derives its own generator from (seed, point index, sample
 index), so at a fixed BLAS thread count results are byte-identical
-regardless of worker count or scheduling. The BLAS thread count can change
-the last bits of solver values, and with them the value columns of
-``theorem1_check``; importing :mod:`cohkit.cli` pins it to one unless the
+regardless of worker count, scheduling or block size. The BLAS thread count
+can change the last bits of solver values, and with them the value columns
+of ``theorem1_check``; importing :mod:`cohkit.cli` pins it to one unless the
 environment sets it. :func:`run_and_save` writes CSV plus a JSON metadata
 sidecar holding the run's tally: every redrawn draw (``failures``), the RoC
 values per dispatch method (``roc_methods``) and, for the ordering sweeps,
@@ -73,6 +81,7 @@ from .states import (
     maximally_coherent,
     maximally_entangled_two_qubit,
     mix_with_pure,
+    random_densities,
     random_density,
     sigma_family,
     sigma_kmax,
@@ -90,6 +99,8 @@ SUBADDITIVITY_COUNT_TOL = 1e-9
 # Sweeps abort once failed solves exceed 0.1% of planned samples (min 1).
 FAILURE_ABORT_FRACTION = 1e-3
 _MAX_REDRAWS = 50
+# Samples a chunk draws, validates and measures as one numpy stack.
+BLOCK_SAMPLES = 64
 
 
 class Experiment(Enum):
@@ -211,9 +222,17 @@ def _record(cfg: SweepConfig, point, positive: int, pair: str | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# per-sample functions (cfg, grid point, generator, redraw) -> value, top level
-# so they can cross process boundaries; a redraw after a solver failure calls
-# one again with ``redraw`` set
+# per-sample functions (cfg, grid point, draw, redraw) -> value, top level so
+# they can cross process boundaries. A draw is what the experiment's draw
+# function made of the sample's generator: the generator itself, or, for the
+# ordering sweeps, the sample's pair of states. A redraw after a solver
+# failure draws again from the same generator and calls the function with
+# ``redraw`` set.
+
+
+def _generators(cfg: SweepConfig, point, rngs: list) -> list:
+    """The draws of the experiments that draw inside their per-sample function."""
+    return rngs
 
 
 def _subadd_sample(cfg: SweepConfig, p: float, rng: np.random.Generator, redraw: bool) -> bool:
@@ -226,22 +245,28 @@ def _subadd_sample(cfg: SweepConfig, p: float, rng: np.random.Generator, redraw:
     return subadditivity_gap(chi) <= SUBADDITIVITY_COUNT_TOL
 
 
-def _ordering_sample(
-    cfg: SweepConfig, point: int, rng: np.random.Generator, redraw: bool
-) -> OrderingDecision:
-    """Per measure pair, whether it ranks two random states oppositely, decided
-    by :func:`~cohkit.measures.ordering_decision`.
+def _ordering_pairs(cfg: SweepConfig, point: int, rngs: list) -> list[tuple]:
+    """Each generator's pair of random states, the block built as one stack.
 
     The point is the dimension (full rank) or, for the rank sweep, the rank at
-    ``cfg.dim``. A redrawn pair is solved outright rather than staged: a pair
-    that a bracket can settle never fails, so staging the redraws would favour
-    such pairs over the ones whose solve failed.
+    ``cfg.dim``.
     """
     rank = int(point)
     d = cfg.dim if cfg.experiment is Experiment.ORDERING_VS_RANK else rank
-    a = random_density(d, rank, rng)
-    b = random_density(d, rank, rng)
-    return ordering_decision(a, b, staged=not redraw)
+    # each generator listed twice: it draws its sample's first state, then its second
+    states = random_densities(d, rank, [rng for rng in rngs for _ in range(2)])
+    return list(zip(states[::2], states[1::2]))
+
+
+def _ordering_sample(cfg: SweepConfig, point: int, pair: tuple, redraw: bool) -> OrderingDecision:
+    """Per measure pair, whether it ranks the two states oppositely, decided
+    by :func:`~cohkit.measures.ordering_decision`.
+
+    A redrawn pair is solved outright rather than staged: a pair that a
+    bracket can settle never fails, so staging the redraws would favour such
+    pairs over the ones whose solve failed.
+    """
+    return ordering_decision(*pair, staged=not redraw)
 
 
 def _decision_notes() -> tuple[dict, Callable]:
@@ -310,21 +335,27 @@ def _pair_records(cfg: SweepConfig, point: int, values: list) -> list[SweepRecor
     ]
 
 
-# Per experiment: the per-sample function; the reduction of one grid point's
+# Per experiment: the draw function (cfg, grid point, generators) -> one draw
+# per generator; the per-sample function; the reduction of one grid point's
 # values (in sample order) to CSV records or rows; and, optionally, a
 # function called once per chunk that returns the chunk's notes (counts as
 # Counters, entries as lists, under metadata keys) and the function
 # (point, sample index, value) -> value kept that records a sample in them.
 _HARNESS = {
     Experiment.SUBADDITIVITY_SWEEP: (
+        _generators,
         _subadd_sample,
         lambda cfg, p, values: [_record(cfg, p, sum(values))],
         None,
     ),
-    Experiment.ORDERING_VS_DIMENSION: (_ordering_sample, _pair_records, _decision_notes),
-    Experiment.ORDERING_VS_RANK: (_ordering_sample, _pair_records, _decision_notes),
-    Experiment.THEOREM1_CHECK: (_theorem1_sample, lambda cfg, n, rows: rows, None),
-    Experiment.RESULT2_CHECK: (_result2_sample, _result2_rows, None),
+    Experiment.ORDERING_VS_DIMENSION: (
+        _ordering_pairs, _ordering_sample, _pair_records, _decision_notes,
+    ),
+    Experiment.ORDERING_VS_RANK: (
+        _ordering_pairs, _ordering_sample, _pair_records, _decision_notes,
+    ),
+    Experiment.THEOREM1_CHECK: (_generators, _theorem1_sample, lambda cfg, n, rows: rows, None),
+    Experiment.RESULT2_CHECK: (_generators, _result2_sample, _result2_rows, None),
 }
 
 
@@ -333,28 +364,36 @@ def _chunk(args) -> dict:
     (``"values"``), the draws that failed (``"failures"``), the RoC values
     returned per method meanwhile (``"roc_methods"``) and the experiment's notes.
 
-    A draw whose SDP fails to certify is replaced by the next draw from the
-    same generator; a sample gets at most _MAX_REDRAWS draws.
+    The samples go in blocks of BLOCK_SAMPLES: the draw function makes the
+    whole block's draws at once, one per sample generator, and the samples
+    are then evaluated in order. A draw whose SDP fails to certify is
+    replaced by the next draw from the same generator, made as a block of
+    one; a sample gets at most _MAX_REDRAWS draws.
     """
     cfg, point_idx, point, start, stop = args
-    sample, _, start_notes = _HARNESS[cfg.experiment]
+    draw, sample, _, start_notes = _HARNESS[cfg.experiment]
     notes, note = start_notes() if start_notes else ({}, None)
     values: list = []
     failures: list[dict] = []
     methods_before = ROC_METHOD_COUNTS.copy()
-    for sample_idx in range(start, stop):
-        rng = np.random.default_rng([cfg.seed, point_idx, sample_idx])
-        for draw in range(_MAX_REDRAWS):
-            try:
-                value = sample(cfg, point, rng, draw > 0)
-                values.append(value if note is None else note(point, sample_idx, value))
-                break
-            except SolverFailure as exc:
-                failures.append({"state": exc.state.to_json_dict(), "error": str(exc),
-                                 "point": point, "sample": sample_idx})
-                log.warning("point %s, sample %d: solve failed; sample redrawn", point, sample_idx)
-        else:
-            raise SweepAborted(f"sample {sample_idx} failed {_MAX_REDRAWS} redraws", failures)
+    for block_start in range(start, stop, BLOCK_SAMPLES):
+        indices = range(block_start, min(block_start + BLOCK_SAMPLES, stop))
+        rngs = [np.random.default_rng([cfg.seed, point_idx, i]) for i in indices]
+        for sample_idx, rng, drawn in zip(indices, rngs, draw(cfg, point, rngs)):
+            for attempt in range(_MAX_REDRAWS):
+                if attempt:
+                    (drawn,) = draw(cfg, point, [rng])
+                try:
+                    value = sample(cfg, point, drawn, attempt > 0)
+                    values.append(value if note is None else note(point, sample_idx, value))
+                    break
+                except SolverFailure as exc:
+                    failures.append({"state": exc.state.to_json_dict(), "error": str(exc),
+                                     "point": point, "sample": sample_idx})
+                    log.warning("point %s, sample %d: solve failed; sample redrawn",
+                                point, sample_idx)
+            else:
+                raise SweepAborted(f"sample {sample_idx} failed {_MAX_REDRAWS} redraws", failures)
     return {"values": values, "failures": failures,
             "roc_methods": ROC_METHOD_COUNTS - methods_before, **notes}
 
@@ -383,7 +422,7 @@ def run_experiment(cfg: SweepConfig, workers: int = 1) -> tuple[list, dict]:
     exceed FAILURE_ABORT_FRACTION of the planned samples, or when one sample
     exhausts its redraws.
     """
-    reduce = _HARNESS[cfg.experiment][1]
+    reduce = _HARNESS[cfg.experiment][2]
     one_point = cfg.experiment is Experiment.RESULT2_CHECK
     points = (tuple(map(int, cfg.grid)),) if one_point else cfg.grid
     limit = max(1.0, FAILURE_ABORT_FRACTION * cfg.samples * len(points))

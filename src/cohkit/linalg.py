@@ -1,14 +1,15 @@
 """Dense complex linear algebra used by the rest of the package.
 
 Everything here operates on square numpy arrays (real or complex) and is a
-pure function of its inputs. Matrices are small (d <= 64), so all routines
-are plain O(d^3) dense algorithms backed by LAPACK.
+pure function of its inputs; :func:`hermitian_part` and :func:`hermitize`
+also take stacks of them, acting on the last two axes. Matrices are small
+(d <= 64), so all routines are plain O(d^3) dense algorithms backed by LAPACK.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import prod, sqrt
+from math import prod
 
 import numpy as np
 
@@ -24,22 +25,32 @@ class HermitianEig:
     eigenvectors: np.ndarray
 
 
-def hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:
-    """Hermitian part (m + m^dag) / 2 of a square matrix, and its relative
-    Hermiticity defect ||m - m^dag||_F / max(1, ||m||_F).
+def hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Hermitian part (m + m^dag) / 2 of a square matrix, or of each matrix of
+    a stack (last two axes), and its relative Hermiticity defect
+    ||m - m^dag||_F / max(1, ||m||_F), one per matrix.
 
     ``m`` counts as Hermitian when the defect is at most HERMITIAN_RTOL. The
     Hermitian part is bit-identical to :func:`hermitize`.
     """
-    mh = m.conj().T
-    diff = m - mh
-    defect = sqrt(np.vdot(diff, diff).real) / max(1.0, sqrt(np.vdot(m, m).real))
-    return (m + mh) / 2, defect
+    mh = m.conj().swapaxes(-1, -2)
+    h = (m + mh) / 2
+    diff_sq = _sum_abs2(m - mh)  # a numpy scalar for one matrix
+    # exactly Hermitian matrices, the common case, have defect 0 whatever their norm
+    if not (diff_sq.any() if diff_sq.ndim else diff_sq):
+        return h, diff_sq
+    return h, np.sqrt(diff_sq / np.maximum(1.0, _sum_abs2(m)))
+
+
+def _sum_abs2(m: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm over the last two axes."""
+    flat = m.reshape(m.shape[:-2] + (-1,))
+    return np.vecdot(flat, flat).real
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
-    """Hermitian part (m + m^dag) / 2."""
-    return (m + m.conj().T) / 2
+    """Hermitian part (m + m^dag) / 2, of each matrix of a stack (last two axes)."""
+    return (m + m.conj().swapaxes(-1, -2)) / 2
 
 
 def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...], keep: int) -> np.ndarray:

@@ -41,8 +41,6 @@ log = logging.getLogger(__name__)
 # Values in [-HARD_NEGATIVE_FLOOR, 0) are numerical noise and clamp to zero;
 # anything below is a genuine failure.
 HARD_NEGATIVE_FLOOR = -1e-6
-# Eigenvalues at or below this contribute nothing to entropies.
-ENTROPY_EIG_FLOOR = 1e-12
 # Rank-1 detection for the pure-state shortcut.
 PURE_EIG_TOL = 1e-9
 # |difference| at or below this counts as a tie when comparing orderings. The
@@ -150,16 +148,9 @@ def l1_coherence(rho: DensityMatrix) -> MeasureValue:
     return MeasureValue(_finalize(rho.offdiagonal_abs_sum), Method.DIRECT)
 
 
-def _entropy_bits(eigs: np.ndarray) -> float:
-    w = eigs[eigs > ENTROPY_EIG_FLOOR]
-    return float(-(w * np.log2(w)).sum())
-
-
 def rel_entropy_coherence(rho: DensityMatrix) -> MeasureValue:
-    """S(diag(rho)) - S(rho) with base-2 logarithms."""
-    s_dephased = _entropy_bits(rho.mat.diagonal().real)
-    s_rho = _entropy_bits(rho.eigenvalues)
-    return MeasureValue(_finalize(s_dephased - s_rho), Method.DIRECT)
+    """S(diag(rho)) - S(rho) with base-2 logarithms, from the two entropies the state keeps."""
+    return MeasureValue(_finalize(rho.dephased_entropy_bits - rho.entropy_bits), Method.DIRECT)
 
 
 def _unit_phases(v: np.ndarray) -> np.ndarray:
@@ -226,9 +217,11 @@ def _solve_free_roc(rho: DensityMatrix, tol: float | None) -> MeasureValue | Non
        ``primal - dual <= tol * max(1, primal)`` (DEFAULT_ROC_TOL when ``tol``
        is None), it is a PHASE_WITNESS value. Otherwise a given ``tol``
        returns None, and ``tol=None`` goes on to
-    3. dual: the phases of the top eigenvector of O = rho - Diag(rho);
+    3. dual: the phases of the top eigenvector of O = rho - Diag(rho), from
+       the ``eigh`` the state keeps (``offdiagonal_eigh``);
     4. primal: d_i = rho_ii + lambda_max(O) + BRACKET_SLACK_SHIFT, accepted
-       once a Cholesky factorization of its slack succeeds.
+       once a Cholesky factorization of its slack, lambda_max(O) +
+       BRACKET_SLACK_SHIFT on the diagonal and -rho_ij off it, succeeds.
 
     The better point of each kind so far then makes a SOLVE_FREE_BRACKET value
     ``[max(0, dual - 1), primal - 1]``.
@@ -241,13 +234,12 @@ def _solve_free_roc(rho: DensityMatrix, tol: float | None) -> MeasureValue | Non
         return _pair_value(Method.PHASE_WITNESS, dual, primal)
     if tol is not None:
         return None
-    off = m.copy()
-    np.fill_diagonal(off, 0.0)
-    w, v = np.linalg.eigh(off)
+    w, v = rho.offdiagonal_eigh
     u = _unit_phases(v[:, -1])
     dual = max(dual, float(np.vdot(u, m @ u).real))
     shift = float(w[-1]) + BRACKET_SLACK_SHIFT
-    slack = np.eye(rho.dim) * shift - off
+    slack = -m
+    np.fill_diagonal(slack, shift)
     try:
         np.linalg.cholesky(slack)
         primal = min(primal, float(np.sum(m.diagonal().real + shift)))
@@ -263,18 +255,18 @@ def _ascent_bracket(rho: DensityMatrix) -> tuple[float, float]:
     solve-free bracket left an ordering decision open (docs/roc-sdp.md,
     candidates 5 and 6).
 
-    Dual: from the phases u of the top eigenvector of O = rho - Diag(rho),
-    ASCENT_STEPS minorize-maximize steps u <- phases(rho u); none can lower
-    u^dag rho u, which is convex in u. The best value seen is the lower end.
+    Dual: from the phases u of the top eigenvector of O = rho - Diag(rho)
+    (the ``eigh`` the state keeps, which :func:`_solve_free_roc` took
+    already), ASCENT_STEPS minorize-maximize steps u <- phases(rho u); none
+    can lower u^dag rho u, which is convex in u. The best value seen is the
+    lower end.
     Primal: the complementary-slackness point d_i = |(rho u)_i| + c for the
     last u, with c = max(0, -lambda_min(Diag|rho u| - rho)) +
     BRACKET_SLACK_SHIFT, used only once a Cholesky factorization of its slack
     succeeds; otherwise ``hi`` is infinite.
     """
     m = rho.mat
-    off = m.copy()
-    np.fill_diagonal(off, 0.0)
-    u = _unit_phases(np.linalg.eigh(off)[1][:, -1])
+    u = _unit_phases(rho.offdiagonal_eigh[1][:, -1])
     r = m @ u
     dual = float(np.vdot(u, r).real)
     for _ in range(ASCENT_STEPS):

@@ -4,11 +4,23 @@ A :class:`DensityMatrix` couples the matrix with an optional factorization of
 its Hilbert space into subsystem dimensions, so multi-qubit marginals can be
 taken without side information. Random sampling takes an explicit numpy
 ``Generator``; nothing in this module keeps hidden generator state.
+
+States are built one at a time, by ``DensityMatrix(...)``, or as a block, by
+:meth:`DensityMatrix.stack` on a stack of matrices. Both run the same checks
+on a numpy stack (a single matrix is a stack with no leading axes), with one
+``eigvalsh`` for the whole stack. A block also computes, for the whole
+stack, what the coherence measures read of each state: its off-diagonal
+``|rho_ij|`` sum and the entropies of its spectrum and of its diagonal. A
+single state computes each of these on first use, by the same formula.
+:func:`random_densities` draws a block of random states, one per
+generator in turn, as :func:`random_density` would, and the block is
+normalized, validated and measured as one stack.
 """
 
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import prod
@@ -22,6 +34,73 @@ TRACE_ATOL = 1e-10
 # Smallest admissible eigenvalue: mixing/kron chains accumulate ~1e-13 of
 # noise, so a -1e-9 floor leaves margin without masking real negativity.
 EIG_FLOOR = -1e-9
+# Eigenvalues (and diagonal entries) at or below this contribute nothing to entropies.
+ENTROPY_EIG_FLOOR = 1e-12
+
+
+def _raise_first(bad: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raise ValueError(message formatted with the value of the first bad
+    state), if any: ``bad`` holds one flag per state, a numpy bool for a
+    single state."""
+    if bad if bad.ndim == 0 else bad.any():
+        raise ValueError(message.format(values[bad].flat[0]))
+
+
+def _validated(mat, dims, stacked: bool) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+    """The contiguous complex form of a matrix (``stacked=False``) or of a
+    stack of them (shape ``(n, d, d)``), the integer subsystem dimensions, and
+    the ascending spectrum of each matrix's Hermitian part.
+
+    Raises ``ValueError`` on the first failed check, naming the value of the
+    first failing matrix: integer dims, square, finite, dims at least 1 and
+    factoring d, Hermitian within HERMITIAN_RTOL, unit trace within
+    TRACE_ATOL, no eigenvalue below EIG_FLOOR.
+    """
+    m = np.ascontiguousarray(mat, dtype=complex)
+    dims = tuple(dims)
+    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in dims):
+        raise ValueError(f"subsystem dimensions {dims} must be integers")
+    dims = tuple(map(int, dims))
+    if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2]:
+        raise ValueError("density matrix must be square")
+    if not np.isfinite(m).all():
+        raise ValueError("density matrix has non-finite entries")
+    if any(d < 1 for d in dims):
+        raise ValueError(f"subsystem dimensions {dims} must all be at least 1")
+    if dims and prod(dims) != m.shape[-1]:
+        raise ValueError(f"subsystem dimensions {dims} do not factor dimension {m.shape[-1]}")
+    h, defect = linalg.hermitian_part(m)
+    _raise_first(defect > linalg.HERMITIAN_RTOL, defect,
+                 "density matrix is not Hermitian (relative defect {:.3e})")
+    tr = m.trace(axis1=-2, axis2=-1)
+    _raise_first(abs(tr - 1.0) > TRACE_ATOL, tr, "density matrix trace {} is not 1")
+    eigs = np.linalg.eigvalsh(h)
+    min_eig = eigs.T[0]  # each matrix's lowest eigenvalue; a numpy scalar for one matrix
+    _raise_first(min_eig < EIG_FLOOR, min_eig, "density matrix has negative eigenvalue {:.3e}")
+    return m, dims, eigs
+
+
+def _offdiagonal_abs_sum(m: np.ndarray) -> np.ndarray:
+    """Sum of |m_ij| over i != j, over the last two axes."""
+    return np.abs(m).sum(axis=(-2, -1)) - np.abs(m.diagonal(axis1=-2, axis2=-1)).sum(-1)
+
+
+def _entropy_bits(p: np.ndarray) -> np.ndarray:
+    """-sum_i p_i log2 p_i over the last axis, over the entries above ENTROPY_EIG_FLOOR.
+
+    Each row's kept entries are moved, in order, to the end of the row and
+    summed as that suffix (for an ascending spectrum they are one already),
+    so a row's value is the sum of its kept entries alone, in their order,
+    whatever the other rows of the stack hold.
+    """
+    keep = p > ENTROPY_EIG_FLOOR
+    kept = np.take_along_axis(p, np.argsort(keep, axis=-1, kind="stable"), axis=-1)
+    count = keep.sum(-1)
+    out = np.zeros(count.shape)
+    for k in np.unique(count[count > 0]):
+        w = kept[count == k, -k:]
+        out[count == k] = -(w * np.log2(w)).sum(-1)
+    return out
 
 
 @dataclass(frozen=True)
@@ -37,6 +116,7 @@ class DensityMatrix:
     (:func:`cohkit.linalg.hermitian_part`), and one ``eigvalsh`` of that
     Hermitian part gives ``eigenvalues``, the ascending spectrum that
     measures and the solver read instead of factorizing the state again.
+    :meth:`stack` runs the same checks on a block of states at once.
     """
 
     mat: np.ndarray
@@ -44,33 +124,36 @@ class DensityMatrix:
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.mat, dtype=complex)
-        object.__setattr__(self, "mat", m)
-        dims = tuple(self.dims)
-        if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in dims):
-            raise ValueError(f"subsystem dimensions {dims} must be integers")
-        object.__setattr__(self, "dims", tuple(map(int, dims)))
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
-        if not np.isfinite(m).all():
-            raise ValueError("density matrix has non-finite entries")
-        if any(d < 1 for d in self.dims):
-            raise ValueError(f"subsystem dimensions {self.dims} must all be at least 1")
-        if self.dims and prod(self.dims) != m.shape[0]:
-            raise ValueError(
-                f"subsystem dimensions {self.dims} do not factor dimension {m.shape[0]}"
-            )
-        h, defect = linalg.hermitian_part(m)
-        if defect > linalg.HERMITIAN_RTOL:
-            raise ValueError(f"density matrix is not Hermitian (relative defect {defect:.3e})")
-        tr = complex(m.trace())
-        if abs(tr - 1.0) > TRACE_ATOL:
-            raise ValueError(f"density matrix trace {tr} is not 1")
-        eigs = np.linalg.eigvalsh(h)
-        object.__setattr__(self, "eigenvalues", eigs)
-        min_eig = float(eigs[0])
-        if min_eig < EIG_FLOOR:
-            raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
+        m, dims, eigs = _validated(self.mat, self.dims, stacked=False)
+        # frozen: set the validated fields past the dataclass's __setattr__
+        self.__dict__.update(mat=m, dims=dims, eigenvalues=eigs)
+
+    @classmethod
+    def stack(cls, mats: np.ndarray, dims: tuple[int, ...] = ()) -> list["DensityMatrix"]:
+        """One state per matrix of a stack of shape ``(n, d, d)``, all with
+        subsystem dimensions ``dims``.
+
+        The stack passes the checks of a single construction, with the same
+        messages, in one pass; each state's ``mat`` is a view into it. The
+        off-diagonal ``|rho_ij|`` sums and both entropies are computed for the
+        whole stack and kept on the states.
+        """
+        m, dims, eigs = _validated(mats, dims, stacked=True)
+        cached = zip(
+            m,
+            eigs,
+            _offdiagonal_abs_sum(m).tolist(),
+            _entropy_bits(eigs).tolist(),
+            _entropy_bits(m.diagonal(axis1=-2, axis2=-1).real).tolist(),
+        )
+        states = []
+        for mat, w, l1, s_rho, s_diag in cached:
+            rho = object.__new__(cls)
+            # the fields a construction sets, and the values its cached properties compute
+            rho.__dict__.update(mat=mat, dims=dims, eigenvalues=w, offdiagonal_abs_sum=l1,
+                                entropy_bits=s_rho, dephased_entropy_bits=s_diag)
+            states.append(rho)
+        return states
 
     @property
     def dim(self) -> int:
@@ -80,7 +163,27 @@ class DensityMatrix:
     def offdiagonal_abs_sum(self) -> float:
         """Sum of |rho_ij| over i != j, computed on first use and kept: the
         l1-norm of coherence, and for a pure state also its robustness."""
-        return float(np.abs(self.mat).sum() - np.abs(self.mat.diagonal()).sum())
+        return float(_offdiagonal_abs_sum(self.mat))
+
+    @cached_property
+    def entropy_bits(self) -> float:
+        """Von Neumann entropy S(rho) in bits, from ``eigenvalues``, computed
+        on first use and kept."""
+        return float(_entropy_bits(self.eigenvalues))
+
+    @cached_property
+    def dephased_entropy_bits(self) -> float:
+        """Entropy S(Diag(rho)) of the diagonal in bits, computed on first use and kept."""
+        return float(_entropy_bits(self.mat.diagonal().real))
+
+    @cached_property
+    def offdiagonal_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        """``np.linalg.eigh`` of the off-diagonal part rho - Diag(rho),
+        computed on first use and kept: the solve-free and phase-ascent
+        robustness brackets both start from its top eigenpair."""
+        off = self.mat.copy()
+        np.fill_diagonal(off, 0.0)
+        return np.linalg.eigh(off)
 
     def marginal(self, keep: int) -> "DensityMatrix":
         """Reduced state on subsystem ``keep`` (requires a factorization)."""
@@ -191,19 +294,36 @@ def haar_random_pure(d: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
+def random_densities(
+    d: int, rank: int, rngs: Sequence[np.random.Generator]
+) -> list[DensityMatrix]:
+    """One random state of :func:`random_density` per generator, in order,
+    built as one stack by :meth:`DensityMatrix.stack`.
+
+    Each state's ``G`` is drawn as :func:`random_density` draws it, so every
+    state is bit-identical to the one that call would give; a generator
+    listed twice draws its second state after its first.
+    """
+    if not 1 <= rank <= d:
+        raise ValueError(f"rank must satisfy 1 <= rank <= d, got rank={rank}, d={d}")
+    g = np.stack([
+        (rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))) / np.sqrt(2)
+        for rng in rngs
+    ])
+    m = g @ g.conj().swapaxes(-1, -2)
+    m = linalg.hermitize(m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None])
+    return DensityMatrix.stack(m)
+
+
 def random_density(d: int, rank: int, rng: np.random.Generator) -> DensityMatrix:
     """Random density matrix of the given rank: G G^dag / tr(G G^dag).
 
     G is a d x rank matrix of iid standard complex normals, so ``rank = d``
     samples the Hilbert-Schmidt induced measure and the result has exactly
-    ``rank`` nonzero eigenvalues almost surely.
+    ``rank`` nonzero eigenvalues almost surely. It is a block of one of
+    :func:`random_densities`.
     """
-    if not 1 <= rank <= d:
-        raise ValueError(f"rank must satisfy 1 <= rank <= d, got rank={rank}, d={d}")
-    g = (rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))) / np.sqrt(2)
-    m = g @ g.conj().T
-    m = linalg.hermitize(m / np.trace(m).real)
-    return DensityMatrix(m)
+    return random_densities(d, rank, [rng])[0]
 
 
 def dephase(rho: DensityMatrix) -> DensityMatrix:

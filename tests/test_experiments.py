@@ -490,3 +490,52 @@ def test_a_redrawn_ordering_pair_is_solved_outright(monkeypatch):
         assert any(np.array_equal(rho.mat, state.mat) and tol == DEFAULT_ROC_TOL
                    for rho, tol in solved)
     assert sum(tally["ordering_decisions"].values()) == cfg.samples
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ordering_sweeps_do_not_depend_on_the_block_size(monkeypatch, workers):
+    # 16 samples make chunks of 4 at one worker and of 2 at two, so blocks of
+    # 1 and 3 split them; the default block holds a whole chunk
+    configs = (
+        SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=16, seed=2,
+                    grid=tuple(range(2, 11))),
+        SweepConfig(experiment=Experiment.ORDERING_VS_RANK, samples=16, seed=2,
+                    grid=(1, 4, 9, 10), dim=10),
+    )
+    for cfg in configs:
+        expected = run_experiment(cfg, 1)
+        for block in (1, 3, cohkit.experiments.BLOCK_SAMPLES):
+            with monkeypatch.context() as m:
+                m.setattr(cohkit.experiments, "BLOCK_SAMPLES", block)
+                assert run_experiment(cfg, workers) == expected, (cfg.experiment, block)
+
+
+@pytest.mark.parametrize("block", [1, 2, cohkit.experiments.BLOCK_SAMPLES])
+def test_a_redrawn_sample_is_listed_whatever_the_block_size(monkeypatch, block):
+    # the seed-20 pair of test_a_redrawn_ordering_pair_is_solved_outright, in
+    # one chunk of three samples that blocks of 1 and 2 split
+    cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=3, seed=20, grid=(5,))
+    rng = np.random.default_rng([20, 0, 2])
+    a = random_density(5, 5, rng)
+    random_density(5, 5, rng)
+    redrawn = (random_density(5, 5, rng), random_density(5, 5, rng))
+    real_solve = cohkit.sdp.solve
+    solved = []
+
+    def solve_of_a_fails(problem, **kwargs):
+        solved.append((problem.rho, kwargs["tol"]))
+        sol = real_solve(problem, **kwargs)
+        if np.array_equal(problem.rho.mat, a.mat):
+            return dataclasses.replace(sol, status=SolveStatus.MAX_ITER)
+        return sol
+
+    monkeypatch.setattr(cohkit.sdp, "solve", solve_of_a_fails)
+    monkeypatch.setattr(cohkit.experiments, "BLOCK_SAMPLES", block)
+    tally = cohkit.experiments._chunk((cfg, 0, 5, 0, 3))
+    (entry,) = tally["failures"]
+    assert entry["state"] == a.to_json_dict()
+    assert (entry["point"], entry["sample"]) == (5, 2)
+    for state in redrawn:
+        assert any(np.array_equal(rho.mat, state.mat) and tol == DEFAULT_ROC_TOL
+                   for rho, tol in solved)
+    assert sum(tally["ordering_decisions"].values()) == len(tally["values"]) == 3

@@ -72,6 +72,13 @@ CASES = {
         "38f59b43c907ad542455a56808c3736a834190c81c3ea33811fe23238496c8bc",
         "cc9bcd23b3246f6aba7bb88e4e47098a13e576c6a3093814c2422ec90ccbc244",
     ),
+    # 75 samples per chunk at one worker, so each chunk spans two sample blocks
+    "fig3-blocks": (
+        ["fig3", "--samples", "300", "--dim", "10", "--grid", "1,5,10"],
+        "ordering_vs_rank.csv",
+        "5ca229cab7a488ddf60a863a1a9a42af11c3e198ee580cf89fc1b88a9d403087",
+        "26b8a82f42d9a1f3e684c3dd8cd582a729d52ca67d72fb9c07ca52bd5f7ba41b",
+    ),
     # SDP values, sigma-family gaps and qubit closed forms
     "theorem1": (
         ["theorem1", "--n", "1,2,3", "--samples", "5"],

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import cohkit.measures
+import cohkit.states
 from cohkit import linalg, sdp
 from cohkit.measures import (
     COARSE_ROC_TOL,
@@ -75,7 +76,7 @@ def _kernel_states() -> list[DensityMatrix]:
 def test_measure_kernels_are_bit_identical_to_their_reference_formulas():
     # the formulas as first written; CSV bytes depend on the values agreeing exactly
     def entropy_bits(eigs):
-        w = eigs[eigs > cohkit.measures.ENTROPY_EIG_FLOOR]
+        w = eigs[eigs > cohkit.states.ENTROPY_EIG_FLOOR]
         return float(-np.sum(w * np.log2(w)))
 
     for rho in _kernel_states():
@@ -549,6 +550,57 @@ def _ascent_hard_states() -> dict[str, DensityMatrix]:
 
 
 ASCENT_HARD_STATES = _ascent_hard_states()
+
+
+def _stack_parity_states() -> dict[str, np.ndarray]:
+    """Hard matrices: zero-diagonal rows, d=10 at every rank, complex d=64,
+    near-incoherent d = 3, 6, 10 and the sigma family at k_max."""
+    rng = np.random.default_rng(75)
+    mats = {f"zero-rows-{seed}": _zero_rows_state(seed).mat for seed in range(3)}
+    mats.update({f"d10-rank{r}": random_density(10, r, rng).mat for r in range(1, 11)})
+    mats["complex-d64"] = random_density(64, 64, rng).mat
+    mats.update({f"near-incoherent-d{d}": _near_incoherent(d, 76 + d).mat for d in (3, 6, 10)})
+    mats.update({f"sigma-n{n}-kmax": sigma_family(n, sigma_kmax(n)).mat for n in range(2, 6)})
+    return mats
+
+
+@pytest.mark.parametrize("name", sorted(_stack_parity_states()))
+def test_stacked_and_single_states_measure_bit_identically(name):
+    # the state goes third in a stack of five, between random states of its dimension
+    mat = _stack_parity_states()[name]
+    rng = np.random.default_rng(77)
+    others = [random_density(len(mat), len(mat), rng).mat for _ in range(4)]
+    stacked = DensityMatrix.stack(np.stack(others[:2] + [mat] + others[2:]))[2]
+    single = DensityMatrix(mat)
+    assert np.array_equal(stacked.eigenvalues, single.eigenvalues)
+    assert l1_coherence(stacked) == l1_coherence(single)
+    assert rel_entropy_coherence(stacked) == rel_entropy_coherence(single)
+    # and both equal the formulas as first written
+    kept = single.eigenvalues[single.eigenvalues > cohkit.states.ENTROPY_EIG_FLOOR]
+    diag = np.diag(mat).real
+    diag = diag[diag > cohkit.states.ENTROPY_EIG_FLOOR]
+    assert stacked.entropy_bits == float(-np.sum(kept * np.log2(kept)))
+    assert stacked.dephased_entropy_bits == float(-np.sum(diag * np.log2(diag)))
+    assert stacked.offdiagonal_abs_sum == float(np.sum(np.abs(mat)) - np.sum(np.abs(np.diag(mat))))
+
+
+def test_the_ascent_reuses_the_eigh_of_the_solve_free_bracket(monkeypatch):
+    # one eigh of the off-diagonal part per state serves both brackets
+    a, b = next(pair for pair in _open_pairs()
+                if ordering_decision(*pair).stage is DecisionStage.ASCENT)
+    a, b = DensityMatrix(a.mat), DensityMatrix(b.mat)  # fresh states, nothing kept yet
+    fresh = (DensityMatrix(a.mat), DensityMatrix(b.mat))
+    assert {roc(rho, tol=None).method for rho in fresh} == {Method.SOLVE_FREE_BRACKET}
+    calls = []
+    real_eigh = np.linalg.eigh
+
+    def counting_eigh(m):
+        calls.append(m)
+        return real_eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    assert ordering_decision(a, b).stage is DecisionStage.ASCENT
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("name", sorted(ASCENT_HARD_STATES))

@@ -15,6 +15,7 @@ from cohkit.states import (
     mix_with_pure,
     projector,
     pure_density,
+    random_densities,
     random_density,
     save_density,
     sigma_family,
@@ -213,29 +214,86 @@ def test_all_measures_vanish_after_dephasing():
             assert compute_measure(kind, rho).value <= 1e-9
 
 
+# (matrix, dims, message) of inputs that validation rejects
+INVALID_INPUTS = [
+    (np.array([[0.5, 0.4], [0.1, 0.5]]), (), "not Hermitian"),
+    (np.eye(2), (), "trace"),
+    (np.diag([1.5, -0.5]), (), "negative eigenvalue"),
+    (np.eye(4) / 4, (2, 3), "do not factor"),
+    (np.eye(4) / 4, (-2, -2), "at least 1"),
+    (np.eye(4) / 4, (4, 1, 0), "at least 1"),
+    (np.array([[np.nan, 0], [0, 1.0]]), (), "non-finite"),
+    (np.ones((2, 3)) / 6, (), "square"),
+    # non-finite in the imaginary part only
+    *[(np.array([[0.5, complex(0.0, bad)], [0.0, 0.5]]), (), "non-finite")
+      for bad in (np.nan, np.inf, -np.inf)],
+    # 1-D and 0-D
+    *[(mat, (), "square") for mat in (np.ones(4) / 4, np.array([1.0]), np.array(1.0), 1.0)],
+]
+
+
 def test_density_matrix_validation():
-    with pytest.raises(ValueError, match="not Hermitian"):
-        DensityMatrix(np.array([[0.5, 0.4], [0.1, 0.5]]))
-    with pytest.raises(ValueError, match="trace"):
-        DensityMatrix(np.eye(2))
-    with pytest.raises(ValueError, match="negative eigenvalue"):
-        DensityMatrix(np.diag([1.5, -0.5]))
-    with pytest.raises(ValueError, match="do not factor"):
-        DensityMatrix(np.eye(4) / 4, (2, 3))
-    with pytest.raises(ValueError, match="at least 1"):
-        DensityMatrix(np.eye(4) / 4, (-2, -2))
-    with pytest.raises(ValueError, match="at least 1"):
-        DensityMatrix(np.eye(4) / 4, (4, 1, 0))
-    with pytest.raises(ValueError, match="non-finite"):
-        DensityMatrix(np.array([[np.nan, 0], [0, 1.0]]))
+    for mat, dims, message in INVALID_INPUTS:
+        with pytest.raises(ValueError, match=message):
+            DensityMatrix(mat, dims)
+
+
+def _third_of_five(mat) -> np.ndarray:
+    """A stack of five with ``mat`` third, between valid states of its shape
+    when there are any, else between copies of itself."""
+    mat = np.asarray(mat)
+    if mat.ndim == 2 and mat.shape[0] == mat.shape[1]:
+        rng = np.random.default_rng(1)
+        others = [random_density(len(mat), len(mat), rng).mat for _ in range(4)]
+    else:
+        others = [mat] * 4
+    return np.stack(others[:2] + [mat] + others[2:])
+
+
+@pytest.mark.parametrize("where", ["alone", "third of five"])
+@pytest.mark.parametrize("case", range(len(INVALID_INPUTS)))
+def test_a_stack_is_rejected_with_the_message_of_its_bad_state(case, where):
+    mat, dims, message = INVALID_INPUTS[case]
+    with pytest.raises(ValueError, match=message) as single:
+        DensityMatrix(mat, dims)
+    stack = np.asarray([mat]) if where == "alone" else _third_of_five(mat)
+    with pytest.raises(ValueError) as stacked:
+        DensityMatrix.stack(stack, dims)
+    assert str(stacked.value) == str(single.value)
+
+
+def test_a_stack_of_valid_states_keeps_each_single_construction():
+    rng = np.random.default_rng(9)
+    mats = np.stack([random_density(4, r, rng).mat for r in (1, 2, 4)])
+    states = DensityMatrix.stack(mats, (2, 2))
+    for mat, rho in zip(mats, states):
+        single = DensityMatrix(mat, (2, 2))
+        assert rho.dims == single.dims == (2, 2)
+        assert np.array_equal(rho.mat, single.mat)
+        assert np.array_equal(rho.eigenvalues, single.eigenvalues)
+        for name in ("offdiagonal_abs_sum", "entropy_bits", "dephased_entropy_bits"):
+            assert getattr(rho, name) == getattr(single, name)
+        assert type(rho.offdiagonal_abs_sum) is float
     with pytest.raises(ValueError, match="square"):
-        DensityMatrix(np.ones((2, 3)) / 6)
-    for bad in (np.nan, np.inf, -np.inf):  # in the imaginary part only
-        with pytest.raises(ValueError, match="non-finite"):
-            DensityMatrix(np.array([[0.5, complex(0.0, bad)], [0.0, 0.5]]))
-    for mat in (np.ones(4) / 4, np.array([1.0]), np.array(1.0), 1.0):  # 1-D and 0-D
-        with pytest.raises(ValueError, match="square"):
-            DensityMatrix(mat)
+        DensityMatrix.stack(mats[0])  # one matrix is not a stack
+    with pytest.raises(ValueError, match="square"):
+        DensityMatrix(mats)  # nor is a stack one matrix
+
+
+def test_random_densities_draw_what_random_density_would():
+    for d, rank in ((2, 1), (5, 3), (10, 10)):
+        rngs = [np.random.default_rng([d, rank, i]) for i in range(4)]
+        block = random_densities(d, rank, [rng for rng in rngs for _ in range(2)])
+        one_by_one = []
+        for i in range(4):
+            rng = np.random.default_rng([d, rank, i])
+            one_by_one += [random_density(d, rank, rng), random_density(d, rank, rng)]
+        assert len(block) == 8
+        for rho, single in zip(block, one_by_one):
+            assert np.array_equal(rho.mat, single.mat)
+            assert np.array_equal(rho.eigenvalues, single.eigenvalues)
+    with pytest.raises(ValueError, match="rank"):
+        random_densities(3, 4, [np.random.default_rng(0)])
 
 
 @pytest.mark.parametrize("dims", [(2.9, 2.2), (2.0, 2.0), (True, 4), (4, False), ("2", "2")])
@@ -279,6 +337,20 @@ def test_hermitian_part_is_hermitize_and_the_frobenius_defect():
         assert np.array_equal(h, linalg.hermitize(m))
         expected = np.linalg.norm(m - m.conj().T) / max(1.0, np.linalg.norm(m))
         assert defect == pytest.approx(expected, rel=1e-12)
+
+
+def test_hermitian_part_of_a_stack_is_that_of_each_matrix():
+    rng = np.random.default_rng(4)
+    for d in (1, 3, 10):
+        m = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
+        m[1] = linalg.hermitize(m[1])  # one exactly Hermitian matrix among them
+        h, defect = linalg.hermitian_part(m)
+        assert np.array_equal(h, linalg.hermitize(m))
+        assert defect.shape == (5,) and defect[1] == 0.0
+        for i in range(5):
+            h_i, defect_i = linalg.hermitian_part(m[i])
+            assert np.array_equal(h[i], h_i)
+            assert defect[i] == defect_i
 
 
 def test_trace_check_reads_the_imaginary_part():

@@ -72,7 +72,7 @@ def concave_measure(monkeypatch):
     monkeypatch.setattr(
         measures,
         "rel_entropy_coherence",
-        lambda rho: _direct(measures._entropy_bits(rho.eigenvalues)),
+        lambda rho: _direct(rho.entropy_bits),
     )
 
 
