@@ -8,21 +8,12 @@ also take stacks of them, acting on the last two axes. Matrices are small
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 import numpy as np
 
 # A matrix counts as Hermitian when ||H - H^dag||_F <= HERMITIAN_RTOL * max(1, ||H||_F).
 HERMITIAN_RTOL = 1e-10
-
-
-@dataclass(frozen=True)
-class HermitianEig:
-    """Eigendecomposition H = V diag(w) V^dag with w sorted ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -77,8 +68,9 @@ def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...], keep: int) -
     return np.einsum("aibajb->ij", m.reshape(left, k, right, left, k, right))
 
 
-def hermitian_eig(h: np.ndarray) -> HermitianEig:
-    """Eigendecomposition of a Hermitian matrix.
+def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecomposition H = V diag(w) V^dag of a Hermitian matrix: numpy's
+    ``(eigenvalues, eigenvectors)`` result, with w sorted ascending.
 
     Inputs within HERMITIAN_RTOL of Hermitian are symmetrized before the
     decomposition; anything farther is rejected.
@@ -89,5 +81,4 @@ def hermitian_eig(h: np.ndarray) -> HermitianEig:
     h, defect = hermitian_part(h)
     if defect > HERMITIAN_RTOL:
         raise ValueError(f"matrix is not Hermitian (relative defect {defect:.3e})")
-    w, v = np.linalg.eigh(h)
-    return HermitianEig(eigenvalues=w, eigenvectors=v)
+    return np.linalg.eigh(h)

@@ -240,11 +240,7 @@ def _solve_free_roc(rho: DensityMatrix, tol: float | None) -> MeasureValue | Non
     shift = float(w[-1]) + BRACKET_SLACK_SHIFT
     slack = -m
     np.fill_diagonal(slack, shift)
-    try:
-        np.linalg.cholesky(slack)
-        primal = min(primal, float(np.sum(m.diagonal().real + shift)))
-    except np.linalg.LinAlgError:
-        pass
+    primal = min(primal, _certified_primal(slack, float(np.sum(m.diagonal().real + shift))))
     # the upper end primal - 1 is tighter than lo + (primal - dual) for dual < 1
     lo = max(0.0, dual - 1.0)
     return MeasureValue(lo, Method.SOLVE_FREE_BRACKET, certificate_gap=max(0.0, primal - 1.0 - lo))
@@ -275,12 +271,17 @@ def _ascent_bracket(rho: DensityMatrix) -> tuple[float, float]:
         dual = max(dual, float(np.vdot(u, r).real))
     mod = np.abs(r)
     d = mod + max(0.0, -float(np.linalg.eigvalsh(np.diag(mod) - m)[0])) + BRACKET_SLACK_SHIFT
+    return max(0.0, dual - 1.0), _certified_primal(np.diag(d) - m, float(d.sum())) - 1.0
+
+
+def _certified_primal(slack: np.ndarray, objective: float) -> float:
+    """``objective`` when a Cholesky factorization of the primal point's
+    ``slack`` succeeds, so the point is feasible; infinity otherwise."""
     try:
-        np.linalg.cholesky(np.diag(d) - m)
-        primal = float(d.sum())
+        np.linalg.cholesky(slack)
     except np.linalg.LinAlgError:
-        primal = np.inf
-    return max(0.0, dual - 1.0), primal - 1.0
+        return np.inf
+    return objective
 
 
 def _sdp_roc(rho: DensityMatrix, tol: float) -> MeasureValue:
@@ -289,7 +290,6 @@ def _sdp_roc(rho: DensityMatrix, tol: float) -> MeasureValue:
         raise sdp.SolverFailure(
             f"robustness SDP ended with status {sol.status.value} "
             f"(gap {sol.gap:.3e} after {sol.iterations} iterations)",
-            solution=sol,
             state=rho,
         )
     return _pair_value(Method.SDP, sol.dual_value, sol.primal_value)
@@ -375,32 +375,46 @@ class OrderingDecision:
     roc_difference: tuple[float, float]
 
 
+# The rungs a solve-free bracket climbs, in order: the phase-ascent bracket
+# (no tolerance), then solves at each tolerance.
+_RUNGS = (
+    (DecisionStage.ASCENT, None),
+    (DecisionStage.COARSE, COARSE_ROC_TOL),
+    (DecisionStage.REFINED, DEFAULT_ROC_TOL),
+)
+
+
 def ordering_decision(a: DensityMatrix, b: DensityMatrix, staged: bool = True) -> OrderingDecision:
     """``values_ordering_violated`` for every pair in MEASURE_PAIRS, with the RoC
     difference known only as far as the answer needs.
 
-    The l1 and relative-entropy differences are computed outright. The RoC
-    difference is bracketed by ``[lo_a - hi_b, hi_a - lo_b]``, and the pair
-    is settled once every category of it (``> t``, ``< -t``, tie, with t =
-    ORDERING_TIE_TOL) that the bracket allows gives the same answers.
-    Brackets are tightened in stages, widest first and re-deciding after
-    each step: first none (the robustness may not matter), then the
-    solve-free ones from ``roc(tol=None)``, then, for the states that still
-    hold a SOLVE_FREE_BRACKET value, the phase-ascent bracket of
-    :func:`_ascent_bracket` (ASCENT), then SDPs at COARSE_ROC_TOL, then at
-    DEFAULT_ROC_TOL. Each new bracket is intersected with the state's
-    current one, so a bracket never widens. A coarse solve that fails to
-    certify leaves its bracket as it was, so that state goes on to the
-    DEFAULT_ROC_TOL solve; only a failure there raises
-    :class:`cohkit.sdp.SolverFailure`, as solving outright would. A pair
-    still open after that is UNDECIDED and answered by
-    ``values_ordering_violated`` on the DEFAULT_ROC_TOL values, exactly as if
-    every value had been solved outright.
+    The l1 and relative-entropy differences are computed outright. When no
+    measure pair needs the robustness (its partner difference is a tie), the
+    pair is settled at SOLVE_FREE without one. Otherwise each state's RoC is
+    bracketed, first by ``roc(tol=None)``, and the difference by ``[lo_a -
+    hi_b, hi_a - lo_b]``; the pair is settled once every category of the
+    difference (``> t``, ``< -t``, tie, with t = ORDERING_TIE_TOL) that the
+    bracket allows gives the same answers.
+
+    The states whose first value is a SOLVE_FREE_BRACKET then climb the
+    rungs of ``_RUNGS``, the widest bracket first at each rung, re-deciding
+    after each step: the phase-ascent bracket of :func:`_ascent_bracket`
+    (ASCENT), a solve at COARSE_ROC_TOL (COARSE), a solve at DEFAULT_ROC_TOL
+    (REFINED). Each new bracket is intersected with the state's current one,
+    so a bracket never widens. A coarse solve that fails to certify leaves
+    its bracket as it was; only a failure at the refined rung raises
+    :class:`cohkit.sdp.SolverFailure`, as solving outright would. (The
+    refined solve repeats the coarse one's iterates, so it fails the same
+    way; the retry matters only when the other state settles the pair
+    first.) A pair still open after the last rung is UNDECIDED and answered
+    by ``values_ordering_violated`` on the DEFAULT_ROC_TOL values, exactly
+    as if every value had been solved outright.
 
     With ``staged=False`` the robustness values, when they matter, are
-    solved outright at DEFAULT_ROC_TOL, with no bracket for the ascent to
-    tighten, and the pair is REFINED or UNDECIDED. The sweeps decide a redrawn pair this way, so that a draw
-    whose solve failed is never replaced by one that needs no solve.
+    solved outright at DEFAULT_ROC_TOL, so no state climbs a rung and the
+    pair is REFINED or UNDECIDED. The sweeps decide a redrawn pair this way,
+    so that a draw whose solve failed is never replaced by one that needs no
+    solve.
     """
     diff = {
         kind: compute_measure(kind, a).value - compute_measure(kind, b).value
@@ -423,61 +437,40 @@ def ordering_decision(a: DensityMatrix, b: DensityMatrix, staged: bool = True) -
         return OrderingDecision(answers(0.0), DecisionStage.SOLVE_FREE, (-np.inf, np.inf))
 
     states = (a, b)
-    first_stage, first_tol = (
-        (DecisionStage.SOLVE_FREE, None) if staged else (DecisionStage.REFINED, DEFAULT_ROC_TOL)
-    )
-    values = [roc(rho, tol=first_tol) for rho in states]
+    values = [roc(rho, tol=None if staged else DEFAULT_ROC_TOL) for rho in states]
     lo = [mv.value for mv in values]
     hi = [mv.upper for mv in values]
-    # the tolerance each value is certified to; every value but a solve-free
-    # bracket is already what roc(rho) returns, and is never tightened
-    certified_to = [np.inf if mv.method is Method.SOLVE_FREE_BRACKET else 0.0 for mv in values]
-
-    def tighten(i: int, tol: float | None) -> tuple[float, float]:
-        """State i's phase-ascent bracket for tol=None, else its bracket from a solve at tol."""
-        if tol is None:
-            return _ascent_bracket(states[i])
-        values[i], certified_to[i] = roc(states[i], tol=tol), tol
-        return values[i].value, values[i].upper
-
-    def bracket() -> tuple[float, float]:
-        return lo[0] - hi[1], hi[0] - lo[1]
-
+    first = DecisionStage.SOLVE_FREE if staged else DecisionStage.REFINED
     if lo == hi:  # both values exact, e.g. pure states: the difference is known
-        return OrderingDecision(answers(lo[0] - lo[1]), first_stage, bracket())
+        return OrderingDecision(answers(lo[0] - lo[1]), first, (lo[0] - hi[1], hi[0] - lo[1]))
 
     # the answers for an RoC difference in each category: above t, below -t, tie
     above, below, tie = answers(1.0), answers(-1.0), answers(0.0)
 
-    def settled(low: float, high: float) -> tuple[bool, ...] | None:
+    def decided(stage: DecisionStage) -> OrderingDecision | None:
+        low, high = lo[0] - hi[1], hi[0] - lo[1]
         allowed = ((above, high > t), (below, low < -t), (tie, low <= t and high >= -t))
         found = {answer for answer, ok in allowed if ok}
-        return found.pop() if len(found) == 1 else None
+        return OrderingDecision(found.pop(), stage, (low, high)) if len(found) == 1 else None
 
-    found = settled(*bracket())
-    if found is not None:
-        return OrderingDecision(found, first_stage, bracket())
-    stages = (
-        (DecisionStage.ASCENT, None),
-        (DecisionStage.COARSE, COARSE_ROC_TOL),
-        (DecisionStage.REFINED, DEFAULT_ROC_TOL),
-    )
-    for stage, tol in stages:
-        # the ascent tightens every solve-free bracket; a solve, every value
-        # certified more loosely than its tol
-        open_states = [i for i in (0, 1) if certified_to[i] > (tol or 0.0)]
-        for i in sorted(open_states, key=lambda i: lo[i] - hi[i]):
-            try:
-                low, high = tighten(i, tol)
-            except sdp.SolverFailure:
-                if stage is DecisionStage.REFINED:
-                    raise
-                log.debug("coarse robustness solve failed; refining instead")
-                continue
+    if decision := decided(first):
+        return decision
+    climbing = [i for i in (0, 1) if values[i].method is Method.SOLVE_FREE_BRACKET]
+    for stage, tol in _RUNGS:
+        for i in sorted(climbing, key=lambda i: lo[i] - hi[i]):
+            if tol is None:
+                low, high = _ascent_bracket(states[i])
+            else:
+                try:
+                    values[i] = roc(states[i], tol=tol)
+                except sdp.SolverFailure:
+                    if stage is DecisionStage.REFINED:
+                        raise
+                    log.debug("coarse robustness solve failed; refining instead")
+                    continue
+                low, high = values[i].value, values[i].upper
             lo[i], hi[i] = max(lo[i], low), min(hi[i], high)
-            found = settled(*bracket())
-            if found is not None:
-                return OrderingDecision(found, stage, bracket())
-    return OrderingDecision(
-        answers(values[0].value - values[1].value), DecisionStage.UNDECIDED, bracket()
-    )
+            if decision := decided(stage):
+                return decision
+    d_roc = values[0].value - values[1].value
+    return OrderingDecision(answers(d_roc), DecisionStage.UNDECIDED, (lo[0] - hi[1], hi[0] - lo[1]))

@@ -216,10 +216,6 @@ class DensityMatrix:
         return DensityMatrix((re + 1j * im).reshape(d, d), dims)
 
 
-def save_density(rho: DensityMatrix, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(rho.to_json_dict()))
-
-
 def load_density(path: str | Path) -> DensityMatrix:
     return DensityMatrix.from_json_dict(json.loads(Path(path).read_text()))
 

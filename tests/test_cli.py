@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ import cohkit.sdp
 from cohkit import validation
 from cohkit.cli import build_parser, main
 from cohkit.sdp import RocSolution, SolveStatus
-from cohkit.states import random_density, save_density
+from cohkit.states import random_density
 
 
 SRC = Path(cohkit.cli.__file__).resolve().parents[1]
@@ -63,7 +64,7 @@ def run(argv: list[str]) -> int:
 @pytest.fixture
 def state_file(tmp_path):
     path = tmp_path / "state.json"
-    save_density(random_density(3, 3, np.random.default_rng(0)), path)
+    path.write_text(json.dumps(random_density(3, 3, np.random.default_rng(0)).to_json_dict()))
     return str(path)
 
 

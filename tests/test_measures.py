@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -676,6 +677,40 @@ def test_the_ascent_never_widens_a_solve_free_bracket(ascent, monkeypatch):
         low, high = decision.roc_difference
         assert ra.value - rb.upper <= low <= high <= ra.upper - rb.value
     assert ascent_settled > 0
+
+
+# sha256 of every decision and of the roc / _ascent_bracket calls that made it,
+# recorded before ordering_decision was rewritten around a rung table
+DECISION_HASH = "3668999bc4b53b3e125016cb3d1d5b39bf9a796fc9ca3ac2ddaf5172f8e9b926"
+
+
+def test_ordering_decisions_and_their_calls_are_pinned(monkeypatch):
+    pairs = list(_decision_pairs()) + _open_pairs()
+    calls = []
+    real_roc, real_ascent = roc, _ascent_bracket
+    states = {}
+
+    def recording_roc(rho, tol=DEFAULT_ROC_TOL):
+        calls.append(("roc", states[id(rho)], tol))
+        return real_roc(rho, tol=tol)
+
+    def recording_ascent(rho):
+        calls.append(("ascent", states[id(rho)]))
+        return real_ascent(rho)
+
+    monkeypatch.setattr(cohkit.measures, "roc", recording_roc)
+    monkeypatch.setattr(cohkit.measures, "_ascent_bracket", recording_ascent)
+    record = []
+    for staged in (True, False):
+        for a, b in pairs:
+            states.update({id(a): "a", id(b): "b"})
+            calls.clear()
+            decision = ordering_decision(a, b, staged=staged)
+            record.append(
+                (decision.violated, decision.stage.value, repr(decision.roc_difference), calls[:])
+            )
+    digest = hashlib.sha256(repr(record).encode()).hexdigest()
+    assert digest == DECISION_HASH
 
 
 def test_a_primal_whose_slack_fails_cholesky_is_never_used(monkeypatch):

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -44,3 +45,41 @@ def test_pyproject_version_is_the_package_version():
         pytest.skip("cohkit is not running from its source tree")
     with pyproject.open("rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == cohkit.__version__
+
+
+def _public_definitions(tree: ast.Module) -> set[str]:
+    """The public names a module defines at top level: functions, classes and assignments."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if not name.startswith("_")}
+
+
+def _references(tree: ast.Module) -> set[str]:
+    """Every name a module reads, by bare name, as an attribute or by import."""
+    refs = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            refs.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            refs.update(alias.name for alias in node.names)
+    return refs
+
+
+def test_every_public_name_is_used_inside_the_package():
+    # no public API that no verb or experiment uses: each public top-level
+    # name some module defines is read somewhere in the package
+    trees = {path.stem: ast.parse(path.read_text()) for path in (SRC / "cohkit").glob("*.py")}
+    used = set().union(*(_references(tree) for tree in trees.values()))
+    unused = {
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in _public_definitions(tree) - used
+    }
+    assert unused == set()

@@ -17,7 +17,6 @@ from cohkit.states import (
     pure_density,
     random_densities,
     random_density,
-    save_density,
     sigma_family,
     sigma_kmax,
 )
@@ -388,7 +387,7 @@ def test_json_round_trip(tmp_path):
     assert again.dims == rho.dims
 
     path = tmp_path / "state.json"
-    save_density(rho, path)
+    path.write_text(json.dumps(rho.to_json_dict()))
     loaded = load_density(path)
     assert np.array_equal(loaded.mat, rho.mat)
     assert loaded.dims == rho.dims
