@@ -183,7 +183,14 @@ def _cmd_measure(args) -> int:
 
 def _cmd_roc_solve(args) -> int:
     rho = _load_state(args.state)
-    sol = solve(build(rho), tol=args.tol, trace=sys.stderr if args.verbose else None)
+
+    def print_row(mu: float, primal: float, dual: float) -> bool:
+        print(f"{mu!r},{primal!r},{dual!r},{primal - dual!r}", file=sys.stderr)
+        return False
+
+    if args.verbose:
+        print("mu,primal,dual,gap", file=sys.stderr)
+    sol = solve(build(rho), tol=args.tol, accept=print_row if args.verbose else None)
     report = verify_certificates(sol, rho) if sol.dual_witness is not None else None
     print(f"status = {sol.status.value}")
     print(f"iterations = {sol.iterations}")

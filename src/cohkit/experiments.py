@@ -2,8 +2,9 @@
 
 Five experiments:
 
-* ``subadditivity_sweep`` -- mix sigma-family states with a fixed pure state
-  at weight p and count how often robustness stays sub-additive, per p.
+* ``subadditivity_sweep`` -- mix two-qubit sigma-family states with a fixed
+  pure state at weight p and count how often robustness stays sub-additive,
+  per p.
 * ``ordering_vs_dimension`` / ``ordering_vs_rank`` -- draw random state pairs
   and count opposite orderings for each pair of measures, per dimension or
   per rank (at fixed dimension).
@@ -38,10 +39,11 @@ can change the last bits of solver values, and with them the value columns
 of ``theorem1_check``; importing :mod:`cohkit.cli` pins it to one unless the
 environment sets it. :func:`run_and_save` writes CSV plus a JSON metadata
 sidecar holding the run's tally: every redrawn draw (``failures``), the RoC
-values per dispatch method (``roc_methods``) and, for the ordering sweeps,
-the samples settled at each stage of
-:func:`~cohkit.measures.ordering_decision` (``ordering_decisions``) and those
-no stage settled (``undecided``).
+values per dispatch method (``roc_methods``, counting each solve of
+:func:`~cohkit.measures.ordering_decision` as one ``sdp`` value, also one it
+stopped early) and, for the ordering sweeps, the samples settled at each
+stage of that function (``ordering_decisions``) and those no stage settled
+(``undecided``).
 Every experiment's records or rows are dataclasses whose fields are the CSV
 columns, in order, so one writer, :func:`write_sweep_csv`, serves them all.
 """
@@ -137,7 +139,6 @@ class SweepConfig:
     seed: int
     grid: tuple[float | int, ...]
     pure_state_choice: PhiChoice = PhiChoice.MAXIMALLY_COHERENT
-    n_qubits: int = 2
     dim: int = 10  # ambient dimension for the rank sweep
 
     def __post_init__(self):
@@ -150,12 +151,8 @@ class SweepConfig:
             raise ValueError("grid must be nonempty")
         exp = self.experiment
         if exp is Experiment.SUBADDITIVITY_SWEEP:
-            if self.n_qubits < 1:
-                raise ValueError("n_qubits must be positive")
             if any(not 0.0 <= p <= 1.0 for p in self.grid):
                 raise ValueError("mixing weights must lie in [0, 1]")
-            if self.pure_state_choice is PhiChoice.MAXIMALLY_ENTANGLED and self.n_qubits != 2:
-                raise ValueError("the entangled reference state is two-qubit only")
         elif exp is Experiment.ORDERING_VS_DIMENSION:
             if any(int(d) != d or d < 2 for d in self.grid):
                 raise ValueError("dimension grid entries must be integers >= 2")
@@ -236,12 +233,13 @@ def _generators(cfg: SweepConfig, point, rngs: list) -> list:
 
 
 def _subadd_sample(cfg: SweepConfig, p: float, rng: np.random.Generator, redraw: bool) -> bool:
-    n = cfg.n_qubits
+    """Whether a two-qubit sigma-family state mixed at weight p with the
+    reference state stays sub-additive."""
     if cfg.pure_state_choice is PhiChoice.MAXIMALLY_ENTANGLED:
         phi = maximally_entangled_two_qubit()
     else:
-        phi = maximally_coherent(2**n)
-    chi = mix_with_pure(sigma_family(n, rng.uniform(0.0, sigma_kmax(n))), phi, p)
+        phi = maximally_coherent(4)
+    chi = mix_with_pure(sigma_family(2, rng.uniform(0.0, sigma_kmax(2))), phi, p)
     return subadditivity_gap(chi) <= SUBADDITIVITY_COUNT_TOL
 
 

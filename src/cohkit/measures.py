@@ -21,7 +21,8 @@ differences, and :func:`ordering_decision`, which decides that test for a
 pair of states from RoC brackets tightened only as far as needed: the
 solve-free bracket ``roc`` returns, then, for a pair it leaves open, a
 certified phase-ascent bracket (not a ``roc`` value, so not counted in
-``ROC_METHOD_COUNTS``), then SDPs.
+``ROC_METHOD_COUNTS``), then one SDP solve per state that stops at the first
+certified iterate that settles the pair (counted as an SDP value).
 """
 
 from __future__ import annotations
@@ -50,9 +51,6 @@ PURE_EIG_TOL = 1e-9
 ORDERING_TIE_TOL = 1e-7
 # Relative duality gap to which roc certifies a value unless told otherwise.
 DEFAULT_ROC_TOL = 1e-8
-# Relative gap of the coarse solve that ordering_decision tries before the
-# DEFAULT_ROC_TOL one.
-COARSE_ROC_TOL = 1e-4
 # Added to lambda_max of the off-diagonal part before the slack of the
 # solve-free primal point is Cholesky-certified; absorbs eigenvalue rounding.
 BRACKET_SLACK_SHIFT = 1e-12
@@ -191,7 +189,7 @@ def roc(rho: DensityMatrix, tol: float | None = DEFAULT_ROC_TOL) -> MeasureValue
     needs less tightens it, as :func:`ordering_decision` does: first with
     the phase-ascent bracket of :func:`_ascent_bracket`, which is not a
     ``roc`` value and so is not counted in ROC_METHOD_COUNTS, then with a
-    solve.
+    solve that stops once the pair is settled.
     """
     d = rho.dim
     if d == 2:
@@ -284,9 +282,11 @@ def _certified_primal(slack: np.ndarray, objective: float) -> float:
     return objective
 
 
-def _sdp_roc(rho: DensityMatrix, tol: float) -> MeasureValue:
-    sol = sdp.solve(sdp.build(rho), tol=tol)
-    if sol.status is not sdp.SolveStatus.OPTIMAL:
+def _sdp_roc(rho: DensityMatrix, tol: float, accept=None) -> MeasureValue:
+    """The SDP value of ``rho`` at ``tol``, or at the iterate ``accept`` took
+    (see :func:`cohkit.sdp.solve`); raises SolverFailure otherwise."""
+    sol = sdp.solve(sdp.build(rho), tol=tol, accept=accept)
+    if sol.status not in (sdp.SolveStatus.OPTIMAL, sdp.SolveStatus.ACCEPTED):
         raise sdp.SolverFailure(
             f"robustness SDP ended with status {sol.status.value} "
             f"(gap {sol.gap:.3e} after {sol.iterations} iterations)",
@@ -359,8 +359,7 @@ class DecisionStage(Enum):
 
     SOLVE_FREE = "solve_free"
     ASCENT = "ascent"
-    COARSE = "coarse"
-    REFINED = "refined"
+    SOLVE = "solve"
     UNDECIDED = "undecided"
 
 
@@ -375,15 +374,6 @@ class OrderingDecision:
     roc_difference: tuple[float, float]
 
 
-# The rungs a solve-free bracket climbs, in order: the phase-ascent bracket
-# (no tolerance), then solves at each tolerance.
-_RUNGS = (
-    (DecisionStage.ASCENT, None),
-    (DecisionStage.COARSE, COARSE_ROC_TOL),
-    (DecisionStage.REFINED, DEFAULT_ROC_TOL),
-)
-
-
 def ordering_decision(a: DensityMatrix, b: DensityMatrix, staged: bool = True) -> OrderingDecision:
     """``values_ordering_violated`` for every pair in MEASURE_PAIRS, with the RoC
     difference known only as far as the answer needs.
@@ -396,23 +386,24 @@ def ordering_decision(a: DensityMatrix, b: DensityMatrix, staged: bool = True) -
     difference (``> t``, ``< -t``, tie, with t = ORDERING_TIE_TOL) that the
     bracket allows gives the same answers.
 
-    The states whose first value is a SOLVE_FREE_BRACKET then climb the
-    rungs of ``_RUNGS``, the widest bracket first at each rung, re-deciding
-    after each step: the phase-ascent bracket of :func:`_ascent_bracket`
-    (ASCENT), a solve at COARSE_ROC_TOL (COARSE), a solve at DEFAULT_ROC_TOL
-    (REFINED). Each new bracket is intersected with the state's current one,
-    so a bracket never widens. A coarse solve that fails to certify leaves
-    its bracket as it was; only a failure at the refined rung raises
-    :class:`cohkit.sdp.SolverFailure`, as solving outright would. (The
-    refined solve repeats the coarse one's iterates, so it fails the same
-    way; the retry matters only when the other state settles the pair
-    first.) A pair still open after the last rung is UNDECIDED and answered
-    by ``values_ordering_violated`` on the DEFAULT_ROC_TOL values, exactly
-    as if every value had been solved outright.
+    The states whose first value is a SOLVE_FREE_BRACKET then climb two
+    rungs, the widest bracket first at each, re-deciding after each step:
+    the phase-ascent bracket of :func:`_ascent_bracket` (ASCENT), then one
+    solve at DEFAULT_ROC_TOL (SOLVE) whose ``accept`` hook intersects each
+    certified iterate's ``[dual - 1, primal - 1]`` into the state's bracket
+    and ends the solve as soon as the pair is settled. A bracket never
+    widens, and each state reaches the solver at most once. A solve that
+    fails to certify keeps what its certified iterates gave; its
+    :class:`cohkit.sdp.SolverFailure` is raised, as solving outright would
+    raise it, only if the pair is still open once both states were solved.
+    Each staged solve that certifies counts as an SDP value in
+    ROC_METHOD_COUNTS. A pair still open after both full solves is UNDECIDED
+    and answered by ``values_ordering_violated`` on the DEFAULT_ROC_TOL
+    values, exactly as if every value had been solved outright.
 
     With ``staged=False`` the robustness values, when they matter, are
     solved outright at DEFAULT_ROC_TOL, so no state climbs a rung and the
-    pair is REFINED or UNDECIDED. The sweeps decide a redrawn pair this way,
+    pair is SOLVE or UNDECIDED. The sweeps decide a redrawn pair this way,
     so that a draw whose solve failed is never replaced by one that needs no
     solve.
     """
@@ -440,7 +431,7 @@ def ordering_decision(a: DensityMatrix, b: DensityMatrix, staged: bool = True) -
     values = [roc(rho, tol=None if staged else DEFAULT_ROC_TOL) for rho in states]
     lo = [mv.value for mv in values]
     hi = [mv.upper for mv in values]
-    first = DecisionStage.SOLVE_FREE if staged else DecisionStage.REFINED
+    first = DecisionStage.SOLVE_FREE if staged else DecisionStage.SOLVE
     if lo == hi:  # both values exact, e.g. pure states: the difference is known
         return OrderingDecision(answers(lo[0] - lo[1]), first, (lo[0] - hi[1], hi[0] - lo[1]))
 
@@ -453,24 +444,30 @@ def ordering_decision(a: DensityMatrix, b: DensityMatrix, staged: bool = True) -
         found = {answer for answer, ok in allowed if ok}
         return OrderingDecision(found.pop(), stage, (low, high)) if len(found) == 1 else None
 
+    def tighten(i: int, low: float, high: float, stage: DecisionStage) -> OrderingDecision | None:
+        lo[i], hi[i] = max(lo[i], low), min(hi[i], high)
+        return decided(stage)
+
     if decision := decided(first):
         return decision
     climbing = [i for i in (0, 1) if values[i].method is Method.SOLVE_FREE_BRACKET]
-    for stage, tol in _RUNGS:
-        for i in sorted(climbing, key=lambda i: lo[i] - hi[i]):
-            if tol is None:
-                low, high = _ascent_bracket(states[i])
-            else:
-                try:
-                    values[i] = roc(states[i], tol=tol)
-                except sdp.SolverFailure:
-                    if stage is DecisionStage.REFINED:
-                        raise
-                    log.debug("coarse robustness solve failed; refining instead")
-                    continue
-                low, high = values[i].value, values[i].upper
-            lo[i], hi[i] = max(lo[i], low), min(hi[i], high)
-            if decision := decided(stage):
-                return decision
+    for i in sorted(climbing, key=lambda i: lo[i] - hi[i]):
+        if decision := tighten(i, *_ascent_bracket(states[i]), DecisionStage.ASCENT):
+            return decision
+    failure = None
+    for i in sorted(climbing, key=lambda i: lo[i] - hi[i]):
+        def accept(mu: float, primal: float, dual: float, i: int = i) -> bool:
+            return tighten(i, dual - 1.0, primal - 1.0, DecisionStage.SOLVE) is not None
+
+        try:
+            values[i] = _sdp_roc(states[i], DEFAULT_ROC_TOL, accept)
+        except sdp.SolverFailure as exc:
+            failure = failure or exc
+        else:
+            ROC_METHOD_COUNTS[Method.SDP.value] += 1
+        if decision := decided(DecisionStage.SOLVE):
+            return decision
+    if failure is not None:
+        raise failure
     d_roc = values[0].value - values[1].value
     return OrderingDecision(answers(d_roc), DecisionStage.UNDECIDED, (lo[0] - hi[1], hi[0] - lo[1]))

@@ -36,14 +36,15 @@ eigenvalue of L^-1 dX L^-H with X = L L^H.
 The start d0 = diag(rho) + lambda_max + 1/d, Y0 = I is strictly feasible:
 diag(rho) + lambda_max I - rho >= 0 for every density matrix, so S0 >= I/d.
 Every iterate is certified: Y rescaled to unit diagonal is dual feasible, and
-the solve stops once primal - dual <= tol * max(1, primal).
+the solve stops once primal - dual <= tol * max(1, primal), or earlier at the
+first certified iterate that a caller's ``accept`` hook takes.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
-from typing import TextIO
 
 import numpy as np
 from scipy.linalg import get_lapack_funcs
@@ -69,6 +70,7 @@ MAX_ITER = 200
 
 class SolveStatus(Enum):
     OPTIMAL = "optimal"
+    ACCEPTED = "accepted"
     MAX_ITER = "max_iter"
     NUMERICAL_FAILURE = "numerical_failure"
 
@@ -121,20 +123,25 @@ def build(rho: DensityMatrix) -> RocSdp:
     return RocSdp(rho=rho)
 
 
-def solve(problem: RocSdp, tol: float = 1e-8, trace: TextIO | None = None) -> RocSolution:
+def solve(
+    problem: RocSdp, tol: float = 1e-8, accept: Callable[[float, float, float], bool] | None = None
+) -> RocSolution:
     """Run the primal-dual method until the relative duality gap is below ``tol``.
 
     Returns a solution whose status is OPTIMAL on convergence, MAX_ITER with
     the last iterate when MAX_ITER Schur factorizations are spent, or
     NUMERICAL_FAILURE (with the last certified iterate) if a Cholesky
     factorization of S, Y or M breaks down. ``iterations`` counts Schur
-    factorizations. When a ``trace`` stream is given, a ``mu,primal,dual,gap``
-    header and then one CSV row per iterate are written to it.
+    factorizations.
+
+    ``accept(mu, primal, dual)``, when given, is called with every certified
+    iterate, the last one included: ``mu`` is tr(SY)/d, and ``primal`` and
+    ``dual`` are the objectives of the certified pair, so the robustness lies
+    in ``[dual - 1, primal - 1]``. If it returns True, the solve ends with
+    that iterate and status ACCEPTED.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    if trace is not None:
-        trace.write("mu,primal,dual,gap\n")
 
     rho = problem.rho.mat
     if np.max(np.abs(rho.imag)) == 0.0:
@@ -175,8 +182,9 @@ def solve(problem: RocSdp, tol: float = 1e-8, trace: TextIO | None = None) -> Ro
         dual = float(scale @ np.real(Y.conj() * rho) @ scale)
         best = (dvec, Y, primal, dual)
         mu = float(np.real(np.vdot(S, Y))) / d
-        if trace is not None:
-            trace.write(f"{mu!r},{primal!r},{dual!r},{primal - dual!r}\n")
+        if accept is not None and accept(mu, primal, dual):
+            status = SolveStatus.ACCEPTED
+            break
         if primal - dual <= tol * max(1.0, primal):
             status = SolveStatus.OPTIMAL
             break

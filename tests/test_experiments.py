@@ -44,8 +44,6 @@ def test_config_validation():
         fig1_config(grid=())
     with pytest.raises(ValueError, match="\\[0, 1\\]"):
         fig1_config(grid=(0.0, 1.2))
-    with pytest.raises(ValueError, match="two-qubit"):
-        fig1_config(pure_state_choice=PhiChoice.MAXIMALLY_ENTANGLED, n_qubits=3)
     with pytest.raises(ValueError, match=">= 2"):
         SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=5, seed=0, grid=(1,))
     with pytest.raises(ValueError, match="rank"):
@@ -64,7 +62,6 @@ def test_config_json_dict_has_every_field_as_plain_json():
         "seed": 5,
         "grid": [0.0, 0.1, 0.2, 0.3, 1.0],
         "pure_state_choice": "entangled",
-        "n_qubits": 2,
         "dim": 10,
     }
     assert json.loads(json.dumps(out)) == out
@@ -99,11 +96,10 @@ def test_sweep_is_deterministic_and_schedule_independent():
     assert a == b == c
 
 
-@pytest.mark.parametrize("n_qubits", [2, 3])
-def test_fig1_points_past_the_phase_boundary_need_no_sdp(monkeypatch, n_qubits):
+def test_fig1_points_past_the_phase_boundary_need_no_sdp(monkeypatch):
     # at p >= k/(1+k) every off-diagonal entry of the mixture is >= 0, so the
     # phase witness certifies RoC = l1; p=1 is the pure reference state
-    cfg = fig1_config(samples=20, grid=(0.5, 1.0), n_qubits=n_qubits)
+    cfg = fig1_config(samples=20, grid=(0.5, 1.0))
     expected = run_experiment(cfg)
 
     def no_solve(problem, **kwargs):
@@ -225,19 +221,22 @@ def test_undecided_pairs_are_counted_on_refined_values_and_listed(monkeypatch, t
 
     real_solve = cohkit.sdp.solve
 
-    def uninformative_solve(problem, **kwargs):
-        # same dual value, but a primal bound too loose to tighten any bracket
-        sol = real_solve(problem, **kwargs)
+    def uninformative_solve(problem, tol, accept=None):
+        # same dual values, but primal bounds too loose to tighten any bracket
+        def loose(mu, primal, dual):
+            return accept(mu, dual + 10.0, dual)
+
+        sol = real_solve(problem, tol=tol, accept=loose if accept else None)
         return dataclasses.replace(sol, primal_value=sol.dual_value + 10.0, gap=10.0)
 
     monkeypatch.setattr(cohkit.sdp, "solve", uninformative_solve)
     csv_path, meta_path = run_and_save(cfg, tmp_path / "loose")
     meta = json.loads(meta_path.read_text())
-    # the fallback counts by the refined values, which the loose bound leaves unchanged
+    # the fallback counts by the DEFAULT_ROC_TOL values, which the loose bound leaves unchanged
     assert csv_path.read_bytes() == expected_csv
     undecided = meta["undecided"]
     assert undecided and meta["ordering_decisions"]["undecided"] == len(undecided)
-    assert meta["ordering_decisions"]["coarse"] == meta["ordering_decisions"]["refined"] == 0
+    assert meta["ordering_decisions"]["solve"] == 0
     for entry in undecided:
         assert entry["point"] == 5 and 0 <= entry["sample"] < 8
         low, high = entry["roc_difference_bracket"]
@@ -377,7 +376,7 @@ def test_solver_failures_redraw_then_abort(monkeypatch):
     def flaky_solve(problem, **kwargs):
         calls["n"] += 1
         if calls["n"] == 1:
-            sol = real_solve(problem, **kwargs)
+            sol = real_solve(problem, tol=kwargs["tol"])
             return RocSolution(
                 primal_diag=sol.primal_diag,
                 dual_witness=sol.dual_witness,
@@ -395,7 +394,7 @@ def test_solver_failures_redraw_then_abort(monkeypatch):
     assert records[0].count_total == 30
 
     def broken_solve(problem, **kwargs):
-        sol = real_solve(problem, **kwargs)
+        sol = real_solve(problem, tol=kwargs["tol"])
         return RocSolution(
             primal_diag=sol.primal_diag,
             dual_witness=sol.dual_witness,
@@ -452,10 +451,10 @@ def test_metadata_lists_redrawn_draws_with_the_failing_state(monkeypatch, tmp_pa
     real_solve = cohkit.sdp.solve
 
     def solve_of_a_fails(problem, **kwargs):
-        sol = real_solve(problem, **kwargs)
         if np.array_equal(problem.rho.mat, a.mat):
+            sol = real_solve(problem, tol=kwargs["tol"])
             return dataclasses.replace(sol, status=SolveStatus.MAX_ITER)
-        return sol
+        return real_solve(problem, **kwargs)
 
     monkeypatch.setattr(cohkit.sdp, "solve", solve_of_a_fails)
     _, meta_path = run_and_save(cfg, tmp_path / "flaky")
@@ -479,10 +478,10 @@ def test_a_redrawn_ordering_pair_is_solved_outright(monkeypatch):
 
     def solve_of_a_fails(problem, **kwargs):
         solved.append((problem.rho, kwargs["tol"]))
-        sol = real_solve(problem, **kwargs)
         if np.array_equal(problem.rho.mat, a.mat):
+            sol = real_solve(problem, tol=kwargs["tol"])
             return dataclasses.replace(sol, status=SolveStatus.MAX_ITER)
-        return sol
+        return real_solve(problem, **kwargs)
 
     monkeypatch.setattr(cohkit.sdp, "solve", solve_of_a_fails)
     _, tally = run_experiment(cfg)
@@ -524,10 +523,10 @@ def test_a_redrawn_sample_is_listed_whatever_the_block_size(monkeypatch, block):
 
     def solve_of_a_fails(problem, **kwargs):
         solved.append((problem.rho, kwargs["tol"]))
-        sol = real_solve(problem, **kwargs)
         if np.array_equal(problem.rho.mat, a.mat):
+            sol = real_solve(problem, tol=kwargs["tol"])
             return dataclasses.replace(sol, status=SolveStatus.MAX_ITER)
-        return sol
+        return real_solve(problem, **kwargs)
 
     monkeypatch.setattr(cohkit.sdp, "solve", solve_of_a_fails)
     monkeypatch.setattr(cohkit.experiments, "BLOCK_SAMPLES", block)

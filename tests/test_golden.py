@@ -32,66 +32,66 @@ CASES = {
         ["fig1", "--phi", "coherent", "--samples", "20", "--grid", "0,0.04,0.08,0.12,0.2,1"],
         "subadditivity_sweep_coherent.csv",
         "e294b0fea09d4fa0db5359b5ca5550a3c9a398ab358e35c1d8a10237cadf3655",
-        "a8c96af903e5a1b3d23637fc42e9dc128c64de4a43aff710204ce5a559e50484",
+        "2ac8a563219bd6e2ee0d4221ee9595f727ed2effa1890030765c299f6f287f0a",
     ),
     "fig1-entangled": (
         ["fig1", "--phi", "entangled", "--samples", "20", "--grid", "0,0.04,0.08,0.12,0.2,1"],
         "subadditivity_sweep_entangled.csv",
         "e294b0fea09d4fa0db5359b5ca5550a3c9a398ab358e35c1d8a10237cadf3655",
-        "e0212fe6fc4d0dadb53630f203afc9ece1e8a5409029c77ed15f4e12f1f51a95",
+        "72241da11ac9f876b56b4841dc70b550d2c1a1b492ae0761a69e99fcdcdedafb",
     ),
     "fig2": (
         ["fig2", "--samples", "20", "--grid", "2,3,4"],
         "ordering_vs_dimension.csv",
         "ae50f47ae32115ccf7c925cbb7c32f123d11459e061b9e291ed776e2aa1754e1",
-        "d1d44f1fa0cdd1c3427863019bc771f4ae792376564ce14dc084254a766d0014",
+        "4ed5c2dce569a3d7ae734e7f735b737261664e3a7a7f492c23337ce414271bf8",
     ),
     "fig3": (
         ["fig3", "--samples", "20", "--dim", "5", "--grid", "1,2,5"],
         "ordering_vs_rank.csv",
         "5dd3224fa20bebf812eb77b0faabd2b799a725bcf8175dbe86cd57dcb2ff7b1a",
-        "d5f490eba7fa8e15d48a8507caa4501a119a23e669c04d7d7a259c4894f67e96",
+        "f073dd9e97e96dab9ccefe9ed4f3a9e6b423d0ef681be5863c209a1493e48f66",
     ),
     # high-dimensional pairs, where the cheapest brackets leave most decisions open
     "fig2-high-d": (
         ["fig2", "--samples", "20", "--grid", "8,10"],
         "ordering_vs_dimension.csv",
         "a5520ce4e0223d44cebddb8c848f4a3139bc3a65e49887ed4cf1433e45412079",
-        "534b1ffa713e0b33dc292b4adba9ec1f34fb5c5075894186029c11b08e607288",
+        "1298d4200dbf670b07d89e377030ceb7972aee7c5ee53ef28e5cd3bdaca0fd9f",
     ),
     "fig3-d10": (
         ["fig3", "--samples", "20", "--dim", "10", "--grid", "2,9"],
         "ordering_vs_rank.csv",
         "16b02d7b75e37dab34a9fbac67477f13362abec50d17caff3af30aed6407224d",
-        "29f3292ec88d7513d5bb3a68f17fd357cca01560d8a4e69af45e0e54094420d5",
+        "4dd6fbdcc33ee662b98be8ae3f8d8b6dea7ccfadcbd2db05354738ef6cbb04d0",
     ),
     # another seed, and the dimensions between the low-d and high-d cases
     "fig2-seed1": (
         ["fig2", "--seed", "1", "--samples", "30", "--grid", "5,8,10"],
         "ordering_vs_dimension.csv",
         "38f59b43c907ad542455a56808c3736a834190c81c3ea33811fe23238496c8bc",
-        "cc9bcd23b3246f6aba7bb88e4e47098a13e576c6a3093814c2422ec90ccbc244",
+        "e9eba3d3c9cfc1652bede2fa16202ed64727d2f7945196d26d35db3f4f8b3481",
     ),
     # 75 samples per chunk at one worker, so each chunk spans two sample blocks
     "fig3-blocks": (
         ["fig3", "--samples", "300", "--dim", "10", "--grid", "1,5,10"],
         "ordering_vs_rank.csv",
         "5ca229cab7a488ddf60a863a1a9a42af11c3e198ee580cf89fc1b88a9d403087",
-        "26b8a82f42d9a1f3e684c3dd8cd582a729d52ca67d72fb9c07ca52bd5f7ba41b",
+        "e6c2cb5df88226e893c3bef7ea9f8b036fbcf8a11b734105bf7f194c97078ea9",
     ),
     # SDP values, sigma-family gaps and qubit closed forms
     "theorem1": (
         ["theorem1", "--n", "1,2,3", "--samples", "5"],
         "theorem1_check.csv",
         "281b356f26df9b174cfedef5ba22fdb0cae1044093c1c671380ba0307ba6fe62",
-        "91ec8128537f0b1bd60dcd8aa9f29968fe3cfa95087efe8f053735bd21dc6268",
+        "0772d51984ffe1a4fb53d7a3552f84a02a97b28a866ffb573d1474a432da4482",
     ),
     # per-measure deviations under a diagonal ancilla
     "result2": (
         ["result2", "--grid", "2,3", "--samples", "20"],
         "result2_check.csv",
         "83ab6e14462666abb49a49c6d04209590cca6d3575f326ebbb9087b8f01abb01",
-        "b54764e45fae8d4f4a04a7ececacefdf72a72a475d8a3e8db596622bfae7e5d7",
+        "733194bd391978f252bd08b3477b0c75ea4fdbd99e97be86b15191b593e1ead4",
     ),
 }
 

@@ -8,7 +8,6 @@ import cohkit.measures
 import cohkit.states
 from cohkit import linalg, sdp
 from cohkit.measures import (
-    COARSE_ROC_TOL,
     DEFAULT_ROC_TOL,
     MEASURE_PAIRS,
     ORDERING_TIE_TOL,
@@ -457,7 +456,7 @@ def test_staged_ordering_decision_matches_full_precision_values():
             compared += 1
             assert decision.violated == expected
     assert compared >= 500
-    assert {DecisionStage.SOLVE_FREE, DecisionStage.ASCENT, DecisionStage.COARSE} <= stages
+    assert {DecisionStage.SOLVE_FREE, DecisionStage.ASCENT, DecisionStage.SOLVE} <= stages
 
 
 def test_ordering_decision_skips_roc_when_no_pair_needs_it(monkeypatch):
@@ -481,35 +480,81 @@ def _pair_needing_a_solve():
             return a, b
 
 
-def _recording_solve(monkeypatch, fail_at=None):
-    """Patches sdp.solve to record each call's tolerance, and to report
-    MAX_ITER for calls at ``fail_at``."""
+def _pair_of_both_states_solved():
+    """Sample 87 of seed-0 ``fig3 --samples 100`` at rank 4 (d = 10): a pair
+    that the first state's solve, run to DEFAULT_ROC_TOL, leaves open, so
+    the second state's solve settles it."""
+    rng = np.random.default_rng([0, 3, 87])
+    return random_density(10, 4, rng), random_density(10, 4, rng)
+
+
+def _recording_solve(monkeypatch, fail=False):
+    """Patches sdp.solve to record each call's tolerance, and, with ``fail``,
+    to report NUMERICAL_FAILURE after a solve that forwarded ``accept``."""
     tols = []
     real_solve = sdp.solve
 
     def solve(problem, **kwargs):
         tols.append(kwargs["tol"])
         sol = real_solve(problem, **kwargs)
-        if kwargs["tol"] == fail_at:
-            return dataclasses.replace(sol, status=sdp.SolveStatus.MAX_ITER)
-        return sol
+        return dataclasses.replace(sol, status=sdp.SolveStatus.NUMERICAL_FAILURE) if fail else sol
 
     monkeypatch.setattr(sdp, "solve", solve)
     return tols
 
 
-def test_a_failed_coarse_solve_goes_on_to_the_refined_solve(monkeypatch):
-    a, b = _pair_needing_a_solve()
-    expected = ordering_decision(a, b).violated
-    tols = _recording_solve(monkeypatch, fail_at=COARSE_ROC_TOL)
+def _never_certifying_solve(problem, **kwargs):
+    """A solve whose first Cholesky factorization breaks down: it certifies
+    no iterate, so it never calls ``accept``."""
+    d = problem.rho.dim
+    return sdp.RocSolution(np.zeros(d), None, np.inf, -np.inf, np.inf, 0,
+                           sdp.SolveStatus.NUMERICAL_FAILURE)
+
+
+@pytest.mark.parametrize("make_pair", [_pair_needing_a_solve, _pair_of_both_states_solved])
+def test_a_failed_solve_keeps_what_its_certified_iterates_gave(make_pair, monkeypatch):
+    a, b = make_pair()
+    expected = ordering_decision(a, b)
+    tols = _recording_solve(monkeypatch, fail=True)
     decision = ordering_decision(a, b)
-    assert decision.violated == expected
-    assert decision.stage in (DecisionStage.REFINED, DecisionStage.UNDECIDED)
-    assert COARSE_ROC_TOL in tols and DEFAULT_ROC_TOL in tols
-    # a failure at the refined tolerance is not caught
-    _recording_solve(monkeypatch, fail_at=DEFAULT_ROC_TOL)
+    assert decision.violated == expected.violated
+    assert decision.stage is expected.stage is DecisionStage.SOLVE
+    assert tols and set(tols) == {DEFAULT_ROC_TOL}
+    # solved outright, each state is a roc value, which a failure does not give
     with pytest.raises(sdp.SolverFailure):
         ordering_decision(a, b, staged=False)
+
+
+def test_a_solver_that_never_certifies_raises_roc_s_failure(monkeypatch):
+    a, b = _pair_needing_a_solve()
+    monkeypatch.setattr(sdp, "solve", _never_certifying_solve)
+    with pytest.raises(sdp.SolverFailure) as outright:
+        roc(a)
+    for staged in (True, False):
+        with pytest.raises(sdp.SolverFailure) as err:
+            ordering_decision(a, b, staged=staged)
+        assert str(err.value) == str(outright.value)
+        assert err.value.state is a or err.value.state is b
+
+
+def test_no_state_reaches_the_solver_twice(monkeypatch):
+    pairs = [_pair_of_both_states_solved(), _pair_needing_a_solve()] + _open_pairs()
+    solved = []
+    real_solve = sdp.solve
+
+    def recording_solve(problem, **kwargs):
+        solved.append(id(problem.rho))
+        return real_solve(problem, **kwargs)
+
+    monkeypatch.setattr(sdp, "solve", recording_solve)
+    both = 0
+    for a, b in pairs:
+        for staged in (True, False):
+            solved.clear()
+            ordering_decision(a, b, staged=staged)
+            assert len(solved) == len(set(solved)) <= 2
+            both += staged and len(solved) == 2
+    assert both > 0
 
 
 def test_unstaged_ordering_decision_solves_both_states_outright(monkeypatch):
@@ -521,7 +566,7 @@ def test_unstaged_ordering_decision_solves_both_states_outright(monkeypatch):
     tols = _recording_solve(monkeypatch)
     decision = ordering_decision(a, b, staged=False)
     assert tols == [DEFAULT_ROC_TOL, DEFAULT_ROC_TOL]
-    assert decision.stage is DecisionStage.REFINED
+    assert decision.stage is DecisionStage.SOLVE
     assert decision.violated == staged.violated
 
 
@@ -679,15 +724,18 @@ def test_the_ascent_never_widens_a_solve_free_bracket(ascent, monkeypatch):
     assert ascent_settled > 0
 
 
-# sha256 of every decision and of the roc / _ascent_bracket calls that made it,
-# recorded before ordering_decision was rewritten around a rung table
-DECISION_HASH = "3668999bc4b53b3e125016cb3d1d5b39bf9a796fc9ca3ac2ddaf5172f8e9b926"
+# sha256 of the answers alone, recorded before ordering_decision was rewritten
+# around a rung table, and kept through every later rewrite
+VIOLATED_HASH = "6db768518dfeb5d4c215347b9da1020e0f8ee399d26f437fc6c832fd7463ca1e"
+# sha256 of each decision's stage and bracket and of the roc / _ascent_bracket /
+# sdp.solve calls that made it, recorded when one solve rung replaced two
+DECISION_HASH = "df43b0ef7e173a145eff96b03bceb9546982dc73c686a3d2d0cf8d2ade48432b"
 
 
 def test_ordering_decisions_and_their_calls_are_pinned(monkeypatch):
     pairs = list(_decision_pairs()) + _open_pairs()
     calls = []
-    real_roc, real_ascent = roc, _ascent_bracket
+    real_roc, real_ascent, real_solve = roc, _ascent_bracket, sdp.solve
     states = {}
 
     def recording_roc(rho, tol=DEFAULT_ROC_TOL):
@@ -698,19 +746,24 @@ def test_ordering_decisions_and_their_calls_are_pinned(monkeypatch):
         calls.append(("ascent", states[id(rho)]))
         return real_ascent(rho)
 
+    def recording_solve(problem, **kwargs):
+        sol = real_solve(problem, **kwargs)
+        calls.append(("solve", states[id(problem.rho)], kwargs["tol"], sol.iterations))
+        return sol
+
     monkeypatch.setattr(cohkit.measures, "roc", recording_roc)
     monkeypatch.setattr(cohkit.measures, "_ascent_bracket", recording_ascent)
-    record = []
+    monkeypatch.setattr(sdp, "solve", recording_solve)
+    violated, record = [], []
     for staged in (True, False):
         for a, b in pairs:
             states.update({id(a): "a", id(b): "b"})
             calls.clear()
             decision = ordering_decision(a, b, staged=staged)
-            record.append(
-                (decision.violated, decision.stage.value, repr(decision.roc_difference), calls[:])
-            )
-    digest = hashlib.sha256(repr(record).encode()).hexdigest()
-    assert digest == DECISION_HASH
+            violated.append(decision.violated)
+            record.append((decision.stage.value, repr(decision.roc_difference), calls[:]))
+    assert hashlib.sha256(repr(violated).encode()).hexdigest() == VIOLATED_HASH
+    assert hashlib.sha256(repr(record).encode()).hexdigest() == DECISION_HASH
 
 
 def test_a_primal_whose_slack_fails_cholesky_is_never_used(monkeypatch):

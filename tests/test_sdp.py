@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -166,19 +164,46 @@ def test_value_invariant_under_permutation():
 def test_trace_rows_respect_weak_duality():
     rng = np.random.default_rng(3)
     rho = random_density(5, 5, rng)
-    stream = io.StringIO()
-    sol = solve(build(rho), trace=stream)
+    seen = []
+
+    def accept(mu, primal, dual):
+        seen.append((mu, primal, dual))
+        return False
+
+    sol = solve(build(rho), accept=accept)
     assert sol.status is SolveStatus.OPTIMAL
-    lines = stream.getvalue().strip().splitlines()
-    assert lines[0] == "mu,primal,dual,gap"
-    assert len(lines) > 3
-    mus = []
-    for line in lines[1:]:
-        mu, primal, dual, gap = map(float, line.split(","))
+    assert len(seen) > 3
+    for mu, primal, dual in seen:
         assert dual <= primal + 1e-9
-        assert abs(gap - (primal - dual)) < 1e-12
-        mus.append(mu)
+    mus = [mu for mu, _, _ in seen]
     assert all(b < a for a, b in zip(mus, mus[1:]))
+    # the last iterate passed to the hook is the one returned
+    assert seen[-1][1:] == (sol.primal_value, sol.dual_value)
+    # one Schur factorization between consecutive certified iterates
+    assert len(seen) == sol.iterations + 1
+
+
+def test_accept_ends_the_solve_at_the_iterate_it_takes():
+    rho = random_density(5, 5, np.random.default_rng(3))
+    full = solve(build(rho))
+    seen = []
+
+    def accept(mu, primal, dual):
+        seen.append((primal, dual))
+        return len(seen) == 3
+
+    sol = solve(build(rho), accept=accept)
+    assert sol.status is SolveStatus.ACCEPTED
+    assert len(seen) == 3 and sol.iterations == 2
+    assert (sol.primal_value, sol.dual_value) == seen[-1]
+    assert sol.gap == sol.primal_value - sol.dual_value > full.gap
+    # the iterate is certified like any other
+    report = verify_certificates(sol, rho)
+    assert max(report.primal_feasibility_violation, report.dual_feasibility_violation) < 1e-9
+    assert sol.dual_value - 1 <= full.primal_value - 1 and full.dual_value <= sol.primal_value
+    # the hook decides before the gap rule does
+    first = solve(build(rho), tol=10.0, accept=lambda mu, primal, dual: True)
+    assert first.status is SolveStatus.ACCEPTED and first.iterations == 0
 
 
 def test_tolerance_must_be_positive():
