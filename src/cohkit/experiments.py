@@ -21,11 +21,13 @@ blocks of BLOCK_SAMPLES: the draw function makes the block's draws, one per
 sample generator, and the per-sample function then evaluates each draw in
 turn. The ordering sweeps draw a block's state pairs with
 :func:`~cohkit.states.random_densities`, so the block is validated and its
-l1 sums, spectra and entropies computed as one numpy stack, while
-``ordering_decision`` and its RoC brackets still run per pair; the other
-experiments draw inside their per-sample function. A draw whose SDP fails
-to certify is drawn again from the same generator, as a block of one, and
-reported; too many failures abort the run. An experiment may also
+l1 sums, spectra and entropies computed as one numpy stack, and bracket the
+block's pairs with :func:`~cohkit.measures.ordering_decisions`, so the
+solve-free and phase-ascent RoC brackets also run once per block; only the
+solve of a pair those leave open runs per sample. The other experiments draw
+inside their per-sample function. A draw whose SDP fails to certify is
+drawn again from the same generator, as a block of one, and reported; too
+many failures abort the run. An experiment may also
 note each sample as its chunk computes it, keeping only what the reduction
 needs: the ordering sweeps count the stage that settled each pair there.
 Each chunk of samples returns one tally of its kept values, redrawn draws,
@@ -40,7 +42,7 @@ of ``theorem1_check``; importing :mod:`cohkit.cli` pins it to one unless the
 environment sets it. :func:`run_and_save` writes CSV plus a JSON metadata
 sidecar holding the run's tally: every redrawn draw (``failures``), the RoC
 values per dispatch method (``roc_methods``, counting each solve of
-:func:`~cohkit.measures.ordering_decision` as one ``sdp`` value, also one it
+:func:`~cohkit.measures.ordering_decisions` as one ``sdp`` value, also one it
 stopped early) and, for the ordering sweeps, the samples settled at each
 stage of that function (``ordering_decisions``) and those no stage settled
 (``undecided``).
@@ -72,7 +74,7 @@ from .measures import (
     MeasureKind,
     OrderingDecision,
     ancilla_deviations,
-    ordering_decision,
+    ordering_decisions,
     roc,
     subadditivity_gap,
     theorem1_closed_form,
@@ -219,20 +221,21 @@ def _record(cfg: SweepConfig, point, positive: int, pair: str | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# per-sample functions (cfg, grid point, draw, redraw) -> value, top level so
-# they can cross process boundaries. A draw is what the experiment's draw
-# function made of the sample's generator: the generator itself, or, for the
-# ordering sweeps, the sample's pair of states. A redraw after a solver
-# failure draws again from the same generator and calls the function with
-# ``redraw`` set.
+# draw functions (cfg, grid point, generators, redraw) -> one draw per
+# generator, and per-sample functions (cfg, grid point, draw) -> value, top
+# level so they can cross process boundaries. A draw is what the experiment's
+# draw function made of the sample's generator: the generator itself, or, for
+# the ordering sweeps, the function that finishes the decision of the
+# sample's pair. A redraw after a solver failure draws again from the same
+# generator, as a block of one, with ``redraw`` set.
 
 
-def _generators(cfg: SweepConfig, point, rngs: list) -> list:
+def _generators(cfg: SweepConfig, point, rngs: list, redraw: bool) -> list:
     """The draws of the experiments that draw inside their per-sample function."""
     return rngs
 
 
-def _subadd_sample(cfg: SweepConfig, p: float, rng: np.random.Generator, redraw: bool) -> bool:
+def _subadd_sample(cfg: SweepConfig, p: float, rng: np.random.Generator) -> bool:
     """Whether a two-qubit sigma-family state mixed at weight p with the
     reference state stays sub-additive."""
     if cfg.pure_state_choice is PhiChoice.MAXIMALLY_ENTANGLED:
@@ -243,28 +246,28 @@ def _subadd_sample(cfg: SweepConfig, p: float, rng: np.random.Generator, redraw:
     return subadditivity_gap(chi) <= SUBADDITIVITY_COUNT_TOL
 
 
-def _ordering_pairs(cfg: SweepConfig, point: int, rngs: list) -> list[tuple]:
-    """Each generator's pair of random states, the block built as one stack.
+def _ordering_pairs(cfg: SweepConfig, point: int, rngs: list, redraw: bool) -> list:
+    """Each generator's pair of random states, the block built as one stack
+    and its pairs bracketed as one block by
+    :func:`~cohkit.measures.ordering_decisions`: per sample, the function
+    that finishes the decision of its pair.
 
     The point is the dimension (full rank) or, for the rank sweep, the rank at
-    ``cfg.dim``.
+    ``cfg.dim``. A redrawn pair is solved outright rather than staged: a pair
+    that a bracket can settle never fails, so staging the redraws would
+    favour such pairs over the ones whose solve failed.
     """
     rank = int(point)
     d = cfg.dim if cfg.experiment is Experiment.ORDERING_VS_RANK else rank
-    # each generator listed twice: it draws its sample's first state, then its second
-    states = random_densities(d, rank, [rng for rng in rngs for _ in range(2)])
-    return list(zip(states[::2], states[1::2]))
+    states = random_densities(d, rank, rngs, count=2)
+    return ordering_decisions(list(zip(states[::2], states[1::2])), staged=not redraw)
 
 
-def _ordering_sample(cfg: SweepConfig, point: int, pair: tuple, redraw: bool) -> OrderingDecision:
-    """Per measure pair, whether it ranks the two states oppositely, decided
-    by :func:`~cohkit.measures.ordering_decision`.
-
-    A redrawn pair is solved outright rather than staged: a pair that a
-    bracket can settle never fails, so staging the redraws would favour such
-    pairs over the ones whose solve failed.
-    """
-    return ordering_decision(*pair, staged=not redraw)
+def _ordering_sample(cfg: SweepConfig, point: int, decide: Callable) -> OrderingDecision:
+    """Per measure pair, whether the sample's pair ranks its two states
+    oppositely: its decision, finished per sample, so that a failed solve
+    redraws only that sample."""
+    return decide()
 
 
 def _decision_notes() -> tuple[dict, Callable]:
@@ -284,9 +287,7 @@ def _decision_notes() -> tuple[dict, Callable]:
     return {"ordering_decisions": stages, "undecided": undecided}, note
 
 
-def _theorem1_sample(
-    cfg: SweepConfig, n: int, rng: np.random.Generator, redraw: bool
-) -> Theorem1Row:
+def _theorem1_sample(cfg: SweepConfig, n: int, rng: np.random.Generator) -> Theorem1Row:
     """Certified robustness of one sigma-family state vs. the tabulated closed form.
 
     The robustness comes from the same ``roc`` dispatch as every other
@@ -307,9 +308,7 @@ def _theorem1_sample(
     return Theorem1Row(n, k, value, closed, abs(value - closed), gap)
 
 
-def _result2_sample(
-    cfg: SweepConfig, dims: tuple[int, ...], rng: np.random.Generator, redraw: bool
-) -> tuple:
+def _result2_sample(cfg: SweepConfig, dims: tuple[int, ...], rng: np.random.Generator) -> tuple:
     """Per measure, |C(rho (x) diagonal sigma) - C(rho)|, then the two dimensions."""
     d_a = dims[rng.integers(len(dims))]
     d_b = dims[rng.integers(len(dims))]
@@ -333,9 +332,9 @@ def _pair_records(cfg: SweepConfig, point: int, values: list) -> list[SweepRecor
     ]
 
 
-# Per experiment: the draw function (cfg, grid point, generators) -> one draw
-# per generator; the per-sample function; the reduction of one grid point's
-# values (in sample order) to CSV records or rows; and, optionally, a
+# Per experiment: the draw function (cfg, grid point, generators, redraw) ->
+# one draw per generator; the per-sample function; the reduction of one grid
+# point's values (in sample order) to CSV records or rows; and, optionally, a
 # function called once per chunk that returns the chunk's notes (counts as
 # Counters, entries as lists, under metadata keys) and the function
 # (point, sample index, value) -> value kept that records a sample in them.
@@ -366,7 +365,7 @@ def _chunk(args) -> dict:
     whole block's draws at once, one per sample generator, and the samples
     are then evaluated in order. A draw whose SDP fails to certify is
     replaced by the next draw from the same generator, made as a block of
-    one; a sample gets at most _MAX_REDRAWS draws.
+    one with ``redraw`` set; a sample gets at most _MAX_REDRAWS draws.
     """
     cfg, point_idx, point, start, stop = args
     draw, sample, _, start_notes = _HARNESS[cfg.experiment]
@@ -377,12 +376,12 @@ def _chunk(args) -> dict:
     for block_start in range(start, stop, BLOCK_SAMPLES):
         indices = range(block_start, min(block_start + BLOCK_SAMPLES, stop))
         rngs = [np.random.default_rng([cfg.seed, point_idx, i]) for i in indices]
-        for sample_idx, rng, drawn in zip(indices, rngs, draw(cfg, point, rngs)):
+        for sample_idx, rng, drawn in zip(indices, rngs, draw(cfg, point, rngs, False)):
             for attempt in range(_MAX_REDRAWS):
                 if attempt:
-                    (drawn,) = draw(cfg, point, [rng])
+                    (drawn,) = draw(cfg, point, [rng], True)
                 try:
-                    value = sample(cfg, point, drawn, attempt > 0)
+                    value = sample(cfg, point, drawn)
                     values.append(value if note is None else note(point, sample_idx, value))
                     break
                 except SolverFailure as exc:
@@ -397,7 +396,10 @@ def _chunk(args) -> dict:
 
 
 def _chunks(samples: int, workers: int) -> list[tuple[int, int]]:
-    n_chunks = max(1, min(workers * 4, samples))
+    """Sample ranges [start, stop) of one grid point: one range at one
+    worker, so its blocks are as full as they can be; up to four per worker
+    otherwise, to balance the pool."""
+    n_chunks = max(1, min(workers * 4, samples)) if workers > 1 else 1
     bounds = np.linspace(0, samples, n_chunks + 1, dtype=int)
     return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
 

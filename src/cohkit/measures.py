@@ -17,11 +17,12 @@ Three measures are provided:
 Also here: the change in each measure when an ancilla is appended, the
 sub-additivity gap over qubit marginals, the closed-form robustness
 candidate for the sigma family, the measure-ordering test on value
-differences, and :func:`ordering_decision`, which decides that test for a
-pair of states from RoC brackets tightened only as far as needed: the
-solve-free bracket ``roc`` returns, then, for a pair it leaves open, a
-certified phase-ascent bracket (not a ``roc`` value, so not counted in
-``ROC_METHOD_COUNTS``), then one SDP solve per state that stops at the first
+differences, and :func:`ordering_decisions`, which decides that test for a
+block of pairs of states from RoC brackets tightened only as far as needed:
+on numpy stacks for the whole block, the solve-free brackets ``roc``
+would return, then, for the pairs they leave open, certified phase-ascent
+brackets (not ``roc`` values, so not counted in ``ROC_METHOD_COUNTS``);
+then, per pair still open, one SDP solve per state that stops at the first
 certified iterate that settles the pair (counted as an SDP value).
 """
 
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import dataclass
 from enum import Enum
 
@@ -45,7 +47,7 @@ HARD_NEGATIVE_FLOOR = -1e-6
 # Rank-1 detection for the pure-state shortcut.
 PURE_EIG_TOL = 1e-9
 # |difference| at or below this counts as a tie when comparing orderings. The
-# tie is a property of the true difference: ordering_decision settles which
+# tie is a property of the true difference: ordering_decisions settles which
 # side of +-ORDERING_TIE_TOL the difference of two robustness values lies on
 # from certified brackets, never from a single rounded value.
 ORDERING_TIE_TOL = 1e-7
@@ -166,10 +168,10 @@ def roc(rho: DensityMatrix, tol: float | None = DEFAULT_ROC_TOL) -> MeasureValue
     2. states that are rank one within PURE_EIG_TOL: the pure-state identity
        with the l1-norm, which the state computes once for this and for
        :func:`l1_coherence`;
-    3. a certified pair built without a solve by :func:`_solve_free_roc`: a
-       PHASE_WITNESS value for states whose off-diagonal phases factor as
-       u_i conj(u_j), and, with ``tol=None`` only, a SOLVE_FREE_BRACKET value
-       for every other state;
+    3. a certified pair built without a solve by :func:`_solve_free_rocs`
+       (the state as a block of one): a PHASE_WITNESS value for states whose
+       off-diagonal phases factor as u_i conj(u_j), and, with ``tol=None``
+       only, a SOLVE_FREE_BRACKET value for every other state;
     4. otherwise the SDP at ``tol``. Raises :class:`cohkit.sdp.SolverFailure`,
        carrying ``rho`` as its ``state``, if the SDP does not certify.
 
@@ -186,100 +188,146 @@ def roc(rho: DensityMatrix, tol: float | None = DEFAULT_ROC_TOL) -> MeasureValue
     objectives agree exactly for such states), so the value is RoC = l1 to
     rounding, while an SDP value at the default ``tol`` may sit up to about
     2e-8 low. A SOLVE_FREE_BRACKET gap has no such bound; a caller that
-    needs less tightens it, as :func:`ordering_decision` does: first with
-    the phase-ascent bracket of :func:`_ascent_bracket`, which is not a
+    needs less tightens it, as :func:`ordering_decisions` does: first with
+    the phase-ascent bracket of :func:`_ascent_brackets`, which is not a
     ``roc`` value and so is not counted in ROC_METHOD_COUNTS, then with a
     solve that stops once the pair is settled.
     """
-    d = rho.dim
-    if d == 2:
+    if rho.dim == 2:
         mv = MeasureValue(_finalize(2.0 * float(np.abs(rho.mat[0, 1]))), Method.CLOSED_FORM_QUBIT)
-    elif d == 1 or rho.eigenvalues[-2] < PURE_EIG_TOL:
+    elif not _bracketed(rho):
         mv = MeasureValue(_finalize(rho.offdiagonal_abs_sum), Method.PURE_STATE_L1)
     else:
-        mv = _solve_free_roc(rho, tol) or _sdp_roc(rho, tol)
+        mv = _solve_free_rocs(rho.mat[None], tol)[0][0] or _sdp_roc(rho, tol)
     ROC_METHOD_COUNTS[mv.method.value] += 1
     return mv
 
 
-def _solve_free_roc(rho: DensityMatrix, tol: float | None) -> MeasureValue | None:
-    """A certified robustness value built without a solve, or None when the
-    state needs the SDP.
+def _bracketed(rho: DensityMatrix) -> bool:
+    """Whether :func:`roc` gives ``rho`` a certified value rather than a
+    closed form: ``d > 2`` and not rank one within PURE_EIG_TOL."""
+    return rho.dim > 2 and rho.eigenvalues[-2] >= PURE_EIG_TOL
+
+
+def _matvec(m: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``m[i] @ u[i]`` for each matrix of a stack, bit-identical to the single product."""
+    return (m @ u[..., None])[..., 0]
+
+
+def _diagonal_minus(d: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``Diag(d[i]) - m[i]`` for each matrix of a stack."""
+    idx = np.arange(m.shape[-1])
+    out = np.zeros(m.shape)
+    out[:, idx, idx] = d
+    return out - m
+
+
+def _solve_free_rocs(
+    m: np.ndarray, tol: float | None
+) -> tuple[list[MeasureValue | None], np.ndarray]:
+    """Per matrix of a stack ``m`` of shape ``(n, d, d)``, a certified
+    robustness value built without a solve, or None where the state needs
+    the SDP; and per matrix the phases u the phase ascent starts from.
 
     The candidates, in the order of docs/roc-sdp.md ("Certified pairs without
-    a solve"):
+    a solve"), each run once on the stack of the matrices that reach it:
 
     1. primal: Gershgorin, d_i = rho_ii + sum_{j != i} |rho_ij|, objective 1 + l1;
     2. dual: Y = u u^dag with u the phases of the column of the largest
        diagonal entry. If the pair passes the solver's own gap rule,
        ``primal - dual <= tol * max(1, primal)`` (DEFAULT_ROC_TOL when ``tol``
        is None), it is a PHASE_WITNESS value. Otherwise a given ``tol``
-       returns None, and ``tol=None`` goes on to
-    3. dual: the phases of the top eigenvector of O = rho - Diag(rho), from
-       the ``eigh`` the state keeps (``offdiagonal_eigh``);
+       gives None, and ``tol=None`` goes on, with one ``eigh`` for the stack
+       of the rest, to
+    3. dual: the phases of the top eigenvector of O = rho - Diag(rho); these
+       are the u returned for the matrix (candidate 2's u is returned for
+       the others);
     4. primal: d_i = rho_ii + lambda_max(O) + BRACKET_SLACK_SHIFT, accepted
        once a Cholesky factorization of its slack, lambda_max(O) +
-       BRACKET_SLACK_SHIFT on the diagonal and -rho_ij off it, succeeds.
+       BRACKET_SLACK_SHIFT on the diagonal and -rho_ij off it, succeeds
+       (:func:`_factorizable`).
 
     The better point of each kind so far then makes a SOLVE_FREE_BRACKET value
-    ``[max(0, dual - 1), primal - 1]``.
+    ``[max(0, dual - 1), primal - 1]``. Each matrix's value is bit-identical
+    to the one it gets as a block of one.
     """
-    m = rho.mat
-    u = _unit_phases(m[:, int(np.argmax(m.diagonal().real))])
-    dual = float(np.vdot(u, m @ u).real)
-    primal = float(np.abs(m).sum())
-    if primal - dual <= (DEFAULT_ROC_TOL if tol is None else tol) * max(1.0, primal):
-        return _pair_value(Method.PHASE_WITNESS, dual, primal)
-    if tol is not None:
-        return None
-    w, v = rho.offdiagonal_eigh
-    u = _unit_phases(v[:, -1])
-    dual = max(dual, float(np.vdot(u, m @ u).real))
-    shift = float(w[-1]) + BRACKET_SLACK_SHIFT
+    n, d, _ = m.shape
+    idx = np.arange(d)
+    column = np.argmax(m.diagonal(axis1=-2, axis2=-1).real, axis=-1)
+    u = _unit_phases(m[np.arange(n), :, column])
+    dual = np.vecdot(u, _matvec(m, u)).real
+    primal = np.abs(m).sum(axis=(-2, -1))
+    witness = primal - dual <= (DEFAULT_ROC_TOL if tol is None else tol) * np.maximum(1.0, primal)
+    values = [_pair_value(Method.PHASE_WITNESS, dl, pr) if ok else None
+              for ok, dl, pr in zip(witness.tolist(), dual.tolist(), primal.tolist())]
+    rest = np.flatnonzero(~witness)
+    if tol is not None or not rest.size:
+        return values, u
+    m = m[rest]
+    off = m.copy()
+    off[:, idx, idx] = 0.0
+    w, v = np.linalg.eigh(off)
+    u[rest] = top = _unit_phases(v[..., -1])
+    dual = np.maximum(dual[rest], np.vecdot(top, _matvec(m, top)).real)
+    shift = w[:, -1] + BRACKET_SLACK_SHIFT
     slack = -m
-    np.fill_diagonal(slack, shift)
-    primal = min(primal, _certified_primal(slack, float(np.sum(m.diagonal().real + shift))))
+    slack[:, idx, idx] = shift[:, None]
+    # summed as C-ordered rows, so each row's sum is its single-matrix sum
+    objective = (m.diagonal(axis1=-2, axis2=-1).real + shift[:, None]).sum(-1)
+    bound = np.where(_factorizable(slack), objective, np.inf)
+    primal = np.minimum(primal[rest], bound)
     # the upper end primal - 1 is tighter than lo + (primal - dual) for dual < 1
-    lo = max(0.0, dual - 1.0)
-    return MeasureValue(lo, Method.SOLVE_FREE_BRACKET, certificate_gap=max(0.0, primal - 1.0 - lo))
+    for i, dl, pr in zip(rest.tolist(), dual.tolist(), primal.tolist()):
+        lo = max(0.0, dl - 1.0)
+        gap = max(0.0, pr - 1.0 - lo)
+        values[i] = MeasureValue(lo, Method.SOLVE_FREE_BRACKET, certificate_gap=gap)
+    return values, u
 
 
-def _ascent_bracket(rho: DensityMatrix) -> tuple[float, float]:
-    """A certified bracket ``[lo, hi]`` on the robustness of a state whose
-    solve-free bracket left an ordering decision open (docs/roc-sdp.md,
-    candidates 5 and 6).
+def _ascent_brackets(m: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Certified brackets ``[lo, hi]`` on the robustness of each matrix of a
+    stack ``m`` whose solve-free bracket left an ordering decision open
+    (docs/roc-sdp.md, candidates 5 and 6), as two arrays.
 
-    Dual: from the phases u of the top eigenvector of O = rho - Diag(rho)
-    (the ``eigh`` the state keeps, which :func:`_solve_free_roc` took
-    already), ASCENT_STEPS minorize-maximize steps u <- phases(rho u); none
-    can lower u^dag rho u, which is convex in u. The best value seen is the
+    Dual: from the phases ``u[i]`` (candidate 3's, from
+    :func:`_solve_free_rocs`), ASCENT_STEPS minorize-maximize steps
+    u <- phases(rho u), each one batched product over the stack; none can
+    lower u^dag rho u, which is convex in u. The best value seen is the
     lower end.
     Primal: the complementary-slackness point d_i = |(rho u)_i| + c for the
     last u, with c = max(0, -lambda_min(Diag|rho u| - rho)) +
-    BRACKET_SLACK_SHIFT, used only once a Cholesky factorization of its slack
-    succeeds; otherwise ``hi`` is infinite.
+    BRACKET_SLACK_SHIFT, used only where a Cholesky factorization of its
+    slack succeeds (:func:`_factorizable`); elsewhere ``hi`` is infinite.
+    Each matrix's bracket is bit-identical to the one it gets as a block of one.
     """
-    m = rho.mat
-    u = _unit_phases(rho.offdiagonal_eigh[1][:, -1])
-    r = m @ u
-    dual = float(np.vdot(u, r).real)
+    r = _matvec(m, u)
+    dual = np.vecdot(u, r).real
     for _ in range(ASCENT_STEPS):
         u = _unit_phases(r)
-        r = m @ u
-        dual = max(dual, float(np.vdot(u, r).real))
+        r = _matvec(m, u)
+        dual = np.maximum(dual, np.vecdot(u, r).real)
     mod = np.abs(r)
-    d = mod + max(0.0, -float(np.linalg.eigvalsh(np.diag(mod) - m)[0])) + BRACKET_SLACK_SHIFT
-    return max(0.0, dual - 1.0), _certified_primal(np.diag(d) - m, float(d.sum())) - 1.0
+    c = np.maximum(0.0, -np.linalg.eigvalsh(_diagonal_minus(mod, m))[:, 0])
+    d = (mod + c[:, None]) + BRACKET_SLACK_SHIFT
+    primal = np.where(_factorizable(_diagonal_minus(d, m)), d.sum(-1), np.inf)
+    return np.maximum(0.0, dual - 1.0), primal - 1.0
 
 
-def _certified_primal(slack: np.ndarray, objective: float) -> float:
-    """``objective`` when a Cholesky factorization of the primal point's
-    ``slack`` succeeds, so the point is feasible; infinity otherwise."""
+def _factorizable(slack: np.ndarray) -> np.ndarray:
+    """Per matrix of a stack of primal slacks, whether a Cholesky
+    factorization succeeds, so that the primal point is feasible.
+
+    One stacked call decides the whole stack unless it raises; the stack is
+    then checked one matrix at a time, so each matrix keeps the verdict it
+    gets alone.
+    """
     try:
         np.linalg.cholesky(slack)
     except np.linalg.LinAlgError:
-        return np.inf
-    return objective
+        if len(slack) == 1:
+            return np.zeros(1, dtype=bool)
+        return np.concatenate([_factorizable(s[None]) for s in slack])
+    return np.ones(len(slack), dtype=bool)
 
 
 def _sdp_roc(rho: DensityMatrix, tol: float, accept=None) -> MeasureValue:
@@ -346,7 +394,7 @@ def values_ordering_violated(d1: float, d2: float) -> bool:
     Differences of magnitude at most ORDERING_TIE_TOL under either measure
     count as ties, never as violations. Given d1, the answer depends only on
     the category of d2 (above ORDERING_TIE_TOL, below -ORDERING_TIE_TOL, or
-    a tie), which is what lets :func:`ordering_decision` settle it from a
+    a tie), which is what lets :func:`ordering_decisions` settle it from a
     bracket on d2.
     """
     if abs(d1) <= ORDERING_TIE_TOL or abs(d2) <= ORDERING_TIE_TOL:
@@ -355,7 +403,7 @@ def values_ordering_violated(d1: float, d2: float) -> bool:
 
 
 class DecisionStage(Enum):
-    """Where :func:`ordering_decision` settled a pair."""
+    """Where :func:`ordering_decisions` settled a pair."""
 
     SOLVE_FREE = "solve_free"
     ASCENT = "ascent"
@@ -374,100 +422,186 @@ class OrderingDecision:
     roc_difference: tuple[float, float]
 
 
-def ordering_decision(a: DensityMatrix, b: DensityMatrix, staged: bool = True) -> OrderingDecision:
-    """``values_ordering_violated`` for every pair in MEASURE_PAIRS, with the RoC
-    difference known only as far as the answer needs.
+class _Pair:
+    """One pair's ordering decision in progress: the known l1 and
+    relative-entropy differences and, once the robustness is needed, each
+    state's first RoC value and its bracket ``[lo[i], hi[i]]``."""
 
-    The l1 and relative-entropy differences are computed outright. When no
-    measure pair needs the robustness (its partner difference is a tie), the
-    pair is settled at SOLVE_FREE without one. Otherwise each state's RoC is
-    bracketed, first by ``roc(tol=None)``, and the difference by ``[lo_a -
-    hi_b, hi_a - lo_b]``; the pair is settled once every category of the
-    difference (``> t``, ``< -t``, tie, with t = ORDERING_TIE_TOL) that the
-    bracket allows gives the same answers.
+    def __init__(self, states: tuple[DensityMatrix, DensityMatrix], d_l1: float, d_rel: float):
+        self.states = states
+        diff = {MeasureKind.L1: d_l1, MeasureKind.REL_ENTROPY: d_rel}
+        # per measure pair, the two known differences, with None for the RoC difference
+        self.known = [(diff.get(m), diff.get(w)) for m, w in MEASURE_PAIRS]
+        self.values: list[MeasureValue] = []
+        self.decision: OrderingDecision | None = None
+        # a pair compares the RoC difference with a known one, which, if a tie,
+        # makes the pair a tie whatever the RoC difference is
+        partners = [d2 if d1 is None else d1 for d1, d2 in self.known if None in (d1, d2)]
+        if all(d is None or abs(d) <= ORDERING_TIE_TOL for d in partners):
+            self.decision = OrderingDecision(self.answers(0.0), DecisionStage.SOLVE_FREE,
+                                             (-np.inf, np.inf))
 
-    The states whose first value is a SOLVE_FREE_BRACKET then climb two
-    rungs, the widest bracket first at each, re-deciding after each step:
-    the phase-ascent bracket of :func:`_ascent_bracket` (ASCENT), then one
-    solve at DEFAULT_ROC_TOL (SOLVE) whose ``accept`` hook intersects each
-    certified iterate's ``[dual - 1, primal - 1]`` into the state's bracket
-    and ends the solve as soon as the pair is settled. A bracket never
-    widens, and each state reaches the solver at most once. A solve that
-    fails to certify keeps what its certified iterates gave; its
-    :class:`cohkit.sdp.SolverFailure` is raised, as solving outright would
-    raise it, only if the pair is still open once both states were solved.
-    Each staged solve that certifies counts as an SDP value in
-    ROC_METHOD_COUNTS. A pair still open after both full solves is UNDECIDED
-    and answered by ``values_ordering_violated`` on the DEFAULT_ROC_TOL
-    values, exactly as if every value had been solved outright.
-
-    With ``staged=False`` the robustness values, when they matter, are
-    solved outright at DEFAULT_ROC_TOL, so no state climbs a rung and the
-    pair is SOLVE or UNDECIDED. The sweeps decide a redrawn pair this way,
-    so that a draw whose solve failed is never replaced by one that needs no
-    solve.
-    """
-    diff = {
-        kind: compute_measure(kind, a).value - compute_measure(kind, b).value
-        for kind in (MeasureKind.L1, MeasureKind.REL_ENTROPY)
-    }
-    # per pair, the two known differences, with None for the RoC difference
-    known = [(diff.get(m), diff.get(w)) for m, w in MEASURE_PAIRS]
-
-    def answers(d_roc: float) -> tuple[bool, ...]:
+    def answers(self, d_roc: float) -> tuple[bool, ...]:
         return tuple(
             values_ordering_violated(d_roc if d1 is None else d1, d_roc if d2 is None else d2)
-            for d1, d2 in known
+            for d1, d2 in self.known
         )
 
-    t = ORDERING_TIE_TOL
-    # a pair compares the RoC difference with a known one, which, if a tie,
-    # makes the pair a tie whatever the RoC difference is
-    partners = [d2 if d1 is None else d1 for d1, d2 in known if None in (d1, d2)]
-    if all(d is None or abs(d) <= t for d in partners):
-        return OrderingDecision(answers(0.0), DecisionStage.SOLVE_FREE, (-np.inf, np.inf))
+    def start(self, values: list[MeasureValue], stage: DecisionStage) -> None:
+        """Bracket each state's robustness by its first value, and settle the
+        pair at ``stage`` if that is enough."""
+        self.values = values
+        self.lo = [mv.value for mv in values]
+        self.hi = [mv.upper for mv in values]
+        if self.lo == self.hi:  # both values exact, e.g. pure states: the difference is known
+            self.decision = OrderingDecision(self.answers(self.lo[0] - self.lo[1]), stage,
+                                             self.bracket())
+            return
+        # the answers for an RoC difference in each category: above t, below -t, tie
+        self.categories = self.answers(1.0), self.answers(-1.0), self.answers(0.0)
+        self.settle(stage)
 
-    states = (a, b)
-    values = [roc(rho, tol=None if staged else DEFAULT_ROC_TOL) for rho in states]
-    lo = [mv.value for mv in values]
-    hi = [mv.upper for mv in values]
-    first = DecisionStage.SOLVE_FREE if staged else DecisionStage.SOLVE
-    if lo == hi:  # both values exact, e.g. pure states: the difference is known
-        return OrderingDecision(answers(lo[0] - lo[1]), first, (lo[0] - hi[1], hi[0] - lo[1]))
+    def bracket(self) -> tuple[float, float]:
+        return self.lo[0] - self.hi[1], self.hi[0] - self.lo[1]
 
-    # the answers for an RoC difference in each category: above t, below -t, tie
-    above, below, tie = answers(1.0), answers(-1.0), answers(0.0)
+    def settle(self, stage: DecisionStage) -> bool:
+        """Settle the pair at ``stage`` if every category of the RoC
+        difference that its bracket allows gives the same answers."""
+        t = ORDERING_TIE_TOL
+        low, high = self.bracket()
+        allowed = (high > t, low < -t, low <= t and high >= -t)
+        found = {answer for answer, ok in zip(self.categories, allowed) if ok}
+        if len(found) == 1:
+            self.decision = OrderingDecision(found.pop(), stage, (low, high))
+        return self.decision is not None
 
-    def decided(stage: DecisionStage) -> OrderingDecision | None:
-        low, high = lo[0] - hi[1], hi[0] - lo[1]
-        allowed = ((above, high > t), (below, low < -t), (tie, low <= t and high >= -t))
-        found = {answer for answer, ok in allowed if ok}
-        return OrderingDecision(found.pop(), stage, (low, high)) if len(found) == 1 else None
+    def tighten(self, i: int, low: float, high: float) -> None:
+        self.lo[i], self.hi[i] = max(self.lo[i], low), min(self.hi[i], high)
 
-    def tighten(i: int, low: float, high: float, stage: DecisionStage) -> OrderingDecision | None:
-        lo[i], hi[i] = max(lo[i], low), min(hi[i], high)
-        return decided(stage)
+    def climbing(self) -> list[int]:
+        """The states whose first value is a SOLVE_FREE_BRACKET, widest bracket first."""
+        return sorted((i for i in (0, 1) if self.values[i].method is Method.SOLVE_FREE_BRACKET),
+                      key=lambda i: self.lo[i] - self.hi[i])
 
-    if decision := decided(first):
-        return decision
-    climbing = [i for i in (0, 1) if values[i].method is Method.SOLVE_FREE_BRACKET]
-    for i in sorted(climbing, key=lambda i: lo[i] - hi[i]):
-        if decision := tighten(i, *_ascent_bracket(states[i]), DecisionStage.ASCENT):
-            return decision
-    failure = None
-    for i in sorted(climbing, key=lambda i: lo[i] - hi[i]):
-        def accept(mu: float, primal: float, dual: float, i: int = i) -> bool:
-            return tighten(i, dual - 1.0, primal - 1.0, DecisionStage.SOLVE) is not None
+    def decide(self) -> OrderingDecision:
+        """The pair's decision. A pair not yet settled first takes its values
+        outright (unstaged) or climbs the SOLVE rung."""
+        if self.decision is not None:
+            return self.decision
+        if not self.values:
+            self.start([roc(rho, tol=DEFAULT_ROC_TOL) for rho in self.states], DecisionStage.SOLVE)
+            if self.decision is not None:
+                return self.decision
+        failure = None
+        for i in self.climbing():
+            def accept(mu: float, primal: float, dual: float, i: int = i) -> bool:
+                self.tighten(i, dual - 1.0, primal - 1.0)
+                return self.settle(DecisionStage.SOLVE)
 
-        try:
-            values[i] = _sdp_roc(states[i], DEFAULT_ROC_TOL, accept)
-        except sdp.SolverFailure as exc:
-            failure = failure or exc
-        else:
-            ROC_METHOD_COUNTS[Method.SDP.value] += 1
-        if decision := decided(DecisionStage.SOLVE):
-            return decision
-    if failure is not None:
-        raise failure
-    d_roc = values[0].value - values[1].value
-    return OrderingDecision(answers(d_roc), DecisionStage.UNDECIDED, (lo[0] - hi[1], hi[0] - lo[1]))
+            try:
+                self.values[i] = _sdp_roc(self.states[i], DEFAULT_ROC_TOL, accept)
+            except sdp.SolverFailure as exc:
+                failure = failure or exc
+            else:
+                ROC_METHOD_COUNTS[Method.SDP.value] += 1
+            if self.settle(DecisionStage.SOLVE):
+                return self.decision
+        if failure is not None:
+            raise failure
+        d_roc = self.values[0].value - self.values[1].value
+        self.decision = OrderingDecision(self.answers(d_roc), DecisionStage.UNDECIDED,
+                                         self.bracket())
+        return self.decision
+
+
+def _by_dimension(indices: list[int], states: list[DensityMatrix]) -> list[list[int]]:
+    """``indices`` into ``states`` grouped by the state's dimension, so each group stacks."""
+    groups: dict[int, list[int]] = {}
+    for k in indices:
+        groups.setdefault(states[k].dim, []).append(k)
+    return list(groups.values())
+
+
+def _block_rungs(block: list[_Pair]) -> None:
+    """The first values and the ASCENT rung of the pairs of a block that need
+    the robustness, each run once for the block on numpy stacks."""
+    states = [rho for pair in block for rho in pair.states]
+    values = [None if _bracketed(rho) else roc(rho, tol=None) for rho in states]
+    phases = {}  # per bracketed state, the phases its ascent starts from
+    for group in _by_dimension([k for k, mv in enumerate(values) if mv is None], states):
+        found, u = _solve_free_rocs(np.stack([states[k].mat for k in group]), None)
+        for k, mv, u_k in zip(group, found, u):
+            values[k], phases[k] = mv, u_k
+            ROC_METHOD_COUNTS[mv.method.value] += 1
+    for j, pair in enumerate(block):
+        pair.start(values[2 * j:2 * j + 2], DecisionStage.SOLVE_FREE)
+    open_pairs = [pair for pair in block if pair.decision is None]
+    climbing = [2 * j + i for j, pair in enumerate(block) if pair.decision is None
+                for i in pair.climbing()]
+    for group in _by_dimension(climbing, states):
+        lo, hi = _ascent_brackets(np.stack([states[k].mat for k in group]),
+                                  np.stack([phases[k] for k in group]))
+        for k, low, high in zip(group, lo.tolist(), hi.tolist()):
+            block[k // 2].tighten(k % 2, low, high)
+    for pair in open_pairs:
+        pair.settle(DecisionStage.ASCENT)
+
+
+def ordering_decisions(
+    pairs: list[tuple[DensityMatrix, DensityMatrix]], staged: bool = True
+) -> list[Callable[[], OrderingDecision]]:
+    """``values_ordering_violated`` for every measure pair in MEASURE_PAIRS,
+    for each pair of states ``(a, b)`` of a block, with the RoC difference
+    known only as far as the answer needs. Returns, per pair, a function
+    that returns its decision: the rungs that run on the whole block have
+    run, and the function runs the pair's own SOLVE rung, if it is still
+    open, raising :class:`cohkit.sdp.SolverFailure` there. A single pair is
+    decided as a block of one.
+
+    The l1 and relative-entropy differences come from the values each state
+    keeps. When no measure pair needs the robustness (its partner difference
+    is a tie), the pair is settled at SOLVE_FREE without one. Otherwise each
+    state's RoC is bracketed, first by its ``roc(tol=None)`` value, and the
+    difference by ``[lo_a - hi_b, hi_a - lo_b]``; the pair is settled once
+    every category of the difference (``> t``, ``< -t``, tie, with t =
+    ORDERING_TIE_TOL) that the bracket allows gives the same answers.
+
+    Qubits and pure states take ``roc``'s closed forms one at a time; every
+    other state's first value comes from :func:`_solve_free_rocs`, once for
+    the stack of the block's such states (counted in ROC_METHOD_COUNTS as
+    ``roc`` would count it). The states whose first value is a
+    SOLVE_FREE_BRACKET and whose pair is still open then take, as one stack,
+    the phase-ascent bracket of :func:`_ascent_brackets` (ASCENT), and each
+    pair is re-decided. Running both states' ascents at once settles the
+    same pairs as running the wider one first, since a bracket never widens.
+
+    A pair still open climbs the SOLVE rung when its function is called: one
+    solve per such state at DEFAULT_ROC_TOL, widest bracket first, whose
+    ``accept`` hook intersects each certified iterate's ``[dual - 1, primal -
+    1]`` into the state's bracket and ends the solve as soon as the pair is
+    settled. Each state reaches the solver at most once. A solve that fails
+    to certify keeps what its certified iterates gave; its SolverFailure is
+    raised, as solving outright would raise it, only if the pair is still
+    open once both states were solved. Each staged solve that certifies
+    counts as an SDP value in ROC_METHOD_COUNTS. A pair still open after
+    both full solves is UNDECIDED and answered by ``values_ordering_violated``
+    on the DEFAULT_ROC_TOL values, exactly as if every value had been solved
+    outright.
+
+    With ``staged=False`` only the differences are taken for the block, and
+    each pair's function solves its robustness values outright, when they
+    matter, at DEFAULT_ROC_TOL, so no state climbs a rung and the pair is
+    SOLVE or UNDECIDED. The sweeps decide a redrawn pair this way, so that a
+    draw whose solve failed is never replaced by one that needs no solve.
+    """
+    states = [rho for pair in pairs for rho in pair]
+    l1 = np.array([_finalize(rho.offdiagonal_abs_sum) for rho in states])
+    rel = np.array([_finalize(rho.dephased_entropy_bits - rho.entropy_bits) for rho in states])
+    block = [
+        _Pair(pair, d_l1, d_rel)
+        for pair, d_l1, d_rel in zip(pairs, (l1[::2] - l1[1::2]).tolist(),
+                                     (rel[::2] - rel[1::2]).tolist())
+    ]
+    if staged:
+        _block_rungs([pair for pair in block if pair.decision is None])
+    return [pair.decide for pair in block]

@@ -12,8 +12,9 @@ on a numpy stack (a single matrix is a stack with no leading axes), with one
 stack, what the coherence measures read of each state: its off-diagonal
 ``|rho_ij|`` sum and the entropies of its spectrum and of its diagonal. A
 single state computes each of these on first use, by the same formula.
-:func:`random_densities` draws a block of random states, one per
-generator in turn, as :func:`random_density` would, and the block is
+:func:`random_densities` draws a block of random states, as many per
+generator as asked, with one draw call per generator, as
+:func:`random_density` would draw them one by one, and the block is
 normalized, validated and measured as one stack.
 """
 
@@ -176,15 +177,6 @@ class DensityMatrix:
         """Entropy S(Diag(rho)) of the diagonal in bits, computed on first use and kept."""
         return float(_entropy_bits(self.mat.diagonal().real))
 
-    @cached_property
-    def offdiagonal_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        """``np.linalg.eigh`` of the off-diagonal part rho - Diag(rho),
-        computed on first use and kept: the solve-free and phase-ascent
-        robustness brackets both start from its top eigenpair."""
-        off = self.mat.copy()
-        np.fill_diagonal(off, 0.0)
-        return np.linalg.eigh(off)
-
     def marginal(self, keep: int) -> "DensityMatrix":
         """Reduced state on subsystem ``keep`` (requires a factorization)."""
         if not self.dims:
@@ -291,21 +283,21 @@ def haar_random_pure(d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_densities(
-    d: int, rank: int, rngs: Sequence[np.random.Generator]
+    d: int, rank: int, rngs: Sequence[np.random.Generator], count: int = 1
 ) -> list[DensityMatrix]:
-    """One random state of :func:`random_density` per generator, in order,
-    built as one stack by :meth:`DensityMatrix.stack`.
+    """``count`` random states of :func:`random_density` per generator, in
+    order (a generator's states one after another), built as one stack by
+    :meth:`DensityMatrix.stack`.
 
-    Each state's ``G`` is drawn as :func:`random_density` draws it, so every
-    state is bit-identical to the one that call would give; a generator
-    listed twice draws its second state after its first.
+    Each generator draws the ``G`` of all its states with one
+    ``standard_normal`` call, in the order :func:`random_density` draws them
+    (real part, then imaginary part, state by state), so every state is
+    bit-identical to the one that many calls would give.
     """
     if not 1 <= rank <= d:
         raise ValueError(f"rank must satisfy 1 <= rank <= d, got rank={rank}, d={d}")
-    g = np.stack([
-        (rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))) / np.sqrt(2)
-        for rng in rngs
-    ])
+    g = np.stack([rng.standard_normal((count, 2, d, rank)) for rng in rngs]).reshape(-1, 2, d, rank)
+    g = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2)
     m = g @ g.conj().swapaxes(-1, -2)
     m = linalg.hermitize(m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None])
     return DensityMatrix.stack(m)

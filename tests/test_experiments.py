@@ -14,6 +14,7 @@ from cohkit.experiments import (
     PhiChoice,
     SweepAborted,
     SweepConfig,
+    _chunks,
     estimate_transition,
     run_and_save,
     run_experiment,
@@ -173,6 +174,14 @@ def test_pool_has_no_more_workers_than_chunks(monkeypatch):
     monkeypatch.setattr(cohkit.experiments, "ProcessPoolExecutor", InlinePool)
     assert run_experiment(cfg, workers=64) == expected
     assert sizes == [3]
+
+
+def test_one_worker_runs_each_grid_point_as_one_chunk():
+    # so the blocks of BLOCK_SAMPLES are full; a pool gets up to four chunks per worker
+    assert _chunks(100, 1) == [(0, 100)]
+    assert _chunks(100, 2) == [(0, 12), (12, 25), (25, 37), (37, 50),
+                               (50, 62), (62, 75), (75, 87), (87, 100)]
+    assert _chunks(3, 2) == [(0, 1), (1, 2), (2, 3)]
 
 
 def test_ordering_sweep_record_layout():
@@ -493,8 +502,8 @@ def test_a_redrawn_ordering_pair_is_solved_outright(monkeypatch):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_ordering_sweeps_do_not_depend_on_the_block_size(monkeypatch, workers):
-    # 16 samples make chunks of 4 at one worker and of 2 at two, so blocks of
-    # 1 and 3 split them; the default block holds a whole chunk
+    # 16 samples make one chunk at one worker and chunks of 2 at two, so blocks
+    # of 1 and 3 split them; the default block holds a whole chunk
     configs = (
         SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=16, seed=2,
                     grid=tuple(range(2, 11))),

@@ -72,7 +72,7 @@ CASES = {
         "38f59b43c907ad542455a56808c3736a834190c81c3ea33811fe23238496c8bc",
         "e9eba3d3c9cfc1652bede2fa16202ed64727d2f7945196d26d35db3f4f8b3481",
     ),
-    # 75 samples per chunk at one worker, so each chunk spans two sample blocks
+    # 300 samples per grid point, so its one chunk at one worker spans five sample blocks
     "fig3-blocks": (
         ["fig3", "--samples", "300", "--dim", "10", "--grid", "1,5,10"],
         "ordering_vs_rank.csv",

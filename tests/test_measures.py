@@ -15,12 +15,12 @@ from cohkit.measures import (
     MeasureKind,
     MeasureValue,
     Method,
-    _ascent_bracket,
+    _ascent_brackets,
     _pair_value,
-    _solve_free_roc,
+    _solve_free_rocs,
     compute_measure,
     l1_coherence,
-    ordering_decision,
+    ordering_decisions,
     rel_entropy_coherence,
     roc,
     subadditivity_gap,
@@ -34,10 +34,34 @@ from cohkit.states import (
     maximally_coherent,
     mix_with_pure,
     pure_density,
+    random_densities,
     random_density,
     sigma_family,
     sigma_kmax,
 )
+
+
+def ordering_decision(a, b, staged=True):
+    """The decision of one pair, decided as a block of one."""
+    return ordering_decisions([(a, b)], staged)[0]()
+
+
+def _solve_free_roc(rho, tol):
+    """The solve-free value of one state, as a block of one."""
+    return _solve_free_rocs(rho.mat[None], tol)[0][0]
+
+
+def _ascent_start(rho):
+    """The phases the ascent of ``rho`` starts from, as a stack of one: those
+    of the top eigenvector of rho - Diag(rho) (candidate 3)."""
+    off = rho.mat - np.diag(rho.mat.diagonal())
+    return cohkit.measures._unit_phases(np.linalg.eigh(off)[1][None, :, -1])
+
+
+def _ascent_bracket(rho):
+    """The phase-ascent bracket ``(lo, hi)`` of one state, as a block of one."""
+    lo, hi = _ascent_brackets(rho.mat[None], _ascent_start(rho))
+    return float(lo[0]), float(hi[0])
 
 
 def test_l1_on_diagonal():
@@ -631,22 +655,24 @@ def test_stacked_and_single_states_measure_bit_identically(name):
 
 
 def test_the_ascent_reuses_the_eigh_of_the_solve_free_bracket(monkeypatch):
-    # one eigh of the off-diagonal part per state serves both brackets
-    a, b = next(pair for pair in _open_pairs()
-                if ordering_decision(*pair).stage is DecisionStage.ASCENT)
-    a, b = DensityMatrix(a.mat), DensityMatrix(b.mat)  # fresh states, nothing kept yet
-    fresh = (DensityMatrix(a.mat), DensityMatrix(b.mat))
-    assert {roc(rho, tol=None).method for rho in fresh} == {Method.SOLVE_FREE_BRACKET}
+    # one eigh of the stacked off-diagonal parts serves both brackets of a block
+    pairs = [pair for pair in _open_pairs()
+             if ordering_decision(*pair).stage is DecisionStage.ASCENT]
+    d = pairs[0][0].dim
+    pairs = [pair for pair in pairs if pair[0].dim == d]
+    assert {roc(rho, tol=None).method for pair in pairs for rho in pair} == {
+        Method.SOLVE_FREE_BRACKET}
     calls = []
     real_eigh = np.linalg.eigh
 
     def counting_eigh(m):
-        calls.append(m)
+        calls.append(m.shape)
         return real_eigh(m)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-    assert ordering_decision(a, b).stage is DecisionStage.ASCENT
-    assert len(calls) == 2
+    decisions = [decide() for decide in ordering_decisions(pairs)]
+    assert {decision.stage for decision in decisions} == {DecisionStage.ASCENT}
+    assert calls == [(2 * len(pairs), d, d)]
 
 
 @pytest.mark.parametrize("name", sorted(ASCENT_HARD_STATES))
@@ -661,8 +687,8 @@ def test_ascent_bracket_contains_the_sdp_optimum(name):
 
 
 def test_each_ascent_step_never_lowers_the_dual(monkeypatch):
-    # every phase vector the ascent forms, in order: the eigenvector start,
-    # then one per minorize-maximize step
+    # every phase vector the ascent forms, in order, after the eigenvector
+    # start it is given: one per minorize-maximize step
     formed = []
     real_phases = cohkit.measures._unit_phases
 
@@ -676,14 +702,15 @@ def test_each_ascent_step_never_lowers_the_dual(monkeypatch):
     states += [random_density(d, int(rng.integers(2, d + 1)), rng) for d in range(3, 17)]
     rises = 0
     for rho in states:
+        start = _ascent_start(rho)
         formed.clear()
-        lo, _ = _ascent_bracket(rho)
-        assert len(formed) == cohkit.measures.ASCENT_STEPS + 1
-        duals = [float(np.vdot(u, rho.mat @ u).real) for u in formed]
+        lo, _ = _ascent_brackets(rho.mat[None], start)
+        assert len(formed) == cohkit.measures.ASCENT_STEPS
+        duals = [float(np.vdot(u[0], rho.mat @ u[0]).real) for u in [start] + formed]
         for before, after in zip(duals, duals[1:]):
             assert after >= before - 1e-12 * max(1.0, abs(before))
             rises += after > before + 1e-6
-        assert lo == max(0.0, max(duals) - 1.0)
+        assert lo[0] == max(0.0, max(duals) - 1.0)
     assert rises > 0
 
 
@@ -709,15 +736,28 @@ def _tight_below_loose_above(rho):
     return sdp.solve(sdp.build(rho), tol=1e-9).dual_value - 1.0, roc(rho, tol=None).upper + 1.0
 
 
+def _stacked(bracket):
+    """A stand-in for ``_ascent_brackets`` that gives each matrix of the stack
+    the one-state bracket ``bracket``."""
+
+    def ascent(m, u):
+        lo, hi = zip(*(bracket(DensityMatrix(mat)) for mat in m))
+        return np.array(lo), np.array(hi)
+
+    return ascent
+
+
 @pytest.mark.parametrize(
     "ascent", [_ascent_bracket, _tight_above_loose_below, _tight_below_loose_above]
 )
 def test_the_ascent_never_widens_a_solve_free_bracket(ascent, monkeypatch):
-    monkeypatch.setattr(cohkit.measures, "_ascent_bracket", ascent)
+    # the open pairs decided as one block, so each ascent runs on a stack
+    pairs = _open_pairs()
+    first = [(roc(a, tol=None), roc(b, tol=None)) for a, b in pairs]
+    monkeypatch.setattr(cohkit.measures, "_ascent_brackets", _stacked(ascent))
     ascent_settled = 0
-    for a, b in _open_pairs():
-        ra, rb = roc(a, tol=None), roc(b, tol=None)
-        decision = ordering_decision(a, b)
+    for (ra, rb), decide in zip(first, ordering_decisions(pairs)):
+        decision = decide()
         ascent_settled += decision.stage is DecisionStage.ASCENT
         low, high = decision.roc_difference
         assert ra.value - rb.upper <= low <= high <= ra.upper - rb.value
@@ -727,24 +767,33 @@ def test_the_ascent_never_widens_a_solve_free_bracket(ascent, monkeypatch):
 # sha256 of the answers alone, recorded before ordering_decision was rewritten
 # around a rung table, and kept through every later rewrite
 VIOLATED_HASH = "6db768518dfeb5d4c215347b9da1020e0f8ee399d26f437fc6c832fd7463ca1e"
-# sha256 of each decision's stage and bracket and of the roc / _ascent_bracket /
-# sdp.solve calls that made it, recorded when one solve rung replaced two
-DECISION_HASH = "df43b0ef7e173a145eff96b03bceb9546982dc73c686a3d2d0cf8d2ade48432b"
+# sha256 of each decision's answers and stage, recorded before the rungs ran
+# on stacks, and kept since
+STAGE_HASH = "3a995a28be66155c5847e224309db5a454073c24f360958f2755bb071d4e4468"
+# sha256 of each decision's stage and bracket and of the roc /
+# _solve_free_rocs / _ascent_brackets / sdp.solve calls that made it,
+# recorded when the solve-free and ascent rungs began to run once per block
+DECISION_HASH = "45ebcdf6ecc84e368383d8e9040c68bcc3b05fdcad6f60653be54518ea199e5d"
 
 
 def test_ordering_decisions_and_their_calls_are_pinned(monkeypatch):
     pairs = list(_decision_pairs()) + _open_pairs()
     calls = []
-    real_roc, real_ascent, real_solve = roc, _ascent_bracket, sdp.solve
-    states = {}
+    real_roc, real_solve_free, real_ascent, real_solve = (
+        roc, _solve_free_rocs, _ascent_brackets, sdp.solve)
+    states, names = {}, {}
 
     def recording_roc(rho, tol=DEFAULT_ROC_TOL):
         calls.append(("roc", states[id(rho)], tol))
         return real_roc(rho, tol=tol)
 
-    def recording_ascent(rho):
-        calls.append(("ascent", states[id(rho)]))
-        return real_ascent(rho)
+    def recording_solve_free(m, tol):
+        calls.append(("solve_free", [names[mat.tobytes()] for mat in m], tol))
+        return real_solve_free(m, tol)
+
+    def recording_ascent(m, u):
+        calls.append(("ascent", [names[mat.tobytes()] for mat in m]))
+        return real_ascent(m, u)
 
     def recording_solve(problem, **kwargs):
         sol = real_solve(problem, **kwargs)
@@ -752,17 +801,21 @@ def test_ordering_decisions_and_their_calls_are_pinned(monkeypatch):
         return sol
 
     monkeypatch.setattr(cohkit.measures, "roc", recording_roc)
-    monkeypatch.setattr(cohkit.measures, "_ascent_bracket", recording_ascent)
+    monkeypatch.setattr(cohkit.measures, "_solve_free_rocs", recording_solve_free)
+    monkeypatch.setattr(cohkit.measures, "_ascent_brackets", recording_ascent)
     monkeypatch.setattr(sdp, "solve", recording_solve)
-    violated, record = [], []
+    violated, stages, record = [], [], []
     for staged in (True, False):
         for a, b in pairs:
             states.update({id(a): "a", id(b): "b"})
+            names.update({a.mat.tobytes(): "a", b.mat.tobytes(): "b"})
             calls.clear()
             decision = ordering_decision(a, b, staged=staged)
             violated.append(decision.violated)
+            stages.append((decision.violated, decision.stage.value))
             record.append((decision.stage.value, repr(decision.roc_difference), calls[:]))
     assert hashlib.sha256(repr(violated).encode()).hexdigest() == VIOLATED_HASH
+    assert hashlib.sha256(repr(stages).encode()).hexdigest() == STAGE_HASH
     assert hashlib.sha256(repr(record).encode()).hexdigest() == DECISION_HASH
 
 
@@ -775,13 +828,172 @@ def test_a_primal_whose_slack_fails_cholesky_is_never_used(monkeypatch):
     # shift c comes out too small wherever the slack needs one
     real_eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: real_eigvalsh(m) + 0.5)
-    rejected = 0
+    by_dim = {}
     for name, rho in states.items():
-        lo, hi = _ascent_bracket(rho)
-        assert lo == honest[name][0]
-        assert hi == np.inf or hi >= optimum[name] - 1e-12, name
-        rejected += hi == np.inf
+        by_dim.setdefault(rho.dim, []).append(name)
+    rejected = 0
+    for names in by_dim.values():  # the states of each dimension as one stack
+        lo, hi = _ascent_brackets(np.stack([states[name].mat for name in names]),
+                                  np.concatenate([_ascent_start(states[name]) for name in names]))
+        for name, low, high in zip(names, lo.tolist(), hi.tolist()):
+            assert (low, high) == _ascent_bracket(states[name])
+            assert low == honest[name][0]
+            assert high == np.inf or high >= optimum[name] - 1e-12, name
+            rejected += high == np.inf
     assert 0 < rejected < len(states)
+    assert max(len(names) for names in by_dim.values()) > 1
+
+
+def _block_pairs(ranks=None):
+    """Seeded blocks of three pairs, drawn as the ordering sweeps draw them,
+    at d = 2..16 and every rank (or the ranks ``ranks(d)``)."""
+    for d in range(2, 17):
+        for rank in ranks(d) if ranks else range(1, d + 1):
+            rngs = [np.random.default_rng([31, d, rank, i]) for i in range(3)]
+            states = random_densities(d, rank, rngs, count=2)
+            yield list(zip(states[::2], states[1::2]))
+
+
+def _mixed_block():
+    """Qubits, pure, phase-witness (phase-rotated), zero-diagonal-row and
+    random states of several dimensions, in one block of pairs."""
+    rng = np.random.default_rng(81)
+    witness = [_phase_rotated(_nonnegative_state(d, rng), rng) for d in (6, 6, 5)]
+    pairs = [
+        (random_density(2, 2, rng), random_density(2, 2, rng)),
+        (pure_density(haar_random_pure(6, rng)), _zero_rows_state(0)),
+        (witness[0], random_density(6, 6, rng)),
+        (_zero_rows_state(1), random_density(6, 3, rng)),
+        (witness[2], pure_density(haar_random_pure(5, rng))),
+        (_zero_rows_state(2), witness[1]),
+        (pure_density(haar_random_pure(4, rng)), pure_density(haar_random_pure(4, rng))),
+    ]
+    pairs += [(random_density(d, d, rng), random_density(d, d, rng)) for d in (6, 10, 10) * 6]
+    return pairs
+
+
+def test_a_block_decides_each_pair_as_a_block_of_one():
+    stages = set()
+    blocks = list(_block_pairs()) + [_mixed_block()]
+    for pairs in blocks:
+        block = [decide() for decide in ordering_decisions(pairs)]
+        assert block == [ordering_decision(a, b) for a, b in pairs]
+        stages |= {decision.stage for decision in block}
+    assert {DecisionStage.SOLVE_FREE, DecisionStage.ASCENT, DecisionStage.SOLVE} <= stages
+    mixed = [decide().stage for decide in ordering_decisions(_mixed_block())]
+    assert {DecisionStage.SOLVE_FREE, DecisionStage.ASCENT, DecisionStage.SOLVE} <= set(mixed)
+
+
+def _scalar_brackets(rho):
+    """Candidates 1-6 on one matrix with single-matrix numpy calls, as first
+    written: the solve-free ``(value, gap)`` and the ascent's ``(lo, hi)``."""
+    m = rho.mat
+    phases = cohkit.measures._unit_phases
+    u = phases(m[:, int(np.argmax(m.diagonal().real))])
+    dual = float(np.vdot(u, m @ u).real)
+    primal = float(np.abs(m).sum())
+    off = m.copy()
+    np.fill_diagonal(off, 0.0)
+    w, v = np.linalg.eigh(off)
+    u = phases(v[:, -1])
+    dual = max(dual, float(np.vdot(u, m @ u).real))
+    shift = float(w[-1]) + cohkit.measures.BRACKET_SLACK_SHIFT
+    slack = -m
+    np.fill_diagonal(slack, shift)
+    try:
+        np.linalg.cholesky(slack)
+        primal = min(primal, float(np.sum(m.diagonal().real + shift)))
+    except np.linalg.LinAlgError:
+        pass
+    lo = max(0.0, dual - 1.0)
+    r = m @ u
+    ascent = float(np.vdot(u, r).real)
+    for _ in range(cohkit.measures.ASCENT_STEPS):
+        u = phases(r)
+        r = m @ u
+        ascent = max(ascent, float(np.vdot(u, r).real))
+    mod = np.abs(r)
+    d = mod + max(0.0, -float(np.linalg.eigvalsh(np.diag(mod) - m)[0]))
+    d = d + cohkit.measures.BRACKET_SLACK_SHIFT
+    try:
+        np.linalg.cholesky(np.diag(d) - m)
+        top = float(d.sum()) - 1.0
+    except np.linalg.LinAlgError:
+        top = np.inf
+    return (lo, max(0.0, primal - 1.0 - lo)), (max(0.0, ascent - 1.0), top)
+
+
+def test_stacked_brackets_equal_each_matrix_alone():
+    # every solve-free value, ascent start and ascent bracket of a stack is
+    # bit-identical to the matrix's own as a stack of one, and to the scalar
+    # formulas
+    compared = 0
+    for pairs in _block_pairs():
+        states = [rho for pair in pairs for rho in pair if rho.dim > 2]
+        if not states:
+            continue
+        m = np.stack([rho.mat for rho in states])
+        for tol in (DEFAULT_ROC_TOL, None):
+            values, u = _solve_free_rocs(m, tol)
+            for k in range(len(states)):
+                alone, u_alone = _solve_free_rocs(m[k:k + 1], tol)
+                assert values[k] == alone[0]
+                assert np.array_equal(u[k], u_alone[0])
+        lo, hi = _ascent_brackets(m, u)
+        for k, (mv, rho) in enumerate(zip(values, states)):
+            assert (lo[k], hi[k]) == tuple(x[0] for x in _ascent_brackets(m[k:k + 1], u[k:k + 1]))
+            if mv.method is Method.SOLVE_FREE_BRACKET:
+                assert ((mv.value, mv.certificate_gap), (lo[k], hi[k])) == _scalar_brackets(rho)
+                compared += 1
+    assert compared > 500
+
+
+def test_every_final_bracket_holds_the_sdp_value():
+    blocks = list(_block_pairs(lambda d: {d // 2 or 1, d} if d <= 10 else ())) + [_mixed_block()]
+    checked = 0
+    for pairs in blocks:
+        for (a, b), decide in zip(pairs, ordering_decisions(pairs)):
+            low, high = decide().roc_difference
+            if (low, high) == (-np.inf, np.inf):
+                continue
+            sa, sb = (sdp.solve(sdp.build(rho), tol=1e-9) for rho in (a, b))
+            assert sa.status is sb.status is sdp.SolveStatus.OPTIMAL
+            # the bracket meets the SDP's certified bracket on the difference
+            assert low <= sa.primal_value - sb.dual_value + 1e-12
+            assert high >= sa.dual_value - sb.primal_value - 1e-12
+            checked += 1
+    assert checked > 50
+
+
+def test_one_slack_that_fails_cholesky_costs_only_its_own_primal(monkeypatch):
+    rng = np.random.default_rng(83)
+    states = [random_density(10, r, rng) for r in range(2, 11) for _ in range(2)]
+    m = np.stack([rho.mat for rho in states])
+    u = np.concatenate([_ascent_start(rho) for rho in states])
+    honest_lo, honest_hi = _ascent_brackets(m, u)
+    assert np.isfinite(honest_hi).all()
+    real_eigvalsh, real_cholesky = np.linalg.eigvalsh, np.linalg.cholesky
+    # the state whose slack a 0.5 too high lambda_min breaks
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "eigvalsh", lambda a: real_eigvalsh(a) + 0.5)
+        broken = [j for j, rho in enumerate(states) if _ascent_bracket(rho)[1] == np.inf]
+    j = broken[0]
+    # planted fault: in the block, that state's lambda_min alone reads 0.5 too high
+    plant = 0.5 * (np.arange(len(states)) == j)[:, None]
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: real_eigvalsh(a) + plant)
+    factorized = []
+
+    def recording_cholesky(a):
+        factorized.append(len(a))
+        return real_cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording_cholesky)
+    lo, hi = _ascent_brackets(m, u)
+    # the stacked call raised, so each matrix was checked alone
+    assert factorized == [len(states)] + [1] * len(states)
+    assert np.array_equal(lo, honest_lo)
+    assert hi[j] == np.inf
+    assert np.array_equal(np.delete(hi, j), np.delete(honest_hi, j))
 
 
 def test_roc_never_exceeds_l1():

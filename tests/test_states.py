@@ -280,9 +280,11 @@ def test_a_stack_of_valid_states_keeps_each_single_construction():
 
 
 def test_random_densities_draw_what_random_density_would():
+    # two states per generator, drawn with one call each, are the states two
+    # random_density calls on that generator give
     for d, rank in ((2, 1), (5, 3), (10, 10)):
         rngs = [np.random.default_rng([d, rank, i]) for i in range(4)]
-        block = random_densities(d, rank, [rng for rng in rngs for _ in range(2)])
+        block = random_densities(d, rank, rngs, count=2)
         one_by_one = []
         for i in range(4):
             rng = np.random.default_rng([d, rank, i])
