@@ -296,7 +296,7 @@ def random_densities(
     """
     if not 1 <= rank <= d:
         raise ValueError(f"rank must satisfy 1 <= rank <= d, got rank={rank}, d={d}")
-    g = np.stack([rng.standard_normal((count, 2, d, rank)) for rng in rngs]).reshape(-1, 2, d, rank)
+    g = np.concatenate([rng.standard_normal((count, 2, d, rank)) for rng in rngs])
     g = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2)
     m = g @ g.conj().swapaxes(-1, -2)
     m = linalg.hermitize(m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None])
