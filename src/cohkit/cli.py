@@ -108,6 +108,14 @@ def _parse_grid(text: str, cast) -> tuple:
     return values
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform can say (a CPU
+    affinity mask can exclude most of the host's); the host's count elsewhere."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cohkit",
@@ -148,8 +156,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--threads",
             type=_count,
-            default=os.cpu_count() or 1,
-            help="worker processes for sample evaluation",
+            default=_usable_cpus(),
+            help="worker processes for sample evaluation (default: the CPUs this "
+            "process may run on)",
         )
         p.add_argument("--out", default="results", help="output directory for CSV + metadata")
 

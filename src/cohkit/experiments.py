@@ -24,12 +24,18 @@ turn. The ordering sweeps draw a block's state pairs with
 l1 sums, spectra and entropies computed as one numpy stack, and bracket the
 block's pairs with :func:`~cohkit.measures.ordering_decisions`, so the
 solve-free and phase-ascent RoC brackets also run once per block; only the
-solve of a pair those leave open runs per sample. The other experiments draw
-inside their per-sample function. A draw whose SDP fails to certify is
-drawn again from the same generator, as a block of one, and reported; too
-many failures abort the run. An experiment may also
-note each sample as its chunk computes it, keeping only what the reduction
-needs: the ordering sweeps count the stage that settled each pair there.
+solve of a pair those leave open runs per sample. The sub-additivity sweep
+takes one k per generator and builds the block's sigma-family states and
+their mixtures as numpy stacks, with the block forms of
+:func:`~cohkit.states.sigma_family` and :func:`~cohkit.states.mix_with_pure`;
+the block form of :func:`~cohkit.measures.subadditivity_gap` then takes the
+marginals, their closed forms and the phase witness once per block, and only
+the solve of a mixture the witness leaves open runs per sample. theorem1 and
+result2 draw inside their per-sample function. A draw whose SDP fails to
+certify is drawn again from the same generator, as a block of one, and
+reported; too many failures abort the run. An experiment may also note each
+sample as its chunk computes it, keeping only what the reduction needs: the
+ordering sweeps count the stage that settled each pair there.
 Each chunk of samples returns one tally of its kept values, redrawn draws,
 RoC values per dispatch method and notes, and the run merges the tallies by
 one rule: lists extend and counts add.
@@ -224,10 +230,10 @@ def _record(cfg: SweepConfig, point, positive: int, pair: str | None = None) -> 
 # draw functions (cfg, grid point, generators, redraw) -> one draw per
 # generator, and per-sample functions (cfg, grid point, draw) -> value, top
 # level so they can cross process boundaries. A draw is what the experiment's
-# draw function made of the sample's generator: the generator itself, or, for
-# the ordering sweeps, the function that finishes the decision of the
-# sample's pair. A redraw after a solver failure draws again from the same
-# generator, as a block of one, with ``redraw`` set.
+# draw function made of the sample's generator: the generator itself, or the
+# function that finishes the sample's value, its gap (sub-additivity sweep) or
+# the decision of its pair (ordering sweeps). A redraw after a solver failure
+# draws again from the same generator, as a block of one, with ``redraw`` set.
 
 
 def _generators(cfg: SweepConfig, point, rngs: list, redraw: bool) -> list:
@@ -235,15 +241,24 @@ def _generators(cfg: SweepConfig, point, rngs: list, redraw: bool) -> list:
     return rngs
 
 
-def _subadd_sample(cfg: SweepConfig, p: float, rng: np.random.Generator) -> bool:
-    """Whether a two-qubit sigma-family state mixed at weight p with the
-    reference state stays sub-additive."""
+def _subadd_gaps(cfg: SweepConfig, p: float, rngs: list, redraw: bool) -> list:
+    """Each generator's two-qubit sigma-family state, at one uniform k, mixed
+    at weight p with the reference state: the block's states built as one
+    stack, and their gaps taken as one block by
+    :func:`~cohkit.measures.subadditivity_gap`. Per sample, the function that
+    finishes its gap."""
     if cfg.pure_state_choice is PhiChoice.MAXIMALLY_ENTANGLED:
         phi = maximally_entangled_two_qubit()
     else:
         phi = maximally_coherent(4)
-    chi = mix_with_pure(sigma_family(2, rng.uniform(0.0, sigma_kmax(2))), phi, p)
-    return subadditivity_gap(chi) <= SUBADDITIVITY_COUNT_TOL
+    sigmas = sigma_family(2, [rng.uniform(0.0, sigma_kmax(2)) for rng in rngs])
+    return subadditivity_gap(mix_with_pure(sigmas, phi, p))
+
+
+def _subadd_sample(cfg: SweepConfig, p: float, gap: Callable) -> bool:
+    """Whether the sample's mixture stays sub-additive: its gap, finished per
+    sample, so that a failed solve redraws only that sample."""
+    return gap() <= SUBADDITIVITY_COUNT_TOL
 
 
 def _ordering_pairs(cfg: SweepConfig, point: int, rngs: list, redraw: bool) -> list:
@@ -340,7 +355,7 @@ def _pair_records(cfg: SweepConfig, point: int, values: list) -> list[SweepRecor
 # (point, sample index, value) -> value kept that records a sample in them.
 _HARNESS = {
     Experiment.SUBADDITIVITY_SWEEP: (
-        _generators,
+        _subadd_gaps,
         _subadd_sample,
         lambda cfg, p, values: [_record(cfg, p, sum(values))],
         None,

@@ -1,9 +1,10 @@
 """Dense complex linear algebra used by the rest of the package.
 
 Everything here operates on square numpy arrays (real or complex) and is a
-pure function of its inputs; :func:`hermitian_part` and :func:`hermitize`
-also take stacks of them, acting on the last two axes. Matrices are small
-(d <= 64), so all routines are plain O(d^3) dense algorithms backed by LAPACK.
+pure function of its inputs; :func:`hermitian_part`, :func:`hermitize` and
+:func:`partial_trace` also take stacks of them, acting on the last two axes.
+Matrices are small (d <= 64), so all routines are plain O(d^3) dense
+algorithms backed by LAPACK.
 """
 
 from __future__ import annotations
@@ -45,7 +46,8 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...], keep: int) -> np.ndarray:
-    """Reduce a matrix on a tensor-product space to the subsystem `keep`.
+    """Reduce a matrix on a tensor-product space, or each matrix of a stack
+    (last two axes), to the subsystem `keep`.
 
     `dims` lists the subsystem dimensions in tensor order; their product must
     equal the matrix dimension. The trace of the result equals the trace of
@@ -55,17 +57,18 @@ def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...], keep: int) -
     dims = list(dims)
     if not dims or any(d < 1 for d in dims):
         raise ValueError(f"invalid subsystem dimensions {dims}")
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("partial_trace expects a square matrix")
-    if prod(dims) != m.shape[0]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError("partial_trace expects a square matrix or a stack of them")
+    if prod(dims) != m.shape[-1]:
         raise ValueError(
-            f"subsystem dimensions {dims} do not factor a {m.shape[0]}-dimensional matrix"
+            f"subsystem dimensions {dims} do not factor a {m.shape[-1]}-dimensional matrix"
         )
     if not 0 <= keep < len(dims):
         raise ValueError(f"keep={keep} out of range for {len(dims)} subsystems")
 
     left, k, right = prod(dims[:keep]), dims[keep], prod(dims[keep + 1 :])
-    return np.einsum("aibajb->ij", m.reshape(left, k, right, left, k, right))
+    blocks = m.reshape(m.shape[:-2] + (left, k, right, left, k, right))
+    return np.einsum("...aibajb->...ij", blocks)
 
 
 def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -15,7 +15,9 @@ Three measures are provided:
   process.
 
 Also here: the change in each measure when an ancilla is appended, the
-sub-additivity gap over qubit marginals, the closed-form robustness
+sub-additivity gap over qubit marginals (of one state, or of a block of
+states, whose marginals, closed forms and phase witnesses are computed on
+numpy stacks, with only the SDP left per state), the closed-form robustness
 candidate for the sigma family, the measure-ordering test on value
 differences, and :func:`ordering_decisions`, which decides that test for a
 block of pairs of states from RoC brackets tightened only as far as needed:
@@ -30,13 +32,14 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
-from . import sdp
+from . import linalg, sdp
 from .states import DensityMatrix, check_sigma_params
 
 log = logging.getLogger(__name__)
@@ -363,17 +366,56 @@ def ancilla_deviations(rho: DensityMatrix, ancilla: DensityMatrix) -> tuple[floa
     )
 
 
-def subadditivity_gap(rho: DensityMatrix) -> float:
+def subadditivity_gap(
+    rho: DensityMatrix | Sequence[DensityMatrix],
+) -> float | list[Callable[[], float]]:
     """Robustness of the joint state minus the sum over its qubit marginals.
 
     Negative values mean the joint state is sub-additive. Requires an
-    all-qubit factorization.
+    all-qubit factorization. A single state's gap takes every value from
+    :func:`roc`, so the property checks of :mod:`cohkit.validation` see
+    whatever ``roc`` returns.
+
+    A sequence of states sharing one all-qubit factorization is a block:
+    returns, per state, a function that returns its gap, bit-identical to
+    the state's gap alone. What needs no solve runs once for the block, on
+    numpy stacks: each marginal (:func:`cohkit.linalg.partial_trace`,
+    validated by :meth:`DensityMatrix.stack`), its closed form 2|rho_01|,
+    and the phase-witness candidate of :func:`_solve_free_rocs` for the
+    joint states that ``roc`` would bracket. A state's function takes its
+    joint value as ``roc`` would: by ``roc`` itself for a qubit or pure
+    state, else the witness, else the SDP at DEFAULT_ROC_TOL, raising
+    :class:`cohkit.sdp.SolverFailure` there. Only then does it count the
+    joint value and the marginals' closed forms in ROC_METHOD_COUNTS, so a
+    state whose solve fails counts nothing.
     """
-    if not rho.dims or any(d != 2 for d in rho.dims):
-        raise ValueError(f"sub-additivity gap needs an all-qubit factorization, got dims={rho.dims}")
-    total = roc(rho).value
-    marginal_sum = sum(roc(rho.marginal(i)).value for i in range(len(rho.dims)))
-    return total - marginal_sum
+    single = isinstance(rho, DensityMatrix)
+    states = [rho] if single else list(rho)
+    dims = states[0].dims
+    for state in states:
+        if not state.dims or any(d != 2 for d in state.dims) or state.dims != dims:
+            raise ValueError("sub-additivity gap needs one all-qubit factorization, "
+                             f"got dims={state.dims}")
+    if single:
+        return roc(rho).value - sum(roc(rho.marginal(i)).value for i in range(len(dims)))
+    m = np.stack([state.mat for state in states])
+    # every marginal of every state, marginal by marginal, validated as one stack
+    red = np.concatenate([linalg.partial_trace(m, dims, keep) for keep in range(len(dims))])
+    DensityMatrix.stack(red, (2,))
+    marginal_sum = sum((2.0 * np.abs(red[:, 0, 1])).reshape(len(dims), len(states)))
+    bracketed = [k for k, state in enumerate(states) if _bracketed(state)]
+    witness = dict(zip(bracketed, _solve_free_rocs(m[bracketed], DEFAULT_ROC_TOL)[0]))
+
+    def gap(k: int) -> float:
+        if k not in witness:
+            total = roc(states[k])
+        else:
+            total = witness[k] or _sdp_roc(states[k], DEFAULT_ROC_TOL)
+            ROC_METHOD_COUNTS[total.method.value] += 1
+        ROC_METHOD_COUNTS[Method.CLOSED_FORM_QUBIT.value] += len(dims)
+        return total.value - float(marginal_sum[k])
+
+    return [partial(gap, k) for k in range(len(states))]
 
 
 def theorem1_closed_form(n: int, k: float) -> float:

@@ -15,7 +15,11 @@ single state computes each of these on first use, by the same formula.
 :func:`random_densities` draws a block of random states, as many per
 generator as asked, with one draw call per generator, as
 :func:`random_density` would draw them one by one, and the block is
-normalized, validated and measured as one stack.
+normalized, validated and measured as one stack. :func:`sigma_family` and
+:func:`mix_with_pure` take a block too: given a sequence of mixing
+parameters, or of states, they build one stack and return a list of states,
+each bit-identical to the state built alone; given one, they return one
+state, built as a block of one.
 """
 
 from __future__ import annotations
@@ -92,9 +96,12 @@ def _entropy_bits(p: np.ndarray) -> np.ndarray:
     Each row's kept entries are moved, in order, to the end of the row and
     summed as that suffix (for an ascending spectrum they are one already),
     so a row's value is the sum of its kept entries alone, in their order,
-    whatever the other rows of the stack hold.
+    whatever the other rows of the stack hold. Where every entry is kept,
+    each row is that suffix already and is summed in place.
     """
     keep = p > ENTROPY_EIG_FLOOR
+    if keep.all():
+        return -(p * np.log2(p)).sum(-1)
     kept = np.take_along_axis(p, np.argsort(keep, axis=-1, kind="stable"), axis=-1)
     count = keep.sum(-1)
     out = np.zeros(count.shape)
@@ -249,29 +256,50 @@ def check_sigma_params(n: int, k: float) -> None:
         raise ValueError(f"mixing parameter k={k} outside [0, 1/(2^{n}-1)] = [0, {kmax}]")
 
 
-def sigma_family(n: int, k: float) -> DensityMatrix:
+def sigma_family(n: int, k: float | Sequence[float]) -> DensityMatrix | list[DensityMatrix]:
     """n-qubit state (1+k) I/2^n - k |psi><psi| with |psi> maximally coherent.
 
     Valid for 0 <= k <= 1/(2^n - 1); the upper end is where the smallest
     eigenvalue (1+k)/2^n - k reaches zero. Diagonal entries are 1/2^n and
     every off-diagonal entry is -k/2^n.
+
+    A sequence of k gives the block of their states, in order, built and
+    validated as one stack by :meth:`DensityMatrix.stack`; a single k gives
+    its state, as a block of one.
     """
-    check_sigma_params(n, k)
+    ks = np.atleast_1d(np.asarray(k, dtype=float))
+    for each in ks.tolist():
+        check_sigma_params(n, each)
     d = 2**n
-    mat = (1.0 + k) / d * np.eye(d, dtype=complex) - k * projector(maximally_coherent(d))
-    return DensityMatrix(mat, (2,) * n)
+    mats = (((1.0 + ks) / d)[:, None, None] * np.eye(d, dtype=complex)
+            - ks[:, None, None] * projector(maximally_coherent(d)))
+    states = DensityMatrix.stack(mats, (2,) * n)
+    return states if np.ndim(k) else states[0]
 
 
-def mix_with_pure(sigma: DensityMatrix, phi: np.ndarray, p: float) -> DensityMatrix:
-    """Convex combination (1-p) sigma + p |phi><phi|."""
+def mix_with_pure(
+    sigma: DensityMatrix | Sequence[DensityMatrix], phi: np.ndarray, p: float
+) -> DensityMatrix | list[DensityMatrix]:
+    """Convex combination (1-p) sigma + p |phi><phi|.
+
+    A sequence of states, all with the same dimension and subsystem
+    dimensions, gives the block of their mixtures, in order, built and
+    validated as one stack by :meth:`DensityMatrix.stack`; a single state
+    gives its mixture, as a block of one.
+    """
+    block = not isinstance(sigma, DensityMatrix)
+    sigmas = list(sigma) if block else [sigma]
+    dim, dims = sigmas[0].dim, sigmas[0].dims
     phi = np.asarray(phi, dtype=complex)
-    if phi.ndim != 1 or len(phi) != sigma.dim:
-        raise ValueError(
-            f"state vector of length {phi.shape} does not match dimension {sigma.dim}"
-        )
+    if phi.ndim != 1 or len(phi) != dim:
+        raise ValueError(f"state vector of length {phi.shape} does not match dimension {dim}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"mixing weight p={p} outside [0, 1]")
-    return DensityMatrix((1.0 - p) * sigma.mat + p * projector(phi), sigma.dims)
+    if any(s.dims != dims for s in sigmas):
+        raise ValueError("a block of states must share its subsystem dimensions")
+    mats = np.stack([s.mat for s in sigmas])
+    states = DensityMatrix.stack((1.0 - p) * mats + p * projector(phi), dims)
+    return states if block else states[0]
 
 
 def haar_random_pure(d: int, rng: np.random.Generator) -> np.ndarray:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import cohkit.cli
+import cohkit.experiments
 import cohkit.sdp
 from cohkit import validation
 from cohkit.cli import build_parser, main
@@ -138,6 +139,20 @@ def test_experiment_verbs_write_csv_and_metadata(verb, tmp_path, capsys):
     assert (tmp_path / csv_name).stat().st_size > 0
     assert (tmp_path / csv_name.replace(".csv", "_meta.json")).exists()
     assert f"wrote {tmp_path / csv_name}" in capsys.readouterr().out
+
+
+def test_default_threads_are_the_cpus_this_process_may_run_on(monkeypatch, tmp_path):
+    # on a many-CPU host whose affinity mask leaves this process one CPU, a
+    # default run must not fork a pool of host-CPU-count workers
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cohkit.experiments, "ProcessPoolExecutor", NoPool)
+    assert build_parser().parse_args(["fig1"]).threads == 1
+    assert run(["fig1", "--grid", "0,1", "--samples", "2", "--out", str(tmp_path)]) == 0
 
 
 def test_validate_passes(capsys):

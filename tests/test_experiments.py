@@ -22,7 +22,14 @@ from cohkit.experiments import (
 )
 from cohkit.measures import DEFAULT_ROC_TOL, MEASURE_PAIRS, DecisionStage, Method
 from cohkit.sdp import RocSolution, SolveStatus
-from cohkit.states import random_density
+from cohkit.states import (
+    maximally_coherent,
+    maximally_entangled_two_qubit,
+    mix_with_pure,
+    random_density,
+    sigma_family,
+    sigma_kmax,
+)
 
 
 def fig1_config(**over):
@@ -547,3 +554,67 @@ def test_a_redrawn_sample_is_listed_whatever_the_block_size(monkeypatch, block):
         assert any(np.array_equal(rho.mat, state.mat) and tol == DEFAULT_ROC_TOL
                    for rho, tol in solved)
     assert sum(tally["ordering_decisions"].values()) == len(tally["values"]) == 3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("phi", list(PhiChoice), ids=lambda c: c.value)
+def test_fig1_does_not_depend_on_the_block_size(monkeypatch, phi, workers):
+    # as for the ordering sweeps: blocks of 1 and 3 split the one chunk of 16
+    # samples at one worker, blocks of 1 the chunks of 2 at two workers
+    cfg = fig1_config(samples=16, seed=2, grid=(0.0, 0.04, 0.1, 0.2, 0.5, 1.0),
+                      pure_state_choice=phi)
+    expected = run_experiment(cfg, 1)
+    for block in (1, 3, cohkit.experiments.BLOCK_SAMPLES):
+        with monkeypatch.context() as m:
+            m.setattr(cohkit.experiments, "BLOCK_SAMPLES", block)
+            assert run_experiment(cfg, workers) == expected, block
+
+
+# The error and the RoC values per method of the fig1 run below, recorded
+# with the per-sample fig1 code before its samples were stacked: the failed
+# draw counts no value, its marginals' closed forms included.
+PLANTED_FIG1_FAILURE = {
+    PhiChoice.MAXIMALLY_COHERENT: (
+        "robustness SDP ended with status max_iter (gap 3.447e-09 after 7 iterations)",
+        {"sdp": 4, "phase_witness": 1, "closed_form_qubit": 10},
+    ),
+    PhiChoice.MAXIMALLY_ENTANGLED: (
+        "robustness SDP ended with status max_iter (gap 8.174e-09 after 11 iterations)",
+        {"sdp": 5, "closed_form_qubit": 10},
+    ),
+}
+
+
+@pytest.mark.parametrize("block", [1, cohkit.experiments.BLOCK_SAMPLES])
+@pytest.mark.parametrize("phi", list(PhiChoice), ids=lambda c: c.value)
+def test_a_failed_fig1_solve_is_redrawn_from_its_generator(monkeypatch, phi, block):
+    # the mixture of sample 2 fails its solve; the redraw mixes the next k
+    # of the same generator
+    cfg = fig1_config(samples=5, grid=(0.1,), pure_state_choice=phi)
+    if phi is PhiChoice.MAXIMALLY_COHERENT:
+        reference = maximally_coherent(4)
+    else:
+        reference = maximally_entangled_two_qubit()
+    rng = np.random.default_rng([cfg.seed, 0, 2])
+    failed = mix_with_pure(sigma_family(2, rng.uniform(0.0, sigma_kmax(2))), reference, 0.1)
+    redrawn = mix_with_pure(sigma_family(2, rng.uniform(0.0, sigma_kmax(2))), reference, 0.1)
+    real_solve = cohkit.sdp.solve
+    solved = []
+
+    def solve_of_failed_fails(problem, **kwargs):
+        solved.append(problem.rho)
+        sol = real_solve(problem, **kwargs)
+        if np.array_equal(problem.rho.mat, failed.mat):
+            return dataclasses.replace(sol, status=SolveStatus.MAX_ITER)
+        return sol
+
+    monkeypatch.setattr(cohkit.sdp, "solve", solve_of_failed_fails)
+    monkeypatch.setattr(cohkit.experiments, "BLOCK_SAMPLES", block)
+    records, tally = run_experiment(cfg)
+    error, methods = PLANTED_FIG1_FAILURE[phi]
+    assert tally["failures"] == [
+        {"state": failed.to_json_dict(), "error": error, "point": 0.1, "sample": 2}
+    ]
+    assert tally["roc_methods"] == methods
+    assert sum(np.array_equal(rho.mat, redrawn.mat) for rho in solved) == 1
+    assert records[0].count_total == cfg.samples

@@ -53,6 +53,19 @@ def test_partial_trace_preserves_trace():
         assert abs(np.trace(red) - np.trace(m)) < 1e-12
 
 
+def test_partial_trace_reduces_each_matrix_of_a_stack():
+    rng = np.random.default_rng(3)
+    stack = np.stack([rand_complex(rng, 12) for _ in range(5)]).reshape(5, 1, 12, 12)
+    for keep in range(3):
+        red = linalg.partial_trace(stack, [2, 3, 2], keep)
+        assert red.shape == (5, 1) + (red.shape[-1],) * 2
+        for i in range(5):
+            alone = linalg.partial_trace(stack[i, 0], [2, 3, 2], keep)
+            assert np.max(np.abs(red[i, 0] - alone)) < 1e-13
+    with pytest.raises(ValueError, match="square"):
+        linalg.partial_trace(stack[..., :6], [2, 3, 2], 0)
+
+
 def test_partial_trace_dimension_mismatch():
     with pytest.raises(ValueError, match="do not factor"):
         linalg.partial_trace(np.eye(6), [2, 2], 0)

@@ -32,7 +32,9 @@ from cohkit.states import (
     dephase,
     haar_random_pure,
     maximally_coherent,
+    maximally_entangled_two_qubit,
     mix_with_pure,
+    projector,
     pure_density,
     random_densities,
     random_density,
@@ -387,6 +389,44 @@ def test_subadditivity_gap_sigma_value():
 def test_subadditivity_gap_needs_qubit_dims():
     with pytest.raises(ValueError, match="all-qubit"):
         subadditivity_gap(DensityMatrix(np.eye(3) / 3))
+    with pytest.raises(ValueError, match="all-qubit"):
+        subadditivity_gap([sigma_family(2, 0.1), DensityMatrix(np.eye(4) / 4, (4,))])
+
+
+def test_stacked_fig1_block_equals_each_state_alone():
+    # the sigma and mixture stacks, the marginal stacks, their closed forms,
+    # the witness values and the gaps of a block are bit-identical to each
+    # state's own, built and measured alone by the scalar formulas
+    rng = np.random.default_rng(18)
+    kmax = sigma_kmax(2)
+    ks = rng.uniform(0.0, kmax, 24).tolist() + [0.0, kmax]
+    witnessed = solved = 0
+    for phi in (maximally_coherent(4), maximally_entangled_two_qubit()):
+        for p in (0.0, 0.06, 0.2, 0.5, 1.0):
+            sigmas = sigma_family(2, ks)
+            chis = mix_with_pure(sigmas, phi, p)
+            m = np.stack([chi.mat for chi in chis])
+            reds = [linalg.partial_trace(m, (2, 2), keep) for keep in (0, 1)]
+            values = _solve_free_rocs(m, DEFAULT_ROC_TOL)[0]
+            gaps = [gap() for gap in subadditivity_gap(chis)]
+            for i, k in enumerate(ks):
+                sigma = DensityMatrix((1.0 + k) / 4 * np.eye(4, dtype=complex)
+                                      - k * projector(maximally_coherent(4)), (2, 2))
+                chi = DensityMatrix((1.0 - p) * sigma.mat + p * projector(phi), (2, 2))
+                for block, alone in ((sigmas[i], sigma), (chis[i], chi)):
+                    assert np.array_equal(block.mat, alone.mat)
+                    assert np.array_equal(block.eigenvalues, alone.eigenvalues)
+                    assert block.offdiagonal_abs_sum == alone.offdiagonal_abs_sum
+                for keep in (0, 1):
+                    marginal = chi.marginal(keep)
+                    assert np.array_equal(reds[keep][i], marginal.mat)
+                    assert 2.0 * np.abs(reds[keep][i, 0, 1]) == roc(marginal).value
+                assert values[i] == _solve_free_roc(chi, DEFAULT_ROC_TOL)
+                method = roc(chi).method
+                witnessed += method is Method.PHASE_WITNESS
+                solved += method is Method.SDP
+                assert gaps[i] == subadditivity_gap(chi)
+    assert witnessed > 50 and solved > 50
 
 
 def test_theorem1_closed_form_values():

@@ -131,6 +131,22 @@ def test_mix_with_pure_validates():
         mix_with_pure(sigma, maximally_coherent(4), 1.5)
 
 
+def test_sigma_family_and_mix_with_pure_take_a_block():
+    ks = [0.0, 0.1, 1 / 3]
+    block = sigma_family(2, ks)
+    assert isinstance(sigma_family(2, 0.1), DensityMatrix)
+    assert [rho.dims for rho in block] == [(2, 2)] * 3
+    for rho, k in zip(block, ks):
+        assert np.array_equal(rho.mat, sigma_family(2, k).mat)
+    phi = maximally_coherent(4)
+    for mixed, sigma in zip(mix_with_pure(block, phi, 0.3), block):
+        assert np.array_equal(mixed.mat, mix_with_pure(sigma, phi, 0.3).mat)
+    with pytest.raises(ValueError, match="outside"):
+        sigma_family(2, [0.1, 0.5])
+    with pytest.raises(ValueError, match="subsystem dimensions"):
+        mix_with_pure([block[0], DensityMatrix(block[1].mat, (4,))], phi, 0.3)
+
+
 def test_haar_random_pure_norm_and_determinism():
     rng = np.random.default_rng(123)
     for d in (1, 2, 7):
