@@ -14,12 +14,12 @@ Five experiments:
   C(rho) per measure.
 
 All five run on one harness, :func:`run_experiment`, on any number of
-worker processes. An experiment is a draw function, a per-sample function
-and a reduction of one grid point's values to CSV records or rows (result2
-has one grid point, its whole dimension grid). A chunk of samples goes in
-blocks of BLOCK_SAMPLES: the draw function makes the block's draws, one per
-sample generator, and the per-sample function then evaluates each draw in
-turn. The ordering sweeps draw a block's state pairs with
+worker processes. An experiment is a draw function and a reduction of one
+grid point's values to CSV records or rows (result2 has one grid point, its
+whole dimension grid). A chunk of samples goes in blocks of BLOCK_SAMPLES:
+the draw function makes the block's draws, one per sample generator, each a
+function of no arguments that finishes its sample's value, and the chunk
+then calls each in turn. The ordering sweeps draw a block's state pairs with
 :func:`~cohkit.states.random_densities`, so the block is validated and its
 l1 sums, spectra and entropies computed as one numpy stack, and bracket the
 block's pairs with :func:`~cohkit.measures.ordering_decisions`, so the
@@ -30,12 +30,14 @@ their mixtures as numpy stacks, with the block forms of
 :func:`~cohkit.states.sigma_family` and :func:`~cohkit.states.mix_with_pure`;
 the block form of :func:`~cohkit.measures.subadditivity_gap` then takes the
 marginals, their closed forms and the phase witness once per block, and only
-the solve of a mixture the witness leaves open runs per sample. theorem1 and
-result2 draw inside their per-sample function. A draw whose SDP fails to
-certify is drawn again from the same generator, as a block of one, and
-reported; too many failures abort the run. An experiment may also note each
-sample as its chunk computes it, keeping only what the reduction needs: the
-ordering sweeps count the stage that settled each pair there.
+the solve of a mixture the witness leaves open runs per sample; the
+reduction counts the gaps at most SUBADDITIVITY_COUNT_TOL. theorem1 and
+result2 draw nothing ahead: each sample's function draws from its generator
+when called. A draw whose SDP fails to certify is drawn again from the same
+generator, as a block of one, and reported; too many failures abort the run.
+An experiment may also note each sample as its chunk computes it, keeping
+only what the reduction needs: the ordering sweeps count the stage that
+settled each pair there.
 Each chunk of samples returns one tally of its kept values, redrawn draws,
 RoC values per dispatch method and notes, and the run merges the tallies by
 one rule: lists extend and counts add.
@@ -68,6 +70,7 @@ from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -227,18 +230,12 @@ def _record(cfg: SweepConfig, point, positive: int, pair: str | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# draw functions (cfg, grid point, generators, redraw) -> one draw per
-# generator, and per-sample functions (cfg, grid point, draw) -> value, top
-# level so they can cross process boundaries. A draw is what the experiment's
-# draw function made of the sample's generator: the generator itself, or the
-# function that finishes the sample's value, its gap (sub-additivity sweep) or
-# the decision of its pair (ordering sweeps). A redraw after a solver failure
-# draws again from the same generator, as a block of one, with ``redraw`` set.
-
-
-def _generators(cfg: SweepConfig, point, rngs: list, redraw: bool) -> list:
-    """The draws of the experiments that draw inside their per-sample function."""
-    return rngs
+# draw functions (cfg, grid point, generators, redraw) -> per generator, the
+# zero-argument function that finishes that sample's value: its gap
+# (sub-additivity sweep), the decision of its pair (ordering sweeps), or its
+# theorem1 row or result2 deviations, drawn inside the function. A redraw
+# after a solver failure draws again from the same generator, as a block of
+# one, with ``redraw`` set.
 
 
 def _subadd_gaps(cfg: SweepConfig, p: float, rngs: list, redraw: bool) -> list:
@@ -253,12 +250,6 @@ def _subadd_gaps(cfg: SweepConfig, p: float, rngs: list, redraw: bool) -> list:
         phi = maximally_coherent(4)
     sigmas = sigma_family(2, [rng.uniform(0.0, sigma_kmax(2)) for rng in rngs])
     return subadditivity_gap(mix_with_pure(sigmas, phi, p))
-
-
-def _subadd_sample(cfg: SweepConfig, p: float, gap: Callable) -> bool:
-    """Whether the sample's mixture stays sub-additive: its gap, finished per
-    sample, so that a failed solve redraws only that sample."""
-    return gap() <= SUBADDITIVITY_COUNT_TOL
 
 
 def _ordering_pairs(cfg: SweepConfig, point: int, rngs: list, redraw: bool) -> list:
@@ -276,13 +267,6 @@ def _ordering_pairs(cfg: SweepConfig, point: int, rngs: list, redraw: bool) -> l
     d = cfg.dim if cfg.experiment is Experiment.ORDERING_VS_RANK else rank
     states = random_densities(d, rank, rngs, count=2)
     return ordering_decisions(list(zip(states[::2], states[1::2])), staged=not redraw)
-
-
-def _ordering_sample(cfg: SweepConfig, point: int, decide: Callable) -> OrderingDecision:
-    """Per measure pair, whether the sample's pair ranks its two states
-    oppositely: its decision, finished per sample, so that a failed solve
-    redraws only that sample."""
-    return decide()
 
 
 def _decision_notes() -> tuple[dict, Callable]:
@@ -348,26 +332,29 @@ def _pair_records(cfg: SweepConfig, point: int, values: list) -> list[SweepRecor
 
 
 # Per experiment: the draw function (cfg, grid point, generators, redraw) ->
-# one draw per generator; the per-sample function; the reduction of one grid
-# point's values (in sample order) to CSV records or rows; and, optionally, a
-# function called once per chunk that returns the chunk's notes (counts as
-# Counters, entries as lists, under metadata keys) and the function
+# per generator, the function that finishes its sample's value; the reduction
+# of one grid point's values (in sample order) to CSV records or rows; and,
+# optionally, a function called once per chunk that returns the chunk's notes
+# (counts as Counters, entries as lists, under metadata keys) and the function
 # (point, sample index, value) -> value kept that records a sample in them.
 _HARNESS = {
     Experiment.SUBADDITIVITY_SWEEP: (
         _subadd_gaps,
-        _subadd_sample,
-        lambda cfg, p, values: [_record(cfg, p, sum(values))],
+        lambda cfg, p, gaps: [_record(cfg, p, sum(g <= SUBADDITIVITY_COUNT_TOL for g in gaps))],
         None,
     ),
-    Experiment.ORDERING_VS_DIMENSION: (
-        _ordering_pairs, _ordering_sample, _pair_records, _decision_notes,
+    Experiment.ORDERING_VS_DIMENSION: (_ordering_pairs, _pair_records, _decision_notes),
+    Experiment.ORDERING_VS_RANK: (_ordering_pairs, _pair_records, _decision_notes),
+    Experiment.THEOREM1_CHECK: (
+        lambda cfg, n, rngs, redraw: [partial(_theorem1_sample, cfg, n, rng) for rng in rngs],
+        lambda cfg, n, rows: rows,
+        None,
     ),
-    Experiment.ORDERING_VS_RANK: (
-        _ordering_pairs, _ordering_sample, _pair_records, _decision_notes,
+    Experiment.RESULT2_CHECK: (
+        lambda cfg, dims, rngs, redraw: [partial(_result2_sample, cfg, dims, rng) for rng in rngs],
+        _result2_rows,
+        None,
     ),
-    Experiment.THEOREM1_CHECK: (_generators, _theorem1_sample, lambda cfg, n, rows: rows, None),
-    Experiment.RESULT2_CHECK: (_generators, _result2_sample, _result2_rows, None),
 }
 
 
@@ -377,13 +364,14 @@ def _chunk(args) -> dict:
     returned per method meanwhile (``"roc_methods"``) and the experiment's notes.
 
     The samples go in blocks of BLOCK_SAMPLES: the draw function makes the
-    whole block's draws at once, one per sample generator, and the samples
-    are then evaluated in order. A draw whose SDP fails to certify is
-    replaced by the next draw from the same generator, made as a block of
-    one with ``redraw`` set; a sample gets at most _MAX_REDRAWS draws.
+    whole block's draws at once, one function per sample generator, and each
+    sample's function is then called, in order, for its value. A draw whose
+    SDP fails to certify is replaced by the next draw from the same
+    generator, made as a block of one with ``redraw`` set; a sample gets at
+    most _MAX_REDRAWS draws.
     """
     cfg, point_idx, point, start, stop = args
-    draw, sample, _, start_notes = _HARNESS[cfg.experiment]
+    draw, _, start_notes = _HARNESS[cfg.experiment]
     notes, note = start_notes() if start_notes else ({}, None)
     values: list = []
     failures: list[dict] = []
@@ -396,7 +384,7 @@ def _chunk(args) -> dict:
                 if attempt:
                     (drawn,) = draw(cfg, point, [rng], True)
                 try:
-                    value = sample(cfg, point, drawn)
+                    value = drawn()
                     values.append(value if note is None else note(point, sample_idx, value))
                     break
                 except SolverFailure as exc:
@@ -437,7 +425,7 @@ def run_experiment(cfg: SweepConfig, workers: int = 1) -> tuple[list, dict]:
     exceed FAILURE_ABORT_FRACTION of the planned samples, or when one sample
     exhausts its redraws.
     """
-    reduce = _HARNESS[cfg.experiment][2]
+    reduce = _HARNESS[cfg.experiment][1]
     one_point = cfg.experiment is Experiment.RESULT2_CHECK
     points = (tuple(map(int, cfg.grid)),) if one_point else cfg.grid
     limit = max(1.0, FAILURE_ABORT_FRACTION * cfg.samples * len(points))

@@ -5,13 +5,12 @@ its Hilbert space into subsystem dimensions, so multi-qubit marginals can be
 taken without side information. Random sampling takes an explicit numpy
 ``Generator``; nothing in this module keeps hidden generator state.
 
-States are built one at a time, by ``DensityMatrix(...)``, or as a block, by
-:meth:`DensityMatrix.stack` on a stack of matrices. Both run the same checks
-on a numpy stack (a single matrix is a stack with no leading axes), with one
-``eigvalsh`` for the whole stack. A block also computes, for the whole
-stack, what the coherence measures read of each state: its off-diagonal
-``|rho_ij|`` sum and the entropies of its spectrum and of its diagonal. A
-single state computes each of these on first use, by the same formula.
+Every state is built by :meth:`DensityMatrix.stack` on a stack of matrices;
+``DensityMatrix(...)`` builds a single state as a stack of one. The stack is
+checked with one ``eigvalsh`` for the whole stack, and what the coherence
+measures read of each state is computed for the whole stack too: its
+off-diagonal ``|rho_ij|`` sum and the entropies of its spectrum and of its
+diagonal.
 :func:`random_densities` draws a block of random states, as many per
 generator as asked, with one draw call per generator, as
 :func:`random_density` would draw them one by one, and the block is
@@ -27,7 +26,6 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 from math import prod
 from pathlib import Path
 
@@ -45,28 +43,27 @@ ENTROPY_EIG_FLOOR = 1e-12
 
 def _raise_first(bad: np.ndarray, values: np.ndarray, message: str) -> None:
     """Raise ValueError(message formatted with the value of the first bad
-    state), if any: ``bad`` holds one flag per state, a numpy bool for a
-    single state."""
-    if bad if bad.ndim == 0 else bad.any():
-        raise ValueError(message.format(values[bad].flat[0]))
+    state), if any: ``bad`` holds one flag per state."""
+    if bad.any():
+        raise ValueError(message.format(values[bad][0]))
 
 
-def _validated(mat, dims, stacked: bool) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
-    """The contiguous complex form of a matrix (``stacked=False``) or of a
-    stack of them (shape ``(n, d, d)``), the integer subsystem dimensions, and
-    the ascending spectrum of each matrix's Hermitian part.
+def _validated(mats, dims) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+    """The contiguous complex form of a stack of matrices (shape ``(n, d,
+    d)``), the integer subsystem dimensions, and the ascending spectrum of
+    each matrix's Hermitian part.
 
     Raises ``ValueError`` on the first failed check, naming the value of the
     first failing matrix: integer dims, square, finite, dims at least 1 and
     factoring d, Hermitian within HERMITIAN_RTOL, unit trace within
     TRACE_ATOL, no eigenvalue below EIG_FLOOR.
     """
-    m = np.ascontiguousarray(mat, dtype=complex)
+    m = np.ascontiguousarray(mats, dtype=complex)
     dims = tuple(dims)
     if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) for d in dims):
         raise ValueError(f"subsystem dimensions {dims} must be integers")
     dims = tuple(map(int, dims))
-    if m.ndim != 2 + stacked or m.shape[-1] != m.shape[-2]:
+    if m.ndim != 3 or m.shape[-1] != m.shape[-2]:
         raise ValueError("density matrix must be square")
     if not np.isfinite(m).all():
         raise ValueError("density matrix has non-finite entries")
@@ -80,7 +77,7 @@ def _validated(mat, dims, stacked: bool) -> tuple[np.ndarray, tuple[int, ...], n
     tr = m.trace(axis1=-2, axis2=-1)
     _raise_first(abs(tr - 1.0) > TRACE_ATOL, tr, "density matrix trace {} is not 1")
     eigs = np.linalg.eigvalsh(h)
-    min_eig = eigs.T[0]  # each matrix's lowest eigenvalue; a numpy scalar for one matrix
+    min_eig = eigs[:, 0]
     _raise_first(min_eig < EIG_FLOOR, min_eig, "density matrix has negative eigenvalue {:.3e}")
     return m, dims, eigs
 
@@ -117,37 +114,44 @@ class DensityMatrix:
 
     ``dims`` factors the space into subsystems (``()`` means unfactored); each
     entry must be an integer (``int`` or ``np.integer``, not ``bool``) of at
-    least 1. Validation runs on construction, raises ``ValueError`` on any
-    breach, and computes each intermediate once: the input becomes a
-    contiguous complex array, finiteness is tested on it, one conjugate
-    transpose gives both the Hermiticity defect and the Hermitian part
+    least 1. Construction builds the state as a stack of one by
+    :meth:`stack`, which validates it, raises ``ValueError`` on any breach,
+    and computes each intermediate once: the input becomes a contiguous
+    complex array, finiteness is tested on it, one conjugate transpose gives
+    both the Hermiticity defect and the Hermitian part
     (:func:`cohkit.linalg.hermitian_part`), and one ``eigvalsh`` of that
     Hermitian part gives ``eigenvalues``, the ascending spectrum that
     measures and the solver read instead of factorizing the state again.
-    :meth:`stack` runs the same checks on a block of states at once.
+    ``offdiagonal_abs_sum`` is the sum of ``|rho_ij|`` over ``i != j``: the
+    l1-norm of coherence, and for a pure state also its robustness.
+    ``entropy_bits`` is the von Neumann entropy S(rho) in bits, from
+    ``eigenvalues``, and ``dephased_entropy_bits`` the entropy S(Diag(rho))
+    of the diagonal.
     """
 
     mat: np.ndarray
     dims: tuple[int, ...] = field(default=())
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    offdiagonal_abs_sum: float = field(init=False, repr=False, compare=False)
+    entropy_bits: float = field(init=False, repr=False, compare=False)
+    dephased_entropy_bits: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m, dims, eigs = _validated(self.mat, self.dims, stacked=False)
+        (state,) = DensityMatrix.stack([self.mat], self.dims)
         # frozen: set the validated fields past the dataclass's __setattr__
-        self.__dict__.update(mat=m, dims=dims, eigenvalues=eigs)
+        self.__dict__.update(state.__dict__)
 
     @classmethod
     def stack(cls, mats: np.ndarray, dims: tuple[int, ...] = ()) -> list["DensityMatrix"]:
         """One state per matrix of a stack of shape ``(n, d, d)``, all with
         subsystem dimensions ``dims``.
 
-        The stack passes the checks of a single construction, with the same
-        messages, in one pass; each state's ``mat`` is a view into it. The
-        off-diagonal ``|rho_ij|`` sums and both entropies are computed for the
-        whole stack and kept on the states.
+        The stack is validated in one pass, raising on the first failing
+        matrix; each state's ``mat`` is a view into it. The off-diagonal
+        ``|rho_ij|`` sums and both entropies are computed for the whole stack.
         """
-        m, dims, eigs = _validated(mats, dims, stacked=True)
-        cached = zip(
+        m, dims, eigs = _validated(mats, dims)
+        measured = zip(
             m,
             eigs,
             _offdiagonal_abs_sum(m).tolist(),
@@ -155,9 +159,8 @@ class DensityMatrix:
             _entropy_bits(m.diagonal(axis1=-2, axis2=-1).real).tolist(),
         )
         states = []
-        for mat, w, l1, s_rho, s_diag in cached:
+        for mat, w, l1, s_rho, s_diag in measured:
             rho = object.__new__(cls)
-            # the fields a construction sets, and the values its cached properties compute
             rho.__dict__.update(mat=mat, dims=dims, eigenvalues=w, offdiagonal_abs_sum=l1,
                                 entropy_bits=s_rho, dephased_entropy_bits=s_diag)
             states.append(rho)
@@ -166,23 +169,6 @@ class DensityMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    @cached_property
-    def offdiagonal_abs_sum(self) -> float:
-        """Sum of |rho_ij| over i != j, computed on first use and kept: the
-        l1-norm of coherence, and for a pure state also its robustness."""
-        return float(_offdiagonal_abs_sum(self.mat))
-
-    @cached_property
-    def entropy_bits(self) -> float:
-        """Von Neumann entropy S(rho) in bits, from ``eigenvalues``, computed
-        on first use and kept."""
-        return float(_entropy_bits(self.eigenvalues))
-
-    @cached_property
-    def dephased_entropy_bits(self) -> float:
-        """Entropy S(Diag(rho)) of the diagonal in bits, computed on first use and kept."""
-        return float(_entropy_bits(self.mat.diagonal().real))
 
     def marginal(self, keep: int) -> "DensityMatrix":
         """Reduced state on subsystem ``keep`` (requires a factorization)."""

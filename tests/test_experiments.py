@@ -23,6 +23,8 @@ from cohkit.experiments import (
 from cohkit.measures import DEFAULT_ROC_TOL, MEASURE_PAIRS, DecisionStage, Method
 from cohkit.sdp import RocSolution, SolveStatus
 from cohkit.states import (
+    DensityMatrix,
+    dephase,
     maximally_coherent,
     maximally_entangled_two_qubit,
     mix_with_pure,
@@ -618,3 +620,56 @@ def test_a_failed_fig1_solve_is_redrawn_from_its_generator(monkeypatch, phi, blo
     assert tally["roc_methods"] == methods
     assert sum(np.array_equal(rho.mat, redrawn.mat) for rho in solved) == 1
     assert records[0].count_total == cfg.samples
+
+
+def _failing_solve_of(mat: np.ndarray):
+    """``sdp.solve`` that ends with MAX_ITER on the state ``mat`` alone."""
+    real_solve = cohkit.sdp.solve
+
+    def solve(problem, **kwargs):
+        sol = real_solve(problem, **kwargs)
+        if np.array_equal(problem.rho.mat, mat):
+            return dataclasses.replace(sol, status=SolveStatus.MAX_ITER)
+        return sol
+
+    return solve
+
+
+def test_a_failed_theorem1_solve_is_redrawn_from_its_generator(monkeypatch):
+    # the state of sample 2 fails its solve; the redrawn row takes the next k
+    # of the same generator, and every other row stays as it was
+    cfg = SweepConfig(experiment=Experiment.THEOREM1_CHECK, samples=4, seed=9, grid=(2,))
+    clean = run_experiment(cfg)[0]
+    rng = np.random.default_rng([cfg.seed, 0, 2])
+    failed = sigma_family(2, rng.uniform(0.0, sigma_kmax(2)))
+    k_redrawn = rng.uniform(0.0, sigma_kmax(2))
+    monkeypatch.setattr(cohkit.sdp, "solve", _failing_solve_of(failed.mat))
+    rows, tally = run_experiment(cfg)
+    (entry,) = tally["failures"]
+    assert entry["state"] == failed.to_json_dict()
+    assert (entry["point"], entry["sample"]) == (2, 2)
+    assert "max_iter" in entry["error"]
+    assert rows[2].k == k_redrawn != clean[2].k
+    assert rows[:2] + rows[3:] == clean[:2] + clean[3:]
+
+
+def test_a_failed_result2_solve_is_redrawn_from_its_generator(monkeypatch):
+    # the product state of sample 2 fails its solve; the sample's value is
+    # the one the next draw of the same generator gives
+    cfg = SweepConfig(experiment=Experiment.RESULT2_CHECK, samples=4, seed=10, grid=(3, 4))
+    dims = (3, 4)
+    rng = np.random.default_rng([cfg.seed, 0, 2])
+    d_a, d_b = (dims[rng.integers(len(dims))] for _ in range(2))
+    rho = random_density(d_a, d_a, rng)
+    failed = DensityMatrix(np.kron(rho.mat, dephase(random_density(d_b, d_b, rng)).mat),
+                           (d_a, d_b))
+    redrawn = cohkit.experiments._result2_sample(cfg, dims, rng)
+    clean = cohkit.experiments._chunk((cfg, 0, dims, 0, 4))["values"]
+    monkeypatch.setattr(cohkit.sdp, "solve", _failing_solve_of(failed.mat))
+    tally = cohkit.experiments._chunk((cfg, 0, dims, 0, 4))
+    (entry,) = tally["failures"]
+    assert entry["state"] == failed.to_json_dict()
+    assert (entry["point"], entry["sample"]) == (dims, 2)
+    assert "max_iter" in entry["error"]
+    assert tally["values"][2] == redrawn != clean[2]
+    assert tally["values"][:2] + tally["values"][3:] == clean[:2] + clean[3:]

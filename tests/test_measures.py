@@ -114,18 +114,19 @@ def test_measure_kernels_are_bit_identical_to_their_reference_formulas():
 
 
 def test_ordering_decision_reads_each_pure_state_l1_once(monkeypatch):
-    # the l1 difference and the pure-state robustness share one sum per state
+    # the l1 difference and the pure-state robustness share one sum per
+    # state, wherever it is taken: building the states or deciding the pair
     rng = np.random.default_rng(3)
-    a, b = (pure_density(haar_random_pure(10, rng)) for _ in range(2))
     real_abs = np.abs
     full_matrix_abs = []
 
     def counting_abs(x, *args, **kwargs):
-        if np.ndim(x) == 2:
+        if np.shape(x)[-2:] == (10, 10):
             full_matrix_abs.append(x)
         return real_abs(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "abs", counting_abs)
+    a, b = (pure_density(haar_random_pure(10, rng)) for _ in range(2))
     decision = ordering_decision(a, b)
     monkeypatch.undo()
     assert decision.stage is DecisionStage.SOLVE_FREE

@@ -244,6 +244,8 @@ INVALID_INPUTS = [
       for bad in (np.nan, np.inf, -np.inf)],
     # 1-D and 0-D
     *[(mat, (), "square") for mat in (np.ones(4) / 4, np.array([1.0]), np.array(1.0), 1.0)],
+    # a stack of one valid state is not one state
+    (np.eye(2)[None] / 2, (), "square"),
 ]
 
 
