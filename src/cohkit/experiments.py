@@ -9,7 +9,8 @@ Five experiments:
   and count opposite orderings for each pair of measures, per dimension or
   per rank (at fixed dimension).
 * ``theorem1_check`` -- certified robustness of sigma-family states vs. the
-  tabulated closed form, with the sub-additivity gap recorded.
+  tabulated closed form, with the sub-additivity gap recorded (and required
+  to be nonpositive).
 * ``result2_check`` -- worst deviation of C(rho (x) diagonal ancilla) from
   C(rho) per measure.
 
@@ -25,16 +26,18 @@ l1 sums, spectra and entropies computed as one numpy stack, and bracket the
 block's pairs with :func:`~cohkit.measures.ordering_decisions`, so the
 solve-free and phase-ascent RoC brackets also run once per block; only the
 solve of a pair those leave open runs per sample. The sub-additivity sweep
-takes one k per generator and builds the block's sigma-family states and
-their mixtures as numpy stacks, with the block forms of
-:func:`~cohkit.states.sigma_family` and :func:`~cohkit.states.mix_with_pure`;
-the block form of :func:`~cohkit.measures.subadditivity_gap` then takes the
-marginals, their closed forms and the phase witness once per block, and only
-the solve of a mixture the witness leaves open runs per sample; the
-reduction counts the gaps at most SUBADDITIVITY_COUNT_TOL. theorem1 and
-result2 draw nothing ahead: each sample's function draws from its generator
-when called. A draw whose SDP fails to certify is drawn again from the same
-generator, as a block of one, and reported; too many failures abort the run.
+and theorem1 take one k per generator and build the block's sigma-family
+states (and, for the sweep, their mixtures) as numpy stacks, with the block
+forms of :func:`~cohkit.states.sigma_family` and
+:func:`~cohkit.states.mix_with_pure`; :func:`~cohkit.measures.subadditivity_gap`
+then takes the marginals, their closed forms and the phase witness once per
+block, and only the solve of a state the witness leaves open runs per
+sample. The sweep's reduction counts the gaps at most
+SUBADDITIVITY_COUNT_TOL; a theorem1 row raises if its gap exceeds it.
+result2 draws nothing ahead: each sample's function draws from its
+generator when called. A draw whose SDP fails to certify is drawn again
+from the same generator, as a block of one, and reported; too many failures
+abort the run.
 An experiment may also note each sample as its chunk computes it, keeping
 only what the reduction needs: the ordering sweeps count the stage that
 settled each pair there.
@@ -84,7 +87,6 @@ from .measures import (
     OrderingDecision,
     ancilla_deviations,
     ordering_decisions,
-    roc,
     subadditivity_gap,
     theorem1_closed_form,
 )
@@ -231,19 +233,19 @@ def _record(cfg: SweepConfig, point, positive: int, pair: str | None = None) -> 
 
 # ---------------------------------------------------------------------------
 # draw functions (cfg, grid point, generators, redraw) -> per generator, the
-# zero-argument function that finishes that sample's value: its gap
-# (sub-additivity sweep), the decision of its pair (ordering sweeps), or its
-# theorem1 row or result2 deviations, drawn inside the function. A redraw
-# after a solver failure draws again from the same generator, as a block of
-# one, with ``redraw`` set.
+# zero-argument function that finishes that sample's value: its robustness
+# and gap (sub-additivity sweep), the decision of its pair (ordering sweeps),
+# its theorem1 row, or its result2 deviations, drawn inside the function. A
+# redraw after a solver failure draws again from the same generator, as a
+# block of one, with ``redraw`` set.
 
 
 def _subadd_gaps(cfg: SweepConfig, p: float, rngs: list, redraw: bool) -> list:
     """Each generator's two-qubit sigma-family state, at one uniform k, mixed
     at weight p with the reference state: the block's states built as one
-    stack, and their gaps taken as one block by
+    stack, and their robustness values and gaps taken as one block by
     :func:`~cohkit.measures.subadditivity_gap`. Per sample, the function that
-    finishes its gap."""
+    finishes its robustness and gap."""
     if cfg.pure_state_choice is PhiChoice.MAXIMALLY_ENTANGLED:
         phi = maximally_entangled_two_qubit()
     else:
@@ -286,24 +288,28 @@ def _decision_notes() -> tuple[dict, Callable]:
     return {"ordering_decisions": stages, "undecided": undecided}, note
 
 
-def _theorem1_sample(cfg: SweepConfig, n: int, rng: np.random.Generator) -> Theorem1Row:
-    """Certified robustness of one sigma-family state vs. the tabulated closed form.
-
-    The robustness comes from the same ``roc`` dispatch as every other
-    experiment: the qubit closed form at n=1, one SDP solve otherwise. The
-    sub-additivity gap subtracts the marginals' robustness from that value
-    and must be nonpositive (up to SUBADDITIVITY_COUNT_TOL).
-    """
+def _theorem1_rows(cfg: SweepConfig, n: int, rngs: list, redraw: bool) -> list:
+    """Each generator's n-qubit sigma-family state, at one uniform k, the
+    block built as one stack and its robustness values and gaps taken as one
+    block by :func:`~cohkit.measures.subadditivity_gap`, as for fig1: the
+    qubit closed form at n=1, else the phase witness or one SDP solve. Per
+    sample, the function that finishes its row."""
     n = int(n)
-    k = rng.uniform(0.0, sigma_kmax(n))
-    rho = sigma_family(n, k)
-    value = roc(rho).value
-    closed = theorem1_closed_form(n, k)
-    gap = value - sum(roc(rho.marginal(i)).value for i in range(n))
+    ks = [rng.uniform(0.0, sigma_kmax(n)) for rng in rngs]
+    return [partial(_theorem1_row, n, k, value_and_gap)
+            for k, value_and_gap in zip(ks, subadditivity_gap(sigma_family(n, ks)))]
+
+
+def _theorem1_row(n: int, k: float, value_and_gap: Callable) -> Theorem1Row:
+    """Certified robustness of one sigma-family state vs. the tabulated closed
+    form, with its sub-additivity gap, which must be nonpositive (up to
+    SUBADDITIVITY_COUNT_TOL)."""
+    value, gap = value_and_gap()
     if gap > SUBADDITIVITY_COUNT_TOL:
         raise RuntimeError(
             f"sigma family violated sub-additivity: n={n}, k={k}, gap={gap:.3e}"
         )
+    closed = theorem1_closed_form(n, k)
     return Theorem1Row(n, k, value, closed, abs(value - closed), gap)
 
 
@@ -340,16 +346,13 @@ def _pair_records(cfg: SweepConfig, point: int, values: list) -> list[SweepRecor
 _HARNESS = {
     Experiment.SUBADDITIVITY_SWEEP: (
         _subadd_gaps,
-        lambda cfg, p, gaps: [_record(cfg, p, sum(g <= SUBADDITIVITY_COUNT_TOL for g in gaps))],
+        lambda cfg, p, values: [
+            _record(cfg, p, sum(gap <= SUBADDITIVITY_COUNT_TOL for _, gap in values))],
         None,
     ),
     Experiment.ORDERING_VS_DIMENSION: (_ordering_pairs, _pair_records, _decision_notes),
     Experiment.ORDERING_VS_RANK: (_ordering_pairs, _pair_records, _decision_notes),
-    Experiment.THEOREM1_CHECK: (
-        lambda cfg, n, rngs, redraw: [partial(_theorem1_sample, cfg, n, rng) for rng in rngs],
-        lambda cfg, n, rows: rows,
-        None,
-    ),
+    Experiment.THEOREM1_CHECK: (_theorem1_rows, lambda cfg, n, rows: rows, None),
     Experiment.RESULT2_CHECK: (
         lambda cfg, dims, rngs, redraw: [partial(_result2_sample, cfg, dims, rng) for rng in rngs],
         _result2_rows,

@@ -27,9 +27,9 @@ def hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     mh = m.conj().swapaxes(-1, -2)
     h = (m + mh) / 2
-    diff_sq = _sum_abs2(m - mh)  # a numpy scalar for one matrix
+    diff_sq = _sum_abs2(m - mh)
     # exactly Hermitian matrices, the common case, have defect 0 whatever their norm
-    if not (diff_sq.any() if diff_sq.ndim else diff_sq):
+    if not diff_sq.any():
         return h, diff_sq
     return h, np.sqrt(diff_sq / np.maximum(1.0, _sum_abs2(m)))
 

@@ -15,17 +15,18 @@ Three measures are provided:
   process.
 
 Also here: the change in each measure when an ancilla is appended, the
-sub-additivity gap over qubit marginals (of one state, or of a block of
-states, whose marginals, closed forms and phase witnesses are computed on
+robustness and sub-additivity gap over qubit marginals of each state of a
+block (whose marginals, closed forms and phase witnesses are computed on
 numpy stacks, with only the SDP left per state), the closed-form robustness
 candidate for the sigma family, the measure-ordering test on value
-differences, and :func:`ordering_decisions`, which decides that test for a
-block of pairs of states from RoC brackets tightened only as far as needed:
-on numpy stacks for the whole block, the solve-free brackets ``roc``
-would return, then, for the pairs they leave open, certified phase-ascent
-brackets (not ``roc`` values, so not counted in ``ROC_METHOD_COUNTS``);
-then, per pair still open, one SDP solve per state that stops at the first
-certified iterate that settles the pair (counted as an SDP value).
+differences (elementwise on arrays), and :func:`ordering_decisions`, which
+decides that test for a block of pairs of states by one rule, from RoC
+brackets tightened only as far as needed: on numpy stacks for the whole
+block, the solve-free brackets ``roc`` would return, then, for the pairs
+they leave open, certified phase-ascent brackets (not ``roc`` values, so
+not counted in ``ROC_METHOD_COUNTS``); then, per pair still open, one SDP
+solve per state that stops at the first certified iterate that settles the
+pair (counted as an SDP value).
 """
 
 from __future__ import annotations
@@ -366,38 +367,31 @@ def ancilla_deviations(rho: DensityMatrix, ancilla: DensityMatrix) -> tuple[floa
     )
 
 
-def subadditivity_gap(
-    rho: DensityMatrix | Sequence[DensityMatrix],
-) -> float | list[Callable[[], float]]:
-    """Robustness of the joint state minus the sum over its qubit marginals.
+def subadditivity_gap(states: Sequence[DensityMatrix]) -> list[Callable[[], tuple[float, float]]]:
+    """Per state of a block sharing one all-qubit factorization, a function
+    that returns its robustness and its sub-additivity gap: that robustness
+    minus the sum of its qubit marginals' robustness.
 
-    Negative values mean the joint state is sub-additive. Requires an
-    all-qubit factorization. A single state's gap takes every value from
-    :func:`roc`, so the property checks of :mod:`cohkit.validation` see
-    whatever ``roc`` returns.
-
-    A sequence of states sharing one all-qubit factorization is a block:
-    returns, per state, a function that returns its gap, bit-identical to
-    the state's gap alone. What needs no solve runs once for the block, on
-    numpy stacks: each marginal (:func:`cohkit.linalg.partial_trace`,
-    validated by :meth:`DensityMatrix.stack`), its closed form 2|rho_01|,
-    and the phase-witness candidate of :func:`_solve_free_rocs` for the
-    joint states that ``roc`` would bracket. A state's function takes its
-    joint value as ``roc`` would: by ``roc`` itself for a qubit or pure
-    state, else the witness, else the SDP at DEFAULT_ROC_TOL, raising
-    :class:`cohkit.sdp.SolverFailure` there. Only then does it count the
-    joint value and the marginals' closed forms in ROC_METHOD_COUNTS, so a
-    state whose solve fails counts nothing.
+    Negative gaps mean the state is sub-additive. Each pair of values is
+    bit-identical to the state's ``roc`` value and to that value minus the
+    sum, in order, of ``roc`` over its marginals. What needs no solve runs
+    once for the block, on numpy stacks: each marginal
+    (:func:`cohkit.linalg.partial_trace`, validated by
+    :meth:`DensityMatrix.stack`), its closed form 2|rho_01|, and the
+    phase-witness candidate of :func:`_solve_free_rocs` for the states that
+    ``roc`` would bracket. A state's function takes its robustness as
+    ``roc`` would: by ``roc`` itself for a qubit or pure state, else the
+    witness, else the SDP at DEFAULT_ROC_TOL, raising
+    :class:`cohkit.sdp.SolverFailure` there. Only then does it count that
+    value and the marginals' closed forms in ROC_METHOD_COUNTS, so a state
+    whose solve fails counts nothing.
     """
-    single = isinstance(rho, DensityMatrix)
-    states = [rho] if single else list(rho)
+    states = list(states)
     dims = states[0].dims
     for state in states:
         if not state.dims or any(d != 2 for d in state.dims) or state.dims != dims:
             raise ValueError("sub-additivity gap needs one all-qubit factorization, "
                              f"got dims={state.dims}")
-    if single:
-        return roc(rho).value - sum(roc(rho.marginal(i)).value for i in range(len(dims)))
     m = np.stack([state.mat for state in states])
     # every marginal of every state, marginal by marginal, validated as one stack
     red = np.concatenate([linalg.partial_trace(m, dims, keep) for keep in range(len(dims))])
@@ -406,16 +400,16 @@ def subadditivity_gap(
     bracketed = [k for k, state in enumerate(states) if _bracketed(state)]
     witness = dict(zip(bracketed, _solve_free_rocs(m[bracketed], DEFAULT_ROC_TOL)[0]))
 
-    def gap(k: int) -> float:
+    def value_and_gap(k: int) -> tuple[float, float]:
         if k not in witness:
             total = roc(states[k])
         else:
             total = witness[k] or _sdp_roc(states[k], DEFAULT_ROC_TOL)
             ROC_METHOD_COUNTS[total.method.value] += 1
         ROC_METHOD_COUNTS[Method.CLOSED_FORM_QUBIT.value] += len(dims)
-        return total.value - float(marginal_sum[k])
+        return total.value, total.value - float(marginal_sum[k])
 
-    return [partial(gap, k) for k in range(len(states))]
+    return [partial(value_and_gap, k) for k in range(len(states))]
 
 
 def theorem1_closed_form(n: int, k: float) -> float:
@@ -429,9 +423,9 @@ def theorem1_closed_form(n: int, k: float) -> float:
     return k * (1.0 - 2.0 ** (-n))
 
 
-def values_ordering_violated(d1: float, d2: float) -> bool:
+def values_ordering_violated(d1: float | np.ndarray, d2: float | np.ndarray) -> bool | np.ndarray:
     """True when measure differences d1 = m1(a) - m1(b) and d2 = m2(a) - m2(b)
-    rank the pair (a, b) in opposite orders.
+    rank the pair (a, b) in opposite orders, elementwise on numpy arrays.
 
     Differences of magnitude at most ORDERING_TIE_TOL under either measure
     count as ties, never as violations. Given d1, the answer depends only on
@@ -439,9 +433,19 @@ def values_ordering_violated(d1: float, d2: float) -> bool:
     a tie), which is what lets :func:`ordering_decisions` settle it from a
     bracket on d2.
     """
-    if abs(d1) <= ORDERING_TIE_TOL or abs(d2) <= ORDERING_TIE_TOL:
-        return False
-    return d1 * d2 < -(ORDERING_TIE_TOL**2)
+    t = ORDERING_TIE_TOL
+    return (abs(d1) > t) & (abs(d2) > t) & (d1 * d2 < -(t**2))
+
+
+def _answer_table(d_l1: np.ndarray, d_rel: np.ndarray) -> list[list[tuple[bool, ...]]]:
+    """Per pair of l1 and relative-entropy differences, per category of the
+    RoC difference (above ORDERING_TIE_TOL, below -ORDERING_TIE_TOL, a tie,
+    which 1, -1 and 0 stand for), :func:`values_ordering_violated` for every
+    measure pair in MEASURE_PAIRS, taken elementwise on arrays."""
+    diff = dict(zip(MeasureKind, np.broadcast_arrays(d_l1[:, None], d_rel[:, None],
+                                                      [1.0, -1.0, 0.0])))
+    table = np.stack([values_ordering_violated(diff[m], diff[w]) for m, w in MEASURE_PAIRS], -1)
+    return [list(map(tuple, rows)) for rows in table.tolist()]
 
 
 class DecisionStage(Enum):
@@ -465,29 +469,18 @@ class OrderingDecision:
 
 
 class _Pair:
-    """One pair's ordering decision in progress: the known l1 and
-    relative-entropy differences and, once the robustness is needed, each
-    state's first RoC value and its bracket ``[lo[i], hi[i]]``."""
+    """One pair's ordering decision in progress: its answers per category of
+    the RoC difference and each state's RoC bracket ``[lo[i], hi[i]]``,
+    ``[0, inf)`` until its first value ``values[i]`` is known."""
 
-    def __init__(self, states: tuple[DensityMatrix, DensityMatrix], d_l1: float, d_rel: float):
+    def __init__(self, states: tuple[DensityMatrix, DensityMatrix],
+                 categories: list[tuple[bool, ...]]):
         self.states = states
-        diff = {MeasureKind.L1: d_l1, MeasureKind.REL_ENTROPY: d_rel}
-        # per measure pair, the two known differences, with None for the RoC difference
-        self.known = [(diff.get(m), diff.get(w)) for m, w in MEASURE_PAIRS]
+        self.categories = categories
         self.values: list[MeasureValue] = []
+        self.lo, self.hi = [0.0, 0.0], [np.inf, np.inf]
         self.decision: OrderingDecision | None = None
-        # a pair compares the RoC difference with a known one, which, if a tie,
-        # makes the pair a tie whatever the RoC difference is
-        partners = [d2 if d1 is None else d1 for d1, d2 in self.known if None in (d1, d2)]
-        if all(d is None or abs(d) <= ORDERING_TIE_TOL for d in partners):
-            self.decision = OrderingDecision(self.answers(0.0), DecisionStage.SOLVE_FREE,
-                                             (-np.inf, np.inf))
-
-    def answers(self, d_roc: float) -> tuple[bool, ...]:
-        return tuple(
-            values_ordering_violated(d_roc if d1 is None else d1, d_roc if d2 is None else d2)
-            for d1, d2 in self.known
-        )
+        self.settle(DecisionStage.SOLVE_FREE)
 
     def start(self, values: list[MeasureValue], stage: DecisionStage) -> None:
         """Bracket each state's robustness by its first value, and settle the
@@ -495,12 +488,6 @@ class _Pair:
         self.values = values
         self.lo = [mv.value for mv in values]
         self.hi = [mv.upper for mv in values]
-        if self.lo == self.hi:  # both values exact, e.g. pure states: the difference is known
-            self.decision = OrderingDecision(self.answers(self.lo[0] - self.lo[1]), stage,
-                                             self.bracket())
-            return
-        # the answers for an RoC difference in each category: above t, below -t, tie
-        self.categories = self.answers(1.0), self.answers(-1.0), self.answers(0.0)
         self.settle(stage)
 
     def bracket(self) -> tuple[float, float]:
@@ -550,8 +537,9 @@ class _Pair:
                 return self.decision
         if failure is not None:
             raise failure
-        d_roc = self.values[0].value - self.values[1].value
-        self.decision = OrderingDecision(self.answers(d_roc), DecisionStage.UNDECIDED,
+        d_roc, t = self.values[0].value - self.values[1].value, ORDERING_TIE_TOL
+        row = 0 if d_roc > t else 1 if d_roc < -t else 2
+        self.decision = OrderingDecision(self.categories[row], DecisionStage.UNDECIDED,
                                          self.bracket())
         return self.decision
 
@@ -601,12 +589,15 @@ def ordering_decisions(
     decided as a block of one.
 
     The l1 and relative-entropy differences come from the values each state
-    keeps. When no measure pair needs the robustness (its partner difference
-    is a tie), the pair is settled at SOLVE_FREE without one. Otherwise each
-    state's RoC is bracketed, first by its ``roc(tol=None)`` value, and the
-    difference by ``[lo_a - hi_b, hi_a - lo_b]``; the pair is settled once
-    every category of the difference (``> t``, ``< -t``, tie, with t =
-    ORDERING_TIE_TOL) that the bracket allows gives the same answers.
+    keeps; given them, the answers depend only on the category of the RoC
+    difference (``> t``, ``< -t``, tie, with t = ORDERING_TIE_TOL), so
+    :func:`_answer_table` gives each pair one row of answers per category,
+    once for the block. One rule settles a pair: each state's RoC is
+    bracketed, the difference by ``[lo_a - hi_b, hi_a - lo_b]``, and the pair
+    is settled once every category the bracket allows has the same row. The
+    first bracket, ``[0, inf)`` per state, settles at SOLVE_FREE exactly the
+    pairs that need no robustness (each partner of the RoC difference is a
+    tie); the next is each state's ``roc(tol=None)`` value.
 
     Qubits and pure states take ``roc``'s closed forms one at a time; every
     other state's first value comes from :func:`_solve_free_rocs`, once for
@@ -626,9 +617,9 @@ def ordering_decisions(
     raised, as solving outright would raise it, only if the pair is still
     open once both states were solved. Each staged solve that certifies
     counts as an SDP value in ROC_METHOD_COUNTS. A pair still open after
-    both full solves is UNDECIDED and answered by ``values_ordering_violated``
-    on the DEFAULT_ROC_TOL values, exactly as if every value had been solved
-    outright.
+    both full solves is UNDECIDED and takes the row of the category of its
+    DEFAULT_ROC_TOL values' difference, exactly as if every value had been
+    solved outright.
 
     With ``staged=False`` only the differences are taken for the block, and
     each pair's function solves its robustness values outright, when they
@@ -639,11 +630,8 @@ def ordering_decisions(
     states = [rho for pair in pairs for rho in pair]
     l1 = np.array([_finalize(rho.offdiagonal_abs_sum) for rho in states])
     rel = np.array([_finalize(rho.dephased_entropy_bits - rho.entropy_bits) for rho in states])
-    block = [
-        _Pair(pair, d_l1, d_rel)
-        for pair, d_l1, d_rel in zip(pairs, (l1[::2] - l1[1::2]).tolist(),
-                                     (rel[::2] - rel[1::2]).tolist())
-    ]
+    table = _answer_table(l1[::2] - l1[1::2], rel[::2] - rel[1::2])
+    block = [_Pair(pair, rows) for pair, rows in zip(pairs, table)]
     if staged:
         _block_rungs([pair for pair in block if pair.decision is None])
     return [pair.decide for pair in block]

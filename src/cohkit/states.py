@@ -108,7 +108,7 @@ def _entropy_bits(p: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Validated Hermitian, PSD, unit-trace matrix.
 
@@ -126,15 +126,15 @@ class DensityMatrix:
     l1-norm of coherence, and for a pure state also its robustness.
     ``entropy_bits`` is the von Neumann entropy S(rho) in bits, from
     ``eigenvalues``, and ``dephased_entropy_bits`` the entropy S(Diag(rho))
-    of the diagonal.
+    of the diagonal. States compare and hash by identity.
     """
 
     mat: np.ndarray
     dims: tuple[int, ...] = field(default=())
-    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
-    offdiagonal_abs_sum: float = field(init=False, repr=False, compare=False)
-    entropy_bits: float = field(init=False, repr=False, compare=False)
-    dephased_entropy_bits: float = field(init=False, repr=False, compare=False)
+    eigenvalues: np.ndarray = field(init=False, repr=False)
+    offdiagonal_abs_sum: float = field(init=False, repr=False)
+    entropy_bits: float = field(init=False, repr=False)
+    dephased_entropy_bits: float = field(init=False, repr=False)
 
     def __post_init__(self):
         (state,) = DensityMatrix.stack([self.mat], self.dims)

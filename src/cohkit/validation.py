@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import block_diag
 
-from .measures import MeasureKind, ancilla_deviations, compute_measure, subadditivity_gap
+from .measures import MeasureKind, ancilla_deviations, compute_measure
 from .states import (
     DensityMatrix,
     dephase,
@@ -102,9 +102,16 @@ def _block_additivity(rng: np.random.Generator) -> list[float]:
     return [abs(c - (p1 * a + (1 - p1) * b)) for c, a, b in zip(*values)]
 
 
+def _subadditivity_gap(rho: DensityMatrix) -> float:
+    """Robustness of ``rho`` minus the sum of its qubit marginals' robustness."""
+    kind = MeasureKind.ROC
+    return compute_measure(kind, rho).value - sum(
+        compute_measure(kind, rho.marginal(i)).value for i in range(len(rho.dims)))
+
+
 def _pure_state_superadditivity(rng: np.random.Generator) -> list[float]:
     """Robustness of a two-qubit pure state is at least the sum over marginals."""
-    gap = subadditivity_gap(pure_density(haar_random_pure(4, rng), (2, 2)))
+    gap = _subadditivity_gap(pure_density(haar_random_pure(4, rng), (2, 2)))
     return [0.0 if gap >= 0.0 else -gap]  # a NaN gap stays NaN
 
 
@@ -126,7 +133,7 @@ def _roc_within_l1(rng: np.random.Generator) -> list[float]:
 def _sigma_subadditivity(rng: np.random.Generator) -> list[float]:
     """Every sigma-family state is sub-additive for robustness."""
     n = int(rng.integers(1, 5))
-    return [subadditivity_gap(sigma_family(n, rng.uniform(0.0, sigma_kmax(n))))]
+    return [_subadditivity_gap(sigma_family(n, rng.uniform(0.0, sigma_kmax(n))))]
 
 
 # In stream order: row i draws from default_rng([seed, i]), i counting from 1.

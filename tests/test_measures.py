@@ -367,29 +367,34 @@ def test_measure_value_certificate_gap_consistency():
     MeasureValue(0.5, Method.PHASE_WITNESS, certificate_gap=0.0)
 
 
+def _gap(rho):
+    """The sub-additivity gap of one state, as a block of one."""
+    return subadditivity_gap([rho])[0]()[1]
+
+
 def test_subadditivity_gap_product_of_dephased_qubits():
     rng = np.random.default_rng(5)
     a = dephase(random_density(2, 2, rng)).mat
     b = dephase(random_density(2, 2, rng)).mat
     rho = DensityMatrix(np.kron(a, b), (2, 2))
-    assert abs(subadditivity_gap(rho)) < 1e-12
+    assert abs(_gap(rho)) < 1e-12
 
 
 def test_subadditivity_gap_pure_two_qubit_nonnegative():
     rng = np.random.default_rng(6)
     for _ in range(100):
-        gap = subadditivity_gap(pure_density(haar_random_pure(4, rng), (2, 2)))
+        gap = _gap(pure_density(haar_random_pure(4, rng), (2, 2)))
         assert gap >= -1e-7
 
 
 def test_subadditivity_gap_sigma_value():
     # total robustness k, marginals k each: gap is k(1-n) = -1/3 here
-    assert abs(subadditivity_gap(sigma_family(2, 1 / 3)) - (-1 / 3)) < 1e-6
+    assert abs(_gap(sigma_family(2, 1 / 3)) - (-1 / 3)) < 1e-6
 
 
 def test_subadditivity_gap_needs_qubit_dims():
     with pytest.raises(ValueError, match="all-qubit"):
-        subadditivity_gap(DensityMatrix(np.eye(3) / 3))
+        subadditivity_gap([DensityMatrix(np.eye(3) / 3)])
     with pytest.raises(ValueError, match="all-qubit"):
         subadditivity_gap([sigma_family(2, 0.1), DensityMatrix(np.eye(4) / 4, (4,))])
 
@@ -409,7 +414,7 @@ def test_stacked_fig1_block_equals_each_state_alone():
             m = np.stack([chi.mat for chi in chis])
             reds = [linalg.partial_trace(m, (2, 2), keep) for keep in (0, 1)]
             values = _solve_free_rocs(m, DEFAULT_ROC_TOL)[0]
-            gaps = [gap() for gap in subadditivity_gap(chis)]
+            gaps = [value_and_gap()[1] for value_and_gap in subadditivity_gap(chis)]
             for i, k in enumerate(ks):
                 sigma = DensityMatrix((1.0 + k) / 4 * np.eye(4, dtype=complex)
                                       - k * projector(maximally_coherent(4)), (2, 2))
@@ -426,8 +431,27 @@ def test_stacked_fig1_block_equals_each_state_alone():
                 method = roc(chi).method
                 witnessed += method is Method.PHASE_WITNESS
                 solved += method is Method.SDP
-                assert gaps[i] == subadditivity_gap(chi)
+                assert gaps[i] == roc(chi).value - sum(roc(chi.marginal(keep)).value
+                                                       for keep in (0, 1))
     assert witnessed > 50 and solved > 50
+
+
+def test_sigma_block_values_and_gaps_equal_each_state_alone():
+    # theorem1's block, at the ends of each family's range too, gives each
+    # state's roc value and its gap by the scalar formula, bit for bit, and
+    # counts the same roc values per method
+    rng = np.random.default_rng(19)
+    for n in range(1, 5):
+        ks = [0.0, sigma_kmax(n)] + rng.uniform(0.0, sigma_kmax(n), 3).tolist()
+        before = cohkit.measures.ROC_METHOD_COUNTS.copy()
+        block = [value_and_gap() for value_and_gap in subadditivity_gap(sigma_family(n, ks))]
+        counted = cohkit.measures.ROC_METHOD_COUNTS - before
+        for k, (value, gap) in zip(ks, block):
+            rho = sigma_family(n, k)
+            alone = roc(rho).value
+            assert value == alone
+            assert gap == alone - sum(roc(rho.marginal(i)).value for i in range(n))
+        assert cohkit.measures.ROC_METHOD_COUNTS - before == counted + counted
 
 
 def test_theorem1_closed_form_values():
@@ -445,6 +469,40 @@ def _ordering_violated(a, b, m1, m2):
     d1 = compute_measure(m1, a).value - compute_measure(m1, b).value
     d2 = compute_measure(m2, a).value - compute_measure(m2, b).value
     return values_ordering_violated(d1, d2)
+
+
+def test_answer_table_is_values_ordering_violated_per_category():
+    t = ORDERING_TIE_TOL
+    past = np.nextafter(t, 1.0)
+    grid = np.array([0.0, t, -t, past, -past, np.nextafter(t, 0.0), 0.3, -0.3])
+    d_l1, d_rel = (x.ravel() for x in np.meshgrid(grid, grid))
+    table = cohkit.measures._answer_table(d_l1, d_rel)
+    assert len(table) == len(d_l1)
+    for rows, l1, rel in zip(table, d_l1.tolist(), d_rel.tolist()):
+        diff = {MeasureKind.L1: l1, MeasureKind.REL_ENTROPY: rel}
+        # each category's row holds for every RoC difference in that category
+        for row, d_rocs in zip(rows, ([past, 0.7], [-past, -0.7], [0.0, t, -t])):
+            for d_roc in d_rocs:
+                diff[MeasureKind.ROC] = d_roc
+                assert row == tuple(values_ordering_violated(diff[m], diff[w])
+                                    for m, w in MEASURE_PAIRS)
+                assert all(type(answer) is bool for answer in row)
+
+
+def test_exact_values_settle_a_pair_on_their_difference(monkeypatch):
+    # two closed-form values bracket the RoC difference by a point, which the
+    # settle rule decides without a solve
+    rng = np.random.default_rng(22)
+    monkeypatch.setattr(sdp, "solve", _never_certifying_solve)
+    pairs = [(pure_density(haar_random_pure(10, rng)), pure_density(haar_random_pure(10, rng))),
+             (random_density(2, 2, rng), random_density(2, 2, rng))]
+    for a, b in pairs:
+        decision = ordering_decision(a, b)
+        d = roc(a).value - roc(b).value
+        assert decision.stage is DecisionStage.SOLVE_FREE
+        assert decision.roc_difference == (d, d)
+        assert all(type(x) is float for x in decision.roc_difference)
+        assert decision.violated == tuple(_ordering_violated(a, b, m, w) for m, w in MEASURE_PAIRS)
 
 
 def test_ordering_ties_are_not_violations():
@@ -1050,7 +1108,7 @@ def test_sigma_family_always_subadditive():
     for _ in range(20):
         n = int(rng.integers(1, 5))
         k = rng.uniform(0, 1 / (2**n - 1))
-        assert subadditivity_gap(sigma_family(n, k)) <= 1e-9
+        assert _gap(sigma_family(n, k)) <= 1e-9
 
 
 def test_hard_negative_floor_raises():

@@ -397,6 +397,14 @@ def test_density_eigenvalues_are_the_validated_spectrum():
         DensityMatrix(np.eye(2) / 2, eigenvalues=np.ones(2))
 
 
+def test_states_compare_and_hash_by_identity():
+    rho = DensityMatrix(np.eye(2) / 2)
+    copy = DensityMatrix(rho.mat.copy())
+    assert rho == rho
+    assert rho != copy and not rho == copy
+    assert {rho: 1}[rho] == 1 and copy not in {rho: 1}
+
+
 def test_json_round_trip(tmp_path):
     rng = np.random.default_rng(6)
     rho = DensityMatrix(
