@@ -41,7 +41,8 @@ EXIT_BAD_INPUT = 2
 EXIT_SOLVER_FAILURE = 3
 
 # Per experiment verb: the experiment, the verb's help, the grid flag, the
-# type of a grid entry, the default grid, the grid's help, default --samples.
+# type of a grid entry, the default grid (None: every rank up to --dim), the
+# grid's help, default --samples.
 _EXPERIMENT_VERBS = {
     "theorem1": (
         Experiment.THEOREM1_CHECK, "sigma-family robustness vs. tabulated closed form",
@@ -58,7 +59,7 @@ _EXPERIMENT_VERBS = {
     ),
     "fig3": (
         Experiment.ORDERING_VS_RANK, "ordering violations vs. rank at fixed dimension",
-        "--grid", int, tuple(range(1, 11)), "comma list of ranks", 10000,
+        "--grid", int, None, "comma list of ranks (default: 1 to --dim)", 10000,
     ),
     "result2": (
         Experiment.RESULT2_CHECK, "incoherent-ancilla invariance deviations",
@@ -151,7 +152,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="reference pure state to mix in",
             )
         if experiment is Experiment.ORDERING_VS_RANK:
-            p.add_argument("--dim", type=int, default=10, help="ambient dimension")
+            p.add_argument("--dim", type=_count, default=10, help="ambient dimension")
         _add_common(p, samples_default=samples)
         p.add_argument(
             "--threads",
@@ -224,13 +225,15 @@ def _experiment_config(args, experiment: Experiment) -> SweepConfig:
         kwargs["pure_state_choice"] = PhiChoice(args.phi)
     if hasattr(args, "dim"):
         kwargs["dim"] = args.dim
+        kwargs["grid"] = args.grid or tuple(range(1, args.dim + 1))
     return SweepConfig(**kwargs)
 
 
 def _cmd_experiment(args, experiment: Experiment) -> int:
     try:
         cfg = _experiment_config(args, experiment)
-    except ValueError as exc:
+        os.makedirs(args.out, exist_ok=True)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:

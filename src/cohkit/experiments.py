@@ -16,11 +16,11 @@ Five experiments:
 
 All five run on one harness, :func:`run_experiment`, on any number of
 worker processes. An experiment is a draw function and a reduction of one
-grid point's values to CSV records or rows (result2 has one grid point, its
-whole dimension grid). A chunk of samples goes in blocks of BLOCK_SAMPLES:
-the draw function makes the block's draws, one per sample generator, each a
-function of no arguments that finishes its sample's value, and the chunk
-then calls each in turn. The ordering sweeps draw a block's state pairs with
+grid point's values to CSV records or rows and metadata notes (result2 has
+one grid point, its whole dimension grid). A chunk of samples goes in
+blocks of BLOCK_SAMPLES: the draw function makes the block's draws, one per
+sample generator, each a function of no arguments that finishes its
+sample's value, and the chunk then calls each in turn. The ordering sweeps draw a block's state pairs with
 :func:`~cohkit.states.random_densities`, so the block is validated and its
 l1 sums, spectra and entropies computed as one numpy stack, and bracket the
 block's pairs with :func:`~cohkit.measures.ordering_decisions`, so the
@@ -38,11 +38,13 @@ result2 draws nothing ahead: each sample's function draws from its
 generator when called. A draw whose SDP fails to certify is drawn again
 from the same generator, as a block of one, and reported; too many failures
 abort the run.
-An experiment may also note each sample as its chunk computes it, keeping
-only what the reduction needs: the ordering sweeps count the stage that
-settled each pair there.
-Each chunk of samples returns one tally of its kept values, redrawn draws,
-RoC values per dispatch method and notes, and the run merges the tallies by
+Each grid point is split into one contiguous chunk of samples per worker
+(fewer if the point has fewer samples than workers). A chunk keeps exactly
+what each sample's function returns, and returns one tally of those values,
+its redrawn draws and its RoC values per dispatch method. The point's
+reduction returns its records or rows and its notes: the ordering sweeps'
+reduction counts the stage that settled each pair and lists the pairs none
+settled; the others note nothing. The run merges chunk tallies and notes by
 one rule: lists extend and counts add.
 
 Every sample derives its own generator from (seed, point index, sample
@@ -84,7 +86,6 @@ from .measures import (
     ROC_METHOD_COUNTS,
     DecisionStage,
     MeasureKind,
-    OrderingDecision,
     ancilla_deviations,
     ordering_decisions,
     subadditivity_gap,
@@ -271,23 +272,6 @@ def _ordering_pairs(cfg: SweepConfig, point: int, rngs: list, redraw: bool) -> l
     return ordering_decisions(list(zip(states[::2], states[1::2])), staged=not redraw)
 
 
-def _decision_notes() -> tuple[dict, Callable]:
-    """One chunk's notes of an ordering sweep, and the function that notes a
-    sample in them: it counts the stage that settled the sample, lists the
-    sample if none did, and keeps only its answers."""
-    stages = Counter({stage.value: 0 for stage in DecisionStage})
-    undecided: list[dict] = []
-
-    def note(point: int, sample_idx: int, decision: OrderingDecision) -> tuple[bool, ...]:
-        stages[decision.stage.value] += 1
-        if decision.stage is DecisionStage.UNDECIDED:
-            undecided.append({"point": point, "sample": sample_idx,
-                              "roc_difference_bracket": list(decision.roc_difference)})
-        return decision.violated
-
-    return {"ordering_decisions": stages, "undecided": undecided}, note
-
-
 def _theorem1_rows(cfg: SweepConfig, n: int, rngs: list, redraw: bool) -> list:
     """Each generator's n-qubit sigma-family state, at one uniform k, the
     block built as one stack and its robustness values and gaps taken as one
@@ -321,50 +305,55 @@ def _result2_sample(cfg: SweepConfig, dims: tuple[int, ...], rng: np.random.Gene
     return ancilla_deviations(rho, dephase(random_density(d_b, d_b, rng))), d_a, d_b
 
 
-def _result2_rows(cfg: SweepConfig, dims: tuple[int, ...], values: list) -> list[Result2Row]:
+def _result2_rows(cfg: SweepConfig, dims: tuple[int, ...], values: list) -> tuple[list, dict]:
     worst = {kind: (0.0, dims[0], dims[0]) for kind in MeasureKind}
     for devs, d_a, d_b in values:
         for kind, dev in zip(MeasureKind, devs):
             if dev > worst[kind][0]:
                 worst[kind] = (dev, d_a, d_b)
-    return [Result2Row(kind.value, da, db, dev) for kind, (dev, da, db) in worst.items()]
+    return [Result2Row(kind.value, da, db, dev) for kind, (dev, da, db) in worst.items()], {}
 
 
-def _pair_records(cfg: SweepConfig, point: int, values: list) -> list[SweepRecord]:
-    return [
-        _record(cfg, int(point), sum(v[j] for v in values), f"{m.value}:{w.value}")
+def _pair_records(cfg: SweepConfig, point: int, decisions: list) -> tuple[list, dict]:
+    """The point's records from its :class:`~cohkit.measures.OrderingDecision`
+    values, in sample order, and its notes: the pairs settled at each
+    :class:`DecisionStage` and, by sample index, those no stage settled."""
+    stages = Counter({s.value: sum(d.stage is s for d in decisions) for s in DecisionStage})
+    undecided = [{"point": point, "sample": i, "roc_difference_bracket": list(d.roc_difference)}
+                 for i, d in enumerate(decisions) if d.stage is DecisionStage.UNDECIDED]
+    records = [
+        _record(cfg, int(point), sum(d.violated[j] for d in decisions), f"{m.value}:{w.value}")
         for j, (m, w) in enumerate(MEASURE_PAIRS)
     ]
+    return records, {"ordering_decisions": stages, "undecided": undecided}
 
 
 # Per experiment: the draw function (cfg, grid point, generators, redraw) ->
-# per generator, the function that finishes its sample's value; the reduction
-# of one grid point's values (in sample order) to CSV records or rows; and,
-# optionally, a function called once per chunk that returns the chunk's notes
-# (counts as Counters, entries as lists, under metadata keys) and the function
-# (point, sample index, value) -> value kept that records a sample in them.
+# per generator, the function that finishes its sample's value; and the
+# reduction of one grid point's values (in sample order) to its CSV records
+# or rows and its notes (counts as Counters, entries as lists, under metadata
+# keys).
 _HARNESS = {
     Experiment.SUBADDITIVITY_SWEEP: (
         _subadd_gaps,
-        lambda cfg, p, values: [
-            _record(cfg, p, sum(gap <= SUBADDITIVITY_COUNT_TOL for _, gap in values))],
-        None,
+        lambda cfg, p, values: (
+            [_record(cfg, p, sum(gap <= SUBADDITIVITY_COUNT_TOL for _, gap in values))], {}),
     ),
-    Experiment.ORDERING_VS_DIMENSION: (_ordering_pairs, _pair_records, _decision_notes),
-    Experiment.ORDERING_VS_RANK: (_ordering_pairs, _pair_records, _decision_notes),
-    Experiment.THEOREM1_CHECK: (_theorem1_rows, lambda cfg, n, rows: rows, None),
+    Experiment.ORDERING_VS_DIMENSION: (_ordering_pairs, _pair_records),
+    Experiment.ORDERING_VS_RANK: (_ordering_pairs, _pair_records),
+    Experiment.THEOREM1_CHECK: (_theorem1_rows, lambda cfg, n, rows: (rows, {})),
     Experiment.RESULT2_CHECK: (
         lambda cfg, dims, rngs, redraw: [partial(_result2_sample, cfg, dims, rng) for rng in rngs],
         _result2_rows,
-        None,
     ),
 }
 
 
 def _chunk(args) -> dict:
-    """The tally of samples [start, stop) at one grid point: their kept values
-    (``"values"``), the draws that failed (``"failures"``), the RoC values
-    returned per method meanwhile (``"roc_methods"``) and the experiment's notes.
+    """The tally of samples [start, stop) at one grid point: what each
+    sample's function returned (``"values"``), the draws that failed
+    (``"failures"``) and the RoC values returned per method meanwhile
+    (``"roc_methods"``).
 
     The samples go in blocks of BLOCK_SAMPLES: the draw function makes the
     whole block's draws at once, one function per sample generator, and each
@@ -374,8 +363,7 @@ def _chunk(args) -> dict:
     most _MAX_REDRAWS draws.
     """
     cfg, point_idx, point, start, stop = args
-    draw, _, start_notes = _HARNESS[cfg.experiment]
-    notes, note = start_notes() if start_notes else ({}, None)
+    draw = _HARNESS[cfg.experiment][0]
     values: list = []
     failures: list[dict] = []
     methods_before = ROC_METHOD_COUNTS.copy()
@@ -387,8 +375,7 @@ def _chunk(args) -> dict:
                 if attempt:
                     (drawn,) = draw(cfg, point, [rng], True)
                 try:
-                    value = drawn()
-                    values.append(value if note is None else note(point, sample_idx, value))
+                    values.append(drawn())
                     break
                 except SolverFailure as exc:
                     failures.append({"state": exc.state.to_json_dict(), "error": str(exc),
@@ -398,34 +385,41 @@ def _chunk(args) -> dict:
             else:
                 raise SweepAborted(f"sample {sample_idx} failed {_MAX_REDRAWS} redraws", failures)
     return {"values": values, "failures": failures,
-            "roc_methods": ROC_METHOD_COUNTS - methods_before, **notes}
+            "roc_methods": ROC_METHOD_COUNTS - methods_before}
 
 
 def _chunks(samples: int, workers: int) -> list[tuple[int, int]]:
-    """Sample ranges [start, stop) of one grid point: one range at one
-    worker, so its blocks are as full as they can be; up to four per worker
-    otherwise, to balance the pool."""
-    n_chunks = max(1, min(workers * 4, samples)) if workers > 1 else 1
-    bounds = np.linspace(0, samples, n_chunks + 1, dtype=int)
-    return [(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+    """Sample ranges [start, stop) of one grid point: one contiguous range
+    per worker, at most one per sample."""
+    n = max(1, min(workers, samples))
+    return [(i * samples // n, (i + 1) * samples // n) for i in range(n)]
+
+
+def _merge(tally: dict, part: dict) -> None:
+    """Merge ``part`` into ``tally`` by one rule: lists extend, counts add."""
+    for key, item in part.items():
+        if isinstance(item, list):
+            tally.setdefault(key, []).extend(item)
+        else:
+            tally.setdefault(key, Counter()).update(item)
 
 
 def run_experiment(cfg: SweepConfig, workers: int = 1) -> tuple[list, dict]:
     """Records (sweeps) or rows (theorem1, result2) of the run, and its tally.
 
-    The chunks' tallies merge by one rule: lists extend, in sample order, and
-    counts add. Each grid point's ``"values"`` go to its reduction; the rest
-    is returned. ``"failures"`` lists each redrawn draw with its state, error,
-    grid point and sample index. ``"roc_methods"`` counts the RoC values
-    returned per dispatch method, over all workers, including those computed
-    for draws that were later redrawn. Only the ordering sweeps add notes,
-    ``"ordering_decisions"`` (samples per :class:`DecisionStage`) and
-    ``"undecided"`` (point, sample and RoC-difference bracket of each sample
-    no stage could settle).
+    The chunks' tallies and the reductions' notes merge into the tally by
+    :func:`_merge`, in sample order. Each grid point's ``"values"`` go to its
+    reduction; the rest is returned. ``"failures"`` lists each redrawn draw
+    with its state, error, grid point and sample index. ``"roc_methods"``
+    counts the RoC values returned per dispatch method, over all workers,
+    including those computed for draws that were later redrawn. Only the
+    ordering sweeps' reduction adds notes, ``"ordering_decisions"`` (samples
+    per :class:`DecisionStage`) and ``"undecided"`` (point, sample and
+    RoC-difference bracket of each sample no stage could settle).
 
-    With ``workers > 1`` each grid point runs on a fresh process pool of at
-    most one worker per chunk. Raises :class:`SweepAborted` once failures
-    exceed FAILURE_ABORT_FRACTION of the planned samples, or when one sample
+    With ``workers > 1`` each grid point runs on a fresh process pool of one
+    worker per chunk. Raises :class:`SweepAborted` once failures exceed
+    FAILURE_ABORT_FRACTION of the planned samples, or when one sample
     exhausts its redraws.
     """
     reduce = _HARNESS[cfg.experiment][1]
@@ -438,23 +432,21 @@ def run_experiment(cfg: SweepConfig, workers: int = 1) -> tuple[list, dict]:
     for point_idx, point in enumerate(points):
         jobs = [(cfg, point_idx, point, a, b) for a, b in _chunks(cfg.samples, workers)]
         if workers > 1:
-            with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
                 chunks = list(pool.map(_chunk, jobs))
         else:
             chunks = [_chunk(job) for job in jobs]
         for chunk in chunks:
-            for key, item in chunk.items():
-                if isinstance(item, list):
-                    tally.setdefault(key, []).extend(item)
-                else:
-                    tally.setdefault(key, Counter()).update(item)
+            _merge(tally, chunk)
             if len(failures) > limit:
                 raise SweepAborted(
                     f"{len(failures)} solver failures exceed the abort threshold "
                     f"({limit:.0f}); first offending state: {json.dumps(failures[0])}",
                     failures,
                 )
-        results += reduce(cfg, point, tally.pop("values"))
+        rows, notes = reduce(cfg, point, tally.pop("values"))
+        results += rows
+        _merge(tally, notes)
         log.info("point %s done, %d redraws so far", point, len(failures))
     return results, tally
 

@@ -467,6 +467,12 @@ class OrderingDecision:
     stage: DecisionStage
     roc_difference: tuple[float, float]
 
+    def __reduce__(self):
+        # Pool workers return one decision per sample; the pickling that
+        # dataclass generates for slots looks up each object's fields, which
+        # takes about 2.5 times as long.
+        return OrderingDecision, (self.violated, self.stage, self.roc_difference)
+
 
 class _Pair:
     """One pair's ordering decision in progress: its answers per category of

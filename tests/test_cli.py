@@ -116,10 +116,34 @@ def test_version(capsys):
     ],
 )
 def test_experiment_verb_defaults(verb, grid, samples):
+    # fig3's default ranks are filled in from --dim after parsing
     args = build_parser().parse_args([verb])
-    assert (args.grid, args.samples) == (grid, samples)
+    cfg = cohkit.cli._experiment_config(args, cohkit.cli._EXPERIMENT_VERBS[verb][0])
+    assert (cfg.grid, cfg.samples) == (grid, samples)
     if verb == "fig3":
-        assert args.dim == 10
+        assert cfg.dim == 10
+
+
+@pytest.mark.parametrize("dim", [4, 12])
+def test_fig3_default_ranks_are_every_rank_up_to_dim(dim, tmp_path):
+    argv = ["fig3", "--dim", str(dim), "--samples", "1", "--threads", "1", "--out", str(tmp_path)]
+    assert run(argv) == 0
+    rows = (tmp_path / "ordering_vs_rank.csv").read_text().splitlines()[1:]
+    assert sorted({int(row.split(",")[1]) for row in rows}) == list(range(1, dim + 1))
+
+
+def test_an_out_path_that_is_a_file_exits_2_before_any_sample(monkeypatch, tmp_path, capsys):
+    def run_fails(*args, **kwargs):
+        raise OSError("cannot fork")
+
+    monkeypatch.setattr(cohkit.experiments, "run_experiment", run_fails)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert run(["fig2", "--grid", "2", "--samples", "1", "--out", str(taken)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    # an OSError raised inside the run is not bad usage
+    with pytest.raises(OSError, match="cannot fork"):
+        run(["fig2", "--grid", "2", "--samples", "1", "--out", str(tmp_path / "fresh")])
 
 
 EXPERIMENT_VERBS = {

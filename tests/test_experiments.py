@@ -160,37 +160,39 @@ def test_results_do_not_depend_on_worker_count(experiment):
         assert set(tally) == {"failures", "roc_methods"}
 
 
+class InlinePool:
+    """Stand-in for ProcessPoolExecutor that records its size and maps in-process."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
 def test_pool_has_no_more_workers_than_chunks(monkeypatch):
-    sizes = []
-
-    class InlinePool:
-        """Stand-in for ProcessPoolExecutor that records its size and maps in-process."""
-
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, jobs):
-            return map(fn, jobs)
-
     cfg = fig1_config(samples=3, grid=(0.3,))
     expected = run_experiment(cfg, workers=1)
     monkeypatch.setattr(cohkit.experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
     assert run_experiment(cfg, workers=64) == expected
-    assert sizes == [3]
+    assert InlinePool.sizes == [3]
 
 
 def test_one_worker_runs_each_grid_point_as_one_chunk():
-    # so the blocks of BLOCK_SAMPLES are full; a pool gets up to four chunks per worker
+    # one contiguous range per worker, and never more ranges than samples
     assert _chunks(100, 1) == [(0, 100)]
-    assert _chunks(100, 2) == [(0, 12), (12, 25), (25, 37), (37, 50),
-                               (50, 62), (62, 75), (75, 87), (87, 100)]
-    assert _chunks(3, 2) == [(0, 1), (1, 2), (2, 3)]
+    assert _chunks(100, 2) == [(0, 50), (50, 100)]
+    assert _chunks(3, 2) == [(0, 1), (1, 3)]
+    assert _chunks(1, 4) == [(0, 1)]
 
 
 def test_ordering_sweep_record_layout():
@@ -228,6 +230,20 @@ def test_rank_one_rank_sweep_needs_no_solve(monkeypatch):
     assert tally["ordering_decisions"]["solve_free"] == 50
 
 
+def _uninformative_solve(real_solve):
+    """``sdp.solve`` with the same dual values, but primal bounds too loose to
+    tighten any bracket, so every pair that reaches the solver is UNDECIDED."""
+
+    def solve(problem, tol, accept=None):
+        def loose(mu, primal, dual):
+            return accept(mu, dual + 10.0, dual)
+
+        sol = real_solve(problem, tol=tol, accept=loose if accept else None)
+        return dataclasses.replace(sol, primal_value=sol.dual_value + 10.0, gap=10.0)
+
+    return solve
+
+
 def test_undecided_pairs_are_counted_on_refined_values_and_listed(monkeypatch, tmp_path):
     # sample 2 of seed 20 at d=5 is a pair that no solve-free bracket settles
     cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=8, seed=20, grid=(5,))
@@ -237,17 +253,7 @@ def test_undecided_pairs_are_counted_on_refined_values_and_listed(monkeypatch, t
     assert exact["roc_methods"].get("sdp", 0) > 0, "no pair reached the solver"
     assert exact["undecided"] == []
 
-    real_solve = cohkit.sdp.solve
-
-    def uninformative_solve(problem, tol, accept=None):
-        # same dual values, but primal bounds too loose to tighten any bracket
-        def loose(mu, primal, dual):
-            return accept(mu, dual + 10.0, dual)
-
-        sol = real_solve(problem, tol=tol, accept=loose if accept else None)
-        return dataclasses.replace(sol, primal_value=sol.dual_value + 10.0, gap=10.0)
-
-    monkeypatch.setattr(cohkit.sdp, "solve", uninformative_solve)
+    monkeypatch.setattr(cohkit.sdp, "solve", _uninformative_solve(cohkit.sdp.solve))
     csv_path, meta_path = run_and_save(cfg, tmp_path / "loose")
     meta = json.loads(meta_path.read_text())
     # the fallback counts by the DEFAULT_ROC_TOL values, which the loose bound leaves unchanged
@@ -259,6 +265,20 @@ def test_undecided_pairs_are_counted_on_refined_values_and_listed(monkeypatch, t
         assert entry["point"] == 5 and 0 <= entry["sample"] < 8
         low, high = entry["roc_difference_bracket"]
         assert low < high
+
+
+def test_undecided_samples_are_listed_by_their_index_at_the_grid_point(monkeypatch):
+    # sample 2 of seed 20 at d=5 reaches the solver; at two workers it is the
+    # second sample of the second chunk, (1, 3)
+    cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=3, seed=20, grid=(5,))
+    assert _chunks(cfg.samples, 2) == [(0, 1), (1, 3)]
+    monkeypatch.setattr(cohkit.sdp, "solve", _uninformative_solve(cohkit.sdp.solve))
+    monkeypatch.setattr(cohkit.experiments, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(InlinePool, "sizes", [])
+    serial = run_experiment(cfg, workers=1)
+    assert [(u["point"], u["sample"]) for u in serial[1]["undecided"]] == [(5, 2)]
+    assert run_experiment(cfg, workers=2) == serial
+    assert InlinePool.sizes == [2]
 
 
 def test_ordering_vs_dimension_relative_rates():
@@ -555,7 +575,9 @@ def test_a_redrawn_sample_is_listed_whatever_the_block_size(monkeypatch, block):
     for state in redrawn:
         assert any(np.array_equal(rho.mat, state.mat) and tol == DEFAULT_ROC_TOL
                    for rho, tol in solved)
-    assert sum(tally["ordering_decisions"].values()) == len(tally["values"]) == 3
+    # the chunk keeps each sample's decision; the redrawn pair was solved outright
+    assert [d.stage for d in tally["values"]] == [DecisionStage.SOLVE_FREE] * 2 + [
+        DecisionStage.SOLVE]
 
 
 @pytest.mark.parametrize("workers", [1, 2])
