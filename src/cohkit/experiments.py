@@ -47,11 +47,14 @@ reduction counts the stage that settled each pair and lists the pairs none
 settled; the others note nothing. The run merges chunk tallies and notes by
 one rule: lists extend and counts add.
 
-Every sample derives its own generator from (seed, point index, sample
-index), so at a fixed BLAS thread count results are byte-identical
-regardless of worker count, scheduling or block size. The BLAS thread count
-can change the last bits of solver values, and with them the value columns
-of ``theorem1_check``; importing :mod:`cohkit.cli` pins it to one unless the
+Every sample has its own generator, equal to
+``np.random.default_rng([seed, point index, sample index])``: a chunk runs
+numpy's SeedSequence hash over its whole sample range as one numpy pass
+(:func:`_sample_seed_words`) and seeds each sample's PCG64 from its row. So
+at a fixed BLAS thread count results are byte-identical regardless of worker
+count, scheduling or block size. The BLAS thread count can change the last
+bits of solver values, and with them the value columns of
+``theorem1_check``; importing :mod:`cohkit.cli` pins it to one unless the
 environment sets it. :func:`run_and_save` writes CSV plus a JSON metadata
 sidecar holding the run's tally: every redrawn draw (``failures``), the RoC
 values per dispatch method (``roc_methods``, counting each solve of
@@ -73,12 +76,14 @@ import time
 from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from functools import partial
 from pathlib import Path
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import __version__
 from .measures import (
@@ -157,8 +162,8 @@ class SweepConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "grid", tuple(self.grid))
-        if self.samples < 1:
-            raise ValueError("samples must be at least 1")
+        if not 1 <= self.samples <= 2**32:
+            raise ValueError("samples must lie in [1, 2**32], so a sample index is one seed word")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         if not self.grid:
@@ -349,27 +354,94 @@ _HARNESS = {
 }
 
 
+class _SampleSeed(ISeedSequence):
+    """The seed sequence of one sample's PCG64: it returns the sample's row of
+    :func:`_sample_seed_words`, a C-contiguous uint64 array, since PCG64
+    reads the data pointer of the words it asks for."""
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        assert (n_words, dtype) == (4, np.uint64), "only PCG64's seeding is precomputed"
+        return self.words
+
+
+def _hash_constants(init: int, mult: int, length: int) -> np.ndarray:
+    """Column of the uint32 constants init * mult**k mod 2**32, k < length."""
+    out = [init]
+    while len(out) < length:
+        out.append(out[-1] * mult & 0xFFFFFFFF)
+    return np.array(out, np.uint32)[:, None]
+
+
+def _sample_seed_words(seed: int, point_idx: int, start: int, stop: int) -> np.ndarray:
+    """Per sample i in [start, stop), one row of the four uint64 words that
+    ``np.random.SeedSequence([seed, point_idx, i]).generate_state(4, np.uint64)``
+    returns: numpy's SeedSequence hash, with a pool of four uint32 words, run
+    on uint32 arrays over the samples.
+
+    The entropy is the 32-bit words of seed and point_idx (least significant
+    first, one word for 0) and then i, which must be below 2**32. The hash
+    constants are masked Python ints, so only arrays wrap: numpy warns when a
+    uint32 scalar overflows.
+    """
+    entropy = [n >> s & 0xFFFFFFFF for n in (seed, point_idx)
+               for s in range(0, max(n.bit_length(), 1), 32)]
+    entropy.append(np.arange(start, stop, dtype=np.uint32))
+    # 4 hashes fill the pool, 12 mix it and 4 take each word past it
+    hash_a = _hash_constants(0x43B0D7E5, 0x931E8875, 17 + 4 * max(0, len(entropy) - 4))
+
+    def hashmix(value, k: int, m: int) -> np.ndarray:  # hash steps k .. k + m - 1, a row each
+        value = (value ^ hash_a[k:k + m]) * hash_a[k + 1:k + m + 1]
+        return value ^ value >> 16
+
+    def mix(x, y) -> np.ndarray:
+        value = x * 0xCA01F9DD - y * 0x4973F715
+        return value ^ value >> 16
+
+    pool = np.zeros((4, stop - start), np.uint32)
+    for j, word in enumerate(entropy[:4]):
+        pool[j] = word
+    pool = hashmix(pool, 0, 4)
+    for src in range(4):  # each pool word mixed into the other three
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = mix(pool[dst], hashmix(pool[src], 4 + 3 * src, 3))
+    for j, word in enumerate(entropy[4:]):  # each word past the pool mixed into all four
+        pool = mix(pool, hashmix(word, 16 + 4 * j, 4))
+    hash_b = _hash_constants(0x8B51F9DD, 0x58F38DED, 9)
+    out = (pool[[0, 1, 2, 3, 0, 1, 2, 3]] ^ hash_b[:8]) * hash_b[1:]
+    out ^= out >> 16
+    low, high = out[::2].astype(np.uint64), out[1::2].astype(np.uint64)
+    return np.ascontiguousarray((low | high << 32).T)  # little-endian pairs, a row per sample
+
+
 def _chunk(args) -> dict:
     """The tally of samples [start, stop) at one grid point: what each
     sample's function returned (``"values"``), the draws that failed
     (``"failures"``) and the RoC values returned per method meanwhile
     (``"roc_methods"``).
 
-    The samples go in blocks of BLOCK_SAMPLES: the draw function makes the
-    whole block's draws at once, one function per sample generator, and each
-    sample's function is then called, in order, for its value. A draw whose
-    SDP fails to certify is replaced by the next draw from the same
-    generator, made as a block of one with ``redraw`` set; a sample gets at
-    most _MAX_REDRAWS draws.
+    The seed words of every sample are hashed once for the chunk, by
+    :func:`_sample_seed_words`. The samples go in blocks of BLOCK_SAMPLES:
+    each sample of a block gets a PCG64 generator seeded from its row, equal
+    to ``np.random.default_rng([cfg.seed, point_idx, i])`` for sample i, the
+    draw function makes the whole block's draws at once, one function per
+    sample generator, and each sample's function is then called, in order,
+    for its value. A draw whose SDP fails to certify is replaced by the next
+    draw from the same generator, made as a block of one with ``redraw`` set;
+    a sample gets at most _MAX_REDRAWS draws.
     """
     cfg, point_idx, point, start, stop = args
     draw = _HARNESS[cfg.experiment][0]
     values: list = []
     failures: list[dict] = []
     methods_before = ROC_METHOD_COUNTS.copy()
+    words = _sample_seed_words(cfg.seed, point_idx, start, stop)
     for block_start in range(start, stop, BLOCK_SAMPLES):
         indices = range(block_start, min(block_start + BLOCK_SAMPLES, stop))
-        rngs = [np.random.default_rng([cfg.seed, point_idx, i]) for i in indices]
+        rngs = [np.random.Generator(np.random.PCG64(_SampleSeed(row)))
+                for row in words[indices.start - start:indices.stop - start]]
         for sample_idx, rng, drawn in zip(indices, rngs, draw(cfg, point, rngs, False)):
             for attempt in range(_MAX_REDRAWS):
                 if attempt:
@@ -474,23 +546,33 @@ def write_sweep_csv(rows: list, path: Path) -> None:
         writer.writerows(astuple(row) for row in rows)
 
 
-def _git_revision(directory: Path = Path(__file__).parent) -> str:
-    """HEAD of the checkout holding ``directory`` (by default this module's,
-    whatever the working directory), with ``-dirty`` appended when tracked
-    files differ from it."""
+@contextmanager
+def _git_revision(directory: Path = Path(__file__).parent):
+    """Starts ``git describe`` on the checkout holding ``directory`` (by
+    default this module's, whatever the working directory) and yields a
+    function that returns its HEAD, with ``-dirty`` appended when tracked
+    files differ from it, or ``"unknown"`` without git or a checkout. Git
+    runs meanwhile; however the block is left, a git still running is then
+    killed, and the process is reaped."""
     cmd = ["git", "-C", str(directory), "describe", "--always", "--dirty", "--abbrev=40",
            "--exclude=*"]
     try:
-        proc = subprocess.run(cmd, capture_output=True, text=True, timeout=10)
-        return proc.stdout.strip() if proc.returncode == 0 else "unknown"
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
     except OSError:
-        return "unknown"
+        yield lambda: "unknown"
+        return
+    with proc:
+        try:  # its one line of output fits the pipe, so waiting before reading cannot block
+            yield lambda: proc.communicate()[0].strip() if proc.wait(10) == 0 else "unknown"
+        finally:
+            proc.kill()
 
 
-def write_metadata(cfg: SweepConfig, path: Path, wall_time_s: float, extra: dict) -> None:
+def write_metadata(cfg: SweepConfig, path: Path, wall_time_s: float, extra: dict,
+                   git_revision: str) -> None:
     meta = {
         "config": cfg.to_json_dict(),
-        "git_revision": _git_revision(),
+        "git_revision": git_revision,
         "wall_time_s": wall_time_s,
         "package_version": __version__,
         **extra,
@@ -504,12 +586,14 @@ def run_and_save(cfg: SweepConfig, out_dir: str | Path, workers: int = 1) -> tup
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     start = time.perf_counter()
-    results, extra = run_experiment(cfg, workers)
-    name = cfg.experiment.value
-    if cfg.experiment is Experiment.SUBADDITIVITY_SWEEP:
-        name += f"_{cfg.pure_state_choice.value}"
-        extra["transition_estimate"] = estimate_transition(results)
-    csv_path, meta_path = out / f"{name}.csv", out / f"{name}_meta.json"
-    write_sweep_csv(results, csv_path)
-    write_metadata(cfg, meta_path, wall_time_s=time.perf_counter() - start, extra=extra)
+    with _git_revision() as git_revision:  # git describe runs alongside the sweep
+        results, extra = run_experiment(cfg, workers)
+        name = cfg.experiment.value
+        if cfg.experiment is Experiment.SUBADDITIVITY_SWEEP:
+            name += f"_{cfg.pure_state_choice.value}"
+            extra["transition_estimate"] = estimate_transition(results)
+        csv_path, meta_path = out / f"{name}.csv", out / f"{name}_meta.json"
+        write_sweep_csv(results, csv_path)
+        write_metadata(cfg, meta_path, wall_time_s=time.perf_counter() - start, extra=extra,
+                       git_revision=git_revision())
     return csv_path, meta_path

@@ -62,6 +62,13 @@ def test_config_validation():
         SweepConfig(experiment=Experiment.THEOREM1_CHECK, samples=5, seed=0, grid=(0,))
 
 
+def test_samples_are_bounded_by_one_seed_word():
+    # a sample index is one 32-bit word of its generator's seed; nothing is drawn
+    with pytest.raises(ValueError, match=r"2\*\*32"):
+        fig1_config(samples=2**32 + 1)
+    assert fig1_config(samples=2**32).samples == 2**32
+
+
 def test_config_json_dict_has_every_field_as_plain_json():
     cfg = fig1_config(pure_state_choice=PhiChoice.MAXIMALLY_ENTANGLED)
     out = cfg.to_json_dict()
@@ -388,12 +395,39 @@ def test_git_revision_flags_uncommitted_changes(tmp_path):
                 "-c", "commit.gpgsign=false")
     assert _git(repo, *identity, "commit", "-q", "-m", "initial").returncode == 0
     head = _git(repo, "rev-parse", "HEAD").stdout.strip()
-    assert cohkit.experiments._git_revision(repo) == head
+
+    def revision(directory: Path) -> str:
+        with cohkit.experiments._git_revision(directory) as git_revision:
+            return git_revision()
+
+    assert revision(repo) == head
     (repo / "untracked.txt").write_text("ignored\n")
-    assert cohkit.experiments._git_revision(repo) == head
+    assert revision(repo) == head
     (repo / "tracked.txt").write_text("two\n")
-    assert cohkit.experiments._git_revision(repo) == head + "-dirty"
-    assert cohkit.experiments._git_revision(tmp_path / "missing") == "unknown"
+    assert revision(repo) == head + "-dirty"
+    assert revision(tmp_path / "missing") == "unknown"
+
+
+def test_an_aborted_run_reaps_its_git_process(tmp_path, monkeypatch):
+    started, started_before_the_sweep = [], []
+
+    class RecordingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    def aborting_run(cfg, workers):
+        started_before_the_sweep.extend(started)
+        raise SweepAborted("planted abort", [])
+
+    monkeypatch.setattr(subprocess, "Popen", RecordingPopen)
+    monkeypatch.setattr(cohkit.experiments, "run_experiment", aborting_run)
+    with pytest.raises(SweepAborted, match="planted"):
+        run_and_save(fig1_config(samples=1, grid=(0.0,)), tmp_path)
+    if not started:
+        pytest.skip("git is not available")
+    assert started_before_the_sweep == started  # git describe runs alongside the sweep
+    assert started[0].returncode is not None
 
 
 def test_run_and_save_other_experiments(tmp_path):
@@ -527,6 +561,38 @@ def test_a_redrawn_ordering_pair_is_solved_outright(monkeypatch):
         assert any(np.array_equal(rho.mat, state.mat) and tol == DEFAULT_ROC_TOL
                    for rho, tol in solved)
     assert sum(tally["ordering_decisions"].values()) == cfg.samples
+
+
+@pytest.mark.parametrize("start, stop", [(0, 130), (2**32 - 3, 2**32)])
+@pytest.mark.parametrize("point_idx", [0, 2**32])
+@pytest.mark.parametrize("seed", [0, 2**32 - 1, 2**32, 2**70, 2**200])  # 1, 1, 2, 3, 7 words
+def test_sample_seed_words_are_numpys_seed_sequence_state(seed, point_idx, start, stop):
+    words = cohkit.experiments._sample_seed_words(seed, point_idx, start, stop)
+    assert words.dtype == np.uint64 and words.flags.c_contiguous
+    expected = [np.random.SeedSequence([seed, point_idx, i]).generate_state(4, np.uint64)
+                for i in range(start, stop)]
+    np.testing.assert_array_equal(words, expected)
+    for i, row in zip(range(start, stop), words):
+        rng = np.random.Generator(np.random.PCG64(cohkit.experiments._SampleSeed(row)))
+        assert rng.integers(2**63, size=3).tolist() == (
+            np.random.default_rng([seed, point_idx, i]).integers(2**63, size=3).tolist())
+
+
+def test_a_chunk_hands_each_sample_its_own_generator(monkeypatch):
+    # samples [5, 140) at point index 3 go in blocks [5, 69), [69, 133), [133, 140)
+    cfg = SweepConfig(experiment=Experiment.RESULT2_CHECK, samples=140, seed=11, grid=(2, 3))
+    blocks = []
+
+    def capture(cfg, dims, rngs, redraw):
+        blocks.append([rng.bit_generator.state for rng in rngs])
+        return [lambda: None for _ in rngs]
+
+    reduce = cohkit.experiments._HARNESS[cfg.experiment][1]
+    monkeypatch.setitem(cohkit.experiments._HARNESS, cfg.experiment, (capture, reduce))
+    cohkit.experiments._chunk((cfg, 3, (2, 3), 5, 140))
+    assert [len(block) for block in blocks] == [64, 64, 7]
+    expected = [np.random.default_rng([11, 3, i]).bit_generator.state for i in range(5, 140)]
+    assert sum(blocks, []) == expected
 
 
 @pytest.mark.parametrize("workers", [1, 2])
