@@ -20,12 +20,13 @@ grid point's values to CSV records or rows and metadata notes (result2 has
 one grid point, its whole dimension grid). A chunk of samples goes in
 blocks of BLOCK_SAMPLES: the draw function makes the block's draws, one per
 sample generator, each a function of no arguments that finishes its
-sample's value, and the chunk then calls each in turn. The ordering sweeps draw a block's state pairs with
-:func:`~cohkit.states.random_densities`, so the block is validated and its
-l1 sums, spectra and entropies computed as one numpy stack, and bracket the
-block's pairs with :func:`~cohkit.measures.ordering_decisions`, so the
-solve-free and phase-ascent RoC brackets also run once per block; only the
-solve of a pair those leave open runs per sample. The sub-additivity sweep
+sample's value, and the chunk then calls each in turn. The ordering sweeps
+draw a block's state pairs with :func:`~cohkit.states.random_densities`, so
+the block is validated and its l1 sums, spectra and entropies computed as
+one numpy stack, and bracket the block's pairs with
+:func:`~cohkit.measures.ordering_decisions`, so the solve-free and
+phase-ascent RoC brackets also run once per block; only the solve of a pair
+those leave open runs per sample. The sub-additivity sweep
 and theorem1 take one k per generator and build the block's sigma-family
 states (and, for the sweep, their mixtures) as numpy stacks, with the block
 forms of :func:`~cohkit.states.sigma_family` and
@@ -76,7 +77,7 @@ import time
 from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import astuple, dataclass, fields
 from enum import Enum
 from functools import partial
@@ -551,8 +552,9 @@ def _git_revision(directory: Path = Path(__file__).parent):
     """Starts ``git describe`` on the checkout holding ``directory`` (by
     default this module's, whatever the working directory) and yields a
     function that returns its HEAD, with ``-dirty`` appended when tracked
-    files differ from it, or ``"unknown"`` without git or a checkout. Git
-    runs meanwhile; however the block is left, a git still running is then
+    files differ from it, or ``"unknown"`` without git or a checkout, or if
+    git has not finished 10 s after the function is called. Git runs
+    meanwhile; however the block is left, a git still running is then
     killed, and the process is reaped."""
     cmd = ["git", "-C", str(directory), "describe", "--always", "--dirty", "--abbrev=40",
            "--exclude=*"]
@@ -561,9 +563,17 @@ def _git_revision(directory: Path = Path(__file__).parent):
     except OSError:
         yield lambda: "unknown"
         return
+
+    def revision() -> str:
+        with suppress(subprocess.TimeoutExpired):
+            # its one line of output fits the pipe, so waiting before reading cannot block
+            if proc.wait(10) == 0:
+                return proc.communicate()[0].strip()
+        return "unknown"
+
     with proc:
-        try:  # its one line of output fits the pipe, so waiting before reading cannot block
-            yield lambda: proc.communicate()[0].strip() if proc.wait(10) == 0 else "unknown"
+        try:
+            yield revision
         finally:
             proc.kill()
 

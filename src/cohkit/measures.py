@@ -6,13 +6,13 @@ Three measures are provided:
 * relative entropy of coherence: S(dephased rho) - S(rho), in bits.
 * robustness of coherence: least admixture weight of any state that makes
   the mixture incoherent. ``roc`` tries, in order: the closed form (single
-  qubit), the l1 identity (pure states), the certified primal/dual pairs
-  that one helper builds without a solve (a rank-one phase witness that
-  certifies RoC = l1 for states whose off-diagonal phases factor as
-  u_i conj(u_j), and, when asked for no tolerance, a solve-free bracket),
-  and the certified SDP. Witness and SDP pairs become values by one rule.
-  ``ROC_METHOD_COUNTS`` counts the values each path has returned in this
-  process.
+  qubit), the l1 identity (pure states), a rank-one phase witness built
+  without a solve that certifies RoC = l1 for states whose off-diagonal
+  phases factor as u_i conj(u_j), and the certified SDP. Witness and SDP
+  pairs become values by one rule. ``ROC_METHOD_COUNTS`` counts the values
+  each path has returned in this process, each once, where it is made: the
+  closed forms in ``roc``, the witness and solve-free bracket values in
+  :func:`_solve_free_rocs`, the certified solves in :func:`_sdp_roc`.
 
 Also here: the change in each measure when an ancilla is appended, the
 robustness and sub-additivity gap over qubit marginals of each state of a
@@ -22,11 +22,13 @@ candidate for the sigma family, the measure-ordering test on value
 differences (elementwise on arrays), and :func:`ordering_decisions`, which
 decides that test for a block of pairs of states by one rule, from RoC
 brackets tightened only as far as needed: on numpy stacks for the whole
-block, the solve-free brackets ``roc`` would return, then, for the pairs
-they leave open, certified phase-ascent brackets (not ``roc`` values, so
-not counted in ``ROC_METHOD_COUNTS``); then, per pair still open, one SDP
-solve per state that stops at the first certified iterate that settles the
-pair (counted as an SDP value).
+block, each state's first value, a solve-free bracket where ``roc`` would
+solve, then, for the pairs they leave open, certified phase-ascent brackets
+(not values, so not counted in ``ROC_METHOD_COUNTS``); then, per pair still
+open, one SDP solve per state that stops at the first certified iterate
+that settles the pair (counted as an SDP value). Both block functions take
+their first values from one block stage, :func:`_first_rocs`, for a block
+whose states share one dimension.
 """
 
 from __future__ import annotations
@@ -163,7 +165,7 @@ def _unit_phases(v: np.ndarray) -> np.ndarray:
     return np.divide(v, mod, out=np.ones_like(v), where=mod > 0)
 
 
-def roc(rho: DensityMatrix, tol: float | None = DEFAULT_ROC_TOL) -> MeasureValue:
+def roc(rho: DensityMatrix, tol: float = DEFAULT_ROC_TOL) -> MeasureValue:
     """Robustness of coherence.
 
     Dispatch, first match wins:
@@ -172,39 +174,54 @@ def roc(rho: DensityMatrix, tol: float | None = DEFAULT_ROC_TOL) -> MeasureValue
     2. states that are rank one within PURE_EIG_TOL: the pure-state identity
        with the l1-norm, which the state computes once for this and for
        :func:`l1_coherence`;
-    3. a certified pair built without a solve by :func:`_solve_free_rocs`
-       (the state as a block of one): a PHASE_WITNESS value for states whose
-       off-diagonal phases factor as u_i conj(u_j), and, with ``tol=None``
-       only, a SOLVE_FREE_BRACKET value for every other state;
+    3. the PHASE_WITNESS value that :func:`_solve_free_rocs` builds without a
+       solve (the state as a block of one) for states whose off-diagonal
+       phases factor as u_i conj(u_j);
     4. otherwise the SDP at ``tol``. Raises :class:`cohkit.sdp.SolverFailure`,
        carrying ``rho`` as its ``state``, if the SDP does not certify.
 
     PHASE_WITNESS and SDP pairs become values by one rule, :func:`_pair_value`:
     the dual objective minus one, with the pair's gap; a shortfall below zero
     that the gap covers reads zero, and a larger one raises ArithmeticError
-    below HARD_NEGATIVE_FLOOR. Every value is counted in ROC_METHOD_COUNTS
-    under its method's value.
+    below HARD_NEGATIVE_FLOOR. Each value is counted once in
+    ROC_METHOD_COUNTS under its method's value: the closed forms here, the
+    others by the function that makes them.
 
     Resolution: every value other than the closed forms is a certified lower
-    bound, and the robustness lies in ``[value, value + gap]``. At a given
-    ``tol`` the gap of a PHASE_WITNESS or SDP value is at most
-    ``tol * max(1, primal)``; on the witness path it is rounding (the two
-    objectives agree exactly for such states), so the value is RoC = l1 to
-    rounding, while an SDP value at the default ``tol`` may sit up to about
-    2e-8 low. A SOLVE_FREE_BRACKET gap has no such bound; a caller that
-    needs less tightens it, as :func:`ordering_decisions` does: first with
-    the phase-ascent bracket of :func:`_ascent_brackets`, which is not a
-    ``roc`` value and so is not counted in ROC_METHOD_COUNTS, then with a
-    solve that stops once the pair is settled.
+    bound, and the robustness lies in ``[value, value + gap]``, with the gap
+    at most ``tol * max(1, primal)``. On the witness path it is rounding (the
+    two objectives agree exactly for such states), so the value is RoC = l1
+    to rounding, while an SDP value at the default ``tol`` may sit up to
+    about 2e-8 low. A caller that needs less than a value takes, from
+    :func:`_first_rocs` with no tolerance, a solve-free bracket in place of
+    the SDP, as :func:`ordering_decisions` does.
     """
     if rho.dim == 2:
         mv = MeasureValue(_finalize(2.0 * float(np.abs(rho.mat[0, 1]))), Method.CLOSED_FORM_QUBIT)
     elif not _bracketed(rho):
         mv = MeasureValue(_finalize(rho.offdiagonal_abs_sum), Method.PURE_STATE_L1)
     else:
-        mv = _solve_free_rocs(rho.mat[None], tol)[0][0] or _sdp_roc(rho, tol)
+        return _solve_free_rocs(rho.mat[None], tol)[0][0] or _sdp_roc(rho, tol)
     ROC_METHOD_COUNTS[mv.method.value] += 1
     return mv
+
+
+def _first_rocs(states: list[DensityMatrix], tol: float | None
+                ) -> tuple[list[MeasureValue | None], dict[int, np.ndarray]]:
+    """Per state of a block whose states share one dimension, its first
+    robustness value: :func:`roc`'s, one state at a time, for a qubit or
+    pure state; else, once for the stack of the block's other states, the
+    value :func:`_solve_free_rocs` builds at ``tol``, None where a given
+    ``tol`` leaves the state to the SDP. Also, by index into ``states``, the
+    phases :func:`_solve_free_rocs` returned for each stacked state."""
+    first = [None if _bracketed(rho) else roc(rho) for rho in states]
+    stacked = [k for k, mv in enumerate(first) if mv is None]
+    if not stacked:
+        return first, {}
+    found, u = _solve_free_rocs(np.stack([states[k].mat for k in stacked]), tol)
+    for k, mv in zip(stacked, found):
+        first[k] = mv
+    return first, dict(zip(stacked, u))
 
 
 def _bracketed(rho: DensityMatrix) -> bool:
@@ -253,7 +270,8 @@ def _solve_free_rocs(
 
     The better point of each kind so far then makes a SOLVE_FREE_BRACKET value
     ``[max(0, dual - 1), primal - 1]``. Each matrix's value is bit-identical
-    to the one it gets as a block of one.
+    to the one it gets as a block of one. Every value returned is counted in
+    ROC_METHOD_COUNTS.
     """
     n, d, _ = m.shape
     idx = np.arange(d)
@@ -265,6 +283,7 @@ def _solve_free_rocs(
     values = [_pair_value(Method.PHASE_WITNESS, dl, pr) if ok else None
               for ok, dl, pr in zip(witness.tolist(), dual.tolist(), primal.tolist())]
     rest = np.flatnonzero(~witness)
+    ROC_METHOD_COUNTS[Method.PHASE_WITNESS.value] += n - rest.size
     if tol is not None or not rest.size:
         return values, u
     m = m[rest]
@@ -285,6 +304,7 @@ def _solve_free_rocs(
         lo = max(0.0, dl - 1.0)
         gap = max(0.0, pr - 1.0 - lo)
         values[i] = MeasureValue(lo, Method.SOLVE_FREE_BRACKET, certificate_gap=gap)
+    ROC_METHOD_COUNTS[Method.SOLVE_FREE_BRACKET.value] += rest.size
     return values, u
 
 
@@ -336,7 +356,8 @@ def _factorizable(slack: np.ndarray) -> np.ndarray:
 
 def _sdp_roc(rho: DensityMatrix, tol: float, accept=None) -> MeasureValue:
     """The SDP value of ``rho`` at ``tol``, or at the iterate ``accept`` took
-    (see :func:`cohkit.sdp.solve`); raises SolverFailure otherwise."""
+    (see :func:`cohkit.sdp.solve`), counted in ROC_METHOD_COUNTS; raises
+    SolverFailure otherwise."""
     sol = sdp.solve(sdp.build(rho), tol=tol, accept=accept)
     if sol.status not in (sdp.SolveStatus.OPTIMAL, sdp.SolveStatus.ACCEPTED):
         raise sdp.SolverFailure(
@@ -344,6 +365,7 @@ def _sdp_roc(rho: DensityMatrix, tol: float, accept=None) -> MeasureValue:
             f"(gap {sol.gap:.3e} after {sol.iterations} iterations)",
             state=rho,
         )
+    ROC_METHOD_COUNTS[Method.SDP.value] += 1
     return _pair_value(Method.SDP, sol.dual_value, sol.primal_value)
 
 
@@ -377,14 +399,13 @@ def subadditivity_gap(states: Sequence[DensityMatrix]) -> list[Callable[[], tupl
     sum, in order, of ``roc`` over its marginals. What needs no solve runs
     once for the block, on numpy stacks: each marginal
     (:func:`cohkit.linalg.partial_trace`, validated by
-    :meth:`DensityMatrix.stack`), its closed form 2|rho_01|, and the
-    phase-witness candidate of :func:`_solve_free_rocs` for the states that
-    ``roc`` would bracket. A state's function takes its robustness as
-    ``roc`` would: by ``roc`` itself for a qubit or pure state, else the
-    witness, else the SDP at DEFAULT_ROC_TOL, raising
-    :class:`cohkit.sdp.SolverFailure` there. Only then does it count that
-    value and the marginals' closed forms in ROC_METHOD_COUNTS, so a state
-    whose solve fails counts nothing.
+    :meth:`DensityMatrix.stack`), its closed form 2|rho_01|, and each
+    state's first value from :func:`_first_rocs` at DEFAULT_ROC_TOL: the
+    closed form or phase witness ``roc`` would return. A state's function
+    takes that value, or else the SDP at DEFAULT_ROC_TOL, raising
+    :class:`cohkit.sdp.SolverFailure` there. Only then does it count the
+    marginals' closed forms in ROC_METHOD_COUNTS, so a state whose solve
+    fails counts nothing.
     """
     states = list(states)
     dims = states[0].dims
@@ -397,15 +418,10 @@ def subadditivity_gap(states: Sequence[DensityMatrix]) -> list[Callable[[], tupl
     red = np.concatenate([linalg.partial_trace(m, dims, keep) for keep in range(len(dims))])
     DensityMatrix.stack(red, (2,))
     marginal_sum = sum((2.0 * np.abs(red[:, 0, 1])).reshape(len(dims), len(states)))
-    bracketed = [k for k, state in enumerate(states) if _bracketed(state)]
-    witness = dict(zip(bracketed, _solve_free_rocs(m[bracketed], DEFAULT_ROC_TOL)[0]))
+    first = _first_rocs(states, DEFAULT_ROC_TOL)[0]
 
     def value_and_gap(k: int) -> tuple[float, float]:
-        if k not in witness:
-            total = roc(states[k])
-        else:
-            total = witness[k] or _sdp_roc(states[k], DEFAULT_ROC_TOL)
-            ROC_METHOD_COUNTS[total.method.value] += 1
+        total = first[k] or _sdp_roc(states[k], DEFAULT_ROC_TOL)
         ROC_METHOD_COUNTS[Method.CLOSED_FORM_QUBIT.value] += len(dims)
         return total.value, total.value - float(marginal_sum[k])
 
@@ -537,8 +553,6 @@ class _Pair:
                 self.values[i] = _sdp_roc(self.states[i], DEFAULT_ROC_TOL, accept)
             except sdp.SolverFailure as exc:
                 failure = failure or exc
-            else:
-                ROC_METHOD_COUNTS[Method.SDP.value] += 1
             if self.settle(DecisionStage.SOLVE):
                 return self.decision
         if failure is not None:
@@ -550,34 +564,20 @@ class _Pair:
         return self.decision
 
 
-def _by_dimension(indices: list[int], states: list[DensityMatrix]) -> list[list[int]]:
-    """``indices`` into ``states`` grouped by the state's dimension, so each group stacks."""
-    groups: dict[int, list[int]] = {}
-    for k in indices:
-        groups.setdefault(states[k].dim, []).append(k)
-    return list(groups.values())
-
-
 def _block_rungs(block: list[_Pair]) -> None:
     """The first values and the ASCENT rung of the pairs of a block that need
     the robustness, each run once for the block on numpy stacks."""
     states = [rho for pair in block for rho in pair.states]
-    values = [None if _bracketed(rho) else roc(rho, tol=None) for rho in states]
-    phases = {}  # per bracketed state, the phases its ascent starts from
-    for group in _by_dimension([k for k, mv in enumerate(values) if mv is None], states):
-        found, u = _solve_free_rocs(np.stack([states[k].mat for k in group]), None)
-        for k, mv, u_k in zip(group, found, u):
-            values[k], phases[k] = mv, u_k
-            ROC_METHOD_COUNTS[mv.method.value] += 1
+    first, phases = _first_rocs(states, None)
     for j, pair in enumerate(block):
-        pair.start(values[2 * j:2 * j + 2], DecisionStage.SOLVE_FREE)
+        pair.start(first[2 * j:2 * j + 2], DecisionStage.SOLVE_FREE)
     open_pairs = [pair for pair in block if pair.decision is None]
     climbing = [2 * j + i for j, pair in enumerate(block) if pair.decision is None
                 for i in pair.climbing()]
-    for group in _by_dimension(climbing, states):
-        lo, hi = _ascent_brackets(np.stack([states[k].mat for k in group]),
-                                  np.stack([phases[k] for k in group]))
-        for k, low, high in zip(group, lo.tolist(), hi.tolist()):
+    if climbing:
+        lo, hi = _ascent_brackets(np.stack([states[k].mat for k in climbing]),
+                                  np.stack([phases[k] for k in climbing]))
+        for k, low, high in zip(climbing, lo.tolist(), hi.tolist()):
             block[k // 2].tighten(k % 2, low, high)
     for pair in open_pairs:
         pair.settle(DecisionStage.ASCENT)
@@ -592,7 +592,8 @@ def ordering_decisions(
     that returns its decision: the rungs that run on the whole block have
     run, and the function runs the pair's own SOLVE rung, if it is still
     open, raising :class:`cohkit.sdp.SolverFailure` there. A single pair is
-    decided as a block of one.
+    decided as a block of one. Every state of a block has one dimension;
+    a block that mixes dimensions raises ValueError.
 
     The l1 and relative-entropy differences come from the values each state
     keeps; given them, the answers depend only on the category of the RoC
@@ -603,16 +604,16 @@ def ordering_decisions(
     is settled once every category the bracket allows has the same row. The
     first bracket, ``[0, inf)`` per state, settles at SOLVE_FREE exactly the
     pairs that need no robustness (each partner of the RoC difference is a
-    tie); the next is each state's ``roc(tol=None)`` value.
+    tie); the next is each state's first value from :func:`_first_rocs`
+    with no tolerance: ``roc``'s closed form for a qubit or pure state, and
+    for every other state a PHASE_WITNESS or SOLVE_FREE_BRACKET value, from
+    one :func:`_solve_free_rocs` call for the stack of such states.
 
-    Qubits and pure states take ``roc``'s closed forms one at a time; every
-    other state's first value comes from :func:`_solve_free_rocs`, once for
-    the stack of the block's such states (counted in ROC_METHOD_COUNTS as
-    ``roc`` would count it). The states whose first value is a
-    SOLVE_FREE_BRACKET and whose pair is still open then take, as one stack,
-    the phase-ascent bracket of :func:`_ascent_brackets` (ASCENT), and each
-    pair is re-decided. Running both states' ascents at once settles the
-    same pairs as running the wider one first, since a bracket never widens.
+    The states whose first value is a SOLVE_FREE_BRACKET and whose pair is
+    still open then take, as one stack, the phase-ascent bracket of
+    :func:`_ascent_brackets` (ASCENT), and each pair is re-decided. Running
+    both states' ascents at once settles the same pairs as running the wider
+    one first, since a bracket never widens.
 
     A pair still open climbs the SOLVE rung when its function is called: one
     solve per such state at DEFAULT_ROC_TOL, widest bracket first, whose
@@ -634,6 +635,9 @@ def ordering_decisions(
     draw whose solve failed is never replaced by one that needs no solve.
     """
     states = [rho for pair in pairs for rho in pair]
+    dims = {len(rho.mat) for rho in states}  # len(mat) costs a quarter of the dim property
+    if len(dims) > 1:
+        raise ValueError(f"ordering decisions need one dimension per block, got {sorted(dims)}")
     l1 = np.array([_finalize(rho.offdiagonal_abs_sum) for rho in states])
     rel = np.array([_finalize(rho.dephased_entropy_bits - rho.entropy_bits) for rho in states])
     table = _answer_table(l1[::2] - l1[1::2], rel[::2] - rel[1::2])

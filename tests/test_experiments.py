@@ -1,6 +1,8 @@
 import dataclasses
 import json
 import subprocess
+import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -368,7 +370,11 @@ def test_run_and_save_outputs(tmp_path):
 
 
 def _git(directory: Path, *args: str) -> subprocess.CompletedProcess:
-    return subprocess.run(["git", "-C", str(directory), *args], capture_output=True, text=True)
+    """Runs git in ``directory``; skips the test where git cannot be started."""
+    try:
+        return subprocess.run(["git", "-C", str(directory), *args], capture_output=True, text=True)
+    except OSError:
+        pytest.skip("git is not available")
 
 
 def test_metadata_records_the_package_checkout_revision(tmp_path, monkeypatch):
@@ -427,6 +433,35 @@ def test_an_aborted_run_reaps_its_git_process(tmp_path, monkeypatch):
     if not started:
         pytest.skip("git is not available")
     assert started_before_the_sweep == started  # git describe runs alongside the sweep
+    assert started[0].returncode is not None
+
+
+def test_metadata_records_unknown_without_git(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", str(tmp_path / "empty"))  # no git to start
+    _, meta_path = run_and_save(fig1_config(samples=1, grid=(0.0,)), tmp_path)
+    assert json.loads(meta_path.read_text())["git_revision"] == "unknown"
+
+
+def test_a_hung_git_reads_unknown_and_is_reaped(monkeypatch):
+    started, waits = [], []
+
+    class HungPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__([sys.executable, "-c", "import time; time.sleep(30)"], **kwargs)
+            started.append(self)
+
+        def wait(self, timeout=None):
+            if timeout is not None:  # the revision's bounded wait runs out at once
+                waits.append(timeout)
+                raise subprocess.TimeoutExpired(self.args, timeout)
+            return super().wait()
+
+    monkeypatch.setattr(subprocess, "Popen", HungPopen)
+    start = time.perf_counter()
+    with cohkit.experiments._git_revision() as git_revision:
+        assert git_revision() == "unknown"
+    assert time.perf_counter() - start < 10
+    assert waits == [10]
     assert started[0].returncode is not None
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -759,7 +760,7 @@ def test_the_ascent_reuses_the_eigh_of_the_solve_free_bracket(monkeypatch):
              if ordering_decision(*pair).stage is DecisionStage.ASCENT]
     d = pairs[0][0].dim
     pairs = [pair for pair in pairs if pair[0].dim == d]
-    assert {roc(rho, tol=None).method for pair in pairs for rho in pair} == {
+    assert {_solve_free_roc(rho, None).method for pair in pairs for rho in pair} == {
         Method.SOLVE_FREE_BRACKET}
     calls = []
     real_eigh = np.linalg.eigh
@@ -814,7 +815,7 @@ def test_each_ascent_step_never_lowers_the_dual(monkeypatch):
 
 
 def _open_pairs():
-    """Seeded fig2 pairs at d = 4..10 that roc(tol=None) leaves open."""
+    """Seeded fig2 pairs at d = 4..10 that no solve-free bracket settles."""
     rng = np.random.default_rng(74)
     pairs = []
     while len(pairs) < 40:
@@ -825,14 +826,24 @@ def _open_pairs():
     return pairs
 
 
+def _one_dimension_blocks(pairs):
+    """``pairs`` as one block per dimension, in order of first appearance."""
+    blocks = {}
+    for pair in pairs:
+        blocks.setdefault(pair[0].dim, []).append(pair)
+    return list(blocks.values())
+
+
 def _tight_above_loose_below(rho):
-    """A certified bracket tighter than roc(tol=None)'s above and looser below."""
-    return roc(rho, tol=None).value / 2, sdp.solve(sdp.build(rho), tol=1e-9).primal_value - 1.0
+    """A certified bracket tighter than the solve-free one above and looser below."""
+    top = sdp.solve(sdp.build(rho), tol=1e-9).primal_value - 1.0
+    return _solve_free_roc(rho, None).value / 2, top
 
 
 def _tight_below_loose_above(rho):
-    """A certified bracket tighter than roc(tol=None)'s below and looser above."""
-    return sdp.solve(sdp.build(rho), tol=1e-9).dual_value - 1.0, roc(rho, tol=None).upper + 1.0
+    """A certified bracket tighter than the solve-free one below and looser above."""
+    bottom = sdp.solve(sdp.build(rho), tol=1e-9).dual_value - 1.0
+    return bottom, _solve_free_roc(rho, None).upper + 1.0
 
 
 def _stacked(bracket):
@@ -850,16 +861,17 @@ def _stacked(bracket):
     "ascent", [_ascent_bracket, _tight_above_loose_below, _tight_below_loose_above]
 )
 def test_the_ascent_never_widens_a_solve_free_bracket(ascent, monkeypatch):
-    # the open pairs decided as one block, so each ascent runs on a stack
-    pairs = _open_pairs()
-    first = [(roc(a, tol=None), roc(b, tol=None)) for a, b in pairs]
+    # the open pairs of each dimension decided as one block, so each ascent
+    # runs on a stack
     monkeypatch.setattr(cohkit.measures, "_ascent_brackets", _stacked(ascent))
     ascent_settled = 0
-    for (ra, rb), decide in zip(first, ordering_decisions(pairs)):
-        decision = decide()
-        ascent_settled += decision.stage is DecisionStage.ASCENT
-        low, high = decision.roc_difference
-        assert ra.value - rb.upper <= low <= high <= ra.upper - rb.value
+    for pairs in _one_dimension_blocks(_open_pairs()):
+        first = [(_solve_free_roc(a, None), _solve_free_roc(b, None)) for a, b in pairs]
+        for (ra, rb), decide in zip(first, ordering_decisions(pairs)):
+            decision = decide()
+            ascent_settled += decision.stage is DecisionStage.ASCENT
+            low, high = decision.roc_difference
+            assert ra.value - rb.upper <= low <= high <= ra.upper - rb.value
     assert ascent_settled > 0
 
 
@@ -953,9 +965,9 @@ def _block_pairs(ranks=None):
             yield list(zip(states[::2], states[1::2]))
 
 
-def _mixed_block():
+def _mixed_blocks():
     """Qubits, pure, phase-witness (phase-rotated), zero-diagonal-row and
-    random states of several dimensions, in one block of pairs."""
+    random states, in one block of pairs per dimension."""
     rng = np.random.default_rng(81)
     witness = [_phase_rotated(_nonnegative_state(d, rng), rng) for d in (6, 6, 5)]
     pairs = [
@@ -968,19 +980,55 @@ def _mixed_block():
         (pure_density(haar_random_pure(4, rng)), pure_density(haar_random_pure(4, rng))),
     ]
     pairs += [(random_density(d, d, rng), random_density(d, d, rng)) for d in (6, 10, 10) * 6]
-    return pairs
+    return _one_dimension_blocks(pairs)
 
 
 def test_a_block_decides_each_pair_as_a_block_of_one():
-    stages = set()
-    blocks = list(_block_pairs()) + [_mixed_block()]
-    for pairs in blocks:
-        block = [decide() for decide in ordering_decisions(pairs)]
-        assert block == [ordering_decision(a, b) for a, b in pairs]
-        stages |= {decision.stage for decision in block}
-    assert {DecisionStage.SOLVE_FREE, DecisionStage.ASCENT, DecisionStage.SOLVE} <= stages
-    mixed = [decide().stage for decide in ordering_decisions(_mixed_block())]
-    assert {DecisionStage.SOLVE_FREE, DecisionStage.ASCENT, DecisionStage.SOLVE} <= set(mixed)
+    for blocks in (list(_block_pairs()), _mixed_blocks()):
+        stages = set()
+        for pairs in blocks:
+            block = [decide() for decide in ordering_decisions(pairs)]
+            assert block == [ordering_decision(a, b) for a, b in pairs]
+            stages |= {decision.stage for decision in block}
+        assert {DecisionStage.SOLVE_FREE, DecisionStage.ASCENT, DecisionStage.SOLVE} <= stages
+
+
+@pytest.mark.parametrize("staged", [True, False])
+def test_a_block_that_mixes_dimensions_raises(staged):
+    rng = np.random.default_rng(84)
+    a, b, c = (random_density(d, d, rng) for d in (3, 3, 4))
+    for pairs in ([(a, b), (c, c)], [(a, c)]):
+        with pytest.raises(ValueError, match="one dimension"):
+            ordering_decisions(pairs, staged)
+
+
+def test_each_roc_value_of_a_block_is_counted_once(monkeypatch):
+    # per block, the counts gain each first value of a state whose pair needs
+    # the robustness, by the method it has alone, and one sdp per certified
+    # solve; the ascent brackets are not values and count nothing
+    certified = []
+    real_solve = sdp.solve
+
+    def recording_solve(problem, **kwargs):
+        sol = real_solve(problem, **kwargs)
+        certified.append(sol.status in (sdp.SolveStatus.OPTIMAL, sdp.SolveStatus.ACCEPTED))
+        return sol
+
+    monkeypatch.setattr(sdp, "solve", recording_solve)
+    seen = Counter()
+    for pairs in list(_block_pairs()) + _mixed_blocks():
+        alone = [roc(rho) if not cohkit.measures._bracketed(rho) else _solve_free_roc(rho, None)
+                 for pair in pairs for rho in pair]
+        certified.clear()
+        before = cohkit.measures.ROC_METHOD_COUNTS.copy()
+        decisions = [decide() for decide in ordering_decisions(pairs)]
+        expected = Counter(sdp=sum(certified))
+        for j, decision in enumerate(decisions):
+            if decision.roc_difference != (-np.inf, np.inf):
+                expected.update(mv.method.value for mv in alone[2 * j:2 * j + 2])
+        assert cohkit.measures.ROC_METHOD_COUNTS - before == +expected
+        seen += expected
+    assert set(seen) == {method.value for method in Method if method is not Method.DIRECT}
 
 
 def _scalar_brackets(rho):
@@ -1048,7 +1096,7 @@ def test_stacked_brackets_equal_each_matrix_alone():
 
 
 def test_every_final_bracket_holds_the_sdp_value():
-    blocks = list(_block_pairs(lambda d: {d // 2 or 1, d} if d <= 10 else ())) + [_mixed_block()]
+    blocks = list(_block_pairs(lambda d: {d // 2 or 1, d} if d <= 10 else ())) + _mixed_blocks()
     checked = 0
     for pairs in blocks:
         for (a, b), decide in zip(pairs, ordering_decisions(pairs)):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import cohkit.sdp
-from cohkit.measures import Method, l1_coherence, roc
+from cohkit.measures import Method, _solve_free_rocs, l1_coherence
 from cohkit.sdp import (
     RocSolution,
     SolveStatus,
@@ -410,14 +410,14 @@ def _bracket_states():
 
 
 def test_solve_free_bracket_is_certified():
-    # roc(tol=None) brackets the robustness as [value, upper] without a solve.
+    # the solve-free bracket [value, upper] holds the robustness without a solve.
     # The SDP's certified bracket [dual - 1, primal - 1] holds the robustness
     # too, so the two brackets overlap. Neither need contain the other: an end
     # of the solve-free bracket can be tighter than the SDP's (the eigenvalue
     # bound is exact for the sigma family)
     brackets = 0
     for name, rho, expected in _bracket_states():
-        mv = roc(rho, tol=None)
+        mv = _solve_free_rocs(rho.mat[None], None)[0][0]
         sol = solve(build(rho))
         assert sol.status is SolveStatus.OPTIMAL, name
         brackets += mv.method is Method.SOLVE_FREE_BRACKET
