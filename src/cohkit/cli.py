@@ -5,7 +5,9 @@ Each experiment verb is one row of ``_EXPERIMENT_VERBS``: it runs one
 :class:`~cohkit.experiments.Experiment` on the shared sampling harness over
 ``--threads`` worker processes and writes CSV plus a JSON metadata sidecar
 into ``--out``. The sampling verbs (the experiments and ``validate``) accept
-``--seed`` and record it in whatever they emit.
+``--seed`` and record it in whatever they emit. ``--verbose`` is taken where
+it changes the output: ``roc-solve`` then prints each certified iterate, and
+an experiment verb logs one line per grid point, both on stderr.
 
 Exit codes: 0 success (and ``validate`` all-pass), 1 ``validate`` failure,
 2 bad input or usage, 3 solver failure.
@@ -30,7 +32,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 from . import __version__, validation
-from .measures import l1_coherence, rel_entropy_coherence, roc
+from .measures import DEFAULT_ROC_TOL, l1_coherence, rel_entropy_coherence, roc
 from .sdp import SolveStatus, SolverFailure, build, solve, verify_certificates
 from .states import load_density
 from .experiments import Experiment, PhiChoice, SweepAborted, SweepConfig, run_and_save
@@ -90,13 +92,11 @@ _seed = _checked(int, lambda n: n >= 0, "an integer >= 0")
 _tol = _checked(float, lambda x: 0 < x < math.inf, "a finite number > 0")
 
 
-def _add_common(parser: argparse.ArgumentParser, samples_default: int | None = None) -> None:
-    parser.add_argument("--verbose", action="store_true", help="chatty progress on stderr")
-    if samples_default is not None:
-        parser.add_argument("--seed", type=_seed, default=0, help="RNG seed recorded in all output")
-        parser.add_argument(
-            "--samples", type=_count, default=samples_default, help="samples per grid point"
-        )
+def _add_sampling(parser: argparse.ArgumentParser, samples_default: int) -> None:
+    parser.add_argument("--seed", type=_seed, default=0, help="RNG seed recorded in all output")
+    parser.add_argument(
+        "--samples", type=_count, default=samples_default, help="samples per grid point"
+    )
 
 
 def _parse_grid(text: str, cast) -> tuple:
@@ -131,8 +131,11 @@ def build_parser() -> argparse.ArgumentParser:
     ):
         p = sub.add_parser(verb, help=text)
         p.add_argument("state", help="density-matrix JSON file ({dims, re, im})")
-        p.add_argument("--tol", type=_tol, default=1e-8, help="SDP relative gap tolerance")
-        _add_common(p)
+        p.add_argument(
+            "--tol", type=_tol, default=DEFAULT_ROC_TOL, help="SDP relative gap tolerance"
+        )
+        if verb == "roc-solve":
+            p.add_argument("--verbose", action="store_true", help="chatty progress on stderr")
 
     for verb, (experiment, text, flag, cast, grid, grid_help, samples) in _EXPERIMENT_VERBS.items():
         p = sub.add_parser(verb, help=text)
@@ -153,7 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
             )
         if experiment is Experiment.ORDERING_VS_RANK:
             p.add_argument("--dim", type=_count, default=10, help="ambient dimension")
-        _add_common(p, samples_default=samples)
+        p.add_argument("--verbose", action="store_true", help="chatty progress on stderr")
+        _add_sampling(p, samples)
         p.add_argument(
             "--threads",
             type=_count,
@@ -164,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="results", help="output directory for CSV + metadata")
 
     p = sub.add_parser("validate", help="measure-axiom suite; exit 0 iff all pass")
-    _add_common(p, samples_default=100)
+    _add_sampling(p, 100)
 
     return parser
 
@@ -230,6 +234,10 @@ def _experiment_config(args, experiment: Experiment) -> SweepConfig:
 
 
 def _cmd_experiment(args, experiment: Experiment) -> int:
+    logging.basicConfig(
+        level=logging.INFO if args.verbose else logging.WARNING,
+        format="%(levelname)s %(name)s: %(message)s",
+    )
     try:
         cfg = _experiment_config(args, experiment)
         os.makedirs(args.out, exist_ok=True)
@@ -265,10 +273,6 @@ _COMMANDS = {"measure": _cmd_measure, "roc-solve": _cmd_roc_solve, "validate": _
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
     try:
         if args.verb in _EXPERIMENT_VERBS:
             return _cmd_experiment(args, _EXPERIMENT_VERBS[args.verb][0])

@@ -72,6 +72,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import os
 import subprocess
 import time
 from collections import Counter
@@ -548,18 +549,21 @@ def write_sweep_csv(rows: list, path: Path) -> None:
 
 
 @contextmanager
-def _git_revision(directory: Path = Path(__file__).parent):
-    """Starts ``git describe`` on the checkout holding ``directory`` (by
-    default this module's, whatever the working directory) and yields a
-    function that returns its HEAD, with ``-dirty`` appended when tracked
-    files differ from it, or ``"unknown"`` without git or a checkout, or if
-    git has not finished 10 s after the function is called. Git runs
-    meanwhile; however the block is left, a git still running is then
-    killed, and the process is reaped."""
-    cmd = ["git", "-C", str(directory), "describe", "--always", "--dirty", "--abbrev=40",
+def _git_revision(root: Path = Path(__file__).resolve().parents[2]):
+    """Starts ``git describe`` on the checkout rooted at ``root`` (by default
+    the one whose ``src/`` holds this package, whatever the working
+    directory; git never looks above ``root``, so a package installed inside
+    another checkout does not read its revision) and yields a function that
+    returns its HEAD, with ``-dirty`` appended when tracked files differ from
+    it, or ``"unknown"`` without git or a checkout, or if git has not
+    finished 10 s after the function is called. Git runs meanwhile; however
+    the block is left, a git still running is then killed, and the process
+    is reaped."""
+    cmd = ["git", "-C", str(root), "describe", "--always", "--dirty", "--abbrev=40",
            "--exclude=*"]
     try:
-        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+        proc = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+                                env={**os.environ, "GIT_CEILING_DIRECTORIES": str(root.parent)})
     except OSError:
         yield lambda: "unknown"
         return

@@ -114,14 +114,15 @@ class DensityMatrix:
 
     ``dims`` factors the space into subsystems (``()`` means unfactored); each
     entry must be an integer (``int`` or ``np.integer``, not ``bool``) of at
-    least 1. Construction builds the state as a stack of one by
-    :meth:`stack`, which validates it, raises ``ValueError`` on any breach,
-    and computes each intermediate once: the input becomes a contiguous
-    complex array, finiteness is tested on it, one conjugate transpose gives
-    both the Hermiticity defect and the Hermitian part
-    (:func:`cohkit.linalg.hermitian_part`), and one ``eigvalsh`` of that
-    Hermitian part gives ``eigenvalues``, the ascending spectrum that
-    measures and the solver read instead of factorizing the state again.
+    least 1, and ``dim`` is the dimension of the whole space. Construction
+    builds the state as a stack of one by :meth:`stack`, which validates it,
+    raises ``ValueError`` on any breach, and computes each intermediate once:
+    the input becomes a contiguous complex array, finiteness is tested on it,
+    one conjugate transpose gives both the Hermiticity defect and the
+    Hermitian part (:func:`cohkit.linalg.hermitian_part`), and one
+    ``eigvalsh`` of that Hermitian part gives ``eigenvalues``, the ascending
+    spectrum that measures and the solver read instead of factorizing the
+    state again.
     ``offdiagonal_abs_sum`` is the sum of ``|rho_ij|`` over ``i != j``: the
     l1-norm of coherence, and for a pure state also its robustness.
     ``entropy_bits`` is the von Neumann entropy S(rho) in bits, from
@@ -131,6 +132,7 @@ class DensityMatrix:
 
     mat: np.ndarray
     dims: tuple[int, ...] = field(default=())
+    dim: int = field(init=False, repr=False)
     eigenvalues: np.ndarray = field(init=False, repr=False)
     offdiagonal_abs_sum: float = field(init=False, repr=False)
     entropy_bits: float = field(init=False, repr=False)
@@ -161,14 +163,11 @@ class DensityMatrix:
         states = []
         for mat, w, l1, s_rho, s_diag in measured:
             rho = object.__new__(cls)
-            rho.__dict__.update(mat=mat, dims=dims, eigenvalues=w, offdiagonal_abs_sum=l1,
-                                entropy_bits=s_rho, dephased_entropy_bits=s_diag)
+            rho.__dict__.update(mat=mat, dims=dims, dim=m.shape[-1], eigenvalues=w,
+                                offdiagonal_abs_sum=l1, entropy_bits=s_rho,
+                                dephased_entropy_bits=s_diag)
             states.append(rho)
         return states
-
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
 
     def marginal(self, keep: int) -> "DensityMatrix":
         """Reduced state on subsystem ``keep`` (requires a factorization)."""

@@ -149,7 +149,7 @@ CHECKS: tuple[Check, ...] = (
 )
 
 
-def run_all(samples: int = 100, seed: int = 0) -> list[PropertyResult]:
+def run_all(samples: int, seed: int) -> list[PropertyResult]:
     """Run every row of ``CHECKS`` on ``max(samples, row.min_samples)`` instances.
 
     A non-finite violation counts as infinite and fails its row (``max``

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -98,6 +99,41 @@ def test_roc_solve_verbose_traces_iterates_to_stderr(state_file, capsys):
     assert lines[0] == "mu,primal,dual,gap"
     assert len(lines) > 3
     assert hashlib.sha256(err.encode()).hexdigest() == VERBOSE_STDERR_HASH
+
+
+# Per verb, the options it takes, in the order its --help lists them
+_SWEEP_FLAGS = ["--verbose", "--seed", "--samples", "--threads", "--out"]
+VERB_FLAGS = {
+    "measure": ["--tol"],
+    "roc-solve": ["--tol", "--verbose"],
+    "theorem1": ["--n", *_SWEEP_FLAGS],
+    "fig1": ["--grid", "--phi", *_SWEEP_FLAGS],
+    "fig2": ["--grid", *_SWEEP_FLAGS],
+    "fig3": ["--grid", "--dim", *_SWEEP_FLAGS],
+    "result2": ["--grid", *_SWEEP_FLAGS],
+    "validate": ["--seed", "--samples"],
+}
+
+
+def test_each_verb_takes_only_the_options_that_change_its_output():
+    [verbs] = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    flags = {
+        verb: [flag for action in p._actions for flag in action.option_strings
+               if flag not in ("-h", "--help")]
+        for verb, p in verbs.choices.items()
+    }
+    assert flags == VERB_FLAGS
+
+
+@pytest.mark.parametrize("verbose", [True, False])
+def test_an_experiment_verb_logs_each_grid_point_only_when_verbose(verbose, tmp_path):
+    argv = ["-m", "cohkit.cli", "fig2", "--grid", "2", "--samples", "2", "--threads", "1",
+            "--out", str(tmp_path)]
+    proc = fresh_python(argv + ["--verbose"] * verbose)
+    assert proc.returncode == 0, proc.stderr
+    done = [line for line in proc.stderr.splitlines()
+            if line.startswith("INFO cohkit.experiments: point 2 done")]
+    assert len(done) == verbose
 
 
 def test_version(capsys):
@@ -243,6 +279,8 @@ def test_validate_entry_point_end_to_end():
         ["validate", "--samples", "-3"],
         ["validate", "--seed", "-1"],
         ["fig2", "--seed", "-1"],
+        ["measure", "{state}", "--verbose"],
+        ["validate", "--verbose"],
     ],
 )
 def test_bad_usage_exits_2(argv, state_file, tmp_path):

@@ -1,5 +1,7 @@
 import dataclasses
 import json
+import os
+import shutil
 import subprocess
 import sys
 import time
@@ -390,17 +392,23 @@ def test_metadata_records_the_package_checkout_revision(tmp_path, monkeypatch):
     assert json.loads(meta_path.read_text())["git_revision"] == expected
 
 
-def test_git_revision_flags_uncommitted_changes(tmp_path):
-    repo = tmp_path / "repo"
+def _new_repo(repo: Path, name: str, text: str) -> str:
+    """HEAD of a new git repository at ``repo`` whose one commit adds the
+    file ``name`` holding ``text``; skips the test where git cannot."""
     repo.mkdir()
     if _git(repo, "init", "-q").returncode != 0:
         pytest.skip("git is not available")
-    (repo / "tracked.txt").write_text("one\n")
-    _git(repo, "add", "tracked.txt")
+    (repo / name).write_text(text)
+    _git(repo, "add", name)
     identity = ("-c", "user.name=test", "-c", "user.email=test@example.com",
                 "-c", "commit.gpgsign=false")
     assert _git(repo, *identity, "commit", "-q", "-m", "initial").returncode == 0
-    head = _git(repo, "rev-parse", "HEAD").stdout.strip()
+    return _git(repo, "rev-parse", "HEAD").stdout.strip()
+
+
+def test_git_revision_flags_uncommitted_changes(tmp_path):
+    repo = tmp_path / "repo"
+    head = _new_repo(repo, "tracked.txt", "one\n")
 
     def revision(directory: Path) -> str:
         with cohkit.experiments._git_revision(directory) as git_revision:
@@ -412,6 +420,23 @@ def test_git_revision_flags_uncommitted_changes(tmp_path):
     (repo / "tracked.txt").write_text("two\n")
     assert revision(repo) == head + "-dirty"
     assert revision(tmp_path / "missing") == "unknown"
+
+
+def test_a_package_installed_inside_another_checkout_reads_unknown(tmp_path):
+    # a virtual environment that another project's checkout ignores: git must
+    # not report that project's revision as cohkit's
+    project = tmp_path / "project"
+    _new_repo(project, ".gitignore", ".venv/\n")
+    site = project / ".venv" / "site"
+    shutil.copytree(Path(cohkit.__file__).parent, site / "cohkit",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    run = ("import cohkit.cli as c; "
+           "c.main(['theorem1', '--n', '1', '--samples', '2', '--threads', '1', '--out', 'out'])")
+    proc = subprocess.run([sys.executable, "-c", run], cwd=project, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(site)}, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    meta = json.loads((project / "out" / "theorem1_check_meta.json").read_text())
+    assert meta["git_revision"] == "unknown"
 
 
 def test_an_aborted_run_reaps_its_git_process(tmp_path, monkeypatch):

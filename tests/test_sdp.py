@@ -1,8 +1,10 @@
+import inspect
+
 import numpy as np
 import pytest
 
 import cohkit.sdp
-from cohkit.measures import Method, _solve_free_rocs, l1_coherence
+from cohkit.measures import DEFAULT_ROC_TOL, Method, _solve_free_rocs, l1_coherence
 from cohkit.sdp import (
     RocSolution,
     SolveStatus,
@@ -209,6 +211,8 @@ def test_accept_ends_the_solve_at_the_iterate_it_takes():
 def test_tolerance_must_be_positive():
     with pytest.raises(ValueError):
         solve(build(sigma_family(2, 0.1)), tol=0.0)
+    # sdp cannot import measures, so its default is tied to roc's here
+    assert inspect.signature(solve).parameters["tol"].default == DEFAULT_ROC_TOL
 
 
 def test_max_iter_returns_best_iterate(monkeypatch):

@@ -291,6 +291,14 @@ def test_a_stack_of_valid_states_keeps_each_single_construction():
         for name in ("offdiagonal_abs_sum", "entropy_bits", "dephased_entropy_bits"):
             assert getattr(rho, name) == getattr(single, name)
         assert type(rho.offdiagonal_abs_sum) is float
+    # dim is set once per stack, whichever way the state was built
+    drawn = random_densities(5, 2, [rng])[0]
+    loaded = DensityMatrix.from_json_dict(drawn.to_json_dict())
+    for rho in (*states, single, drawn, loaded):
+        assert type(rho.dim) is int and rho.dim == rho.mat.shape[0]
+        with pytest.raises(AttributeError):
+            rho.dim = 3
+    assert (drawn.dim, loaded.dim) == (5, 5)
     with pytest.raises(ValueError, match="square"):
         DensityMatrix.stack(mats[0])  # one matrix is not a stack
     with pytest.raises(ValueError, match="square"):
