@@ -151,11 +151,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 "--phi",
                 choices=[c.value for c in PhiChoice],
-                default=PhiChoice.MAXIMALLY_COHERENT.value,
+                default=SweepConfig.pure_state_choice.value,
                 help="reference pure state to mix in",
             )
         if experiment is Experiment.ORDERING_VS_RANK:
-            p.add_argument("--dim", type=_count, default=10, help="ambient dimension")
+            p.add_argument("--dim", type=_count, default=SweepConfig.dim, help="ambient dimension")
         p.add_argument("--verbose", action="store_true", help="chatty progress on stderr")
         _add_sampling(p, samples)
         p.add_argument(

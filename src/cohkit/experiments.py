@@ -37,7 +37,8 @@ sample. The sweep's reduction counts the gaps at most
 SUBADDITIVITY_COUNT_TOL; a theorem1 row raises if its gap exceeds it.
 result2 draws nothing ahead: each sample's function draws from its
 generator when called. A draw whose SDP fails to certify is drawn again
-from the same generator, as a block of one, and reported; too many failures
+from the same generator by the same draw function, as a block of one, so
+it is decided exactly like a first draw, and reported; too many failures
 abort the run.
 Each grid point is split into one contiguous chunk of samples per worker
 (fewer if the point has fewer samples than workers). A chunk keeps exactly
@@ -79,7 +80,7 @@ from collections import Counter
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, suppress
-from dataclasses import astuple, dataclass, fields
+from dataclasses import asdict, astuple, dataclass, fields
 from enum import Enum
 from functools import partial
 from pathlib import Path
@@ -189,14 +190,6 @@ class SweepConfig:
             if any(int(d) != d or d < 2 for d in self.grid):
                 raise ValueError("ancilla/state dimension grid entries must be integers >= 2")
 
-    def to_json_dict(self) -> dict:
-        """Every field by name, enums as their values and tuples as lists."""
-        out = {}
-        for f in fields(self):
-            v = getattr(self, f.name)
-            out[f.name] = v.value if isinstance(v, Enum) else list(v) if isinstance(v, tuple) else v
-        return out
-
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -240,15 +233,15 @@ def _record(cfg: SweepConfig, point, positive: int, pair: str | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# draw functions (cfg, grid point, generators, redraw) -> per generator, the
+# draw functions (cfg, grid point, generators) -> per generator, the
 # zero-argument function that finishes that sample's value: its robustness
 # and gap (sub-additivity sweep), the decision of its pair (ordering sweeps),
 # its theorem1 row, or its result2 deviations, drawn inside the function. A
-# redraw after a solver failure draws again from the same generator, as a
-# block of one, with ``redraw`` set.
+# redraw after a solver failure calls the same function on the same
+# generator alone, a block of one.
 
 
-def _subadd_gaps(cfg: SweepConfig, p: float, rngs: list, redraw: bool) -> list:
+def _subadd_gaps(cfg: SweepConfig, p: float, rngs: list) -> list:
     """Each generator's two-qubit sigma-family state, at one uniform k, mixed
     at weight p with the reference state: the block's states built as one
     stack, and their robustness values and gaps taken as one block by
@@ -262,24 +255,23 @@ def _subadd_gaps(cfg: SweepConfig, p: float, rngs: list, redraw: bool) -> list:
     return subadditivity_gap(mix_with_pure(sigmas, phi, p))
 
 
-def _ordering_pairs(cfg: SweepConfig, point: int, rngs: list, redraw: bool) -> list:
+def _ordering_pairs(cfg: SweepConfig, point: int, rngs: list) -> list:
     """Each generator's pair of random states, the block built as one stack
     and its pairs bracketed as one block by
     :func:`~cohkit.measures.ordering_decisions`: per sample, the function
-    that finishes the decision of its pair.
+    that finishes the decision of its pair. A redrawn pair is a block of one,
+    decided by the same rungs.
 
     The point is the dimension (full rank) or, for the rank sweep, the rank at
-    ``cfg.dim``. A redrawn pair is solved outright rather than staged: a pair
-    that a bracket can settle never fails, so staging the redraws would
-    favour such pairs over the ones whose solve failed.
+    ``cfg.dim``.
     """
     rank = int(point)
     d = cfg.dim if cfg.experiment is Experiment.ORDERING_VS_RANK else rank
     states = random_densities(d, rank, rngs, count=2)
-    return ordering_decisions(list(zip(states[::2], states[1::2])), staged=not redraw)
+    return ordering_decisions(list(zip(states[::2], states[1::2])))
 
 
-def _theorem1_rows(cfg: SweepConfig, n: int, rngs: list, redraw: bool) -> list:
+def _theorem1_rows(cfg: SweepConfig, n: int, rngs: list) -> list:
     """Each generator's n-qubit sigma-family state, at one uniform k, the
     block built as one stack and its robustness values and gaps taken as one
     block by :func:`~cohkit.measures.subadditivity_gap`, as for fig1: the
@@ -304,7 +296,7 @@ def _theorem1_row(n: int, k: float, value_and_gap: Callable) -> Theorem1Row:
     return Theorem1Row(n, k, value, closed, abs(value - closed), gap)
 
 
-def _result2_sample(cfg: SweepConfig, dims: tuple[int, ...], rng: np.random.Generator) -> tuple:
+def _result2_sample(dims: tuple[int, ...], rng: np.random.Generator) -> tuple:
     """Per measure, |C(rho (x) diagonal sigma) - C(rho)|, then the two dimensions."""
     d_a = dims[rng.integers(len(dims))]
     d_b = dims[rng.integers(len(dims))]
@@ -335,7 +327,7 @@ def _pair_records(cfg: SweepConfig, point: int, decisions: list) -> tuple[list, 
     return records, {"ordering_decisions": stages, "undecided": undecided}
 
 
-# Per experiment: the draw function (cfg, grid point, generators, redraw) ->
+# Per experiment: the draw function (cfg, grid point, generators) ->
 # per generator, the function that finishes its sample's value; and the
 # reduction of one grid point's values (in sample order) to its CSV records
 # or rows and its notes (counts as Counters, entries as lists, under metadata
@@ -350,7 +342,7 @@ _HARNESS = {
     Experiment.ORDERING_VS_RANK: (_ordering_pairs, _pair_records),
     Experiment.THEOREM1_CHECK: (_theorem1_rows, lambda cfg, n, rows: (rows, {})),
     Experiment.RESULT2_CHECK: (
-        lambda cfg, dims, rngs, redraw: [partial(_result2_sample, cfg, dims, rng) for rng in rngs],
+        lambda cfg, dims, rngs: [partial(_result2_sample, dims, rng) for rng in rngs],
         _result2_rows,
     ),
 }
@@ -431,8 +423,8 @@ def _chunk(args) -> dict:
     draw function makes the whole block's draws at once, one function per
     sample generator, and each sample's function is then called, in order,
     for its value. A draw whose SDP fails to certify is replaced by the next
-    draw from the same generator, made as a block of one with ``redraw`` set;
-    a sample gets at most _MAX_REDRAWS draws.
+    draw from the same generator, made by the same draw function as a block
+    of one; a sample gets at most _MAX_REDRAWS draws.
     """
     cfg, point_idx, point, start, stop = args
     draw = _HARNESS[cfg.experiment][0]
@@ -444,10 +436,10 @@ def _chunk(args) -> dict:
         indices = range(block_start, min(block_start + BLOCK_SAMPLES, stop))
         rngs = [np.random.Generator(np.random.PCG64(_SampleSeed(row)))
                 for row in words[indices.start - start:indices.stop - start]]
-        for sample_idx, rng, drawn in zip(indices, rngs, draw(cfg, point, rngs, False)):
+        for sample_idx, rng, drawn in zip(indices, rngs, draw(cfg, point, rngs)):
             for attempt in range(_MAX_REDRAWS):
                 if attempt:
-                    (drawn,) = draw(cfg, point, [rng], True)
+                    (drawn,) = draw(cfg, point, [rng])
                 try:
                     values.append(drawn())
                     break
@@ -585,13 +577,14 @@ def _git_revision(root: Path = Path(__file__).resolve().parents[2]):
 def write_metadata(cfg: SweepConfig, path: Path, wall_time_s: float, extra: dict,
                    git_revision: str) -> None:
     meta = {
-        "config": cfg.to_json_dict(),
+        "config": asdict(cfg),
         "git_revision": git_revision,
         "wall_time_s": wall_time_s,
         "package_version": __version__,
         **extra,
     }
-    path.write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
+    # the config's enums are written as their values
+    path.write_text(json.dumps(meta, indent=2, sort_keys=True, default=lambda v: v.value) + "\n")
 
 
 def run_and_save(cfg: SweepConfig, out_dir: str | Path, workers: int = 1) -> tuple[Path, Path]:

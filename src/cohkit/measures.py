@@ -26,9 +26,10 @@ block, each state's first value, a solve-free bracket where ``roc`` would
 solve, then, for the pairs they leave open, certified phase-ascent brackets
 (not values, so not counted in ``ROC_METHOD_COUNTS``); then, per pair still
 open, one SDP solve per state that stops at the first certified iterate
-that settles the pair (counted as an SDP value). Both block functions take
-their first values from one block stage, :func:`_first_rocs`, for a block
-whose states share one dimension.
+that settles the pair (counted as an SDP value). Every pair goes up these
+rungs, also one that a sweep draws again after a failed solve, as a block
+of one. Both block functions take their first values from one block stage,
+:func:`_first_rocs`, for a block whose states share one dimension.
 """
 
 from __future__ import annotations
@@ -498,13 +499,13 @@ class _Pair:
         self.decision: OrderingDecision | None = None
         self.settle(DecisionStage.SOLVE_FREE)
 
-    def start(self, values: list[MeasureValue], stage: DecisionStage) -> None:
+    def start(self, values: list[MeasureValue]) -> None:
         """Bracket each state's robustness by its first value, and settle the
-        pair at ``stage`` if that is enough."""
+        pair at SOLVE_FREE if that is enough."""
         self.values = values
         self.lo = [mv.value for mv in values]
         self.hi = [mv.upper for mv in values]
-        self.settle(stage)
+        self.settle(DecisionStage.SOLVE_FREE)
 
     def bracket(self) -> tuple[float, float]:
         return self.lo[0] - self.hi[1], self.hi[0] - self.lo[1]
@@ -529,14 +530,9 @@ class _Pair:
                       key=lambda i: self.lo[i] - self.hi[i])
 
     def decide(self) -> OrderingDecision:
-        """The pair's decision. A pair not yet settled first takes its values
-        outright (unstaged) or climbs the SOLVE rung."""
+        """The pair's decision; a pair the block's rungs left open first climbs the SOLVE rung."""
         if self.decision is not None:
             return self.decision
-        if not self.values:
-            self.start([roc(rho, tol=DEFAULT_ROC_TOL) for rho in self.states], DecisionStage.SOLVE)
-            if self.decision is not None:
-                return self.decision
         failure = None
         for i in self.climbing():
             def accept(mu: float, primal: float, dual: float, i: int = i) -> bool:
@@ -564,7 +560,7 @@ def _block_rungs(block: list[_Pair]) -> None:
     states = [rho for pair in block for rho in pair.states]
     first, phases = _first_rocs(states, None)
     for j, pair in enumerate(block):
-        pair.start(first[2 * j:2 * j + 2], DecisionStage.SOLVE_FREE)
+        pair.start(first[2 * j:2 * j + 2])
     open_pairs = [pair for pair in block if pair.decision is None]
     climbing = [2 * j + i for j, pair in enumerate(block) if pair.decision is None
                 for i in pair.climbing()]
@@ -578,7 +574,7 @@ def _block_rungs(block: list[_Pair]) -> None:
 
 
 def ordering_decisions(
-    pairs: list[tuple[DensityMatrix, DensityMatrix]], staged: bool = True
+    pairs: list[tuple[DensityMatrix, DensityMatrix]]
 ) -> list[Callable[[], OrderingDecision]]:
     """``values_ordering_violated`` for every measure pair in MEASURE_PAIRS,
     for each pair of states ``(a, b)`` of a block, with the RoC difference
@@ -616,17 +612,12 @@ def ordering_decisions(
     settled. Each state reaches the solver at most once. A solve that fails
     to certify keeps what its certified iterates gave; its SolverFailure is
     raised, as solving outright would raise it, only if the pair is still
-    open once both states were solved. Each staged solve that certifies
+    open once both states were solved. Each solve that certifies
     counts as an SDP value in ROC_METHOD_COUNTS. A pair still open after
     both full solves is UNDECIDED and takes the row of the category of its
     DEFAULT_ROC_TOL values' difference, exactly as if every value had been
-    solved outright.
-
-    With ``staged=False`` only the differences are taken for the block, and
-    each pair's function solves its robustness values outright, when they
-    matter, at DEFAULT_ROC_TOL, so no state climbs a rung and the pair is
-    SOLVE or UNDECIDED. The sweeps decide a redrawn pair this way, so that a
-    draw whose solve failed is never replaced by one that needs no solve.
+    solved outright. Every pair is decided by these rungs, a pair that the
+    sweeps draw again after a solver failure too.
     """
     states = [rho for pair in pairs for rho in pair]
     dims = {rho.dim for rho in states}
@@ -636,6 +627,5 @@ def ordering_decisions(
     rel = np.array([_finalize(rho.dephased_entropy_bits - rho.entropy_bits) for rho in states])
     table = _answer_table(l1[::2] - l1[1::2], rel[::2] - rel[1::2])
     block = [_Pair(pair, rows) for pair, rows in zip(pairs, table)]
-    if staged:
-        _block_rungs([pair for pair in block if pair.decision is None])
+    _block_rungs([pair for pair in block if pair.decision is None])
     return [pair.decide for pair in block]

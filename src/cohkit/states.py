@@ -14,11 +14,11 @@ diagonal.
 :func:`random_densities` draws a block of random states, as many per
 generator as asked, with one draw call per generator, as
 :func:`random_density` would draw them one by one, and the block is
-normalized, validated and measured as one stack. :func:`sigma_family` and
-:func:`mix_with_pure` take a block too: given a sequence of mixing
-parameters, or of states, they build one stack and return a list of states,
-each bit-identical to the state built alone; given one, they return one
-state, built as a block of one.
+normalized, validated and measured as one stack. :func:`sigma_family` takes
+a block too: given a sequence of mixing parameters, it builds one stack and
+returns a list of states, each bit-identical to the state built alone; given
+one, it returns one state, built as a block of one. :func:`mix_with_pure`
+takes and returns a block only.
 """
 
 from __future__ import annotations
@@ -263,17 +263,15 @@ def sigma_family(n: int, k: float | Sequence[float]) -> DensityMatrix | list[Den
 
 
 def mix_with_pure(
-    sigma: DensityMatrix | Sequence[DensityMatrix], phi: np.ndarray, p: float
-) -> DensityMatrix | list[DensityMatrix]:
-    """Convex combination (1-p) sigma + p |phi><phi|.
+    sigmas: Sequence[DensityMatrix], phi: np.ndarray, p: float
+) -> list[DensityMatrix]:
+    """Convex combination (1-p) sigma + p |phi><phi| of each state of a block.
 
-    A sequence of states, all with the same dimension and subsystem
-    dimensions, gives the block of their mixtures, in order, built and
-    validated as one stack by :meth:`DensityMatrix.stack`; a single state
-    gives its mixture, as a block of one.
+    The states, all with the same dimension and subsystem dimensions, give
+    the block of their mixtures, in order, built and validated as one stack
+    by :meth:`DensityMatrix.stack`.
     """
-    block = not isinstance(sigma, DensityMatrix)
-    sigmas = list(sigma) if block else [sigma]
+    sigmas = list(sigmas)
     dim, dims = sigmas[0].dim, sigmas[0].dims
     phi = np.asarray(phi, dtype=complex)
     if phi.ndim != 1 or len(phi) != dim:
@@ -283,8 +281,7 @@ def mix_with_pure(
     if any(s.dims != dims for s in sigmas):
         raise ValueError("a block of states must share its subsystem dimensions")
     mats = np.stack([s.mat for s in sigmas])
-    states = DensityMatrix.stack((1.0 - p) * mats + p * projector(phi), dims)
-    return states if block else states[0]
+    return DensityMatrix.stack((1.0 - p) * mats + p * projector(phi), dims)
 
 
 def haar_random_pure(d: int, rng: np.random.Generator) -> np.ndarray:

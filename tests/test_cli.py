@@ -337,8 +337,9 @@ def _never_optimal(problem, tol=1e-8, accept=None):
         ["measure", "{state}"],
         ["roc-solve", "{state}"],
         ["theorem1", "--n", "2", "--samples", "1"],
-        # the first seed-0 pair at d=10 is settled without a solve; the second needs one
-        ["fig2", "--grid", "10", "--samples", "2"],
+        # a failing pair is redrawn and decided like a first draw, so the
+        # run aborts only once its solves fail for two of the ten samples
+        ["fig2", "--grid", "10", "--samples", "10"],
     ],
 )
 def test_solver_failure_exits_3(argv, state_file, tmp_path, monkeypatch, capsys):
@@ -360,9 +361,9 @@ def test_solver_failure_exits_3(argv, state_file, tmp_path, monkeypatch, capsys)
 
 def test_pooled_sweep_abort_exits_3(tmp_path, monkeypatch, capsys):
     # forked workers inherit the patched solver, so every draw that reaches the
-    # SDP fails in a worker; the second seed-0 pair at d=10 does, and a
-    # redrawn pair is always solved, so that sample exhausts its redraws
+    # SDP fails in a worker; of ten seed-0 pairs at d=10, two do, one in each
+    # worker's chunk, which exceeds the one failure ten samples may have
     monkeypatch.setattr(cohkit.sdp, "solve", _never_optimal)
-    argv = ["fig2", "--grid", "10", "--samples", "2", "--threads", "2", "--out", str(tmp_path)]
+    argv = ["fig2", "--grid", "10", "--samples", "10", "--threads", "2", "--out", str(tmp_path)]
     assert run(argv) == 3
-    assert "redraws" in capsys.readouterr().err
+    assert "2 solver failures exceed the abort threshold" in capsys.readouterr().err

@@ -22,9 +22,10 @@ from cohkit.experiments import (
     estimate_transition,
     run_and_save,
     run_experiment,
+    write_metadata,
     write_sweep_csv,
 )
-from cohkit.measures import DEFAULT_ROC_TOL, MEASURE_PAIRS, DecisionStage, Method
+from cohkit.measures import MEASURE_PAIRS, DecisionStage, Method, ordering_decisions
 from cohkit.sdp import RocSolution, SolveStatus
 from cohkit.states import (
     DensityMatrix,
@@ -73,10 +74,13 @@ def test_samples_are_bounded_by_one_seed_word():
     assert fig1_config(samples=2**32).samples == 2**32
 
 
-def test_config_json_dict_has_every_field_as_plain_json():
+def test_config_json_dict_has_every_field_as_plain_json(tmp_path):
     cfg = fig1_config(pure_state_choice=PhiChoice.MAXIMALLY_ENTANGLED)
-    out = cfg.to_json_dict()
-    assert list(out) == [f.name for f in dataclasses.fields(SweepConfig)]
+    path = tmp_path / "meta.json"
+    write_metadata(cfg, path, wall_time_s=0.0, extra={}, git_revision="unknown")
+    out = json.loads(path.read_text())["config"]
+    # the sidecar's keys are sorted
+    assert list(out) == sorted(f.name for f in dataclasses.fields(SweepConfig))
     assert out == {
         "experiment": "subadditivity_sweep",
         "samples": 120,
@@ -359,7 +363,8 @@ def test_run_and_save_outputs(tmp_path):
     assert len(lines) == 4
     assert lines[1].startswith("subadditivity_sweep,0.0,,25,25,1.0,0.0,5")
     meta = json.loads(meta_path.read_text())
-    assert meta["config"] == cfg.to_json_dict()
+    assert meta["config"] == {"experiment": "subadditivity_sweep", "samples": 25, "seed": 5,
+                              "grid": [0.0, 0.2, 1.0], "pure_state_choice": "coherent", "dim": 10}
     assert "transition_estimate" in meta
     assert "git_revision" in meta
     assert meta["package_version"] == cohkit.__version__
@@ -570,24 +575,35 @@ def _solved_states(monkeypatch, cfg: SweepConfig) -> list:
     return solved
 
 
-def test_metadata_lists_redrawn_draws_with_the_failing_state(monkeypatch, tmp_path):
+def _seed20_planted_failure():
+    """A fig2 run of three samples at d=5, seed 20, the state ``a`` of its
+    sample 2, whose pair only a solve settles, an ``sdp.solve`` that fails
+    on ``a`` alone, and the pair that sample 2 draws next."""
     cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=3, seed=20, grid=(5,))
-    _, meta_path = run_and_save(cfg, tmp_path / "clean")
-    assert json.loads(meta_path.read_text())["failures"] == []
-
-    # state a of sample 2 is one whose brackets leave its pair open, so it
-    # reaches the SDP; its solve fails and the sample is redrawn
     rng = np.random.default_rng([20, 0, 2])
     a = random_density(5, 5, rng)
-    assert any(np.array_equal(rho.mat, a.mat) for rho in _solved_states(monkeypatch, cfg))
+    random_density(5, 5, rng)
+    redrawn = (random_density(5, 5, rng), random_density(5, 5, rng))
     real_solve = cohkit.sdp.solve
 
     def solve_of_a_fails(problem, **kwargs):
+        # without ``accept``, no iterate of a's solve can settle the pair
         if np.array_equal(problem.rho.mat, a.mat):
             sol = real_solve(problem, tol=kwargs["tol"])
             return dataclasses.replace(sol, status=SolveStatus.MAX_ITER)
         return real_solve(problem, **kwargs)
 
+    return cfg, a, solve_of_a_fails, redrawn
+
+
+def test_metadata_lists_redrawn_draws_with_the_failing_state(monkeypatch, tmp_path):
+    cfg, a, solve_of_a_fails, _ = _seed20_planted_failure()
+    _, meta_path = run_and_save(cfg, tmp_path / "clean")
+    assert json.loads(meta_path.read_text())["failures"] == []
+
+    # state a of sample 2 is one whose brackets leave its pair open, so it
+    # reaches the SDP; its solve fails and the sample is redrawn
+    assert any(np.array_equal(rho.mat, a.mat) for rho in _solved_states(monkeypatch, cfg))
     monkeypatch.setattr(cohkit.sdp, "solve", solve_of_a_fails)
     _, meta_path = run_and_save(cfg, tmp_path / "flaky")
     (entry,) = json.loads(meta_path.read_text())["failures"]
@@ -596,31 +612,26 @@ def test_metadata_lists_redrawn_draws_with_the_failing_state(monkeypatch, tmp_pa
     assert "max_iter" in entry["error"]
 
 
-def test_a_redrawn_ordering_pair_is_solved_outright(monkeypatch):
-    # the pair that replaces a failed one must not be settled solve-free, or
-    # failures would favour pairs that a bracket can decide
-    cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=3, seed=20, grid=(5,))
-    rng = np.random.default_rng([20, 0, 2])
-    a = random_density(5, 5, rng)
+def test_a_redrawn_ordering_pair_is_decided_as_a_first_draw(monkeypatch):
+    # the pair that replaces a failed one is decided by the same rungs as a
+    # first draw, as a block of one
+    cfg, a, solve_of_a_fails, redrawn = _seed20_planted_failure()
     assert any(np.array_equal(rho.mat, a.mat) for rho in _solved_states(monkeypatch, cfg))
-    random_density(5, 5, rng)
-    redrawn = (random_density(5, 5, rng), random_density(5, 5, rng))
-    real_solve = cohkit.sdp.solve
-    solved = []
-
-    def solve_of_a_fails(problem, **kwargs):
-        solved.append((problem.rho, kwargs["tol"]))
-        if np.array_equal(problem.rho.mat, a.mat):
-            sol = real_solve(problem, tol=kwargs["tol"])
-            return dataclasses.replace(sol, status=SolveStatus.MAX_ITER)
-        return real_solve(problem, **kwargs)
-
+    expected = ordering_decisions([redrawn])[0]()
     monkeypatch.setattr(cohkit.sdp, "solve", solve_of_a_fails)
-    _, tally = run_experiment(cfg)
-    for state in redrawn:
-        assert any(np.array_equal(rho.mat, state.mat) and tol == DEFAULT_ROC_TOL
-                   for rho, tol in solved)
-    assert sum(tally["ordering_decisions"].values()) == cfg.samples
+    tally = cohkit.experiments._chunk((cfg, 0, 5, 0, 3))
+    assert [entry["sample"] for entry in tally["failures"]] == [2]
+    assert tally["values"][2] == expected
+
+
+def test_redraws_do_not_depend_on_the_worker_count(monkeypatch):
+    # at two workers sample 2 is redrawn in the second chunk, [1, 3); forked
+    # workers inherit the patched solver
+    cfg, _, solve_of_a_fails, _ = _seed20_planted_failure()
+    monkeypatch.setattr(cohkit.sdp, "solve", solve_of_a_fails)
+    one = run_experiment(cfg, 1)
+    assert [entry["sample"] for entry in one[1]["failures"]] == [2]
+    assert run_experiment(cfg, 2) == one
 
 
 @pytest.mark.parametrize("start, stop", [(0, 130), (2**32 - 3, 2**32)])
@@ -643,7 +654,7 @@ def test_a_chunk_hands_each_sample_its_own_generator(monkeypatch):
     cfg = SweepConfig(experiment=Experiment.RESULT2_CHECK, samples=140, seed=11, grid=(2, 3))
     blocks = []
 
-    def capture(cfg, dims, rngs, redraw):
+    def capture(cfg, dims, rngs):
         blocks.append([rng.bit_generator.state for rng in rngs])
         return [lambda: None for _ in rngs]
 
@@ -675,35 +686,17 @@ def test_ordering_sweeps_do_not_depend_on_the_block_size(monkeypatch, workers):
 
 @pytest.mark.parametrize("block", [1, 2, cohkit.experiments.BLOCK_SAMPLES])
 def test_a_redrawn_sample_is_listed_whatever_the_block_size(monkeypatch, block):
-    # the seed-20 pair of test_a_redrawn_ordering_pair_is_solved_outright, in
-    # one chunk of three samples that blocks of 1 and 2 split
-    cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=3, seed=20, grid=(5,))
-    rng = np.random.default_rng([20, 0, 2])
-    a = random_density(5, 5, rng)
-    random_density(5, 5, rng)
-    redrawn = (random_density(5, 5, rng), random_density(5, 5, rng))
-    real_solve = cohkit.sdp.solve
-    solved = []
-
-    def solve_of_a_fails(problem, **kwargs):
-        solved.append((problem.rho, kwargs["tol"]))
-        if np.array_equal(problem.rho.mat, a.mat):
-            sol = real_solve(problem, tol=kwargs["tol"])
-            return dataclasses.replace(sol, status=SolveStatus.MAX_ITER)
-        return real_solve(problem, **kwargs)
-
+    # the planted seed-20 failure, in one chunk of three samples that blocks
+    # of 1 and 2 split
+    cfg, a, solve_of_a_fails, _ = _seed20_planted_failure()
     monkeypatch.setattr(cohkit.sdp, "solve", solve_of_a_fails)
     monkeypatch.setattr(cohkit.experiments, "BLOCK_SAMPLES", block)
     tally = cohkit.experiments._chunk((cfg, 0, 5, 0, 3))
     (entry,) = tally["failures"]
     assert entry["state"] == a.to_json_dict()
     assert (entry["point"], entry["sample"]) == (5, 2)
-    for state in redrawn:
-        assert any(np.array_equal(rho.mat, state.mat) and tol == DEFAULT_ROC_TOL
-                   for rho, tol in solved)
-    # the chunk keeps each sample's decision; the redrawn pair was solved outright
-    assert [d.stage for d in tally["values"]] == [DecisionStage.SOLVE_FREE] * 2 + [
-        DecisionStage.SOLVE]
+    # the chunk keeps each sample's decision; a bracket settles the redrawn pair
+    assert [d.stage for d in tally["values"]] == [DecisionStage.SOLVE_FREE] * 3
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -746,8 +739,8 @@ def test_a_failed_fig1_solve_is_redrawn_from_its_generator(monkeypatch, phi, blo
     else:
         reference = maximally_entangled_two_qubit()
     rng = np.random.default_rng([cfg.seed, 0, 2])
-    failed = mix_with_pure(sigma_family(2, rng.uniform(0.0, sigma_kmax(2))), reference, 0.1)
-    redrawn = mix_with_pure(sigma_family(2, rng.uniform(0.0, sigma_kmax(2))), reference, 0.1)
+    ks = [rng.uniform(0.0, sigma_kmax(2)) for _ in range(2)]
+    failed, redrawn = mix_with_pure(sigma_family(2, ks), reference, 0.1)
     real_solve = cohkit.sdp.solve
     solved = []
 
@@ -811,7 +804,7 @@ def test_a_failed_result2_solve_is_redrawn_from_its_generator(monkeypatch):
     rho = random_density(d_a, d_a, rng)
     failed = DensityMatrix(np.kron(rho.mat, dephase(random_density(d_b, d_b, rng)).mat),
                            (d_a, d_b))
-    redrawn = cohkit.experiments._result2_sample(cfg, dims, rng)
+    redrawn = cohkit.experiments._result2_sample(dims, rng)
     clean = cohkit.experiments._chunk((cfg, 0, dims, 0, 4))["values"]
     monkeypatch.setattr(cohkit.sdp, "solve", _failing_solve_of(failed.mat))
     tally = cohkit.experiments._chunk((cfg, 0, dims, 0, 4))

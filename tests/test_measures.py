@@ -44,9 +44,9 @@ from cohkit.states import (
 )
 
 
-def ordering_decision(a, b, staged=True):
+def ordering_decision(a, b):
     """The decision of one pair, decided as a block of one."""
-    return ordering_decisions([(a, b)], staged)[0]()
+    return ordering_decisions([(a, b)])[0]()
 
 
 def _solve_free_roc(rho, tol):
@@ -197,7 +197,7 @@ def _witness_states():
         for p in (0.26, 0.5, 0.9):
             for k in (kmax, rng.uniform(0, kmax)):
                 phi = maximally_coherent(2**n)
-                states[f"fig1-n{n}-p{p}-k{k:.3f}"] = mix_with_pure(sigma_family(n, k), phi, p)
+                (states[f"fig1-n{n}-p{p}-k{k:.3f}"],) = mix_with_pure([sigma_family(n, k)], phi, p)
     return states
 
 
@@ -333,7 +333,7 @@ def test_measures_make_no_eigen_call_beyond_validation(monkeypatch):
         pure_density(haar_random_pure(5, rng)),
         random_density(4, 4, rng),
         sigma_family(3, 0.1),
-        mix_with_pure(sigma_family(2, 0.2), maximally_coherent(4), 0.5),
+        mix_with_pure([sigma_family(2, 0.2)], maximally_coherent(4), 0.5)[0],
     ]
     calls = []
 
@@ -644,9 +644,6 @@ def test_a_failed_solve_keeps_what_its_certified_iterates_gave(make_pair, monkey
     assert decision.violated == expected.violated
     assert decision.stage is expected.stage is DecisionStage.SOLVE
     assert tols and set(tols) == {DEFAULT_ROC_TOL}
-    # solved outright, each state is a roc value, which a failure does not give
-    with pytest.raises(sdp.SolverFailure):
-        ordering_decision(a, b, staged=False)
 
 
 def test_a_solver_that_never_certifies_raises_roc_s_failure(monkeypatch):
@@ -654,11 +651,10 @@ def test_a_solver_that_never_certifies_raises_roc_s_failure(monkeypatch):
     monkeypatch.setattr(sdp, "solve", _never_certifying_solve)
     with pytest.raises(sdp.SolverFailure) as outright:
         roc(a)
-    for staged in (True, False):
-        with pytest.raises(sdp.SolverFailure) as err:
-            ordering_decision(a, b, staged=staged)
-        assert str(err.value) == str(outright.value)
-        assert err.value.state is a or err.value.state is b
+    with pytest.raises(sdp.SolverFailure) as err:
+        ordering_decision(a, b)
+    assert str(err.value) == str(outright.value)
+    assert err.value.state is a or err.value.state is b
 
 
 def test_no_state_reaches_the_solver_twice(monkeypatch):
@@ -673,25 +669,11 @@ def test_no_state_reaches_the_solver_twice(monkeypatch):
     monkeypatch.setattr(sdp, "solve", recording_solve)
     both = 0
     for a, b in pairs:
-        for staged in (True, False):
-            solved.clear()
-            ordering_decision(a, b, staged=staged)
-            assert len(solved) == len(set(solved)) <= 2
-            both += staged and len(solved) == 2
+        solved.clear()
+        ordering_decision(a, b)
+        assert len(solved) == len(set(solved)) <= 2
+        both += len(solved) == 2
     assert both > 0
-
-
-def test_unstaged_ordering_decision_solves_both_states_outright(monkeypatch):
-    # a pair that a bracket settles without a solve is still solved outright
-    rng = np.random.default_rng(21)
-    a, b = random_density(3, 3, rng), random_density(3, 3, rng)
-    staged = ordering_decision(a, b)
-    assert staged.stage is DecisionStage.SOLVE_FREE
-    tols = _recording_solve(monkeypatch)
-    decision = ordering_decision(a, b, staged=False)
-    assert tols == [DEFAULT_ROC_TOL, DEFAULT_ROC_TOL]
-    assert decision.stage is DecisionStage.SOLVE
-    assert decision.violated == staged.violated
 
 
 def _zero_rows_state(seed):
@@ -875,16 +857,19 @@ def test_the_ascent_never_widens_a_solve_free_bracket(ascent, monkeypatch):
     assert ascent_settled > 0
 
 
+# The three pins below once also hashed the decisions of an outright-solving
+# path, since removed; each is now the hash of the same decisions with only
+# that half dropped, computed with the code that had both halves.
 # sha256 of the answers alone, recorded before ordering_decision was rewritten
 # around a rung table, and kept through every later rewrite
-VIOLATED_HASH = "6db768518dfeb5d4c215347b9da1020e0f8ee399d26f437fc6c832fd7463ca1e"
+VIOLATED_HASH = "eb2ed125fc5135e0491161dfbe1e77df761c6defabc487b2813fefa9214acd20"
 # sha256 of each decision's answers and stage, recorded before the rungs ran
 # on stacks, and kept since
-STAGE_HASH = "3a995a28be66155c5847e224309db5a454073c24f360958f2755bb071d4e4468"
+STAGE_HASH = "270bb2d6e50a4c010766867a60b63c0cc240f167b2c1088c98dda1b22df01207"
 # sha256 of each decision's stage and bracket and of the roc /
 # _solve_free_rocs / _ascent_brackets / sdp.solve calls that made it,
 # recorded when the solve-free and ascent rungs began to run once per block
-DECISION_HASH = "45ebcdf6ecc84e368383d8e9040c68bcc3b05fdcad6f60653be54518ea199e5d"
+DECISION_HASH = "92025226d7305b27170ac60a95bae85d192eb92b25e4da5b81ff970c05e04e46"
 
 
 def test_ordering_decisions_and_their_calls_are_pinned(monkeypatch):
@@ -916,15 +901,14 @@ def test_ordering_decisions_and_their_calls_are_pinned(monkeypatch):
     monkeypatch.setattr(cohkit.measures, "_ascent_brackets", recording_ascent)
     monkeypatch.setattr(sdp, "solve", recording_solve)
     violated, stages, record = [], [], []
-    for staged in (True, False):
-        for a, b in pairs:
-            states.update({id(a): "a", id(b): "b"})
-            names.update({a.mat.tobytes(): "a", b.mat.tobytes(): "b"})
-            calls.clear()
-            decision = ordering_decision(a, b, staged=staged)
-            violated.append(decision.violated)
-            stages.append((decision.violated, decision.stage.value))
-            record.append((decision.stage.value, repr(decision.roc_difference), calls[:]))
+    for a, b in pairs:
+        states.update({id(a): "a", id(b): "b"})
+        names.update({a.mat.tobytes(): "a", b.mat.tobytes(): "b"})
+        calls.clear()
+        decision = ordering_decision(a, b)
+        violated.append(decision.violated)
+        stages.append((decision.violated, decision.stage.value))
+        record.append((decision.stage.value, repr(decision.roc_difference), calls[:]))
     assert hashlib.sha256(repr(violated).encode()).hexdigest() == VIOLATED_HASH
     assert hashlib.sha256(repr(stages).encode()).hexdigest() == STAGE_HASH
     assert hashlib.sha256(repr(record).encode()).hexdigest() == DECISION_HASH
@@ -993,13 +977,12 @@ def test_a_block_decides_each_pair_as_a_block_of_one():
         assert {DecisionStage.SOLVE_FREE, DecisionStage.ASCENT, DecisionStage.SOLVE} <= stages
 
 
-@pytest.mark.parametrize("staged", [True, False])
-def test_a_block_that_mixes_dimensions_raises(staged):
+def test_a_block_that_mixes_dimensions_raises():
     rng = np.random.default_rng(84)
     a, b, c = (random_density(d, d, rng) for d in (3, 3, 4))
     for pairs in ([(a, b), (c, c)], [(a, c)]):
         with pytest.raises(ValueError, match="one dimension"):
-            ordering_decisions(pairs, staged)
+            ordering_decisions(pairs)
 
 
 def test_each_roc_value_of_a_block_is_counted_once(monkeypatch):

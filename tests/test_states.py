@@ -111,13 +111,13 @@ def test_reduced_qubit_equals_every_marginal():
 def test_mix_with_pure_limits():
     sigma = sigma_family(2, 0.2)
     phi = maximally_coherent(4)
-    assert np.max(np.abs(mix_with_pure(sigma, phi, 0.0).mat - sigma.mat)) < 1e-15
-    assert np.max(np.abs(mix_with_pure(sigma, phi, 1.0).mat - projector(phi))) < 1e-15
+    assert np.max(np.abs(mix_with_pure([sigma], phi, 0.0)[0].mat - sigma.mat)) < 1e-15
+    assert np.max(np.abs(mix_with_pure([sigma], phi, 1.0)[0].mat - projector(phi))) < 1e-15
 
 
 def test_mix_with_pure_halfway_entries():
     sigma = DensityMatrix(np.eye(4) / 4, (2, 2))
-    mixed = mix_with_pure(sigma, maximally_coherent(4), 0.5)
+    mixed = mix_with_pure([sigma], maximally_coherent(4), 0.5)[0]
     assert np.max(np.abs(np.diag(mixed.mat) - 0.25)) < 1e-15
     off = mixed.mat[~np.eye(4, dtype=bool)]
     assert np.max(np.abs(off - 0.125)) < 1e-15
@@ -126,9 +126,9 @@ def test_mix_with_pure_halfway_entries():
 def test_mix_with_pure_validates():
     sigma = sigma_family(2, 0.2)
     with pytest.raises(ValueError, match="does not match"):
-        mix_with_pure(sigma, maximally_coherent(2), 0.5)
+        mix_with_pure([sigma], maximally_coherent(2), 0.5)
     with pytest.raises(ValueError, match="outside"):
-        mix_with_pure(sigma, maximally_coherent(4), 1.5)
+        mix_with_pure([sigma], maximally_coherent(4), 1.5)
 
 
 def test_sigma_family_and_mix_with_pure_take_a_block():
@@ -140,7 +140,7 @@ def test_sigma_family_and_mix_with_pure_take_a_block():
         assert np.array_equal(rho.mat, sigma_family(2, k).mat)
     phi = maximally_coherent(4)
     for mixed, sigma in zip(mix_with_pure(block, phi, 0.3), block):
-        assert np.array_equal(mixed.mat, mix_with_pure(sigma, phi, 0.3).mat)
+        assert np.array_equal(mixed.mat, mix_with_pure([sigma], phi, 0.3)[0].mat)
     with pytest.raises(ValueError, match="outside"):
         sigma_family(2, [0.1, 0.5])
     with pytest.raises(ValueError, match="subsystem dimensions"):
