@@ -977,12 +977,14 @@ def test_a_block_decides_each_pair_as_a_block_of_one():
         assert {DecisionStage.SOLVE_FREE, DecisionStage.ASCENT, DecisionStage.SOLVE} <= stages
 
 
-def test_a_block_that_mixes_dimensions_raises():
+@pytest.mark.parametrize("across_pairs", [True, False])
+def test_a_block_that_mixes_dimensions_raises(across_pairs):
+    # the dimensions differ between two pairs of the block, or within one pair
     rng = np.random.default_rng(84)
     a, b, c = (random_density(d, d, rng) for d in (3, 3, 4))
-    for pairs in ([(a, b), (c, c)], [(a, c)]):
-        with pytest.raises(ValueError, match="one dimension"):
-            ordering_decisions(pairs)
+    pairs = [(a, b), (c, c)] if across_pairs else [(a, c)]
+    with pytest.raises(ValueError, match="one dimension"):
+        ordering_decisions(pairs)
 
 
 def test_each_roc_value_of_a_block_is_counted_once(monkeypatch):
