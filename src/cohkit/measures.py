@@ -5,31 +5,34 @@ Three measures are provided:
 * l1-norm of coherence: sum of off-diagonal entry moduli.
 * relative entropy of coherence: S(dephased rho) - S(rho), in bits.
 * robustness of coherence: least admixture weight of any state that makes
-  the mixture incoherent. ``roc`` tries, in order: the closed form (single
-  qubit), the l1 identity (pure states), a rank-one phase witness built
-  without a solve that certifies RoC = l1 for states whose off-diagonal
-  phases factor as u_i conj(u_j), and the certified SDP. Witness and SDP
-  pairs become values by one rule. ``ROC_METHOD_COUNTS`` counts the values
-  each path has returned in this process, each once, where it is made: the
-  closed forms in ``roc``, the witness and solve-free bracket values in
-  :func:`_solve_free_rocs`, the certified solves in :func:`_sdp_roc`.
+  the mixture incoherent. Every RoC value and bracket comes from one
+  certified-bracket ladder (docs/roc-sdp.md, "The rung table"). Rung 0 is
+  ``roc``'s closed forms, for single qubits and pure states. The other
+  states of a block then climb, as one numpy stack, the table ``_RUNGS`` in
+  cost order: a rank-one phase witness that certifies RoC = l1 for states
+  whose off-diagonal phases factor as u_i conj(u_j), an eigenvector
+  bracket and a phase ascent. The certified SDP, per state, comes last. One
+  driver, :meth:`_Ladder.climb`, runs each rung on the states the caller's
+  rule leaves open and intersects the brackets it certifies. In value mode
+  (``roc``, :func:`subadditivity_gap`) a state is open until the solver's
+  gap rule gives it a value, and the witness is followed directly by the
+  SDP. In decision mode (:func:`ordering_decisions`) that rule holds through
+  the witness and the eigen bracket; then a state is open while its pair is
+  not settled, up the ascent and through the SDP's ``accept``.
+  ``ROC_METHOD_COUNTS`` counts the values each rung has given in this
+  process, each once, where it is made: the closed forms in ``roc``, the
+  rest in :class:`_Ladder`. The ascent gives brackets, not values, so it
+  counts nothing.
 
 Also here: the change in each measure when an ancilla is appended, the
 robustness and sub-additivity gap over qubit marginals of each state of a
-block (whose marginals, closed forms and phase witnesses are computed on
-numpy stacks, with only the SDP left per state), the closed-form robustness
-candidate for the sigma family, the measure-ordering test on value
-differences (elementwise on arrays), and :func:`ordering_decisions`, which
-decides that test for a block of pairs of states by one rule, from RoC
-brackets tightened only as far as needed: on numpy stacks for the whole
-block, each state's first value, a solve-free bracket where ``roc`` would
-solve, then, for the pairs they leave open, certified phase-ascent brackets
-(not values, so not counted in ``ROC_METHOD_COUNTS``); then, per pair still
-open, one SDP solve per state that stops at the first certified iterate
-that settles the pair (counted as an SDP value). Every pair goes up these
-rungs, also one that a sweep draws again after a failed solve, as a block
-of one. Both block functions take their first values from one block stage,
-:func:`_first_rocs`, for a block whose states share one dimension.
+block (whose marginals and their closed forms are computed on numpy
+stacks), the closed-form robustness candidate for the sigma family, the
+measure-ordering test on value differences (elementwise on arrays), and
+:func:`ordering_decisions`, which decides that test for a block of pairs of
+states by one rule, from RoC brackets tightened only as far as needed.
+Every pair is decided as part of a block, also one that a sweep draws
+again after a failed solve, as a block of one.
 """
 
 from __future__ import annotations
@@ -168,17 +171,17 @@ def _unit_phases(v: np.ndarray) -> np.ndarray:
 
 
 def roc(rho: DensityMatrix, tol: float = DEFAULT_ROC_TOL) -> MeasureValue:
-    """Robustness of coherence.
-
-    Dispatch, first match wins:
+    """Robustness of coherence: the state's climb of the certified-bracket
+    ladder (docs/roc-sdp.md, "The rung table") as a block of one, in value
+    mode. First match wins:
 
     1. single qubits: the closed form 2|rho_01|;
     2. states that are rank one within PURE_EIG_TOL: the pure-state identity
        with the l1-norm, which the state computes once for this and for
        :func:`l1_coherence`;
-    3. the PHASE_WITNESS value that :func:`_solve_free_rocs` builds without a
-       solve (the state as a block of one) for states whose off-diagonal
-       phases factor as u_i conj(u_j);
+    3. the PHASE_WITNESS value of the witness rung, for states whose
+       off-diagonal phases factor as u_i conj(u_j), once its pair of
+       objectives passes the solver's gap rule at ``tol``;
     4. otherwise the SDP at ``tol``. Raises :class:`cohkit.sdp.SolverFailure`,
        carrying ``rho`` as its ``state``, if the SDP does not certify.
 
@@ -186,44 +189,26 @@ def roc(rho: DensityMatrix, tol: float = DEFAULT_ROC_TOL) -> MeasureValue:
     the dual objective minus one, with the pair's gap; a shortfall below zero
     that the gap covers reads zero, and a larger one raises ArithmeticError
     below HARD_NEGATIVE_FLOOR. Each value is counted once in
-    ROC_METHOD_COUNTS under its method's value: the closed forms here, the
-    others by the function that makes them.
+    ROC_METHOD_COUNTS under its method's value, where it is made: the closed
+    forms here, the others by :class:`_Ladder`.
 
     Resolution: every value other than the closed forms is a certified lower
     bound, and the robustness lies in ``[value, value + gap]``, with the gap
     at most ``tol * max(1, primal)``. On the witness path it is rounding (the
     two objectives agree exactly for such states), so the value is RoC = l1
     to rounding, while an SDP value at the default ``tol`` may sit up to
-    about 2e-8 low. A caller that needs less than a value takes, from
-    :func:`_first_rocs` with no tolerance, a solve-free bracket in place of
-    the SDP, as :func:`ordering_decisions` does.
+    about 2e-8 low. A caller that needs less than a value climbs the ladder
+    in decision mode, as :func:`ordering_decisions` does.
     """
     if rho.dim == 2:
         mv = MeasureValue(_finalize(2.0 * float(np.abs(rho.mat[0, 1]))), Method.CLOSED_FORM_QUBIT)
     elif not _bracketed(rho):
         mv = MeasureValue(_finalize(rho.offdiagonal_abs_sum), Method.PURE_STATE_L1)
     else:
-        return _solve_free_rocs(rho.mat[None], tol)[0][0] or _sdp_roc(rho, tol)
+        ladder = _Ladder([rho], tol)
+        return ladder.values[0] or ladder.solve(0)
     ROC_METHOD_COUNTS[mv.method.value] += 1
     return mv
-
-
-def _first_rocs(states: list[DensityMatrix], tol: float | None
-                ) -> tuple[list[MeasureValue | None], dict[int, np.ndarray]]:
-    """Per state of a block whose states share one dimension, its first
-    robustness value: :func:`roc`'s, one state at a time, for a qubit or
-    pure state; else, once for the stack of the block's other states, the
-    value :func:`_solve_free_rocs` builds at ``tol``, None where a given
-    ``tol`` leaves the state to the SDP. Also, by index into ``states``, the
-    phases :func:`_solve_free_rocs` returned for each stacked state."""
-    first = [None if _bracketed(rho) else roc(rho) for rho in states]
-    stacked = [k for k, mv in enumerate(first) if mv is None]
-    if not stacked:
-        return first, {}
-    found, u = _solve_free_rocs(np.stack([states[k].mat for k in stacked]), tol)
-    for k, mv in zip(stacked, found):
-        first[k] = mv
-    return first, dict(zip(stacked, u))
 
 
 def _bracketed(rho: DensityMatrix) -> bool:
@@ -245,86 +230,45 @@ def _diagonal_minus(d: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out - m
 
 
-def _solve_free_rocs(
-    m: np.ndarray, tol: float | None
-) -> tuple[list[MeasureValue | None], np.ndarray]:
-    """Per matrix of a stack ``m`` of shape ``(n, d, d)``, a certified
-    robustness value built without a solve, or None where the state needs
-    the SDP; and per matrix the phases u the phase ascent starts from.
-
-    The candidates, in the order of docs/roc-sdp.md ("Certified pairs without
-    a solve"), each run once on the stack of the matrices that reach it:
-
-    1. primal: Gershgorin, d_i = rho_ii + sum_{j != i} |rho_ij|, objective 1 + l1;
-    2. dual: Y = u u^dag with u the phases of the column of the largest
-       diagonal entry. If the pair passes the solver's own gap rule,
-       ``primal - dual <= tol * max(1, primal)`` (DEFAULT_ROC_TOL when ``tol``
-       is None), it is a PHASE_WITNESS value. Otherwise a given ``tol``
-       gives None, and ``tol=None`` goes on, with one ``eigh`` for the stack
-       of the rest, to
-    3. dual: the phases of the top eigenvector of O = rho - Diag(rho); these
-       are the u returned for the matrix (candidate 2's u is returned for
-       the others);
-    4. primal: d_i = rho_ii + lambda_max(O) + BRACKET_SLACK_SHIFT, accepted
-       once a Cholesky factorization of its slack, lambda_max(O) +
-       BRACKET_SLACK_SHIFT on the diagonal and -rho_ij off it, succeeds
-       (:func:`_factorizable`).
-
-    The better point of each kind so far then makes a SOLVE_FREE_BRACKET value
-    ``[max(0, dual - 1), primal - 1]``. Each matrix's value is bit-identical
-    to the one it gets as a block of one. Every value returned is counted in
-    ROC_METHOD_COUNTS.
-    """
-    n, d, _ = m.shape
-    idx = np.arange(d)
+def _witness(m: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidates 1 and 2 on a stack: the Gershgorin primal, objective
+    1 + l1, and the dual Y = u u^dag with u the phases of the column of the
+    largest diagonal entry. Reads no phases."""
     column = np.argmax(m.diagonal(axis1=-2, axis2=-1).real, axis=-1)
-    u = _unit_phases(m[np.arange(n), :, column])
-    dual = np.vecdot(u, _matvec(m, u)).real
-    primal = np.abs(m).sum(axis=(-2, -1))
-    witness = primal - dual <= (DEFAULT_ROC_TOL if tol is None else tol) * np.maximum(1.0, primal)
-    values = [_pair_value(Method.PHASE_WITNESS, dl, pr) if ok else None
-              for ok, dl, pr in zip(witness.tolist(), dual.tolist(), primal.tolist())]
-    rest = np.flatnonzero(~witness)
-    ROC_METHOD_COUNTS[Method.PHASE_WITNESS.value] += n - rest.size
-    if tol is not None or not rest.size:
-        return values, u
-    m = m[rest]
+    u = _unit_phases(m[np.arange(len(m)), :, column])
+    return np.vecdot(u, _matvec(m, u)).real, np.abs(m).sum(axis=(-2, -1)), u
+
+
+def _eigen_bracket(m: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidates 3 and 4 on a stack, from one ``eigh`` of O = rho - Diag(rho):
+    the dual from the phases of O's top eigenvector, which it returns; the
+    primal d_i = rho_ii + lambda_max(O) + BRACKET_SLACK_SHIFT, infinite where
+    a Cholesky factorization of its slack, lambda_max(O) +
+    BRACKET_SLACK_SHIFT on the diagonal and -rho_ij off it, fails
+    (:func:`_factorizable`). Reads no phases."""
+    idx = np.arange(m.shape[-1])
     off = m.copy()
     off[:, idx, idx] = 0.0
     w, v = np.linalg.eigh(off)
-    u[rest] = top = _unit_phases(v[..., -1])
-    dual = np.maximum(dual[rest], np.vecdot(top, _matvec(m, top)).real)
+    u = _unit_phases(v[..., -1])
     shift = w[:, -1] + BRACKET_SLACK_SHIFT
     slack = -m
     slack[:, idx, idx] = shift[:, None]
     # summed as C-ordered rows, so each row's sum is its single-matrix sum
     objective = (m.diagonal(axis1=-2, axis2=-1).real + shift[:, None]).sum(-1)
-    bound = np.where(_factorizable(slack), objective, np.inf)
-    primal = np.minimum(primal[rest], bound)
-    # the upper end primal - 1 is tighter than lo + (primal - dual) for dual < 1
-    for i, dl, pr in zip(rest.tolist(), dual.tolist(), primal.tolist()):
-        lo = max(0.0, dl - 1.0)
-        gap = max(0.0, pr - 1.0 - lo)
-        values[i] = MeasureValue(lo, Method.SOLVE_FREE_BRACKET, certificate_gap=gap)
-    ROC_METHOD_COUNTS[Method.SOLVE_FREE_BRACKET.value] += rest.size
-    return values, u
+    return np.vecdot(u, _matvec(m, u)).real, np.where(_factorizable(slack), objective, np.inf), u
 
 
-def _ascent_brackets(m: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Certified brackets ``[lo, hi]`` on the robustness of each matrix of a
-    stack ``m`` whose solve-free bracket left an ordering decision open
-    (docs/roc-sdp.md, candidates 5 and 6), as two arrays.
+def _ascent(m: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidates 5 and 6 on a stack, from the phases ``u`` the eigen rung left.
 
-    Dual: from the phases ``u[i]`` (candidate 3's, from
-    :func:`_solve_free_rocs`), ASCENT_STEPS minorize-maximize steps
-    u <- phases(rho u), each one batched product over the stack; none can
-    lower u^dag rho u, which is convex in u. The best value seen is the
-    lower end.
+    Dual: ASCENT_STEPS minorize-maximize steps u <- phases(rho u), each one
+    batched product over the stack; none can lower u^dag rho u, which is
+    convex in u. The best objective seen is the dual; the last u is returned.
     Primal: the complementary-slackness point d_i = |(rho u)_i| + c for the
     last u, with c = max(0, -lambda_min(Diag|rho u| - rho)) +
-    BRACKET_SLACK_SHIFT, used only where a Cholesky factorization of its
-    slack succeeds (:func:`_factorizable`); elsewhere ``hi`` is infinite.
-    Each matrix's bracket is bit-identical to the one it gets as a block of one.
+    BRACKET_SLACK_SHIFT, infinite where a Cholesky factorization of its slack
+    fails (:func:`_factorizable`).
     """
     r = _matvec(m, u)
     dual = np.vecdot(u, r).real
@@ -335,8 +279,7 @@ def _ascent_brackets(m: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarr
     mod = np.abs(r)
     c = np.maximum(0.0, -np.linalg.eigvalsh(_diagonal_minus(mod, m))[:, 0])
     d = (mod + c[:, None]) + BRACKET_SLACK_SHIFT
-    primal = np.where(_factorizable(_diagonal_minus(d, m)), d.sum(-1), np.inf)
-    return np.maximum(0.0, dual - 1.0), primal - 1.0
+    return dual, np.where(_factorizable(_diagonal_minus(d, m)), d.sum(-1), np.inf), u
 
 
 def _factorizable(slack: np.ndarray) -> np.ndarray:
@@ -356,19 +299,101 @@ def _factorizable(slack: np.ndarray) -> np.ndarray:
     return np.ones(len(slack), dtype=bool)
 
 
-def _sdp_roc(rho: DensityMatrix, tol: float, accept=None) -> MeasureValue:
-    """The SDP value of ``rho`` at ``tol``, or at the iterate ``accept`` took
-    (see :func:`cohkit.sdp.solve`), counted in ROC_METHOD_COUNTS; raises
-    SolverFailure otherwise."""
-    sol = sdp.solve(sdp.build(rho), tol=tol, accept=accept)
-    if sol.status not in (sdp.SolveStatus.OPTIMAL, sdp.SolveStatus.ACCEPTED):
-        raise sdp.SolverFailure(
-            f"robustness SDP ended with status {sol.status.value} "
-            f"(gap {sol.gap:.3e} after {sol.iterations} iterations)",
-            state=rho,
-        )
-    ROC_METHOD_COUNTS[Method.SDP.value] += 1
-    return _pair_value(Method.SDP, sol.dual_value, sol.primal_value)
+# The stacked rungs of the certified-bracket ladder in cost order, each with
+# the method of the values it gives (docs/roc-sdp.md, "The rung table"). A
+# rung maps the stack of the states still open, and the phases the rung
+# before left them, to each state's certified dual and primal objectives and
+# its phases. The witness gives a PHASE_WITNESS value to each state whose two
+# objectives pass the solver's gap rule; the eigen bracket gives each state it runs on
+# a SOLVE_FREE_BRACKET value, its bracket; the ascent gives none. Rung 0, the
+# closed forms, comes first and the SDP, per state, last (:class:`_Ladder`).
+_RUNGS = (
+    (_witness, Method.PHASE_WITNESS),
+    (_eigen_bracket, Method.SOLVE_FREE_BRACKET),
+    (_ascent, None),
+)
+
+
+class _Ladder:
+    """The climb of a block of states sharing one dimension up the ladder.
+
+    Per state ``k``: ``values[k]``, its value once it has one (its SDP value
+    replaces a first one), and its bracket ``[lo[k], hi[k]]`` on the
+    robustness. The bracket starts at ``[0, inf)`` and intersects every
+    certified ``[dual - 1, primal - 1]``; a value a rung gives resets it to the
+    value's own ``[value, upper]``. ``tol`` is the gap rule's, for the witness
+    and the SDP.
+
+    Construction climbs both modes' common start, which is all of value
+    mode: rung 0 gives each qubit or pure state :func:`roc`'s closed form,
+    one state at a time; the others, ``stacked`` (each mapped to its row of
+    the stack ``m`` and of its phases ``u``), climb the witness as one stack.
+    In value mode a state the witness leaves open then takes the SDP.
+    """
+
+    def __init__(self, states: list[DensityMatrix], tol: float):
+        self.states, self.tol = states, tol
+        self.values = [None if _bracketed(rho) else roc(rho) for rho in states]
+        self.lo = [0.0 if mv is None else mv.value for mv in self.values]
+        self.hi = [np.inf if mv is None else mv.upper for mv in self.values]
+        self.stacked = {k: row for row, k in enumerate(
+            k for k, mv in enumerate(self.values) if mv is None)}
+        self.m = np.array([states[k].mat for k in self.stacked])
+        self.u = np.ones(self.m.shape[:2], dtype=complex)
+        self.climb(lambda ladder, rung: list(ladder.stacked) if rung == 0 else [])
+
+    def climb(self, climbing: Callable[["_Ladder", int], list[int]]) -> None:
+        """The ladder's one driver: run each rung of _RUNGS in turn on the
+        stack of the states ``climbing(self, i)`` names for rung ``i``, in its
+        order, intersect the objectives the rung certifies into their
+        brackets, and give the values it gives. ``climbing`` is the caller's
+        rule for which states are still open."""
+        for i, (rung, method) in enumerate(_RUNGS):
+            at = climbing(self, i)
+            if not at:
+                continue
+            rows = [self.stacked[k] for k in at]
+            dual, primal, self.u[rows] = rung(self.m[rows], self.u[rows])
+            passed = primal - dual <= self.tol * np.maximum(1.0, primal)
+            for k, ok, dl, pr in zip(at, passed.tolist(), dual.tolist(), primal.tolist()):
+                self.tighten(k, dl, pr)
+                if method is Method.PHASE_WITNESS and ok:
+                    self.give(k, _pair_value(method, dl, pr))
+                elif method is Method.SOLVE_FREE_BRACKET:
+                    # the upper end primal - 1 is tighter than lo + (primal - dual) for dual < 1
+                    gap = max(0.0, self.hi[k] - self.lo[k])
+                    self.give(k, MeasureValue(self.lo[k], method, certificate_gap=gap))
+
+    def tighten(self, k: int, dual: float, primal: float) -> None:
+        """Intersect the certified ``[dual - 1, primal - 1]`` into state ``k``'s bracket."""
+        self.lo[k], self.hi[k] = max(self.lo[k], dual - 1.0), min(self.hi[k], primal - 1.0)
+
+    def give(self, k: int, mv: MeasureValue) -> None:
+        """Make ``mv`` state ``k``'s value and bracket, counted in ROC_METHOD_COUNTS."""
+        self.values[k], self.lo[k], self.hi[k] = mv, mv.value, mv.upper
+        ROC_METHOD_COUNTS[mv.method.value] += 1
+
+    def widest_first(self, ks) -> list[int]:
+        """Those of the states ``ks`` whose value is a SOLVE_FREE_BRACKET,
+        widest bracket first: the order of decision mode's later rungs."""
+        return sorted((k for k in ks if self.values[k].method is Method.SOLVE_FREE_BRACKET),
+                      key=lambda k: self.lo[k] - self.hi[k])
+
+    def solve(self, k: int, settled: Callable[[], bool] | None = None) -> MeasureValue:
+        """The SDP rung: state ``k``'s value at ``tol``, counted in
+        ROC_METHOD_COUNTS; raises SolverFailure if the solve does not certify.
+        Given the caller's ``settled``, each certified iterate's bracket is
+        intersected into the state's, and the solve ends at the first after
+        which ``settled()`` holds (see :func:`cohkit.sdp.solve`)."""
+        rho = self.states[k]
+        accept = settled and (lambda mu, primal, dual: self.tighten(k, dual, primal) or settled())
+        sol = sdp.solve(sdp.build(rho), tol=self.tol, accept=accept)
+        if sol.status not in (sdp.SolveStatus.OPTIMAL, sdp.SolveStatus.ACCEPTED):
+            raise sdp.SolverFailure(f"robustness SDP ended with status {sol.status.value} (gap "
+                                    f"{sol.gap:.3e} after {sol.iterations} iterations)", state=rho)
+        ROC_METHOD_COUNTS[Method.SDP.value] += 1
+        self.values[k] = _pair_value(Method.SDP, sol.dual_value, sol.primal_value)
+        return self.values[k]
 
 
 def compute_measure(kind: MeasureKind, rho: DensityMatrix) -> MeasureValue:
@@ -391,6 +416,8 @@ def ancilla_deviations(rho: DensityMatrix, ancilla: DensityMatrix) -> tuple[floa
     )
 
 
+
+
 def subadditivity_gap(states: Sequence[DensityMatrix]) -> list[Callable[[], tuple[float, float]]]:
     """Per state of a block sharing one all-qubit factorization, a function
     that returns its robustness and its sub-additivity gap: that robustness
@@ -401,10 +428,10 @@ def subadditivity_gap(states: Sequence[DensityMatrix]) -> list[Callable[[], tupl
     sum, in order, of ``roc`` over its marginals. What needs no solve runs
     once for the block, on numpy stacks: each marginal
     (:func:`cohkit.linalg.partial_trace`, validated by
-    :meth:`DensityMatrix.stack`), its closed form 2|rho_01|, and each
-    state's first value from :func:`_first_rocs` at DEFAULT_ROC_TOL: the
-    closed form or phase witness ``roc`` would return. A state's function
-    takes that value, or else the SDP at DEFAULT_ROC_TOL, raising
+    :meth:`DensityMatrix.stack`), its closed form 2|rho_01|, and the block's
+    climb of the ladder in value mode at DEFAULT_ROC_TOL (:class:`_Ladder`):
+    the closed form or phase witness ``roc`` would return. A state's
+    function takes that value, or else the SDP at DEFAULT_ROC_TOL, raising
     :class:`cohkit.sdp.SolverFailure` there. Only then does it count the
     marginals' closed forms in ROC_METHOD_COUNTS, so a state whose solve
     fails counts nothing.
@@ -420,10 +447,10 @@ def subadditivity_gap(states: Sequence[DensityMatrix]) -> list[Callable[[], tupl
     red = np.concatenate([linalg.partial_trace(m, dims, keep) for keep in range(len(dims))])
     DensityMatrix.stack(red, (2,))
     marginal_sum = sum((2.0 * np.abs(red[:, 0, 1])).reshape(len(dims), len(states)))
-    first = _first_rocs(states, DEFAULT_ROC_TOL)[0]
+    ladder = _Ladder(states, DEFAULT_ROC_TOL)
 
     def value_and_gap(k: int) -> tuple[float, float]:
-        total = first[k] or _sdp_roc(states[k], DEFAULT_ROC_TOL)
+        total = ladder.values[k] or ladder.solve(k)
         ROC_METHOD_COUNTS[Method.CLOSED_FORM_QUBIT.value] += len(dims)
         return total.value, total.value - float(marginal_sum[k])
 
@@ -485,92 +512,45 @@ class OrderingDecision(NamedTuple):
     roc_difference: tuple[float, float]
 
 
+
 class _Pair:
-    """One pair's ordering decision in progress: its answers per category of
-    the RoC difference and each state's RoC bracket ``[lo[i], hi[i]]``,
-    ``[0, inf)`` until its first value ``values[i]`` is known."""
+    """One pair's ordering decision in progress: its ``rows`` of answers, one
+    per category of the RoC difference, and its states ``ks`` in ``ladder``,
+    whose brackets bracket that difference by ``[lo_a - hi_b, hi_a - lo_b]``."""
 
-    def __init__(self, states: tuple[DensityMatrix, DensityMatrix],
-                 categories: list[tuple[bool, ...]]):
-        self.states = states
-        self.categories = categories
-        self.values: list[MeasureValue] = []
-        self.lo, self.hi = [0.0, 0.0], [np.inf, np.inf]
-        self.decision: OrderingDecision | None = None
-        self.settle(DecisionStage.SOLVE_FREE)
+    def __init__(self, ladder: _Ladder, j: int, rows: list[tuple[bool, ...]]):
+        self.ladder, self.ks, self.rows, self.decision = ladder, (2 * j, 2 * j + 1), rows, None
 
-    def start(self, values: list[MeasureValue]) -> None:
-        """Bracket each state's robustness by its first value, and settle the
-        pair at SOLVE_FREE if that is enough."""
-        self.values = values
-        self.lo = [mv.value for mv in values]
-        self.hi = [mv.upper for mv in values]
-        self.settle(DecisionStage.SOLVE_FREE)
-
-    def bracket(self) -> tuple[float, float]:
-        return self.lo[0] - self.hi[1], self.hi[0] - self.lo[1]
-
-    def settle(self, stage: DecisionStage) -> bool:
-        """Settle the pair at ``stage`` if every category of the RoC
-        difference that its bracket allows gives the same answers."""
-        t = ORDERING_TIE_TOL
-        low, high = self.bracket()
-        allowed = (high > t, low < -t, low <= t and high >= -t)
-        found = {answer for answer, ok in zip(self.categories, allowed) if ok}
-        if len(found) == 1:
-            self.decision = OrderingDecision(found.pop(), stage, (low, high))
-        return self.decision is not None
-
-    def tighten(self, i: int, low: float, high: float) -> None:
-        self.lo[i], self.hi[i] = max(self.lo[i], low), min(self.hi[i], high)
-
-    def climbing(self) -> list[int]:
-        """The states whose first value is a SOLVE_FREE_BRACKET, widest bracket first."""
-        return sorted((i for i in (0, 1) if self.values[i].method is Method.SOLVE_FREE_BRACKET),
-                      key=lambda i: self.lo[i] - self.hi[i])
+    def settle(self, stage: DecisionStage, allowed: tuple = ()) -> OrderingDecision | None:
+        """Settle an open pair at ``stage`` if every category of the RoC
+        difference that its bracket allows (or that ``allowed`` names) gives
+        the same answers; the pair's decision, None while it is open."""
+        if self.decision is None:
+            (a, b), lo, hi, t = self.ks, self.ladder.lo, self.ladder.hi, ORDERING_TIE_TOL
+            low, high = lo[a] - hi[b], hi[a] - lo[b]
+            allowed = allowed or (high > t, low < -t, low <= t and high >= -t)
+            found = {answer for answer, ok in zip(self.rows, allowed) if ok}
+            if len(found) == 1:
+                self.decision = OrderingDecision(found.pop(), stage, (low, high))
+        return self.decision
 
     def decide(self) -> OrderingDecision:
-        """The pair's decision; a pair the block's rungs left open first climbs the SOLVE rung."""
-        if self.decision is not None:
+        """The pair's decision; a pair the stacked rungs left open climbs the SDP rung."""
+        if self.settle(DecisionStage.ASCENT):
             return self.decision
         failure = None
-        for i in self.climbing():
-            def accept(mu: float, primal: float, dual: float, i: int = i) -> bool:
-                self.tighten(i, dual - 1.0, primal - 1.0)
-                return self.settle(DecisionStage.SOLVE)
-
+        for k in self.ladder.widest_first(self.ks):
             try:
-                self.values[i] = _sdp_roc(self.states[i], DEFAULT_ROC_TOL, accept)
+                self.ladder.solve(k, partial(self.settle, DecisionStage.SOLVE))
             except sdp.SolverFailure as exc:
                 failure = failure or exc
             if self.settle(DecisionStage.SOLVE):
                 return self.decision
         if failure is not None:
             raise failure
-        d_roc, t = self.values[0].value - self.values[1].value, ORDERING_TIE_TOL
-        row = 0 if d_roc > t else 1 if d_roc < -t else 2
-        self.decision = OrderingDecision(self.categories[row], DecisionStage.UNDECIDED,
-                                         self.bracket())
-        return self.decision
-
-
-def _block_rungs(block: list[_Pair]) -> None:
-    """The first values and the ASCENT rung of the pairs of a block that need
-    the robustness, each run once for the block on numpy stacks."""
-    states = [rho for pair in block for rho in pair.states]
-    first, phases = _first_rocs(states, None)
-    for j, pair in enumerate(block):
-        pair.start(first[2 * j:2 * j + 2])
-    open_pairs = [pair for pair in block if pair.decision is None]
-    climbing = [2 * j + i for j, pair in enumerate(block) if pair.decision is None
-                for i in pair.climbing()]
-    if climbing:
-        lo, hi = _ascent_brackets(np.stack([states[k].mat for k in climbing]),
-                                  np.stack([phases[k] for k in climbing]))
-        for k, low, high in zip(climbing, lo.tolist(), hi.tolist()):
-            block[k // 2].tighten(k % 2, low, high)
-    for pair in open_pairs:
-        pair.settle(DecisionStage.ASCENT)
+        a, b = (self.ladder.values[k].value for k in self.ks)
+        t = ORDERING_TIE_TOL
+        return self.settle(DecisionStage.UNDECIDED, (a - b > t, a - b < -t, abs(a - b) <= t))
 
 
 def ordering_decisions(
@@ -579,9 +559,9 @@ def ordering_decisions(
     """``values_ordering_violated`` for every measure pair in MEASURE_PAIRS,
     for each pair of states ``(a, b)`` of a block, with the RoC difference
     known only as far as the answer needs. Returns, per pair, a function
-    that returns its decision: the rungs that run on the whole block have
-    run, and the function runs the pair's own SOLVE rung, if it is still
-    open, raising :class:`cohkit.sdp.SolverFailure` there. A single pair is
+    that returns its decision: the stacked rungs have run on the whole
+    block, and the function runs the pair's SDP rung, if it is still open,
+    raising :class:`cohkit.sdp.SolverFailure` there. A single pair is
     decided as a block of one. Every state of a block has one dimension;
     a block that mixes dimensions raises ValueError.
 
@@ -591,33 +571,34 @@ def ordering_decisions(
     :func:`_answer_table` gives each pair one row of answers per category,
     once for the block. One rule settles a pair: each state's RoC is
     bracketed, the difference by ``[lo_a - hi_b, hi_a - lo_b]``, and the pair
-    is settled once every category the bracket allows has the same row. The
-    first bracket, ``[0, inf)`` per state, settles at SOLVE_FREE exactly the
-    pairs that need no robustness (each partner of the RoC difference is a
-    tie); the next is each state's first value from :func:`_first_rocs`
-    with no tolerance: ``roc``'s closed form for a qubit or pure state, and
-    for every other state a PHASE_WITNESS or SOLVE_FREE_BRACKET value, from
-    one :func:`_solve_free_rocs` call for the stack of such states.
+    is settled once every category the bracket allows has the same row. A
+    pair whose rows are all the same needs no robustness: it is settled at
+    SOLVE_FREE on the bracket ``(-inf, inf)``, and its states are never
+    measured.
 
-    The states whose first value is a SOLVE_FREE_BRACKET and whose pair is
-    still open then take, as one stack, the phase-ascent bracket of
-    :func:`_ascent_brackets` (ASCENT), and each pair is re-decided. Running
-    both states' ascents at once settles the same pairs as running the wider
-    one first, since a bracket never widens.
+    The states of the other pairs climb the ladder as one block, in
+    decision mode (:class:`_Ladder`). Rung 0 and the witness give the
+    closed forms and phase-witness values; the eigen bracket gives every
+    state the witness leaves open, by the gap rule at DEFAULT_ROC_TOL, a
+    SOLVE_FREE_BRACKET value. Only then is each pair settled on these first
+    values (SOLVE_FREE). The states whose value is a SOLVE_FREE_BRACKET and
+    whose pair is still open take the phase ascent as one stack, widest
+    bracket first within each pair, and each pair is re-decided (ASCENT).
+    Running both states' ascents at once settles the same pairs as running
+    the wider one first, since a bracket never widens.
 
-    A pair still open climbs the SOLVE rung when its function is called: one
+    A pair still open climbs the SDP rung when its function is called: one
     solve per such state at DEFAULT_ROC_TOL, widest bracket first, whose
     ``accept`` hook intersects each certified iterate's ``[dual - 1, primal -
     1]`` into the state's bracket and ends the solve as soon as the pair is
     settled. Each state reaches the solver at most once. A solve that fails
     to certify keeps what its certified iterates gave; its SolverFailure is
     raised, as solving outright would raise it, only if the pair is still
-    open once both states were solved. Each solve that certifies
-    counts as an SDP value in ROC_METHOD_COUNTS. A pair still open after
-    both full solves is UNDECIDED and takes the row of the category of its
+    open once both states were solved. Each solve that certifies counts as
+    an SDP value in ROC_METHOD_COUNTS. A pair still open after both full
+    solves is UNDECIDED and takes the row of the category of its
     DEFAULT_ROC_TOL values' difference, exactly as if every value had been
-    solved outright. Every pair is decided by these rungs, a pair that the
-    sweeps draw again after a solver failure too.
+    solved outright.
     """
     states = [rho for pair in pairs for rho in pair]
     dims = {rho.dim for rho in states}
@@ -626,6 +607,18 @@ def ordering_decisions(
     l1 = np.array([_finalize(rho.offdiagonal_abs_sum) for rho in states])
     rel = np.array([_finalize(rho.dephased_entropy_bits - rho.entropy_bits) for rho in states])
     table = _answer_table(l1[::2] - l1[1::2], rel[::2] - rel[1::2])
-    block = [_Pair(pair, rows) for pair, rows in zip(pairs, table)]
-    _block_rungs([pair for pair in block if pair.decision is None])
-    return [pair.decide for pair in block]
+    # a pair with the same answers in every category needs no robustness
+    needed = [j for j, rows in enumerate(table) if len(set(rows)) > 1]
+    ladder = _Ladder([rho for j in needed for rho in pairs[j]], DEFAULT_ROC_TOL)
+    block = {j: _Pair(ladder, i, table[j]) for i, j in enumerate(needed)}
+
+    def climbing(ladder: _Ladder, rung: int) -> list[int]:
+        if rung == 1:  # the eigen bracket, under the witness's gap rule
+            return [k for k in ladder.stacked if ladder.values[k] is None]
+        return [k for pair in block.values() if not pair.settle(DecisionStage.SOLVE_FREE)
+                for k in ladder.widest_first(pair.ks)] if rung == 2 else []
+
+    ladder.climb(climbing)
+    return [block[j].decide if j in block else partial(
+        OrderingDecision, rows[0], DecisionStage.SOLVE_FREE, (-np.inf, np.inf))
+        for j, rows in enumerate(table)]

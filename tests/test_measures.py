@@ -16,9 +16,9 @@ from cohkit.measures import (
     MeasureKind,
     MeasureValue,
     Method,
-    _ascent_brackets,
+    _ascent,
+    _Ladder,
     _pair_value,
-    _solve_free_rocs,
     compute_measure,
     l1_coherence,
     ordering_decisions,
@@ -49,9 +49,21 @@ def ordering_decision(a, b):
     return ordering_decisions([(a, b)])[0]()
 
 
-def _solve_free_roc(rho, tol):
-    """The solve-free value of one state, as a block of one."""
-    return _solve_free_rocs(rho.mat[None], tol)[0][0]
+def _solve_free_values(states, decision):
+    """Each state's first value in a block of one dimension: rung 0's closed
+    form, else the witness's, else, in ``decision`` mode, the eigen
+    bracket's; None there in value mode, which leaves the state to the SDP."""
+
+    ladder = _Ladder(states, DEFAULT_ROC_TOL)
+    if decision:
+        ladder.climb(lambda ladder, rung: [k for k in ladder.stacked
+                                           if ladder.values[k] is None] if rung == 1 else [])
+    return ladder.values
+
+
+def _solve_free_roc(rho, decision):
+    """The first value of one state, as a block of one."""
+    return _solve_free_values([rho], decision)[0]
 
 
 def _ascent_start(rho):
@@ -59,6 +71,13 @@ def _ascent_start(rho):
     of the top eigenvector of rho - Diag(rho) (candidate 3)."""
     off = rho.mat - np.diag(rho.mat.diagonal())
     return cohkit.measures._unit_phases(np.linalg.eigh(off)[1][None, :, -1])
+
+
+def _ascent_brackets(m, u):
+    """The ascent rung's certified brackets ``[lo, hi]`` on the robustness of
+    each matrix of a stack, from the phases ``u``, as two arrays."""
+    dual, primal, _ = _ascent(m, u)
+    return np.maximum(0.0, dual - 1.0), primal - 1.0
 
 
 def _ascent_bracket(rho):
@@ -216,8 +235,8 @@ def test_roc_phase_witness_dispatch_and_certificate(name):
     rho = WITNESS_STATES[name]
     mv = roc(rho)
     assert mv.method is Method.PHASE_WITNESS
-    # the value is the solve-free helper's, at either tolerance setting
-    assert _solve_free_roc(rho, DEFAULT_ROC_TOL) == mv == _solve_free_roc(rho, None)
+    # the value is the witness rung's, in value and in decision mode
+    assert _solve_free_roc(rho, False) == mv == _solve_free_roc(rho, True)
     gap = mv.certificate_gap
     assert abs(gap) <= 1e-14
     assert mv.value == pytest.approx(l1_coherence(rho).value, abs=1e-14)
@@ -255,8 +274,8 @@ def test_roc_keeps_sdp_where_no_phase_witness_certifies():
     states += [sigma_family(n, 1 / (2**n - 1)) for n in (2, 3)]
     states += [random_density(d, d, rng) for d in (3, 4, 6, 10)]
     for rho in states:
-        assert _solve_free_roc(rho, DEFAULT_ROC_TOL) is None
-        assert _solve_free_roc(rho, None).method is Method.SOLVE_FREE_BRACKET
+        assert _solve_free_roc(rho, False) is None
+        assert _solve_free_roc(rho, True).method is Method.SOLVE_FREE_BRACKET
         assert roc(rho).method is Method.SDP
 
 
@@ -282,8 +301,7 @@ def test_roc_at_a_loose_tolerance_reports_a_negative_dual_as_zero():
     m[1, 2] = m[2, 1] = -3 * c
     rho = DensityMatrix(m)
     exact = roc(rho).value
-    for tol in (1e-4, None):
-        mv = roc(rho, tol=tol)
+    for mv in (roc(rho, tol=1e-4), _solve_free_roc(rho, True)):
         assert mv.method in (Method.PHASE_WITNESS, Method.SOLVE_FREE_BRACKET)
         assert 0.0 <= mv.value <= exact <= mv.upper
 
@@ -414,7 +432,7 @@ def test_stacked_fig1_block_equals_each_state_alone():
             chis = mix_with_pure(sigmas, phi, p)
             m = np.stack([chi.mat for chi in chis])
             reds = [linalg.partial_trace(m, (2, 2), keep) for keep in (0, 1)]
-            values = _solve_free_rocs(m, DEFAULT_ROC_TOL)[0]
+            values = _solve_free_values(chis, False)
             gaps = [value_and_gap()[1] for value_and_gap in subadditivity_gap(chis)]
             for i, k in enumerate(ks):
                 sigma = DensityMatrix((1.0 + k) / 4 * np.eye(4, dtype=complex)
@@ -428,7 +446,7 @@ def test_stacked_fig1_block_equals_each_state_alone():
                     marginal = chi.marginal(keep)
                     assert np.array_equal(reds[keep][i], marginal.mat)
                     assert 2.0 * np.abs(reds[keep][i, 0, 1]) == roc(marginal).value
-                assert values[i] == _solve_free_roc(chi, DEFAULT_ROC_TOL)
+                assert values[i] == _solve_free_roc(chi, False)
                 method = roc(chi).method
                 witnessed += method is Method.PHASE_WITNESS
                 solved += method is Method.SDP
@@ -742,7 +760,7 @@ def test_the_ascent_reuses_the_eigh_of_the_solve_free_bracket(monkeypatch):
              if ordering_decision(*pair).stage is DecisionStage.ASCENT]
     d = pairs[0][0].dim
     pairs = [pair for pair in pairs if pair[0].dim == d]
-    assert {_solve_free_roc(rho, None).method for pair in pairs for rho in pair} == {
+    assert {_solve_free_roc(rho, True).method for pair in pairs for rho in pair} == {
         Method.SOLVE_FREE_BRACKET}
     calls = []
     real_eigh = np.linalg.eigh
@@ -819,24 +837,24 @@ def _one_dimension_blocks(pairs):
 def _tight_above_loose_below(rho):
     """A certified bracket tighter than the solve-free one above and looser below."""
     top = sdp.solve(sdp.build(rho), tol=1e-9).primal_value - 1.0
-    return _solve_free_roc(rho, None).value / 2, top
+    return _solve_free_roc(rho, True).value / 2, top
 
 
 def _tight_below_loose_above(rho):
     """A certified bracket tighter than the solve-free one below and looser above."""
     bottom = sdp.solve(sdp.build(rho), tol=1e-9).dual_value - 1.0
-    return bottom, _solve_free_roc(rho, None).upper + 1.0
+    return bottom, _solve_free_roc(rho, True).upper + 1.0
 
 
 def _stacked(bracket):
-    """A stand-in for ``_ascent_brackets`` that gives each matrix of the stack
-    the one-state bracket ``bracket``."""
+    """A rung table whose ascent rung gives each matrix of the stack the
+    one-state bracket ``bracket``, as objectives."""
 
     def ascent(m, u):
         lo, hi = zip(*(bracket(DensityMatrix(mat)) for mat in m))
-        return np.array(lo), np.array(hi)
+        return np.array(lo) + 1.0, np.array(hi) + 1.0, u
 
-    return ascent
+    return cohkit.measures._RUNGS[:2] + ((ascent, None),)
 
 
 @pytest.mark.parametrize(
@@ -845,10 +863,10 @@ def _stacked(bracket):
 def test_the_ascent_never_widens_a_solve_free_bracket(ascent, monkeypatch):
     # the open pairs of each dimension decided as one block, so each ascent
     # runs on a stack
-    monkeypatch.setattr(cohkit.measures, "_ascent_brackets", _stacked(ascent))
+    monkeypatch.setattr(cohkit.measures, "_RUNGS", _stacked(ascent))
     ascent_settled = 0
     for pairs in _one_dimension_blocks(_open_pairs()):
-        first = [(_solve_free_roc(a, None), _solve_free_roc(b, None)) for a, b in pairs]
+        first = [(_solve_free_roc(a, True), _solve_free_roc(b, True)) for a, b in pairs]
         for (ra, rb), decide in zip(first, ordering_decisions(pairs)):
             decision = decide()
             ascent_settled += decision.stage is DecisionStage.ASCENT
@@ -867,29 +885,31 @@ VIOLATED_HASH = "eb2ed125fc5135e0491161dfbe1e77df761c6defabc487b2813fefa9214acd2
 # on stacks, and kept since
 STAGE_HASH = "270bb2d6e50a4c010766867a60b63c0cc240f167b2c1088c98dda1b22df01207"
 # sha256 of each decision's stage and bracket and of the roc /
-# _solve_free_rocs / _ascent_brackets / sdp.solve calls that made it,
-# recorded when the solve-free and ascent rungs began to run once per block
+# solve-free / ascent / sdp.solve calls that made it, recorded when the
+# solve-free and ascent rungs began to run once per block; the solve-free
+# stacks were then one helper's, which ran candidates 1-4 with its
+# tolerance slot None in decision mode, and are now the witness rung's
 DECISION_HASH = "92025226d7305b27170ac60a95bae85d192eb92b25e4da5b81ff970c05e04e46"
 
 
 def test_ordering_decisions_and_their_calls_are_pinned(monkeypatch):
     pairs = list(_decision_pairs()) + _open_pairs()
     calls = []
-    real_roc, real_solve_free, real_ascent, real_solve = (
-        roc, _solve_free_rocs, _ascent_brackets, sdp.solve)
+    real_roc, real_solve = roc, sdp.solve
+    (witness, witness_method), eigen, (ascent, ascent_method) = cohkit.measures._RUNGS
     states, names = {}, {}
 
     def recording_roc(rho, tol=DEFAULT_ROC_TOL):
         calls.append(("roc", states[id(rho)], tol))
         return real_roc(rho, tol=tol)
 
-    def recording_solve_free(m, tol):
-        calls.append(("solve_free", [names[mat.tobytes()] for mat in m], tol))
-        return real_solve_free(m, tol)
+    def recording_witness(m, u):
+        calls.append(("solve_free", [names[mat.tobytes()] for mat in m], None))
+        return witness(m, u)
 
     def recording_ascent(m, u):
         calls.append(("ascent", [names[mat.tobytes()] for mat in m]))
-        return real_ascent(m, u)
+        return ascent(m, u)
 
     def recording_solve(problem, **kwargs):
         sol = real_solve(problem, **kwargs)
@@ -897,8 +917,8 @@ def test_ordering_decisions_and_their_calls_are_pinned(monkeypatch):
         return sol
 
     monkeypatch.setattr(cohkit.measures, "roc", recording_roc)
-    monkeypatch.setattr(cohkit.measures, "_solve_free_rocs", recording_solve_free)
-    monkeypatch.setattr(cohkit.measures, "_ascent_brackets", recording_ascent)
+    monkeypatch.setattr(cohkit.measures, "_RUNGS", (
+        (recording_witness, witness_method), eigen, (recording_ascent, ascent_method)))
     monkeypatch.setattr(sdp, "solve", recording_solve)
     violated, stages, record = [], [], []
     for a, b in pairs:
@@ -1002,7 +1022,7 @@ def test_each_roc_value_of_a_block_is_counted_once(monkeypatch):
     monkeypatch.setattr(sdp, "solve", recording_solve)
     seen = Counter()
     for pairs in list(_block_pairs()) + _mixed_blocks():
-        alone = [roc(rho) if not cohkit.measures._bracketed(rho) else _solve_free_roc(rho, None)
+        alone = [roc(rho) if not cohkit.measures._bracketed(rho) else _solve_free_roc(rho, True)
                  for pair in pairs for rho in pair]
         certified.clear()
         before = cohkit.measures.ROC_METHOD_COUNTS.copy()
@@ -1056,24 +1076,24 @@ def _scalar_brackets(rho):
 
 
 def test_stacked_brackets_equal_each_matrix_alone():
-    # every solve-free value, ascent start and ascent bracket of a stack is
-    # bit-identical to the matrix's own as a stack of one, and to the scalar
-    # formulas
+    # every stacked rung's objectives and phases on a stack are bit-identical
+    # to the matrix's own as a stack of one, and the solve-free values and
+    # ascent brackets to the scalar formulas
     compared = 0
     for pairs in _block_pairs():
         states = [rho for pair in pairs for rho in pair if rho.dim > 2]
         if not states:
             continue
         m = np.stack([rho.mat for rho in states])
-        for tol in (DEFAULT_ROC_TOL, None):
-            values, u = _solve_free_rocs(m, tol)
+        u = np.ones(m.shape[:2], dtype=complex)
+        for rung, _ in cohkit.measures._RUNGS:  # each from the phases the one before left
+            stacked = rung(m, u)
             for k in range(len(states)):
-                alone, u_alone = _solve_free_rocs(m[k:k + 1], tol)
-                assert values[k] == alone[0]
-                assert np.array_equal(u[k], u_alone[0])
-        lo, hi = _ascent_brackets(m, u)
-        for k, (mv, rho) in enumerate(zip(values, states)):
-            assert (lo[k], hi[k]) == tuple(x[0] for x in _ascent_brackets(m[k:k + 1], u[k:k + 1]))
+                alone = rung(m[k:k + 1], u[k:k + 1])
+                assert all(np.array_equal(x[k], y[0]) for x, y in zip(stacked, alone))
+            u = stacked[2]
+        lo, hi = np.maximum(0.0, stacked[0] - 1.0), stacked[1] - 1.0
+        for k, (mv, rho) in enumerate(zip(_solve_free_values(states, True), states)):
             if mv.method is Method.SOLVE_FREE_BRACKET:
                 assert ((mv.value, mv.certificate_gap), (lo[k], hi[k])) == _scalar_brackets(rho)
                 compared += 1

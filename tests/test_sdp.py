@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cohkit.sdp
-from cohkit.measures import DEFAULT_ROC_TOL, Method, _solve_free_rocs, l1_coherence
+from cohkit.measures import DEFAULT_ROC_TOL, Method, _Ladder, l1_coherence
 from cohkit.sdp import (
     RocSolution,
     SolveStatus,
@@ -413,6 +413,15 @@ def _bracket_states():
             yield f"d{d}-rank{rank}", random_density(d, rank, rng), None
 
 
+def _decision_first_value(rho):
+    """The first value the ordering decisions give ``rho``, as a block of
+    one: rung 0's closed form, else the witness's or the eigen bracket's."""
+
+    ladder = _Ladder([rho], DEFAULT_ROC_TOL)
+    ladder.climb(lambda ladder, rung: [0] if rung == 1 and ladder.values[0] is None else [])
+    return ladder.values[0]
+
+
 def test_solve_free_bracket_is_certified():
     # the solve-free bracket [value, upper] holds the robustness without a solve.
     # The SDP's certified bracket [dual - 1, primal - 1] holds the robustness
@@ -421,7 +430,7 @@ def test_solve_free_bracket_is_certified():
     # bound is exact for the sigma family)
     brackets = 0
     for name, rho, expected in _bracket_states():
-        mv = _solve_free_rocs(rho.mat[None], None)[0][0]
+        mv = _decision_first_value(rho)
         sol = solve(build(rho))
         assert sol.status is SolveStatus.OPTIMAL, name
         brackets += mv.method is Method.SOLVE_FREE_BRACKET
