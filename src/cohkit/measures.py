@@ -303,10 +303,11 @@ def _factorizable(slack: np.ndarray) -> np.ndarray:
 # the method of the values it gives (docs/roc-sdp.md, "The rung table"). A
 # rung maps the stack of the states still open, and the phases the rung
 # before left them, to each state's certified dual and primal objectives and
-# its phases. The witness gives a PHASE_WITNESS value to each state whose two
-# objectives pass the solver's gap rule; the eigen bracket gives each state it runs on
-# a SOLVE_FREE_BRACKET value, its bracket; the ascent gives none. Rung 0, the
-# closed forms, comes first and the SDP, per state, last (:class:`_Ladder`).
+# its phases. The witness gives a PHASE_WITNESS value to each state whose
+# two objectives pass the solver's gap rule; the eigen bracket gives each
+# state it runs on a SOLVE_FREE_BRACKET value, its bracket; the ascent gives
+# none. Rung 0, the closed forms, comes first and the SDP, per state, last
+# (:class:`_Ladder`).
 _RUNGS = (
     (_witness, Method.PHASE_WITNESS),
     (_eigen_bracket, Method.SOLVE_FREE_BRACKET),

@@ -275,6 +275,10 @@ def test_validate_entry_point_end_to_end():
         ["roc-solve", "{state}", "--tol", "0"],
         ["roc-solve", "{state}", "--tol", "-1"],
         ["roc-solve", "{state}", "--tol", "nan"],
+        ["measure", "{state}", "--tol", "1"],
+        ["measure", "{state}", "--tol", "1000"],
+        ["roc-solve", "{state}", "--tol", "1"],
+        ["roc-solve", "{state}", "--tol", "1000"],
         ["validate", "--samples", "0"],
         ["validate", "--samples", "-3"],
         ["validate", "--seed", "-1"],
