@@ -12,7 +12,7 @@ Three measures are provided:
   cost order: a rank-one phase witness that certifies RoC = l1 for states
   whose off-diagonal phases factor as u_i conj(u_j), an eigenvector
   bracket and a phase ascent. The certified SDP, per state, comes last. One
-  driver, :meth:`_Ladder.climb`, runs each rung on the states the caller's
+  loop, :meth:`_Ladder.climb`, runs each rung on the states the caller's
   rule leaves open and intersects the brackets it certifies. In value mode
   (``roc``, :func:`subadditivity_gap`) a state is open until the solver's
   gap rule gives it a value, and the witness is followed directly by the
@@ -344,7 +344,7 @@ class _Ladder:
         self.climb(lambda ladder, rung: list(ladder.stacked) if rung == 0 else [])
 
     def climb(self, climbing: Callable[["_Ladder", int], list[int]]) -> None:
-        """The ladder's one driver: run each rung of _RUNGS in turn on the
+        """The ladder's one loop: run each rung of _RUNGS in turn on the
         stack of the states ``climbing(self, i)`` names for rung ``i``, in its
         order, intersect the objectives the rung certifies into their
         brackets, and give the values it gives. ``climbing`` is the caller's
