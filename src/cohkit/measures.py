@@ -343,14 +343,14 @@ class _Ladder:
         self.u = np.ones(self.m.shape[:2], dtype=complex)
         self.climb(lambda ladder, rung: list(ladder.stacked) if rung == 0 else [])
 
-    def climb(self, climbing: Callable[["_Ladder", int], list[int]]) -> None:
+    def climb(self, still_open: Callable[["_Ladder", int], list[int]]) -> None:
         """The ladder's one loop: run each rung of _RUNGS in turn on the
-        stack of the states ``climbing(self, i)`` names for rung ``i``, in its
+        stack of the states ``still_open(self, i)`` names for rung ``i``, in its
         order, intersect the objectives the rung certifies into their
-        brackets, and give the values it gives. ``climbing`` is the caller's
+        brackets, and give the values it gives. ``still_open`` is the caller's
         rule for which states are still open."""
         for i, (rung, method) in enumerate(_RUNGS):
-            at = climbing(self, i)
+            at = still_open(self, i)
             if not at:
                 continue
             rows = [self.stacked[k] for k in at]
@@ -613,13 +613,13 @@ def ordering_decisions(
     ladder = _Ladder([rho for j in needed for rho in pairs[j]], DEFAULT_ROC_TOL)
     block = {j: _Pair(ladder, i, table[j]) for i, j in enumerate(needed)}
 
-    def climbing(ladder: _Ladder, rung: int) -> list[int]:
+    def still_open(ladder: _Ladder, rung: int) -> list[int]:
         if rung == 1:  # the eigen bracket, under the witness's gap rule
             return [k for k in ladder.stacked if ladder.values[k] is None]
         return [k for pair in block.values() if not pair.settle(DecisionStage.SOLVE_FREE)
                 for k in ladder.widest_first(pair.ks)] if rung == 2 else []
 
-    ladder.climb(climbing)
+    ladder.climb(still_open)
     return [block[j].decide if j in block else partial(
         OrderingDecision, rows[0], DecisionStage.SOLVE_FREE, (-np.inf, np.inf))
         for j, rows in enumerate(table)]
