@@ -574,6 +574,33 @@ def _decision_pairs():
             yield random_density(d, rank, rng), random_density(d, rank, rng)
 
 
+def test_staged_ordering_decision_matches_full_precision_values():
+    # the staged answer must equal the answer on fully solved values wherever
+    # those values put the RoC difference clearly inside one tie category
+    compared = 0
+    stages = set()
+    for a, b in _decision_pairs():
+        decision = ordering_decision(a, b)
+        stages.add(decision.stage)
+        full = {kind: (compute_measure(kind, a), compute_measure(kind, b)) for kind in MeasureKind}
+        expected = tuple(
+            values_ordering_violated(
+                full[m][0].value - full[m][1].value, full[w][0].value - full[w][1].value
+            )
+            for m, w in MEASURE_PAIRS
+        )
+        ra, rb = full[MeasureKind.ROC]
+        d_roc = ra.value - rb.value
+        margin = 2 * max(ra.certificate_gap or 0.0, rb.certificate_gap or 0.0)
+        low, high = decision.roc_difference
+        assert low <= d_roc + margin and d_roc - margin <= high
+        if min(abs(d_roc - ORDERING_TIE_TOL), abs(d_roc + ORDERING_TIE_TOL)) > margin:
+            compared += 1
+            assert decision.violated == expected
+    assert compared >= 500
+    assert {DecisionStage.SOLVE_FREE, DecisionStage.ASCENT, DecisionStage.SOLVE} <= stages
+
+
 def test_ordering_decision_skips_roc_when_no_pair_needs_it(monkeypatch):
     rho = random_density(4, 4, np.random.default_rng(18))
 
@@ -932,11 +959,11 @@ def test_a_primal_whose_slack_fails_cholesky_is_never_used(monkeypatch):
     assert max(len(names) for names in by_dim.values()) > 1
 
 
-def _block_pairs():
+def _block_pairs(ranks=None):
     """Seeded blocks of three pairs, drawn as the ordering sweeps draw them,
-    at d = 2..16 and every rank."""
+    at d = 2..16 and every rank (or the ranks ``ranks(d)``)."""
     for d in range(2, 17):
-        for rank in range(1, d + 1):
+        for rank in ranks(d) if ranks else range(1, d + 1):
             rngs = [np.random.default_rng([31, d, rank, i]) for i in range(3)]
             states = random_densities(d, rank, rngs, count=2)
             yield list(zip(states[::2], states[1::2]))
@@ -1071,6 +1098,23 @@ def test_stacked_brackets_equal_each_matrix_alone():
                 assert ((mv.value, mv.certificate_gap), (lo[k], hi[k])) == _scalar_brackets(rho)
                 compared += 1
     assert compared > 500
+
+
+def test_every_final_bracket_holds_the_sdp_value():
+    blocks = list(_block_pairs(lambda d: {d // 2 or 1, d} if d <= 10 else ())) + _mixed_blocks()
+    checked = 0
+    for pairs in blocks:
+        for (a, b), decide in zip(pairs, ordering_decisions(pairs)):
+            low, high = decide().roc_difference
+            if (low, high) == (-np.inf, np.inf):
+                continue
+            sa, sb = (sdp.solve(sdp.build(rho), tol=1e-9) for rho in (a, b))
+            assert sa.status is sb.status is sdp.SolveStatus.OPTIMAL
+            # the bracket meets the SDP's certified bracket on the difference
+            assert low <= sa.primal_value - sb.dual_value + 1e-12
+            assert high >= sa.dual_value - sb.primal_value - 1e-12
+            checked += 1
+    assert checked > 50
 
 
 def test_one_slack_that_fails_cholesky_costs_only_its_own_primal(monkeypatch):
