@@ -3,11 +3,12 @@
 Verbs: ``measure``, ``roc-solve``, ``validate`` and the experiment verbs.
 Each experiment verb is one row of ``_EXPERIMENT_VERBS``: it runs one
 :class:`~cohkit.experiments.Experiment` on the shared sampling harness over
-``--threads`` worker processes and writes CSV plus a JSON metadata sidecar
-into ``--out``. The sampling verbs (the experiments and ``validate``) accept
-``--seed`` and record it in whatever they emit. ``--verbose`` is taken where
-it changes the output: ``roc-solve`` then prints each certified iterate, and
-an experiment verb logs one line per grid point, both on stderr.
+``--threads`` worker processes, at most one per CPU the process may run on,
+and writes CSV plus a JSON metadata sidecar into ``--out``. The sampling
+verbs (the experiments and ``validate``) accept ``--seed`` and record it in
+whatever they emit. ``--verbose`` is taken where it changes the output:
+``roc-solve`` then prints each certified iterate, and an experiment verb
+logs one line per grid point, both on stderr.
 
 Exit codes: 0 success (and ``validate`` all-pass), 1 ``validate`` failure,
 2 bad input or usage, 3 solver failure.
@@ -88,8 +89,7 @@ def _checked(cast, ok, need: str):
 
 _count = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _seed = _checked(int, lambda n: n >= 0, "an integer >= 0")
-# every dual-feasible point has objective >= 1, so at a relative gap of 1 or
-# more the solver's gap rule holds at its start point
+# the tolerances sdp.solve and roc accept, for the reason sdp.check_tol gives
 _tol = _checked(float, lambda x: 0 < x < 1, "a number in (0, 1)")
 
 
@@ -163,8 +163,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=_count,
             default=_usable_cpus(),
-            help="worker processes for sample evaluation (default: the CPUs this "
-            "process may run on)",
+            help="worker processes for sample evaluation, at most one per CPU this "
+            "process may run on (default: one per such CPU)",
         )
         p.add_argument("--out", default="results", help="output directory for CSV + metadata")
 
@@ -246,7 +246,8 @@ def _cmd_experiment(args, experiment: Experiment) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
-        csv_path, meta_path = run_and_save(cfg, args.out, workers=args.threads)
+        # a pool forks all its workers at once, and results do not depend on their count
+        csv_path, meta_path = run_and_save(cfg, args.out, workers=min(args.threads, _usable_cpus()))
     except SweepAborted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SOLVER_FAILURE

@@ -38,8 +38,9 @@ SUBADDITIVITY_COUNT_TOL; a theorem1 row raises if its gap exceeds it.
 result2 draws nothing ahead: each sample's function draws from its
 generator when called. A draw whose SDP fails to certify is drawn again
 from the same generator by the same draw function, as a block of one, so
-it is decided exactly like a first draw, and reported; too many failures
-abort the run.
+it is decided exactly like a first draw, and reported. A run has one
+failure budget, FAILURE_ABORT_FRACTION of its planned samples (at least
+1): once its failures exceed it, no chunk draws more, and the run aborts.
 Each grid point is split into one contiguous chunk of samples per worker
 (fewer if the point has fewer samples than workers). A chunk keeps exactly
 what each sample's function returns, and returns one tally of those values,
@@ -120,9 +121,9 @@ log = logging.getLogger(__name__)
 # so an SDP-bound state within that of the boundary can count either way.
 # Kept at 1e-9 because the seed-0 counts of the fig1 sweep depend on it.
 SUBADDITIVITY_COUNT_TOL = 1e-9
-# Sweeps abort once failed solves exceed 0.1% of planned samples (min 1).
+# A run's failure budget: it aborts once its failed solves exceed this share
+# of its planned samples, or 1 if that is more, and draws nothing after that.
 FAILURE_ABORT_FRACTION = 1e-3
-_MAX_REDRAWS = 50
 # Samples a chunk draws, validates and measures as one numpy stack.
 BLOCK_SAMPLES = 64
 
@@ -141,15 +142,11 @@ class PhiChoice(Enum):
 
 
 class SweepAborted(RuntimeError):
-    """Raised when too many solver failures poison a sweep."""
+    """Raised by :func:`run_experiment` when a run's solver failures exceed its budget."""
 
     def __init__(self, message: str, failures: list[dict]):
         super().__init__(message)
         self.failures = failures
-
-    def __reduce__(self):
-        # A sweep can abort inside a pool worker; the parent must rebuild it whole.
-        return type(self), (str(self), self.failures)
 
 
 @dataclass(frozen=True)
@@ -424,12 +421,13 @@ def _chunk(args) -> dict:
     sample generator, and each sample's function is then called, in order,
     for its value. A draw whose SDP fails to certify is replaced by the next
     draw from the same generator, made by the same draw function as a block
-    of one; a sample gets at most _MAX_REDRAWS draws.
+    of one. ``budget`` is the failures the run may still have: once the
+    chunk's own exceed it, the run is over its budget, and the chunk draws
+    nothing more and returns its failures alone.
     """
-    cfg, point_idx, point, start, stop = args
+    cfg, point_idx, point, start, stop, budget = args
     draw = _HARNESS[cfg.experiment][0]
-    values: list = []
-    failures: list[dict] = []
+    values, failures = [], []
     methods_before = ROC_METHOD_COUNTS.copy()
     words = _sample_seed_words(cfg.seed, point_idx, start, stop)
     for block_start in range(start, stop, BLOCK_SAMPLES):
@@ -437,19 +435,17 @@ def _chunk(args) -> dict:
         rngs = [np.random.Generator(np.random.PCG64(_SampleSeed(row)))
                 for row in words[indices.start - start:indices.stop - start]]
         for sample_idx, rng, drawn in zip(indices, rngs, draw(cfg, point, rngs)):
-            for attempt in range(_MAX_REDRAWS):
-                if attempt:
-                    (drawn,) = draw(cfg, point, [rng])
+            while True:
                 try:
                     values.append(drawn())
                     break
                 except SolverFailure as exc:
                     failures.append({"state": exc.state.to_json_dict(), "error": str(exc),
                                      "point": point, "sample": sample_idx})
-                    log.warning("point %s, sample %d: solve failed; sample redrawn",
-                                point, sample_idx)
-            else:
-                raise SweepAborted(f"sample {sample_idx} failed {_MAX_REDRAWS} redraws", failures)
+                if len(failures) > budget:  # the run aborts, on its failures alone
+                    return {"failures": failures}
+                log.warning("point %s, sample %d: solve failed; sample redrawn", point, sample_idx)
+                (drawn,) = draw(cfg, point, [rng])
     return {"values": values, "failures": failures,
             "roc_methods": ROC_METHOD_COUNTS - methods_before}
 
@@ -484,19 +480,24 @@ def run_experiment(cfg: SweepConfig, workers: int = 1) -> tuple[list, dict]:
     RoC-difference bracket of each sample no stage could settle).
 
     With ``workers > 1`` each grid point runs on a fresh process pool of one
-    worker per chunk. Raises :class:`SweepAborted` once failures exceed
-    FAILURE_ABORT_FRACTION of the planned samples, or when one sample
-    exhausts its redraws.
+    worker per chunk. The run's failure budget is FAILURE_ABORT_FRACTION of
+    its planned samples, at least 1. Each chunk is handed what is left of it
+    after the earlier grid points, and stops drawing once its own failures
+    exceed that; the run raises :class:`SweepAborted` once its merged
+    failures exceed the budget. A chunk stops only when the run is already
+    over budget, so whether a run aborts does not depend on the worker
+    count, and a run under budget draws exactly what it would with no
+    budget.
     """
     reduce = _HARNESS[cfg.experiment][1]
-    one_point = cfg.experiment is Experiment.RESULT2_CHECK
-    points = (tuple(map(int, cfg.grid)),) if one_point else cfg.grid
+    points = [tuple(map(int, cfg.grid))] if cfg.experiment is Experiment.RESULT2_CHECK else cfg.grid
     limit = max(1.0, FAILURE_ABORT_FRACTION * cfg.samples * len(points))
     results: list = []
     failures: list[dict] = []
     tally: dict = {"failures": failures, "roc_methods": Counter()}
     for point_idx, point in enumerate(points):
-        jobs = [(cfg, point_idx, point, a, b) for a, b in _chunks(cfg.samples, workers)]
+        jobs = [(cfg, point_idx, point, a, b, limit - len(failures))
+                for a, b in _chunks(cfg.samples, workers)]
         if workers > 1:
             with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
                 chunks = list(pool.map(_chunk, jobs))

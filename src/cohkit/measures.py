@@ -7,9 +7,10 @@ Three measures are provided:
 * robustness of coherence: least admixture weight of any state that makes
   the mixture incoherent. Every RoC value and bracket comes from one
   certified-bracket ladder (docs/roc-sdp.md, "The rung table"). Rung 0 is
-  ``roc``'s closed forms, for single qubits and pure states. The other
-  states of a block then climb, as one numpy stack, the table ``_RUNGS`` in
-  cost order: a rank-one phase witness that certifies RoC = l1 for states
+  ``roc``'s closed forms, for single qubits and pure states (the code
+  indexes ``_RUNGS`` from 0 at the witness instead). The other states of a
+  block then climb, as one numpy stack, the table ``_RUNGS`` in cost
+  order: a rank-one phase witness that certifies RoC = l1 for states
   whose off-diagonal phases factor as u_i conj(u_j), an eigenvector
   bracket and a phase ascent. The certified SDP, per state, comes last. One
   loop, :meth:`_Ladder.climb`, runs each rung on the states the caller's
@@ -199,7 +200,11 @@ def roc(rho: DensityMatrix, tol: float = DEFAULT_ROC_TOL) -> MeasureValue:
     to rounding, while an SDP value at the default ``tol`` may sit up to
     about 2e-8 low. A caller that needs less than a value climbs the ladder
     in decision mode, as :func:`ordering_decisions` does.
+
+    Raises ValueError for a ``tol`` outside (0, 1), whatever the state
+    (:func:`cohkit.sdp.check_tol`).
     """
+    sdp.check_tol(tol)
     if rho.dim == 2:
         mv = MeasureValue(_finalize(2.0 * float(np.abs(rho.mat[0, 1]))), Method.CLOSED_FORM_QUBIT)
     elif not _bracketed(rho):
@@ -307,7 +312,8 @@ def _factorizable(slack: np.ndarray) -> np.ndarray:
 # two objectives pass the solver's gap rule; the eigen bracket gives each
 # state it runs on a SOLVE_FREE_BRACKET value, its bracket; the ascent gives
 # none. Rung 0, the closed forms, comes first and the SDP, per state, last
-# (:class:`_Ladder`).
+# (:class:`_Ladder`); neither is in the table, whose index starts at 0 at the
+# witness (:meth:`_Ladder.climb`).
 _RUNGS = (
     (_witness, Method.PHASE_WITNESS),
     (_eigen_bracket, Method.SOLVE_FREE_BRACKET),
@@ -348,14 +354,16 @@ class _Ladder:
         stack of the states ``still_open(self, i)`` names for rung ``i``, in its
         order, intersect the objectives the rung certifies into their
         brackets, and give the values it gives. ``still_open`` is the caller's
-        rule for which states are still open."""
+        rule for which states are still open. ``i`` is the rung's index in
+        _RUNGS, 0 for the witness, 1 the eigen bracket and 2 the ascent, not
+        the docstrings' rung number, in which rung 0 is the closed forms."""
         for i, (rung, method) in enumerate(_RUNGS):
             at = still_open(self, i)
             if not at:
                 continue
             rows = [self.stacked[k] for k in at]
             dual, primal, self.u[rows] = rung(self.m[rows], self.u[rows])
-            passed = primal - dual <= self.tol * np.maximum(1.0, primal)
+            passed = sdp.passes_gap_rule(primal, dual, self.tol)
             for k, ok, dl, pr in zip(at, passed.tolist(), dual.tolist(), primal.tolist()):
                 self.tighten(k, dl, pr)
                 if method is Method.PHASE_WITNESS and ok:
@@ -613,7 +621,7 @@ def ordering_decisions(
     ladder = _Ladder([rho for j in needed for rho in pairs[j]], DEFAULT_ROC_TOL)
     block = {j: _Pair(ladder, i, table[j]) for i, j in enumerate(needed)}
 
-    def still_open(ladder: _Ladder, rung: int) -> list[int]:
+    def still_open(ladder: _Ladder, rung: int) -> list[int]:  # rung: the index in _RUNGS
         if rung == 1:  # the eigen bracket, under the witness's gap rule
             return [k for k in ladder.stacked if ladder.values[k] is None]
         return [k for pair in block.values() if not pair.settle(DecisionStage.SOLVE_FREE)

@@ -118,6 +118,21 @@ class CertificateReport:
     gap: float
 
 
+def check_tol(tol: float) -> None:
+    """Raise ValueError unless the relative gap tolerance lies in (0, 1); NaN
+    does not. The solver starts at Y = I, whose dual objective tr(rho) = 1 is
+    positive, so at a tolerance of 1 or more the gap rule already holds at
+    the start point, which certifies nothing."""
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must lie in (0, 1), got {tol}")
+
+
+def passes_gap_rule(primal, dual, tol: float):
+    """The solver's gap rule, ``primal - dual <= tol * max(1, primal)``, on
+    objectives that are numbers or arrays (elementwise)."""
+    return primal - dual <= tol * np.maximum(1.0, primal)
+
+
 def build(rho: DensityMatrix) -> RocSdp:
     """Assemble the robustness program for a density matrix."""
     return RocSdp(rho=rho)
@@ -138,10 +153,10 @@ def solve(
     iterate, the last one included: ``mu`` is tr(SY)/d, and ``primal`` and
     ``dual`` are the objectives of the certified pair, so the robustness lies
     in ``[dual - 1, primal - 1]``. If it returns True, the solve ends with
-    that iterate and status ACCEPTED.
+    that iterate and status ACCEPTED. Raises ValueError for a ``tol``
+    outside (0, 1) (:func:`check_tol`).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    check_tol(tol)
 
     rho = problem.rho.mat
     if np.max(np.abs(rho.imag)) == 0.0:
@@ -185,7 +200,7 @@ def solve(
         if accept is not None and accept(mu, primal, dual):
             status = SolveStatus.ACCEPTED
             break
-        if primal - dual <= tol * max(1.0, primal):
+        if passes_gap_rule(primal, dual, tol):
             status = SolveStatus.OPTIMAL
             break
         if iters >= MAX_ITER:

@@ -215,6 +215,31 @@ def test_default_threads_are_the_cpus_this_process_may_run_on(monkeypatch, tmp_p
     assert run(["fig1", "--grid", "0,1", "--samples", "2", "--out", str(tmp_path)]) == 0
 
 
+def test_threads_beyond_the_usable_cpus_start_no_more_workers(monkeypatch, tmp_path):
+    # a pool forks all its workers at once; --threads 1000 over 8 samples
+    # would otherwise fork 8
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(cohkit.cli, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cohkit.experiments, "ProcessPoolExecutor", InlinePool)
+    argv = ["fig1", "--grid", "0.3", "--samples", "8", "--threads", "1000", "--out", str(tmp_path)]
+    assert run(argv) == 0
+    assert sizes == [2]
+
+
 def test_validate_passes(capsys):
     assert run(["validate", "--samples", "2", "--seed", "1"]) == 0
     out = capsys.readouterr().out

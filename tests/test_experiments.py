@@ -549,6 +549,49 @@ def test_solver_failures_redraw_then_abort(monkeypatch):
     assert "state" in err.value.failures[0]
 
 
+def _failing_solves(solved: list, fails: float = np.inf):
+    """``sdp.solve`` that records each state it is given in ``solved`` and
+    ends with NUMERICAL_FAILURE on its first ``fails`` calls."""
+    real_solve = cohkit.sdp.solve
+
+    def solve(problem, **kwargs):
+        solved.append(problem.rho)
+        if len(solved) > fails:
+            return real_solve(problem, **kwargs)
+        return RocSolution(np.ones(problem.rho.dim), None, np.inf, -np.inf, np.inf, 0,
+                           SolveStatus.NUMERICAL_FAILURE)
+
+    return solve
+
+
+def test_a_run_draws_nothing_once_its_failures_exceed_its_budget(monkeypatch):
+    # every solve fails, and the run's budget is 0.2 * 20 samples * 2 points
+    # = 8 failures: at p = 0.2 five draws reach the solver, and at p = 0 every
+    # draw does, so sample 0 fails until the run has one failure too many
+    solved = []
+    monkeypatch.setattr(cohkit.sdp, "solve", _failing_solves(solved))
+    monkeypatch.setattr(cohkit.experiments, "FAILURE_ABORT_FRACTION", 0.2)
+    with pytest.raises(SweepAborted, match="9 solver failures exceed") as err:
+        run_experiment(fig1_config(samples=20, grid=(0.2, 0.0)))
+    failures = err.value.failures
+    assert [f["point"] for f in failures] == [0.2] * 5 + [0.0] * 4
+    assert {f["sample"] for f in failures[5:]} == {0}
+    # each failure is one solve, and the last solve made is the last failure's
+    assert len(solved) == len(failures)
+    assert failures[-1]["state"] == solved[-1].to_json_dict()
+
+
+def test_a_run_under_budget_redraws_a_sample_as_often_as_it_fails(monkeypatch):
+    # the one sample fails 60 times, within the run's budget of 100
+    solved = []
+    monkeypatch.setattr(cohkit.sdp, "solve", _failing_solves(solved, fails=60))
+    monkeypatch.setattr(cohkit.experiments, "FAILURE_ABORT_FRACTION", 100.0)
+    records, tally = run_experiment(fig1_config(samples=1, grid=(0.0,)))
+    assert records[0].count_total == 1
+    assert [(f["point"], f["sample"]) for f in tally["failures"]] == [(0.0, 0)] * 60
+    assert len(solved) == 61
+
+
 def test_sweep_csv_handles_pair_column(tmp_path):
     cfg = SweepConfig(
         experiment=Experiment.ORDERING_VS_DIMENSION, samples=20, seed=3, grid=(2,)
@@ -619,7 +662,7 @@ def test_a_redrawn_ordering_pair_is_decided_as_a_first_draw(monkeypatch):
     assert any(np.array_equal(rho.mat, a.mat) for rho in _solved_states(monkeypatch, cfg))
     expected = ordering_decisions([redrawn])[0]()
     monkeypatch.setattr(cohkit.sdp, "solve", solve_of_a_fails)
-    tally = cohkit.experiments._chunk((cfg, 0, 5, 0, 3))
+    tally = cohkit.experiments._chunk((cfg, 0, 5, 0, 3, 1))  # a run of 3 samples may fail once
     assert [entry["sample"] for entry in tally["failures"]] == [2]
     assert tally["values"][2] == expected
 
@@ -660,7 +703,7 @@ def test_a_chunk_hands_each_sample_its_own_generator(monkeypatch):
 
     reduce = cohkit.experiments._HARNESS[cfg.experiment][1]
     monkeypatch.setitem(cohkit.experiments._HARNESS, cfg.experiment, (capture, reduce))
-    cohkit.experiments._chunk((cfg, 3, (2, 3), 5, 140))
+    cohkit.experiments._chunk((cfg, 3, (2, 3), 5, 140, 1))
     assert [len(block) for block in blocks] == [64, 64, 7]
     expected = [np.random.default_rng([11, 3, i]).bit_generator.state for i in range(5, 140)]
     assert sum(blocks, []) == expected
@@ -691,7 +734,7 @@ def test_a_redrawn_sample_is_listed_whatever_the_block_size(monkeypatch, block):
     cfg, a, solve_of_a_fails, _ = _seed20_planted_failure()
     monkeypatch.setattr(cohkit.sdp, "solve", solve_of_a_fails)
     monkeypatch.setattr(cohkit.experiments, "BLOCK_SAMPLES", block)
-    tally = cohkit.experiments._chunk((cfg, 0, 5, 0, 3))
+    tally = cohkit.experiments._chunk((cfg, 0, 5, 0, 3, 1))
     (entry,) = tally["failures"]
     assert entry["state"] == a.to_json_dict()
     assert (entry["point"], entry["sample"]) == (5, 2)
@@ -805,9 +848,9 @@ def test_a_failed_result2_solve_is_redrawn_from_its_generator(monkeypatch):
     failed = DensityMatrix(np.kron(rho.mat, dephase(random_density(d_b, d_b, rng)).mat),
                            (d_a, d_b))
     redrawn = cohkit.experiments._result2_sample(dims, rng)
-    clean = cohkit.experiments._chunk((cfg, 0, dims, 0, 4))["values"]
+    clean = cohkit.experiments._chunk((cfg, 0, dims, 0, 4, 1))["values"]
     monkeypatch.setattr(cohkit.sdp, "solve", _failing_solve_of(failed.mat))
-    tally = cohkit.experiments._chunk((cfg, 0, dims, 0, 4))
+    tally = cohkit.experiments._chunk((cfg, 0, dims, 0, 4, 1))
     (entry,) = tally["failures"]
     assert entry["state"] == failed.to_json_dict()
     assert (entry["point"], entry["sample"]) == (dims, 2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cohkit.sdp
-from cohkit.measures import DEFAULT_ROC_TOL, Method, _Ladder, l1_coherence
+from cohkit.measures import DEFAULT_ROC_TOL, Method, _Ladder, l1_coherence, roc
 from cohkit.sdp import (
     RocSolution,
     SolveStatus,
@@ -203,14 +203,22 @@ def test_accept_ends_the_solve_at_the_iterate_it_takes():
     report = verify_certificates(sol, rho)
     assert max(report.primal_feasibility_violation, report.dual_feasibility_violation) < 1e-9
     assert sol.dual_value - 1 <= full.primal_value - 1 and full.dual_value <= sol.primal_value
-    # the hook decides before the gap rule does
-    first = solve(build(rho), tol=10.0, accept=lambda mu, primal, dual: True)
+    # the hook decides before the gap rule does, which at tol 0.99 holds at the start
+    assert solve(build(rho), tol=0.99).iterations == 0
+    first = solve(build(rho), tol=0.99, accept=lambda mu, primal, dual: True)
     assert first.status is SolveStatus.ACCEPTED and first.iterations == 0
 
 
 def test_tolerance_must_be_positive():
-    with pytest.raises(ValueError):
-        solve(build(sigma_family(2, 0.1)), tol=0.0)
+    # and below 1, where the gap rule would hold at once: tol 1000 certified a
+    # gap of 3.38 after no iteration, and roc a phase-witness value of a state
+    # whose phases do not factor; nan ran to a numerical failure
+    rho = random_density(4, 4, np.random.default_rng(0))
+    for tol in (0.0, 1.0, 1000.0, float("nan")):
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            solve(build(rho), tol=tol)
+        with pytest.raises(ValueError, match=r"\(0, 1\)"):
+            roc(rho, tol=tol)
     # sdp cannot import measures, so its default is tied to roc's here
     assert inspect.signature(solve).parameters["tol"].default == DEFAULT_ROC_TOL
 
