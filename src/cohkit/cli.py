@@ -4,7 +4,9 @@ Verbs: ``measure``, ``roc-solve``, ``validate`` and the experiment verbs.
 Each experiment verb is one row of ``_EXPERIMENT_VERBS``: it runs one
 :class:`~cohkit.experiments.Experiment` on the shared sampling harness over
 ``--threads`` worker processes, at most one per CPU the process may run on,
-and writes CSV plus a JSON metadata sidecar into ``--out``. The sampling
+and writes CSV plus a JSON metadata sidecar into ``--out``; a run aborted
+for too many solver failures writes only the sidecar, which lists every
+failed draw, and names it after its error line. The sampling
 verbs (the experiments and ``validate``) accept ``--seed`` and record it in
 whatever they emit. ``--verbose`` is taken where it changes the output:
 ``roc-solve`` then prints each certified iterate, and an experiment verb
@@ -250,6 +252,7 @@ def _cmd_experiment(args, experiment: Experiment) -> int:
         csv_path, meta_path = run_and_save(cfg, args.out, workers=min(args.threads, _usable_cpus()))
     except SweepAborted as exc:
         print(f"error: {exc}", file=sys.stderr)
+        print(f"wrote {exc.meta_path} (the failed draws)", file=sys.stderr)
         return EXIT_SOLVER_FAILURE
     print(f"wrote {csv_path}")
     print(f"wrote {meta_path}")

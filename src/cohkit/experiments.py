@@ -64,7 +64,8 @@ values per dispatch method (``roc_methods``, counting each solve of
 :func:`~cohkit.measures.ordering_decisions` as one ``sdp`` value, also one it
 stopped early) and, for the ordering sweeps, the samples settled at each
 stage of that function (``ordering_decisions``) and those no stage settled
-(``undecided``).
+(``undecided``). A run that aborts writes only the sidecar, with its
+config, revision, wall time and every failed draw.
 Every experiment's records or rows are dataclasses whose fields are the CSV
 columns, in order, so one writer, :func:`write_sweep_csv`, serves them all.
 """
@@ -142,11 +143,14 @@ class PhiChoice(Enum):
 
 
 class SweepAborted(RuntimeError):
-    """Raised by :func:`run_experiment` when a run's solver failures exceed its budget."""
+    """Raised by :func:`run_experiment` when a run's solver failures exceed its
+    budget. ``failures`` lists every failed draw; ``meta_path`` is the
+    sidecar :func:`run_and_save` wrote them to, None until it has."""
 
     def __init__(self, message: str, failures: list[dict]):
         super().__init__(message)
         self.failures = failures
+        self.meta_path: Path | None = None
 
 
 @dataclass(frozen=True)
@@ -313,15 +317,19 @@ def _result2_rows(cfg: SweepConfig, dims: tuple[int, ...], values: list) -> tupl
 def _pair_records(cfg: SweepConfig, point: int, decisions: list) -> tuple[list, dict]:
     """The point's records from its :class:`~cohkit.measures.OrderingDecision`
     values, in sample order, and its notes: the pairs settled at each
-    :class:`DecisionStage` and, by sample index, those no stage settled."""
-    stages = Counter({s.value: sum(d.stage is s for d in decisions) for s in DecisionStage})
-    undecided = [{"point": point, "sample": i, "roc_difference_bracket": list(d.roc_difference)}
-                 for i, d in enumerate(decisions) if d.stage is DecisionStage.UNDECIDED]
-    records = [
-        _record(cfg, int(point), sum(d.violated[j] for d in decisions), f"{m.value}:{w.value}")
-        for j, (m, w) in enumerate(MEASURE_PAIRS)
-    ]
-    return records, {"ordering_decisions": stages, "undecided": undecided}
+    :class:`DecisionStage` and, by sample index, those no stage settled. One
+    pass splits the decisions into their answers, stages and brackets, and
+    the counts are taken on those: each distinct tuple of answers is counted
+    once, and each stage by identity."""
+    violated, stages, brackets = zip(*decisions)
+    answers = Counter(violated)
+    records = [_record(cfg, int(point), sum(n for answer, n in answers.items() if answer[j]),
+                       f"{m.value}:{w.value}") for j, (m, w) in enumerate(MEASURE_PAIRS)]
+    undecided = [{"point": point, "sample": i, "roc_difference_bracket": list(bracket)}
+                 for i, (stage, bracket) in enumerate(zip(stages, brackets))
+                 if stage is DecisionStage.UNDECIDED] if DecisionStage.UNDECIDED in stages else []
+    counts = Counter({s.value: stages.count(s) for s in DecisionStage})
+    return records, {"ordering_decisions": counts, "undecided": undecided}
 
 
 # Per experiment: the draw function (cfg, grid point, generators) ->
@@ -590,17 +598,29 @@ def write_metadata(cfg: SweepConfig, path: Path, wall_time_s: float, extra: dict
 
 def run_and_save(cfg: SweepConfig, out_dir: str | Path, workers: int = 1) -> tuple[Path, Path]:
     """Run the configured experiment; write `<name>.csv` and `<name>_meta.json`,
-    whose extras are the run's tally (plus ``transition_estimate`` for fig1)."""
+    whose extras are the run's tally (plus ``transition_estimate`` for fig1).
+
+    A run that aborts writes no CSV. Its sidecar holds the config, revision,
+    wall time and every failed draw (``failures``), and the
+    :class:`SweepAborted` it raises names that sidecar as ``meta_path``.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    name = cfg.experiment.value
+    if cfg.experiment is Experiment.SUBADDITIVITY_SWEEP:
+        name += f"_{cfg.pure_state_choice.value}"
+    csv_path, meta_path = out / f"{name}.csv", out / f"{name}_meta.json"
     start = time.perf_counter()
     with _git_revision() as git_revision:  # git describe runs alongside the sweep
-        results, extra = run_experiment(cfg, workers)
-        name = cfg.experiment.value
+        try:
+            results, extra = run_experiment(cfg, workers)
+        except SweepAborted as exc:
+            write_metadata(cfg, meta_path, wall_time_s=time.perf_counter() - start,
+                           extra={"failures": exc.failures}, git_revision=git_revision())
+            exc.meta_path = meta_path
+            raise
         if cfg.experiment is Experiment.SUBADDITIVITY_SWEEP:
-            name += f"_{cfg.pure_state_choice.value}"
             extra["transition_estimate"] = estimate_transition(results)
-        csv_path, meta_path = out / f"{name}.csv", out / f"{name}_meta.json"
         write_sweep_csv(results, csv_path)
         write_metadata(cfg, meta_path, wall_time_s=time.perf_counter() - start, extra=extra,
                        git_revision=git_revision())

@@ -19,7 +19,11 @@ Three measures are provided:
   gap rule gives it a value, and the witness is followed directly by the
   SDP. In decision mode (:func:`ordering_decisions`) that rule holds through
   the witness and the eigen bracket; then a state is open while its pair is
-  not settled, up the ascent and through the SDP's ``accept``.
+  not settled, up the ascent and through the SDP's ``accept``. A block's
+  brackets are two float arrays, intersected with each rung's certified
+  bounds in one pass, and one settle rule, :func:`_settle`, decides pairs
+  on arrays: a pair is settled where every category of its RoC difference
+  that the bracket allows has the same answers.
   ``ROC_METHOD_COUNTS`` counts the values each rung has given in this
   process, each once, where it is made: the closed forms in ``roc``, the
   rest in :class:`_Ladder`. The ascent gives brackets, not values, so it
@@ -326,67 +330,82 @@ class _Ladder:
 
     Per state ``k``: ``values[k]``, its value once it has one (its SDP value
     replaces a first one), and its bracket ``[lo[k], hi[k]]`` on the
-    robustness. The bracket starts at ``[0, inf)`` and intersects every
-    certified ``[dual - 1, primal - 1]``; a value a rung gives resets it to the
-    value's own ``[value, upper]``. ``tol`` is the gap rule's, for the witness
-    and the SDP.
+    robustness, held for the block in the float arrays ``lo`` and ``hi``.
+    The bracket starts at ``[0, inf)``. Each rung intersects the certified
+    ``[dual - 1, primal - 1]`` of every state it runs on into that state's
+    bracket, with one ``np.fmax`` and one ``np.fmin`` over the rung's rows,
+    which drop a NaN end as ``max`` and ``min`` do; a value a rung gives
+    resets the bracket to the value's own ``[value, upper]``. ``tol`` is the
+    gap rule's, for the witness and the SDP.
 
     Construction climbs both modes' common start, which is all of value
     mode: rung 0 gives each qubit or pure state :func:`roc`'s closed form,
-    one state at a time; the others, ``stacked`` (each mapped to its row of
-    the stack ``m`` and of its phases ``u``), climb the witness as one stack.
-    In value mode a state the witness leaves open then takes the SDP.
+    one state at a time; the others, ``stacked`` (their indices, ascending;
+    the i-th is row i of the stack ``m`` and of its phases ``u``), climb the
+    witness as one stack. In value mode a state the witness leaves open then
+    takes the SDP.
     """
 
     def __init__(self, states: list[DensityMatrix], tol: float):
         self.states, self.tol = states, tol
         self.values = [None if _bracketed(rho) else roc(rho) for rho in states]
-        self.lo = [0.0 if mv is None else mv.value for mv in self.values]
-        self.hi = [np.inf if mv is None else mv.upper for mv in self.values]
-        self.stacked = {k: row for row, k in enumerate(
-            k for k, mv in enumerate(self.values) if mv is None)}
-        self.m = np.array([states[k].mat for k in self.stacked])
+        unvalued = np.array([mv is None for mv in self.values], dtype=bool)
+        # a closed form is exact: its bracket is the point [value, value]
+        self.lo = np.array([0.0 if mv is None else mv.value for mv in self.values])
+        self.hi = np.where(unvalued, np.inf, self.lo)
+        self.stacked = np.flatnonzero(unvalued)
+        self.m = np.array([states[k].mat for k in self.stacked.tolist()])
         self.u = np.ones(self.m.shape[:2], dtype=complex)
-        self.climb(lambda ladder, rung: list(ladder.stacked) if rung == 0 else [])
+        self.climb(lambda ladder, rung: ladder.stacked if rung == 0 else [])
 
-    def climb(self, still_open: Callable[["_Ladder", int], list[int]]) -> None:
+    def climb(self, still_open: Callable[["_Ladder", int], Sequence[int] | np.ndarray]) -> None:
         """The ladder's one loop: run each rung of _RUNGS in turn on the
-        stack of the states ``still_open(self, i)`` names for rung ``i``, in its
-        order, intersect the objectives the rung certifies into their
+        stack of the states ``still_open(self, i)`` names for rung ``i`` (some
+        of ``stacked``), in its order, intersect the objectives the rung certifies into their
         brackets, and give the values it gives. ``still_open`` is the caller's
         rule for which states are still open. ``i`` is the rung's index in
         _RUNGS, 0 for the witness, 1 the eigen bracket and 2 the ascent, not
         the docstrings' rung number, in which rung 0 is the closed forms."""
         for i, (rung, method) in enumerate(_RUNGS):
-            at = still_open(self, i)
-            if not at:
+            at = np.asarray(still_open(self, i), dtype=int)
+            if not at.size:
                 continue
-            rows = [self.stacked[k] for k in at]
+            rows = np.searchsorted(self.stacked, at)
             dual, primal, self.u[rows] = rung(self.m[rows], self.u[rows])
-            passed = sdp.passes_gap_rule(primal, dual, self.tol)
-            for k, ok, dl, pr in zip(at, passed.tolist(), dual.tolist(), primal.tolist()):
-                self.tighten(k, dl, pr)
-                if method is Method.PHASE_WITNESS and ok:
+            self.tighten(at, dual, primal)
+            if method is Method.PHASE_WITNESS:
+                passed = sdp.passes_gap_rule(primal, dual, self.tol)
+                for k, dl, pr in zip(at[passed].tolist(), dual[passed].tolist(),
+                                     primal[passed].tolist()):
                     self.give(k, _pair_value(method, dl, pr))
-                elif method is Method.SOLVE_FREE_BRACKET:
-                    # the upper end primal - 1 is tighter than lo + (primal - dual) for dual < 1
-                    gap = max(0.0, self.hi[k] - self.lo[k])
-                    self.give(k, MeasureValue(self.lo[k], method, certificate_gap=gap))
+            elif method is Method.SOLVE_FREE_BRACKET:
+                # the upper end primal - 1 is tighter than lo + (primal - dual) for dual < 1
+                lo = self.lo[at]
+                gap = np.fmax(0.0, self.hi[at] - lo)
+                for k, value, g in zip(at.tolist(), lo.tolist(), gap.tolist()):
+                    self.give(k, MeasureValue(value, method, certificate_gap=g))
 
-    def tighten(self, k: int, dual: float, primal: float) -> None:
-        """Intersect the certified ``[dual - 1, primal - 1]`` into state ``k``'s bracket."""
-        self.lo[k], self.hi[k] = max(self.lo[k], dual - 1.0), min(self.hi[k], primal - 1.0)
+    def tighten(self, k: int | np.ndarray, dual: float | np.ndarray,
+                primal: float | np.ndarray) -> None:
+        """Intersect the certified ``[dual - 1, primal - 1]`` into the bracket
+        of state ``k``, or of each state of an index array ``k``."""
+        self.lo[k] = np.fmax(self.lo[k], dual - 1.0)
+        self.hi[k] = np.fmin(self.hi[k], primal - 1.0)
 
     def give(self, k: int, mv: MeasureValue) -> None:
         """Make ``mv`` state ``k``'s value and bracket, counted in ROC_METHOD_COUNTS."""
         self.values[k], self.lo[k], self.hi[k] = mv, mv.value, mv.upper
         ROC_METHOD_COUNTS[mv.method.value] += 1
 
-    def widest_first(self, ks) -> list[int]:
-        """Those of the states ``ks`` whose value is a SOLVE_FREE_BRACKET,
-        widest bracket first: the order of decision mode's later rungs."""
-        return sorted((k for k in ks if self.values[k].method is Method.SOLVE_FREE_BRACKET),
-                      key=lambda k: self.lo[k] - self.hi[k])
+    def widest_first(self, pairs: np.ndarray) -> np.ndarray:
+        """Per pair ``j`` of ``pairs``, in order, those of its states ``2j``
+        and ``2j + 1`` whose value is a SOLVE_FREE_BRACKET, widest bracket
+        first, the first state on a tie: the states, in order, of decision
+        mode's later rungs."""
+        a = 2 * pairs
+        swap = self.lo[a + 1] - self.hi[a + 1] < self.lo[a] - self.hi[a]
+        ks = np.stack([a + swap, a + 1 - swap], -1).ravel()
+        return ks[[self.values[k].method is Method.SOLVE_FREE_BRACKET for k in ks.tolist()]]
 
     def solve(self, k: int, settled: Callable[[], bool] | None = None) -> MeasureValue:
         """The SDP rung: state ``k``'s value at ``tol``, counted in
@@ -491,15 +510,42 @@ def values_ordering_violated(d1: float | np.ndarray, d2: float | np.ndarray) -> 
     return (abs(d1) > t) & (abs(d2) > t) & (d1 * d2 < -(t**2))
 
 
-def _answer_table(d_l1: np.ndarray, d_rel: np.ndarray) -> list[list[tuple[bool, ...]]]:
+# The positions in MeasureKind of the two measures of each pair of MEASURE_PAIRS.
+_PAIR_KINDS = np.array([[list(MeasureKind).index(m) for m in pair] for pair in MEASURE_PAIRS]).T
+# Per answer code, the answers it stands for: bit i of the code is the
+# answer for MEASURE_PAIRS[i].
+_ANSWERS = tuple(tuple(bool(code >> i & 1) for i in range(len(MEASURE_PAIRS)))
+                 for code in range(2 ** len(MEASURE_PAIRS)))
+
+
+def _answer_table(d_l1: np.ndarray, d_rel: np.ndarray) -> np.ndarray:
     """Per pair of l1 and relative-entropy differences, per category of the
     RoC difference (above ORDERING_TIE_TOL, below -ORDERING_TIE_TOL, a tie,
-    which 1, -1 and 0 stand for), :func:`values_ordering_violated` for every
-    measure pair in MEASURE_PAIRS, taken elementwise on arrays."""
-    diff = dict(zip(MeasureKind, np.broadcast_arrays(d_l1[:, None], d_rel[:, None],
-                                                      [1.0, -1.0, 0.0])))
-    table = np.stack([values_ordering_violated(diff[m], diff[w]) for m, w in MEASURE_PAIRS], -1)
-    return [list(map(tuple, rows)) for rows in table.tolist()]
+    which 1, -1 and 0 stand for), the code of the answers of
+    :func:`values_ordering_violated` for the measure pairs in MEASURE_PAIRS,
+    taken elementwise on arrays: an integer array of shape ``(n, 3)``, whose
+    codes :data:`_ANSWERS` reads."""
+    diff = np.empty((len(MeasureKind), len(d_l1), 3))  # per measure, in MeasureKind order
+    diff[0], diff[1], diff[2] = d_l1[:, None], d_rel[:, None], (1.0, -1.0, 0.0)
+    violated = values_ordering_violated(diff[_PAIR_KINDS[0]], diff[_PAIR_KINDS[1]])
+    bits = 1 << np.arange(len(MEASURE_PAIRS))
+    return (bits @ violated.reshape(len(MEASURE_PAIRS), -1)).reshape(len(d_l1), 3)
+
+
+def _settle(codes: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """The settle rule, elementwise over pairs: given each pair's answer
+    codes per category (a row of :func:`_answer_table`) and a bracket
+    ``[low, high]`` on its RoC difference, the categories the bracket allows
+    are ``high > t``, ``low < -t`` and the tie, ``low <= t`` and ``high >=
+    -t``, with t = ORDERING_TIE_TOL. A pair is settled where at least one
+    category is allowed and every allowed one has the same code; the result
+    is that code, or -1 where the pair stays open."""
+    t = ORDERING_TIE_TOL
+    allowed = np.array([high > t, low < -t, (low <= t) & (high >= -t)]).T
+    # the least and the greatest allowed code, which meet only where one code is allowed
+    least = np.where(allowed, codes, len(_ANSWERS)).min(-1)
+    most = np.where(allowed, codes, -1).max(-1)
+    return np.where(least == most, most, -1)
 
 
 class DecisionStage(Enum):
@@ -521,45 +567,14 @@ class OrderingDecision(NamedTuple):
     roc_difference: tuple[float, float]
 
 
-
-class _Pair:
-    """One pair's ordering decision in progress: its ``rows`` of answers, one
-    per category of the RoC difference, and its states ``ks`` in ``ladder``,
-    whose brackets bracket that difference by ``[lo_a - hi_b, hi_a - lo_b]``."""
-
-    def __init__(self, ladder: _Ladder, j: int, rows: list[tuple[bool, ...]]):
-        self.ladder, self.ks, self.rows, self.decision = ladder, (2 * j, 2 * j + 1), rows, None
-
-    def settle(self, stage: DecisionStage, allowed: tuple = ()) -> OrderingDecision | None:
-        """Settle an open pair at ``stage`` if every category of the RoC
-        difference that its bracket allows (or that ``allowed`` names) gives
-        the same answers; the pair's decision, None while it is open."""
-        if self.decision is None:
-            (a, b), lo, hi, t = self.ks, self.ladder.lo, self.ladder.hi, ORDERING_TIE_TOL
-            low, high = lo[a] - hi[b], hi[a] - lo[b]
-            allowed = allowed or (high > t, low < -t, low <= t and high >= -t)
-            found = {answer for answer, ok in zip(self.rows, allowed) if ok}
-            if len(found) == 1:
-                self.decision = OrderingDecision(found.pop(), stage, (low, high))
-        return self.decision
-
-    def decide(self) -> OrderingDecision:
-        """The pair's decision; a pair the stacked rungs left open climbs the SDP rung."""
-        if self.settle(DecisionStage.ASCENT):
-            return self.decision
-        failure = None
-        for k in self.ladder.widest_first(self.ks):
-            try:
-                self.ladder.solve(k, partial(self.settle, DecisionStage.SOLVE))
-            except sdp.SolverFailure as exc:
-                failure = failure or exc
-            if self.settle(DecisionStage.SOLVE):
-                return self.decision
-        if failure is not None:
-            raise failure
-        a, b = (self.ladder.values[k].value for k in self.ks)
-        t = ORDERING_TIE_TOL
-        return self.settle(DecisionStage.UNDECIDED, (a - b > t, a - b < -t, abs(a - b) <= t))
+def _finalized(values: np.ndarray) -> np.ndarray:
+    """:func:`_finalize` elementwise: ``values`` with each entry in
+    [HARD_NEGATIVE_FLOOR, 0) clamped to zero; raises ArithmeticError for an
+    entry below the floor."""
+    noisy = values < 0.0
+    for value in values[noisy].tolist():
+        _finalize(value)
+    return np.where(noisy, 0.0, values)
 
 
 def ordering_decisions(
@@ -575,13 +590,16 @@ def ordering_decisions(
     a block that mixes dimensions raises ValueError.
 
     The l1 and relative-entropy differences come from the values each state
-    keeps; given them, the answers depend only on the category of the RoC
-    difference (``> t``, ``< -t``, tie, with t = ORDERING_TIE_TOL), so
-    :func:`_answer_table` gives each pair one row of answers per category,
-    once for the block. One rule settles a pair: each state's RoC is
-    bracketed, the difference by ``[lo_a - hi_b, hi_a - lo_b]``, and the pair
-    is settled once every category the bracket allows has the same row. A
-    pair whose rows are all the same needs no robustness: it is settled at
+    keeps, read as arrays with :func:`_finalize`'s floor and clamp applied
+    elementwise; given them, the answers depend only on the category of the
+    RoC difference (``> t``, ``< -t``, tie, with t = ORDERING_TIE_TOL), so
+    :func:`_answer_table` gives each pair one answer code per category, once
+    for the block. One rule, :func:`_settle`, settles pairs, on arrays:
+    each state's RoC is bracketed, the difference by ``low = lo_a - hi_b``
+    and ``high = hi_a - lo_b``, and a pair is settled where every category
+    the bracket allows has the same code. It runs once over the block's
+    open pairs at each stacked stage and on one pair inside the SDP rung. A
+    pair whose codes are all the same needs no robustness: it is settled at
     SOLVE_FREE on the bracket ``(-inf, inf)``, and its states are never
     measured.
 
@@ -592,9 +610,9 @@ def ordering_decisions(
     SOLVE_FREE_BRACKET value. Only then is each pair settled on these first
     values (SOLVE_FREE). The states whose value is a SOLVE_FREE_BRACKET and
     whose pair is still open take the phase ascent as one stack, widest
-    bracket first within each pair, and each pair is re-decided (ASCENT).
-    Running both states' ascents at once settles the same pairs as running
-    the wider one first, since a bracket never widens.
+    bracket first within each pair, and the pairs still open are settled
+    again (ASCENT). Running both states' ascents at once settles the same
+    pairs as running the wider one first, since a bracket never widens.
 
     A pair still open climbs the SDP rung when its function is called: one
     solve per such state at DEFAULT_ROC_TOL, widest bracket first, whose
@@ -605,29 +623,78 @@ def ordering_decisions(
     raised, as solving outright would raise it, only if the pair is still
     open once both states were solved. Each solve that certifies counts as
     an SDP value in ROC_METHOD_COUNTS. A pair still open after both full
-    solves is UNDECIDED and takes the row of the category of its
+    solves is UNDECIDED and takes the code of the category of its
     DEFAULT_ROC_TOL values' difference, exactly as if every value had been
-    solved outright.
+    solved outright, with its bracket as it stands.
     """
     states = [rho for pair in pairs for rho in pair]
     dims = {rho.dim for rho in states}
     if len(dims) > 1:
         raise ValueError(f"ordering decisions need one dimension per block, got {sorted(dims)}")
-    l1 = np.array([_finalize(rho.offdiagonal_abs_sum) for rho in states])
-    rel = np.array([_finalize(rho.dephased_entropy_bits - rho.entropy_bits) for rho in states])
-    table = _answer_table(l1[::2] - l1[1::2], rel[::2] - rel[1::2])
+    # each state's l1 and relative entropy of coherence, a row per measure
+    measured = _finalized(np.array([
+        [rho.offdiagonal_abs_sum for rho in states],
+        [rho.dephased_entropy_bits - rho.entropy_bits for rho in states]]))
+    table = _answer_table(*(measured[:, ::2] - measured[:, 1::2]))
     # a pair with the same answers in every category needs no robustness
-    needed = [j for j, rows in enumerate(table) if len(set(rows)) > 1]
-    ladder = _Ladder([rho for j in needed for rho in pairs[j]], DEFAULT_ROC_TOL)
-    block = {j: _Pair(ladder, i, table[j]) for i, j in enumerate(needed)}
+    open_ = (table != table[:, :1]).any(-1)
+    needed = np.flatnonzero(open_)
+    decisions = [None if j else OrderingDecision(_ANSWERS[c], DecisionStage.SOLVE_FREE,
+                                                 (-np.inf, np.inf))
+                 for j, c in zip(open_.tolist(), table[:, 0].tolist())]
+    ladder = _Ladder([rho for j in needed.tolist() for rho in pairs[j]], DEFAULT_ROC_TOL)
+    codes = table[needed]
 
-    def still_open(ladder: _Ladder, rung: int) -> list[int]:  # rung: the index in _RUNGS
+    def settle(at: np.ndarray, stage: DecisionStage, point: np.ndarray | None = None) -> np.ndarray:
+        """Settle the open pairs ``at`` of the ladder (pair i is its states
+        2i and 2i + 1) by :func:`_settle` at ``stage``, on their brackets or,
+        given ``point``, on the RoC differences ``point`` with the brackets
+        recorded; the pairs of ``at`` still open."""
+        if not at.size:
+            return at
+        a = 2 * at
+        low, high = ladder.lo[a] - ladder.hi[a + 1], ladder.hi[a] - ladder.lo[a + 1]
+        code = _settle(codes[at], *((low, high) if point is None else (point, point)))
+        done = code >= 0
+        for j, c, bracket in zip(needed[at[done]].tolist(), code[done].tolist(),
+                                 zip(low[done].tolist(), high[done].tolist())):
+            decisions[j] = OrderingDecision(_ANSWERS[c], stage, bracket)
+        return at[~done]
+
+    unsettled = np.arange(len(needed))
+
+    def still_open(ladder: _Ladder, rung: int) -> Sequence[int] | np.ndarray:  # index in _RUNGS
+        nonlocal unsettled
         if rung == 1:  # the eigen bracket, under the witness's gap rule
-            return [k for k in ladder.stacked if ladder.values[k] is None]
-        return [k for pair in block.values() if not pair.settle(DecisionStage.SOLVE_FREE)
-                for k in ladder.widest_first(pair.ks)] if rung == 2 else []
+            return [k for k in ladder.stacked.tolist() if ladder.values[k] is None]
+        if rung == 2:
+            unsettled = settle(unsettled, DecisionStage.SOLVE_FREE)
+            return ladder.widest_first(unsettled) if unsettled.size else []
+        return []
 
     ladder.climb(still_open)
-    return [block[j].decide if j in block else partial(
-        OrderingDecision, rows[0], DecisionStage.SOLVE_FREE, (-np.inf, np.inf))
-        for j, rows in enumerate(table)]
+    settle(unsettled, DecisionStage.ASCENT)
+
+    def decide(j: int, i: int) -> OrderingDecision:
+        """Pair ``j`` of the block, pair ``i`` of the ladder: its decision,
+        after its SDP rung if the stacked rungs left it open."""
+        if decisions[j] is not None:
+            return decisions[j]
+        at = np.array([i])
+        failure = None
+        for k in ladder.widest_first(at).tolist():
+            try:
+                ladder.solve(k, lambda: not settle(at, DecisionStage.SOLVE).size)
+            except sdp.SolverFailure as exc:
+                failure = failure or exc
+            if decisions[j] is not None:
+                return decisions[j]
+        if failure is not None:
+            raise failure
+        a, b = (ladder.values[k].value for k in (2 * i, 2 * i + 1))
+        settle(at, DecisionStage.UNDECIDED, np.array([a - b]))
+        return decisions[j]
+
+    # each needed pair's position among the ladder's pairs (unread for the others)
+    position = np.cumsum(open_) - 1
+    return [partial(decide, j, i) for j, i in enumerate(position.tolist())]

@@ -388,6 +388,26 @@ def test_solver_failure_exits_3(argv, state_file, tmp_path, monkeypatch, capsys)
     assert "error:" in capsys.readouterr().err
 
 
+def test_an_aborted_sweep_keeps_its_failures_in_the_sidecar(tmp_path, monkeypatch, capsys):
+    # sample 0 of seed 5 at p = 0.1 reaches the solver and fails, its redraw
+    # fails too, and two failures exceed the one that thirty samples may have
+    monkeypatch.setattr(cohkit.sdp, "solve", _never_optimal)
+    argv = ["fig1", "--grid", "0.1", "--samples", "30", "--seed", "5", "--threads", "1",
+            "--out", str(tmp_path)]
+    assert run(argv) == 3
+    meta_path = tmp_path / "subadditivity_sweep_coherent_meta.json"
+    err = capsys.readouterr().err.splitlines()
+    assert err[0].startswith("error: 2 solver failures exceed the abort threshold")
+    assert str(meta_path) in err[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [meta_path.name]  # no CSV
+    meta = json.loads(meta_path.read_text())
+    assert meta["config"]["seed"] == 5 and meta["config"]["samples"] == 30
+    assert {"git_revision", "wall_time_s"} <= meta.keys()
+    assert [(f["point"], f["sample"]) for f in meta["failures"]] == [(0.1, 0), (0.1, 0)]
+    assert all("max_iter" in f["error"] and f["state"]["dims"] == [2, 2] for f in meta["failures"])
+    assert meta["failures"][0]["state"] != meta["failures"][1]["state"]  # the redraw is a new state
+
+
 def test_pooled_sweep_abort_exits_3(tmp_path, monkeypatch, capsys):
     # forked workers inherit the patched solver, so every draw that reaches the
     # SDP fails in a worker; of ten seed-0 pairs at d=10, two do, one in each

@@ -496,16 +496,99 @@ def test_answer_table_is_values_ordering_violated_per_category():
     grid = np.array([0.0, t, -t, past, -past, np.nextafter(t, 0.0), 0.3, -0.3])
     d_l1, d_rel = (x.ravel() for x in np.meshgrid(grid, grid))
     table = cohkit.measures._answer_table(d_l1, d_rel)
-    assert len(table) == len(d_l1)
-    for rows, l1, rel in zip(table, d_l1.tolist(), d_rel.tolist()):
+    assert table.shape == (len(d_l1), 3)
+    for codes, l1, rel in zip(table.tolist(), d_l1.tolist(), d_rel.tolist()):
         diff = {MeasureKind.L1: l1, MeasureKind.REL_ENTROPY: rel}
-        # each category's row holds for every RoC difference in that category
-        for row, d_rocs in zip(rows, ([past, 0.7], [-past, -0.7], [0.0, t, -t])):
+        # each category's code holds for every RoC difference in that category
+        for code, d_rocs in zip(codes, ([past, 0.7], [-past, -0.7], [0.0, t, -t])):
+            row = cohkit.measures._ANSWERS[code]
             for d_roc in d_rocs:
                 diff[MeasureKind.ROC] = d_roc
                 assert row == tuple(values_ordering_violated(diff[m], diff[w])
                                     for m, w in MEASURE_PAIRS)
                 assert all(type(answer) is bool for answer in row)
+
+
+def _settle_by_category(codes, low, high):
+    """The settle rule, pair by pair: the set of codes of the categories a
+    bracket allows, settled where it holds one code, else -1."""
+    t = ORDERING_TIE_TOL
+    out = []
+    for row, lo, hi in zip(codes.tolist(), low.tolist(), high.tolist()):
+        allowed = (hi > t, lo < -t, lo <= t and hi >= -t)
+        found = {code for code, ok in zip(row, allowed) if ok}
+        out.append(found.pop() if len(found) == 1 else -1)
+    return out
+
+
+def test_the_settle_rule_matches_its_per_category_reference_at_the_edges():
+    t = ORDERING_TIE_TOL
+    ends = [-np.inf, -0.5, np.nextafter(-t, -1.0), -t, np.nextafter(-t, 0.0), 0.0,
+            np.nextafter(t, 0.0), t, np.nextafter(t, 1.0), 0.5, np.inf]
+    # code rows per category (above t, below -t, tie): all agree, or two or three differ
+    rows = [(0, 0, 0), (5, 5, 5), (1, 2, 4), (1, 1, 2), (3, 6, 6), (7, 0, 7)]
+    cases = [(lo, hi, row) for lo in ends for hi in ends for row in rows]
+    low, high, codes = (np.array(x) for x in zip(*cases))
+    settled = cohkit.measures._settle(codes, low, high)
+    assert settled.tolist() == _settle_by_category(codes, low, high)
+    # a point bracket (d, d) allows exactly the category of d
+    for d in ends:
+        category = 0 if d > t else 1 if d < -t else 2
+        point = np.full(len(rows), d)
+        assert cohkit.measures._settle(np.array(rows), point, point).tolist() == [
+            row[category] for row in rows]
+    # (-inf, inf) allows every category: a pair settles only where its rows all agree
+    everything = np.full(len(rows), np.inf)
+    assert cohkit.measures._settle(np.array(rows), -everything, everything).tolist() == [
+        row[0] if len(set(row)) == 1 else -1 for row in rows]
+
+
+def test_a_block_decides_the_same_when_its_pairs_are_reversed():
+    # a block at d = 5 whose pairs settle at every stage, pairs needing no
+    # robustness among them, decided once in order and once reversed
+    rng = np.random.default_rng(31)
+    pairs = [(random_density(5, 5, rng), random_density(5, 5, rng)) for _ in range(40)]
+    rho = random_density(5, 5, rng)
+    pairs += [(rho, rho)]
+    forward = [decide() for decide in ordering_decisions(pairs)]
+    backward = [decide() for decide in ordering_decisions(pairs[::-1])]
+    assert backward[::-1] == forward
+    assert {d.stage for d in forward} == {
+        DecisionStage.SOLVE_FREE, DecisionStage.ASCENT, DecisionStage.SOLVE}
+    assert forward[-1].roc_difference == (-np.inf, np.inf)
+
+
+def _with_rel_entropy(rho, value):
+    """``rho`` as a new state whose relative entropy of coherence reads
+    exactly ``value``: its two entropies are planted as ``value`` and 0."""
+    state = DensityMatrix.stack(rho.mat[None], rho.dims)[0]
+    state.__dict__.update(dephased_entropy_bits=value, entropy_bits=0.0)
+    return state
+
+
+def test_a_block_clamps_a_noise_level_negative_relative_entropy_to_zero():
+    # pair 3 has d_l1 > t and b's relative entropy planted at t, so the l1 :
+    # rel answer hangs on a's: read as 0 it makes d_rel = -t, a tie, and read
+    # as -1e-12 it would make d_rel < -t, a violation
+    t = ORDERING_TIE_TOL
+    rng = np.random.default_rng(32)
+    pairs = [(random_density(4, 4, rng), random_density(4, 4, rng)) for _ in range(8)]
+    a, b = sorted(pairs[3], key=lambda rho: -rho.offdiagonal_abs_sum)
+    assert a.offdiagonal_abs_sum - b.offdiagonal_abs_sum > t
+    assert values_ordering_violated(a.offdiagonal_abs_sum - b.offdiagonal_abs_sum, -1e-12 - t)
+
+    def block(rel_a):
+        planted = (_with_rel_entropy(a, rel_a), _with_rel_entropy(b, t))
+        return [decide() for decide in ordering_decisions(pairs[:3] + [planted] + pairs[4:])]
+
+    planted = block(-1e-12)
+    assert planted == block(0.0)
+    assert planted[3].violated[0] is False
+    # the clamp acts on that entry alone; the others keep their values
+    values = np.array([0.25, -1e-12, 0.0, 3.0])
+    assert cohkit.measures._finalized(values).tolist() == [0.25, 0.0, 0.0, 3.0]
+    with pytest.raises(ArithmeticError, match="below the numerical-noise floor"):
+        ordering_decisions(pairs[:3] + [(a, _with_rel_entropy(b, -1e-3))] + pairs[4:])
 
 
 def test_exact_values_settle_a_pair_on_their_difference(monkeypatch):
