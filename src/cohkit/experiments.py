@@ -15,9 +15,10 @@ Five experiments:
   C(rho) per measure.
 
 All five run on one harness, :func:`run_experiment`, on any number of
-worker processes. An experiment is a draw function and a reduction of one
-grid point's values to CSV records or rows and metadata notes (result2 has
-one grid point, its whole dimension grid). A chunk of samples goes in
+worker processes. An experiment is a draw function, a fold of a block's
+values into its chunk's tally and a reduction of one grid point's merged
+tally to CSV records or rows and metadata notes (result2 has one grid
+point, its whole dimension grid). A chunk of samples goes in
 blocks of BLOCK_SAMPLES: the draw function makes the block's draws, one per
 sample generator, each a function of no arguments that finishes its
 sample's value, and the chunk then calls each in turn. The ordering sweeps
@@ -33,7 +34,7 @@ forms of :func:`~cohkit.states.sigma_family` and
 :func:`~cohkit.states.mix_with_pure`; :func:`~cohkit.measures.subadditivity_gap`
 then takes the marginals, their closed forms and the phase witness once per
 block, and only the solve of a state the witness leaves open runs per
-sample. The sweep's reduction counts the gaps at most
+sample. The sweep's fold counts the gaps at most
 SUBADDITIVITY_COUNT_TOL; a theorem1 row raises if its gap exceeds it.
 result2 draws nothing ahead: each sample's function draws from its
 generator when called. A draw whose SDP fails to certify is drawn again
@@ -42,13 +43,17 @@ it is decided exactly like a first draw, and reported. A run has one
 failure budget, FAILURE_ABORT_FRACTION of its planned samples (at least
 1): once its failures exceed it, no chunk draws more, and the run aborts.
 Each grid point is split into one contiguous chunk of samples per worker
-(fewer if the point has fewer samples than workers). A chunk keeps exactly
-what each sample's function returns, and returns one tally of those values,
-its redrawn draws and its RoC values per dispatch method. The point's
-reduction returns its records or rows and its notes: the ordering sweeps'
-reduction counts the stage that settled each pair and lists the pairs none
-settled; the others note nothing. The run merges chunk tallies and notes by
-one rule: lists extend and counts add.
+(fewer if the point has fewer samples than workers). A chunk folds each
+finished block's values into its tally, and returns that tally with its
+redrawn draws and its RoC values per dispatch method. The sweeps fold to
+counts: fig1 counts its sub-additive samples, and the ordering sweeps count
+each (answers, stage) and list, by sample index, the pairs no stage
+settled; so on the sweeps no sample's value outlives its block, and a pool
+worker sends back counts. theorem1 and result2 keep their rows and
+deviations. The point's reduction turns the merged tally into its records
+or rows and its notes: the ordering sweeps' reduction counts the pairs
+settled at each stage; the others note nothing. The run merges chunk
+tallies and notes by one rule: lists extend and counts add.
 
 Every sample has its own generator, equal to
 ``np.random.default_rng([seed, point index, sample index])``: a chunk runs
@@ -314,40 +319,59 @@ def _result2_rows(cfg: SweepConfig, dims: tuple[int, ...], values: list) -> tupl
     return [Result2Row(kind.value, da, db, dev) for kind, (dev, da, db) in worst.items()], {}
 
 
-def _pair_records(cfg: SweepConfig, point: int, decisions: list) -> tuple[list, dict]:
-    """The point's records from its :class:`~cohkit.measures.OrderingDecision`
-    values, in sample order, and its notes: the pairs settled at each
-    :class:`DecisionStage` and, by sample index, those no stage settled. One
-    pass splits the decisions into their answers, stages and brackets, and
-    the counts are taken on those: each distinct tuple of answers is counted
-    once, and each stage by identity."""
+def _fold_decisions(point, start: int, decisions: list) -> dict:
+    """A block's :class:`~cohkit.measures.OrderingDecision` values, those of
+    samples ``start``, ``start + 1``, ..., folded: the count of each
+    (answers, stage), and the point, sample index and RoC-difference bracket
+    of each pair no stage settled. One pass splits the decisions into their
+    answers, stages and brackets."""
     violated, stages, brackets = zip(*decisions)
-    answers = Counter(violated)
-    records = [_record(cfg, int(point), sum(n for answer, n in answers.items() if answer[j]),
+    undecided = DecisionStage.UNDECIDED
+    return {
+        "values": Counter(zip(violated, stages)),
+        "undecided": [{"point": point, "sample": start + i, "roc_difference_bracket": list(bracket)}
+                      for i, (stage, bracket) in enumerate(zip(stages, brackets))
+                      if stage is undecided] if undecided in stages else [],
+    }
+
+
+def _keep(point, start: int, values: list) -> dict:
+    """The fold that keeps a block's values as they are."""
+    return {"values": values}
+
+
+def _pair_records(cfg: SweepConfig, point: int, counts: Counter) -> tuple[list, dict]:
+    """The point's records from the count of each (answers, stage) of its
+    pairs, and its notes: the pairs settled at each :class:`DecisionStage`."""
+    records = [_record(cfg, int(point), sum(n for (answers, _), n in counts.items() if answers[j]),
                        f"{m.value}:{w.value}") for j, (m, w) in enumerate(MEASURE_PAIRS)]
-    undecided = [{"point": point, "sample": i, "roc_difference_bracket": list(bracket)}
-                 for i, (stage, bracket) in enumerate(zip(stages, brackets))
-                 if stage is DecisionStage.UNDECIDED] if DecisionStage.UNDECIDED in stages else []
-    counts = Counter({s.value: stages.count(s) for s in DecisionStage})
-    return records, {"ordering_decisions": counts, "undecided": undecided}
+    stages = Counter({s.value: sum(n for (_, stage), n in counts.items() if stage is s)
+                      for s in DecisionStage})
+    return records, {"ordering_decisions": stages}
 
 
 # Per experiment: the draw function (cfg, grid point, generators) ->
-# per generator, the function that finishes its sample's value; and the
-# reduction of one grid point's values (in sample order) to its CSV records
-# or rows and its notes (counts as Counters, entries as lists, under metadata
-# keys).
+# per generator, the function that finishes its sample's value; the fold of a
+# block's values (grid point, index of the block's first sample, values in
+# sample order) to the part of the chunk's tally they add, by _merge, with the
+# folded values under "values": the count of sub-additive samples (fig1), the
+# count of each (answers, stage) plus the undecided pairs (fig2, fig3), the
+# rows or deviations themselves (theorem1, result2); and the reduction of one
+# grid point's merged "values" to its CSV records or rows and its notes
+# (counts as Counters, entries as lists, under metadata keys).
 _HARNESS = {
     Experiment.SUBADDITIVITY_SWEEP: (
         _subadd_gaps,
-        lambda cfg, p, values: (
-            [_record(cfg, p, sum(gap <= SUBADDITIVITY_COUNT_TOL for _, gap in values))], {}),
+        lambda p, start, values: {"values": Counter(
+            subadditive=sum(gap <= SUBADDITIVITY_COUNT_TOL for _, gap in values))},
+        lambda cfg, p, counts: ([_record(cfg, p, counts["subadditive"])], {}),
     ),
-    Experiment.ORDERING_VS_DIMENSION: (_ordering_pairs, _pair_records),
-    Experiment.ORDERING_VS_RANK: (_ordering_pairs, _pair_records),
-    Experiment.THEOREM1_CHECK: (_theorem1_rows, lambda cfg, n, rows: (rows, {})),
+    Experiment.ORDERING_VS_DIMENSION: (_ordering_pairs, _fold_decisions, _pair_records),
+    Experiment.ORDERING_VS_RANK: (_ordering_pairs, _fold_decisions, _pair_records),
+    Experiment.THEOREM1_CHECK: (_theorem1_rows, _keep, lambda cfg, n, rows: (rows, {})),
     Experiment.RESULT2_CHECK: (
         lambda cfg, dims, rngs: [partial(_result2_sample, dims, rng) for rng in rngs],
+        _keep,
         _result2_rows,
     ),
 }
@@ -416,8 +440,9 @@ def _sample_seed_words(seed: int, point_idx: int, start: int, stop: int) -> np.n
 
 
 def _chunk(args) -> dict:
-    """The tally of samples [start, stop) at one grid point: what each
-    sample's function returned (``"values"``), the draws that failed
+    """The tally of samples [start, stop) at one grid point: each block's
+    values folded into it by the experiment's fold (``"values"``, and the
+    ordering sweeps' ``"undecided"``), the draws that failed
     (``"failures"``) and the RoC values returned per method meanwhile
     (``"roc_methods"``).
 
@@ -429,19 +454,24 @@ def _chunk(args) -> dict:
     sample generator, and each sample's function is then called, in order,
     for its value. A draw whose SDP fails to certify is replaced by the next
     draw from the same generator, made by the same draw function as a block
-    of one. ``budget`` is the failures the run may still have: once the
-    chunk's own exceed it, the run is over its budget, and the chunk draws
-    nothing more and returns its failures alone.
+    of one. Once the block's samples all have values, the fold turns them
+    into their part of the tally, which :func:`_merge` adds in; on the
+    sweeps no sample's value outlives its block. ``budget`` is the failures
+    the run may still have: once the chunk's own exceed it, the run is over
+    its budget, and the chunk draws nothing more and returns its failures
+    alone.
     """
     cfg, point_idx, point, start, stop, budget = args
-    draw = _HARNESS[cfg.experiment][0]
-    values, failures = [], []
+    draw, fold, _ = _HARNESS[cfg.experiment]
+    tally: dict = {}
+    failures: list[dict] = []
     methods_before = ROC_METHOD_COUNTS.copy()
     words = _sample_seed_words(cfg.seed, point_idx, start, stop)
     for block_start in range(start, stop, BLOCK_SAMPLES):
         indices = range(block_start, min(block_start + BLOCK_SAMPLES, stop))
         rngs = [np.random.Generator(np.random.PCG64(_SampleSeed(row)))
                 for row in words[indices.start - start:indices.stop - start]]
+        values = []
         for sample_idx, rng, drawn in zip(indices, rngs, draw(cfg, point, rngs)):
             while True:
                 try:
@@ -454,8 +484,8 @@ def _chunk(args) -> dict:
                     return {"failures": failures}
                 log.warning("point %s, sample %d: solve failed; sample redrawn", point, sample_idx)
                 (drawn,) = draw(cfg, point, [rng])
-    return {"values": values, "failures": failures,
-            "roc_methods": ROC_METHOD_COUNTS - methods_before}
+        _merge(tally, fold(point, block_start, values))
+    return {**tally, "failures": failures, "roc_methods": ROC_METHOD_COUNTS - methods_before}
 
 
 def _chunks(samples: int, workers: int) -> list[tuple[int, int]]:
@@ -478,14 +508,15 @@ def run_experiment(cfg: SweepConfig, workers: int = 1) -> tuple[list, dict]:
     """Records (sweeps) or rows (theorem1, result2) of the run, and its tally.
 
     The chunks' tallies and the reductions' notes merge into the tally by
-    :func:`_merge`, in sample order. Each grid point's ``"values"`` go to its
-    reduction; the rest is returned. ``"failures"`` lists each redrawn draw
-    with its state, error, grid point and sample index. ``"roc_methods"``
-    counts the RoC values returned per dispatch method, over all workers,
-    including those computed for draws that were later redrawn. Only the
-    ordering sweeps' reduction adds notes, ``"ordering_decisions"`` (samples
-    per :class:`DecisionStage`) and ``"undecided"`` (point, sample and
-    RoC-difference bracket of each sample no stage could settle).
+    :func:`_merge`, in sample order. Each grid point's folded ``"values"``,
+    merged over its chunks, go to its reduction; the rest is returned.
+    ``"failures"`` lists each redrawn draw with its state, error, grid point
+    and sample index. ``"roc_methods"`` counts the RoC values returned per
+    dispatch method, over all workers, including those computed for draws
+    that were later redrawn. Only the ordering sweeps add more:
+    ``"undecided"``, from their chunks (point, sample and RoC-difference
+    bracket of each sample no stage could settle), and their reduction's
+    note ``"ordering_decisions"`` (samples per :class:`DecisionStage`).
 
     With ``workers > 1`` each grid point runs on a fresh process pool of one
     worker per chunk. The run's failure budget is FAILURE_ABORT_FRACTION of
@@ -497,7 +528,7 @@ def run_experiment(cfg: SweepConfig, workers: int = 1) -> tuple[list, dict]:
     count, and a run under budget draws exactly what it would with no
     budget.
     """
-    reduce = _HARNESS[cfg.experiment][1]
+    reduce = _HARNESS[cfg.experiment][2]
     points = [tuple(map(int, cfg.grid))] if cfg.experiment is Experiment.RESULT2_CHECK else cfg.grid
     limit = max(1.0, FAILURE_ABORT_FRACTION * cfg.samples * len(points))
     results: list = []
@@ -600,9 +631,11 @@ def run_and_save(cfg: SweepConfig, out_dir: str | Path, workers: int = 1) -> tup
     """Run the configured experiment; write `<name>.csv` and `<name>_meta.json`,
     whose extras are the run's tally (plus ``transition_estimate`` for fig1).
 
-    A run that aborts writes no CSV. Its sidecar holds the config, revision,
-    wall time and every failed draw (``failures``), and the
-    :class:`SweepAborted` it raises names that sidecar as ``meta_path``.
+    A run that aborts writes no CSV, and deletes one an earlier run left at
+    ``<name>.csv``, so the directory never pairs a CSV with the sidecar of
+    another run. Its sidecar holds the config, revision, wall time and every
+    failed draw (``failures``), and the :class:`SweepAborted` it raises names
+    that sidecar as ``meta_path``.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -615,6 +648,7 @@ def run_and_save(cfg: SweepConfig, out_dir: str | Path, workers: int = 1) -> tup
         try:
             results, extra = run_experiment(cfg, workers)
         except SweepAborted as exc:
+            csv_path.unlink(missing_ok=True)
             write_metadata(cfg, meta_path, wall_time_s=time.perf_counter() - start,
                            extra={"failures": exc.failures}, git_revision=git_revision())
             exc.meta_path = meta_path

@@ -45,7 +45,6 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 from typing import NamedTuple
@@ -107,26 +106,34 @@ _CERTIFIED = (Method.PHASE_WITNESS, Method.SOLVE_FREE_BRACKET, Method.SDP)
 ROC_METHOD_COUNTS: Counter[str] = Counter()
 
 
-@dataclass(frozen=True)
-class MeasureValue:
+class _MeasureFields(NamedTuple):
+    value: float
+    method: Method
+    certificate_gap: float | None = None
+
+
+class MeasureValue(_MeasureFields):
     """A nonnegative measure value plus how it was obtained.
 
     ``certificate_gap`` is the nonnegative duality gap of the primal/dual
     pair that brackets the value: the measure lies in ``[value, value + gap]``.
     It is present exactly when the method is PHASE_WITNESS,
-    SOLVE_FREE_BRACKET or SDP.
+    SOLVE_FREE_BRACKET or SDP; construction raises ValueError otherwise.
+
+    A named tuple, so immutable and compared by value, whose ``__new__``
+    checks that rule: it costs about what a plain tuple does, and ``roc``
+    makes one per state.
     """
 
-    value: float
-    method: Method
-    certificate_gap: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if (self.certificate_gap is not None) != (self.method in _CERTIFIED):
+    def __new__(cls, value: float, method: Method, certificate_gap: float | None = None):
+        if (certificate_gap is not None) != (method in _CERTIFIED):
             raise ValueError(
                 "certificate_gap is present iff the method is PHASE_WITNESS, "
                 "SOLVE_FREE_BRACKET or SDP"
             )
+        return tuple.__new__(cls, (value, method, certificate_gap))
 
     @property
     def upper(self) -> float:
@@ -216,7 +223,8 @@ def roc(rho: DensityMatrix, tol: float = DEFAULT_ROC_TOL) -> MeasureValue:
     else:
         ladder = _Ladder([rho], tol)
         return ladder.values[0] or ladder.solve(0)
-    ROC_METHOD_COUNTS[mv.method.value] += 1
+    # the member's _value_, as the value property is a Python call and roc runs once per state
+    ROC_METHOD_COUNTS[mv.method._value_] += 1
     return mv
 
 
@@ -549,7 +557,12 @@ def _settle(codes: np.ndarray, low: np.ndarray, high: np.ndarray) -> np.ndarray:
 
 
 class DecisionStage(Enum):
-    """Where :func:`ordering_decisions` settled a pair."""
+    """Where :func:`ordering_decisions` settled a pair.
+
+    Hashed by identity, which agrees with the members' equality: a sweep
+    counts one stage per sample, and Enum's own hash is a Python call."""
+
+    __hash__ = object.__hash__
 
     SOLVE_FREE = "solve_free"
     ASCENT = "ascent"

@@ -391,9 +391,10 @@ def test_solver_failure_exits_3(argv, state_file, tmp_path, monkeypatch, capsys)
 def test_an_aborted_sweep_keeps_its_failures_in_the_sidecar(tmp_path, monkeypatch, capsys):
     # sample 0 of seed 5 at p = 0.1 reaches the solver and fails, its redraw
     # fails too, and two failures exceed the one that thirty samples may have
-    monkeypatch.setattr(cohkit.sdp, "solve", _never_optimal)
     argv = ["fig1", "--grid", "0.1", "--samples", "30", "--seed", "5", "--threads", "1",
             "--out", str(tmp_path)]
+    assert run(argv) == 0  # a clean run first, whose CSV the aborted run deletes
+    monkeypatch.setattr(cohkit.sdp, "solve", _never_optimal)
     assert run(argv) == 3
     meta_path = tmp_path / "subadditivity_sweep_coherent_meta.json"
     err = capsys.readouterr().err.splitlines()

@@ -5,6 +5,7 @@ import shutil
 import subprocess
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -661,10 +662,15 @@ def test_a_redrawn_ordering_pair_is_decided_as_a_first_draw(monkeypatch):
     cfg, a, solve_of_a_fails, redrawn = _seed20_planted_failure()
     assert any(np.array_equal(rho.mat, a.mat) for rho in _solved_states(monkeypatch, cfg))
     expected = ordering_decisions([redrawn])[0]()
+    first_two = cohkit.experiments._chunk((cfg, 0, 5, 0, 2, 1))
     monkeypatch.setattr(cohkit.sdp, "solve", solve_of_a_fails)
     tally = cohkit.experiments._chunk((cfg, 0, 5, 0, 3, 1))  # a run of 3 samples may fail once
     assert [entry["sample"] for entry in tally["failures"]] == [2]
-    assert tally["values"][2] == expected
+    # the chunk's counts are its first two samples' plus the redrawn pair's decision
+    assert tally["values"] == first_two["values"] + Counter([(expected.violated, expected.stage)])
+    undecided = [{"point": 5, "sample": 2, "roc_difference_bracket": list(expected.roc_difference)}]
+    assert tally["undecided"] == first_two["undecided"] + (
+        undecided if expected.stage is DecisionStage.UNDECIDED else [])
 
 
 def test_redraws_do_not_depend_on_the_worker_count(monkeypatch):
@@ -701,8 +707,8 @@ def test_a_chunk_hands_each_sample_its_own_generator(monkeypatch):
         blocks.append([rng.bit_generator.state for rng in rngs])
         return [lambda: None for _ in rngs]
 
-    reduce = cohkit.experiments._HARNESS[cfg.experiment][1]
-    monkeypatch.setitem(cohkit.experiments._HARNESS, cfg.experiment, (capture, reduce))
+    _, *fold_and_reduce = cohkit.experiments._HARNESS[cfg.experiment]
+    monkeypatch.setitem(cohkit.experiments._HARNESS, cfg.experiment, (capture, *fold_and_reduce))
     cohkit.experiments._chunk((cfg, 3, (2, 3), 5, 140, 1))
     assert [len(block) for block in blocks] == [64, 64, 7]
     expected = [np.random.default_rng([11, 3, i]).bit_generator.state for i in range(5, 140)]
@@ -738,8 +744,26 @@ def test_a_redrawn_sample_is_listed_whatever_the_block_size(monkeypatch, block):
     (entry,) = tally["failures"]
     assert entry["state"] == a.to_json_dict()
     assert (entry["point"], entry["sample"]) == (5, 2)
-    # the chunk keeps each sample's decision; a bracket settles the redrawn pair
-    assert [d.stage for d in tally["values"]] == [DecisionStage.SOLVE_FREE] * 3
+    # the chunk counts each sample's decision; a bracket settles the redrawn pair
+    stages = Counter()
+    for (_, stage), n in tally["values"].items():
+        stages[stage] += n
+    assert stages == {DecisionStage.SOLVE_FREE: 3}
+    assert tally["undecided"] == []
+
+
+def test_a_rank_one_chunk_folds_its_samples_into_counts():
+    # the tally of a fig3 rank-1 chunk has one shape whatever its sample
+    # count: its values are counts, and only its failures and undecided pairs
+    # may grow with the samples
+    cfg = SweepConfig(experiment=Experiment.ORDERING_VS_RANK, samples=300, seed=0, grid=(1,))
+    small, large = (cohkit.experiments._chunk((cfg, 0, 1, 0, n, 1)) for n in (3, 300))
+    assert small.keys() == large.keys()
+    for tally, n in ((small, 3), (large, 300)):
+        assert isinstance(tally["values"], Counter) and tally["values"].total() == n
+        assert len(tally["values"]) <= 2 ** len(MEASURE_PAIRS) * len(DecisionStage)
+        lists = {key for key, item in tally.items() if isinstance(item, list)}
+        assert lists <= {"failures", "undecided"}
 
 
 @pytest.mark.parametrize("workers", [1, 2])

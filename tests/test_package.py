@@ -27,6 +27,20 @@ def test_each_submodule_imports_on_its_own(name):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_importing_the_cli_freezes_the_import_heap():
+    # A fresh interpreter, as a CLI run is: the objects the imports leave are
+    # frozen, so no collection during the run traverses them.
+    proc = subprocess.run(
+        [sys.executable, "-c", "import gc, cohkit.cli; print(gc.get_freeze_count())"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(SRC)},
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert int(proc.stdout) > 0
+
+
 def test_package_reexports_nothing():
     # Every public name has one import path: the submodule that defines it.
     names = {
