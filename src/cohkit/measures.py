@@ -7,23 +7,23 @@ Three measures are provided:
 * robustness of coherence: least admixture weight of any state that makes
   the mixture incoherent. Every RoC value and bracket comes from one
   certified-bracket ladder (docs/roc-sdp.md, "The rung table"). Rung 0 is
-  ``roc``'s closed forms, for single qubits and pure states (the code
-  indexes ``_RUNGS`` from 0 at the witness instead). The other states of a
-  block then climb, as one numpy stack, the table ``_RUNGS`` in cost
-  order: a rank-one phase witness that certifies RoC = l1 for states
+  ``roc``'s closed forms, for single qubits and pure states. The other
+  states of a block then take, as one numpy stack, the stacked rungs in
+  cost order: a rank-one phase witness that certifies RoC = l1 for states
   whose off-diagonal phases factor as u_i conj(u_j), an eigenvector
-  bracket and a phase ascent. The certified SDP, per state, comes last. One
-  loop, :meth:`_Ladder.climb`, runs each rung on the states the caller's
-  rule leaves open and intersects the brackets it certifies. In value mode
-  (``roc``, :func:`subadditivity_gap`) a state is open until the solver's
-  gap rule gives it a value, and the witness is followed directly by the
-  SDP. In decision mode (:func:`ordering_decisions`) that rule holds through
-  the witness and the eigen bracket; then a state is open while its pair is
-  not settled, up the ascent and through the SDP's ``accept``. A block's
-  brackets are two float arrays, intersected with each rung's certified
-  bounds in one pass, and one settle rule, :func:`_settle`, decides pairs
-  on arrays: a pair is settled where every category of its RoC difference
-  that the bracket allows has the same answers.
+  bracket and a phase ascent. The certified SDP, per state, comes last.
+  :meth:`_Ladder.run` runs one stacked rung on the states it is given and
+  intersects the brackets it certifies, and each mode calls the rungs it
+  needs in turn. Value mode (``roc``, :func:`subadditivity_gap`) runs the
+  witness, then the SDP on each state whose witness fails the solver's gap
+  rule. Decision mode (:func:`ordering_decisions`) runs the witness, the
+  eigen bracket on the states the witness left open, the ascent on the
+  states of the pairs still open, and the SDP on a pair still open, up to
+  the iterate that settles it. A block's brackets are two float arrays,
+  intersected with each rung's certified bounds in one pass, and one
+  settle rule, :func:`_settle`, decides pairs on arrays: a pair is settled
+  where every category of its RoC difference that the bracket allows has
+  the same answers.
   ``ROC_METHOD_COUNTS`` counts the values each rung has given in this
   process, each once, where it is made: the closed forms in ``roc``, the
   rest in :class:`_Ladder`. The ascent gives brackets, not values, so it
@@ -183,9 +183,9 @@ def _unit_phases(v: np.ndarray) -> np.ndarray:
 
 
 def roc(rho: DensityMatrix, tol: float = DEFAULT_ROC_TOL) -> MeasureValue:
-    """Robustness of coherence: the state's climb of the certified-bracket
-    ladder (docs/roc-sdp.md, "The rung table") as a block of one, in value
-    mode. First match wins:
+    """Robustness of coherence: the certified-bracket ladder (docs/roc-sdp.md,
+    "The rung table") on the state as a block of one, in value mode
+    (:class:`_Ladder`). First match wins:
 
     1. single qubits: the closed form 2|rho_01|;
     2. states that are rank one within PURE_EIG_TOL: the pure-state identity
@@ -209,7 +209,7 @@ def roc(rho: DensityMatrix, tol: float = DEFAULT_ROC_TOL) -> MeasureValue:
     at most ``tol * max(1, primal)``. On the witness path it is rounding (the
     two objectives agree exactly for such states), so the value is RoC = l1
     to rounding, while an SDP value at the default ``tol`` may sit up to
-    about 2e-8 low. A caller that needs less than a value climbs the ladder
+    about 2e-8 low. A caller that needs less than a value runs the ladder
     in decision mode, as :func:`ordering_decisions` does.
 
     Raises ValueError for a ``tol`` outside (0, 1), whatever the state
@@ -316,25 +316,8 @@ def _factorizable(slack: np.ndarray) -> np.ndarray:
     return np.ones(len(slack), dtype=bool)
 
 
-# The stacked rungs of the certified-bracket ladder in cost order, each with
-# the method of the values it gives (docs/roc-sdp.md, "The rung table"). A
-# rung maps the stack of the states still open, and the phases the rung
-# before left them, to each state's certified dual and primal objectives and
-# its phases. The witness gives a PHASE_WITNESS value to each state whose
-# two objectives pass the solver's gap rule; the eigen bracket gives each
-# state it runs on a SOLVE_FREE_BRACKET value, its bracket; the ascent gives
-# none. Rung 0, the closed forms, comes first and the SDP, per state, last
-# (:class:`_Ladder`); neither is in the table, whose index starts at 0 at the
-# witness (:meth:`_Ladder.climb`).
-_RUNGS = (
-    (_witness, Method.PHASE_WITNESS),
-    (_eigen_bracket, Method.SOLVE_FREE_BRACKET),
-    (_ascent, None),
-)
-
-
 class _Ladder:
-    """The climb of a block of states sharing one dimension up the ladder.
+    """A block of states sharing one dimension on the ladder.
 
     Per state ``k``: ``values[k]``, its value once it has one (its SDP value
     replaces a first one), and its bracket ``[lo[k], hi[k]]`` on the
@@ -346,12 +329,14 @@ class _Ladder:
     resets the bracket to the value's own ``[value, upper]``. ``tol`` is the
     gap rule's, for the witness and the SDP.
 
-    Construction climbs both modes' common start, which is all of value
-    mode: rung 0 gives each qubit or pure state :func:`roc`'s closed form,
-    one state at a time; the others, ``stacked`` (their indices, ascending;
-    the i-th is row i of the stack ``m`` and of its phases ``u``), climb the
-    witness as one stack. In value mode a state the witness leaves open then
-    takes the SDP.
+    Construction runs both modes' common start, which is all of value mode:
+    rung 0 gives each qubit or pure state :func:`roc`'s closed form, one
+    state at a time; the others, ``stacked`` (their indices, ascending; the
+    i-th is row i of the stack ``m`` and of its phases ``u``), run the
+    witness as one stack, which gives a PHASE_WITNESS value to each whose
+    two objectives pass the gap rule. In value mode a state the witness
+    leaves open then takes the SDP (:meth:`solve`); decision mode calls
+    :meth:`bracket`, the ascent through :meth:`run`, then :meth:`solve`.
     """
 
     def __init__(self, states: list[DensityMatrix], tol: float):
@@ -364,34 +349,36 @@ class _Ladder:
         self.stacked = np.flatnonzero(unvalued)
         self.m = np.array([states[k].mat for k in self.stacked.tolist()])
         self.u = np.ones(self.m.shape[:2], dtype=complex)
-        self.climb(lambda ladder, rung: ladder.stacked if rung == 0 else [])
+        dual, primal = self.run(_witness, self.stacked)
+        passed = sdp.passes_gap_rule(primal, dual, tol)
+        for k, dl, pr in zip(self.stacked[passed].tolist(), dual[passed].tolist(),
+                             primal[passed].tolist()):
+            self.give(k, _pair_value(Method.PHASE_WITNESS, dl, pr))
 
-    def climb(self, still_open: Callable[["_Ladder", int], Sequence[int] | np.ndarray]) -> None:
-        """The ladder's one loop: run each rung of _RUNGS in turn on the
-        stack of the states ``still_open(self, i)`` names for rung ``i`` (some
-        of ``stacked``), in its order, intersect the objectives the rung certifies into their
-        brackets, and give the values it gives. ``still_open`` is the caller's
-        rule for which states are still open. ``i`` is the rung's index in
-        _RUNGS, 0 for the witness, 1 the eigen bracket and 2 the ascent, not
-        the docstrings' rung number, in which rung 0 is the closed forms."""
-        for i, (rung, method) in enumerate(_RUNGS):
-            at = np.asarray(still_open(self, i), dtype=int)
-            if not at.size:
-                continue
-            rows = np.searchsorted(self.stacked, at)
-            dual, primal, self.u[rows] = rung(self.m[rows], self.u[rows])
-            self.tighten(at, dual, primal)
-            if method is Method.PHASE_WITNESS:
-                passed = sdp.passes_gap_rule(primal, dual, self.tol)
-                for k, dl, pr in zip(at[passed].tolist(), dual[passed].tolist(),
-                                     primal[passed].tolist()):
-                    self.give(k, _pair_value(method, dl, pr))
-            elif method is Method.SOLVE_FREE_BRACKET:
-                # the upper end primal - 1 is tighter than lo + (primal - dual) for dual < 1
-                lo = self.lo[at]
-                gap = np.fmax(0.0, self.hi[at] - lo)
-                for k, value, g in zip(at.tolist(), lo.tolist(), gap.tolist()):
-                    self.give(k, MeasureValue(value, method, certificate_gap=g))
+    def run(self, rung: Callable, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Run the stacked ``rung`` (:func:`_witness`, :func:`_eigen_bracket`
+        or :func:`_ascent`) on the stack of the states ``at``, some of
+        ``stacked`` in the caller's order, from the phases the rung before
+        left them; intersect the certified ``[dual - 1, primal - 1]`` into
+        their brackets and return ``(dual, primal)``. An empty ``at`` runs
+        nothing and is returned as both."""
+        if not at.size:
+            return at, at
+        rows = np.searchsorted(self.stacked, at)
+        dual, primal, self.u[rows] = rung(self.m[rows], self.u[rows])
+        self.tighten(at, dual, primal)
+        return dual, primal
+
+    def bracket(self) -> None:
+        """The eigen-bracket rung on every state the witness left open, in
+        order: each takes its bracket as a SOLVE_FREE_BRACKET value."""
+        at = np.array([k for k in self.stacked.tolist() if self.values[k] is None], dtype=int)
+        self.run(_eigen_bracket, at)
+        # the upper end primal - 1 is tighter than lo + (primal - dual) for dual < 1
+        lo = self.lo[at]
+        gap = np.fmax(0.0, self.hi[at] - lo)
+        for k, value, g in zip(at.tolist(), lo.tolist(), gap.tolist()):
+            self.give(k, MeasureValue(value, Method.SOLVE_FREE_BRACKET, certificate_gap=g))
 
     def tighten(self, k: int | np.ndarray, dual: float | np.ndarray,
                 primal: float | np.ndarray) -> None:
@@ -452,8 +439,6 @@ def ancilla_deviations(rho: DensityMatrix, ancilla: DensityMatrix) -> tuple[floa
     )
 
 
-
-
 def subadditivity_gap(states: Sequence[DensityMatrix]) -> list[Callable[[], tuple[float, float]]]:
     """Per state of a block sharing one all-qubit factorization, a function
     that returns its robustness and its sub-additivity gap: that robustness
@@ -464,8 +449,8 @@ def subadditivity_gap(states: Sequence[DensityMatrix]) -> list[Callable[[], tupl
     sum, in order, of ``roc`` over its marginals. What needs no solve runs
     once for the block, on numpy stacks: each marginal
     (:func:`cohkit.linalg.partial_trace`, validated by
-    :meth:`DensityMatrix.stack`), its closed form 2|rho_01|, and the block's
-    climb of the ladder in value mode at DEFAULT_ROC_TOL (:class:`_Ladder`):
+    :meth:`DensityMatrix.stack`), its closed form 2|rho_01|, and the
+    block's ladder in value mode at DEFAULT_ROC_TOL (:class:`_Ladder`):
     the closed form or phase witness ``roc`` would return. A state's
     function takes that value, or else the SDP at DEFAULT_ROC_TOL, raising
     :class:`cohkit.sdp.SolverFailure` there. Only then does it count the
@@ -616,18 +601,19 @@ def ordering_decisions(
     SOLVE_FREE on the bracket ``(-inf, inf)``, and its states are never
     measured.
 
-    The states of the other pairs climb the ladder as one block, in
-    decision mode (:class:`_Ladder`). Rung 0 and the witness give the
-    closed forms and phase-witness values; the eigen bracket gives every
-    state the witness leaves open, by the gap rule at DEFAULT_ROC_TOL, a
-    SOLVE_FREE_BRACKET value. Only then is each pair settled on these first
-    values (SOLVE_FREE). The states whose value is a SOLVE_FREE_BRACKET and
-    whose pair is still open take the phase ascent as one stack, widest
-    bracket first within each pair, and the pairs still open are settled
-    again (ASCENT). Running both states' ascents at once settles the same
-    pairs as running the wider one first, since a bracket never widens.
+    The states of the other pairs make one :class:`_Ladder`, whose rung 0
+    and witness give the closed forms and phase-witness values. Decision
+    mode is then four calls: :meth:`_Ladder.bracket` gives every state the
+    witness leaves open, by the gap rule at DEFAULT_ROC_TOL, its eigen
+    bracket as a SOLVE_FREE_BRACKET value; each pair is settled on these
+    first values (SOLVE_FREE); :meth:`_Ladder.run` runs the phase ascent,
+    as one stack, on the states whose value is a SOLVE_FREE_BRACKET and
+    whose pair is still open, widest bracket first within each pair; and
+    the pairs still open are settled again (ASCENT). Running both states'
+    ascents at once settles the same pairs as running the wider one first,
+    since a bracket never widens.
 
-    A pair still open climbs the SDP rung when its function is called: one
+    A pair still open takes the SDP rung when its function is called: one
     solve per such state at DEFAULT_ROC_TOL, widest bracket first, whose
     ``accept`` hook intersects each certified iterate's ``[dual - 1, primal -
     1]`` into the state's bracket and ends the solve as soon as the pair is
@@ -674,18 +660,10 @@ def ordering_decisions(
             decisions[j] = OrderingDecision(_ANSWERS[c], stage, bracket)
         return at[~done]
 
-    unsettled = np.arange(len(needed))
-
-    def still_open(ladder: _Ladder, rung: int) -> Sequence[int] | np.ndarray:  # index in _RUNGS
-        nonlocal unsettled
-        if rung == 1:  # the eigen bracket, under the witness's gap rule
-            return [k for k in ladder.stacked.tolist() if ladder.values[k] is None]
-        if rung == 2:
-            unsettled = settle(unsettled, DecisionStage.SOLVE_FREE)
-            return ladder.widest_first(unsettled) if unsettled.size else []
-        return []
-
-    ladder.climb(still_open)
+    ladder.bracket()
+    unsettled = settle(np.arange(len(needed)), DecisionStage.SOLVE_FREE)
+    # skips widest_first's numpy calls where no pair is open, as on every rank-1 block
+    ladder.run(_ascent, ladder.widest_first(unsettled) if unsettled.size else unsettled)
     settle(unsettled, DecisionStage.ASCENT)
 
     def decide(j: int, i: int) -> OrderingDecision:

@@ -17,8 +17,10 @@ from cohkit.measures import (
     MeasureValue,
     Method,
     _ascent,
+    _eigen_bracket,
     _Ladder,
     _pair_value,
+    _witness,
     compute_measure,
     l1_coherence,
     ordering_decisions,
@@ -56,8 +58,7 @@ def _solve_free_values(states, decision):
 
     ladder = _Ladder(states, DEFAULT_ROC_TOL)
     if decision:
-        ladder.climb(lambda ladder, rung: [k for k in ladder.stacked
-                                           if ladder.values[k] is None] if rung == 1 else [])
+        ladder.bracket()
     return ladder.values
 
 
@@ -929,15 +930,15 @@ def _tight_below_loose_above(rho):
     return bottom, _solve_free_roc(rho, True).upper + 1.0
 
 
-def _stacked(bracket):
-    """A rung table whose ascent rung gives each matrix of the stack the
-    one-state bracket ``bracket``, as objectives."""
+def _stacked_ascent(bracket):
+    """An ascent rung that gives each matrix of the stack the one-state
+    bracket ``bracket``, as objectives."""
 
     def ascent(m, u):
         lo, hi = zip(*(bracket(DensityMatrix(mat)) for mat in m))
         return np.array(lo) + 1.0, np.array(hi) + 1.0, u
 
-    return cohkit.measures._RUNGS[:2] + ((ascent, None),)
+    return ascent
 
 
 @pytest.mark.parametrize(
@@ -946,7 +947,7 @@ def _stacked(bracket):
 def test_the_ascent_never_widens_a_solve_free_bracket(ascent, monkeypatch):
     # the open pairs of each dimension decided as one block, so each ascent
     # runs on a stack
-    monkeypatch.setattr(cohkit.measures, "_RUNGS", _stacked(ascent))
+    monkeypatch.setattr(cohkit.measures, "_ascent", _stacked_ascent(ascent))
     ascent_settled = 0
     for pairs in _one_dimension_blocks(_open_pairs()):
         first = [(_solve_free_roc(a, True), _solve_free_roc(b, True)) for a, b in pairs]
@@ -979,7 +980,7 @@ def test_ordering_decisions_and_their_calls_are_pinned(monkeypatch):
     pairs = list(_decision_pairs()) + _open_pairs()
     calls = []
     real_roc, real_solve = roc, sdp.solve
-    (witness, witness_method), eigen, (ascent, ascent_method) = cohkit.measures._RUNGS
+    witness, ascent = cohkit.measures._witness, cohkit.measures._ascent
     states, names = {}, {}
 
     def recording_roc(rho, tol=DEFAULT_ROC_TOL):
@@ -1000,8 +1001,8 @@ def test_ordering_decisions_and_their_calls_are_pinned(monkeypatch):
         return sol
 
     monkeypatch.setattr(cohkit.measures, "roc", recording_roc)
-    monkeypatch.setattr(cohkit.measures, "_RUNGS", (
-        (recording_witness, witness_method), eigen, (recording_ascent, ascent_method)))
+    monkeypatch.setattr(cohkit.measures, "_witness", recording_witness)
+    monkeypatch.setattr(cohkit.measures, "_ascent", recording_ascent)
     monkeypatch.setattr(sdp, "solve", recording_solve)
     violated, stages, record = [], [], []
     for a, b in pairs:
@@ -1015,6 +1016,53 @@ def test_ordering_decisions_and_their_calls_are_pinned(monkeypatch):
     assert hashlib.sha256(repr(violated).encode()).hexdigest() == VIOLATED_HASH
     assert hashlib.sha256(repr(stages).encode()).hexdigest() == STAGE_HASH
     assert hashlib.sha256(repr(record).encode()).hexdigest() == DECISION_HASH
+
+
+def test_each_mode_runs_its_own_rungs(monkeypatch):
+    # value mode runs the witness and then the SDP: with the eigen bracket and
+    # the ascent raising, roc and subadditivity_gap give their values unchanged
+    rng = np.random.default_rng(87)
+    singles = [random_density(2, 2, rng), pure_density(haar_random_pure(5, rng)),
+               WITNESS_STATES["rotated-d5"], random_density(4, 4, rng)]
+    kmax = sigma_kmax(2)
+    fig1 = mix_with_pure(sigma_family(2, [0.0, kmax / 2, kmax]), maximally_coherent(4), 0.06)
+    values = [roc(rho) for rho in singles + fig1]
+    gaps = [value_and_gap() for value_and_gap in subadditivity_gap(fig1)]
+    assert {mv.method for mv in values} == {
+        Method.CLOSED_FORM_QUBIT, Method.PURE_STATE_L1, Method.PHASE_WITNESS, Method.SDP}
+    assert {roc(rho).method for rho in fig1} == {Method.PHASE_WITNESS, Method.SDP}
+
+    def unexpected(m, u):
+        raise AssertionError("a decision-mode rung ran in value mode")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(cohkit.measures, "_eigen_bracket", unexpected)
+        patch.setattr(cohkit.measures, "_ascent", unexpected)
+        assert [roc(rho) for rho in singles + fig1] == values
+        assert [value_and_gap() for value_and_gap in subadditivity_gap(fig1)] == gaps
+
+    # decision mode runs the eigen bracket at most once per block, on exactly
+    # the states the witness left open, in ascending order
+    eigen, stacks = cohkit.measures._eigen_bracket, []
+
+    def recording_eigen(m, u):
+        stacks.append(m.copy())
+        return eigen(m, u)
+
+    monkeypatch.setattr(cohkit.measures, "_eigen_bracket", recording_eigen)
+    bracketed = 0
+    for pairs in _mixed_blocks():
+        stacks.clear()
+        decisions = [decide() for decide in ordering_decisions(pairs)]
+        # a pair that needs no robustness keeps the bracket (-inf, inf) and is never measured
+        expected = [rho.mat for (a, b), decision in zip(pairs, decisions)
+                    if decision.roc_difference != (-np.inf, np.inf)
+                    for rho in (a, b) if _solve_free_roc(rho, False) is None]
+        assert len(stacks) == (1 if expected else 0)
+        if expected:
+            assert np.array_equal(stacks[0], np.stack(expected))
+            bracketed += len(expected)
+    assert bracketed > 10
 
 
 def test_a_primal_whose_slack_fails_cholesky_is_never_used(monkeypatch):
@@ -1169,7 +1217,7 @@ def test_stacked_brackets_equal_each_matrix_alone():
             continue
         m = np.stack([rho.mat for rho in states])
         u = np.ones(m.shape[:2], dtype=complex)
-        for rung, _ in cohkit.measures._RUNGS:  # each from the phases the one before left
+        for rung in (_witness, _eigen_bracket, _ascent):  # each from the phases the one before left
             stacked = rung(m, u)
             for k in range(len(states)):
                 alone = rung(m[k:k + 1], u[k:k + 1])

@@ -1,5 +1,6 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -59,6 +60,30 @@ def test_pyproject_version_is_the_package_version():
         pytest.skip("cohkit is not running from its source tree")
     with pyproject.open("rb") as fh:
         assert tomllib.load(fh)["project"]["version"] == cohkit.__version__
+
+
+def test_every_third_party_import_of_the_tests_is_a_declared_dependency():
+    # an environment built from ".[test]" collects every test file: each
+    # top-level module the tests import from outside the standard library
+    # and cohkit is named in dependencies or in the test extra
+    tomllib = pytest.importorskip("tomllib", reason="tomllib needs Python 3.11")
+    pyproject = SRC.parent / "pyproject.toml"
+    if not pyproject.is_file():
+        pytest.skip("cohkit is not running from its source tree")
+    with pyproject.open("rb") as fh:
+        project = tomllib.load(fh)["project"]
+    requirements = project["dependencies"] + project["optional-dependencies"]["test"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", req)[0].lower().replace("-", "_")
+                for req in requirements}
+    imported = set()
+    for path in Path(__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"cohkit"}
+    assert third_party and third_party <= declared, third_party - declared
 
 
 def _public_definitions(tree: ast.Module) -> set[str]:

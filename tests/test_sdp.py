@@ -426,7 +426,7 @@ def _decision_first_value(rho):
     one: rung 0's closed form, else the witness's or the eigen bracket's."""
 
     ladder = _Ladder([rho], DEFAULT_ROC_TOL)
-    ladder.climb(lambda ladder, rung: [0] if rung == 1 and ladder.values[0] is None else [])
+    ladder.bracket()
     return ladder.values[0]
 
 
