@@ -57,20 +57,22 @@ tallies and notes by one rule: lists extend and counts add.
 
 Every sample has its own generator, equal to
 ``np.random.default_rng([seed, point index, sample index])``: a chunk runs
-numpy's SeedSequence hash over its whole sample range as one numpy pass
-(:func:`_sample_seed_words`) and seeds each sample's PCG64 from its row. So
-at a fixed BLAS thread count results are byte-identical regardless of worker
-count, scheduling or block size. The BLAS thread count can change the last
-bits of solver values, and with them the value columns of
+numpy's SeedSequence hash over its samples as one numpy pass per SEED_SPAN
+samples (:func:`_sample_seed_words`) and seeds each sample's PCG64 from its
+row. So at a fixed BLAS thread count results are byte-identical regardless
+of worker count, scheduling or block size. The BLAS thread count can change
+the last bits of solver values, and with them the value columns of
 ``theorem1_check``; importing :mod:`cohkit.cli` pins it to one unless the
 environment sets it. :func:`run_and_save` writes CSV plus a JSON metadata
 sidecar holding the run's tally: every redrawn draw (``failures``), the RoC
 values per dispatch method (``roc_methods``, counting each solve of
 :func:`~cohkit.measures.ordering_decisions` as one ``sdp`` value, also one it
-stopped early) and, for the ordering sweeps, the samples settled at each
-stage of that function (``ordering_decisions``) and those no stage settled
-(``undecided``). A run that aborts writes only the sidecar, with its
-config, revision, wall time and every failed draw.
+stopped early, and under ``solve_free_bracket`` the states its eigen rung
+bracketed, though that rung gives brackets, not values) and, for the
+ordering sweeps, the samples settled at each stage of that function
+(``ordering_decisions``) and those no stage settled (``undecided``). A run
+that aborts writes only the sidecar, with its config, revision, wall time
+and every failed draw.
 Every experiment's records or rows are dataclasses whose fields are the CSV
 columns, in order, so one writer, :func:`write_sweep_csv`, serves them all.
 """
@@ -132,6 +134,12 @@ SUBADDITIVITY_COUNT_TOL = 1e-9
 FAILURE_ABORT_FRACTION = 1e-3
 # Samples a chunk draws, validates and measures as one numpy stack.
 BLOCK_SAMPLES = 64
+# Samples whose seed words a chunk hashes in one numpy pass. A pass holds
+# about 180 bytes per sample at its peak, so one over a chunk of 5e7 samples
+# would need 9 GB, and one over 4096 samples 0.7 MB. From about 1000 samples
+# on, a pass costs about 0.1 us per sample (2-vCPU x86 VM), so spans of 4096
+# hash as fast as one pass over the whole chunk.
+SEED_SPAN = 64 * BLOCK_SAMPLES
 
 
 class Experiment(Enum):
@@ -170,7 +178,10 @@ class SweepConfig:
     dim: int = 10  # ambient dimension for the rank sweep
 
     def __post_init__(self):
-        object.__setattr__(self, "grid", tuple(self.grid))
+        # numpy scalars become the equal Python ones, which the seed hash and the sidecar's JSON read
+        for name in ("samples", "seed", "dim"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name)).item())
+        object.__setattr__(self, "grid", tuple(np.asarray(v).item() for v in self.grid))
         if not 1 <= self.samples <= 2**32:
             raise ValueError("samples must lie in [1, 2**32], so a sample index is one seed word")
         if self.seed < 0:
@@ -446,8 +457,8 @@ def _chunk(args) -> dict:
     (``"failures"``) and the RoC values returned per method meanwhile
     (``"roc_methods"``).
 
-    The seed words of every sample are hashed once for the chunk, by
-    :func:`_sample_seed_words`. The samples go in blocks of BLOCK_SAMPLES:
+    The seed words of the samples are hashed by :func:`_sample_seed_words`,
+    SEED_SPAN samples at a time. The samples go in blocks of BLOCK_SAMPLES:
     each sample of a block gets a PCG64 generator seeded from its row, equal
     to ``np.random.default_rng([cfg.seed, point_idx, i])`` for sample i, the
     draw function makes the whole block's draws at once, one function per
@@ -466,11 +477,11 @@ def _chunk(args) -> dict:
     tally: dict = {}
     failures: list[dict] = []
     methods_before = ROC_METHOD_COUNTS.copy()
-    words = _sample_seed_words(cfg.seed, point_idx, start, stop)
+    rows = (row for span in range(start, stop, SEED_SPAN)
+            for row in _sample_seed_words(cfg.seed, point_idx, span, min(span + SEED_SPAN, stop)))
     for block_start in range(start, stop, BLOCK_SAMPLES):
         indices = range(block_start, min(block_start + BLOCK_SAMPLES, stop))
-        rngs = [np.random.Generator(np.random.PCG64(_SampleSeed(row)))
-                for row in words[indices.start - start:indices.stop - start]]
+        rngs = [np.random.Generator(np.random.PCG64(_SampleSeed(next(rows)))) for _ in indices]
         values = []
         for sample_idx, rng, drawn in zip(indices, rngs, draw(cfg, point, rngs)):
             while True:

@@ -14,20 +14,23 @@ Three measures are provided:
   bracket and a phase ascent. The certified SDP, per state, comes last.
   :meth:`_Ladder.run` runs one stacked rung on the states it is given and
   intersects the brackets it certifies, and each mode calls the rungs it
-  needs in turn. Value mode (``roc``, :func:`subadditivity_gap`) runs the
-  witness, then the SDP on each state whose witness fails the solver's gap
-  rule. Decision mode (:func:`ordering_decisions`) runs the witness, the
-  eigen bracket on the states the witness left open, the ascent on the
-  states of the pairs still open, and the SDP on a pair still open, up to
-  the iterate that settles it. A block's brackets are two float arrays,
-  intersected with each rung's certified bounds in one pass, and one
-  settle rule, :func:`_settle`, decides pairs on arrays: a pair is settled
-  where every category of its RoC difference that the bracket allows has
-  the same answers.
+  needs in turn. A stacked rung's primal is certified by one rule,
+  :func:`_primal`, a Cholesky factorization of its slack, except the
+  witness's, which is feasible by diagonal dominance. Value mode (``roc``,
+  :func:`subadditivity_gap`) runs the witness, then the SDP on each state
+  whose witness fails the solver's gap rule. Decision mode
+  (:func:`ordering_decisions`) runs the witness, the eigen bracket on the
+  states the witness left open, the ascent on the states of the pairs
+  still open, and the SDP on a pair still open, up to the iterate that
+  settles it; the eigen bracket and the ascent give brackets, not values.
+  A block's brackets are two float arrays, intersected with each rung's
+  certified bounds in one pass, and one settle rule, :func:`_settle`,
+  decides pairs on arrays: a pair is settled where every category of its
+  RoC difference that the bracket allows has the same answers.
   ``ROC_METHOD_COUNTS`` counts the values each rung has given in this
   process, each once, where it is made: the closed forms in ``roc``, the
-  rest in :class:`_Ladder`. The ascent gives brackets, not values, so it
-  counts nothing.
+  rest in :class:`_Ladder`, which also counts each state the eigen bracket
+  runs on once as SOLVE_FREE_BRACKET. The ascent counts nothing.
 
 Also here: the change in each measure when an ancilla is appended, the
 robustness and sub-additivity gap over qubit marginals of each state of a
@@ -259,21 +262,15 @@ def _witness(m: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
 def _eigen_bracket(m: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidates 3 and 4 on a stack, from one ``eigh`` of O = rho - Diag(rho):
     the dual from the phases of O's top eigenvector, which it returns; the
-    primal d_i = rho_ii + lambda_max(O) + BRACKET_SLACK_SHIFT, infinite where
-    a Cholesky factorization of its slack, lambda_max(O) +
-    BRACKET_SLACK_SHIFT on the diagonal and -rho_ij off it, fails
-    (:func:`_factorizable`). Reads no phases."""
+    primal (:func:`_primal`) at d_i = rho_ii + lambda_max(O) +
+    BRACKET_SLACK_SHIFT. Reads no phases."""
     idx = np.arange(m.shape[-1])
     off = m.copy()
     off[:, idx, idx] = 0.0
     w, v = np.linalg.eigh(off)
     u = _unit_phases(v[..., -1])
-    shift = w[:, -1] + BRACKET_SLACK_SHIFT
-    slack = -m
-    slack[:, idx, idx] = shift[:, None]
-    # summed as C-ordered rows, so each row's sum is its single-matrix sum
-    objective = (m.diagonal(axis1=-2, axis2=-1).real + shift[:, None]).sum(-1)
-    return np.vecdot(u, _matvec(m, u)).real, np.where(_factorizable(slack), objective, np.inf), u
+    d = m.diagonal(axis1=-2, axis2=-1).real + (w[:, -1] + BRACKET_SLACK_SHIFT)[:, None]
+    return np.vecdot(u, _matvec(m, u)).real, _primal(m, d), u
 
 
 def _ascent(m: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -282,10 +279,9 @@ def _ascent(m: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     Dual: ASCENT_STEPS minorize-maximize steps u <- phases(rho u), each one
     batched product over the stack; none can lower u^dag rho u, which is
     convex in u. The best objective seen is the dual; the last u is returned.
-    Primal: the complementary-slackness point d_i = |(rho u)_i| + c for the
-    last u, with c = max(0, -lambda_min(Diag|rho u| - rho)) +
-    BRACKET_SLACK_SHIFT, infinite where a Cholesky factorization of its slack
-    fails (:func:`_factorizable`).
+    Primal (:func:`_primal`): the complementary-slackness point d_i =
+    |(rho u)_i| + c for the last u, with c = max(0, -lambda_min(Diag|rho u| -
+    rho)) + BRACKET_SLACK_SHIFT.
     """
     r = _matvec(m, u)
     dual = np.vecdot(u, r).real
@@ -296,38 +292,43 @@ def _ascent(m: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     mod = np.abs(r)
     c = np.maximum(0.0, -np.linalg.eigvalsh(_diagonal_minus(mod, m))[:, 0])
     d = (mod + c[:, None]) + BRACKET_SLACK_SHIFT
-    return dual, np.where(_factorizable(_diagonal_minus(d, m)), d.sum(-1), np.inf), u
+    return dual, _primal(m, d), u
 
 
-def _factorizable(slack: np.ndarray) -> np.ndarray:
-    """Per matrix of a stack of primal slacks, whether a Cholesky
-    factorization succeeds, so that the primal point is feasible.
+def _primal(m: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The one certificate rule for a stacked rung's primal point ``d``: per
+    matrix of the stack, the objective ``sum_i d_i`` where a Cholesky
+    factorization of the slack ``Diag(d) - rho`` succeeds, so that the point
+    is feasible, and ``inf`` where it fails.
 
     One stacked call decides the whole stack unless it raises; the stack is
     then checked one matrix at a time, so each matrix keeps the verdict it
     gets alone.
     """
     try:
-        np.linalg.cholesky(slack)
+        np.linalg.cholesky(_diagonal_minus(d, m))
     except np.linalg.LinAlgError:
-        if len(slack) == 1:
-            return np.zeros(1, dtype=bool)
-        return np.concatenate([_factorizable(s[None]) for s in slack])
-    return np.ones(len(slack), dtype=bool)
+        if len(m) == 1:
+            return np.array([np.inf])
+        return np.concatenate([_primal(m[k:k + 1], d[k:k + 1]) for k in range(len(m))])
+    # summed as C-ordered rows, so each row's sum is its single-matrix sum
+    return d.sum(-1)
 
 
 class _Ladder:
     """A block of states sharing one dimension on the ladder.
 
-    Per state ``k``: ``values[k]``, its value once it has one (its SDP value
-    replaces a first one), and its bracket ``[lo[k], hi[k]]`` on the
-    robustness, held for the block in the float arrays ``lo`` and ``hi``.
+    Per state ``k``: ``values[k]``, its value once it has one (a closed
+    form, a PHASE_WITNESS value or its SDP value), and its bracket
+    ``[lo[k], hi[k]]`` on the robustness, held for the block in the float
+    arrays ``lo`` and ``hi``.
     The bracket starts at ``[0, inf)``. Each rung intersects the certified
     ``[dual - 1, primal - 1]`` of every state it runs on into that state's
     bracket, with one ``np.fmax`` and one ``np.fmin`` over the rung's rows,
     which drop a NaN end as ``max`` and ``min`` do; a value a rung gives
-    resets the bracket to the value's own ``[value, upper]``. ``tol`` is the
-    gap rule's, for the witness and the SDP.
+    resets the bracket to the value's own ``[value, upper]``. The eigen
+    bracket and the ascent give brackets, not values. ``tol`` is the gap
+    rule's, for the witness and the SDP.
 
     Construction runs both modes' common start, which is all of value mode:
     rung 0 gives each qubit or pure state :func:`roc`'s closed form, one
@@ -371,14 +372,11 @@ class _Ladder:
 
     def bracket(self) -> None:
         """The eigen-bracket rung on every state the witness left open, in
-        order: each takes its bracket as a SOLVE_FREE_BRACKET value."""
+        order: each keeps the rung's bracket, not a value, and counts once
+        under SOLVE_FREE_BRACKET in ROC_METHOD_COUNTS."""
         at = np.array([k for k in self.stacked.tolist() if self.values[k] is None], dtype=int)
         self.run(_eigen_bracket, at)
-        # the upper end primal - 1 is tighter than lo + (primal - dual) for dual < 1
-        lo = self.lo[at]
-        gap = np.fmax(0.0, self.hi[at] - lo)
-        for k, value, g in zip(at.tolist(), lo.tolist(), gap.tolist()):
-            self.give(k, MeasureValue(value, Method.SOLVE_FREE_BRACKET, certificate_gap=g))
+        ROC_METHOD_COUNTS[Method.SOLVE_FREE_BRACKET.value] += len(at)
 
     def tighten(self, k: int | np.ndarray, dual: float | np.ndarray,
                 primal: float | np.ndarray) -> None:
@@ -394,13 +392,16 @@ class _Ladder:
 
     def widest_first(self, pairs: np.ndarray) -> np.ndarray:
         """Per pair ``j`` of ``pairs``, in order, those of its states ``2j``
-        and ``2j + 1`` whose value is a SOLVE_FREE_BRACKET, widest bracket
-        first, the first state on a tie: the states, in order, of decision
-        mode's later rungs."""
+        and ``2j + 1`` that have no value yet, widest bracket first, the
+        first state on a tie: the states, in order, of decision mode's later
+        rungs. An empty ``pairs``, as on every rank-1 block, is returned at
+        once."""
+        if not pairs.size:
+            return pairs
         a = 2 * pairs
         swap = self.lo[a + 1] - self.hi[a + 1] < self.lo[a] - self.hi[a]
         ks = np.stack([a + swap, a + 1 - swap], -1).ravel()
-        return ks[[self.values[k].method is Method.SOLVE_FREE_BRACKET for k in ks.tolist()]]
+        return ks[[self.values[k] is None for k in ks.tolist()]]
 
     def solve(self, k: int, settled: Callable[[], bool] | None = None) -> MeasureValue:
         """The SDP rung: state ``k``'s value at ``tol``, counted in
@@ -605,10 +606,10 @@ def ordering_decisions(
     and witness give the closed forms and phase-witness values. Decision
     mode is then four calls: :meth:`_Ladder.bracket` gives every state the
     witness leaves open, by the gap rule at DEFAULT_ROC_TOL, its eigen
-    bracket as a SOLVE_FREE_BRACKET value; each pair is settled on these
-    first values (SOLVE_FREE); :meth:`_Ladder.run` runs the phase ascent,
-    as one stack, on the states whose value is a SOLVE_FREE_BRACKET and
-    whose pair is still open, widest bracket first within each pair; and
+    bracket, not a value; each pair is settled on these brackets
+    (SOLVE_FREE); :meth:`_Ladder.run` runs the phase ascent, as one stack,
+    on the states that have no value and whose pair is still open, widest
+    bracket first within each pair (:meth:`_Ladder.widest_first`); and
     the pairs still open are settled again (ASCENT). Running both states'
     ascents at once settles the same pairs as running the wider one first,
     since a bracket never widens.
@@ -662,8 +663,7 @@ def ordering_decisions(
 
     ladder.bracket()
     unsettled = settle(np.arange(len(needed)), DecisionStage.SOLVE_FREE)
-    # skips widest_first's numpy calls where no pair is open, as on every rank-1 block
-    ladder.run(_ascent, ladder.widest_first(unsettled) if unsettled.size else unsettled)
+    ladder.run(_ascent, ladder.widest_first(unsettled))
     settle(unsettled, DecisionStage.ASCENT)
 
     def decide(j: int, i: int) -> OrderingDecision:

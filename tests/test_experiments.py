@@ -93,6 +93,30 @@ def test_config_json_dict_has_every_field_as_plain_json(tmp_path):
     assert json.loads(json.dumps(out)) == out
 
 
+_DIM, _RANK = Experiment.ORDERING_VS_DIMENSION, Experiment.ORDERING_VS_RANK
+
+
+@pytest.mark.parametrize("python_cfg, numpy_cfg", [
+    # the numpy scalars that once left a CSV with no sidecar
+    (SweepConfig(_DIM, 3, 0, (2, 3)), SweepConfig(_DIM, np.int64(3), 0, (2, 3))),
+    (SweepConfig(_DIM, 3, 0, (2, 3)), SweepConfig(_DIM, 3, 0, tuple(np.arange(2, 4)))),
+    # every integer field, and a float grid
+    (SweepConfig(_RANK, 3, 1, (1, 3), dim=3),
+     SweepConfig(_RANK, np.int64(3), np.int64(1), (np.int64(1), 3), dim=np.int64(3))),
+    (SweepConfig(Experiment.SUBADDITIVITY_SWEEP, 2, 0, (0.0, 0.5, 1.0)),
+     SweepConfig(Experiment.SUBADDITIVITY_SWEEP, 2, 0, tuple(np.linspace(0.0, 1.0, 3)))),
+])
+def test_a_config_of_numpy_scalars_writes_what_its_python_twin_does(tmp_path, python_cfg,
+                                                                     numpy_cfg):
+    outputs = []
+    for name, cfg in (("numpy", numpy_cfg), ("python", python_cfg)):
+        csv_path, meta_path = run_and_save(cfg, tmp_path / name)
+        meta = json.loads(meta_path.read_text())
+        del meta["wall_time_s"], meta["git_revision"]
+        outputs.append((csv_path.read_bytes(), meta))
+    assert outputs[0] == outputs[1]
+
+
 def test_subadditivity_sweep_endpoints_and_monotonicity():
     records = run_experiment(fig1_config())[0]
     assert records[0].fraction == 1.0
@@ -699,20 +723,31 @@ def test_sample_seed_words_are_numpys_seed_sequence_state(seed, point_idx, start
 
 
 def test_a_chunk_hands_each_sample_its_own_generator(monkeypatch):
-    # samples [5, 140) at point index 3 go in blocks [5, 69), [69, 133), [133, 140)
-    cfg = SweepConfig(experiment=Experiment.RESULT2_CHECK, samples=140, seed=11, grid=(2, 3))
-    blocks = []
+    # samples [5, stop) at point index 3 go in blocks [5, 69), [69, 133), ...,
+    # [stop - 7, stop), and their seed words in two spans, [5, 5 + SEED_SPAN)
+    # and [5 + SEED_SPAN, stop), each hashed alone
+    span = cohkit.experiments.SEED_SPAN
+    stop = span + 140
+    cfg = SweepConfig(experiment=Experiment.RESULT2_CHECK, samples=stop, seed=11, grid=(2, 3))
+    blocks, hashed = [], []
+    hash_words = cohkit.experiments._sample_seed_words
 
     def capture(cfg, dims, rngs):
         blocks.append([rng.bit_generator.state for rng in rngs])
         return [lambda: None for _ in rngs]
 
+    def recording_hash(seed, point_idx, start, stop):
+        hashed.append((start, stop))
+        return hash_words(seed, point_idx, start, stop)
+
     _, *fold_and_reduce = cohkit.experiments._HARNESS[cfg.experiment]
     monkeypatch.setitem(cohkit.experiments._HARNESS, cfg.experiment, (capture, *fold_and_reduce))
-    cohkit.experiments._chunk((cfg, 3, (2, 3), 5, 140, 1))
-    assert [len(block) for block in blocks] == [64, 64, 7]
-    expected = [np.random.default_rng([11, 3, i]).bit_generator.state for i in range(5, 140)]
+    monkeypatch.setattr(cohkit.experiments, "_sample_seed_words", recording_hash)
+    cohkit.experiments._chunk((cfg, 3, (2, 3), 5, stop, 1))
+    assert [len(block) for block in blocks] == [64] * ((stop - 12) // 64) + [7]
+    expected = [np.random.default_rng([11, 3, i]).bit_generator.state for i in range(5, stop)]
     assert sum(blocks, []) == expected
+    assert hashed == [(5, 5 + span), (5 + span, stop)]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

@@ -54,12 +54,15 @@ def ordering_decision(a, b):
 def _solve_free_values(states, decision):
     """Each state's first value in a block of one dimension: rung 0's closed
     form, else the witness's, else, in ``decision`` mode, the eigen
-    bracket's; None there in value mode, which leaves the state to the SDP."""
+    bracket ``[lo, hi]`` the ladder holds, as a SOLVE_FREE_BRACKET value;
+    None there in value mode, which leaves the state to the SDP."""
 
     ladder = _Ladder(states, DEFAULT_ROC_TOL)
-    if decision:
-        ladder.bracket()
-    return ladder.values
+    if not decision:
+        return ladder.values
+    ladder.bracket()
+    return [mv or MeasureValue(lo, Method.SOLVE_FREE_BRACKET, max(0.0, hi - lo))
+            for mv, lo, hi in zip(ladder.values, ladder.lo.tolist(), ladder.hi.tolist())]
 
 
 def _solve_free_roc(rho, decision):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cohkit.sdp
-from cohkit.measures import DEFAULT_ROC_TOL, Method, _Ladder, l1_coherence, roc
+from cohkit.measures import DEFAULT_ROC_TOL, MeasureValue, Method, _Ladder, l1_coherence, roc
 from cohkit.sdp import (
     RocSolution,
     SolveStatus,
@@ -423,11 +423,13 @@ def _bracket_states():
 
 def _decision_first_value(rho):
     """The first value the ordering decisions give ``rho``, as a block of
-    one: rung 0's closed form, else the witness's or the eigen bracket's."""
+    one: rung 0's closed form, else the witness's, else the eigen bracket
+    ``[lo, hi]`` the ladder holds, as a SOLVE_FREE_BRACKET value."""
 
     ladder = _Ladder([rho], DEFAULT_ROC_TOL)
     ladder.bracket()
-    return ladder.values[0]
+    lo, hi = ladder.lo[0].item(), ladder.hi[0].item()
+    return ladder.values[0] or MeasureValue(lo, Method.SOLVE_FREE_BRACKET, max(0.0, hi - lo))
 
 
 def test_solve_free_bracket_is_certified():
