@@ -180,7 +180,10 @@ class SweepConfig:
     def __post_init__(self):
         # numpy scalars become the equal Python ones, which the seed hash and the sidecar's JSON read
         for name in ("samples", "seed", "dim"):
-            object.__setattr__(self, name, np.asarray(getattr(self, name)).item())
+            value = np.asarray(getattr(self, name)).item()
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, value)
         object.__setattr__(self, "grid", tuple(np.asarray(v).item() for v in self.grid))
         if not 1 <= self.samples <= 2**32:
             raise ValueError("samples must lie in [1, 2**32], so a sample index is one seed word")

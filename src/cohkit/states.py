@@ -14,7 +14,9 @@ diagonal.
 :func:`random_densities` draws a block of random states, as many per
 generator as asked, with one draw call per generator, as
 :func:`random_density` would draw them one by one, and the block is
-normalized, validated and measured as one stack. :func:`sigma_family` takes
+normalized, validated and measured as one stack. A block of rank ``r < d``
+is checked with one ``eigvalsh`` of the r x r Grams ``G^dag G / tr`` instead
+of the d x d states, whose nonzero spectrum it is. :func:`sigma_family` takes
 a block too: given a sequence of mixing parameters, it builds one stack and
 returns a list of states, each bit-identical to the state built alone; given
 one, it returns one state, built as a block of one. :func:`mix_with_pure`
@@ -48,10 +50,12 @@ def _raise_first(bad: np.ndarray, values: np.ndarray, message: str) -> None:
         raise ValueError(message.format(values[bad][0]))
 
 
-def _validated(mats, dims) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
+def _validated(mats, dims, eigs=None) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
     """The contiguous complex form of a stack of matrices (shape ``(n, d,
     d)``), the integer subsystem dimensions, and the ascending spectrum of
-    each matrix's Hermitian part.
+    each matrix: ``eigs`` where given, else the ``eigvalsh`` of each
+    matrix's Hermitian part. Only :func:`random_densities` gives ``eigs``,
+    the spectra it takes from its states' factors.
 
     Raises ``ValueError`` on the first failed check, naming the value of the
     first failing matrix: integer dims, square, finite, dims at least 1 and
@@ -76,8 +80,10 @@ def _validated(mats, dims) -> tuple[np.ndarray, tuple[int, ...], np.ndarray]:
                  "density matrix is not Hermitian (relative defect {:.3e})")
     tr = m.trace(axis1=-2, axis2=-1)
     _raise_first(abs(tr - 1.0) > TRACE_ATOL, tr, "density matrix trace {} is not 1")
-    eigs = np.linalg.eigvalsh(h)
-    min_eig = eigs[:, 0]
+    if eigs is None:
+        eigs = np.linalg.eigvalsh(h)
+    # the least entry, wherever a given spectrum holds it
+    min_eig = eigs.min(-1)
     _raise_first(min_eig < EIG_FLOOR, min_eig, "density matrix has negative eigenvalue {:.3e}")
     return m, dims, eigs
 
@@ -122,7 +128,9 @@ class DensityMatrix:
     Hermitian part (:func:`cohkit.linalg.hermitian_part`), and one
     ``eigvalsh`` of that Hermitian part gives ``eigenvalues``, the ascending
     spectrum that measures and the solver read instead of factorizing the
-    state again.
+    state again. A state that :func:`random_densities` draws at rank
+    ``r < d`` takes ``eigenvalues`` from its r x r Gram instead: ``d - r``
+    zeros, then the Gram's ascending spectrum.
     ``offdiagonal_abs_sum`` is the sum of ``|rho_ij|`` over ``i != j``: the
     l1-norm of coherence, and for a pure state also its robustness.
     ``entropy_bits`` is the von Neumann entropy S(rho) in bits, from
@@ -149,10 +157,16 @@ class DensityMatrix:
         subsystem dimensions ``dims``.
 
         The stack is validated in one pass, raising on the first failing
-        matrix; each state's ``mat`` is a view into it. The off-diagonal
-        ``|rho_ij|`` sums and both entropies are computed for the whole stack.
+        matrix; each state's ``mat`` is a view into it.
         """
-        m, dims, eigs = _validated(mats, dims)
+        return cls._built(*_validated(mats, dims))
+
+    @classmethod
+    def _built(cls, m: np.ndarray, dims: tuple[int, ...],
+               eigs: np.ndarray) -> list["DensityMatrix"]:
+        """One state per matrix of a validated stack ``m`` with spectra
+        ``eigs``; the off-diagonal ``|rho_ij|`` sums and both entropies are
+        computed for the whole stack."""
         measured = zip(
             m,
             eigs,
@@ -303,14 +317,27 @@ def random_densities(
     ``standard_normal`` call, in the order :func:`random_density` draws them
     (real part, then imaginary part, state by state), so every state is
     bit-identical to the one that many calls would give.
+
+    At ``rank < d`` each state's spectrum is ``d - rank`` zeros followed by
+    the ascending ``eigvalsh`` of the Hermitian part of its Gram
+    ``G^dag G / tr``, with the trace ``tr`` that normalizes the state; the
+    d x d ``eigvalsh`` is skipped and every other check still runs on the
+    state. At ``rank = d`` the block is validated by
+    :meth:`DensityMatrix.stack`.
     """
     if not 1 <= rank <= d:
         raise ValueError(f"rank must satisfy 1 <= rank <= d, got rank={rank}, d={d}")
     g = np.concatenate([rng.standard_normal((count, 2, d, rank)) for rng in rngs])
     g = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2)
-    m = g @ g.conj().swapaxes(-1, -2)
-    m = linalg.hermitize(m / np.trace(m, axis1=-2, axis2=-1).real[:, None, None])
-    return DensityMatrix.stack(m)
+    gh = g.conj().swapaxes(-1, -2)
+    m = g @ gh
+    tr = np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+    m = linalg.hermitize(m / tr)
+    if rank == d:
+        return DensityMatrix.stack(m)
+    gram = np.linalg.eigvalsh(linalg.hermitize(gh @ g / tr))
+    eigs = np.concatenate([np.zeros((len(m), d - rank)), gram], axis=-1)
+    return DensityMatrix._built(*_validated(m, (), eigs))
 
 
 def random_density(d: int, rank: int, rng: np.random.Generator) -> DensityMatrix:
@@ -319,7 +346,8 @@ def random_density(d: int, rank: int, rng: np.random.Generator) -> DensityMatrix
     G is a d x rank matrix of iid standard complex normals, so ``rank = d``
     samples the Hilbert-Schmidt induced measure and the result has exactly
     ``rank`` nonzero eigenvalues almost surely. It is a block of one of
-    :func:`random_densities`.
+    :func:`random_densities`, so at ``rank < d`` its spectrum comes from the
+    r x r Gram ``G^dag G / tr``, with ``d - rank`` exact zeros below it.
     """
     return random_densities(d, rank, [rng])[0]
 

@@ -68,6 +68,15 @@ def test_config_validation():
         SweepConfig(experiment=Experiment.THEOREM1_CHECK, samples=5, seed=0, grid=(0,))
 
 
+@pytest.mark.parametrize("name", ["samples", "seed", "dim"])
+@pytest.mark.parametrize("value", [2.5, 3.0, np.float64(3.0), True, np.bool_(True), "3"])
+def test_config_integer_fields_reject_other_types(name, value):
+    # rejected here, not later in _chunks or _sample_seed_words
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        SweepConfig(**{"experiment": Experiment.SUBADDITIVITY_SWEEP, "samples": 2, "seed": 0,
+                       "grid": (0.5,), name: value})
+
+
 def test_samples_are_bounded_by_one_seed_word():
     # a sample index is one 32-bit word of its generator's seed; nothing is drawn
     with pytest.raises(ValueError, match=r"2\*\*32"):

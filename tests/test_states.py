@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+import cohkit.states
 from cohkit import linalg
 from cohkit.measures import compute_measure, l1_coherence, MeasureKind
 from cohkit.states import (
@@ -307,8 +308,9 @@ def test_a_stack_of_valid_states_keeps_each_single_construction():
 
 def test_random_densities_draw_what_random_density_would():
     # two states per generator, drawn with one call each, are the states two
-    # random_density calls on that generator give
-    for d, rank in ((2, 1), (5, 3), (10, 10)):
+    # random_density calls on that generator give, spectra from the Gram
+    # (rank < d) included: the redraw path draws alone a state its block drew
+    for d, rank in ((2, 1), (5, 3), (10, 1), (10, 3), (10, 10)):
         rngs = [np.random.default_rng([d, rank, i]) for i in range(4)]
         block = random_densities(d, rank, rngs, count=2)
         one_by_one = []
@@ -392,17 +394,37 @@ def test_trace_check_reads_the_imaginary_part():
 
 def test_density_eigenvalues_are_the_validated_spectrum():
     rng = np.random.default_rng(12)
-    states = [random_density(d, r, rng) for d, r in ((2, 2), (5, 1), (7, 3), (9, 9))]
-    states.append(sigma_family(3, 1 / 7))
+    drawn = [random_density(d, r, rng) for d, r in ((2, 2), (5, 1), (7, 3), (9, 9))]
     x = rng.standard_normal((4, 4))
-    states.append(DensityMatrix(np.eye(4) / 4 + 1e-13 * (x - x.T)))  # not exactly Hermitian
-    for rho in states:
+    # full rank, the sigma family and direct input: the d x d eigvalsh, bit for bit
+    exact = [drawn[0], drawn[3], sigma_family(3, 1 / 7),
+             DensityMatrix(np.eye(4) / 4 + 1e-13 * (x - x.T))]  # not exactly Hermitian
+    exact += [DensityMatrix(rho.mat) for rho in drawn[1:3]]
+    for rho in exact:
         w = rho.eigenvalues
         assert np.all(np.diff(w) >= 0)
         assert np.array_equal(w, np.linalg.eigvalsh(linalg.hermitize(rho.mat)))
-    assert "eigenvalues" not in repr(states[0])
+    # drawn at rank r < d: d - r exact zeros, then the r x r Gram's spectrum
+    for rho, (d, r) in zip(drawn[1:3], ((5, 1), (7, 3))):
+        w = rho.eigenvalues
+        assert np.array_equal(w[:d - r], np.zeros(d - r)) and np.all(w[d - r:] != 0)
+        assert np.all(np.diff(w) >= 0)
+        top = np.linalg.eigvalsh(linalg.hermitize(rho.mat))[d - r:]
+        assert np.abs(w[d - r:] - top).max() <= 1e-14
+    assert "eigenvalues" not in repr(drawn[0])
     with pytest.raises(TypeError):
         DensityMatrix(np.eye(2) / 2, eigenvalues=np.ones(2))
+
+
+@pytest.mark.parametrize("at", [0, 4, 6])  # a padded zero, the Gram's least value, its largest
+def test_a_given_spectrum_is_checked_for_negative_eigenvalues(at):
+    # the spectrum random_densities hands over still passes the PSD check
+    rho = random_density(7, 3, np.random.default_rng(13))
+    m, eigs = rho.mat[None], rho.eigenvalues.copy()[None]
+    assert np.array_equal(cohkit.states._validated(m, (), eigs)[2], eigs)
+    eigs[0, at] = 2 * cohkit.states.EIG_FLOOR
+    with pytest.raises(ValueError, match="negative eigenvalue -2.000e-09"):
+        cohkit.states._validated(m, (), eigs)
 
 
 def test_states_compare_and_hash_by_identity():
