@@ -1,8 +1,9 @@
 """Dense complex linear algebra used by the rest of the package.
 
 Everything here operates on square numpy arrays (real or complex) and is a
-pure function of its inputs; :func:`hermitian_part`, :func:`hermitize` and
-:func:`partial_trace` also take stacks of them, acting on the last two axes.
+pure function of its inputs; :func:`hermitian_part`, :func:`hermitian_defect`,
+:func:`hermitize` and :func:`partial_trace` also take stacks of them, acting
+on the last two axes.
 Matrices are small (d <= 64), so all routines are plain O(d^3) dense
 algorithms backed by LAPACK.
 """
@@ -26,12 +27,22 @@ def hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Hermitian part is bit-identical to :func:`hermitize`.
     """
     mh = m.conj().swapaxes(-1, -2)
-    h = (m + mh) / 2
+    return (m + mh) / 2, _defect(m, mh)
+
+
+def hermitian_defect(m: np.ndarray) -> np.ndarray:
+    """The relative Hermiticity defect of :func:`hermitian_part` alone, for a
+    caller that does not read the Hermitian part."""
+    return _defect(m, m.conj().swapaxes(-1, -2))
+
+
+def _defect(m: np.ndarray, mh: np.ndarray) -> np.ndarray:
+    """||m - mh||_F / max(1, ||m||_F) over the last two axes, ``mh`` being m^dag."""
     diff_sq = _sum_abs2(m - mh)
     # exactly Hermitian matrices, the common case, have defect 0 whatever their norm
     if not diff_sq.any():
-        return h, diff_sq
-    return h, np.sqrt(diff_sq / np.maximum(1.0, _sum_abs2(m)))
+        return diff_sq
+    return np.sqrt(diff_sq / np.maximum(1.0, _sum_abs2(m)))
 
 
 def _sum_abs2(m: np.ndarray) -> np.ndarray:

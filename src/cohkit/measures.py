@@ -96,13 +96,14 @@ class Method(Enum):
     CLOSED_FORM_QUBIT = "closed_form_qubit"
     PURE_STATE_L1 = "pure_state_l1"
     PHASE_WITNESS = "phase_witness"
+    # a ROC_METHOD_COUNTS key only: the eigen bracket gives brackets, not values
     SOLVE_FREE_BRACKET = "solve_free_bracket"
     SDP = "sdp"
     DIRECT = "direct"
 
 
 # Methods whose value carries a certificate_gap: it lies in [value, value + gap].
-_CERTIFIED = (Method.PHASE_WITNESS, Method.SOLVE_FREE_BRACKET, Method.SDP)
+_CERTIFIED = (Method.PHASE_WITNESS, Method.SDP)
 
 
 # RoC values returned in this process, per Method value; a run reports the change.
@@ -120,8 +121,8 @@ class MeasureValue(_MeasureFields):
 
     ``certificate_gap`` is the nonnegative duality gap of the primal/dual
     pair that brackets the value: the measure lies in ``[value, value + gap]``.
-    It is present exactly when the method is PHASE_WITNESS,
-    SOLVE_FREE_BRACKET or SDP; construction raises ValueError otherwise.
+    It is present exactly when the method is PHASE_WITNESS or SDP;
+    construction raises ValueError otherwise.
 
     A named tuple, so immutable and compared by value, whose ``__new__``
     checks that rule: it costs about what a plain tuple does, and ``roc``
@@ -132,10 +133,7 @@ class MeasureValue(_MeasureFields):
 
     def __new__(cls, value: float, method: Method, certificate_gap: float | None = None):
         if (certificate_gap is not None) != (method in _CERTIFIED):
-            raise ValueError(
-                "certificate_gap is present iff the method is PHASE_WITNESS, "
-                "SOLVE_FREE_BRACKET or SDP"
-            )
+            raise ValueError("certificate_gap is present iff the method is PHASE_WITNESS or SDP")
         return tuple.__new__(cls, (value, method, certificate_gap))
 
     @property
@@ -335,9 +333,12 @@ class _Ladder:
     state at a time; the others, ``stacked`` (their indices, ascending; the
     i-th is row i of the stack ``m`` and of its phases ``u``), run the
     witness as one stack, which gives a PHASE_WITNESS value to each whose
-    two objectives pass the gap rule. In value mode a state the witness
-    leaves open then takes the SDP (:meth:`solve`); decision mode calls
-    :meth:`bracket`, the ascent through :meth:`run`, then :meth:`solve`.
+    two objectives pass the gap rule. Where rung 0 values every state,
+    nothing is stacked: ``m`` and ``u`` are None, and neither the witness
+    nor the gap rule runs. In value mode a state the witness leaves open
+    then takes the SDP (:meth:`solve`); decision mode calls
+    :meth:`bracket`, the ascent through :meth:`run`, then :meth:`solve`;
+    on no state, :meth:`bracket` and :meth:`run` return at once.
     """
 
     def __init__(self, states: list[DensityMatrix], tol: float):
@@ -348,6 +349,9 @@ class _Ladder:
         self.lo = np.array([0.0 if mv is None else mv.value for mv in self.values])
         self.hi = np.where(unvalued, np.inf, self.lo)
         self.stacked = np.flatnonzero(unvalued)
+        self.m = self.u = None
+        if not self.stacked.size:
+            return
         self.m = np.array([states[k].mat for k in self.stacked.tolist()])
         self.u = np.ones(self.m.shape[:2], dtype=complex)
         dual, primal = self.run(_witness, self.stacked)

@@ -16,7 +16,9 @@ generator as asked, with one draw call per generator, as
 :func:`random_density` would draw them one by one, and the block is
 normalized, validated and measured as one stack. A block of rank ``r < d``
 is checked with one ``eigvalsh`` of the r x r Grams ``G^dag G / tr`` instead
-of the d x d states, whose nonzero spectrum it is. :func:`sigma_family` takes
+of the d x d states, whose nonzero spectrum it is; its states' Hermitian
+parts, which only that ``eigvalsh`` would read, are not formed, and their
+entropies are taken from the Gram spectra. :func:`sigma_family` takes
 a block too: given a sequence of mixing parameters, it builds one stack and
 returns a list of states, each bit-identical to the state built alone; given
 one, it returns one state, built as a block of one. :func:`mix_with_pure`
@@ -55,7 +57,9 @@ def _validated(mats, dims, eigs=None) -> tuple[np.ndarray, tuple[int, ...], np.n
     d)``), the integer subsystem dimensions, and the ascending spectrum of
     each matrix: ``eigs`` where given, else the ``eigvalsh`` of each
     matrix's Hermitian part. Only :func:`random_densities` gives ``eigs``,
-    the spectra it takes from its states' factors.
+    the spectra it takes from its states' factors; the Hermitian part is then
+    not formed, and the Hermiticity check takes the defect alone
+    (:func:`cohkit.linalg.hermitian_defect`), on the matrices themselves.
 
     Raises ``ValueError`` on the first failed check, naming the value of the
     first failing matrix: integer dims, square, finite, dims at least 1 and
@@ -75,7 +79,8 @@ def _validated(mats, dims, eigs=None) -> tuple[np.ndarray, tuple[int, ...], np.n
         raise ValueError(f"subsystem dimensions {dims} must all be at least 1")
     if dims and prod(dims) != m.shape[-1]:
         raise ValueError(f"subsystem dimensions {dims} do not factor dimension {m.shape[-1]}")
-    h, defect = linalg.hermitian_part(m)
+    # the Hermitian part only where eigvalsh reads it, the defect always
+    h, defect = linalg.hermitian_part(m) if eigs is None else (None, linalg.hermitian_defect(m))
     _raise_first(defect > linalg.HERMITIAN_RTOL, defect,
                  "density matrix is not Hermitian (relative defect {:.3e})")
     tr = m.trace(axis1=-2, axis2=-1)
@@ -130,12 +135,16 @@ class DensityMatrix:
     spectrum that measures and the solver read instead of factorizing the
     state again. A state that :func:`random_densities` draws at rank
     ``r < d`` takes ``eigenvalues`` from its r x r Gram instead: ``d - r``
-    zeros, then the Gram's ascending spectrum.
+    zeros, then the Gram's ascending spectrum. Its conjugate transpose then
+    gives the Hermiticity defect alone, as no ``eigvalsh`` reads a
+    Hermitian part.
     ``offdiagonal_abs_sum`` is the sum of ``|rho_ij|`` over ``i != j``: the
     l1-norm of coherence, and for a pure state also its robustness.
     ``entropy_bits`` is the von Neumann entropy S(rho) in bits, from
-    ``eigenvalues``, and ``dephased_entropy_bits`` the entropy S(Diag(rho))
-    of the diagonal. States compare and hash by identity.
+    ``eigenvalues`` (for a drawn state of rank ``r < d``, from the Gram's
+    part, which gives the same bits), and ``dephased_entropy_bits`` the
+    entropy S(Diag(rho)) of the diagonal. States compare and hash by
+    identity.
     """
 
     mat: np.ndarray
@@ -162,16 +171,18 @@ class DensityMatrix:
         return cls._built(*_validated(mats, dims))
 
     @classmethod
-    def _built(cls, m: np.ndarray, dims: tuple[int, ...],
-               eigs: np.ndarray) -> list["DensityMatrix"]:
+    def _built(cls, m: np.ndarray, dims: tuple[int, ...], eigs: np.ndarray,
+               nonzero: np.ndarray | None = None) -> list["DensityMatrix"]:
         """One state per matrix of a validated stack ``m`` with spectra
         ``eigs``; the off-diagonal ``|rho_ij|`` sums and both entropies are
-        computed for the whole stack."""
+        computed for the whole stack. The entropy of each spectrum is taken
+        from ``nonzero`` where given: the last entries of each row of
+        ``eigs``, all the others exact zeros, which add nothing to it."""
         measured = zip(
             m,
             eigs,
             _offdiagonal_abs_sum(m).tolist(),
-            _entropy_bits(eigs).tolist(),
+            _entropy_bits(eigs if nonzero is None else nonzero).tolist(),
             _entropy_bits(m.diagonal(axis1=-2, axis2=-1).real).tolist(),
         )
         states = []
@@ -321,9 +332,10 @@ def random_densities(
     At ``rank < d`` each state's spectrum is ``d - rank`` zeros followed by
     the ascending ``eigvalsh`` of the Hermitian part of its Gram
     ``G^dag G / tr``, with the trace ``tr`` that normalizes the state; the
-    d x d ``eigvalsh`` is skipped and every other check still runs on the
-    state. At ``rank = d`` the block is validated by
-    :meth:`DensityMatrix.stack`.
+    d x d ``eigvalsh`` and the Hermitian part it would read are skipped,
+    every check still runs on the state, and its entropy is taken from the
+    Gram's spectrum, whose entries are the nonzero ones. At ``rank = d``
+    the block is validated by :meth:`DensityMatrix.stack`.
     """
     if not 1 <= rank <= d:
         raise ValueError(f"rank must satisfy 1 <= rank <= d, got rank={rank}, d={d}")
@@ -337,7 +349,7 @@ def random_densities(
         return DensityMatrix.stack(m)
     gram = np.linalg.eigvalsh(linalg.hermitize(gh @ g / tr))
     eigs = np.concatenate([np.zeros((len(m), d - rank)), gram], axis=-1)
-    return DensityMatrix._built(*_validated(m, (), eigs))
+    return DensityMatrix._built(*_validated(m, (), eigs), gram)
 
 
 def random_density(d: int, rank: int, rng: np.random.Generator) -> DensityMatrix:

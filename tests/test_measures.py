@@ -54,20 +54,26 @@ def ordering_decision(a, b):
 def _solve_free_values(states, decision):
     """Each state's first value in a block of one dimension: rung 0's closed
     form, else the witness's, else, in ``decision`` mode, the eigen
-    bracket ``[lo, hi]`` the ladder holds, as a SOLVE_FREE_BRACKET value;
-    None there in value mode, which leaves the state to the SDP."""
+    bracket the ladder holds, as the tuple ``(lo, hi)``; None there in value
+    mode, which leaves the state to the SDP."""
 
     ladder = _Ladder(states, DEFAULT_ROC_TOL)
     if not decision:
         return ladder.values
     ladder.bracket()
-    return [mv or MeasureValue(lo, Method.SOLVE_FREE_BRACKET, max(0.0, hi - lo))
+    return [mv or (lo, hi)
             for mv, lo, hi in zip(ladder.values, ladder.lo.tolist(), ladder.hi.tolist())]
 
 
 def _solve_free_roc(rho, decision):
     """The first value of one state, as a block of one."""
     return _solve_free_values([rho], decision)[0]
+
+
+def _ends(first):
+    """The bracket ``(lo, hi)`` of a first value: ``(value, upper)`` of a
+    value, or the eigen bracket itself."""
+    return (first.value, first.upper) if isinstance(first, MeasureValue) else first
 
 
 def _ascent_start(rho):
@@ -186,6 +192,12 @@ def test_roc_pure_state_dispatch():
         mv = roc(rho)
         assert mv.method is Method.PURE_STATE_L1
         assert abs(mv.value - l1_coherence(rho).value) < 1e-12
+    # a 1 x 1 state, whose spectrum has no second entry, takes the closed form
+    # too, and a block of such pairs is settled without its robustness
+    one = DensityMatrix(np.eye(1))
+    assert roc(one) == MeasureValue(0.0, Method.PURE_STATE_L1)
+    pairs = [(one, DensityMatrix(np.eye(1))) for _ in range(3)]
+    assert {decide().stage for decide in ordering_decisions(pairs)} == {DecisionStage.SOLVE_FREE}
 
 
 def test_roc_sdp_dispatch_and_certificate():
@@ -279,7 +291,8 @@ def test_roc_keeps_sdp_where_no_phase_witness_certifies():
     states += [random_density(d, d, rng) for d in (3, 4, 6, 10)]
     for rho in states:
         assert _solve_free_roc(rho, False) is None
-        assert _solve_free_roc(rho, True).method is Method.SOLVE_FREE_BRACKET
+        bracket = _solve_free_roc(rho, True)
+        assert type(bracket) is tuple and 0.0 <= bracket[0] <= bracket[1]
         assert roc(rho).method is Method.SDP
 
 
@@ -305,9 +318,12 @@ def test_roc_at_a_loose_tolerance_reports_a_negative_dual_as_zero():
     m[1, 2] = m[2, 1] = -3 * c
     rho = DensityMatrix(m)
     exact = roc(rho).value
-    for mv in (roc(rho, tol=1e-4), _solve_free_roc(rho, True)):
-        assert mv.method in (Method.PHASE_WITNESS, Method.SOLVE_FREE_BRACKET)
-        assert 0.0 <= mv.value <= exact <= mv.upper
+    mv = roc(rho, tol=1e-4)
+    assert mv.method is Method.PHASE_WITNESS
+    assert 0.0 <= mv.value <= exact <= mv.upper
+    # at the default tolerance the witness gap fails: the eigen bracket holds it
+    lo, hi = _solve_free_roc(rho, True)
+    assert 0.0 <= lo <= exact <= hi
 
 
 def test_roc_raises_on_a_dual_shortfall_beyond_its_gap(monkeypatch):
@@ -386,7 +402,7 @@ def test_measure_value_certificate_gap_consistency():
     with pytest.raises(ValueError):
         MeasureValue(0.5, Method.PHASE_WITNESS)
     with pytest.raises(ValueError):
-        MeasureValue(0.5, Method.SOLVE_FREE_BRACKET)
+        MeasureValue(0.5, Method.SOLVE_FREE_BRACKET, certificate_gap=1e-9)
     MeasureValue(0.5, Method.PHASE_WITNESS, certificate_gap=0.0)
 
 
@@ -847,8 +863,7 @@ def test_the_ascent_reuses_the_eigh_of_the_solve_free_bracket(monkeypatch):
              if ordering_decision(*pair).stage is DecisionStage.ASCENT]
     d = pairs[0][0].dim
     pairs = [pair for pair in pairs if pair[0].dim == d]
-    assert {_solve_free_roc(rho, True).method for pair in pairs for rho in pair} == {
-        Method.SOLVE_FREE_BRACKET}
+    assert {type(_solve_free_roc(rho, True)) for pair in pairs for rho in pair} == {tuple}
     calls = []
     real_eigh = np.linalg.eigh
 
@@ -924,13 +939,13 @@ def _one_dimension_blocks(pairs):
 def _tight_above_loose_below(rho):
     """A certified bracket tighter than the solve-free one above and looser below."""
     top = sdp.solve(sdp.build(rho), tol=1e-9).primal_value - 1.0
-    return _solve_free_roc(rho, True).value / 2, top
+    return _solve_free_roc(rho, True)[0] / 2, top
 
 
 def _tight_below_loose_above(rho):
     """A certified bracket tighter than the solve-free one below and looser above."""
     bottom = sdp.solve(sdp.build(rho), tol=1e-9).dual_value - 1.0
-    return bottom, _solve_free_roc(rho, True).upper + 1.0
+    return bottom, _solve_free_roc(rho, True)[1] + 1.0
 
 
 def _stacked_ascent(bracket):
@@ -953,12 +968,12 @@ def test_the_ascent_never_widens_a_solve_free_bracket(ascent, monkeypatch):
     monkeypatch.setattr(cohkit.measures, "_ascent", _stacked_ascent(ascent))
     ascent_settled = 0
     for pairs in _one_dimension_blocks(_open_pairs()):
-        first = [(_solve_free_roc(a, True), _solve_free_roc(b, True)) for a, b in pairs]
-        for (ra, rb), decide in zip(first, ordering_decisions(pairs)):
+        first = [[_ends(_solve_free_roc(rho, True)) for rho in pair] for pair in pairs]
+        for ((lo_a, hi_a), (lo_b, hi_b)), decide in zip(first, ordering_decisions(pairs)):
             decision = decide()
             ascent_settled += decision.stage is DecisionStage.ASCENT
             low, high = decision.roc_difference
-            assert ra.value - rb.upper <= low <= high <= ra.upper - rb.value
+            assert lo_a - hi_b <= low <= high <= hi_a - lo_b
     assert ascent_settled > 0
 
 
@@ -1073,6 +1088,35 @@ def test_each_mode_runs_its_own_rungs(monkeypatch):
     assert bracketed > 10
 
 
+def test_a_block_that_rung_0_values_runs_no_later_rung(monkeypatch):
+    # rank-1 states at d = 10 and qubits all take rung 0's closed forms, so
+    # their ladder stacks no state: it builds no phase stack and runs neither
+    # the witness nor the gap rule, and the eigen bracket, the ascent and the
+    # SDP run on no state
+    rng = np.random.default_rng(89)
+    blocks = []
+    for d, r in ((10, 1), (2, 2)):
+        states = random_densities(d, r, [rng], count=128)
+        blocks.append(list(zip(states[::2], states[1::2])))
+    expected = [[decide() for decide in ordering_decisions(pairs)] for pairs in blocks]
+    for decisions in expected:
+        assert {decision.stage for decision in decisions} == {DecisionStage.SOLVE_FREE}
+        # most pairs need the robustness, so the ladder holds their states
+        assert sum(decision.roc_difference != (-np.inf, np.inf) for decision in decisions) > 32
+    ladder = _Ladder([rho for pair in blocks[0] for rho in pair], DEFAULT_ROC_TOL)
+    assert ladder.stacked.size == 0 and ladder.m is None and ladder.u is None
+
+    def unexpected(*args, **kwargs):
+        raise AssertionError("a rung after rung 0 ran on a block it values")
+
+    for name in ("_witness", "_eigen_bracket", "_ascent"):
+        monkeypatch.setattr(cohkit.measures, name, unexpected)
+    monkeypatch.setattr(_Ladder, "solve", unexpected)
+    monkeypatch.setattr(sdp, "solve", unexpected)
+    monkeypatch.setattr(sdp, "passes_gap_rule", unexpected)
+    assert [[decide() for decide in ordering_decisions(pairs)] for pairs in blocks] == expected
+
+
 def test_a_primal_whose_slack_fails_cholesky_is_never_used(monkeypatch):
     states = ASCENT_HARD_STATES
     honest = {name: _ascent_bracket(rho) for name, rho in states.items()}
@@ -1169,7 +1213,9 @@ def test_each_roc_value_of_a_block_is_counted_once(monkeypatch):
         expected = Counter(sdp=sum(certified))
         for j, decision in enumerate(decisions):
             if decision.roc_difference != (-np.inf, np.inf):
-                expected.update(mv.method.value for mv in alone[2 * j:2 * j + 2])
+                expected.update(mv.method.value if isinstance(mv, MeasureValue)
+                                else Method.SOLVE_FREE_BRACKET.value
+                                for mv in alone[2 * j:2 * j + 2])
         assert cohkit.measures.ROC_METHOD_COUNTS - before == +expected
         seen += expected
     assert set(seen) == {method.value for method in Method if method is not Method.DIRECT}
@@ -1232,9 +1278,10 @@ def test_stacked_brackets_equal_each_matrix_alone():
                 assert all(np.array_equal(x[k], y[0]) for x, y in zip(stacked, alone))
             u = stacked[2]
         lo, hi = np.maximum(0.0, stacked[0] - 1.0), stacked[1] - 1.0
-        for k, (mv, rho) in enumerate(zip(_solve_free_values(states, True), states)):
-            if mv.method is Method.SOLVE_FREE_BRACKET:
-                assert ((mv.value, mv.certificate_gap), (lo[k], hi[k])) == _scalar_brackets(rho)
+        for k, (first, rho) in enumerate(zip(_solve_free_values(states, True), states)):
+            if type(first) is tuple:
+                b_lo, b_hi = first
+                assert ((b_lo, max(0.0, b_hi - b_lo)), (lo[k], hi[k])) == _scalar_brackets(rho)
                 compared += 1
     assert compared > 500
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import cohkit.sdp
-from cohkit.measures import DEFAULT_ROC_TOL, MeasureValue, Method, _Ladder, l1_coherence, roc
+from cohkit.measures import DEFAULT_ROC_TOL, _Ladder, l1_coherence, roc
 from cohkit.sdp import (
     RocSolution,
     SolveStatus,
@@ -421,15 +421,15 @@ def _bracket_states():
             yield f"d{d}-rank{rank}", random_density(d, rank, rng), None
 
 
-def _decision_first_value(rho):
-    """The first value the ordering decisions give ``rho``, as a block of
-    one: rung 0's closed form, else the witness's, else the eigen bracket
-    ``[lo, hi]`` the ladder holds, as a SOLVE_FREE_BRACKET value."""
+def _decision_first_bracket(rho):
+    """The first bracket ``(lo, hi)`` the ordering decisions give ``rho``,
+    as a block of one, and its value, None for the eigen bracket: rung 0's
+    closed form, else the witness's value, each with its own bracket, else
+    the eigen bracket the ladder holds."""
 
     ladder = _Ladder([rho], DEFAULT_ROC_TOL)
     ladder.bracket()
-    lo, hi = ladder.lo[0].item(), ladder.hi[0].item()
-    return ladder.values[0] or MeasureValue(lo, Method.SOLVE_FREE_BRACKET, max(0.0, hi - lo))
+    return ladder.values[0], ladder.lo[0].item(), ladder.hi[0].item()
 
 
 def test_solve_free_bracket_is_certified():
@@ -440,13 +440,13 @@ def test_solve_free_bracket_is_certified():
     # bound is exact for the sigma family)
     brackets = 0
     for name, rho, expected in _bracket_states():
-        mv = _decision_first_value(rho)
+        mv, lo, hi = _decision_first_bracket(rho)
         sol = solve(build(rho))
         assert sol.status is SolveStatus.OPTIMAL, name
-        brackets += mv.method is Method.SOLVE_FREE_BRACKET
-        assert 0.0 <= mv.value <= mv.upper, name
-        assert mv.value <= sol.primal_value - 1.0 + 1e-12, name
-        assert mv.upper >= sol.dual_value - 1.0 - 1e-12, name
+        brackets += mv is None
+        assert 0.0 <= lo <= hi, name
+        assert lo <= sol.primal_value - 1.0 + 1e-12, name
+        assert hi >= sol.dual_value - 1.0 - 1e-12, name
         if expected is not None:
-            assert mv.value - 1e-12 <= expected <= mv.upper + 1e-12, name
+            assert lo - 1e-12 <= expected <= hi + 1e-12, name
     assert brackets > 100

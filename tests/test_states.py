@@ -394,23 +394,27 @@ def test_trace_check_reads_the_imaginary_part():
 
 def test_density_eigenvalues_are_the_validated_spectrum():
     rng = np.random.default_rng(12)
-    drawn = [random_density(d, r, rng) for d, r in ((2, 2), (5, 1), (7, 3), (9, 9))]
+    shapes = ((2, 2), (5, 1), (7, 3), (9, 9), (10, 1), (10, 3))
+    drawn = [random_density(d, r, rng) for d, r in shapes]
+    low_rank = [(rho, d, r) for rho, (d, r) in zip(drawn, shapes) if r < d]
     x = rng.standard_normal((4, 4))
     # full rank, the sigma family and direct input: the d x d eigvalsh, bit for bit
     exact = [drawn[0], drawn[3], sigma_family(3, 1 / 7),
              DensityMatrix(np.eye(4) / 4 + 1e-13 * (x - x.T))]  # not exactly Hermitian
-    exact += [DensityMatrix(rho.mat) for rho in drawn[1:3]]
+    exact += [DensityMatrix(rho.mat) for rho, _, _ in low_rank]
     for rho in exact:
         w = rho.eigenvalues
         assert np.all(np.diff(w) >= 0)
         assert np.array_equal(w, np.linalg.eigvalsh(linalg.hermitize(rho.mat)))
-    # drawn at rank r < d: d - r exact zeros, then the r x r Gram's spectrum
-    for rho, (d, r) in zip(drawn[1:3], ((5, 1), (7, 3))):
+    # drawn at rank r < d: d - r exact zeros, then the r x r Gram's spectrum,
+    # whose entropy is that of the whole spectrum, bit for bit
+    for rho, d, r in low_rank:
         w = rho.eigenvalues
         assert np.array_equal(w[:d - r], np.zeros(d - r)) and np.all(w[d - r:] != 0)
         assert np.all(np.diff(w) >= 0)
         top = np.linalg.eigvalsh(linalg.hermitize(rho.mat))[d - r:]
         assert np.abs(w[d - r:] - top).max() <= 1e-14
+        assert rho.entropy_bits == cohkit.states._entropy_bits(w[None])[0]
     assert "eigenvalues" not in repr(drawn[0])
     with pytest.raises(TypeError):
         DensityMatrix(np.eye(2) / 2, eigenvalues=np.ones(2))
@@ -424,6 +428,19 @@ def test_a_given_spectrum_is_checked_for_negative_eigenvalues(at):
     assert np.array_equal(cohkit.states._validated(m, (), eigs)[2], eigs)
     eigs[0, at] = 2 * cohkit.states.EIG_FLOOR
     with pytest.raises(ValueError, match="negative eigenvalue -2.000e-09"):
+        cohkit.states._validated(m, (), eigs)
+
+
+def test_a_given_spectrum_leaves_the_hermiticity_check_on_the_matrix():
+    # given the spectrum, validation forms no Hermitian part, yet it still
+    # checks the matrices it is given, naming the first failing one's defect
+    block = random_densities(7, 3, [np.random.default_rng(14)], count=3)
+    m = np.array([rho.mat for rho in block])
+    eigs = np.array([rho.eigenvalues for rho in block])
+    m[1, 0, 2] += 1e-6  # the transposed entry is left alone
+    defect = linalg.hermitian_part(m)[1][1]
+    assert defect > linalg.HERMITIAN_RTOL
+    with pytest.raises(ValueError, match=f"not Hermitian \\(relative defect {defect:.3e}\\)"):
         cohkit.states._validated(m, (), eigs)
 
 
