@@ -32,7 +32,7 @@ def hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def hermitian_defect(m: np.ndarray) -> np.ndarray:
     """The relative Hermiticity defect of :func:`hermitian_part` alone, for a
-    caller that does not read the Hermitian part."""
+    caller that forms the Hermitian part only where the defect is not 0."""
     return _defect(m, m.conj().swapaxes(-1, -2))
 
 

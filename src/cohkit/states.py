@@ -10,15 +10,15 @@ Every state is built by :meth:`DensityMatrix.stack` on a stack of matrices;
 checked with one ``eigvalsh`` for the whole stack, and what the coherence
 measures read of each state is computed for the whole stack too: its
 off-diagonal ``|rho_ij|`` sum and the entropies of its spectrum and of its
-diagonal.
+diagonal. The ``eigvalsh`` reads the stack itself where every matrix of it
+is exactly Hermitian, and its Hermitian part only where one is not.
 :func:`random_densities` draws a block of random states, as many per
-generator as asked, with one draw call per generator, as
-:func:`random_density` would draw them one by one, and the block is
-normalized, validated and measured as one stack. A block of rank ``r < d``
-is checked with one ``eigvalsh`` of the r x r Grams ``G^dag G / tr`` instead
-of the d x d states, whose nonzero spectrum it is; its states' Hermitian
-parts, which only that ``eigvalsh`` would read, are not formed, and their
-entropies are taken from the Gram spectra. :func:`sigma_family` takes
+generator as asked, into one array, as :func:`random_density` would draw
+them one by one, and the block is normalized and hermitized in place,
+validated and measured as one stack. A block of rank ``r < d`` is checked
+with one ``eigvalsh`` of the r x r Grams ``G^dag G / tr`` instead of the
+d x d states, whose nonzero spectrum it is, and its states' entropies are
+taken from the Gram spectra. :func:`sigma_family` takes
 a block too: given a sequence of mixing parameters, it builds one stack and
 returns a list of states, each bit-identical to the state built alone; given
 one, it returns one state, built as a block of one. :func:`mix_with_pure`
@@ -57,9 +57,13 @@ def _validated(mats, dims, eigs=None) -> tuple[np.ndarray, tuple[int, ...], np.n
     d)``), the integer subsystem dimensions, and the ascending spectrum of
     each matrix: ``eigs`` where given, else the ``eigvalsh`` of each
     matrix's Hermitian part. Only :func:`random_densities` gives ``eigs``,
-    the spectra it takes from its states' factors; the Hermitian part is then
-    not formed, and the Hermiticity check takes the defect alone
-    (:func:`cohkit.linalg.hermitian_defect`), on the matrices themselves.
+    the spectra it takes from its states' factors. The Hermiticity check
+    takes the defect of every stack by one rule
+    (:func:`cohkit.linalg.hermitian_defect`), on the matrices themselves. An
+    exactly Hermitian matrix (defect 0) is its own Hermitian part, so the
+    Hermitian part (:func:`cohkit.linalg.hermitize`) is formed only where
+    ``eigvalsh`` reads it and some matrix of the stack is not exactly
+    Hermitian; otherwise ``eigvalsh`` reads the stack itself.
 
     Raises ``ValueError`` on the first failed check, naming the value of the
     first failing matrix: integer dims, square, finite, dims at least 1 and
@@ -79,14 +83,14 @@ def _validated(mats, dims, eigs=None) -> tuple[np.ndarray, tuple[int, ...], np.n
         raise ValueError(f"subsystem dimensions {dims} must all be at least 1")
     if dims and prod(dims) != m.shape[-1]:
         raise ValueError(f"subsystem dimensions {dims} do not factor dimension {m.shape[-1]}")
-    # the Hermitian part only where eigvalsh reads it, the defect always
-    h, defect = linalg.hermitian_part(m) if eigs is None else (None, linalg.hermitian_defect(m))
+    defect = linalg.hermitian_defect(m)
     _raise_first(defect > linalg.HERMITIAN_RTOL, defect,
                  "density matrix is not Hermitian (relative defect {:.3e})")
     tr = m.trace(axis1=-2, axis2=-1)
     _raise_first(abs(tr - 1.0) > TRACE_ATOL, tr, "density matrix trace {} is not 1")
     if eigs is None:
-        eigs = np.linalg.eigvalsh(h)
+        # an exactly Hermitian matrix is its own Hermitian part
+        eigs = np.linalg.eigvalsh(linalg.hermitize(m) if defect.any() else m)
     # the least entry, wherever a given spectrum holds it
     min_eig = eigs.min(-1)
     _raise_first(min_eig < EIG_FLOOR, min_eig, "density matrix has negative eigenvalue {:.3e}")
@@ -129,15 +133,16 @@ class DensityMatrix:
     builds the state as a stack of one by :meth:`stack`, which validates it,
     raises ``ValueError`` on any breach, and computes each intermediate once:
     the input becomes a contiguous complex array, finiteness is tested on it,
-    one conjugate transpose gives both the Hermiticity defect and the
-    Hermitian part (:func:`cohkit.linalg.hermitian_part`), and one
-    ``eigvalsh`` of that Hermitian part gives ``eigenvalues``, the ascending
-    spectrum that measures and the solver read instead of factorizing the
-    state again. A state that :func:`random_densities` draws at rank
-    ``r < d`` takes ``eigenvalues`` from its r x r Gram instead: ``d - r``
-    zeros, then the Gram's ascending spectrum. Its conjugate transpose then
-    gives the Hermiticity defect alone, as no ``eigvalsh`` reads a
-    Hermitian part.
+    one conjugate transpose gives the Hermiticity defect
+    (:func:`cohkit.linalg.hermitian_defect`), and one ``eigvalsh`` gives
+    ``eigenvalues``, the ascending spectrum that measures and the solver
+    read instead of factorizing the state again. That ``eigvalsh`` reads
+    the matrix itself where it is exactly Hermitian, as it then is its own
+    Hermitian part, and its Hermitian part otherwise (one of the stack's
+    matrices not exactly Hermitian gives the whole stack's Hermitian part,
+    :func:`cohkit.linalg.hermitize`). A state that :func:`random_densities`
+    draws at rank ``r < d`` takes ``eigenvalues`` from its r x r Gram
+    instead: ``d - r`` zeros, then the Gram's ascending spectrum.
     ``offdiagonal_abs_sum`` is the sum of ``|rho_ij|`` over ``i != j``: the
     l1-norm of coherence, and for a pure state also its robustness.
     ``entropy_bits`` is the von Neumann entropy S(rho) in bits, from
@@ -325,9 +330,13 @@ def random_densities(
     :meth:`DensityMatrix.stack`.
 
     Each generator draws the ``G`` of all its states with one
-    ``standard_normal`` call, in the order :func:`random_density` draws them
-    (real part, then imaginary part, state by state), so every state is
-    bit-identical to the one that many calls would give.
+    ``standard_normal`` call, into its slice of one array allocated for the
+    block, in the order :func:`random_density` draws them (real part, then
+    imaginary part, state by state), so every state is bit-identical to the
+    one that many calls would give. Each state ``G G^dag`` is then divided
+    by its trace and replaced by its Hermitian part in place, by the ufuncs
+    of ``linalg.hermitize(m / tr)`` and with its bits, so the block is
+    exactly Hermitian.
 
     At ``rank < d`` each state's spectrum is ``d - rank`` zeros followed by
     the ascending ``eigvalsh`` of the Hermitian part of its Gram
@@ -335,16 +344,23 @@ def random_densities(
     d x d ``eigvalsh`` and the Hermitian part it would read are skipped,
     every check still runs on the state, and its entropy is taken from the
     Gram's spectrum, whose entries are the nonzero ones. At ``rank = d``
-    the block is validated by :meth:`DensityMatrix.stack`.
+    the block is validated by :meth:`DensityMatrix.stack`, whose
+    ``eigvalsh`` reads the exactly Hermitian block itself.
     """
     if not 1 <= rank <= d:
         raise ValueError(f"rank must satisfy 1 <= rank <= d, got rank={rank}, d={d}")
-    g = np.concatenate([rng.standard_normal((count, 2, d, rank)) for rng in rngs])
+    g = np.empty((len(rngs), count, 2, d, rank))
+    for rng, out in zip(rngs, g):
+        rng.standard_normal(out=out)
+    g = g.reshape(-1, 2, d, rank)
     g = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2)
     gh = g.conj().swapaxes(-1, -2)
     m = g @ gh
     tr = np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
-    m = linalg.hermitize(m / tr)
+    # linalg.hermitize(m / tr), by the same ufuncs, in place
+    m /= tr
+    m += m.conj().swapaxes(-1, -2)
+    m /= 2
     if rank == d:
         return DensityMatrix.stack(m)
     gram = np.linalg.eigvalsh(linalg.hermitize(gh @ g / tr))

@@ -321,6 +321,14 @@ def test_random_densities_draw_what_random_density_would():
         for rho, single in zip(block, one_by_one):
             assert np.array_equal(rho.mat, single.mat)
             assert np.array_equal(rho.eigenvalues, single.eigenvalues)
+        # the block built in place is hermitize(G G^dag / tr), built out of
+        # place from fresh generators' draws, bit for bit
+        g = np.concatenate([np.random.default_rng([d, rank, i]).standard_normal((2, 2, d, rank))
+                            for i in range(4)])
+        g = (g[:, 0] + 1j * g[:, 1]) / np.sqrt(2)
+        m = g @ g.conj().swapaxes(-1, -2)
+        tr = np.trace(m, axis1=-2, axis2=-1).real[:, None, None]
+        assert np.array_equal(np.array([rho.mat for rho in block]), linalg.hermitize(m / tr))
     with pytest.raises(ValueError, match="rank"):
         random_densities(3, 4, [np.random.default_rng(0)])
 
@@ -392,7 +400,7 @@ def test_trace_check_reads_the_imaginary_part():
         DensityMatrix(np.diag([1000.0 + 5e-11j, -999.0]))
 
 
-def test_density_eigenvalues_are_the_validated_spectrum():
+def test_density_eigenvalues_are_the_validated_spectrum(monkeypatch):
     rng = np.random.default_rng(12)
     shapes = ((2, 2), (5, 1), (7, 3), (9, 9), (10, 1), (10, 3))
     drawn = [random_density(d, r, rng) for d, r in shapes]
@@ -415,6 +423,24 @@ def test_density_eigenvalues_are_the_validated_spectrum():
         top = np.linalg.eigvalsh(linalg.hermitize(rho.mat))[d - r:]
         assert np.abs(w[d - r:] - top).max() <= 1e-14
         assert rho.entropy_bits == cohkit.states._entropy_bits(w[None])[0]
+    # an exactly Hermitian stack is its own Hermitian part, so no hermitize
+    # call forms one; a stack with one matrix inside HERMITIAN_RTOL among
+    # exact ones makes one call, on the whole stack
+    hermitize, calls = linalg.hermitize, []
+    monkeypatch.setattr(linalg, "hermitize", lambda m: calls.append(len(m)) or hermitize(m))
+    full = random_densities(6, 6, [rng], count=3)
+    sigmas = sigma_family(2, [0.0, 0.1, 1 / 3])
+    mixed = mix_with_pure(sigmas, maximally_coherent(4), 0.3)
+    assert calls == []
+    near = np.eye(4) / 4 + 1e-13 * (x - x.T)
+    for block, expected_calls in ((full, []), (sigmas, []), (mixed, []),
+                                  ([*sigmas, DensityMatrix(near)], [4])):
+        calls.clear()
+        m = np.array([rho.mat for rho in block])
+        states = DensityMatrix.stack(m, block[0].dims)
+        assert calls == expected_calls
+        assert np.array_equal(np.array([rho.eigenvalues for rho in states]),
+                              np.linalg.eigvalsh(hermitize(m)))
     assert "eigenvalues" not in repr(drawn[0])
     with pytest.raises(TypeError):
         DensityMatrix(np.eye(2) / 2, eigenvalues=np.ones(2))
