@@ -11,7 +11,10 @@ Three measures are provided:
   states of a block then take, as one numpy stack, the stacked rungs in
   cost order: a rank-one phase witness that certifies RoC = l1 for states
   whose off-diagonal phases factor as u_i conj(u_j), an eigenvector
-  bracket and a phase ascent. The certified SDP, per state, comes last.
+  bracket and a rank-r ascent over duals Y = V V^dag with unit-row V
+  (Burer-Monteiro), whose r and step count are fixed functions of the
+  dimension (:func:`_ascent_plan`). The certified SDP, per state, comes
+  last.
   :meth:`_Ladder.run` runs one stacked rung on the states it is given and
   intersects the brackets it certifies, and each mode calls the rungs it
   needs in turn. A stacked rung's primal is certified by one rule,
@@ -74,8 +77,20 @@ DEFAULT_ROC_TOL = 1e-8
 # Added to lambda_max of the off-diagonal part before the slack of the
 # solve-free primal point is Cholesky-certified; absorbs eigenvalue rounding.
 BRACKET_SLACK_SHIFT = 1e-12
-# Minorize-maximize steps u <- phases(rho u) of the phase-ascent bracket.
-ASCENT_STEPS = 10
+# Minorize-maximize steps V <- rows(rho V) of the rank-r ascent bracket at
+# d <= 10, the paper's range, where r = 2. Chosen on seeds 7 and 8, which no
+# pin uses: on fig2 (d = 2..10, 1000 samples), 6, 8, 10, 12, 16 and 20 steps
+# left 117, 80, 57, 36, 20 and 14 pairs to the SDP, and 12 ran fastest.
+ASCENT_STEPS = 12
+
+
+def _ascent_plan(d: int) -> tuple[int, int]:
+    """The ascent bracket's rank r and step count at dimension ``d``: rank 2
+    and ASCENT_STEPS steps up to d = 10; rank ceil(sqrt(2d)) and 40 steps
+    above, where a solve costs far more than a step. Some optimal dual of a
+    real state has a rank r with r(r + 1)/2 <= d (docs/roc-sdp.md,
+    candidate 5), so ceil(sqrt(2d)) always suffices there."""
+    return (2, ASCENT_STEPS) if d <= 10 else (int(np.ceil(np.sqrt(2 * d))), 40)
 
 
 class MeasureKind(Enum):
@@ -183,6 +198,14 @@ def _unit_phases(v: np.ndarray) -> np.ndarray:
     return np.divide(v, mod, out=np.ones_like(v), where=mod > 0)
 
 
+def _unit_rows(r: np.ndarray) -> np.ndarray:
+    """Each row r_i / |r_i| of a stack of complex matrices, and e_1 where
+    r_i = 0, so that every row is a unit vector. |r_i|^2 sums the squares of
+    the real and imaginary parts of r_i in order (one ``einsum``)."""
+    norm = np.sqrt(np.einsum("...k,...k->...", r.view(float), r.view(float)))[..., None]
+    return np.where(norm > 0, r, np.eye(r.shape[-1])[0]) / np.where(norm > 0, norm, 1.0)
+
+
 def roc(rho: DensityMatrix, tol: float = DEFAULT_ROC_TOL) -> MeasureValue:
     """Robustness of coherence: the certified-bracket ladder (docs/roc-sdp.md,
     "The rung table") on the state as a block of one, in value mode
@@ -248,49 +271,57 @@ def _diagonal_minus(d: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out - m
 
 
-def _witness(m: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _witness(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidates 1 and 2 on a stack: the Gershgorin primal, objective
     1 + l1, and the dual Y = u u^dag with u the phases of the column of the
-    largest diagonal entry. Reads no phases."""
+    largest diagonal entry, returned as column 0 of a ``v``-shaped stack
+    that is zero elsewhere. Reads no phases."""
     column = np.argmax(m.diagonal(axis1=-2, axis2=-1).real, axis=-1)
     u = _unit_phases(m[np.arange(len(m)), :, column])
-    return np.vecdot(u, _matvec(m, u)).real, np.abs(m).sum(axis=(-2, -1)), u
+    return (np.vecdot(u, _matvec(m, u)).real, np.abs(m).sum(axis=(-2, -1)),
+            u[..., None] * np.eye(v.shape[-1])[0])
 
 
-def _eigen_bracket(m: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _eigen_bracket(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidates 3 and 4 on a stack, from one ``eigh`` of O = rho - Diag(rho):
-    the dual from the phases of O's top eigenvector, which it returns; the
-    primal (:func:`_primal`) at d_i = rho_ii + lambda_max(O) +
-    BRACKET_SLACK_SHIFT. Reads no phases."""
+    the dual from the phases u of O's top eigenvector; the primal
+    (:func:`_primal`) at d_i = rho_ii + lambda_max(O) + BRACKET_SLACK_SHIFT.
+    Returns the ascent's start, shaped as ``v``: O's top eigenvectors,
+    largest first, with u in column 0 and each row made a unit vector
+    (:func:`_unit_rows`). Reads no phases."""
     idx = np.arange(m.shape[-1])
     off = m.copy()
     off[:, idx, idx] = 0.0
-    w, v = np.linalg.eigh(off)
-    u = _unit_phases(v[..., -1])
+    w, vecs = np.linalg.eigh(off)
+    start = vecs[..., ::-1][..., :v.shape[-1]].copy()  # the top r, largest first
+    u = start[..., 0] = _unit_phases(vecs[..., -1])
     d = m.diagonal(axis1=-2, axis2=-1).real + (w[:, -1] + BRACKET_SLACK_SHIFT)[:, None]
-    return np.vecdot(u, _matvec(m, u)).real, _primal(m, d), u
+    return np.vecdot(u, _matvec(m, u)).real, _primal(m, d), _unit_rows(start)
 
 
-def _ascent(m: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Candidates 5 and 6 on a stack, from the phases ``u`` the eigen rung left.
+def _ascent(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Candidates 5 and 6 on a stack, from the unit-row ``v`` (n, d, r) the
+    eigen rung left.
 
-    Dual: ASCENT_STEPS minorize-maximize steps u <- phases(rho u), each one
-    batched product over the stack; none can lower u^dag rho u, which is
-    convex in u. The best objective seen is the dual; the last u is returned.
-    Primal (:func:`_primal`): the complementary-slackness point d_i =
-    |(rho u)_i| + c for the last u, with c = max(0, -lambda_min(Diag|rho u| -
-    rho)) + BRACKET_SLACK_SHIFT.
+    Dual: ``_ascent_plan(d)``'s steps of the minorize-maximize step V <-
+    rows(rho V) (:func:`_unit_rows`), each one batched product over the
+    stack; none can lower tr(V^dag rho V), which is convex in V, and every
+    V gives the feasible Y = V V^dag. The best objective seen is the dual;
+    the last V is returned. Primal (:func:`_primal`): the
+    complementary-slackness point d_i = |(rho V)_i| + c for the last V, with
+    c = max(0, -lambda_min(Diag|(rho V)_i| - rho)) + BRACKET_SLACK_SHIFT.
     """
-    r = _matvec(m, u)
-    dual = np.vecdot(u, r).real
-    for _ in range(ASCENT_STEPS):
-        u = _unit_phases(r)
-        r = _matvec(m, u)
-        dual = np.maximum(dual, np.vecdot(u, r).real)
-    mod = np.abs(r)
+    flat = len(m), -1  # tr(V^dag R) as one dot product per matrix
+    r = m @ v
+    dual = np.vecdot(v.reshape(flat), r.reshape(flat)).real
+    for _ in range(_ascent_plan(m.shape[-1])[1]):
+        v = _unit_rows(r)
+        r = m @ v
+        dual = np.maximum(dual, np.vecdot(v.reshape(flat), r.reshape(flat)).real)
+    mod = np.linalg.norm(r, axis=-1)
     c = np.maximum(0.0, -np.linalg.eigvalsh(_diagonal_minus(mod, m))[:, 0])
     d = (mod + c[:, None]) + BRACKET_SLACK_SHIFT
-    return dual, _primal(m, d), u
+    return dual, _primal(m, d), v
 
 
 def _primal(m: np.ndarray, d: np.ndarray) -> np.ndarray:
@@ -331,7 +362,9 @@ class _Ladder:
     Construction runs both modes' common start, which is all of value mode:
     rung 0 gives each qubit or pure state :func:`roc`'s closed form, one
     state at a time; the others, ``stacked`` (their indices, ascending; the
-    i-th is row i of the stack ``m`` and of its phases ``u``), run the
+    i-th is row i of the stack ``m`` and of ``u``, the stack of unit-row
+    d x r matrices each rung leaves for the next, r from
+    :func:`_ascent_plan`), run the
     witness as one stack, which gives a PHASE_WITNESS value to each whose
     two objectives pass the gap rule. Where rung 0 values every state,
     nothing is stacked: ``m`` and ``u`` are None, and neither the witness
@@ -353,7 +386,7 @@ class _Ladder:
         if not self.stacked.size:
             return
         self.m = np.array([states[k].mat for k in self.stacked.tolist()])
-        self.u = np.ones(self.m.shape[:2], dtype=complex)
+        self.u = np.zeros((*self.m.shape[:2], _ascent_plan(self.m.shape[-1])[0]), dtype=complex)
         dual, primal = self.run(_witness, self.stacked)
         passed = sdp.passes_gap_rule(primal, dual, tol)
         for k, dl, pr in zip(self.stacked[passed].tolist(), dual[passed].tolist(),
@@ -363,9 +396,9 @@ class _Ladder:
     def run(self, rung: Callable, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Run the stacked ``rung`` (:func:`_witness`, :func:`_eigen_bracket`
         or :func:`_ascent`) on the stack of the states ``at``, some of
-        ``stacked`` in the caller's order, from the phases the rung before
-        left them; intersect the certified ``[dual - 1, primal - 1]`` into
-        their brackets and return ``(dual, primal)``. An empty ``at`` runs
+        ``stacked`` in the caller's order, from the unit-row ``u`` the rung
+        before left them; intersect the certified ``[dual - 1, primal - 1]``
+        into their brackets and return ``(dual, primal)``. An empty ``at`` runs
         nothing and is returned as both."""
         if not at.size:
             return at, at
@@ -611,7 +644,7 @@ def ordering_decisions(
     mode is then four calls: :meth:`_Ladder.bracket` gives every state the
     witness leaves open, by the gap rule at DEFAULT_ROC_TOL, its eigen
     bracket, not a value; each pair is settled on these brackets
-    (SOLVE_FREE); :meth:`_Ladder.run` runs the phase ascent, as one stack,
+    (SOLVE_FREE); :meth:`_Ladder.run` runs the rank-r ascent, as one stack,
     on the states that have no value and whose pair is still open, widest
     bracket first within each pair (:meth:`_Ladder.widest_first`); and
     the pairs still open are settled again (ASCENT). Running both states'

@@ -12,11 +12,15 @@ Hypothesis draws states from the families that stress the RoC ladder of
 * any of these on a smaller support embedded in a larger basis, which gives
   zero-diagonal rows and columns.
 
-The properties are stated on the public entry points only (``roc``,
-``subadditivity_gap``, ``ordering_decisions``) against the solver,
-``sdp.solve``, run to a relative gap of 1e-10:
+The properties are stated on the public entry points (``roc``,
+``subadditivity_gap``, ``ordering_decisions``) and on the stacked rungs of
+the ladder, against the solver, ``sdp.solve``, run to a relative gap of
+1e-10:
 
 * every value's ``[value, upper]`` meets the solver's certified bracket;
+* so does every ``[dual - 1, primal - 1]`` of the witness, the eigen
+  bracket and the rank-r ascent, each run from the point the one before
+  left, at d = 2..16, so at ranks 2 to 6;
 * a block's answer for each state or pair is bit-identical to its answer as
   a block of one;
 * the ``roc`` brackets of a state and of its image under a basis
@@ -39,6 +43,10 @@ from cohkit.measures import (
     ORDERING_TIE_TOL,
     PURE_EIG_TOL,
     MeasureKind,
+    _ascent,
+    _ascent_plan,
+    _eigen_bracket,
+    _witness,
     l1_coherence,
     ordering_decisions,
     rel_entropy_coherence,
@@ -140,6 +148,8 @@ def states(draw, d, dims=()):
 
 
 dimensions = st.integers(2, 10)
+# past d = 10 the ascent's rank is ceil(sqrt(2d)), not 2
+rung_dimensions = st.integers(2, 16)
 
 
 @st.composite
@@ -217,6 +227,28 @@ def test_every_roc_value_meets_the_certified_sdp_bracket(rho, tol):
     mv = roc(rho, tol)
     assert 0.0 <= mv.value <= mv.upper
     assert _meets(mv.value, mv.upper, *_reference(rho), _pure_resolution(rho))
+
+
+def _rung_brackets(rho):
+    """The ``(dual, primal)`` of the witness, the eigen bracket and the
+    ascent, in that order, on ``rho`` as a stack of one, each rung from the
+    unit-row V the one before left; and the rank of the ascent's V."""
+    v = np.zeros((1, rho.dim, _ascent_plan(rho.dim)[0]), dtype=complex)
+    brackets = []
+    for rung in (_witness, _eigen_bracket, _ascent):
+        dual, primal, v = rung(rho.mat[None], v)
+        brackets.append((float(dual[0]), float(primal[0])))
+    return brackets, v.shape[-1]
+
+
+@CONTRACT
+@given(rung_dimensions.flatmap(states))
+def test_every_stacked_rung_brackets_the_sdp_value(rho):
+    brackets, rank = _rung_brackets(rho)
+    assert rank > 1
+    reference = _reference(rho)
+    for dual, primal in brackets:
+        assert _meets(dual - 1.0, primal - 1.0, *reference)
 
 
 @CONTRACT

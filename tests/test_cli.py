@@ -367,8 +367,9 @@ def _never_optimal(problem, tol=1e-8, accept=None):
         ["roc-solve", "{state}"],
         ["theorem1", "--n", "2", "--samples", "1"],
         # a failing pair is redrawn and decided like a first draw, so the
-        # run aborts only once its solves fail for two of the ten samples
-        ["fig2", "--grid", "10", "--samples", "10"],
+        # run aborts only once its solves fail for two of the ten samples:
+        # at seed 79, samples 1 and 7 reach the solver
+        ["fig2", "--grid", "10", "--samples", "10", "--seed", "79"],
     ],
 )
 def test_solver_failure_exits_3(argv, state_file, tmp_path, monkeypatch, capsys):
@@ -411,9 +412,11 @@ def test_an_aborted_sweep_keeps_its_failures_in_the_sidecar(tmp_path, monkeypatc
 
 def test_pooled_sweep_abort_exits_3(tmp_path, monkeypatch, capsys):
     # forked workers inherit the patched solver, so every draw that reaches the
-    # SDP fails in a worker; of ten seed-0 pairs at d=10, two do, one in each
-    # worker's chunk, which exceeds the one failure ten samples may have
+    # SDP fails in a worker; of ten seed-79 pairs at d=10, two do, samples 1
+    # and 7, one in each worker's chunk, which exceeds the one failure ten
+    # samples may have
     monkeypatch.setattr(cohkit.sdp, "solve", _never_optimal)
-    argv = ["fig2", "--grid", "10", "--samples", "10", "--threads", "2", "--out", str(tmp_path)]
+    argv = ["fig2", "--grid", "10", "--samples", "10", "--seed", "79", "--threads", "2",
+            "--out", str(tmp_path)]
     assert run(argv) == 3
     assert "2 solver failures exceed the abort threshold" in capsys.readouterr().err

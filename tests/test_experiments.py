@@ -294,8 +294,8 @@ def _uninformative_solve(real_solve):
 
 
 def test_undecided_pairs_are_counted_on_refined_values_and_listed(monkeypatch, tmp_path):
-    # sample 2 of seed 20 at d=5 is a pair that no solve-free bracket settles
-    cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=8, seed=20, grid=(5,))
+    # sample 2 of seed 682 at d=10 is a pair that only the SDP rung settles
+    cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=8, seed=682, grid=(10,))
     csv_path, meta_path = run_and_save(cfg, tmp_path / "exact")
     expected_csv = csv_path.read_bytes()
     exact = json.loads(meta_path.read_text())
@@ -311,21 +311,21 @@ def test_undecided_pairs_are_counted_on_refined_values_and_listed(monkeypatch, t
     assert undecided and meta["ordering_decisions"]["undecided"] == len(undecided)
     assert meta["ordering_decisions"]["solve"] == 0
     for entry in undecided:
-        assert entry["point"] == 5 and 0 <= entry["sample"] < 8
+        assert entry["point"] == 10 and 0 <= entry["sample"] < 8
         low, high = entry["roc_difference_bracket"]
         assert low < high
 
 
 def test_undecided_samples_are_listed_by_their_index_at_the_grid_point(monkeypatch):
-    # sample 2 of seed 20 at d=5 reaches the solver; at two workers it is the
+    # sample 2 of seed 682 at d=10 reaches the solver; at two workers it is the
     # second sample of the second chunk, (1, 3)
-    cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=3, seed=20, grid=(5,))
+    cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=3, seed=682, grid=(10,))
     assert _chunks(cfg.samples, 2) == [(0, 1), (1, 3)]
     monkeypatch.setattr(cohkit.sdp, "solve", _uninformative_solve(cohkit.sdp.solve))
     monkeypatch.setattr(cohkit.experiments, "ProcessPoolExecutor", InlinePool)
     monkeypatch.setattr(InlinePool, "sizes", [])
     serial = run_experiment(cfg, workers=1)
-    assert [(u["point"], u["sample"]) for u in serial[1]["undecided"]] == [(5, 2)]
+    assert [(u["point"], u["sample"]) for u in serial[1]["undecided"]] == [(10, 2)]
     assert run_experiment(cfg, workers=2) == serial
     assert InlinePool.sizes == [2]
 
@@ -652,15 +652,15 @@ def _solved_states(monkeypatch, cfg: SweepConfig) -> list:
     return solved
 
 
-def _seed20_planted_failure():
-    """A fig2 run of three samples at d=5, seed 20, the state ``a`` of its
+def _seed682_planted_failure():
+    """A fig2 run of three samples at d=10, seed 682, the state ``a`` of its
     sample 2, whose pair only a solve settles, an ``sdp.solve`` that fails
     on ``a`` alone, and the pair that sample 2 draws next."""
-    cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=3, seed=20, grid=(5,))
-    rng = np.random.default_rng([20, 0, 2])
-    a = random_density(5, 5, rng)
-    random_density(5, 5, rng)
-    redrawn = (random_density(5, 5, rng), random_density(5, 5, rng))
+    cfg = SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=3, seed=682, grid=(10,))
+    rng = np.random.default_rng([682, 0, 2])
+    a = random_density(10, 10, rng)
+    random_density(10, 10, rng)
+    redrawn = (random_density(10, 10, rng), random_density(10, 10, rng))
     real_solve = cohkit.sdp.solve
 
     def solve_of_a_fails(problem, **kwargs):
@@ -674,7 +674,7 @@ def _seed20_planted_failure():
 
 
 def test_metadata_lists_redrawn_draws_with_the_failing_state(monkeypatch, tmp_path):
-    cfg, a, solve_of_a_fails, _ = _seed20_planted_failure()
+    cfg, a, solve_of_a_fails, _ = _seed682_planted_failure()
     _, meta_path = run_and_save(cfg, tmp_path / "clean")
     assert json.loads(meta_path.read_text())["failures"] == []
 
@@ -685,23 +685,23 @@ def test_metadata_lists_redrawn_draws_with_the_failing_state(monkeypatch, tmp_pa
     _, meta_path = run_and_save(cfg, tmp_path / "flaky")
     (entry,) = json.loads(meta_path.read_text())["failures"]
     assert entry["state"] == a.to_json_dict()
-    assert (entry["point"], entry["sample"]) == (5, 2)
+    assert (entry["point"], entry["sample"]) == (10, 2)
     assert "max_iter" in entry["error"]
 
 
 def test_a_redrawn_ordering_pair_is_decided_as_a_first_draw(monkeypatch):
     # the pair that replaces a failed one is decided by the same rungs as a
     # first draw, as a block of one
-    cfg, a, solve_of_a_fails, redrawn = _seed20_planted_failure()
+    cfg, a, solve_of_a_fails, redrawn = _seed682_planted_failure()
     assert any(np.array_equal(rho.mat, a.mat) for rho in _solved_states(monkeypatch, cfg))
     expected = ordering_decisions([redrawn])[0]()
-    first_two = cohkit.experiments._chunk((cfg, 0, 5, 0, 2, 1))
+    first_two = cohkit.experiments._chunk((cfg, 0, 10, 0, 2, 1))
     monkeypatch.setattr(cohkit.sdp, "solve", solve_of_a_fails)
-    tally = cohkit.experiments._chunk((cfg, 0, 5, 0, 3, 1))  # a run of 3 samples may fail once
+    tally = cohkit.experiments._chunk((cfg, 0, 10, 0, 3, 1))  # a run of 3 samples may fail once
     assert [entry["sample"] for entry in tally["failures"]] == [2]
     # the chunk's counts are its first two samples' plus the redrawn pair's decision
     assert tally["values"] == first_two["values"] + Counter([(expected.violated, expected.stage)])
-    undecided = [{"point": 5, "sample": 2, "roc_difference_bracket": list(expected.roc_difference)}]
+    undecided = [{"point": 10, "sample": 2, "roc_difference_bracket": list(expected.roc_difference)}]
     assert tally["undecided"] == first_two["undecided"] + (
         undecided if expected.stage is DecisionStage.UNDECIDED else [])
 
@@ -709,7 +709,7 @@ def test_a_redrawn_ordering_pair_is_decided_as_a_first_draw(monkeypatch):
 def test_redraws_do_not_depend_on_the_worker_count(monkeypatch):
     # at two workers sample 2 is redrawn in the second chunk, [1, 3); forked
     # workers inherit the patched solver
-    cfg, _, solve_of_a_fails, _ = _seed20_planted_failure()
+    cfg, _, solve_of_a_fails, _ = _seed682_planted_failure()
     monkeypatch.setattr(cohkit.sdp, "solve", solve_of_a_fails)
     one = run_experiment(cfg, 1)
     assert [entry["sample"] for entry in one[1]["failures"]] == [2]
@@ -779,15 +779,15 @@ def test_ordering_sweeps_do_not_depend_on_the_block_size(monkeypatch, workers):
 
 @pytest.mark.parametrize("block", [1, 2, cohkit.experiments.BLOCK_SAMPLES])
 def test_a_redrawn_sample_is_listed_whatever_the_block_size(monkeypatch, block):
-    # the planted seed-20 failure, in one chunk of three samples that blocks
+    # the planted seed-682 failure, in one chunk of three samples that blocks
     # of 1 and 2 split
-    cfg, a, solve_of_a_fails, _ = _seed20_planted_failure()
+    cfg, a, solve_of_a_fails, _ = _seed682_planted_failure()
     monkeypatch.setattr(cohkit.sdp, "solve", solve_of_a_fails)
     monkeypatch.setattr(cohkit.experiments, "BLOCK_SAMPLES", block)
-    tally = cohkit.experiments._chunk((cfg, 0, 5, 0, 3, 1))
+    tally = cohkit.experiments._chunk((cfg, 0, 10, 0, 3, 1))
     (entry,) = tally["failures"]
     assert entry["state"] == a.to_json_dict()
-    assert (entry["point"], entry["sample"]) == (5, 2)
+    assert (entry["point"], entry["sample"]) == (10, 2)
     # the chunk counts each sample's decision; a bracket settles the redrawn pair
     stages = Counter()
     for (_, stage), n in tally["values"].items():

@@ -44,40 +44,40 @@ CASES = {
         ["fig2", "--samples", "20", "--grid", "2,3,4"],
         "ordering_vs_dimension.csv",
         "ae50f47ae32115ccf7c925cbb7c32f123d11459e061b9e291ed776e2aa1754e1",
-        "4ed5c2dce569a3d7ae734e7f735b737261664e3a7a7f492c23337ce414271bf8",
+        "e5093e820075723fc81436ee3f0810fca39b2bfe8e27e0e84f271281828167ea",
     ),
     "fig3": (
         ["fig3", "--samples", "20", "--dim", "5", "--grid", "1,2,5"],
         "ordering_vs_rank.csv",
         "5dd3224fa20bebf812eb77b0faabd2b799a725bcf8175dbe86cd57dcb2ff7b1a",
-        "f073dd9e97e96dab9ccefe9ed4f3a9e6b423d0ef681be5863c209a1493e48f66",
+        "13a2b184a9046e56bbad967e1ac837bd3f29d10bcb616d7dfadbb9e4eab1f8b7",
     ),
     # high-dimensional pairs, where the cheapest brackets leave most decisions open
     "fig2-high-d": (
         ["fig2", "--samples", "20", "--grid", "8,10"],
         "ordering_vs_dimension.csv",
         "a5520ce4e0223d44cebddb8c848f4a3139bc3a65e49887ed4cf1433e45412079",
-        "1298d4200dbf670b07d89e377030ceb7972aee7c5ee53ef28e5cd3bdaca0fd9f",
+        "e3f7651845f45c6e617614ce70de6e900bc7f0196ce7e9bd97a122940384c705",
     ),
     "fig3-d10": (
         ["fig3", "--samples", "20", "--dim", "10", "--grid", "2,9"],
         "ordering_vs_rank.csv",
         "16b02d7b75e37dab34a9fbac67477f13362abec50d17caff3af30aed6407224d",
-        "4dd6fbdcc33ee662b98be8ae3f8d8b6dea7ccfadcbd2db05354738ef6cbb04d0",
+        "0fb030aa8ad5ba27d472f2ac2cddbfaac420be6450bd2a8b3bb7c4ca27d9c797",
     ),
     # another seed, and the dimensions between the low-d and high-d cases
     "fig2-seed1": (
         ["fig2", "--seed", "1", "--samples", "30", "--grid", "5,8,10"],
         "ordering_vs_dimension.csv",
         "38f59b43c907ad542455a56808c3736a834190c81c3ea33811fe23238496c8bc",
-        "e9eba3d3c9cfc1652bede2fa16202ed64727d2f7945196d26d35db3f4f8b3481",
+        "b5a5cf9d6d2fb3315ba19f3116856ad54e4241d9d65243280b5e63040896625f",
     ),
     # 300 samples per grid point, so its one chunk at one worker spans five sample blocks
     "fig3-blocks": (
         ["fig3", "--samples", "300", "--dim", "10", "--grid", "1,5,10"],
         "ordering_vs_rank.csv",
         "5ca229cab7a488ddf60a863a1a9a42af11c3e198ee580cf89fc1b88a9d403087",
-        "e6c2cb5df88226e893c3bef7ea9f8b036fbcf8a11b734105bf7f194c97078ea9",
+        "9fdd334daf669fe07ca5b65d9962430ac9f9122934a0dcb143f73fcfb6e866f8",
     ),
     # SDP values, sigma-family gaps and qubit closed forms
     "theorem1": (

@@ -77,10 +77,14 @@ def _ends(first):
 
 
 def _ascent_start(rho):
-    """The phases the ascent of ``rho`` starts from, as a stack of one: those
-    of the top eigenvector of rho - Diag(rho) (candidate 3)."""
+    """The unit-row V the ascent of ``rho`` starts from, as a stack of one:
+    the top r eigenvectors of rho - Diag(rho), largest first, with the
+    phases of the top one (candidate 3) in column 0 and each row
+    normalized."""
     off = rho.mat - np.diag(rho.mat.diagonal())
-    return cohkit.measures._unit_phases(np.linalg.eigh(off)[1][None, :, -1])
+    vecs = np.linalg.eigh(off)[1][:, ::-1][:, :cohkit.measures._ascent_plan(rho.dim)[0]]
+    vecs[:, 0] = cohkit.measures._unit_phases(vecs[:, 0])
+    return (vecs / np.linalg.norm(vecs, axis=1, keepdims=True))[None]
 
 
 def _ascent_brackets(m, u):
@@ -565,11 +569,13 @@ def test_the_settle_rule_matches_its_per_category_reference_at_the_edges():
 
 def test_a_block_decides_the_same_when_its_pairs_are_reversed():
     # a block at d = 5 whose pairs settle at every stage, pairs needing no
-    # robustness among them, decided once in order and once reversed
+    # robustness among them, decided once in order and once reversed; of the
+    # two near-tie pairs the ascent settles the first and the SDP rung the
+    # second, the one pair that reaches it
     rng = np.random.default_rng(31)
     pairs = [(random_density(5, 5, rng), random_density(5, 5, rng)) for _ in range(40)]
     rho = random_density(5, 5, rng)
-    pairs += [(rho, rho)]
+    pairs += [_near_tie_pair(random_density(5, 5, rng)) for _ in range(2)] + [(rho, rho)]
     forward = [decide() for decide in ordering_decisions(pairs)]
     backward = [decide() for decide in ordering_decisions(pairs[::-1])]
     assert backward[::-1] == forward
@@ -797,12 +803,13 @@ def test_no_state_reaches_the_solver_twice(monkeypatch):
     assert both > 0
 
 
-def _zero_rows_state(seed):
-    """A random d=4 state on rows and columns 0, 2, 3, 5 of a d=6 matrix, so
-    rows and columns 1 and 4 are zero, diagonal included."""
-    m = np.zeros((6, 6), dtype=complex)
-    keep = [0, 2, 3, 5]
-    m[np.ix_(keep, keep)] = random_density(4, 4, np.random.default_rng(seed)).mat
+def _zero_rows_state(seed, d=6):
+    """A random full-rank state on the rows and columns i of a d x d matrix
+    with i % 3 != 1, so the others are zero, diagonal included: at d = 6 a
+    d=4 state on rows 0, 2, 3, 5, with rows 1 and 4 zero."""
+    m = np.zeros((d, d), dtype=complex)
+    keep = [i for i in range(d) if i % 3 != 1]
+    m[np.ix_(keep, keep)] = random_density(len(keep), len(keep), np.random.default_rng(seed)).mat
     return DensityMatrix(m)
 
 
@@ -812,9 +819,34 @@ def _near_incoherent(d, seed):
     return DensityMatrix((1 - 1e-6) * dephase(rho).mat + 1e-6 * rho.mat)
 
 
+def _trace_form(v, r):
+    """Re tr(V^dag R), one dot product over the flattened matrices: with R =
+    rho V, the objective tr(rho Y) of Y = V V^dag."""
+    return float(np.vdot(v, r).real)
+
+
+def _scalar_unit_rows(r):
+    """Each row of a matrix over its norm, the square root of the sum of the
+    squares of its real and imaginary parts, and e_1 where that is zero."""
+    x = r.view(float)
+    norm = np.sqrt(np.einsum("ik,ik->i", x, x))[:, None]
+    return np.where(norm > 0, r, np.eye(r.shape[1])[0]) / np.where(norm > 0, norm, 1.0)
+
+
+def _near_tie_pair(rho, eps=1e-6):
+    """``rho`` and (1 - eps) rho + eps Diag(rho), whose RoC and l1 are exactly
+    (1 - eps) times rho's (a primal point D of rho gives (1 - eps) D + eps
+    Diag(rho), and a dual Y serves both): a pair whose RoC difference, eps
+    RoC(rho), is a few ORDERING_TIE_TOL, inside the width of the ascent's
+    bracket on it at d = 10, so the SDP rung settles it."""
+    return rho, DensityMatrix((1 - eps) * rho.mat + eps * dephase(rho).mat)
+
+
 def _ascent_hard_states() -> dict[str, DensityMatrix]:
     rng = np.random.default_rng(71)
     states = {f"zero-rows-{seed}": _zero_rows_state(seed) for seed in range(3)}
+    # at d = 16 the ascent has rank 6, so a zero row's e_1 sits among five zero columns
+    states.update({f"zero-rows-d16-{seed}": _zero_rows_state(seed, 16) for seed in range(2)})
     states.update({f"d10-rank{r}": random_density(10, r, rng) for r in range(2, 10)})
     states.update({f"sigma-n{n}-kmax": sigma_family(n, sigma_kmax(n)) for n in range(2, 6)})
     states["complex-d64"] = random_density(64, 64, rng)
@@ -886,19 +918,28 @@ def test_ascent_bracket_contains_the_sdp_optimum(name):
     assert 0.0 <= lo <= hi < np.inf
     assert lo <= sol.primal_value - 1.0 + 1e-12
     assert hi >= sol.dual_value - 1.0 - 1e-12
+    # the last V has unit rows, so that Y = V V^dag is feasible: e_1 wherever
+    # rho's row, and so rho V's, is zero
+    v = _ascent(rho.mat[None], _ascent_start(rho))[2][0]
+    assert v.shape[1] == cohkit.measures._ascent_plan(rho.dim)[0] > 1
+    assert np.abs(np.linalg.norm(v, axis=1) - 1.0).max() < 1e-12
+    zero = ~rho.mat.any(axis=1)
+    assert zero.any() == name.startswith("zero-rows")
+    assert np.array_equal(v[zero], np.eye(v.shape[1])[[0] * zero.sum()])
 
 
 def test_each_ascent_step_never_lowers_the_dual(monkeypatch):
-    # every phase vector the ascent forms, in order, after the eigenvector
-    # start it is given: one per minorize-maximize step
+    # every unit-row V the ascent forms, in order, after the eigenvector
+    # start it is given: one per minorize-maximize step, as many as the
+    # rule gives the state's dimension
     formed = []
-    real_phases = cohkit.measures._unit_phases
+    real_rows = cohkit.measures._unit_rows
 
-    def recording_phases(v):
-        formed.append(real_phases(v))
+    def recording_rows(r):
+        formed.append(real_rows(r))
         return formed[-1]
 
-    monkeypatch.setattr(cohkit.measures, "_unit_phases", recording_phases)
+    monkeypatch.setattr(cohkit.measures, "_unit_rows", recording_rows)
     rng = np.random.default_rng(73)
     states = list(ASCENT_HARD_STATES.values())
     states += [random_density(d, int(rng.integers(2, d + 1)), rng) for d in range(3, 17)]
@@ -907,8 +948,8 @@ def test_each_ascent_step_never_lowers_the_dual(monkeypatch):
         start = _ascent_start(rho)
         formed.clear()
         lo, _ = _ascent_brackets(rho.mat[None], start)
-        assert len(formed) == cohkit.measures.ASCENT_STEPS
-        duals = [float(np.vdot(u[0], rho.mat @ u[0]).real) for u in [start] + formed]
+        assert len(formed) == cohkit.measures._ascent_plan(rho.dim)[1]
+        duals = [_trace_form(v[0], rho.mat @ v[0]) for v in [start] + formed]
         for before, after in zip(duals, duals[1:]):
             assert after >= before - 1e-12 * max(1.0, abs(before))
             rises += after > before + 1e-6
@@ -984,8 +1025,11 @@ def test_the_ascent_never_widens_a_solve_free_bracket(ascent, monkeypatch):
 # around a rung table, and kept through every later rewrite
 VIOLATED_HASH = "eb2ed125fc5135e0491161dfbe1e77df761c6defabc487b2813fefa9214acd20"
 # sha256 of each decision's answers and stage, recorded before the rungs ran
-# on stacks, and kept since
-STAGE_HASH = "270bb2d6e50a4c010766867a60b63c0cc240f167b2c1088c98dda1b22df01207"
+# on stacks, and kept until the ascent went from rank one to rank r: of the
+# 552 pairs, 36 of the 42 the SDP settled moved to the ascent stage
+# (solve-free, ascent, solve: 286, 224, 42 -> 286, 260, 6), with no answer
+# changed (VIOLATED_HASH held)
+STAGE_HASH = "ce6540f4ed82d1af4fc5190594aae3a393214b729161ae355ca9019451fdfadc"
 # sha256 of each decision's stage and bracket and of the roc /
 # solve-free / ascent / sdp.solve calls that made it, recorded when the
 # solve-free and ascent rungs began to run once per block; the solve-free
@@ -995,8 +1039,9 @@ STAGE_HASH = "270bb2d6e50a4c010766867a60b63c0cc240f167b2c1088c98dda1b22df01207"
 # from the r x r Gram: sdp.build starts from eigenvalues[-1], which moved at
 # about 1e-16, so 13 of the 552 records (ranks 3-9) moved their solved
 # bracket by at most 3.3e-13, with no answer, stage, call or iteration count
-# changed (VIOLATED_HASH and STAGE_HASH held)
-DECISION_HASH = "04960167b172c7ec74058039e5672a9d93a5e1e347937470cc01785dde0cf417"
+# changed (VIOLATED_HASH and STAGE_HASH held). Re-recorded with STAGE_HASH
+# when the ascent went to rank r: every ascent bracket moved
+DECISION_HASH = "e1f60b5816de4d8be7c778bb8c45afd00fa47d526ad7cefec6112e0815be857d"
 
 
 def test_ordering_decisions_and_their_calls_are_pinned(monkeypatch):
@@ -1154,7 +1199,8 @@ def _block_pairs(ranks=None):
 
 def _mixed_blocks():
     """Qubits, pure, phase-witness (phase-rotated), zero-diagonal-row and
-    random states, in one block of pairs per dimension."""
+    random states, and a near-tie pair at d = 10, in one block of pairs per
+    dimension."""
     rng = np.random.default_rng(81)
     witness = [_phase_rotated(_nonnegative_state(d, rng), rng) for d in (6, 6, 5)]
     pairs = [
@@ -1167,6 +1213,7 @@ def _mixed_blocks():
         (pure_density(haar_random_pure(4, rng)), pure_density(haar_random_pure(4, rng))),
     ]
     pairs += [(random_density(d, d, rng), random_density(d, d, rng)) for d in (6, 10, 10) * 6]
+    pairs.append(_near_tie_pair(random_density(10, 10, rng)))
     return _one_dimension_blocks(pairs)
 
 
@@ -1243,13 +1290,17 @@ def _scalar_brackets(rho):
     except np.linalg.LinAlgError:
         pass
     lo = max(0.0, dual - 1.0)
-    r = m @ u
-    ascent = float(np.vdot(u, r).real)
-    for _ in range(cohkit.measures.ASCENT_STEPS):
-        u = phases(r)
-        r = m @ u
-        ascent = max(ascent, float(np.vdot(u, r).real))
-    mod = np.abs(r)
+    rank, steps = cohkit.measures._ascent_plan(len(m))
+    v = v[:, ::-1][:, :rank].copy()
+    v[:, 0] = u
+    v = _scalar_unit_rows(v)
+    r = m @ v
+    ascent = _trace_form(v, r)
+    for _ in range(steps):
+        v = _scalar_unit_rows(r)
+        r = m @ v
+        ascent = max(ascent, _trace_form(v, r))
+    mod = np.linalg.norm(r, axis=1)
     d = mod + max(0.0, -float(np.linalg.eigvalsh(np.diag(mod) - m)[0]))
     d = d + cohkit.measures.BRACKET_SLACK_SHIFT
     try:
@@ -1270,8 +1321,8 @@ def test_stacked_brackets_equal_each_matrix_alone():
         if not states:
             continue
         m = np.stack([rho.mat for rho in states])
-        u = np.ones(m.shape[:2], dtype=complex)
-        for rung in (_witness, _eigen_bracket, _ascent):  # each from the phases the one before left
+        u = np.zeros((*m.shape[:2], cohkit.measures._ascent_plan(m.shape[-1])[0]), dtype=complex)
+        for rung in (_witness, _eigen_bracket, _ascent):  # each from the V the one before left
             stacked = rung(m, u)
             for k in range(len(states)):
                 alone = rung(m[k:k + 1], u[k:k + 1])
