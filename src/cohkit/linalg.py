@@ -1,9 +1,12 @@
 """Dense complex linear algebra used by the rest of the package.
 
 Everything here operates on square numpy arrays (real or complex) and is a
-pure function of its inputs; :func:`hermitian_part`, :func:`hermitian_defect`,
-:func:`hermitize` and :func:`partial_trace` also take stacks of them, acting
-on the last two axes.
+pure function of its inputs; :func:`hermitian_defect`, :func:`hermitize`,
+:func:`diagonal_minus` and :func:`partial_trace` also take stacks of them,
+acting on the last two axes. One kernel per job: the Hermiticity check
+(:func:`hermitian_defect`), the Hermitian part (:func:`hermitize`), and the
+slack ``Diag(d) - rho`` that the solver, the stacked rungs and the
+certificate audit share (:func:`diagonal_minus`).
 Matrices are small (d <= 64), so all routines are plain O(d^3) dense
 algorithms backed by LAPACK.
 """
@@ -18,27 +21,14 @@ import numpy as np
 HERMITIAN_RTOL = 1e-10
 
 
-def hermitian_part(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Hermitian part (m + m^dag) / 2 of a square matrix, or of each matrix of
-    a stack (last two axes), and its relative Hermiticity defect
-    ||m - m^dag||_F / max(1, ||m||_F), one per matrix.
-
-    ``m`` counts as Hermitian when the defect is at most HERMITIAN_RTOL. The
-    Hermitian part is bit-identical to :func:`hermitize`.
-    """
-    mh = m.conj().swapaxes(-1, -2)
-    return (m + mh) / 2, _defect(m, mh)
-
-
 def hermitian_defect(m: np.ndarray) -> np.ndarray:
-    """The relative Hermiticity defect of :func:`hermitian_part` alone, for a
-    caller that forms the Hermitian part only where the defect is not 0."""
-    return _defect(m, m.conj().swapaxes(-1, -2))
+    """The relative Hermiticity defect ||m - m^dag||_F / max(1, ||m||_F) of a
+    square matrix, or of each matrix of a stack (last two axes).
 
-
-def _defect(m: np.ndarray, mh: np.ndarray) -> np.ndarray:
-    """||m - mh||_F / max(1, ||m||_F) over the last two axes, ``mh`` being m^dag."""
-    diff_sq = _sum_abs2(m - mh)
+    ``m`` counts as Hermitian when the defect is at most HERMITIAN_RTOL. A
+    caller forms the Hermitian part (:func:`hermitize`) only where it needs it.
+    """
+    diff_sq = _sum_abs2(m - m.conj().swapaxes(-1, -2))
     # exactly Hermitian matrices, the common case, have defect 0 whatever their norm
     if not diff_sq.any():
         return diff_sq
@@ -54,6 +44,19 @@ def _sum_abs2(m: np.ndarray) -> np.ndarray:
 def hermitize(m: np.ndarray) -> np.ndarray:
     """Hermitian part (m + m^dag) / 2, of each matrix of a stack (last two axes)."""
     return (m + m.conj().swapaxes(-1, -2)) / 2
+
+
+def diagonal_minus(d: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The slack ``Diag(d) - m`` of a square matrix and its diagonal ``d``, or
+    of each matrix of a stack and the matching row of ``d``.
+
+    Off the diagonal each entry is ``0.0 - m_ij``, on it ``d_i - m_ii``: the
+    bits of ``np.diag(d) - m``, signed zeros included.
+    """
+    idx = np.arange(m.shape[-1])
+    out = np.zeros(m.shape)
+    out[..., idx, idx] = d
+    return out - m
 
 
 def partial_trace(m: np.ndarray, dims: list[int] | tuple[int, ...], keep: int) -> np.ndarray:
@@ -92,7 +95,7 @@ def hermitian_eig(h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h = np.asarray(h)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("hermitian_eig expects a square matrix")
-    h, defect = hermitian_part(h)
+    defect = hermitian_defect(h)
     if defect > HERMITIAN_RTOL:
         raise ValueError(f"matrix is not Hermitian (relative defect {defect:.3e})")
-    return np.linalg.eigh(h)
+    return np.linalg.eigh(hermitize(h))

@@ -14,7 +14,10 @@ Three measures are provided:
   bracket and a rank-r ascent over duals Y = V V^dag with unit-row V
   (Burer-Monteiro), whose r and step count are fixed functions of the
   dimension (:func:`_ascent_plan`). The certified SDP, per state, comes
-  last.
+  last. Every stacked dual is a unit-row V, the rank-one phases u as its
+  r = 1 case: one row rule, :func:`_unit_rows`, makes each, and one trace
+  form, :func:`_trace_form`, gives its objective; every primal slack is
+  :func:`cohkit.linalg.diagonal_minus`.
   :meth:`_Ladder.run` runs one stacked rung on the states it is given and
   intersects the brackets it certifies, and each mode calls the rungs it
   needs in turn. A stacked rung's primal is certified by one rule,
@@ -192,16 +195,13 @@ def rel_entropy_coherence(rho: DensityMatrix) -> MeasureValue:
     return MeasureValue(_finalize(rho.dephased_entropy_bits - rho.entropy_bits), Method.DIRECT)
 
 
-def _unit_phases(v: np.ndarray) -> np.ndarray:
-    """v_j / |v_j|, and 1 where v_j = 0."""
-    mod = np.abs(v)
-    return np.divide(v, mod, out=np.ones_like(v), where=mod > 0)
-
-
 def _unit_rows(r: np.ndarray) -> np.ndarray:
     """Each row r_i / |r_i| of a stack of complex matrices, and e_1 where
-    r_i = 0, so that every row is a unit vector. |r_i|^2 sums the squares of
-    the real and imaginary parts of r_i in order (one ``einsum``)."""
+    r_i = 0, so that every row is a unit vector: a unit-row V, whose
+    Y = V V^dag is dual feasible. |r_i|^2 sums the squares of the real and
+    imaginary parts of r_i in order (one ``einsum``). At r = 1, a stack of
+    columns, the rows are the phases u_j = r_j / |r_j| of the rank-one
+    duals, and 1 where r_j = 0."""
     norm = np.sqrt(np.einsum("...k,...k->...", r.view(float), r.view(float)))[..., None]
     return np.where(norm > 0, r, np.eye(r.shape[-1])[0]) / np.where(norm > 0, norm, 1.0)
 
@@ -258,34 +258,29 @@ def _bracketed(rho: DensityMatrix) -> bool:
     return rho.dim > 2 and rho.eigenvalues[-2] >= PURE_EIG_TOL
 
 
-def _matvec(m: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``m[i] @ u[i]`` for each matrix of a stack, bit-identical to the single product."""
-    return (m @ u[..., None])[..., 0]
-
-
-def _diagonal_minus(d: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``Diag(d[i]) - m[i]`` for each matrix of a stack."""
-    idx = np.arange(m.shape[-1])
-    out = np.zeros(m.shape)
-    out[:, idx, idx] = d
-    return out - m
+def _trace_form(v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Re tr(V^dag R) for each matrix of two stacks, one ``np.vecdot`` over
+    each flattened matrix: with R = rho V, the dual objective tr(rho Y) of
+    Y = V V^dag, at every rank r."""
+    flat = len(v), -1
+    return np.vecdot(v.reshape(flat), r.reshape(flat)).real
 
 
 def _witness(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidates 1 and 2 on a stack: the Gershgorin primal, objective
-    1 + l1, and the dual Y = u u^dag with u the phases of the column of the
-    largest diagonal entry, returned as column 0 of a ``v``-shaped stack
-    that is zero elsewhere. Reads no phases."""
+    1 + l1, and the dual Y = u u^dag with u the unit rows (:func:`_unit_rows`,
+    r = 1) of the column of the largest diagonal entry, returned as column 0
+    of a ``v``-shaped stack that is zero elsewhere. Reads no phases."""
     column = np.argmax(m.diagonal(axis1=-2, axis2=-1).real, axis=-1)
-    u = _unit_phases(m[np.arange(len(m)), :, column])
-    return (np.vecdot(u, _matvec(m, u)).real, np.abs(m).sum(axis=(-2, -1)),
-            u[..., None] * np.eye(v.shape[-1])[0])
+    u = _unit_rows(m[np.arange(len(m)), :, column][..., None])
+    return _trace_form(u, m @ u), np.abs(m).sum(axis=(-2, -1)), u * np.eye(v.shape[-1])[0]
 
 
 def _eigen_bracket(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Candidates 3 and 4 on a stack, from one ``eigh`` of O = rho - Diag(rho):
-    the dual from the phases u of O's top eigenvector; the primal
-    (:func:`_primal`) at d_i = rho_ii + lambda_max(O) + BRACKET_SLACK_SHIFT.
+    the dual from the phases u of O's top eigenvector (:func:`_unit_rows`,
+    r = 1); the primal (:func:`_primal`) at d_i = rho_ii + lambda_max(O) +
+    BRACKET_SLACK_SHIFT.
     Returns the ascent's start, shaped as ``v``: O's top eigenvectors,
     largest first, with u in column 0 and each row made a unit vector
     (:func:`_unit_rows`). Reads no phases."""
@@ -294,9 +289,9 @@ def _eigen_bracket(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray
     off[:, idx, idx] = 0.0
     w, vecs = np.linalg.eigh(off)
     start = vecs[..., ::-1][..., :v.shape[-1]].copy()  # the top r, largest first
-    u = start[..., 0] = _unit_phases(vecs[..., -1])
+    u = start[..., :1] = _unit_rows(vecs[..., -1:])
     d = m.diagonal(axis1=-2, axis2=-1).real + (w[:, -1] + BRACKET_SLACK_SHIFT)[:, None]
-    return np.vecdot(u, _matvec(m, u)).real, _primal(m, d), _unit_rows(start)
+    return _trace_form(u, m @ u), _primal(m, d), _unit_rows(start)
 
 
 def _ascent(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -311,15 +306,14 @@ def _ascent(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
     complementary-slackness point d_i = |(rho V)_i| + c for the last V, with
     c = max(0, -lambda_min(Diag|(rho V)_i| - rho)) + BRACKET_SLACK_SHIFT.
     """
-    flat = len(m), -1  # tr(V^dag R) as one dot product per matrix
     r = m @ v
-    dual = np.vecdot(v.reshape(flat), r.reshape(flat)).real
+    dual = _trace_form(v, r)
     for _ in range(_ascent_plan(m.shape[-1])[1]):
         v = _unit_rows(r)
         r = m @ v
-        dual = np.maximum(dual, np.vecdot(v.reshape(flat), r.reshape(flat)).real)
+        dual = np.maximum(dual, _trace_form(v, r))
     mod = np.linalg.norm(r, axis=-1)
-    c = np.maximum(0.0, -np.linalg.eigvalsh(_diagonal_minus(mod, m))[:, 0])
+    c = np.maximum(0.0, -np.linalg.eigvalsh(linalg.diagonal_minus(mod, m))[:, 0])
     d = (mod + c[:, None]) + BRACKET_SLACK_SHIFT
     return dual, _primal(m, d), v
 
@@ -327,15 +321,16 @@ def _ascent(m: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.nd
 def _primal(m: np.ndarray, d: np.ndarray) -> np.ndarray:
     """The one certificate rule for a stacked rung's primal point ``d``: per
     matrix of the stack, the objective ``sum_i d_i`` where a Cholesky
-    factorization of the slack ``Diag(d) - rho`` succeeds, so that the point
-    is feasible, and ``inf`` where it fails.
+    factorization of the slack ``Diag(d) - rho``
+    (:func:`cohkit.linalg.diagonal_minus`) succeeds, so that the point is
+    feasible, and ``inf`` where it fails.
 
     One stacked call decides the whole stack unless it raises; the stack is
     then checked one matrix at a time, so each matrix keeps the verdict it
     gets alone.
     """
     try:
-        np.linalg.cholesky(_diagonal_minus(d, m))
+        np.linalg.cholesky(linalg.diagonal_minus(d, m))
     except np.linalg.LinAlgError:
         if len(m) == 1:
             return np.array([np.inf])
@@ -362,12 +357,12 @@ class _Ladder:
     Construction runs both modes' common start, which is all of value mode:
     rung 0 gives each qubit or pure state :func:`roc`'s closed form, one
     state at a time; the others, ``stacked`` (their indices, ascending; the
-    i-th is row i of the stack ``m`` and of ``u``, the stack of unit-row
+    i-th is row i of the stack ``m`` and of ``v``, the stack of unit-row
     d x r matrices each rung leaves for the next, r from
     :func:`_ascent_plan`), run the
     witness as one stack, which gives a PHASE_WITNESS value to each whose
     two objectives pass the gap rule. Where rung 0 values every state,
-    nothing is stacked: ``m`` and ``u`` are None, and neither the witness
+    nothing is stacked: ``m`` and ``v`` are None, and neither the witness
     nor the gap rule runs. In value mode a state the witness leaves open
     then takes the SDP (:meth:`solve`); decision mode calls
     :meth:`bracket`, the ascent through :meth:`run`, then :meth:`solve`;
@@ -382,11 +377,11 @@ class _Ladder:
         self.lo = np.array([0.0 if mv is None else mv.value for mv in self.values])
         self.hi = np.where(unvalued, np.inf, self.lo)
         self.stacked = np.flatnonzero(unvalued)
-        self.m = self.u = None
+        self.m = self.v = None
         if not self.stacked.size:
             return
         self.m = np.array([states[k].mat for k in self.stacked.tolist()])
-        self.u = np.zeros((*self.m.shape[:2], _ascent_plan(self.m.shape[-1])[0]), dtype=complex)
+        self.v = np.zeros((*self.m.shape[:2], _ascent_plan(self.m.shape[-1])[0]), dtype=complex)
         dual, primal = self.run(_witness, self.stacked)
         passed = sdp.passes_gap_rule(primal, dual, tol)
         for k, dl, pr in zip(self.stacked[passed].tolist(), dual[passed].tolist(),
@@ -396,14 +391,14 @@ class _Ladder:
     def run(self, rung: Callable, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Run the stacked ``rung`` (:func:`_witness`, :func:`_eigen_bracket`
         or :func:`_ascent`) on the stack of the states ``at``, some of
-        ``stacked`` in the caller's order, from the unit-row ``u`` the rung
+        ``stacked`` in the caller's order, from the unit-row ``v`` the rung
         before left them; intersect the certified ``[dual - 1, primal - 1]``
         into their brackets and return ``(dual, primal)``. An empty ``at`` runs
         nothing and is returned as both."""
         if not at.size:
             return at, at
         rows = np.searchsorted(self.stacked, at)
-        dual, primal, self.u[rows] = rung(self.m[rows], self.u[rows])
+        dual, primal, self.v[rows] = rung(self.m[rows], self.v[rows])
         self.tighten(at, dual, primal)
         return dual, primal
 

@@ -165,7 +165,6 @@ def solve(
     else:
         potrf, trtri, pencil_eig = _COMPLEX
     d = problem.rho.dim
-    neg_rho = -rho
 
     def max_step(x: np.ndarray, dx: np.ndarray) -> float:
         # X + a*dX >= 0 iff 1 + a*lam >= 0 for every eigenvalue lam of L^-1 dX L^-H,
@@ -183,7 +182,7 @@ def solve(
     best = (dvec, None, float(dvec.sum()), -np.inf)
 
     while True:
-        S = neg_rho + eye * dvec
+        S = linalg.diagonal_minus(dvec, rho)
         ls, info_s = potrf(S, lower=1, clean=1)
         _, info_y = potrf(Y, lower=1, clean=0)
         if info_s != 0 or info_y != 0:
@@ -260,7 +259,7 @@ def verify_certificates(sol: RocSolution, rho: DensityMatrix) -> CertificateRepo
     """
     if sol.dual_witness is None:
         raise ValueError("solution carries no dual witness to verify")
-    slack = np.diag(sol.primal_diag).astype(complex) - rho.mat
+    slack = linalg.diagonal_minus(sol.primal_diag, rho.mat)
     primal_violation = max(0.0, -float(linalg.hermitian_eig(slack).eigenvalues[0]))
     w_eigs = linalg.hermitian_eig(sol.dual_witness).eigenvalues
     diag_dev = float(np.max(np.abs(np.real(np.diag(sol.dual_witness)) - 1.0)))

@@ -73,6 +73,26 @@ def test_partial_trace_dimension_mismatch():
         linalg.partial_trace(np.eye(4), [2, 2], 2)
 
 
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_diagonal_minus_is_each_matrix_slack_bit_for_bit(kind):
+    # the solver's, the stacked rungs' and the audit's one slack builder:
+    # each row of a stack has the bits of its matrix alone, of np.diag(d) - m
+    # and of the solver's former -m + eye * d, signed zeros included
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((4, 6, 6))
+    if kind == "complex":
+        m = m + 1j * rng.standard_normal((4, 6, 6))
+    m[:, 0, 1:] = 0.0  # zero entries, whose sign 0.0 - m keeps positive
+    m[:, 1:, 0] = -0.0
+    d = rng.uniform(0.5, 2.0, (4, 6))
+    stack = linalg.diagonal_minus(d, m)
+    assert stack.shape == m.shape and stack.dtype == m.dtype
+    for i in range(4):
+        alone = linalg.diagonal_minus(d[i], m[i])
+        for other in (alone, np.diag(d[i]) - m[i], -m[i] + np.eye(6) * d[i]):
+            assert other.dtype == stack.dtype and other.tobytes() == stack[i].tobytes()
+
+
 def test_hermitian_eig_sorted_diagonal():
     eig = linalg.hermitian_eig(np.diag([3.0, 1.0, 2.0]))
     assert np.allclose(eig.eigenvalues, [1.0, 2.0, 3.0], atol=1e-12)

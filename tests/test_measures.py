@@ -83,7 +83,7 @@ def _ascent_start(rho):
     normalized."""
     off = rho.mat - np.diag(rho.mat.diagonal())
     vecs = np.linalg.eigh(off)[1][:, ::-1][:, :cohkit.measures._ascent_plan(rho.dim)[0]]
-    vecs[:, 0] = cohkit.measures._unit_phases(vecs[:, 0])
+    vecs[:, :1] = _scalar_unit_rows(vecs[:, [0]])
     return (vecs / np.linalg.norm(vecs, axis=1, keepdims=True))[None]
 
 
@@ -1040,8 +1040,12 @@ STAGE_HASH = "ce6540f4ed82d1af4fc5190594aae3a393214b729161ae355ca9019451fdfadc"
 # about 1e-16, so 13 of the 552 records (ranks 3-9) moved their solved
 # bracket by at most 3.3e-13, with no answer, stage, call or iteration count
 # changed (VIOLATED_HASH and STAGE_HASH held). Re-recorded with STAGE_HASH
-# when the ascent went to rank r: every ascent bracket moved
-DECISION_HASH = "e1f60b5816de4d8be7c778bb8c45afd00fa47d526ad7cefec6112e0815be857d"
+# when the ascent went to rank r: every ascent bracket moved. Re-recorded
+# when the rank-one phases became the r = 1 case of the unit rows, whose
+# norm is sqrt(re^2 + im^2) where np.abs took hypot: 483 bracket ends of 363
+# records moved, by at most 5.3e-15, with no answer, stage, call or
+# iteration count changed (VIOLATED_HASH and STAGE_HASH held)
+DECISION_HASH = "3d2e847a0ad5db526dc5d5248da58b2bf67b50361546a268e85f51ddf60b836a"
 
 
 def test_ordering_decisions_and_their_calls_are_pinned(monkeypatch):
@@ -1149,7 +1153,7 @@ def test_a_block_that_rung_0_values_runs_no_later_rung(monkeypatch):
         # most pairs need the robustness, so the ladder holds their states
         assert sum(decision.roc_difference != (-np.inf, np.inf) for decision in decisions) > 32
     ladder = _Ladder([rho for pair in blocks[0] for rho in pair], DEFAULT_ROC_TOL)
-    assert ladder.stacked.size == 0 and ladder.m is None and ladder.u is None
+    assert ladder.stacked.size == 0 and ladder.m is None and ladder.v is None
 
     def unexpected(*args, **kwargs):
         raise AssertionError("a rung after rung 0 ran on a block it values")
@@ -1272,14 +1276,13 @@ def _scalar_brackets(rho):
     """Candidates 1-6 on one matrix with single-matrix numpy calls, as first
     written: the solve-free ``(value, gap)`` and the ascent's ``(lo, hi)``."""
     m = rho.mat
-    phases = cohkit.measures._unit_phases
-    u = phases(m[:, int(np.argmax(m.diagonal().real))])
+    u = _scalar_unit_rows(m[:, [int(np.argmax(m.diagonal().real))]])[:, 0]
     dual = float(np.vdot(u, m @ u).real)
     primal = float(np.abs(m).sum())
     off = m.copy()
     np.fill_diagonal(off, 0.0)
     w, v = np.linalg.eigh(off)
-    u = phases(v[:, -1])
+    u = _scalar_unit_rows(v[:, [-1]])[:, 0]
     dual = max(dual, float(np.vdot(u, m @ u).real))
     shift = float(w[-1]) + cohkit.measures.BRACKET_SLACK_SHIFT
     slack = -m
@@ -1335,6 +1338,26 @@ def test_stacked_brackets_equal_each_matrix_alone():
                 assert ((b_lo, max(0.0, b_hi - b_lo)), (lo[k], hi[k])) == _scalar_brackets(rho)
                 compared += 1
     assert compared > 500
+
+
+def test_the_eigen_rung_puts_one_where_the_top_eigenvector_is_zero():
+    # a direct sum's top eigenvector of O lies in one block and is exactly
+    # zero on the other; there the r = 1 unit rows put 1 (e_1), so that
+    # Y = u u^dag keeps its unit diagonal and the dual stays a lower bound
+    rng = np.random.default_rng(0)
+    a, b = random_density(3, 3, rng).mat, random_density(4, 4, rng).mat
+    m = np.zeros((7, 7), dtype=complex)
+    m[:3, :3], m[3:, 3:] = 0.6 * a, 0.4 * b
+    top = np.linalg.eigh(m - np.diag(m.diagonal()))[1][:, -1]
+    assert (top == 0).sum() == 4
+    u = _scalar_unit_rows(top[:, None])
+    assert np.array_equal(u[top == 0, 0], np.ones(4))
+    dual, _, start = _eigen_bracket(m[None], np.zeros((1, 7, 2), dtype=complex))
+    assert dual[0] == _trace_form(u, m @ u)
+    assert np.abs(np.linalg.norm(start[0], axis=1) - 1.0).max() < 1e-12
+    sol = sdp.solve(sdp.build(DensityMatrix(m)), tol=1e-9)
+    assert sol.status is sdp.SolveStatus.OPTIMAL
+    assert dual[0] <= sol.primal_value + 1e-12
 
 
 def test_every_final_bracket_holds_the_sdp_value():

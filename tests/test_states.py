@@ -366,26 +366,26 @@ def test_hermiticity_defect_threshold():
         linalg.hermitian_eig(above)
 
 
-def test_hermitian_part_is_hermitize_and_the_frobenius_defect():
+def test_hermitize_is_the_hermitian_part_and_the_defect_the_frobenius_one():
     rng = np.random.default_rng(3)
     for d in (1, 2, 5, 10):
         m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        h, defect = linalg.hermitian_part(m)
-        assert np.array_equal(h, linalg.hermitize(m))
+        h, defect = linalg.hermitize(m), linalg.hermitian_defect(m)
+        assert np.array_equal(h, (m + m.conj().T) / 2)
         expected = np.linalg.norm(m - m.conj().T) / max(1.0, np.linalg.norm(m))
         assert defect == pytest.approx(expected, rel=1e-12)
 
 
-def test_hermitian_part_of_a_stack_is_that_of_each_matrix():
+def test_hermitize_and_the_defect_of_a_stack_are_those_of_each_matrix():
     rng = np.random.default_rng(4)
     for d in (1, 3, 10):
         m = rng.standard_normal((5, d, d)) + 1j * rng.standard_normal((5, d, d))
         m[1] = linalg.hermitize(m[1])  # one exactly Hermitian matrix among them
-        h, defect = linalg.hermitian_part(m)
-        assert np.array_equal(h, linalg.hermitize(m))
+        h, defect = linalg.hermitize(m), linalg.hermitian_defect(m)
+        assert np.array_equal(h, (m + m.conj().swapaxes(-1, -2)) / 2)
         assert defect.shape == (5,) and defect[1] == 0.0
         for i in range(5):
-            h_i, defect_i = linalg.hermitian_part(m[i])
+            h_i, defect_i = linalg.hermitize(m[i]), linalg.hermitian_defect(m[i])
             assert np.array_equal(h[i], h_i)
             assert defect[i] == defect_i
 
@@ -464,7 +464,7 @@ def test_a_given_spectrum_leaves_the_hermiticity_check_on_the_matrix():
     m = np.array([rho.mat for rho in block])
     eigs = np.array([rho.eigenvalues for rho in block])
     m[1, 0, 2] += 1e-6  # the transposed entry is left alone
-    defect = linalg.hermitian_part(m)[1][1]
+    defect = linalg.hermitian_defect(m)[1]
     assert defect > linalg.HERMITIAN_RTOL
     with pytest.raises(ValueError, match=f"not Hermitian \\(relative defect {defect:.3e}\\)"):
         cohkit.states._validated(m, (), eigs)
