@@ -37,6 +37,8 @@ Three measures are provided:
   process, each once, where it is made: the closed forms in ``roc``, the
   rest in :class:`_Ladder`, which also counts each state the eigen bracket
   runs on once as SOLVE_FREE_BRACKET. The ascent counts nothing.
+  :func:`subadditivity_gap` adds each state's qubit marginals, whose
+  closed forms it takes without ``roc``, as CLOSED_FORM_QUBIT values.
 
 Also here: the change in each measure when an ancilla is appended, the
 robustness and sub-additivity gap over qubit marginals of each state of a
@@ -349,24 +351,26 @@ class _Ladder:
     The bracket starts at ``[0, inf)``. Each rung intersects the certified
     ``[dual - 1, primal - 1]`` of every state it runs on into that state's
     bracket, with one ``np.fmax`` and one ``np.fmin`` over the rung's rows,
-    which drop a NaN end as ``max`` and ``min`` do; a value a rung gives
-    resets the bracket to the value's own ``[value, upper]``. The eigen
-    bracket and the ascent give brackets, not values. ``tol`` is the gap
-    rule's, for the witness and the SDP.
+    which drop a NaN end as ``max`` and ``min`` do. A closed form or a
+    PHASE_WITNESS value sets the bracket to the value's own ``[value,
+    upper]``; an SDP value leaves it as it was, which in decision mode is
+    what the solve's ``accept`` hook intersected and in value mode the
+    witness's bracket. The eigen bracket and the ascent give brackets, not
+    values. ``tol`` is the gap rule's, for the witness and the SDP.
 
     Construction runs both modes' common start, which is all of value mode:
     rung 0 gives each qubit or pure state :func:`roc`'s closed form, one
-    state at a time; the others, ``stacked`` (their indices, ascending; the
-    i-th is row i of the stack ``m`` and of ``v``, the stack of unit-row
-    d x r matrices each rung leaves for the next, r from
-    :func:`_ascent_plan`), run the
-    witness as one stack, which gives a PHASE_WITNESS value to each whose
-    two objectives pass the gap rule. Where rung 0 values every state,
-    nothing is stacked: ``m`` and ``v`` are None, and neither the witness
-    nor the gap rule runs. In value mode a state the witness leaves open
-    then takes the SDP (:meth:`solve`); decision mode calls
-    :meth:`bracket`, the ascent through :meth:`run`, then :meth:`solve`;
-    on no state, :meth:`bracket` and :meth:`run` return at once.
+    state at a time; the others run the witness as one stack, which gives a
+    PHASE_WITNESS value to each whose two objectives pass the gap rule.
+    State ``k`` is row ``k`` of the stack ``m`` of the block's matrices and
+    of ``v``, the stack of unit-row d x r matrices each rung leaves for the
+    next (r from :func:`_ascent_plan`); both are built once, and only where
+    some state reaches the witness. Where rung 0 values every state, ``m``
+    and ``v`` are None, and neither the witness nor the gap rule runs. In
+    value mode a state the witness leaves open then takes the SDP
+    (:meth:`solve`); decision mode calls :meth:`bracket`, the ascent
+    through :meth:`run`, then :meth:`solve`; on no state, :meth:`bracket`
+    and :meth:`run` return at once.
     """
 
     def __init__(self, states: list[DensityMatrix], tol: float):
@@ -376,29 +380,27 @@ class _Ladder:
         # a closed form is exact: its bracket is the point [value, value]
         self.lo = np.array([0.0 if mv is None else mv.value for mv in self.values])
         self.hi = np.where(unvalued, np.inf, self.lo)
-        self.stacked = np.flatnonzero(unvalued)
         self.m = self.v = None
-        if not self.stacked.size:
+        if not unvalued.any():
             return
-        self.m = np.array([states[k].mat for k in self.stacked.tolist()])
+        self.m = np.array([rho.mat for rho in states])
         self.v = np.zeros((*self.m.shape[:2], _ascent_plan(self.m.shape[-1])[0]), dtype=complex)
-        dual, primal = self.run(_witness, self.stacked)
+        at = np.flatnonzero(unvalued)
+        dual, primal = self.run(_witness, at)
         passed = sdp.passes_gap_rule(primal, dual, tol)
-        for k, dl, pr in zip(self.stacked[passed].tolist(), dual[passed].tolist(),
-                             primal[passed].tolist()):
+        for k, dl, pr in zip(at[passed].tolist(), dual[passed].tolist(), primal[passed].tolist()):
             self.give(k, _pair_value(Method.PHASE_WITNESS, dl, pr))
 
     def run(self, rung: Callable, at: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Run the stacked ``rung`` (:func:`_witness`, :func:`_eigen_bracket`
-        or :func:`_ascent`) on the stack of the states ``at``, some of
-        ``stacked`` in the caller's order, from the unit-row ``v`` the rung
-        before left them; intersect the certified ``[dual - 1, primal - 1]``
-        into their brackets and return ``(dual, primal)``. An empty ``at`` runs
-        nothing and is returned as both."""
+        or :func:`_ascent`) on the stack of the states ``at``, in the caller's
+        order, from the unit-row ``v`` the rung before left them; intersect
+        the certified ``[dual - 1, primal - 1]`` into their brackets and
+        return ``(dual, primal)``. An empty ``at`` runs nothing and is
+        returned as both."""
         if not at.size:
             return at, at
-        rows = np.searchsorted(self.stacked, at)
-        dual, primal, self.v[rows] = rung(self.m[rows], self.v[rows])
+        dual, primal, self.v[at] = rung(self.m[at], self.v[at])
         self.tighten(at, dual, primal)
         return dual, primal
 
@@ -406,7 +408,7 @@ class _Ladder:
         """The eigen-bracket rung on every state the witness left open, in
         order: each keeps the rung's bracket, not a value, and counts once
         under SOLVE_FREE_BRACKET in ROC_METHOD_COUNTS."""
-        at = np.array([k for k in self.stacked.tolist() if self.values[k] is None], dtype=int)
+        at = np.array([k for k, mv in enumerate(self.values) if mv is None], dtype=int)
         self.run(_eigen_bracket, at)
         ROC_METHOD_COUNTS[Method.SOLVE_FREE_BRACKET.value] += len(at)
 
@@ -590,8 +592,7 @@ class DecisionStage(Enum):
 
 class OrderingDecision(NamedTuple):
     """Per measure pair, whether it ranks (a, b) oppositely; the stage that
-    settled it; and the final bracket on RoC(a) - RoC(b) (infinite when the
-    robustness was not needed)."""
+    settled it; and the bracket on RoC(a) - RoC(b) it was settled on."""
 
     violated: tuple[bool, ...]
     stage: DecisionStage
@@ -629,20 +630,20 @@ def ordering_decisions(
     each state's RoC is bracketed, the difference by ``low = lo_a - hi_b``
     and ``high = hi_a - lo_b``, and a pair is settled where every category
     the bracket allows has the same code. It runs once over the block's
-    open pairs at each stacked stage and on one pair inside the SDP rung. A
-    pair whose codes are all the same needs no robustness: it is settled at
-    SOLVE_FREE on the bracket ``(-inf, inf)``, and its states are never
-    measured.
+    open pairs at each stacked stage and on one pair inside the SDP rung.
+    A pair whose codes all agree is settled by that rule like any other, at
+    the first settle, on the brackets its states have there.
 
-    The states of the other pairs make one :class:`_Ladder`, whose rung 0
-    and witness give the closed forms and phase-witness values. Decision
-    mode is then four calls: :meth:`_Ladder.bracket` gives every state the
-    witness leaves open, by the gap rule at DEFAULT_ROC_TOL, its eigen
-    bracket, not a value; each pair is settled on these brackets
-    (SOLVE_FREE); :meth:`_Ladder.run` runs the rank-r ascent, as one stack,
-    on the states that have no value and whose pair is still open, widest
-    bracket first within each pair (:meth:`_Ladder.widest_first`); and
-    the pairs still open are settled again (ASCENT). Running both states'
+    The block's states make one :class:`_Ladder`, in block order (pair ``j``
+    is its states ``2j`` and ``2j + 1``), whose rung 0 and witness give the
+    closed forms and phase-witness values. Decision mode is then four
+    calls: :meth:`_Ladder.bracket` gives every state the witness leaves
+    open, by the gap rule at DEFAULT_ROC_TOL, its eigen bracket, not a
+    value; each pair is settled on these brackets (SOLVE_FREE);
+    :meth:`_Ladder.run` runs the rank-r ascent, as one stack, on the states
+    that have no value and whose pair is still open, widest bracket first
+    within each pair (:meth:`_Ladder.widest_first`); and the pairs still
+    open are settled again (ASCENT). Running both states'
     ascents at once settles the same pairs as running the wider one first,
     since a bracket never widens.
 
@@ -667,43 +668,36 @@ def ordering_decisions(
     measured = _finalized(np.array([
         [rho.offdiagonal_abs_sum for rho in states],
         [rho.dephased_entropy_bits - rho.entropy_bits for rho in states]]))
-    table = _answer_table(*(measured[:, ::2] - measured[:, 1::2]))
-    # a pair with the same answers in every category needs no robustness
-    open_ = (table != table[:, :1]).any(-1)
-    needed = np.flatnonzero(open_)
-    decisions = [None if j else OrderingDecision(_ANSWERS[c], DecisionStage.SOLVE_FREE,
-                                                 (-np.inf, np.inf))
-                 for j, c in zip(open_.tolist(), table[:, 0].tolist())]
-    ladder = _Ladder([rho for j in needed.tolist() for rho in pairs[j]], DEFAULT_ROC_TOL)
-    codes = table[needed]
+    codes = _answer_table(*(measured[:, ::2] - measured[:, 1::2]))
+    decisions = [None] * len(pairs)
+    ladder = _Ladder(states, DEFAULT_ROC_TOL)
 
     def settle(at: np.ndarray, stage: DecisionStage, point: np.ndarray | None = None) -> np.ndarray:
-        """Settle the open pairs ``at`` of the ladder (pair i is its states
-        2i and 2i + 1) by :func:`_settle` at ``stage``, on their brackets or,
-        given ``point``, on the RoC differences ``point`` with the brackets
-        recorded; the pairs of ``at`` still open."""
+        """Settle the open pairs ``at`` by :func:`_settle` at ``stage``, on
+        their brackets or, given ``point``, on the RoC differences ``point``
+        with the brackets recorded; the pairs of ``at`` still open."""
         if not at.size:
             return at
         a = 2 * at
         low, high = ladder.lo[a] - ladder.hi[a + 1], ladder.hi[a] - ladder.lo[a + 1]
         code = _settle(codes[at], *((low, high) if point is None else (point, point)))
         done = code >= 0
-        for j, c, bracket in zip(needed[at[done]].tolist(), code[done].tolist(),
+        for j, c, bracket in zip(at[done].tolist(), code[done].tolist(),
                                  zip(low[done].tolist(), high[done].tolist())):
             decisions[j] = OrderingDecision(_ANSWERS[c], stage, bracket)
         return at[~done]
 
     ladder.bracket()
-    unsettled = settle(np.arange(len(needed)), DecisionStage.SOLVE_FREE)
+    unsettled = settle(np.arange(len(pairs)), DecisionStage.SOLVE_FREE)
     ladder.run(_ascent, ladder.widest_first(unsettled))
     settle(unsettled, DecisionStage.ASCENT)
 
-    def decide(j: int, i: int) -> OrderingDecision:
-        """Pair ``j`` of the block, pair ``i`` of the ladder: its decision,
-        after its SDP rung if the stacked rungs left it open."""
+    def decide(j: int) -> OrderingDecision:
+        """Pair ``j``'s decision, after its SDP rung if the stacked rungs
+        left it open."""
         if decisions[j] is not None:
             return decisions[j]
-        at = np.array([i])
+        at = np.array([j])
         failure = None
         for k in ladder.widest_first(at).tolist():
             try:
@@ -714,10 +708,8 @@ def ordering_decisions(
                 return decisions[j]
         if failure is not None:
             raise failure
-        a, b = (ladder.values[k].value for k in (2 * i, 2 * i + 1))
+        a, b = (ladder.values[k].value for k in (2 * j, 2 * j + 1))
         settle(at, DecisionStage.UNDECIDED, np.array([a - b]))
         return decisions[j]
 
-    # each needed pair's position among the ladder's pairs (unread for the others)
-    position = np.cumsum(open_) - 1
-    return [partial(decide, j, i) for j, i in enumerate(position.tolist())]
+    return [partial(decide, j) for j in range(len(pairs))]

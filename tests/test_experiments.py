@@ -64,8 +64,12 @@ def test_config_validation():
         SweepConfig(experiment=Experiment.ORDERING_VS_DIMENSION, samples=5, seed=0, grid=(1,))
     with pytest.raises(ValueError, match="rank"):
         SweepConfig(experiment=Experiment.ORDERING_VS_RANK, samples=5, seed=0, grid=(11,), dim=10)
+    with pytest.raises(ValueError, match="dim must be at least 2"):
+        SweepConfig(experiment=Experiment.ORDERING_VS_RANK, samples=5, seed=0, grid=(1,), dim=1)
     with pytest.raises(ValueError, match="positive integers"):
         SweepConfig(experiment=Experiment.THEOREM1_CHECK, samples=5, seed=0, grid=(0,))
+    with pytest.raises(ValueError, match="ancilla/state dimension"):
+        SweepConfig(experiment=Experiment.RESULT2_CHECK, samples=5, seed=0, grid=(2, 1))
 
 
 @pytest.mark.parametrize("name", ["samples", "seed", "dim"])
@@ -374,6 +378,9 @@ def test_theorem1_check_rows(monkeypatch):
         # certified robustness of the family is k itself
         assert abs(row.sdp_value - row.k) < 1e-6
         assert abs(row.closed_form - row.k * (1 - 2.0**-row.n)) < 1e-15
+    # a sigma-family state found super-additive is a fault, not a row
+    with pytest.raises(RuntimeError, match="violated sub-additivity"):
+        cohkit.experiments._theorem1_row(2, 0.1, lambda: (0.1, 1e-3))
 
 
 def test_result2_rows():

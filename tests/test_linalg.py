@@ -71,6 +71,9 @@ def test_partial_trace_dimension_mismatch():
         linalg.partial_trace(np.eye(6), [2, 2], 0)
     with pytest.raises(ValueError, match="out of range"):
         linalg.partial_trace(np.eye(4), [2, 2], 2)
+    for dims in ([], [4, 0], [-2, -2]):
+        with pytest.raises(ValueError, match="invalid subsystem dimensions"):
+            linalg.partial_trace(np.eye(4), dims, 0)
 
 
 @pytest.mark.parametrize("kind", ["real", "complex"])
@@ -118,6 +121,9 @@ def test_hermitian_eig_reconstructs():
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(ValueError, match="not Hermitian"):
         linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for h in (np.eye(3)[:2], np.eye(2)[None]):
+        with pytest.raises(ValueError, match="square"):
+            linalg.hermitian_eig(h)
 
 
 def test_density_eigenvalues_in_unit_range():

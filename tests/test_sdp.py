@@ -236,6 +236,59 @@ def test_max_iter_returns_best_iterate(monkeypatch):
     assert report.dual_feasibility_violation <= 1e-8
 
 
+def _plant_breakdown(monkeypatch, factor, at):
+    """Make call ``at`` (counted from 0) of one of ``solve``'s Cholesky
+    factorizations report a breakdown (``info = 1``): the ``potrf`` of S and
+    Y, two calls per iterate, for ``factor == "s_y"``, and the Schur
+    complement's ``_POTRF_M``, one call per Newton step, for ``"schur"``."""
+    calls = []
+
+    def failing(potrf):
+        def planted(a, *args, **kwargs):
+            out, info = potrf(a, *args, **kwargs)
+            calls.append(info)
+            return out, 1 if len(calls) == at + 1 else info
+        return planted
+
+    if factor == "schur":
+        monkeypatch.setattr(cohkit.sdp, "_POTRF_M", failing(cohkit.sdp._POTRF_M))
+    else:
+        for name in ("_REAL", "_COMPLEX"):
+            potrf, *rest = getattr(cohkit.sdp, name)
+            monkeypatch.setattr(cohkit.sdp, name, (failing(potrf), *rest))
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("factor, at, certified", [
+    ("s_y", 0, False),  # S at the first iterate: nothing was certified
+    ("s_y", 7, True),  # Y at the fourth iterate
+    ("schur", 0, True),  # the first Newton step, after the first iterate
+    ("schur", 2, True),
+])
+def test_a_factorization_breakdown_returns_the_last_certified_iterate(
+        monkeypatch, kind, factor, at, certified):
+    mat = random_density(4, 4, np.random.default_rng(41)).mat
+    rho = DensityMatrix(mat.real if kind == "real" else mat)
+    exact = solve(build(rho), tol=1e-10)
+    assert exact.status is SolveStatus.OPTIMAL
+    with monkeypatch.context() as patch:
+        _plant_breakdown(patch, factor, at)
+        sol = solve(build(rho))
+    assert sol.status is SolveStatus.NUMERICAL_FAILURE
+    if certified:
+        assert sol.dual_witness is not None
+        # [dual - 1, primal - 1] still holds the robustness the 1e-10 solve brackets
+        assert sol.dual_value <= exact.primal_value + 1e-12
+        assert sol.primal_value >= exact.dual_value - 1e-12
+    else:
+        assert sol.dual_witness is None and sol.dual_value == -np.inf
+    with monkeypatch.context() as patch:
+        _plant_breakdown(patch, factor, at)
+        with pytest.raises(cohkit.sdp.SolverFailure, match="numerical_failure") as failure:
+            roc(rho)
+    assert failure.value.state is rho
+
+
 def test_verify_certificates_flags_corrupted_witness():
     rho = sigma_family(2, 0.2)
     sol = solve(build(rho))

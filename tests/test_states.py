@@ -96,6 +96,8 @@ def test_reduced_qubit_closed_form():
     red = sigma_family(2, 1 / 3).marginal(1)
     assert red.dims == (2,)
     assert np.max(np.abs(red.mat - np.array([[0.5, -1 / 6], [-1 / 6, 0.5]]))) < 1e-14
+    with pytest.raises(ValueError, match="no subsystem factorization"):
+        DensityMatrix(np.eye(4) / 4).marginal(0)
 
 
 def test_reduced_qubit_equals_every_marginal():
@@ -155,6 +157,8 @@ def test_haar_random_pure_norm_and_determinism():
     a = haar_random_pure(5, np.random.default_rng(42))
     b = haar_random_pure(5, np.random.default_rng(42))
     assert np.array_equal(a, b)
+    with pytest.raises(ValueError, match="dimension must be positive"):
+        haar_random_pure(0, rng)
 
 
 def test_haar_random_pure_uniform_marginals():
@@ -503,3 +507,5 @@ def test_json_rejects_malformed():
         DensityMatrix.from_json_dict({"re": [1.0], "im": [0.0]})
     with pytest.raises(ValueError):
         DensityMatrix.from_json_dict({"dims": [], "re": [1.0, 0.0], "im": [0.0, 0.0]})
+    with pytest.raises(ValueError, match="equal length"):
+        DensityMatrix.from_json_dict({"dims": [], "re": [1.0, 0.0, 0.0, 0.0], "im": [0.0]})
